@@ -12,9 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gridrepair import algos  # noqa: E402
-from gridrepair import schedule as sched  # noqa: E402
 from gridrepair.harness import load_instance  # noqa: E402
-from gridrepair.model import build_precedence_graph, partition_islands  # noqa: E402
 
 
 def main() -> None:
@@ -22,8 +20,7 @@ def main() -> None:
         Path(__file__).resolve().parent.parent / "fixtures" / "feeder123.json"
     )
     instance = load_instance(path)
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
+    islands, precedence = instance.islands, instance.precedence
     damaged = sum(1 for p in instance.repair_times().values() if p > 0)
 
     print(f"instance: {path.name}")
@@ -37,9 +34,7 @@ def main() -> None:
     single = algos.single_optimal(instance)
     alg1 = algos.lp_list_schedule(instance)
     alg2 = algos.convert_single_to_m(instance)
-    _, h_infinite = sched.infinite_crew_energization(
-        islands, precedence, instance.repair_times()
-    )
+    h_infinite = alg2.report.infinite_crew_optimum
 
     print(f"\n  {'algorithm':28s} {'harm':>12s}")
     print(f"  {'-' * 28} {'-' * 12}")

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
 from gridrepair.lp import LpSolution, solve_relaxation
-from gridrepair.model import (
-    IslandSet,
-    NetworkInstance,
-    PrecedenceGraph,
-    build_precedence_graph,
-    partition_islands,
-)
+from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
 from gridrepair.schedule import HarmReport, Schedule
 from gridrepair.seq_opt import SingleCrewOptimum
 
@@ -43,6 +37,7 @@ class AlgoResult:
     precedence: PrecedenceGraph
     lp: LpSolution | None = None
     single_crew: SingleCrewOptimum | None = None
+    infinite_crew: dict[str, float] | None = None  # unlimited-crew energization
 
 
 def lp_list_schedule(
@@ -57,10 +52,9 @@ def lp_list_schedule(
     relaxation to skip the LP solve.
     """
     m = instance.crews if crews is None else crews
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
+    islands, precedence = instance.islands, instance.precedence
     if solution is None:
-        solution = solve_relaxation(instance, islands, precedence, crews=m)
+        solution = solve_relaxation(instance, crews=m)
     depth = precedence.depth()
     of_line = islands.island_of_line()
     order = sorted(
@@ -103,8 +97,7 @@ def convert_single_to_m(
     family of schedules; `adversarial-longest-last` realizes the worst one.
     """
     m = instance.crews if crews is None else crews
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
+    islands, precedence = instance.islands, instance.precedence
     single = seq_opt.optimal_single_crew_harm(instance)
 
     repair = instance.repair_times()
@@ -121,7 +114,7 @@ def convert_single_to_m(
 
     plan = sched.list_schedule(lines, m, repair)
     energization = sched.energization_times(plan, islands, precedence)
-    _, infinite = sched.infinite_crew_energization(islands, precedence, repair)
+    infinite_e, infinite = sched.infinite_crew_energization(islands, precedence, repair)
     return AlgoResult(
         algorithm=CONVERT,
         crews=m,
@@ -137,23 +130,20 @@ def convert_single_to_m(
         islands=islands,
         precedence=precedence,
         single_crew=single,
+        infinite_crew=infinite_e,
     )
 
 
 def single_optimal(instance: NetworkInstance) -> AlgoResult:
     """The exact single-crew schedule as an algorithm result (m = 1)."""
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
     single = seq_opt.optimal_single_crew_harm(instance)
-    plan = sched.list_schedule(list(single.line_list), 1, instance.repair_times())
-    energization = sched.energization_times(plan, islands, precedence)
     return AlgoResult(
         algorithm=SINGLE_OPTIMAL,
         crews=1,
-        schedule=plan,
-        energization=energization,
-        report=sched.harm_report(energization, islands, SINGLE_OPTIMAL),
-        islands=islands,
-        precedence=precedence,
+        schedule=single.plan,
+        energization=single.energization,
+        report=sched.harm_report(single.energization, instance.islands, SINGLE_OPTIMAL),
+        islands=instance.islands,
+        precedence=instance.precedence,
         single_crew=single,
     )

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 on parse/validation errors, 3 on a violated
-guarantee (which means an implementation bug, not a bad instance).
+guarantee or a broken internal invariant (an implementation bug, not a
+bad instance).
 """
 
 from __future__ import annotations
@@ -12,12 +13,8 @@ import sys
 from pathlib import Path
 
 from gridrepair import algos, harness, oracle
-from gridrepair.lp import format_model
-from gridrepair.model import (
-    ValidationError,
-    build_precedence_graph,
-    partition_islands,
-)
+from gridrepair.lp import LpError, format_model
+from gridrepair.schedule import ListNotPermutation
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -73,18 +70,15 @@ def _emit(payload: dict | str, out: Path | None) -> None:
 
 def _cmd_validate(args) -> int:
     instance = harness.load_instance(args.instance)
-    islands = partition_islands(instance)
     print(
         f"OK: {len(instance.nodes)} nodes, {len(instance.lines)} lines, "
-        f"{len(islands.islands)} islands, root {instance.root!r}"
+        f"{len(instance.islands.islands)} islands, root {instance.root!r}"
     )
     return EXIT_OK
 
 
 def _cmd_islands(args) -> int:
     instance = harness.load_instance(args.instance)
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
     payload = {
         "islands": [
             {
@@ -94,11 +88,11 @@ def _cmd_islands(args) -> int:
                 "weight": isl.weight,
                 "processing": isl.processing,
             }
-            for isl in islands.islands
+            for isl in instance.islands.islands
         ],
         "precedence": {
-            "root": precedence.root,
-            "edges": [list(edge) for edge in precedence.edges()],
+            "root": instance.precedence.root,
+            "edges": [list(edge) for edge in instance.precedence.edges()],
         },
     }
     _emit(payload, None)
@@ -139,6 +133,11 @@ def _cmd_bench(args) -> int:
     )
     rows = harness.run_bench(params, args.count, out_path=args.out, jobs=args.jobs)
     print(f"wrote {len(rows)} rows to {args.out}")
+    solved = [r for r in rows if r.h_opt]
+    if solved:
+        print(f"worst midpoint-list ratio:  {max(r.ratio_alg1 for r in solved):.4f}")
+        print(f"worst conversion ratio:     {max(r.ratio_alg2 for r in solved):.4f}")
+        print(f"smallest relaxation ratio:  {min(r.ratio_lp for r in solved):.4f}")
     return EXIT_OK
 
 
@@ -153,15 +152,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValidationError, harness.ParseError, harness.SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (oracle.TooLarge, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (oracle.BoundViolated, harness.InvariantViolation) as exc:
-        print(f"violation: {exc}", file=sys.stderr)
+    except (oracle.InvariantViolation, LpError, ListNotPermutation) as exc:
+        print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except (ValueError, OSError) as exc:
+        # ValidationError, ParseError, SchemaError and TooLarge are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -18,14 +18,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from gridrepair import algos, oracle
-from gridrepair import schedule as sched
 from gridrepair.lp import solve_relaxation
-from gridrepair.model import (
-    NetworkInstance,
-    build_precedence_graph,
-    partition_islands,
-    validate,
-)
+from gridrepair.model import NetworkInstance, validate
 
 
 class ParseError(ValueError):
@@ -39,10 +33,6 @@ class SchemaError(ValueError):
     def __init__(self, field: str, message: str | None = None):
         super().__init__(message or f"unexpected or invalid field {field!r}")
         self.field = field
-
-
-class InvariantViolation(AssertionError):
-    """A tested guarantee failed during a bench run."""
 
 
 _INSTANCE_FIELDS = {"root", "crews", "nodes", "lines"}
@@ -151,24 +141,6 @@ def oracle_to_json(result: oracle.OracleResult, crews: int) -> dict:
     }
 
 
-def rows_to_json(rows: "list[BenchRow]") -> list[dict]:
-    """Machine-readable mirror of the CSV: same columns, same order."""
-    return [
-        {col: getattr(row, col) for col in BENCH_COLUMNS} for row in rows
-    ]
-
-
-def save_result(path: str | Path, payload) -> None:
-    """Serialize an algorithm result, bench rows, or a plain payload to JSON."""
-    if isinstance(payload, algos.AlgoResult):
-        obj = result_to_json(payload)
-    elif isinstance(payload, list) and payload and isinstance(payload[0], BenchRow):
-        obj = rows_to_json(payload)
-    else:
-        obj = payload
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
-
-
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for the seeded instance generator; same seed, same bytes."""
@@ -235,7 +207,7 @@ def generate_corpus(
         trial += 1
         instance = generate_random(candidate)
         if max_islands is not None:
-            if len(partition_islands(instance).islands) > max_islands:
+            if len(instance.islands.islands) > max_islands:
                 continue
         out.append((f"gen-{candidate.seed}", instance))
     return out
@@ -321,15 +293,13 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
 def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
     """Run every algorithm on one instance and certify every guarantee.
 
-    Raises InvariantViolation with the instance attached if any tested
+    Raises oracle.InvariantViolation naming the instance if any tested
     bound fails; the caller serializes the instance for replay.
     """
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
     repair = instance.repair_times()
 
     t0 = time.perf_counter()
-    relaxation = solve_relaxation(instance, islands, precedence, crews=m)
+    relaxation = solve_relaxation(instance, crews=m)
     t_lp = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -340,9 +310,6 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
     alg2 = algos.convert_single_to_m(instance, crews=m)
     t_alg2 = time.perf_counter() - t0
 
-    single = alg2.single_crew.harm
-    _, infinite = sched.infinite_crew_energization(islands, precedence, repair)
-
     damaged = sum(1 for lid in repair if repair[lid] > 0)
     h_opt = None
     t_oracle = 0.0
@@ -351,18 +318,18 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
         h_opt = oracle.brute_force_optimal(instance, m).harm
         t_oracle = time.perf_counter() - t0
 
-    _certify(name, instance, m, alg1, alg2, single, infinite, h_opt)
+    oracle.certify_row(name, instance, m, alg1, alg2, h_opt)
 
     return BenchRow(
         instance=name,
         lines=len(repair),
-        islands=len(islands.islands),
+        islands=len(instance.islands.islands),
         crews=m,
         h_lp=alg1.lp.objective,
         h_alg1=alg1.report.harm,
         h_alg2=alg2.report.harm,
-        h_single=single,
-        h_infinite=infinite,
+        h_single=alg2.single_crew.harm,
+        h_infinite=alg2.report.infinite_crew_optimum,
         h_opt=h_opt,
         ratio_alg1=None if h_opt in (None, 0) else alg1.report.harm / h_opt,
         ratio_alg2=None if h_opt in (None, 0) else alg2.report.harm / h_opt,
@@ -372,57 +339,6 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
         t_alg2=t_alg2,
         t_oracle=t_oracle,
     )
-
-
-def _certify(name, instance, m, alg1, alg2, single, infinite, h_opt) -> None:
-    failures: list[str] = []
-    repair = instance.repair_times()
-    tol = 1e-6
-
-    # per-job chain under midpoint list scheduling
-    starts = alg1.schedule.starts()
-    elapsed = 0.0
-    for lid in alg1.schedule.priority:
-        if starts[lid] > elapsed / m + 1e-9:
-            failures.append(f"start bound broken for {lid}")
-        elapsed += repair[lid]
-    completions = alg1.schedule.completions()
-    for lid in repair:
-        if completions[lid] > 2.0 * alg1.lp.completion[lid] + tol:
-            failures.append(f"2x completion bound broken for {lid}")
-    for iid, e in alg1.energization.items():
-        if e > 2.0 * alg1.lp.energization[iid] + tol:
-            failures.append(f"2x energization bound broken for island {iid}")
-
-    # per-island conversion bound
-    single_plan = sched.list_schedule(
-        list(alg2.single_crew.line_list), 1, repair
-    )
-    single_e = sched.energization_times(single_plan, alg2.islands, alg2.precedence)
-    infinite_e, _ = sched.infinite_crew_energization(
-        alg2.islands, alg2.precedence, repair
-    )
-    for iid, e in alg2.energization.items():
-        bound = single_e[iid] / m + (m - 1) / m * infinite_e[iid]
-        if e > bound + 1e-9:
-            failures.append(f"conversion bound broken for island {iid}")
-
-    if h_opt is not None:
-        if alg1.report.harm > 2.0 * h_opt + tol:
-            failures.append("2x harm guarantee broken")
-        if alg2.report.harm > (2.0 - 1.0 / m) * h_opt + tol:
-            failures.append("(2 - 1/m) harm guarantee broken")
-        if alg1.lp.objective > h_opt + tol:
-            failures.append("relaxation exceeds the optimum")
-        if h_opt < single / m - tol:
-            failures.append("optimum below single-crew bound")
-        if h_opt < infinite - tol:
-            failures.append("optimum below unlimited-crew bound")
-
-    if failures:
-        raise InvariantViolation(
-            f"{name} (m={m}): " + "; ".join(failures),
-        )
 
 
 def _bench_task(args: tuple[str, dict, int]) -> BenchRow:
@@ -454,7 +370,7 @@ def run_bench(
                 rows = list(pool.map(_bench_task, tasks))
         else:
             rows = [_bench_task(t) for t in tasks]
-    except InvariantViolation as exc:
+    except oracle.InvariantViolation as exc:
         if out_path is not None:
             name = str(exc).split(" ", 1)[0]
             replay = {n: raw for n, raw, _ in tasks}.get(name)

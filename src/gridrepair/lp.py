@@ -18,18 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
-from gridrepair.model import (
-    IslandSet,
-    NetworkInstance,
-    PrecedenceGraph,
-    build_precedence_graph,
-    partition_islands,
-)
+from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
 
 LP_TOLERANCE = 1e-9
 SEPARATION_TOLERANCE = 1e-7
@@ -107,8 +100,11 @@ def simplex_solve(model: LpModel) -> LpVertex:
     """Solve the model to an optimal basic solution.
 
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
-    anti-cycling safeguards) at 1e-9 feasibility tolerances.
+    anti-cycling safeguards) at 1e-9 feasibility tolerances.  SciPy is
+    imported here, so commands that solve no LP never load it.
     """
+    from scipy.optimize import linprog
+
     index = {v: k for k, v in enumerate(model.variables)}
     n = len(model.variables)
     c = np.zeros(n)
@@ -187,18 +183,20 @@ def separate(
     c: Mapping[str, float],
     p: Mapping[str, float],
     m: int,
-    tol: float = SEPARATION_TOLERANCE,
+    pooled: Collection[frozenset[str]] = frozenset(),
 ) -> Cut | None:
     """Most violated load inequality at the point C, or None if all hold.
 
     When any subset is violated the returned prefix attains the exact
-    maximum violation over all 2^n - 1 subsets.
+    maximum violation over all 2^n - 1 subsets.  Subsets in `pooled` are
+    skipped: a pooled cut's residual violation is solver noise.
     """
-    ranked = _prefix_candidates(c, p, m)
-    if not ranked or ranked[0][0] <= tol:
-        return None
-    violation, subset = ranked[0]
-    return Cut(lines=subset, rhs=load_rhs((p[j] for j in subset), m))
+    for violation, subset in _prefix_candidates(c, p, m):
+        if violation <= SEPARATION_TOLERANCE:
+            return None
+        if subset not in pooled:
+            return Cut.for_subset(subset, p, m)
+    return None
 
 
 @dataclass
@@ -275,10 +273,8 @@ def solve_relaxation(
     which optimal face the simplex lands on; separation is re-checked on
     that point too.
     """
-    if islands is None:
-        islands = partition_islands(instance)
-    if precedence is None:
-        precedence = build_precedence_graph(instance, islands)
+    islands = instance.islands if islands is None else islands
+    precedence = instance.precedence if precedence is None else precedence
     m = instance.crews if crews is None else crews
     if m < 1:
         raise ValueError(f"crew count must be >= 1, got {m}")
@@ -295,15 +291,6 @@ def solve_relaxation(
     iterations = 0
     history: list[float] = []
 
-    def absorb(found: tuple[float, Cut]) -> None:
-        violation, cut = found
-        pool.append(cut)
-        pooled.add(cut.lines)
-        if len(pool) > cut_limit:
-            raise IterationLimit(
-                f"cut pool exceeded {cut_limit} (last violation {violation:.3e})"
-            )
-
     while True:
         model = LpModel(
             variables=list(base.variables),
@@ -315,17 +302,19 @@ def solve_relaxation(
         iterations += 1
         history.append(vertex.objective)
         cvals = {lid: vertex.values[f"C[{lid}]"] for lid in p}
-
-        fresh = _fresh_cut(cvals, p, m, pooled)
-        if fresh is not None:
-            absorb(fresh)
-            continue
-
-        canon_vertex = _canonical_pass(model, vertex.objective)
-        cvals = {lid: canon_vertex.values[f"C[{lid}]"] for lid in p}
-        fresh = _fresh_cut(cvals, p, m, pooled)
-        if fresh is not None:
-            absorb(fresh)
+        cut = separate(cvals, p, m, pooled)
+        if cut is None:
+            canon_vertex = _canonical_pass(model, vertex.objective)
+            cvals = {lid: canon_vertex.values[f"C[{lid}]"] for lid in p}
+            cut = separate(cvals, p, m, pooled)
+        if cut is not None:
+            pool.append(cut)
+            pooled.add(cut.lines)
+            if len(pool) > cut_limit:
+                violation = _violation(sorted(cut.lines), cvals, p, m)
+                raise IterationLimit(
+                    f"cut pool exceeded {cut_limit} (last violation {violation:.3e})"
+                )
             continue
 
         evals = {iid: canon_vertex.values[f"E[{iid}]"] for iid in weights}
@@ -341,21 +330,6 @@ def solve_relaxation(
         )
         solution.midpoints = lp_midpoints(solution, p)
         return solution
-
-
-def _fresh_cut(
-    cvals: Mapping[str, float],
-    p: Mapping[str, float],
-    m: int,
-    pooled: set[frozenset[str]],
-) -> tuple[float, Cut] | None:
-    """Most violated candidate not already pooled (pooled residuals are noise)."""
-    for violation, subset in _prefix_candidates(cvals, p, m):
-        if violation <= SEPARATION_TOLERANCE:
-            return None
-        if subset not in pooled:
-            return violation, Cut(lines=subset, rhs=load_rhs((p[j] for j in subset), m))
-    return None
 
 
 def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:

@@ -8,7 +8,9 @@ energization.  Everything here is a pure function of the instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ValidationError(ValueError):
@@ -51,6 +53,10 @@ class InvalidCrewCount(ValidationError):
     pass
 
 
+class NonFiniteValue(ValidationError):
+    pass
+
+
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -73,7 +79,8 @@ class NetworkInstance:
     """A validated damaged feeder: a spanning tree of lines over the nodes.
 
     Lines are stored oriented away from the root.  Undamaged lines are
-    admitted with repair_time 0.
+    admitted with repair_time 0.  The island partition and its precedence
+    tree are derived on first use and kept with the instance.
     """
 
     nodes: tuple[Node, ...]
@@ -90,12 +97,13 @@ class NetworkInstance:
     def line_ids(self) -> list[str]:
         return [ln.id for ln in self.lines]
 
-    def line_by_id(self) -> dict[str, Line]:
-        return {ln.id: ln for ln in self.lines}
+    @cached_property
+    def islands(self) -> IslandSet:
+        return partition_islands(self)
 
-    def parent_line_of(self) -> dict[str, Line]:
-        """Map each non-root node to the unique line feeding it."""
-        return {ln.downstream: ln for ln in self.lines}
+    @cached_property
+    def precedence(self) -> PrecedenceGraph:
+        return build_precedence_graph(self, self.islands)
 
 
 @dataclass(frozen=True)
@@ -173,33 +181,38 @@ class PrecedenceGraph:
             depths[isl] = depths[self.parent[isl]] + 1
         return depths
 
-    def ancestors_and_self(self, island_id: str) -> list[str]:
-        chain = [island_id]
-        while chain[-1] in self.parent:
-            chain.append(self.parent[chain[-1]])
-        return chain
+
+def _require(entry: dict, keys: tuple[str, ...], what: str) -> None:
+    for key in keys:
+        if key not in entry:
+            raise ValidationError(f"{what} is missing field {key!r}")
 
 
 def validate(raw: dict) -> NetworkInstance:
     """Check a parsed raw instance and normalize it.
 
-    Verifies ids are unique, values are non-negative, the line set is a
-    spanning tree, and at least one node weight is positive; orients every
-    line away from the root.  Raises a ValidationError subclass naming the
-    offending element otherwise.
+    Verifies required fields are present, ids are unique, values are
+    finite and non-negative, the line set is a spanning tree, and at least
+    one node weight is positive; orients every line away from the root.
+    Raises a ValidationError subclass naming the offending element
+    otherwise.
     """
+    _require(raw, ("root", "crews", "nodes", "lines"), "instance")
     crews = int(raw["crews"])
     if crews < 1:
         raise InvalidCrewCount(f"crews must be >= 1, got {crews}")
 
     nodes: list[Node] = []
     seen_nodes: set[str] = set()
-    for entry in raw["nodes"]:
+    for k, entry in enumerate(raw["nodes"]):
+        _require(entry, ("id", "weight"), f"node entry {k}")
         nid = str(entry["id"])
         if nid in seen_nodes:
             raise DuplicateId(f"duplicate node id {nid!r}")
         seen_nodes.add(nid)
         w = float(entry["weight"])
+        if not math.isfinite(w):
+            raise NonFiniteValue(f"node {nid!r} has non-finite weight {w}")
         if w < 0:
             raise NegativeWeight(f"node {nid!r} has negative weight {w}")
         nodes.append(Node(nid, w))
@@ -210,7 +223,8 @@ def validate(raw: dict) -> NetworkInstance:
 
     raw_lines: list[tuple[str, str, str, float, bool]] = []
     seen_lines: set[str] = set()
-    for entry in raw["lines"]:
+    for k, entry in enumerate(raw["lines"]):
+        _require(entry, ("id", "from", "to", "repair_time", "switch"), f"line entry {k}")
         lid = str(entry["id"])
         if lid in seen_lines:
             raise DuplicateId(f"duplicate line id {lid!r}")
@@ -220,6 +234,8 @@ def validate(raw: dict) -> NetworkInstance:
             if end not in seen_nodes:
                 raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")
         p = float(entry["repair_time"])
+        if not math.isfinite(p):
+            raise NonFiniteValue(f"line {lid!r} has non-finite repair time {p}")
         if p < 0:
             raise NegativeRepairTime(f"line {lid!r} has negative repair time {p}")
         raw_lines.append((lid, u, v, p, bool(entry["switch"])))
@@ -285,7 +301,8 @@ def derive_line_weights(instance: NetworkInstance) -> dict[str, float]:
 
     The root's weight lands on no line: the source is energized throughout.
     """
-    return {ln.id: instance.node_weights()[ln.downstream] for ln in instance.lines}
+    weights = instance.node_weights()
+    return {ln.id: weights[ln.downstream] for ln in instance.lines}
 
 
 def partition_islands(instance: NetworkInstance) -> IslandSet:

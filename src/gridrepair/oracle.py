@@ -1,10 +1,12 @@
-"""Brute-force exact solver and bound certifiers for desk-scale instances.
+"""Brute-force exact solver and bound certifiers.
 
 The optimal m-crew schedule is found by enumerating every priority list
 of the damaged lines and simulating greedy list scheduling for each (with
 no release dates and only soft precedence, some no-idle list schedule is
 optimal).  The simulation is vectorized across all permutations at once,
-independently of the scalar simulator in `schedule`.
+independently of the scalar simulator in `schedule`.  The certifiers
+re-check every proven guarantee: the two lower bounds on the optimum
+here, and all algorithm guarantees on a bench row in `certify_row`.
 """
 
 from __future__ import annotations
@@ -17,12 +19,9 @@ import numpy as np
 
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
+from gridrepair.algos import AlgoResult
 from gridrepair.lp import load_rhs
-from gridrepair.model import (
-    NetworkInstance,
-    build_precedence_graph,
-    partition_islands,
-)
+from gridrepair.model import NetworkInstance
 
 MAX_BRUTE_FORCE_LINES = 9
 MAX_SUBSET_LINES = 12
@@ -35,8 +34,8 @@ class TooLarge(ValueError):
         self.limit = limit
 
 
-class BoundViolated(AssertionError):
-    """A proven lower bound failed; the implementation has a bug."""
+class InvariantViolation(AssertionError):
+    """A proven guarantee failed; the implementation has a bug, not the instance."""
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     """
     if m < 1:
         raise ValueError(f"crew count must be >= 1, got {m}")
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
+    islands, precedence = instance.islands, instance.precedence
     repair = instance.repair_times()
     zero_lines = sorted(lid for lid in repair if repair[lid] == 0)
     damaged = sorted(lid for lid in repair if repair[lid] > 0)
@@ -94,7 +92,6 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
 
     # island completion = max over damaged members (zero-time members finish at 0)
     col = {lid: k for k, lid in enumerate(damaged)}
-    order = precedence.topological_order()
     group = {}
     for isl in islands.islands:
         cols = [col[lid] for lid in isl.line_ids if lid in col]
@@ -103,12 +100,7 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
             if cols
             else np.zeros(len(perms))
         )
-    energization = {}
-    for iid in order:
-        parent = precedence.parent.get(iid)
-        energization[iid] = (
-            group[iid] if parent is None else np.maximum(group[iid], energization[parent])
-        )
+    energization = sched.energize(group, precedence, np.maximum)
     harms = sum(weights[iid] * energization[iid] for iid in sorted(weights))
 
     best = int(np.argmin(harms))  # first hit = lexicographically smallest list
@@ -139,6 +131,19 @@ def _simulate_all(perms: np.ndarray, p: np.ndarray, m: int) -> np.ndarray:
     return completions
 
 
+def _lower_bound_failures(
+    optimum: float, single: float, infinite: float, m: int
+) -> list[str]:
+    """The m-crew optimum is at least E1/m and at least E-infinity."""
+    tol = 1e-9 * max(1.0, abs(optimum))
+    failures = []
+    if optimum < single / m - tol:
+        failures.append(f"m-crew optimum {optimum} below single-crew bound {single}/{m}")
+    if optimum < infinite - tol:
+        failures.append(f"m-crew optimum {optimum} below unlimited-crew bound {infinite}")
+    return failures
+
+
 def check_bounds(instance: NetworkInstance, m: int) -> BoundCheck:
     """Certify the two lower bounds on the m-crew optimum.
 
@@ -146,22 +151,14 @@ def check_bounds(instance: NetworkInstance, m: int) -> BoundCheck:
     least the unlimited-crew optimum.  Violations mean an implementation
     bug, not a hard instance.
     """
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
     single = seq_opt.optimal_single_crew_harm(instance).harm
     _, infinite = sched.infinite_crew_energization(
-        islands, precedence, instance.repair_times()
+        instance.islands, instance.precedence, instance.repair_times()
     )
     optimum = brute_force_optimal(instance, m).harm
-    tol = 1e-9 * max(1.0, abs(optimum))
-    if optimum < single / m - tol:
-        raise BoundViolated(
-            f"m-crew optimum {optimum} below single-crew bound {single}/{m}"
-        )
-    if optimum < infinite - tol:
-        raise BoundViolated(
-            f"m-crew optimum {optimum} below unlimited-crew bound {infinite}"
-        )
+    failures = _lower_bound_failures(optimum, single, infinite, m)
+    if failures:
+        raise InvariantViolation("; ".join(failures))
     return BoundCheck(
         crews=m,
         optimum=optimum,
@@ -170,6 +167,62 @@ def check_bounds(instance: NetworkInstance, m: int) -> BoundCheck:
         slack_single=optimum - single / m,
         slack_infinite=optimum - infinite,
     )
+
+
+def certify_row(
+    name: str,
+    instance: NetworkInstance,
+    m: int,
+    alg1: AlgoResult,
+    alg2: AlgoResult,
+    h_opt: float | None,
+) -> None:
+    """Re-check every guarantee on one bench row.
+
+    `alg1` is the midpoint list schedule, `alg2` the conversion; `h_opt`
+    is the brute-force optimum, or None beyond the enumeration guard.
+    Raises InvariantViolation with a message starting "<name> (m=<m>): ",
+    which the bench parses to write the instance out for replay.
+    """
+    failures: list[str] = []
+    repair = instance.repair_times()
+    tol = 1e-6
+
+    # per-job chain under midpoint list scheduling
+    starts = alg1.schedule.starts()
+    elapsed = 0.0
+    for lid in alg1.schedule.priority:
+        if starts[lid] > elapsed / m + 1e-9:
+            failures.append(f"start bound broken for {lid}")
+        elapsed += repair[lid]
+    completions = alg1.schedule.completions()
+    for lid in repair:
+        if completions[lid] > 2.0 * alg1.lp.completion[lid] + tol:
+            failures.append(f"2x completion bound broken for {lid}")
+    for iid, e in alg1.energization.items():
+        if e > 2.0 * alg1.lp.energization[iid] + tol:
+            failures.append(f"2x energization bound broken for island {iid}")
+
+    # per-island conversion bound
+    single, infinite = alg2.single_crew, alg2.infinite_crew
+    for iid, e in alg2.energization.items():
+        bound = single.energization[iid] / m + (m - 1) / m * infinite[iid]
+        if e > bound + 1e-9:
+            failures.append(f"conversion bound broken for island {iid}")
+
+    if h_opt is not None:
+        if alg1.report.harm > 2.0 * h_opt + tol:
+            failures.append("2x harm guarantee broken")
+        if alg2.report.harm > (2.0 - 1.0 / m) * h_opt + tol:
+            failures.append("(2 - 1/m) harm guarantee broken")
+        if alg1.lp.objective > h_opt + tol:
+            failures.append("relaxation exceeds the optimum")
+        failures += _lower_bound_failures(
+            h_opt, single.harm, alg2.report.infinite_crew_optimum, m
+        )
+
+    if failures:
+        raise InvariantViolation(f"{name} (m={m}): " + "; ".join(failures))
 
 
 def exhaustive_separation(

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from gridrepair.model import IslandSet, PrecedenceGraph
+
+
+T = TypeVar("T")
 
 
 class ListNotPermutation(ValueError):
@@ -83,31 +86,36 @@ def list_schedule(
     )
 
 
-def island_completions(
-    completions: Mapping[str, float], islands: IslandSet
-) -> dict[str, float]:
-    """Completion of each island's last repair (0 for islands with no lines)."""
+def _island_max(line_values: Mapping[str, float], islands: IslandSet) -> dict[str, float]:
+    """Largest member-line value per island (0 for islands with no lines)."""
     return {
-        isl.id: max((completions[lid] for lid in isl.line_ids), default=0.0)
+        isl.id: max((line_values[lid] for lid in isl.line_ids), default=0.0)
         for isl in islands.islands
     }
+
+
+def energize(own: Mapping[str, T], precedence: PrecedenceGraph, combine=max) -> dict[str, T]:
+    """Top-down over the out-tree: an island energizes at the later of its
+    own ready time and its parent's energization.
+
+    `combine` takes the later of two values: `max` for scalars,
+    `numpy.maximum` for arrays of many schedules at once.
+    """
+    energization: dict[str, T] = {}
+    for isl in precedence.topological_order():
+        parent = precedence.parent.get(isl)
+        energization[isl] = (
+            own[isl] if parent is None else combine(own[isl], energization[parent])
+        )
+    return energization
 
 
 def energization_times(
     schedule: Schedule, islands: IslandSet, precedence: PrecedenceGraph
 ) -> dict[str, float]:
-    """Energization instant per island under the given schedule.
-
-    Computed top-down over the out-tree: an island lights up at the later
-    of its own last repair and its parent's energization, which equals the
-    max completion over the island and all its ancestors.
-    """
-    group = island_completions(schedule.completions(), islands)
-    energization: dict[str, float] = {}
-    for isl in precedence.topological_order():
-        parent_e = energization.get(precedence.parent.get(isl, ""), 0.0)
-        energization[isl] = max(group[isl], parent_e)
-    return energization
+    """Energization instant per island under the given schedule: the max
+    completion over the island and all its ancestors."""
+    return energize(_island_max(schedule.completions(), islands), precedence)
 
 
 def harm(energization: Mapping[str, float], island_weights: Mapping[str, float]) -> float:
@@ -124,14 +132,7 @@ def infinite_crew_energization(
     energization is the largest single repair time on its ancestor path.
     Returns the energization map and its harm, the unlimited-crew optimum.
     """
-    repair_max = {
-        isl.id: max((repair_times[lid] for lid in isl.line_ids), default=0.0)
-        for isl in islands.islands
-    }
-    energization: dict[str, float] = {}
-    for isl in precedence.topological_order():
-        parent_e = energization.get(precedence.parent.get(isl, ""), 0.0)
-        energization[isl] = max(repair_max[isl], parent_e)
+    energization = energize(_island_max(repair_times, islands), precedence)
     return energization, harm(energization, islands.weights())
 
 

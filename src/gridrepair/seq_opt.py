@@ -16,13 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from gridrepair import schedule as sched
-from gridrepair.model import (
-    IslandSet,
-    NetworkInstance,
-    PrecedenceGraph,
-    build_precedence_graph,
-    partition_islands,
-)
+from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
 
 
 @dataclass
@@ -37,9 +31,13 @@ class CompositeJob:
 
 @dataclass(frozen=True)
 class SingleCrewOptimum:
+    """The optimal single-crew plan with its per-island energization."""
+
     harm: float
     island_order: tuple[str, ...]
     line_list: tuple[str, ...]
+    plan: sched.Schedule
+    energization: dict[str, float]
 
 
 def _ratio_key(job: CompositeJob, rank: int) -> tuple:
@@ -129,8 +127,7 @@ def optimal_single_crew_harm(instance: NetworkInstance) -> SingleCrewOptimum:
     The harm is re-evaluated through the schedule simulator rather than
     read off the merge bookkeeping, so the two paths cross-check each other.
     """
-    islands = partition_islands(instance)
-    precedence = build_precedence_graph(instance, islands)
+    islands, precedence = instance.islands, instance.precedence
     order = optimal_island_sequence(islands, precedence)
     lines = expand_sequence(order, islands)
     plan = sched.list_schedule(lines, 1, instance.repair_times())
@@ -139,4 +136,6 @@ def optimal_single_crew_harm(instance: NetworkInstance) -> SingleCrewOptimum:
         harm=sched.harm(energization, islands.weights()),
         island_order=tuple(order),
         line_list=tuple(lines),
+        plan=plan,
+        energization=energization,
     )

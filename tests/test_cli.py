@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,18 @@ def test_validate_rejects_bad_instance(tmp_path, capsys):
     }))
     assert main(["validate", str(path)]) == EXIT_INVALID
     assert "x" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_finite_repair_time(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "root": "0", "crews": 1,
+        "nodes": [{"id": "0", "weight": 0}, {"id": "1", "weight": 1}],
+        "lines": [{"id": "x", "from": "0", "to": "1", "repair_time": float("nan"),
+                   "switch": False}],
+    }))
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert "line 'x'" in capsys.readouterr().err
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):
@@ -99,18 +115,64 @@ def test_bench_writes_csv(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     assert out.read_text().startswith("instance,")
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"wrote 4 rows to {out}\n")
+    assert "worst conversion ratio" in printed
 
 
 def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
-    from gridrepair import cli, harness
+    from gridrepair import cli, harness, oracle
 
     def explode(*args, **kwargs):
-        raise harness.InvariantViolation("gen-0 (m=2): fabricated for the test")
+        raise oracle.InvariantViolation("gen-0 (m=2): fabricated for the test")
 
     monkeypatch.setattr(harness, "run_bench", explode)
     code = main(["bench", "--count", "1", "--out", str(tmp_path / "x.csv")])
     assert code == cli.EXIT_VIOLATION
     assert "violation" in capsys.readouterr().err
+
+
+def test_lp_error_exits_3(fixtures_dir, capsys, monkeypatch):
+    from gridrepair import cli, lp
+
+    def infeasible(model):
+        raise lp.Infeasible("fabricated for the test")
+
+    monkeypatch.setattr(lp, "simplex_solve", infeasible)
+    code = main(["schedule", str(fixtures_dir / "fork.json"), "--alg", "lp-list"])
+    assert code == cli.EXIT_VIOLATION
+    assert "Infeasible" in capsys.readouterr().err
+
+
+def test_list_not_permutation_exits_3(fixtures_dir, capsys, monkeypatch):
+    from gridrepair import cli
+    from gridrepair import schedule as sched
+
+    def broken(*args, **kwargs):
+        raise sched.ListNotPermutation("fabricated for the test")
+
+    monkeypatch.setattr(sched, "list_schedule", broken)
+    code = main(["schedule", str(fixtures_dir / "fork.json"), "--alg", "convert"])
+    assert code == cli.EXIT_VIOLATION
+    assert "ListNotPermutation" in capsys.readouterr().err
+
+
+def test_scipy_loaded_only_to_solve_an_lp(fixtures_dir, tmp_path):
+    import gridrepair
+
+    src = str(Path(gridrepair.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from gridrepair import cli\n"
+        f"code = cli.main(['schedule', {str(fixtures_dir / 'feeder123.json')!r}, "
+        f"'--alg', 'convert', '--out', {str(tmp_path / 'out.json')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_schedule_out_file(fixtures_dir, tmp_path):

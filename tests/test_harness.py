@@ -63,18 +63,6 @@ class TestLoadSave:
         assert set(payload["energization"]) == {"a", "b", "c"}
         json.dumps(payload)  # serializable
 
-    def test_save_result_dispatch(self, fork, tmp_path):
-        result = algos.convert_single_to_m(fork, crews=2)
-        path = tmp_path / "result.json"
-        harness.save_result(path, result)
-        assert json.loads(path.read_text())["harm"] == 21
-
-        rows = run_bench(GenParams(seed=11, nodes=(2, 5), crews=(2,)), 2)
-        harness.save_result(path, rows)
-        mirrored = json.loads(path.read_text())
-        assert [r["instance"] for r in mirrored] == [r.instance for r in rows]
-        assert list(mirrored[0]) == harness.BENCH_COLUMNS
-
 
 class TestGenerator:
     def test_same_seed_same_bytes(self):
@@ -150,6 +138,31 @@ class TestBench:
         params = GenParams(seed=2, nodes=(5, 5), repair_time=(0, 0))
         rows = run_bench(params, 1)
         assert all(row.h_alg1 == 0 and row.h_alg2 == 0 and row.h_opt == 0 for row in rows)
+
+    def test_row_derives_each_value_once(self, monkeypatch):
+        from gridrepair import model, seq_opt
+        from gridrepair import schedule as sched
+
+        calls = {"partition": 0, "infinite": 0, "single": 0, "one_crew_plan": 0}
+
+        def counting(key, fn, when=lambda *a: True):
+            def wrapper(*args, **kwargs):
+                calls[key] += when(*args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model, "partition_islands",
+                            counting("partition", model.partition_islands))
+        monkeypatch.setattr(sched, "infinite_crew_energization",
+                            counting("infinite", sched.infinite_crew_energization))
+        monkeypatch.setattr(seq_opt, "optimal_single_crew_harm",
+                            counting("single", seq_opt.optimal_single_crew_harm))
+        monkeypatch.setattr(sched, "list_schedule",
+                            counting("one_crew_plan", sched.list_schedule,
+                                     lambda priority, m, times: m == 1))
+        instance = generate_random(GenParams(seed=4, nodes=(7, 7)))
+        harness.bench_instance("gen-4", instance, 2)
+        assert calls == {"partition": 1, "infinite": 1, "single": 1, "one_crew_plan": 1}
 
     def test_worker_pool_matches_serial(self):
         params = GenParams(seed=31, nodes=(2, 5), crews=(2,))

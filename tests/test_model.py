@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from gridrepair.model import (
     DuplicateId,
     NegativeRepairTime,
     NegativeWeight,
+    NonFiniteValue,
     UnknownRoot,
+    ValidationError,
     build_precedence_graph,
     derive_line_weights,
     partition_islands,
@@ -47,7 +50,7 @@ class TestValidate:
         # flip the stored endpoints; orientation must come out the same
         raw["lines"][0]["from"], raw["lines"][0]["to"] = "1", "0"
         inst = validate(raw)
-        line = inst.line_by_id()["e1"]
+        line = next(ln for ln in inst.lines if ln.id == "e1")
         assert (line.upstream, line.downstream) == ("0", "1")
 
     def test_extra_line_closes_cycle(self):
@@ -107,11 +110,54 @@ class TestValidate:
         with pytest.raises(AllWeightsZero):
             validate(raw)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_repair_time(self, value):
+        raw = two_island_raw()
+        raw["lines"][1]["repair_time"] = value
+        with pytest.raises(NonFiniteValue, match="line 'e2'"):
+            validate(raw)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight(self, value):
+        raw = two_island_raw()
+        raw["nodes"][2]["weight"] = value
+        with pytest.raises(NonFiniteValue, match="node '2'"):
+            validate(raw)
+
+    @pytest.mark.parametrize("key", ["root", "crews", "nodes", "lines"])
+    def test_missing_top_level_field(self, key):
+        raw = two_island_raw()
+        del raw[key]
+        with pytest.raises(ValidationError, match=key):
+            validate(raw)
+
+    def test_missing_line_field(self):
+        raw = two_island_raw()
+        del raw["lines"][1]["repair_time"]
+        with pytest.raises(ValidationError, match="line entry 1 .*'repair_time'"):
+            validate(raw)
+
     def test_zero_repair_time_admitted(self):
         raw = two_island_raw()
         raw["lines"][0]["repair_time"] = 0
         inst = validate(raw)
         assert inst.repair_times()["e1"] == 0
+
+
+class TestDerivedStructure:
+    def test_islands_and_precedence_are_derived_once(self):
+        inst = validate(two_island_raw())
+        assert inst.islands is inst.islands
+        assert inst.precedence is inst.precedence
+        assert inst.islands == partition_islands(inst)
+        assert inst.precedence == build_precedence_graph(inst, inst.islands)
+
+    def test_cache_leaves_equality_hash_and_pickle_alone(self):
+        fresh, used = validate(two_island_raw()), validate(two_island_raw())
+        used.precedence  # fills both caches
+        assert fresh == used and hash(fresh) == hash(used)
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone == fresh and clone.islands == fresh.islands
 
 
 class TestLineWeights:

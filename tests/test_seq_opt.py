@@ -17,6 +17,13 @@ from gridrepair.model import build_precedence_graph, partition_islands, validate
 from conftest import instances
 
 
+def ancestors_and_self(precedence, island_id):
+    chain = [island_id]
+    while chain[-1] in precedence.parent:
+        chain.append(precedence.parent[chain[-1]])
+    return chain
+
+
 def island_order_harm(order, islands, precedence):
     """Independent cost of one island permutation with a single crew.
 
@@ -31,7 +38,7 @@ def island_order_harm(order, islands, precedence):
         completion[iid] = clock
     harm = 0.0
     for iid in order:
-        e = max(completion[a] for a in precedence.ancestors_and_self(iid))
+        e = max(completion[a] for a in ancestors_and_self(precedence, iid))
         harm += by_id[iid].weight * e
     return harm
 
