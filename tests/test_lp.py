@@ -91,6 +91,27 @@ class TestSeparate:
         cut = separate({"z": 0.0, "a": 0.1}, {"z": 0.0, "a": 1.0}, 1)
         assert cut is not None and cut.lines == frozenset({"a"})
 
+    def test_pooled_most_violated_yields_next(self):
+        # prefixes {1} (violation 0.9) and {1, 2} (violation 2.4)
+        c, p = {"1": 0.1, "2": 0.5}, {"1": 1.0, "2": 1.0}
+        assert separate(c, p, 1).lines == frozenset({"1", "2"})
+        cut = separate(c, p, 1, pooled={frozenset({"1", "2"})})
+        assert cut is not None and cut.lines == frozenset({"1"})
+        assert cut.rhs == pytest.approx(1.0)
+
+    def test_pooled_only_violated_yields_none(self):
+        # {1} is violated by 0.9; {1, 2} holds with slack 2.1
+        c, p = {"1": 0.1, "2": 5.0}, {"1": 1.0, "2": 1.0}
+        assert separate(c, p, 1).lines == frozenset({"1"})
+        assert separate(c, p, 1, pooled={frozenset({"1"})}) is None
+
+    def test_equal_violation_takes_smaller_sorted_ids(self):
+        # {b} and {a, b} are both violated by exactly 1.0
+        p = {"a": 1.0, "b": 1.0}
+        assert separate({"a": 2.0, "b": 0.0}, p, 1).lines == frozenset({"a", "b"})
+        # mirrored point: {a} and {a, b} tie, and ["a"] < ["a", "b"]
+        assert separate({"a": 0.0, "b": 2.0}, p, 1).lines == frozenset({"a"})
+
 
 class TestSolveRelaxation:
     def test_two_island(self, two_island):
