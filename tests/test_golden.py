@@ -3,7 +3,9 @@
 `golden.json` holds, per fixture, the `islands` output and the `schedule`
 JSON of `convert` and `single-optimal` at m = 1, 2, 3 byte for byte, plus
 the `lp-list` harm and LP objective (compared at relative tolerance 1e-9,
-since HiGHS may land on a different float).  A refactor must reproduce
+since HiGHS may land on a different float).  For the three small fixtures
+it also holds the `schedule --alg lp-list --dump-lp` text at m = 1, 2, 3,
+byte for byte: the final model is data, not a solver answer.  A refactor must reproduce
 them unchanged.  Regenerate only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -13,6 +15,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 NAMES = ("fork.json", "two_island.json", "graham_m3.json", "feeder123.json")
 CREWS = (1, 2, 3)
+DUMP_LP_NAMES = ("fork.json", "two_island.json", "graham_m3.json")
 
 
 def _stdout(argv: list[str]) -> str:
@@ -32,6 +36,14 @@ def _stdout(argv: list[str]) -> str:
     with contextlib.redirect_stdout(buf):
         assert main(argv) == EXIT_OK
     return buf.getvalue()
+
+
+def _dump_lp(path: str, m: int) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "model.txt"
+        _stdout(["schedule", path, "--alg", algos.LP_LIST, "--crews", str(m),
+                 "--dump-lp", str(dump)])
+        return dump.read_text()
 
 
 def fixture_outputs(name: str) -> dict:
@@ -50,6 +62,8 @@ def fixture_outputs(name: str) -> dict:
             "harm": result.report.harm,
             "objective": result.lp.objective,
         }
+    if name in DUMP_LP_NAMES:
+        out["dump_lp"] = {str(m): _dump_lp(path, m) for m in CREWS}
     return out
 
 
