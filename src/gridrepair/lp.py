@@ -1,14 +1,17 @@
 """LP relaxation of the m-crew repair problem, solved by cutting planes.
 
 Variables are per-line completion times C and per-island energization
-times E.  Besides the base rows (C bounded below by repair time, E above
-every member completion and above the parent island's E), feasible
-completion vectors obey one load inequality per line subset A:
+times E, in that column order.  The model is held as the arrays HiGHS
+receives: an objective and a lower-bound vector, and one dense `>=`
+coefficient row per constraint.  Besides the base rows (E above every
+member completion and above the parent island's E; C is bounded below
+by its repair time), feasible completion vectors obey one load
+inequality per line subset A:
 
     sum_{j in A} p_j C_j >= f(A) = (sum_A p_j)^2 / (2m) + sum_A p_j^2 / 2
 
-The exponentially many subset rows are generated on demand: prefix
-candidates of the solution sorted by completion and by midpoint
+The exponentially many subset rows are generated on demand, one row per
+cut: prefixes of the solution sorted by completion and by midpoint
 (C - p/2).  Midpoint prefixes are exact maximizers of the violation
 whenever any subset is violated, which a threshold argument shows and the
 test suite re-checks against full subset enumeration.
@@ -71,28 +74,29 @@ class Cut:
         return Cut(lines=ids, rhs=load_rhs((p[j] for j in ids), m))
 
 
-@dataclass(frozen=True)
-class LinearRow:
-    coeffs: dict[str, float]
-    sense: str  # ">=" or "<="
-    rhs: float
-    label: str = ""
-
-
 @dataclass
 class LpModel:
-    """A small dense LP: minimize objective . x subject to rows and bounds."""
+    """Minimize objective . x subject to rows[k] . x >= rhs[k] and x >= lower.
+
+    `variables` names the columns; names are used only to render the model.
+    """
 
     variables: list[str]
-    objective: dict[str, float]
-    rows: list[LinearRow] = field(default_factory=list)
-    lower: dict[str, float] = field(default_factory=dict)  # default 0
-    upper: dict[str, float] = field(default_factory=dict)  # default +inf
+    objective: np.ndarray
+    lower: np.ndarray
+    rows: list[np.ndarray] = field(default_factory=list)
+    rhs: list[float] = field(default_factory=list)
+    labels: list[str] = field(default_factory=list)
+
+    def add_row(self, coeffs: np.ndarray, rhs: float, label: str = "") -> None:
+        self.rows.append(coeffs)
+        self.rhs.append(rhs)
+        self.labels.append(label)
 
 
 @dataclass(frozen=True)
 class LpVertex:
-    values: dict[str, float]
+    values: np.ndarray  # one entry per model variable, in column order
     objective: float
 
 
@@ -105,32 +109,11 @@ def simplex_solve(model: LpModel) -> LpVertex:
     """
     from scipy.optimize import linprog
 
-    index = {v: k for k, v in enumerate(model.variables)}
-    n = len(model.variables)
-    c = np.zeros(n)
-    for v, coef in model.objective.items():
-        c[index[v]] = coef
-    rows, rhs = [], []
-    for row in model.rows:
-        arr = np.zeros(n)
-        for v, coef in row.coeffs.items():
-            arr[index[v]] = coef
-        if row.sense == ">=":
-            arr, b = -arr, -row.rhs
-        elif row.sense == "<=":
-            b = row.rhs
-        else:
-            raise ValueError(f"unknown sense {row.sense!r}")
-        rows.append(arr)
-        rhs.append(b)
-    bounds = [
-        (model.lower.get(v, 0.0), model.upper.get(v, None)) for v in model.variables
-    ]
     res = linprog(
-        c,
-        A_ub=np.array(rows) if rows else None,
-        b_ub=np.array(rhs) if rows else None,
-        bounds=bounds,
+        model.objective,
+        A_ub=-np.array(model.rows) if model.rows else None,
+        b_ub=-np.array(model.rhs) if model.rows else None,
+        bounds=[(lo, None) for lo in model.lower.tolist()],
         method="highs-ds",
         options=_HIGHS_OPTIONS,
     )
@@ -142,41 +125,11 @@ def simplex_solve(model: LpModel) -> LpVertex:
         raise IterationLimit(res.message)
     if res.status != 0:
         raise LpError(res.message)
-    values = {v: float(res.x[index[v]]) for v in model.variables}
-    return LpVertex(values=values, objective=float(res.fun))
+    return LpVertex(values=res.x, objective=float(res.fun))
 
 
 def _violation(subset: list[str], c: Mapping[str, float], p: Mapping[str, float], m: int) -> float:
     return load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
-
-
-def _prefix_candidates(
-    c: Mapping[str, float], p: Mapping[str, float], m: int
-) -> list[tuple[float, frozenset[str]]]:
-    """Violations of every prefix of the midpoint order and the completion order.
-
-    Zero-time lines are left out: they contribute nothing to either side.
-    Candidates are deduplicated, most violated first.
-    """
-    lines = [j for j in sorted(p) if p[j] > 0]
-    if not lines:
-        return []
-    orders = (
-        sorted(lines, key=lambda j: (c[j] - p[j] / 2.0, j)),
-        sorted(lines, key=lambda j: (c[j], j)),
-    )
-    seen: dict[frozenset[str], float] = {}
-    ranked: list[tuple[float, frozenset[str]]] = []
-    for order in orders:
-        for k in range(1, len(order) + 1):
-            subset = frozenset(order[:k])
-            if subset in seen:
-                continue
-            v = _violation(order[:k], c, p, m)
-            seen[subset] = v
-            ranked.append((v, subset))
-    ranked.sort(key=lambda item: (-item[0], sorted(item[1])))
-    return ranked
 
 
 def separate(
@@ -187,16 +140,28 @@ def separate(
 ) -> Cut | None:
     """Most violated load inequality at the point C, or None if all hold.
 
-    When any subset is violated the returned prefix attains the exact
-    maximum violation over all 2^n - 1 subsets.  Subsets in `pooled` are
-    skipped: a pooled cut's residual violation is solver noise.
+    Candidates are the prefixes of the midpoint order and the completion
+    order; zero-time lines are left out, as they contribute nothing to
+    either side.  When any subset is violated the returned prefix attains
+    the exact maximum violation over all 2^n - 1 subsets.  Subsets in
+    `pooled` are skipped: a pooled cut's residual violation is solver
+    noise.  Ties in violation go to the smaller sorted id list.
     """
-    for violation, subset in _prefix_candidates(c, p, m):
-        if violation <= SEPARATION_TOLERANCE:
-            return None
-        if subset not in pooled:
-            return Cut.for_subset(subset, p, m)
-    return None
+    lines = [j for j in sorted(p) if p[j] > 0]
+    orders = (
+        sorted(lines, key=lambda j: (c[j] - p[j] / 2.0, j)),
+        sorted(lines, key=lambda j: (c[j], j)),
+    )
+    best: tuple[float, list[str]] | None = None  # (-violation, sorted ids)
+    for order in orders:
+        for k in range(1, len(order) + 1):
+            violation = _violation(order[:k], c, p, m)
+            if violation <= SEPARATION_TOLERANCE or (best and -violation > best[0]):
+                continue
+            key = (-violation, sorted(order[:k]))
+            if (best is None or key < best) and frozenset(key[1]) not in pooled:
+                best = key
+    return None if best is None else Cut.for_subset(best[1], p, m)
 
 
 @dataclass
@@ -218,44 +183,30 @@ def _base_model(
     islands: IslandSet,
     precedence: PrecedenceGraph,
 ) -> LpModel:
+    """Columns C by line id then E by island id; island-cover and precedence rows."""
     p = instance.repair_times()
     weights = islands.weights()
-    cvars = [f"C[{lid}]" for lid in sorted(p)]
-    evars = [f"E[{iid}]" for iid in sorted(weights)]
+    lids, iids = sorted(p), sorted(weights)
+    column = {f"C[{lid}]": k for k, lid in enumerate(lids)}
+    column.update((f"E[{iid}]", len(lids) + k) for k, iid in enumerate(iids))
+    n = len(column)
     model = LpModel(
-        variables=cvars + evars,
-        objective={f"E[{iid}]": weights[iid] for iid in sorted(weights)},
-        lower={f"C[{lid}]": p[lid] for lid in sorted(p)},
+        variables=list(column),
+        objective=np.array([0.0] * len(lids) + [weights[iid] for iid in iids]),
+        lower=np.array([p[lid] for lid in lids] + [0.0] * len(iids)),
     )
+
+    def add(plus: str, minus: str, label: str) -> None:
+        row = np.zeros(n)
+        row[column[plus]], row[column[minus]] = 1.0, -1.0
+        model.add_row(row, 0.0, label)
+
     for isl in islands.islands:
         for lid in isl.line_ids:
-            model.rows.append(
-                LinearRow(
-                    coeffs={f"E[{isl.id}]": 1.0, f"C[{lid}]": -1.0},
-                    sense=">=",
-                    rhs=0.0,
-                    label=f"island {isl.id} covers {lid}",
-                )
-            )
+            add(f"E[{isl.id}]", f"C[{lid}]", f"island {isl.id} covers {lid}")
     for parent, child in precedence.edges():
-        model.rows.append(
-            LinearRow(
-                coeffs={f"E[{child}]": 1.0, f"E[{parent}]": -1.0},
-                sense=">=",
-                rhs=0.0,
-                label=f"{child} after {parent}",
-            )
-        )
+        add(f"E[{child}]", f"E[{parent}]", f"{child} after {parent}")
     return model
-
-
-def _cut_row(cut: Cut, p: Mapping[str, float]) -> LinearRow:
-    return LinearRow(
-        coeffs={f"C[{lid}]": p[lid] for lid in sorted(cut.lines)},
-        sense=">=",
-        rhs=cut.rhs,
-        label=f"load cut on {{{', '.join(sorted(cut.lines))}}}",
-    )
 
 
 def solve_relaxation(
@@ -281,35 +232,42 @@ def solve_relaxation(
     p = instance.repair_times()
     weights = islands.weights()
 
-    pool: list[Cut] = [
-        Cut.for_subset([lid], p, m) for lid in sorted(p) if p[lid] > 0
-    ]
-    pooled = {cut.lines for cut in pool}
-    cut_limit = 10 * max(1, len(p)) ** 2
+    lids = sorted(p)
+    p_column = np.array([p[lid] for lid in lids] + [0.0] * len(weights))
+    column = {lid: k for k, lid in enumerate(lids)}
 
-    base = _base_model(instance, islands, precedence)
+    model = _base_model(instance, islands, precedence)
+    pool: list[Cut] = []
+    pooled: set[frozenset[str]] = set()
+
+    def add_cut(cut: Cut) -> None:
+        ids = sorted(cut.lines)
+        row = np.zeros(len(p_column))
+        cols = [column[lid] for lid in ids]
+        row[cols] = p_column[cols]
+        model.add_row(row, cut.rhs, f"load cut on {{{', '.join(ids)}}}")
+        pool.append(cut)
+        pooled.add(cut.lines)
+
+    for lid in lids:
+        if p[lid] > 0:
+            add_cut(Cut.for_subset([lid], p, m))
+    cut_limit = 10 * max(1, len(p)) ** 2
     iterations = 0
     history: list[float] = []
 
     while True:
-        model = LpModel(
-            variables=list(base.variables),
-            objective=dict(base.objective),
-            rows=list(base.rows) + [_cut_row(cut, p) for cut in pool],
-            lower=dict(base.lower),
-        )
         vertex = simplex_solve(model)
         iterations += 1
         history.append(vertex.objective)
-        cvals = {lid: vertex.values[f"C[{lid}]"] for lid in p}
+        cvals = dict(zip(lids, vertex.values[: len(lids)].tolist()))
         cut = separate(cvals, p, m, pooled)
         if cut is None:
             canon_vertex = _canonical_pass(model, vertex.objective)
-            cvals = {lid: canon_vertex.values[f"C[{lid}]"] for lid in p}
+            cvals = dict(zip(lids, canon_vertex.values[: len(lids)].tolist()))
             cut = separate(cvals, p, m, pooled)
         if cut is not None:
-            pool.append(cut)
-            pooled.add(cut.lines)
+            add_cut(cut)
             if len(pool) > cut_limit:
                 violation = _violation(sorted(cut.lines), cvals, p, m)
                 raise IterationLimit(
@@ -317,7 +275,7 @@ def solve_relaxation(
                 )
             continue
 
-        evals = {iid: canon_vertex.values[f"E[{iid}]"] for iid in weights}
+        evals = dict(zip(sorted(weights), canon_vertex.values[len(lids) :].tolist()))
         solution = LpSolution(
             completion=cvals,
             energization=evals,
@@ -336,12 +294,14 @@ def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
     """Re-minimize sum of all variables with the objective capped at its optimum."""
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
     canon = LpModel(
-        variables=list(model.variables),
-        objective={v: 1.0 for v in model.variables},
-        rows=list(model.rows)
-        + [LinearRow(coeffs=dict(model.objective), sense="<=", rhs=cap, label="objective cap")],
-        lower=dict(model.lower),
+        variables=model.variables,
+        objective=np.ones(len(model.variables)),
+        lower=model.lower,
+        rows=list(model.rows),
+        rhs=list(model.rhs),
+        labels=list(model.labels),
     )
+    canon.add_row(-model.objective, -cap, "objective cap")
     return simplex_solve(canon)
 
 
@@ -365,21 +325,17 @@ def lp_midpoints(solution: LpSolution, p: Mapping[str, float]) -> dict[str, floa
 
 def format_model(model: LpModel) -> str:
     """Plain-text rendering of the final model for audit."""
-    out = ["minimize"]
-    terms = [
-        f"{coef:g}*{v}" for v, coef in sorted(model.objective.items()) if coef != 0
-    ]
-    out.append("  " + (" + ".join(terms) if terms else "0"))
-    out.append("subject to")
-    for v in model.variables:
-        lo = model.lower.get(v, 0.0)
+
+    def terms(coeffs: np.ndarray) -> list[str]:
+        named = sorted((model.variables[k], coeffs[k]) for k in np.flatnonzero(coeffs))
+        return [f"{coef:g}*{v}" for v, coef in named]
+
+    out = ["minimize", "  " + (" + ".join(terms(model.objective)) or "0"), "subject to"]
+    for v, lo in zip(model.variables, model.lower.tolist()):
         out.append(f"  {v} >= {lo:g}")
-    for row in model.rows:
-        lhs = " + ".join(
-            f"{coef:g}*{v}" for v, coef in sorted(row.coeffs.items())
-        ).replace("+ -", "- ")
-        line = f"  {lhs} {row.sense} {row.rhs:g}"
-        if row.label:
-            line += f"    # {row.label}"
+    for row, rhs, label in zip(model.rows, model.rhs, model.labels):
+        line = f"  {' + '.join(terms(row)).replace('+ -', '- ')} >= {rhs:g}"
+        if label:
+            line += f"    # {label}"
         out.append(line)
     return "\n".join(out) + "\n"

@@ -5,10 +5,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import numpy as np
+
 from gridrepair import oracle
 from gridrepair.lp import (
     Cut,
-    LinearRow,
     LpModel,
     load_rhs,
     lp_midpoints,
@@ -23,20 +24,18 @@ from conftest import instances
 
 class TestSimplexSolve:
     def test_one_variable_bound(self):
-        model = LpModel(variables=["x"], objective={"x": 1.0}, lower={"x": 1.0})
+        model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.array([1.0]))
         vertex = simplex_solve(model)
-        assert vertex.values["x"] == pytest.approx(1.0)
+        assert vertex.values[0] == pytest.approx(1.0)
         assert vertex.objective == pytest.approx(1.0)
 
     def test_chained_lower_bounds(self):
         model = LpModel(
-            variables=["C", "E"],
-            objective={"E": 1.0},
-            rows=[LinearRow(coeffs={"E": 1.0, "C": -1.0}, sense=">=", rhs=0.0)],
-            lower={"C": 2.0},
+            variables=["C", "E"], objective=np.array([0.0, 1.0]), lower=np.array([2.0, 0.0])
         )
+        model.add_row(np.array([-1.0, 1.0]), 0.0)
         vertex = simplex_solve(model)
-        assert vertex.values == pytest.approx({"C": 2.0, "E": 2.0})
+        assert vertex.values.tolist() == pytest.approx([2.0, 2.0])
 
     def test_two_island_base_model(self, two_island):
         # base rows only, no load cuts: all lower bounds tight
@@ -44,28 +43,24 @@ class TestSimplexSolve:
         prec = build_precedence_graph(two_island, islands)
         from gridrepair.lp import _base_model
 
-        vertex = simplex_solve(_base_model(two_island, islands, prec))
-        assert vertex.values["C[e1]"] == pytest.approx(2.0)
-        assert vertex.values["C[e2]"] == pytest.approx(1.0)
-        assert vertex.values["E[e1]"] == pytest.approx(2.0)
-        assert vertex.values["E[e2]"] == pytest.approx(2.0)
+        model = _base_model(two_island, islands, prec)
+        assert model.variables == ["C[e1]", "C[e2]", "E[e1]", "E[e2]"]
+        vertex = simplex_solve(model)
+        assert vertex.values.tolist() == pytest.approx([2.0, 1.0, 2.0, 2.0])
         assert vertex.objective == pytest.approx(22.0)
 
     def test_unbounded_raises(self):
         from gridrepair.lp import Unbounded
 
-        model = LpModel(variables=["x"], objective={"x": -1.0})
+        model = LpModel(variables=["x"], objective=np.array([-1.0]), lower=np.zeros(1))
         with pytest.raises(Unbounded):
             simplex_solve(model)
 
     def test_infeasible_raises(self):
         from gridrepair.lp import Infeasible
 
-        model = LpModel(
-            variables=["x"],
-            objective={"x": 1.0},
-            rows=[LinearRow(coeffs={"x": 1.0}, sense="<=", rhs=-1.0)],
-        )
+        model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.zeros(1))
+        model.add_row(np.array([-1.0]), 1.0)  # x <= -1
         with pytest.raises(Infeasible):
             simplex_solve(model)
 
@@ -146,13 +141,10 @@ class TestSolveRelaxation:
         for r in range(1, 4):
             for subset in itertools.combinations(sorted(p), r):
                 cut = Cut.for_subset(subset, p, 2)
-                model.rows.append(
-                    LinearRow(
-                        coeffs={f"C[{lid}]": p[lid] for lid in subset},
-                        sense=">=",
-                        rhs=cut.rhs,
-                    )
-                )
+                row = np.zeros(len(model.variables))
+                for lid in subset:
+                    row[model.variables.index(f"C[{lid}]")] = p[lid]
+                model.add_row(row, cut.rhs)
         full = simplex_solve(model)
         sol = solve_relaxation(fork, crews=2)
         assert sol.objective == pytest.approx(full.objective, abs=1e-9)
