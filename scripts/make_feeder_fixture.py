@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gridrepair.harness import instance_from_json  # noqa: E402
+from gridrepair.model import validate  # noqa: E402
 
 ISLAND_NODE_COUNTS = [24, 18, 17, 16, 17, 15, 16]  # sums to 123
 ISLAND_PARENT = [None, 0, 0, 1, 1, 2, 5]
@@ -70,7 +70,7 @@ def build() -> dict:
 
 def main() -> None:
     raw = build()
-    instance_from_json(raw)  # must validate
+    validate(raw)  # must validate
     out = Path(__file__).resolve().parent.parent / "fixtures" / "feeder123.json"
     out.write_text(json.dumps(raw, indent=2) + "\n")
     print(f"wrote {out}: {len(raw['nodes'])} nodes, {len(raw['lines'])} lines")

@@ -124,7 +124,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    crews = tuple(int(tok) for tok in args.crews.split(",") if tok)
+    try:
+        crews = tuple(int(tok) for tok in args.crews.split(",") if tok)
+    except ValueError:
+        crews = ()
+    if not crews:
+        raise ValueError(f"--crews takes comma-separated crew counts, got {args.crews!r}")
     params = harness.GenParams(
         seed=args.seed,
         nodes=(2, args.max_lines + 1),
@@ -156,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (ValueError, OSError) as exc:
-        # ValidationError, ParseError, SchemaError and TooLarge are ValueErrors
+        # ValidationError (SchemaError too), ParseError and TooLarge are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -233,7 +233,6 @@ def solve_relaxation(
     weights = islands.weights()
 
     lids = sorted(p)
-    p_column = np.array([p[lid] for lid in lids] + [0.0] * len(weights))
     column = {lid: k for k, lid in enumerate(lids)}
 
     model = _base_model(instance, islands, precedence)
@@ -242,9 +241,8 @@ def solve_relaxation(
 
     def add_cut(cut: Cut) -> None:
         ids = sorted(cut.lines)
-        row = np.zeros(len(p_column))
-        cols = [column[lid] for lid in ids]
-        row[cols] = p_column[cols]
+        row = np.zeros(len(model.variables))
+        row[[column[lid] for lid in ids]] = [p[lid] for lid in ids]
         model.add_row(row, cut.rhs, f"load cut on {{{', '.join(ids)}}}")
         pool.append(cut)
         pooled.add(cut.lines)
@@ -293,6 +291,7 @@ def solve_relaxation(
 def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
     """Re-minimize sum of all variables with the objective capped at its optimum."""
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
+    # fresh row lists: the cap row must not reach the model the loop grows
     canon = LpModel(
         variables=model.variables,
         objective=np.ones(len(model.variables)),

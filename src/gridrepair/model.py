@@ -17,6 +17,10 @@ class ValidationError(ValueError):
     """Raised when an instance fails a structural check; names the element."""
 
 
+class SchemaError(ValidationError):
+    """A field is unknown, missing, or not of its JSON type."""
+
+
 class DuplicateId(ValidationError):
     pass
 
@@ -182,37 +186,60 @@ class PrecedenceGraph:
         return depths
 
 
-def _require(entry: dict, keys: tuple[str, ...], what: str) -> None:
-    for key in keys:
+def _fields(entry: object, fields: tuple[str, ...], what: str) -> None:
+    """Require `entry` to be an object with exactly `fields`."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{what} must be an object")
+    for key in entry:
+        if key not in fields:
+            raise SchemaError(f"{what} has unknown field {key!r}")
+    for key in fields:
         if key not in entry:
-            raise ValidationError(f"{what} is missing field {key!r}")
+            raise SchemaError(f"{what} is missing field {key!r}")
+
+
+def _number(value: object, owner: str, name: str) -> float:
+    """A JSON number as a finite float; booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{owner} has non-numeric {name} {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise NonFiniteValue(f"{owner} has non-finite {name} {number}")
+    return number
 
 
 def validate(raw: dict) -> NetworkInstance:
     """Check a parsed raw instance and normalize it.
 
-    Verifies required fields are present, ids are unique, values are
-    finite and non-negative, the line set is a spanning tree, and at least
-    one node weight is positive; orients every line away from the root.
-    Raises a ValidationError subclass naming the offending element
-    otherwise.
+    Verifies every field is known, present and of its JSON type (crews an
+    integer, weights and repair times numbers, switch a boolean), ids are
+    unique, values are finite and non-negative, the line set is a
+    spanning tree, and at least one node weight is positive; orients
+    every line away from the root.  Nothing is coerced: a failing check
+    raises a ValidationError subclass naming the offending element.
     """
-    _require(raw, ("root", "crews", "nodes", "lines"), "instance")
-    crews = int(raw["crews"])
+    _fields(raw, ("root", "crews", "nodes", "lines"), "instance")
+    crews = raw["crews"]
+    if isinstance(crews, bool) or not isinstance(crews, int):
+        raise SchemaError(f"crews must be an integer, got {crews!r}")
     if crews < 1:
         raise InvalidCrewCount(f"crews must be >= 1, got {crews}")
+    for key in ("nodes", "lines"):
+        if not isinstance(raw[key], list):
+            raise SchemaError(f"{key} must be an array")
 
     nodes: list[Node] = []
     seen_nodes: set[str] = set()
     for k, entry in enumerate(raw["nodes"]):
-        _require(entry, ("id", "weight"), f"node entry {k}")
+        _fields(entry, ("id", "weight"), f"node entry {k}")
         nid = str(entry["id"])
         if nid in seen_nodes:
             raise DuplicateId(f"duplicate node id {nid!r}")
         seen_nodes.add(nid)
-        w = float(entry["weight"])
-        if not math.isfinite(w):
-            raise NonFiniteValue(f"node {nid!r} has non-finite weight {w}")
+        w = _number(entry["weight"], f"node {nid!r}", "weight")
         if w < 0:
             raise NegativeWeight(f"node {nid!r} has negative weight {w}")
         nodes.append(Node(nid, w))
@@ -224,7 +251,7 @@ def validate(raw: dict) -> NetworkInstance:
     raw_lines: list[tuple[str, str, str, float, bool]] = []
     seen_lines: set[str] = set()
     for k, entry in enumerate(raw["lines"]):
-        _require(entry, ("id", "from", "to", "repair_time", "switch"), f"line entry {k}")
+        _fields(entry, ("id", "from", "to", "repair_time", "switch"), f"line entry {k}")
         lid = str(entry["id"])
         if lid in seen_lines:
             raise DuplicateId(f"duplicate line id {lid!r}")
@@ -233,12 +260,13 @@ def validate(raw: dict) -> NetworkInstance:
         for end in (u, v):
             if end not in seen_nodes:
                 raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")
-        p = float(entry["repair_time"])
-        if not math.isfinite(p):
-            raise NonFiniteValue(f"line {lid!r} has non-finite repair time {p}")
+        p = _number(entry["repair_time"], f"line {lid!r}", "repair time")
         if p < 0:
             raise NegativeRepairTime(f"line {lid!r} has negative repair time {p}")
-        raw_lines.append((lid, u, v, p, bool(entry["switch"])))
+        sw = entry["switch"]
+        if not isinstance(sw, bool):
+            raise SchemaError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
+        raw_lines.append((lid, u, v, p, sw))
 
     # union-find over endpoints: a line joining an already-connected pair closes a cycle
     comp = {nid: nid for nid in seen_nodes}

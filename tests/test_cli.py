@@ -120,6 +120,15 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "worst conversion ratio" in printed
 
 
+@pytest.mark.parametrize("crews", ["", ",", "2,x"])
+def test_bench_without_crew_counts_is_an_input_error(tmp_path, capsys, crews):
+    out = tmp_path / "rows.csv"
+    code = main(["bench", "--count", "2", "--crews", crews, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "--crews" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
     from gridrepair import cli, harness, oracle
 

@@ -10,7 +10,6 @@ from gridrepair import algos, harness
 from gridrepair.harness import (
     GenParams,
     ParseError,
-    SchemaError,
     generate_corpus,
     generate_random,
     instance_from_json,
@@ -19,7 +18,7 @@ from gridrepair.harness import (
     rows_to_csv,
     run_bench,
 )
-from gridrepair.model import partition_islands
+from gridrepair.model import SchemaError, partition_islands
 
 
 class TestLoadSave:

@@ -12,6 +12,7 @@ from gridrepair.model import (
     NegativeRepairTime,
     NegativeWeight,
     NonFiniteValue,
+    SchemaError,
     UnknownRoot,
     ValidationError,
     build_precedence_graph,
@@ -135,6 +136,26 @@ class TestValidate:
         raw = two_island_raw()
         del raw["lines"][1]["repair_time"]
         with pytest.raises(ValidationError, match="line entry 1 .*'repair_time'"):
+            validate(raw)
+
+    @pytest.mark.parametrize(
+        "entry, key, value, exc, match",
+        [
+            (None, "crews", 2.7, SchemaError, "crews must be an integer, got 2.7"),
+            (None, "crews", True, SchemaError, "crews must be an integer, got True"),
+            (None, "crews", float("nan"), SchemaError, "crews must be an integer, got nan"),
+            (("lines", 1), "switch", "no", SchemaError, "line 'e2' switch .*'no'"),
+            (("nodes", 2), "weight", "3", SchemaError, "node '2' .*weight '3'"),
+            (("nodes", 2), "weight", 10**400, NonFiniteValue, "node '2'"),
+        ],
+        ids=["crews-float", "crews-bool", "crews-nan", "switch-str", "weight-str",
+             "weight-huge-int"],
+    )
+    def test_wrong_type_rejected_not_coerced(self, entry, key, value, exc, match):
+        raw = two_island_raw()
+        target = raw if entry is None else raw[entry[0]][entry[1]]
+        target[key] = value
+        with pytest.raises(exc, match=match):
             validate(raw)
 
     def test_zero_repair_time_admitted(self):
