@@ -236,3 +236,80 @@ def test_solution_satisfies_every_subset_inequality(inst, m):
         return
     worst = oracle.exhaustive_separation(sol.completion, p, m)
     assert worst.violation <= 1e-6
+
+
+def reference_separate(c, p, m, pooled=frozenset()):
+    """The prefix-by-prefix fsum separation that `separate` must reproduce."""
+    from gridrepair.lp import _violation
+
+    lines = [j for j in sorted(p) if p[j] > 0]
+    orders = (
+        sorted(lines, key=lambda j: (c[j] - p[j] / 2.0, j)),
+        sorted(lines, key=lambda j: (c[j], j)),
+    )
+    best = None  # (-violation, sorted ids)
+    for order in orders:
+        for k in range(1, len(order) + 1):
+            violation = _violation(order[:k], c, p, m)
+            if violation <= 1e-7 or (best and -violation > best[0]):
+                continue
+            key = (-violation, sorted(order[:k]))
+            if (best is None or key < best) and frozenset(key[1]) not in pooled:
+                best = key
+    return None if best is None else Cut.for_subset(best[1], p, m)
+
+
+def separation_point(rng, n, m):
+    """Integer or half-integer p and C, so that violations often tie exactly.
+
+    Half the points sit on a list schedule's tight load bounds, pushed down
+    by a few half-units, where adding a line often leaves the violation as it is.
+    """
+    step = rng.choice([1.0, 0.5])
+    p = {f"l{k}": rng.randint(0, 20) * step for k in range(n)}
+    if rng.random() < 0.3:  # repeated lines tie in both orders
+        p = {lid: p[f"l{k % 3}"] for k, lid in enumerate(p)}
+    if rng.random() < 0.5:
+        c, before = {}, 0.0
+        for lid in rng.sample(sorted(p), n):
+            c[lid] = before / m + p[lid] * (m + 1) / (2 * m) - rng.choice([0, 0, 0, 0.5, 1])
+            before += p[lid]
+        return c, p
+    load = max(1.0, sum(p.values()) / m)
+    c = {lid: rng.randint(0, int(2 * load * rng.choice([0.5, 1.0, 1.5]))) / 2.0 for lid in p}
+    return c, p
+
+
+def prefix_subsets(c, p):
+    lines = [j for j in sorted(p) if p[j] > 0]
+    for key in (lambda j: (c[j] - p[j] / 2.0, j), lambda j: (c[j], j)):
+        order = sorted(lines, key=key)
+        for k in range(1, len(order) + 1):
+            yield frozenset(order[:k])
+
+
+@pytest.mark.parametrize("n_max,points", [(12, 300), (200, 20), (2000, 1)])
+def test_separate_matches_reference(n_max, points):
+    rng = random.Random(n_max)
+    for _ in range(points):
+        n = n_max if points == 1 else rng.randint(1, n_max)
+        m = rng.choice([1, 2, 3])
+        c, p = separation_point(rng, n, m)
+        first = reference_separate(c, p, m)
+        cases = [(frozenset(), first)]
+        if first is not None:  # pool the maximum, then the runner-up too
+            second = reference_separate(c, p, m, {first.lines})
+            cases.append(({first.lines}, second))
+            if second is not None and points > 1:
+                pooled = {first.lines, second.lines}
+                cases.append((pooled, reference_separate(c, p, m, pooled)))
+        if points > 1:
+            prefixes = list(prefix_subsets(c, p))
+            pooled = set(rng.sample(prefixes, min(len(prefixes), 5)))
+            cases.append((pooled, reference_separate(c, p, m, pooled)))
+        for pooled, want in cases:
+            got = separate(c, p, m, pooled)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.lines == want.lines
+                assert got.rhs == want.rhs
