@@ -104,9 +104,97 @@ def simplex_solve(model: LpModel) -> LpVertex:
     """Solve the model to an optimal basic solution.
 
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
-    anti-cycling safeguards) at 1e-9 feasibility tolerances.  SciPy is
-    imported here, so commands that solve no LP never load it.
+    anti-cycling safeguards) at 1e-9 feasibility tolerances.  HiGHS gets
+    the model directly where SciPy's binding allows it, else through
+    `linprog`; both give the same vertex bit for bit.  SciPy is imported
+    here, so commands that solve no LP never load it.
     """
+    vertex = _solve_highs(model)
+    return _solve_linprog(model) if vertex is None else vertex
+
+
+def _solve_highs(model: LpModel) -> LpVertex | None:
+    """Hand the model to SciPy's private HiGHS binding; None if it is missing.
+
+    The one place that uses `scipy.optimize._highspy._core` (tested with
+    SciPy 1.17).  It passes the HighsLp and options that
+    `linprog(method="highs-ds")` builds: the CSC matrix of -rows with row
+    bounds [-inf, -rhs], column bounds [lower, inf], presolve, dual simplex
+    and output off, and it raises what `_solve_linprog` raises for each
+    model status.
+    """
+    try:
+        from scipy.optimize._highspy._core import (
+            HighsDebugLevel,
+            HighsLp,
+            HighsModelStatus,
+            HighsStatus,
+            MatrixFormat,
+            _Highs,
+            kHighsInf,
+            simplex_constants,
+        )
+    except ImportError:
+        return None
+
+    n, k = len(model.variables), len(model.rows)
+    columns = -np.array(model.rows, dtype=float).reshape(k, n).T
+    col, row = np.nonzero(columns)  # column-major, rows ascending within a column
+    lower, upper = np.array(model.lower, dtype=float), -np.array(model.rhs, dtype=float)
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = k
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+    lp.a_matrix_.index_ = row
+    lp.a_matrix_.value_ = columns[col, row]
+    lp.col_cost_ = np.array(model.objective, dtype=float)
+    lp.col_lower_ = lower
+    lp.col_upper_ = np.full(n, kHighsInf)
+    lp.row_lower_ = np.full(k, -kHighsInf)
+    lp.row_upper_ = upper
+
+    highs = _Highs()
+    for option, value in (
+        ("presolve", "on"),
+        ("solver", "simplex"),
+        ("simplex_strategy", simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        ("highs_debug_level", HighsDebugLevel.kHighsDebugLevelNone),
+        ("primal_feasibility_tolerance", LP_TOLERANCE),
+        ("dual_feasibility_tolerance", LP_TOLERANCE),
+        ("output_flag", False),
+        ("log_to_console", False),
+    ):
+        if highs.setOptionValue(option, value) != HighsStatus.kOk:
+            raise LpError(f"HiGHS rejected option {option}={value!r}")
+    if highs.passModel(lp) == HighsStatus.kError:
+        raise Infeasible("HiGHS rejected the model")
+    run_failed = highs.run() == HighsStatus.kError
+    status = highs.getModelStatus()
+    if run_failed or status != HighsModelStatus.kOptimal:
+        failure = {
+            HighsModelStatus.kInfeasible: Infeasible,
+            HighsModelStatus.kModelError: Infeasible,
+            HighsModelStatus.kUnbounded: Unbounded,
+            HighsModelStatus.kIterationLimit: IterationLimit,
+            HighsModelStatus.kTimeLimit: IterationLimit,
+        }.get(status, LpError)
+        raise failure(f"HiGHS model status {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = highs.getInfo().objective_function_value
+    # linprog's own check of the returned point, at its tolerance
+    tol = math.sqrt(LP_TOLERANCE) * 10
+    if not (
+        np.all(x >= lower - tol)
+        and np.all(np.array(solution.row_value) <= upper + tol)
+        and not math.isnan(fun)
+    ):
+        raise LpError("the optimal point HiGHS returned violates the constraints")
+    return LpVertex(values=x, objective=float(fun))
+
+
+def _solve_linprog(model: LpModel) -> LpVertex:
     from scipy.optimize import linprog
 
     res = linprog(
@@ -146,21 +234,42 @@ def separate(
     the exact maximum violation over all 2^n - 1 subsets.  Subsets in
     `pooled` are skipped: a pooled cut's residual violation is solver
     noise.  Ties in violation go to the smaller sorted id list.
+
+    Every prefix is scored at once from prefix sums S = sum p, Q = sum p^2
+    and W = sum p*C as S^2/2m + Q/2 - W.  On a prefix of k lines this
+    score is within 4(k+8) 2^-53 (S^2/2m + Q/2 + sum |p*C|) of the exact
+    (fsum) violation: k-1 roundings in each running sum, a few more in the
+    products and in the exact value's own formula.
+    Candidates are re-scored exactly from the highest upper bound down,
+    until a bound falls below the best exact violation found, and the rule
+    above is applied to the exact values.
     """
     lines = [j for j in sorted(p) if p[j] > 0]
-    orders = (
-        sorted(lines, key=lambda j: (c[j] - p[j] / 2.0, j)),
-        sorted(lines, key=lambda j: (c[j], j)),
-    )
+    times = np.array([p[j] for j in lines])
+    completions = np.array([c[j] for j in lines])
+    k = np.arange(1, len(lines) + 1)
+    candidates = []  # (upper bound, order, prefix length)
+    for key in (completions - times / 2.0, completions):
+        order = np.argsort(key, kind="stable")  # ties by id, as `lines` is sorted
+        pt, ptc = times[order], times[order] * completions[order]
+        load = np.cumsum(pt) ** 2 / (2.0 * m) + np.cumsum(pt * pt) / 2.0
+        approx = load - np.cumsum(ptc)
+        upper = approx + 4.0 * (k + 8) * 2.0**-53 * (load + np.cumsum(np.abs(ptc)))
+        keep = np.flatnonzero(upper > SEPARATION_TOLERANCE)
+        order = order.tolist()
+        candidates += [(u, order, size) for u, size in zip(upper[keep].tolist(), k[keep].tolist())]
+    candidates.sort(key=lambda cand: -cand[0])
     best: tuple[float, list[str]] | None = None  # (-violation, sorted ids)
-    for order in orders:
-        for k in range(1, len(order) + 1):
-            violation = _violation(order[:k], c, p, m)
-            if violation <= SEPARATION_TOLERANCE or (best and -violation > best[0]):
-                continue
-            key = (-violation, sorted(order[:k]))
-            if (best is None or key < best) and frozenset(key[1]) not in pooled:
-                best = key
+    for bound, order, size in candidates:
+        if best is not None and bound < -best[0]:
+            break
+        subset = [lines[i] for i in order[:size]]
+        violation = _violation(subset, c, p, m)
+        if violation <= SEPARATION_TOLERANCE:
+            continue
+        key = (-violation, sorted(subset))
+        if (best is None or key < best) and frozenset(subset) not in pooled:
+            best = key
     return None if best is None else Cut.for_subset(best[1], p, m)
 
 

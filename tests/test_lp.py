@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import hypothesis.strategies as st
@@ -7,10 +8,13 @@ from hypothesis import given, settings
 
 import numpy as np
 
-from gridrepair import oracle
+from gridrepair import lp, oracle
+from gridrepair.harness import GenParams, generate_random
 from gridrepair.lp import (
     Cut,
     LpModel,
+    _solve_highs,
+    _solve_linprog,
     load_rhs,
     lp_midpoints,
     separate,
@@ -19,7 +23,7 @@ from gridrepair.lp import (
 )
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import instances
+from conftest import FIXTURES, instances
 
 
 class TestSimplexSolve:
@@ -53,16 +57,54 @@ class TestSimplexSolve:
         from gridrepair.lp import Unbounded
 
         model = LpModel(variables=["x"], objective=np.array([-1.0]), lower=np.zeros(1))
-        with pytest.raises(Unbounded):
-            simplex_solve(model)
+        for solve in (simplex_solve, _solve_linprog):
+            with pytest.raises(Unbounded):
+                solve(model)
 
     def test_infeasible_raises(self):
         from gridrepair.lp import Infeasible
 
         model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.zeros(1))
         model.add_row(np.array([-1.0]), 1.0)  # x <= -1
-        with pytest.raises(Infeasible):
-            simplex_solve(model)
+        for solve in (simplex_solve, _solve_linprog):
+            with pytest.raises(Infeasible):
+                solve(model)
+
+    def test_direct_path_runs_on_the_tested_scipy(self):
+        # the benchmark must measure HiGHS called directly, not the fallback
+        import scipy
+
+        if not scipy.__version__.startswith("1.17."):
+            pytest.skip(f"direct HiGHS path is tested with SciPy 1.17, not {scipy.__version__}")
+        model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.array([1.0]))
+        assert _solve_highs(model) is not None
+
+    @pytest.mark.parametrize(
+        "name, m",
+        [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 2, 3)]
+        + [(f"gen-{seed}", 3) for seed in (1, 2, 3)],
+    )
+    def test_direct_path_matches_linprog_on_every_round(self, monkeypatch, name, m):
+        if name.startswith("gen-"):
+            params = GenParams(seed=int(name[4:]), nodes=(51, 51), switch_probability=0.1,
+                               repair_time=(1, 10))
+            inst = generate_random(params)
+        else:
+            inst = validate(json.loads((FIXTURES / name).read_text()))
+        models = []
+
+        def record(model):
+            models.append(LpModel(model.variables, model.objective, model.lower,
+                                  list(model.rows), list(model.rhs)))
+            return simplex_solve(model)
+
+        monkeypatch.setattr(lp, "simplex_solve", record)
+        solve_relaxation(inst, crews=m)
+        assert len(models) >= 2  # the cutting-plane rounds and the canonical pass
+        for model in models:
+            direct, reference = _solve_highs(model), _solve_linprog(model)
+            assert direct.values.tolist() == reference.values.tolist()
+            assert direct.objective == reference.objective
 
 
 class TestSeparate:
