@@ -211,11 +211,19 @@ def _number(value: object, owner: str, name: str) -> float:
     return number
 
 
+def _id(value: object, owner: str) -> str:
+    """A JSON string id; numbers, arrays and the rest are rejected, not converted."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{owner} must be a string, got {value!r}")
+    return value
+
+
 def validate(raw: dict) -> NetworkInstance:
     """Check a parsed raw instance and normalize it.
 
-    Verifies every field is known, present and of its JSON type (crews an
-    integer, weights and repair times numbers, switch a boolean), ids are
+    Verifies every field is known, present and of its JSON type (ids and
+    endpoints strings, crews an integer, weights and repair times numbers,
+    switch a boolean), ids are
     unique, values are finite and non-negative, the line set is a
     spanning tree, and at least one node weight is positive; orients
     every line away from the root.  Nothing is coerced: a failing check
@@ -235,7 +243,7 @@ def validate(raw: dict) -> NetworkInstance:
     seen_nodes: set[str] = set()
     for k, entry in enumerate(raw["nodes"]):
         _fields(entry, ("id", "weight"), f"node entry {k}")
-        nid = str(entry["id"])
+        nid = _id(entry["id"], f"node entry {k} id")
         if nid in seen_nodes:
             raise DuplicateId(f"duplicate node id {nid!r}")
         seen_nodes.add(nid)
@@ -244,7 +252,7 @@ def validate(raw: dict) -> NetworkInstance:
             raise NegativeWeight(f"node {nid!r} has negative weight {w}")
         nodes.append(Node(nid, w))
 
-    root = str(raw["root"])
+    root = _id(raw["root"], "root")
     if root not in seen_nodes:
         raise UnknownRoot(f"root {root!r} is not a node")
 
@@ -252,11 +260,11 @@ def validate(raw: dict) -> NetworkInstance:
     seen_lines: set[str] = set()
     for k, entry in enumerate(raw["lines"]):
         _fields(entry, ("id", "from", "to", "repair_time", "switch"), f"line entry {k}")
-        lid = str(entry["id"])
+        lid = _id(entry["id"], f"line entry {k} id")
         if lid in seen_lines:
             raise DuplicateId(f"duplicate line id {lid!r}")
         seen_lines.add(lid)
-        u, v = str(entry["from"]), str(entry["to"])
+        u, v = (_id(entry[end], f"line {lid!r} {end!r}") for end in ("from", "to"))
         for end in (u, v):
             if end not in seen_nodes:
                 raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")

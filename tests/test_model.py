@@ -147,9 +147,16 @@ class TestValidate:
             (("lines", 1), "switch", "no", SchemaError, "line 'e2' switch .*'no'"),
             (("nodes", 2), "weight", "3", SchemaError, "node '2' .*weight '3'"),
             (("nodes", 2), "weight", 10**400, NonFiniteValue, "node '2'"),
+            (("nodes", 1), "id", ["1"], SchemaError, r"node entry 1 id .*\['1'\]"),
+            (("nodes", 1), "id", 1, SchemaError, "node entry 1 id must be a string, got 1"),
+            (None, "root", 0, SchemaError, "root must be a string, got 0"),
+            (("lines", 0), "id", 5, SchemaError, "line entry 0 id must be a string, got 5"),
+            (("lines", 1), "from", ["1"], SchemaError, r"line 'e2' 'from' .*\['1'\]"),
+            (("lines", 1), "to", 2, SchemaError, "line 'e2' 'to' must be a string, got 2"),
         ],
         ids=["crews-float", "crews-bool", "crews-nan", "switch-str", "weight-str",
-             "weight-huge-int"],
+             "weight-huge-int", "node-id-array", "node-id-int", "root-int", "line-id-int",
+             "from-array", "to-int"],
     )
     def test_wrong_type_rejected_not_coerced(self, entry, key, value, exc, match):
         raw = two_island_raw()
