@@ -130,6 +130,14 @@ def _cmd_bench(args) -> int:
         crews = ()
     if not crews:
         raise ValueError(f"--crews takes comma-separated crew counts, got {args.crews!r}")
+    for option, value, wanted, ok in (
+        ("--count", args.count, "at least 1", args.count >= 1),
+        ("--max-lines", args.max_lines, "at least 1", args.max_lines >= 1),
+        ("--switch-probability", args.switch_probability, "in [0, 1]",
+         0.0 <= args.switch_probability <= 1.0),
+    ):
+        if not ok:
+            raise ValueError(f"{option} must be {wanted}, got {value!r}")
     params = harness.GenParams(
         seed=args.seed,
         nodes=(2, args.max_lines + 1),

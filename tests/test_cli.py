@@ -129,6 +129,17 @@ def test_bench_without_crew_counts_is_an_input_error(tmp_path, capsys, crews):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--count", "-3"), ("--max-lines", "0"), ("--switch-probability", "1.5")]
+)
+def test_bench_out_of_range_option_is_an_input_error(tmp_path, capsys, option, value):
+    out = tmp_path / "rows.csv"
+    code = main(["bench", "--count", "2", option, value, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
     from gridrepair import cli, harness, oracle
 
