@@ -186,35 +186,40 @@ class PrecedenceGraph:
         return depths
 
 
-def _fields(entry: object, fields: tuple[str, ...], what: str) -> None:
+# Each check names the element as `owner.format(*args)`, built only when the
+# check fails: formatting every element's name up front would cost more than
+# the checks themselves on large feeders.
+
+
+def _fields(entry: object, fields: tuple[str, ...], owner: str, *args: object) -> None:
     """Require `entry` to be an object with exactly `fields`."""
     if not isinstance(entry, dict):
-        raise SchemaError(f"{what} must be an object")
+        raise SchemaError(f"{owner.format(*args)} must be an object")
     for key in entry:
         if key not in fields:
-            raise SchemaError(f"{what} has unknown field {key!r}")
+            raise SchemaError(f"{owner.format(*args)} has unknown field {key!r}")
     for key in fields:
         if key not in entry:
-            raise SchemaError(f"{what} is missing field {key!r}")
+            raise SchemaError(f"{owner.format(*args)} is missing field {key!r}")
 
 
-def _number(value: object, owner: str, name: str) -> float:
+def _number(value: object, name: str, owner: str, *args: object) -> float:
     """A JSON number as a finite float; booleans and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{owner} has non-numeric {name} {value!r}")
+        raise SchemaError(f"{owner.format(*args)} has non-numeric {name} {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond float range
         number = math.inf
     if not math.isfinite(number):
-        raise NonFiniteValue(f"{owner} has non-finite {name} {number}")
+        raise NonFiniteValue(f"{owner.format(*args)} has non-finite {name} {number}")
     return number
 
 
-def _id(value: object, owner: str) -> str:
+def _id(value: object, owner: str, *args: object) -> str:
     """A JSON string id; numbers, arrays and the rest are rejected, not converted."""
     if not isinstance(value, str):
-        raise SchemaError(f"{owner} must be a string, got {value!r}")
+        raise SchemaError(f"{owner.format(*args)} must be a string, got {value!r}")
     return value
 
 
@@ -223,10 +228,9 @@ def validate(raw: dict) -> NetworkInstance:
 
     Verifies every field is known, present and of its JSON type (ids and
     endpoints strings, crews an integer, weights and repair times numbers,
-    switch a boolean), ids are
-    unique, values are finite and non-negative, the line set is a
-    spanning tree, and at least one node weight is positive; orients
-    every line away from the root.  Nothing is coerced: a failing check
+    switch a boolean), ids are unique, values are finite and non-negative,
+    the line set is a spanning tree, and at least one node weight is
+    positive; orients every line away from the root.  Nothing is coerced: a failing check
     raises a ValidationError subclass naming the offending element.
     """
     _fields(raw, ("root", "crews", "nodes", "lines"), "instance")
@@ -242,12 +246,12 @@ def validate(raw: dict) -> NetworkInstance:
     nodes: list[Node] = []
     seen_nodes: set[str] = set()
     for k, entry in enumerate(raw["nodes"]):
-        _fields(entry, ("id", "weight"), f"node entry {k}")
-        nid = _id(entry["id"], f"node entry {k} id")
+        _fields(entry, ("id", "weight"), "node entry {}", k)
+        nid = _id(entry["id"], "node entry {} id", k)
         if nid in seen_nodes:
             raise DuplicateId(f"duplicate node id {nid!r}")
         seen_nodes.add(nid)
-        w = _number(entry["weight"], f"node {nid!r}", "weight")
+        w = _number(entry["weight"], "weight", "node {!r}", nid)
         if w < 0:
             raise NegativeWeight(f"node {nid!r} has negative weight {w}")
         nodes.append(Node(nid, w))
@@ -259,16 +263,16 @@ def validate(raw: dict) -> NetworkInstance:
     raw_lines: list[tuple[str, str, str, float, bool]] = []
     seen_lines: set[str] = set()
     for k, entry in enumerate(raw["lines"]):
-        _fields(entry, ("id", "from", "to", "repair_time", "switch"), f"line entry {k}")
-        lid = _id(entry["id"], f"line entry {k} id")
+        _fields(entry, ("id", "from", "to", "repair_time", "switch"), "line entry {}", k)
+        lid = _id(entry["id"], "line entry {} id", k)
         if lid in seen_lines:
             raise DuplicateId(f"duplicate line id {lid!r}")
         seen_lines.add(lid)
-        u, v = (_id(entry[end], f"line {lid!r} {end!r}") for end in ("from", "to"))
+        u, v = _id(entry["from"], "line {!r} 'from'", lid), _id(entry["to"], "line {!r} 'to'", lid)
         for end in (u, v):
             if end not in seen_nodes:
                 raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")
-        p = _number(entry["repair_time"], f"line {lid!r}", "repair time")
+        p = _number(entry["repair_time"], "repair time", "line {!r}", lid)
         if p < 0:
             raise NegativeRepairTime(f"line {lid!r} has negative repair time {p}")
         sw = entry["switch"]
