@@ -14,7 +14,17 @@ The exponentially many subset rows are generated on demand, one row per
 cut: prefixes of the solution sorted by completion and by midpoint
 (C - p/2).  Midpoint prefixes are exact maximizers of the violation
 whenever any subset is violated, which a threshold argument shows and the
-test suite re-checks against full subset enumeration.
+test suite re-checks against full subset enumeration.  Separation scores
+all prefixes at once from running sums and re-scores exactly (fsum) only
+those whose score plus its rounding-error bound, 4(k+8) 2^-53 times the
+sum of the magnitudes on a prefix of k lines, can still beat the best
+exact violation, so it picks the cut the prefix-by-prefix fsum scan picks.
+
+Each round is a cold solve of the whole model.  It goes straight to HiGHS
+through SciPy's private binding (`scipy.optimize._highspy._core`, tested
+with SciPy 1.17) with the matrix, bounds and options that
+`linprog(method="highs-ds")` would pass, and falls back to `linprog` where
+that binding cannot be imported; both give the same vertex bit for bit.
 """
 
 from __future__ import annotations
@@ -247,23 +257,24 @@ def separate(
     lines = [j for j in sorted(p) if p[j] > 0]
     times = np.array([p[j] for j in lines])
     completions = np.array([c[j] for j in lines])
-    k = np.arange(1, len(lines) + 1)
-    candidates = []  # (upper bound, order, prefix length)
-    for key in (completions - times / 2.0, completions):
-        order = np.argsort(key, kind="stable")  # ties by id, as `lines` is sorted
-        pt, ptc = times[order], times[order] * completions[order]
-        load = np.cumsum(pt) ** 2 / (2.0 * m) + np.cumsum(pt * pt) / 2.0
-        approx = load - np.cumsum(ptc)
-        upper = approx + 4.0 * (k + 8) * 2.0**-53 * (load + np.cumsum(np.abs(ptc)))
-        keep = np.flatnonzero(upper > SEPARATION_TOLERANCE)
-        order = order.tolist()
-        candidates += [(u, order, size) for u, size in zip(upper[keep].tolist(), k[keep].tolist())]
-    candidates.sort(key=lambda cand: -cand[0])
+    # one row per order; stable sorts break ties by id, as `lines` is sorted
+    keys = (completions - times / 2.0, completions)
+    orders = np.array([np.argsort(key, kind="stable") for key in keys])
+    pt = times[orders]
+    ptc = pt * completions[orders]
+    load = np.cumsum(pt, axis=1) ** 2 / (2.0 * m) + np.cumsum(pt * pt, axis=1) / 2.0
+    slack = 4.0 * (np.arange(1, len(lines) + 1) + 8) * 2.0**-53
+    upper = load - np.cumsum(ptc, axis=1) + slack * (load + np.cumsum(np.abs(ptc), axis=1))
+    row, last = np.nonzero(upper > SEPARATION_TOLERANCE)
+    bounds = upper[row, last]
+    rank = np.argsort(-bounds, kind="stable")
+    candidates = zip(bounds[rank].tolist(), row[rank].tolist(), (last[rank] + 1).tolist())
+    orders = orders.tolist()
     best: tuple[float, list[str]] | None = None  # (-violation, sorted ids)
-    for bound, order, size in candidates:
+    for bound, which, size in candidates:
         if best is not None and bound < -best[0]:
             break
-        subset = [lines[i] for i in order[:size]]
+        subset = [lines[i] for i in orders[which][:size]]
         violation = _violation(subset, c, p, m)
         if violation <= SEPARATION_TOLERANCE:
             continue
