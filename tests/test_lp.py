@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import hypothesis.strategies as st
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 import numpy as np
 
 from gridrepair import lp, oracle
-from gridrepair.harness import GenParams, generate_random
+from gridrepair.harness import GenParams, generate_random, load_instance
 from gridrepair.lp import (
     Cut,
     LpModel,
@@ -90,7 +89,7 @@ class TestSimplexSolve:
                                repair_time=(1, 10))
             inst = generate_random(params)
         else:
-            inst = validate(json.loads((FIXTURES / name).read_text()))
+            inst = load_instance(FIXTURES / name)
         models = []
 
         def record(model):
@@ -280,17 +279,21 @@ def test_solution_satisfies_every_subset_inequality(inst, m):
     assert worst.violation <= 1e-6
 
 
+def prefix_orders(c, p):
+    """The midpoint and completion orders of the lines with positive time."""
+    lines = [j for j in sorted(p) if p[j] > 0]
+    return (
+        sorted(lines, key=lambda j: (c[j] - p[j] / 2.0, j)),
+        sorted(lines, key=lambda j: (c[j], j)),
+    )
+
+
 def reference_separate(c, p, m, pooled=frozenset()):
     """The prefix-by-prefix fsum separation that `separate` must reproduce."""
     from gridrepair.lp import _violation
 
-    lines = [j for j in sorted(p) if p[j] > 0]
-    orders = (
-        sorted(lines, key=lambda j: (c[j] - p[j] / 2.0, j)),
-        sorted(lines, key=lambda j: (c[j], j)),
-    )
     best = None  # (-violation, sorted ids)
-    for order in orders:
+    for order in prefix_orders(c, p):
         for k in range(1, len(order) + 1):
             violation = _violation(order[:k], c, p, m)
             if violation <= 1e-7 or (best and -violation > best[0]):
@@ -322,14 +325,6 @@ def separation_point(rng, n, m):
     return c, p
 
 
-def prefix_subsets(c, p):
-    lines = [j for j in sorted(p) if p[j] > 0]
-    for key in (lambda j: (c[j] - p[j] / 2.0, j), lambda j: (c[j], j)):
-        order = sorted(lines, key=key)
-        for k in range(1, len(order) + 1):
-            yield frozenset(order[:k])
-
-
 @pytest.mark.parametrize("n_max,points", [(12, 300), (200, 20), (2000, 1)])
 def test_separate_matches_reference(n_max, points):
     rng = random.Random(n_max)
@@ -346,7 +341,8 @@ def test_separate_matches_reference(n_max, points):
                 pooled = {first.lines, second.lines}
                 cases.append((pooled, reference_separate(c, p, m, pooled)))
         if points > 1:
-            prefixes = list(prefix_subsets(c, p))
+            orders = prefix_orders(c, p)
+            prefixes = [frozenset(o[:k]) for o in orders for k in range(1, len(o) + 1)]
             pooled = set(rng.sample(prefixes, min(len(prefixes), 5)))
             cases.append((pooled, reference_separate(c, p, m, pooled)))
         for pooled, want in cases:
