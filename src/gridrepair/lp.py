@@ -205,6 +205,7 @@ def _solve_highs(model: LpModel) -> LpVertex | None:
 
 
 def _solve_linprog(model: LpModel) -> LpVertex:
+    """The same solve through public `linprog`: the fallback, and the tests' reference."""
     from scipy.optimize import linprog
 
     res = linprog(
