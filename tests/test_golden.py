@@ -5,7 +5,9 @@ JSON of `convert` and `single-optimal` at m = 1, 2, 3 byte for byte, plus
 the `lp-list` harm and LP objective (compared at relative tolerance 1e-9,
 since HiGHS may land on a different float).  For the three small fixtures
 it also holds the `schedule --alg lp-list --dump-lp` text at m = 1, 2, 3,
-byte for byte: the final model is data, not a solver answer.  A refactor must reproduce
+byte for byte: the final model is data, not a solver answer.  Under
+`generated-lp-list` it holds the `schedule --alg lp-list --crews 3` JSON of
+three generated 60-line feeders, byte for byte.  A refactor must reproduce
 them unchanged.  Regenerate only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,13 +24,15 @@ import pytest
 
 from gridrepair import algos
 from gridrepair.cli import EXIT_OK, main
-from gridrepair.harness import load_instance
+from gridrepair.harness import GenParams, generate_random, load_instance, save_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 NAMES = ("fork.json", "two_island.json", "graham_m3.json", "feeder123.json")
 CREWS = (1, 2, 3)
 DUMP_LP_NAMES = ("fork.json", "two_island.json", "graham_m3.json")
+GENERATED = "generated-lp-list"
+GENERATED_SEEDS = (1, 2, 3)
 
 
 def _stdout(argv: list[str]) -> str:
@@ -67,6 +71,16 @@ def fixture_outputs(name: str) -> dict:
     return out
 
 
+def generated_lp_list(seed: int) -> str:
+    """lp-list JSON of a generated 60-line feeder with about 10 % switches, m = 3."""
+    params = GenParams(seed=seed, nodes=(61, 61), switch_probability=0.1,
+                       repair_time=(1, 10), crews=(3,))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feeder.json"
+        save_instance(path, generate_random(params))
+        return _stdout(["schedule", str(path), "--alg", algos.LP_LIST, "--crews", "3"])
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_fixture_outputs_match_golden(name):
     expected = json.loads(GOLDEN.read_text())[name]
@@ -79,8 +93,13 @@ def test_fixture_outputs_match_golden(name):
             assert lp_got[m][key] == pytest.approx(value, rel=1e-9, abs=1e-9), (m, key)
 
 
+@pytest.mark.parametrize("seed", GENERATED_SEEDS)
+def test_generated_lp_list_matches_golden(seed):
+    assert generated_lp_list(seed) == json.loads(GOLDEN.read_text())[GENERATED][str(seed)]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({name: fixture_outputs(name) for name in NAMES}, indent=1) + "\n"
-    )
+    golden = {name: fixture_outputs(name) for name in NAMES}
+    golden[GENERATED] = {str(seed): generated_lp_list(seed) for seed in GENERATED_SEEDS}
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     sys.exit(0)
