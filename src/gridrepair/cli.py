@@ -8,6 +8,7 @@ bad instance).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ EXIT_INVALID = 2
 EXIT_VIOLATION = 3
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridrepair",
@@ -111,7 +113,7 @@ def _cmd_schedule(args) -> int:
         )
     else:
         result = algos.single_optimal(instance)
-    _emit(harness.result_to_json(result), args.out)
+    _emit(harness.result_to_text(result), args.out)
     return EXIT_OK
 
 
@@ -133,6 +135,7 @@ def _cmd_bench(args) -> int:
     for option, value, wanted, ok in (
         ("--count", args.count, "at least 1", args.count >= 1),
         ("--max-lines", args.max_lines, "at least 1", args.max_lines >= 1),
+        ("--jobs", args.jobs, "at least 1", args.jobs >= 1),
         ("--switch-probability", args.switch_probability, "in [0, 1]",
          0.0 <= args.switch_probability <= 1.0),
     ):

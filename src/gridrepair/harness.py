@@ -80,6 +80,29 @@ def result_to_json(result: algos.AlgoResult) -> dict:
     }
 
 
+def result_to_text(result: algos.AlgoResult) -> str:
+    """`json.dumps(result_to_json(result), indent=2)`, byte for byte, without that
+    pure-Python encoder: one C-encoded `json.dumps` of a flat list formats every
+    number, in text order."""
+    quote, iids = json.encoder.encode_basestring_ascii, sorted(result.energization)
+    times = [t for crew in result.schedule.crews for a in crew for t in (a.start, a.completion)]
+    flat = [result.crews, *times, *map(result.energization.get, iids), result.report.harm]
+    number = iter(json.dumps(flat)[1:-1].split(", ")).__next__
+
+    def block(items: list[str], pad: str, brackets: str = "[]") -> str:
+        inner = f",\n{pad}  ".join(items)
+        return f"{brackets[0]}\n{pad}  {inner}\n{pad}{brackets[1]}" if items else brackets
+
+    head = f'{{\n  "algorithm": {quote(result.algorithm)},\n  "crews": {number()},\n'
+    item = '{{\n        "line": {},\n        "start": {},\n        "completion": {}\n      }}'
+    crews = [[item.format(quote(a.line), number(), number()) for a in crew]
+             for crew in result.schedule.crews]
+    assignments = block([block(crew, "    ") for crew in crews], "  ")
+    energization = block([f"{quote(i)}: {number()}" for i in iids], "  ", "{}")
+    return (f'{head}  "assignments": {assignments},\n  "energization": {energization},\n'
+            f'  "harm": {number()}\n}}')
+
+
 def oracle_to_json(result: oracle.OracleResult, crews: int) -> dict:
     return {
         "crews": crews,

@@ -1,9 +1,9 @@
 """LP relaxation of the m-crew repair problem, solved by cutting planes.
 
 Variables are per-line completion times C and per-island energization
-times E, in that column order.  The model is held as the arrays HiGHS
-receives: an objective and a lower-bound vector, and one dense `>=`
-coefficient row per constraint.  Besides the base rows (E above every
+times E, in that column order.  The model is held as arrays: an objective
+and a lower-bound vector, and one sparse `>=` row (column indices and
+values) per constraint.  Besides the base rows (E above every
 member completion and above the parent island's E; C is bounded below
 by its repair time), feasible completion vectors obey one load
 inequality per line subset A:
@@ -20,7 +20,9 @@ those whose score plus its rounding-error bound, 4(k+8) 2^-53 times the
 sum of the magnitudes on a prefix of k lines, can still beat the best
 exact violation, so it picks the cut the prefix-by-prefix fsum scan picks.
 
-Each round is a cold solve of the whole model.  It goes straight to HiGHS
+The loop runs on integer column indices.  One relaxation owns one HiGHS
+instance, its options set once, and each round passes it the whole model
+afresh: a cold solve that keeps no basis.  It goes straight to HiGHS
 through SciPy's private binding (`scipy.optimize._highspy._core`, tested
 with SciPy 1.17) with the matrix, bounds and options that
 `linprog(method="highs-ds")` would pass, and falls back to `linprog` where
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,18 +90,19 @@ class Cut:
 class LpModel:
     """Minimize objective . x subject to rows[k] . x >= rhs[k] and x >= lower.
 
-    `variables` names the columns; names are used only to render the model.
+    A row is a pair (column indices, nonzero values).  `variables` and `labels`
+    name columns and rows only to render the model; a None label marks a load cut.
     """
 
     variables: list[str]
     objective: np.ndarray
     lower: np.ndarray
-    rows: list[np.ndarray] = field(default_factory=list)
+    rows: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     rhs: list[float] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)
+    labels: list[str | None] = field(default_factory=list)
 
-    def add_row(self, coeffs: np.ndarray, rhs: float, label: str = "") -> None:
-        self.rows.append(coeffs)
+    def add_row(self, columns: np.ndarray, values: np.ndarray, rhs: float, label=None) -> None:
+        self.rows.append((columns, values))
         self.rhs.append(rhs)
         self.labels.append(label)
 
@@ -110,96 +113,96 @@ class LpVertex:
     objective: float
 
 
-def simplex_solve(model: LpModel) -> LpVertex:
+def simplex_solve(model: LpModel, highs=None) -> LpVertex:
     """Solve the model to an optimal basic solution.
 
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
     anti-cycling safeguards) at 1e-9 feasibility tolerances.  HiGHS gets
-    the model directly where SciPy's binding allows it, else through
-    `linprog`; both give the same vertex bit for bit.  SciPy is imported
-    here, so commands that solve no LP never load it.
+    the model directly where SciPy's binding allows it, on `highs` if given,
+    else through `linprog`; both give the same vertex bit for bit.  SciPy is
+    imported here, so commands that solve no LP never load it.
     """
-    vertex = _solve_highs(model)
+    vertex = _solve_highs(model, highs)
     return _solve_linprog(model) if vertex is None else vertex
 
 
-def _solve_highs(model: LpModel) -> LpVertex | None:
-    """Hand the model to SciPy's private HiGHS binding; None if it is missing.
-
-    The one place that uses `scipy.optimize._highspy._core` (tested with
-    SciPy 1.17).  It passes the HighsLp and options that
-    `linprog(method="highs-ds")` builds: the CSC matrix of -rows with row
-    bounds [-inf, -rhs], column bounds [lower, inf], presolve, dual simplex
-    and output off, and it raises what `_solve_linprog` raises for each
-    model status.
-    """
+def _new_highs():
+    """A HiGHS instance with the options `linprog(method="highs-ds")` sets
+    (presolve, dual simplex, the two 1e-9 tolerances, output off); None
+    where SciPy's private binding cannot be imported."""
     try:
-        from scipy.optimize._highspy._core import (
-            HighsDebugLevel,
-            HighsLp,
-            HighsModelStatus,
-            HighsStatus,
-            MatrixFormat,
-            _Highs,
-            kHighsInf,
-            simplex_constants,
-        )
+        from scipy.optimize._highspy import _core as hs
     except ImportError:
         return None
+    highs = hs._Highs()
+    for option, value in (
+        ("presolve", "on"), ("solver", "simplex"),
+        ("simplex_strategy", hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        ("highs_debug_level", hs.HighsDebugLevel.kHighsDebugLevelNone),
+        *_HIGHS_OPTIONS.items(),
+        ("output_flag", False), ("log_to_console", False),
+    ):
+        if highs.setOptionValue(option, value) != hs.HighsStatus.kOk:
+            raise LpError(f"HiGHS rejected option {option}={value!r}")
+    return highs
+
+
+def _csc(model: LpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column starts, row indices and values of -rows, column-major with rows
+    ascending within a column, as `np.nonzero` orders the dense transpose."""
+    rows = model.rows
+    col = np.concatenate([np.empty(0, np.intp)] + [cols for cols, _ in rows])
+    order = np.argsort(col, kind="stable")  # rows are concatenated in ascending order
+    row = np.repeat(np.arange(len(rows)), [len(cols) for cols, _ in rows])[order]
+    value = -np.concatenate([np.empty(0)] + [values for _, values in rows])[order]
+    start = np.cumsum(np.bincount(col, minlength=len(model.variables)))
+    return np.concatenate(([0], start)), row, value
+
+
+def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
+    """Solve on `highs` (or a fresh instance) through SciPy's private binding;
+    None if it is missing.  `passModel` drops the model and basis it held.
+
+    With `_new_highs`, the one user of `scipy.optimize._highspy._core` (tested
+    with SciPy 1.17).  It passes the HighsLp `linprog(method="highs-ds")`
+    builds, the CSC matrix of -rows with row bounds [-inf, -rhs] and column
+    bounds [lower, inf], and raises what `_solve_linprog` raises per status.
+    """
+    highs = _new_highs() if highs is None else highs
+    if highs is None:
+        return None
+    from scipy.optimize._highspy import _core as hs
 
     n, k = len(model.variables), len(model.rows)
-    columns = -np.array(model.rows, dtype=float).reshape(k, n).T
-    col, row = np.nonzero(columns)  # column-major, rows ascending within a column
     lower, upper = np.array(model.lower, dtype=float), -np.array(model.rhs, dtype=float)
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = k
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
-    lp.a_matrix_.index_ = row
-    lp.a_matrix_.value_ = columns[col, row]
-    lp.col_cost_ = np.array(model.objective, dtype=float)
-    lp.col_lower_ = lower
-    lp.col_upper_ = np.full(n, kHighsInf)
-    lp.row_lower_ = np.full(k, -kHighsInf)
-    lp.row_upper_ = upper
+    lp = hs.HighsLp()  # filled with lists: the binding converts them faster than arrays
+    matrix = lp.a_matrix_
+    lp.num_col_, lp.num_row_ = matrix.num_col_, matrix.num_row_ = n, k
+    matrix.format_ = hs.MatrixFormat.kColwise
+    matrix.start_, matrix.index_, matrix.value_ = (a.tolist() for a in _csc(model))
+    lp.col_cost_ = model.objective.tolist()
+    lp.col_lower_ = lower.tolist()
+    lp.col_upper_ = [hs.kHighsInf] * n
+    lp.row_lower_ = [-hs.kHighsInf] * k
+    lp.row_upper_ = upper.tolist()
 
-    highs = _Highs()
-    for option, value in (
-        ("presolve", "on"),
-        ("solver", "simplex"),
-        ("simplex_strategy", simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-        ("highs_debug_level", HighsDebugLevel.kHighsDebugLevelNone),
-        ("primal_feasibility_tolerance", LP_TOLERANCE),
-        ("dual_feasibility_tolerance", LP_TOLERANCE),
-        ("output_flag", False),
-        ("log_to_console", False),
-    ):
-        if highs.setOptionValue(option, value) != HighsStatus.kOk:
-            raise LpError(f"HiGHS rejected option {option}={value!r}")
-    if highs.passModel(lp) == HighsStatus.kError:
+    if highs.passModel(lp) == hs.HighsStatus.kError:
         raise Infeasible("HiGHS rejected the model")
-    run_failed = highs.run() == HighsStatus.kError
+    run_failed = highs.run() == hs.HighsStatus.kError
     status = highs.getModelStatus()
-    if run_failed or status != HighsModelStatus.kOptimal:
-        failure = {
-            HighsModelStatus.kInfeasible: Infeasible,
-            HighsModelStatus.kModelError: Infeasible,
-            HighsModelStatus.kUnbounded: Unbounded,
-            HighsModelStatus.kIterationLimit: IterationLimit,
-            HighsModelStatus.kTimeLimit: IterationLimit,
-        }.get(status, LpError)
+    if run_failed or status != hs.HighsModelStatus.kOptimal:
+        known = hs.HighsModelStatus
+        failure = {known.kInfeasible: Infeasible, known.kModelError: Infeasible,
+                   known.kUnbounded: Unbounded, known.kIterationLimit: IterationLimit,
+                   known.kTimeLimit: IterationLimit}.get(status, LpError)
         raise failure(f"HiGHS model status {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     fun = highs.getInfo().objective_function_value
     # linprog's own check of the returned point, at its tolerance
     tol = math.sqrt(LP_TOLERANCE) * 10
-    if not (
-        np.all(x >= lower - tol)
-        and np.all(np.array(solution.row_value) <= upper + tol)
-        and not math.isnan(fun)
-    ):
+    row_value = np.array(solution.row_value)
+    if not (np.all(x >= lower - tol) and np.all(row_value <= upper + tol) and not math.isnan(fun)):
         raise LpError("the optimal point HiGHS returned violates the constraints")
     return LpVertex(values=x, objective=float(fun))
 
@@ -208,35 +211,28 @@ def _solve_linprog(model: LpModel) -> LpVertex:
     """The same solve through public `linprog`: the fallback, and the tests' reference."""
     from scipy.optimize import linprog
 
+    dense = np.zeros((len(model.rows), len(model.variables)))
+    for k, (columns, values) in enumerate(model.rows):
+        dense[k, columns] = values
     res = linprog(
         model.objective,
-        A_ub=-np.array(model.rows) if model.rows else None,
+        A_ub=-dense if model.rows else None,
         b_ub=-np.array(model.rhs) if model.rows else None,
         bounds=[(lo, None) for lo in model.lower.tolist()],
         method="highs-ds",
         options=_HIGHS_OPTIONS,
     )
-    if res.status == 2:
-        raise Infeasible(res.message)
-    if res.status == 3:
-        raise Unbounded(res.message)
-    if res.status == 1:
-        raise IterationLimit(res.message)
     if res.status != 0:
-        raise LpError(res.message)
+        raise {1: IterationLimit, 2: Infeasible, 3: Unbounded}.get(res.status, LpError)(res.message)
     return LpVertex(values=res.x, objective=float(res.fun))
 
 
-def _violation(subset: list[str], c: Mapping[str, float], p: Mapping[str, float], m: int) -> float:
+def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m: int) -> float:
     return load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
 
 
-def separate(
-    c: Mapping[str, float],
-    p: Mapping[str, float],
-    m: int,
-    pooled: Collection[frozenset[str]] = frozenset(),
-) -> Cut | None:
+def separate(c: Mapping[str, float], p: Mapping[str, float], m: int,
+             pooled: Collection[frozenset[str]] = frozenset()) -> Cut | None:
     """Most violated load inequality at the point C, or None if all hold.
 
     Candidates are the prefixes of the midpoint order and the completion
@@ -245,6 +241,19 @@ def separate(
     the exact maximum violation over all 2^n - 1 subsets.  Subsets in
     `pooled` are skipped: a pooled cut's residual violation is solver
     noise.  Ties in violation go to the smaller sorted id list.
+    """
+    lines = [j for j in sorted(p) if p[j] > 0]
+    index = {j: k for k, j in enumerate(lines)}
+    completions, times = (np.array([x[j] for j in lines], dtype=float) for x in (c, p))
+    pooled = {tuple(sorted(index[j] for j in s)) for s in pooled if s.issubset(index)}
+    subset = _most_violated(completions, times, m, pooled)
+    return None if subset is None else Cut.for_subset([lines[i] for i in subset], p, m)
+
+
+def _most_violated(completions: np.ndarray, times: np.ndarray, m: int,
+                   pooled: Collection[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """`separate` on the positive `times` of the lines in id order and their
+    `completions`: the sorted positions of the cut, or None.
 
     Every prefix is scored at once from prefix sums S = sum p, Q = sum p^2
     and W = sum p*C as S^2/2m + Q/2 - W.  On a prefix of k lines this
@@ -253,36 +262,33 @@ def separate(
     products and in the exact value's own formula.
     Candidates are re-scored exactly from the highest upper bound down,
     until a bound falls below the best exact violation found, and the rule
-    above is applied to the exact values.
+    of `separate` is applied to the exact values.
     """
-    lines = [j for j in sorted(p) if p[j] > 0]
-    times = np.array([p[j] for j in lines])
-    completions = np.array([c[j] for j in lines])
-    # one row per order; stable sorts break ties by id, as `lines` is sorted
+    # one row per order; stable sorts break ties by position, that is by id
     keys = (completions - times / 2.0, completions)
     orders = np.array([np.argsort(key, kind="stable") for key in keys])
     pt = times[orders]
     ptc = pt * completions[orders]
     load = np.cumsum(pt, axis=1) ** 2 / (2.0 * m) + np.cumsum(pt * pt, axis=1) / 2.0
-    slack = 4.0 * (np.arange(1, len(lines) + 1) + 8) * 2.0**-53
+    slack = 4.0 * (np.arange(1, len(times) + 1) + 8) * 2.0**-53
     upper = load - np.cumsum(ptc, axis=1) + slack * (load + np.cumsum(np.abs(ptc), axis=1))
     row, last = np.nonzero(upper > SEPARATION_TOLERANCE)
     bounds = upper[row, last]
     rank = np.argsort(-bounds, kind="stable")
     candidates = zip(bounds[rank].tolist(), row[rank].tolist(), (last[rank] + 1).tolist())
-    orders = orders.tolist()
-    best: tuple[float, list[str]] | None = None  # (-violation, sorted ids)
+    orders, c, p = orders.tolist(), completions.tolist(), times.tolist()
+    best: tuple[float, tuple[int, ...]] | None = None  # (-violation, sorted positions)
     for bound, which, size in candidates:
         if best is not None and bound < -best[0]:
             break
-        subset = [lines[i] for i in orders[which][:size]]
+        subset = orders[which][:size]
         violation = _violation(subset, c, p, m)
         if violation <= SEPARATION_TOLERANCE:
             continue
-        key = (-violation, sorted(subset))
-        if (best is None or key < best) and frozenset(subset) not in pooled:
+        key = (-violation, tuple(sorted(subset)))
+        if (best is None or key < best) and key[1] not in pooled:
             best = key
-    return None if best is None else Cut.for_subset(best[1], p, m)
+    return None if best is None else best[1]
 
 
 @dataclass
@@ -300,33 +306,30 @@ class LpSolution:
 
 
 def _base_model(
-    instance: NetworkInstance,
-    islands: IslandSet,
-    precedence: PrecedenceGraph,
+    instance: NetworkInstance, islands: IslandSet, precedence: PrecedenceGraph
 ) -> LpModel:
     """Columns C by line id then E by island id; island-cover and precedence rows."""
     p = instance.repair_times()
     weights = islands.weights()
     lids, iids = sorted(p), sorted(weights)
-    column = {f"C[{lid}]": k for k, lid in enumerate(lids)}
-    column.update((f"E[{iid}]", len(lids) + k) for k, iid in enumerate(iids))
-    n = len(column)
+    line_col = {lid: k for k, lid in enumerate(lids)}
+    island_col = {iid: len(lids) + k for k, iid in enumerate(iids)}
     model = LpModel(
-        variables=list(column),
+        variables=[f"C[{lid}]" for lid in lids] + [f"E[{iid}]" for iid in iids],
         objective=np.array([0.0] * len(lids) + [weights[iid] for iid in iids]),
         lower=np.array([p[lid] for lid in lids] + [0.0] * len(iids)),
     )
-
-    def add(plus: str, minus: str, label: str) -> None:
-        row = np.zeros(n)
-        row[column[plus]], row[column[minus]] = 1.0, -1.0
-        model.add_row(row, 0.0, label)
-
+    pairs, labels = [], []  # (column +1, column -1) per row
     for isl in islands.islands:
         for lid in isl.line_ids:
-            add(f"E[{isl.id}]", f"C[{lid}]", f"island {isl.id} covers {lid}")
+            pairs.append((island_col[isl.id], line_col[lid]))
+            labels.append(f"island {isl.id} covers {lid}")
     for parent, child in precedence.edges():
-        add(f"E[{child}]", f"E[{parent}]", f"{child} after {parent}")
+        pairs.append((island_col[child], island_col[parent]))
+        labels.append(f"{child} after {parent}")
+    plus_minus = np.array([1.0, -1.0])
+    model.rows = [(columns, plus_minus) for columns in np.array(pairs, np.intp).reshape(-1, 2)]
+    model.rhs, model.labels = [0.0] * len(pairs), labels
     return model
 
 
@@ -351,53 +354,52 @@ def solve_relaxation(
     if m < 1:
         raise ValueError(f"crew count must be >= 1, got {m}")
     p = instance.repair_times()
-    weights = islands.weights()
-
-    lids = sorted(p)
-    column = {lid: k for k, lid in enumerate(lids)}
+    lids, n = sorted(p), len(p)
+    # lines with p > 0, by position: their ids, C columns and times
+    names = [lid for lid in lids if p[lid] > 0]
+    columns = np.array([k for k, lid in enumerate(lids) if p[lid] > 0], dtype=np.intp)
+    times = np.array([p[lid] for lid in names], dtype=float)
 
     model = _base_model(instance, islands, precedence)
+    highs = _new_highs()
     pool: list[Cut] = []
-    pooled: set[frozenset[str]] = set()
+    pooled: set[tuple[int, ...]] = set()
 
-    def add_cut(cut: Cut) -> None:
-        ids = sorted(cut.lines)
-        row = np.zeros(len(model.variables))
-        row[[column[lid] for lid in ids]] = [p[lid] for lid in ids]
-        model.add_row(row, cut.rhs, f"load cut on {{{', '.join(ids)}}}")
+    def add_cut(subset: tuple[int, ...]) -> None:
+        cut = Cut.for_subset([names[i] for i in subset], p, m)
+        positions = np.array(subset, dtype=np.intp)
+        model.add_row(columns[positions], times[positions], cut.rhs)
         pool.append(cut)
-        pooled.add(cut.lines)
+        pooled.add(subset)
 
-    for lid in lids:
-        if p[lid] > 0:
-            add_cut(Cut.for_subset([lid], p, m))
+    for i in range(len(names)):
+        add_cut((i,))
     cut_limit = 10 * max(1, len(p)) ** 2
     iterations = 0
     history: list[float] = []
 
     while True:
-        vertex = simplex_solve(model)
+        vertex = simplex_solve(model, highs)
         iterations += 1
         history.append(vertex.objective)
-        cvals = dict(zip(lids, vertex.values[: len(lids)].tolist()))
-        cut = separate(cvals, p, m, pooled)
-        if cut is None:
-            canon_vertex = _canonical_pass(model, vertex.objective)
-            cvals = dict(zip(lids, canon_vertex.values[: len(lids)].tolist()))
-            cut = separate(cvals, p, m, pooled)
-        if cut is not None:
-            add_cut(cut)
+        c = vertex.values[:n]
+        subset = _most_violated(c[columns], times, m, pooled)
+        if subset is None:
+            canon_vertex = _canonical_pass(model, vertex.objective, highs)
+            c = canon_vertex.values[:n]
+            subset = _most_violated(c[columns], times, m, pooled)
+        if subset is not None:
+            add_cut(subset)
             if len(pool) > cut_limit:
-                violation = _violation(sorted(cut.lines), cvals, p, m)
+                violation = _violation(subset, c[columns].tolist(), times.tolist(), m)
                 raise IterationLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})"
                 )
             continue
 
-        evals = dict(zip(sorted(weights), canon_vertex.values[len(lids) :].tolist()))
         solution = LpSolution(
-            completion=cvals,
-            energization=evals,
+            completion=dict(zip(lids, c.tolist())),
+            energization=dict(zip(sorted(islands.weights()), canon_vertex.values[n:].tolist())),
             midpoints={},
             objective=vertex.objective,
             iterations=iterations,
@@ -409,20 +411,20 @@ def solve_relaxation(
         return solution
 
 
-def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
+def _canonical_pass(model: LpModel, optimum: float, highs=None) -> LpVertex:
     """Re-minimize sum of all variables with the objective capped at its optimum."""
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
-    # fresh row lists: the cap row must not reach the model the loop grows
+    weighted = np.flatnonzero(model.objective)
+    # the cap row -objective >= -cap goes on copies: the loop's model must not get it
     canon = LpModel(
         variables=model.variables,
         objective=np.ones(len(model.variables)),
         lower=model.lower,
-        rows=list(model.rows),
-        rhs=list(model.rhs),
-        labels=list(model.labels),
+        rows=[*model.rows, (weighted, -model.objective[weighted])],
+        rhs=[*model.rhs, -cap],
+        labels=[*model.labels, "objective cap"],
     )
-    canon.add_row(-model.objective, -cap, "objective cap")
-    return simplex_solve(canon)
+    return simplex_solve(canon, highs)
 
 
 def lp_midpoints(solution: LpSolution, p: Mapping[str, float]) -> dict[str, float]:
@@ -446,16 +448,18 @@ def lp_midpoints(solution: LpSolution, p: Mapping[str, float]) -> dict[str, floa
 def format_model(model: LpModel) -> str:
     """Plain-text rendering of the final model for audit."""
 
-    def terms(coeffs: np.ndarray) -> list[str]:
-        named = sorted((model.variables[k], coeffs[k]) for k in np.flatnonzero(coeffs))
-        return [f"{coef:g}*{v}" for v, coef in named]
+    def terms(columns: list[int], values: Iterable[float]) -> str:
+        named = sorted(zip((model.variables[k] for k in columns), values))
+        return " + ".join(f"{coef:g}*{v}" for v, coef in named)
 
-    out = ["minimize", "  " + (" + ".join(terms(model.objective)) or "0"), "subject to"]
+    weighted = np.flatnonzero(model.objective).tolist()
+    out = ["minimize", "  " + (terms(weighted, model.objective[weighted]) or "0"), "subject to"]
     for v, lo in zip(model.variables, model.lower.tolist()):
         out.append(f"  {v} >= {lo:g}")
-    for row, rhs, label in zip(model.rows, model.rhs, model.labels):
-        line = f"  {' + '.join(terms(row)).replace('+ -', '- ')} >= {rhs:g}"
-        if label:
-            line += f"    # {label}"
-        out.append(line)
+    for (columns, values), rhs, label in zip(model.rows, model.rhs, model.labels):
+        if label is None:  # a load cut, on columns named C[id]
+            ids = sorted(model.variables[k][2:-1] for k in columns)
+            label = f"load cut on {{{', '.join(ids)}}}"
+        line = f"  {terms(columns.tolist(), values.tolist()).replace('+ -', '- ')} >= {rhs:g}"
+        out.append(line + (f"    # {label}" if label else ""))
     return "\n".join(out) + "\n"

@@ -86,6 +86,20 @@ def test_schedule_dump_lp(fixtures_dir, tmp_path, capsys):
     assert "C[a]" in text and "E[b]" in text
 
 
+def test_parser_built_once_keeps_no_options_between_calls(fixtures_dir, tmp_path, capsys):
+    from gridrepair import cli
+
+    fork, dump = str(fixtures_dir / "fork.json"), tmp_path / "model.txt"
+    assert main(["schedule", fork, "--alg", "lp-list", "--crews", "3",
+                 "--dump-lp", str(dump)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["crews"] == 3
+    dump.unlink()
+    assert main(["schedule", fork, "--alg", "lp-list"]) == EXIT_OK
+    assert not dump.exists()
+    assert json.loads(capsys.readouterr().out)["crews"] == 2  # the instance's own count
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_schedule_within_island_order(fixtures_dir, capsys):
     code = main([
         "schedule", str(fixtures_dir / "graham_m3.json"),
@@ -130,7 +144,9 @@ def test_bench_without_crew_counts_is_an_input_error(tmp_path, capsys, crews):
 
 
 @pytest.mark.parametrize(
-    "option, value", [("--count", "-3"), ("--max-lines", "0"), ("--switch-probability", "1.5")]
+    "option, value",
+    [("--count", "-3"), ("--max-lines", "0"), ("--switch-probability", "1.5"),
+     ("--jobs", "0"), ("--jobs", "-2")],
 )
 def test_bench_out_of_range_option_is_an_input_error(tmp_path, capsys, option, value):
     out = tmp_path / "rows.csv"
@@ -155,7 +171,7 @@ def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
 def test_lp_error_exits_3(fixtures_dir, capsys, monkeypatch):
     from gridrepair import cli, lp
 
-    def infeasible(model):
+    def infeasible(model, highs=None):
         raise lp.Infeasible("fabricated for the test")
 
     monkeypatch.setattr(lp, "simplex_solve", infeasible)

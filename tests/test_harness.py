@@ -21,6 +21,22 @@ from gridrepair.harness import (
 from gridrepair.model import SchemaError, partition_islands
 
 
+@pytest.mark.parametrize("name", ["fork.json", "two_island.json", "graham_m3.json",
+                                  "feeder123.json"])
+def test_result_text_is_the_indented_json_dump(fixtures_dir, name):
+    inst = load_instance(fixtures_dir / name)
+    results = [algos.single_optimal(inst)] + [
+        alg(inst, crews=m) for alg in (algos.lp_list_schedule, algos.convert_single_to_m)
+        for m in (1, 2, 3)
+    ]
+    if name == "fork.json":  # more crews than lines: a crew with no assignment
+        results += [algos.lp_list_schedule(inst, crews=5), algos.convert_single_to_m(inst, crews=5)]
+        assert () in results[-1].schedule.crews
+    for result in results:
+        want = json.dumps(harness.result_to_json(result), indent=2)
+        assert harness.result_to_text(result) == want
+
+
 class TestLoadSave:
     def test_fixture_round_trip(self, two_island, tmp_path):
         path = tmp_path / "copy.json"

@@ -12,6 +12,8 @@ from gridrepair.harness import GenParams, generate_random, load_instance
 from gridrepair.lp import (
     Cut,
     LpModel,
+    _csc,
+    _new_highs,
     _solve_highs,
     _solve_linprog,
     load_rhs,
@@ -25,6 +27,33 @@ from gridrepair.model import build_precedence_graph, partition_islands, validate
 from conftest import FIXTURES, instances
 
 
+ROUND_CASES = [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 2, 3)] + [
+    (f"gen-{seed}", 3) for seed in (1, 2, 3)
+]
+
+
+def round_models(monkeypatch, name, m):
+    """Every model `solve_relaxation` solves on a fixture or a generated
+    50-line feeder: its rounds, then its canonical pass."""
+    if name.startswith("gen-"):
+        params = GenParams(seed=int(name[4:]), nodes=(51, 51), switch_probability=0.1,
+                           repair_time=(1, 10))
+        inst = generate_random(params)
+    else:
+        inst = load_instance(FIXTURES / name)
+    models = []
+
+    def record(model, highs=None):
+        models.append(LpModel(model.variables, model.objective, model.lower,
+                              list(model.rows), list(model.rhs)))
+        return simplex_solve(model, highs)
+
+    monkeypatch.setattr(lp, "simplex_solve", record)
+    solve_relaxation(inst, crews=m)
+    monkeypatch.undo()
+    return models
+
+
 class TestSimplexSolve:
     def test_one_variable_bound(self):
         model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.array([1.0]))
@@ -36,7 +65,7 @@ class TestSimplexSolve:
         model = LpModel(
             variables=["C", "E"], objective=np.array([0.0, 1.0]), lower=np.array([2.0, 0.0])
         )
-        model.add_row(np.array([-1.0, 1.0]), 0.0)
+        model.add_row(np.array([0, 1]), np.array([-1.0, 1.0]), 0.0)
         vertex = simplex_solve(model)
         assert vertex.values.tolist() == pytest.approx([2.0, 2.0])
 
@@ -64,7 +93,7 @@ class TestSimplexSolve:
         from gridrepair.lp import Infeasible
 
         model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.zeros(1))
-        model.add_row(np.array([-1.0]), 1.0)  # x <= -1
+        model.add_row(np.array([0]), np.array([-1.0]), 1.0)  # x <= -1
         for solve in (simplex_solve, _solve_linprog):
             with pytest.raises(Infeasible):
                 solve(model)
@@ -78,32 +107,46 @@ class TestSimplexSolve:
         model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.array([1.0]))
         assert _solve_highs(model) is not None
 
-    @pytest.mark.parametrize(
-        "name, m",
-        [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 2, 3)]
-        + [(f"gen-{seed}", 3) for seed in (1, 2, 3)],
-    )
+    @pytest.mark.parametrize("name, m", ROUND_CASES)
     def test_direct_path_matches_linprog_on_every_round(self, monkeypatch, name, m):
-        if name.startswith("gen-"):
-            params = GenParams(seed=int(name[4:]), nodes=(51, 51), switch_probability=0.1,
-                               repair_time=(1, 10))
-            inst = generate_random(params)
-        else:
-            inst = load_instance(FIXTURES / name)
-        models = []
-
-        def record(model):
-            models.append(LpModel(model.variables, model.objective, model.lower,
-                                  list(model.rows), list(model.rhs)))
-            return simplex_solve(model)
-
-        monkeypatch.setattr(lp, "simplex_solve", record)
-        solve_relaxation(inst, crews=m)
+        models = round_models(monkeypatch, name, m)
         assert len(models) >= 2  # the cutting-plane rounds and the canonical pass
         for model in models:
             direct, reference = _solve_highs(model), _solve_linprog(model)
             assert direct.values.tolist() == reference.values.tolist()
             assert direct.objective == reference.objective
+
+    @pytest.mark.parametrize("name, m", ROUND_CASES)
+    def test_sparse_rows_give_the_dense_path_matrix(self, monkeypatch, name, m):
+        for model in round_models(monkeypatch, name, m):
+            n, k = len(model.variables), len(model.rows)
+            dense = np.zeros((k, n))
+            for r, (columns, values) in enumerate(model.rows):
+                dense[r, columns] = values
+            # the CSC arrays as they were built from dense rows
+            columns = -dense.T
+            col, row = np.nonzero(columns)
+            start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+            got = _csc(model)
+            assert [a.tolist() for a in got] == [start.tolist(), row.tolist(),
+                                                 columns[col, row].tolist()]
+
+    def test_reused_instance_solves_cold(self, monkeypatch):
+        highs = _new_highs()
+        if highs is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        models = round_models(monkeypatch, "feeder123.json", 3)
+        a, b = models[0], models[-1]  # the first round and the canonical pass
+
+        def solve(model, on):
+            vertex = _solve_highs(model, on)
+            return vertex.values.tolist(), vertex.objective, on.getInfo().simplex_iteration_count
+
+        fresh = solve(a, _new_highs())
+        first, _, again, twice = solve(a, highs), solve(b, highs), solve(a, highs), solve(a, highs)
+        assert first == fresh
+        assert again == fresh
+        assert twice == fresh  # a kept basis would take no iterations here
 
 
 class TestSeparate:
@@ -182,10 +225,8 @@ class TestSolveRelaxation:
         for r in range(1, 4):
             for subset in itertools.combinations(sorted(p), r):
                 cut = Cut.for_subset(subset, p, 2)
-                row = np.zeros(len(model.variables))
-                for lid in subset:
-                    row[model.variables.index(f"C[{lid}]")] = p[lid]
-                model.add_row(row, cut.rhs)
+                columns = [model.variables.index(f"C[{lid}]") for lid in subset]
+                model.add_row(np.array(columns), np.array([p[lid] for lid in subset]), cut.rhs)
         full = simplex_solve(model)
         sol = solve_relaxation(fork, crews=2)
         assert sol.objective == pytest.approx(full.objective, abs=1e-9)
