@@ -101,7 +101,7 @@ class LpModel:
     rhs: list[float] = field(default_factory=list)
     labels: list[str | None] = field(default_factory=list)
 
-    def add_row(self, columns: np.ndarray, values: np.ndarray, rhs: float, label=None) -> None:
+    def add_row(self, columns: np.ndarray, values: np.ndarray, rhs: float, label="") -> None:
         self.rows.append((columns, values))
         self.rhs.append(rhs)
         self.labels.append(label)
@@ -368,7 +368,7 @@ def solve_relaxation(
     def add_cut(subset: tuple[int, ...]) -> None:
         cut = Cut.for_subset([names[i] for i in subset], p, m)
         positions = np.array(subset, dtype=np.intp)
-        model.add_row(columns[positions], times[positions], cut.rhs)
+        model.add_row(columns[positions], times[positions], cut.rhs, None)  # a load cut
         pool.append(cut)
         pooled.add(subset)
 
@@ -411,7 +411,7 @@ def solve_relaxation(
         return solution
 
 
-def _canonical_pass(model: LpModel, optimum: float, highs=None) -> LpVertex:
+def _canonical_pass(model: LpModel, optimum: float, highs) -> LpVertex:
     """Re-minimize sum of all variables with the objective capped at its optimum."""
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
     weighted = np.flatnonzero(model.objective)
