@@ -7,7 +7,9 @@ since HiGHS may land on a different float).  For the three small fixtures
 it also holds the `schedule --alg lp-list --dump-lp` text at m = 1, 2, 3,
 byte for byte: the final model is data, not a solver answer.  Under
 `generated-lp-list` it holds the `schedule --alg lp-list --crews 3` JSON of
-three generated 60-line feeders, byte for byte.  A refactor must reproduce
+three generated 60-line feeders, byte for byte, and under `oracle` the
+`oracle` JSON of the three small fixtures at m = 1, 2, 3, byte for byte.
+A refactor must reproduce
 them unchanged.  Regenerate only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -33,6 +35,7 @@ CREWS = (1, 2, 3)
 DUMP_LP_NAMES = ("fork.json", "two_island.json", "graham_m3.json")
 GENERATED = "generated-lp-list"
 GENERATED_SEEDS = (1, 2, 3)
+ORACLE = "oracle"
 
 
 def _stdout(argv: list[str]) -> str:
@@ -81,6 +84,11 @@ def generated_lp_list(seed: int) -> str:
         return _stdout(["schedule", str(path), "--alg", algos.LP_LIST, "--crews", "3"])
 
 
+def oracle_outputs(name: str) -> dict:
+    path = str(FIXTURES / name)
+    return {str(m): _stdout(["oracle", path, "--crews", str(m)]) for m in CREWS}
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_fixture_outputs_match_golden(name):
     expected = json.loads(GOLDEN.read_text())[name]
@@ -98,8 +106,14 @@ def test_generated_lp_list_matches_golden(seed):
     assert generated_lp_list(seed) == json.loads(GOLDEN.read_text())[GENERATED][str(seed)]
 
 
+@pytest.mark.parametrize("name", DUMP_LP_NAMES)
+def test_oracle_matches_golden(name):
+    assert oracle_outputs(name) == json.loads(GOLDEN.read_text())[ORACLE][name]
+
+
 if __name__ == "__main__":
     golden = {name: fixture_outputs(name) for name in NAMES}
     golden[GENERATED] = {str(seed): generated_lp_list(seed) for seed in GENERATED_SEEDS}
+    golden[ORACLE] = {name: oracle_outputs(name) for name in DUMP_LP_NAMES}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     sys.exit(0)
