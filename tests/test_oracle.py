@@ -1,15 +1,122 @@
 import itertools
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from gridrepair import oracle, seq_opt
 from gridrepair import schedule as sched
 from gridrepair.harness import GenParams, generate_random
-from gridrepair.model import build_precedence_graph, partition_islands
+from gridrepair.model import build_precedence_graph, partition_islands, validate
 
 from conftest import instances
+
+
+def reference_brute_force(instance, m):
+    """The oracle as it was first written: every permutation of the damaged
+    lines built up front and list-scheduled on all m crews at once."""
+    if m < 1:
+        raise ValueError(f"crew count must be >= 1, got {m}")
+    islands, precedence = instance.islands, instance.precedence
+    repair = instance.repair_times()
+    zero_lines = sorted(lid for lid in repair if repair[lid] == 0)
+    damaged = sorted(lid for lid in repair if repair[lid] > 0)
+    n = len(damaged)
+    if n > oracle.MAX_BRUTE_FORCE_LINES:
+        raise oracle.TooLarge(n, oracle.MAX_BRUTE_FORCE_LINES)
+
+    weights = islands.weights()
+    if n == 0:
+        energization = {iid: 0.0 for iid in weights}
+        return oracle.OracleResult(
+            harm=sched.harm(energization, weights),
+            priority_list=tuple(zero_lines),
+            enumerated=1,
+        )
+
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    completions = _simulate_all(perms, np.array([repair[j] for j in damaged]), m)
+
+    col = {lid: k for k, lid in enumerate(damaged)}
+    group = {}
+    for isl in islands.islands:
+        cols = [col[lid] for lid in isl.line_ids if lid in col]
+        group[isl.id] = (
+            completions[:, cols].max(axis=1) if cols else np.zeros(len(perms))
+        )
+    energization = sched.energize(group, precedence, np.maximum)
+    harms = sum(weights[iid] * energization[iid] for iid in sorted(weights))
+
+    best = int(np.argmin(harms))
+    best_list = tuple(zero_lines) + tuple(damaged[k] for k in perms[best])
+    return oracle.OracleResult(
+        harm=float(harms[best]), priority_list=best_list, enumerated=len(perms)
+    )
+
+
+def _simulate_all(perms, p, m):
+    """Per-line completions of every permutation; crew ties go to the lowest index."""
+    count, n = perms.shape
+    free = np.zeros((count, m))
+    completions = np.zeros((count, n))
+    rows = np.arange(count)
+    for pos in range(n):
+        jobs = perms[:, pos]
+        crew = np.argmin(free, axis=1)
+        finish = free[rows, crew] + p[jobs]
+        completions[rows, jobs] = finish
+        free[rows, crew] = finish
+    return completions
+
+
+def _chain(times, weights, switches):
+    """Path feeder: line l<k> feeds node n<k> from node n<k-1>."""
+    return validate({
+        "root": "n0",
+        "crews": 1,
+        "nodes": [{"id": "n0", "weight": 0}]
+        + [{"id": f"n{k + 1}", "weight": w} for k, w in enumerate(weights)],
+        "lines": [
+            {"id": f"l{k + 1}", "from": f"n{k}", "to": f"n{k + 1}",
+             "repair_time": p, "switch": sw}
+            for k, (p, sw) in enumerate(zip(times, switches))
+        ],
+    })
+
+
+def _generated(seed, lines, repair_time, switch_probability):
+    return generate_random(GenParams(
+        seed=seed, nodes=(lines + 1, lines + 1),
+        switch_probability=switch_probability, repair_time=repair_time,
+    ))
+
+
+DIFFERENTIAL_CASES = [
+    # seeded instances with every damaged-line count from 0 to 8
+    *(pytest.param(_generated(100 + lines, lines, (1, 10), 0.4), id=f"seeded-{lines}")
+      for lines in range(1, 9)),
+    pytest.param(_chain([0, 0, 0], [1, 2, 3], [True, False, True]), id="all-zero-time"),
+    pytest.param(_generated(7, 8, (0, 4), 0.5), id="zero-time-lines"),
+    pytest.param(_generated(8, 8, (3, 3), 0.5), id="equal-times"),
+    pytest.param(_generated(9, 7, (1, 2), 0.3), id="near-equal-times"),
+    pytest.param(_generated(10, 8, (1, 10), 0.0), id="single-island"),
+    pytest.param(_chain([2, 5, 1, 4, 3, 2, 6, 1], [1, 0, 3, 1, 2, 5, 1, 4], [True] * 8),
+                 id="deep-chain"),
+    pytest.param(_chain([3, 3, 0, 3, 2, 0, 3, 3], [2, 1, 1, 0, 4, 1, 3, 2],
+                        [True, True, False, True, True, True, False, True]),
+                 id="chain-ties-zeros"),
+    pytest.param(_chain([0.1, 0.2, 0.7, 1 / 3, 0.3, 2.5, 0.1], [0.3, 1.1, 0.7, 2.9, 0.1, 1 / 7, 5],
+                        [False, True, True, False, True, False, True]),
+                 id="fractional"),
+]
+
+
+@pytest.mark.parametrize("inst", DIFFERENTIAL_CASES)
+def test_matches_reference_brute_force(inst):
+    n = sum(1 for p in inst.repair_times().values() if p > 0)
+    for m in sorted({1, 2, 3, max(1, n), n + 2}):
+        assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m), m
 
 
 class TestBruteForce:
@@ -123,7 +230,7 @@ def test_vectorized_simulation_matches_scalar(inst, m):
         h = sched.harm(e, weights)
         best = h if best is None else min(best, h)
     result = oracle.brute_force_optimal(inst, m)
-    assert result.harm == pytest.approx(best)
+    assert result.harm == best
 
 
 @given(instances(max_nodes=9))
