@@ -3,7 +3,15 @@
 The optimal m-crew schedule is found by enumerating every priority list
 of the damaged lines and simulating greedy list scheduling for each (with
 no release dates and only soft precedence, some no-idle list schedule is
-optimal).  The simulation is vectorized across all permutations at once,
+optimal).  Lists that share a prefix share its simulation, so the lists
+are grown one line at a time and each distinct prefix is simulated once:
+level k holds the n!/(n-k)! prefixes of length k, and a prefix's children
+append each of its remaining lines.  A prefix is summed up by two things.
+One is the sorted free times of its crews: the next job completes at the
+earliest free time plus its repair time, whichever crew index takes it, so
+the crews' identities never matter, and only min(m, n) of them can ever
+be used.  The other is each island's latest completion so far.  The
+simulation is vectorized across all prefixes of a level at once,
 independently of the scalar simulator in `schedule`.  The certifiers
 re-check every proven guarantee: the two lower bounds on the optimum
 here, and all algorithm guarantees on a bench row in `certify_row`.
@@ -11,8 +19,6 @@ here, and all algorithm guarantees on a bench row in `certify_row`.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +26,12 @@ import numpy as np
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
 from gridrepair.algos import AlgoResult
-from gridrepair.lp import load_rhs
 from gridrepair.model import NetworkInstance
 
 MAX_BRUTE_FORCE_LINES = 9
-MAX_SUBSET_LINES = 12
+# _SKIP[r][q, j]: the position, among r lines in order, of the q-th line left once the j-th is taken
+_SKIP = [np.array([[q + (q >= j) for j in range(r)] for q in range(r - 1)], dtype=np.intp)
+         for r in range(2, MAX_BRUTE_FORCE_LINES + 1)]
 
 
 class TooLarge(ValueError):
@@ -55,12 +62,6 @@ class BoundCheck:
     slack_infinite: float
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    subset: frozenset[str]
-    violation: float
-
-
 def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     """Exact minimum harm over all m-crew list schedules.
 
@@ -87,48 +88,41 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
             enumerated=1,
         )
 
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    completions = _simulate_all(perms, np.array([repair[j] for j in damaged]), m)
+    ids = sorted(weights)
+    position = {iid: k for k, iid in enumerate(ids)}
+    island_of = islands.island_of_line()
+    home = np.array([position[island_of[lid]] for lid in damaged], dtype=np.intp)
+    slots = np.arange(len(ids))[:, None, None]
+    p = np.array([repair[lid] for lid in damaged], dtype=float)
+    # one column per prefix: its crews' sorted free times, its islands' latest completions,
+    # and its remaining lines in id order (rest[q, i] is the q-th one of prefix i)
+    free = np.zeros((min(m, n), 1))
+    done = np.zeros((len(ids), 1))
+    rest = np.arange(n)[:, None]
+    for r in range(n, 0, -1):
+        # child j * R + i of prefix i (of R) appends its j-th remaining line
+        finish = free[0] + p.take(rest)
+        grown = np.multiply(finish, home.take(rest) == slots)
+        done = np.maximum(grown, done[:, None, :], out=grown).reshape(len(ids), -1)
+        if r > 1:
+            # the earliest free time becomes finish: clamp it into the sorted order
+            later = np.maximum(finish, free[:, None, :])
+            np.minimum(later[:-1], free[1:, None, :], out=later[:-1])
+            free = later.reshape(len(free), -1)
+            rest = rest.take(_SKIP[r - 2], axis=0).reshape(r - 1, -1)
+    energization = sched.energize(dict(zip(ids, done)), precedence, np.maximum)
+    harms = sum(weights[iid] * energization[iid] for iid in ids)
 
-    # island completion = max over damaged members (zero-time members finish at 0)
-    col = {lid: k for k, lid in enumerate(damaged)}
-    group = {}
-    for isl in islands.islands:
-        cols = [col[lid] for lid in isl.line_ids if lid in col]
-        group[isl.id] = (
-            completions[:, cols].max(axis=1)
-            if cols
-            else np.zeros(len(perms))
-        )
-    energization = sched.energize(group, precedence, np.maximum)
-    harms = sum(weights[iid] * energization[iid] for iid in sorted(weights))
-
-    best = int(np.argmin(harms))  # first hit = lexicographically smallest list
-    best_list = tuple(zero_lines) + tuple(damaged[k] for k in perms[best])
+    # column sum_k j_k n!/(n-k)! holds the list of choices j_0, j_1, ...;
+    # reversing those mixed-radix axes puts the lists in itertools order
+    lists = harms.reshape(range(1, n + 1)).T
+    choice = np.unravel_index(np.argmin(lists), lists.shape)  # first hit = smallest list
+    left = list(damaged)
     return OracleResult(
-        harm=float(harms[best]),
-        priority_list=best_list,
-        enumerated=len(perms),
+        harm=float(lists[choice]),
+        priority_list=tuple(zero_lines) + tuple(left.pop(j) for j in choice),
+        enumerated=harms.size,
     )
-
-
-def _simulate_all(perms: np.ndarray, p: np.ndarray, m: int) -> np.ndarray:
-    """List-schedule every permutation at once; returns per-line completions.
-
-    Ties between free crews resolve to the lowest crew index, matching the
-    scalar simulator.
-    """
-    count, n = perms.shape
-    free = np.zeros((count, m))
-    completions = np.zeros((count, n))
-    rows = np.arange(count)
-    for pos in range(n):
-        jobs = perms[:, pos]
-        crew = np.argmin(free, axis=1)
-        finish = free[rows, crew] + p[jobs]
-        completions[rows, jobs] = finish
-        free[rows, crew] = finish
-    return completions
 
 
 def _lower_bound_failures(
@@ -223,30 +217,3 @@ def certify_row(
 
     if failures:
         raise InvariantViolation(f"{name} (m={m}): " + "; ".join(failures))
-
-
-def exhaustive_separation(
-    c: dict[str, float], p: dict[str, float], m: int
-) -> SeparationResult:
-    """Exact maximizer of the load-inequality violation over all subsets.
-
-    Enumerates every one of the 2^n - 1 non-empty subsets; n is capped at
-    12.  Serves as the ground truth for the prefix separation routine.
-    """
-    lines = sorted(p)
-    n = len(lines)
-    if n > MAX_SUBSET_LINES:
-        raise TooLarge(n, MAX_SUBSET_LINES)
-    if n == 0:
-        raise ValueError("no lines to separate over")
-    pv = np.array([p[j] for j in lines])
-    pc = np.array([p[j] * c[j] for j in lines])
-    masks = np.arange(1, 2**n, dtype=np.uint32)
-    bits = (masks[:, None] >> np.arange(n)) & 1  # (2^n - 1, n)
-    totals = bits @ pv
-    violations = totals * totals / (2.0 * m) + bits @ (pv * pv) / 2.0 - bits @ pc
-    best = int(np.argmax(violations))
-    subset = frozenset(lines[k] for k in range(n) if bits[best, k])
-    # recompute in exact scalar arithmetic for the reported value
-    value = load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
-    return SeparationResult(subset=subset, violation=value)

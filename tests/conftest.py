@@ -1,11 +1,17 @@
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from gridrepair.harness import GenParams, generate_random, load_instance
+from gridrepair.lp import load_rhs
+from gridrepair.oracle import TooLarge
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+MAX_SUBSET_LINES = 12
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +52,36 @@ def instances(draw, min_nodes=2, max_nodes=9, zero_times=True):
         repair_time=(0 if zero_times else 1, 10),
     )
     return generate_random(params)
+
+
+@dataclass(frozen=True)
+class SeparationResult:
+    subset: frozenset[str]
+    violation: float
+
+
+def exhaustive_separation(
+    c: dict[str, float], p: dict[str, float], m: int
+) -> SeparationResult:
+    """Exact maximizer of the load-inequality violation over all subsets.
+
+    Enumerates every one of the 2^n - 1 non-empty subsets; n is capped at
+    12.  Serves as the ground truth for the prefix separation routine.
+    """
+    lines = sorted(p)
+    n = len(lines)
+    if n > MAX_SUBSET_LINES:
+        raise TooLarge(n, MAX_SUBSET_LINES)
+    if n == 0:
+        raise ValueError("no lines to separate over")
+    pv = np.array([p[j] for j in lines])
+    pc = np.array([p[j] * c[j] for j in lines])
+    masks = np.arange(1, 2**n, dtype=np.uint32)
+    bits = (masks[:, None] >> np.arange(n)) & 1  # (2^n - 1, n)
+    totals = bits @ pv
+    violations = totals * totals / (2.0 * m) + bits @ (pv * pv) / 2.0 - bits @ pc
+    best = int(np.argmax(violations))
+    subset = frozenset(lines[k] for k in range(n) if bits[best, k])
+    # recompute in exact scalar arithmetic for the reported value
+    value = load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
+    return SeparationResult(subset=subset, violation=value)

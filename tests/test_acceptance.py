@@ -15,6 +15,8 @@ from gridrepair.harness import GenParams, generate_corpus
 from gridrepair.lp import separate
 from gridrepair.model import build_precedence_graph, partition_islands
 
+from conftest import exhaustive_separation
+
 
 def _verdict(label, failures, elapsed=None):
     status = "PASS" if not failures else f"FAIL ({len(failures)} violations)"
@@ -189,7 +191,7 @@ def test_criterion_7_lp_soundness(corpus_runs):
         c = {lid: rng.randint(0, 80) / 4.0 for lid in p}
         if all(v == 0 for v in p.values()):
             continue
-        truth = oracle.exhaustive_separation(c, p, m)
+        truth = exhaustive_separation(c, p, m)
         cut = separate(c, p, m)
         if cut is None:
             if truth.violation > 1e-7:

@@ -24,7 +24,7 @@ from gridrepair.lp import (
 )
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import FIXTURES, instances
+from conftest import FIXTURES, exhaustive_separation, instances
 
 
 ROUND_CASES = [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 2, 3)] + [
@@ -299,7 +299,7 @@ def test_separation_verdict_matches_enumeration(seed, n, m):
     c, p = random_separation_vector(rng, n)
     if all(v == 0 for v in p.values()):
         return
-    truth = oracle.exhaustive_separation(c, p, m)
+    truth = exhaustive_separation(c, p, m)
     cut = separate(c, p, m)
     if cut is None:
         assert truth.violation <= 1e-7
@@ -316,7 +316,7 @@ def test_solution_satisfies_every_subset_inequality(inst, m):
     p = inst.repair_times()
     if all(v == 0 for v in p.values()):
         return
-    worst = oracle.exhaustive_separation(sol.completion, p, m)
+    worst = exhaustive_separation(sol.completion, p, m)
     assert worst.violation <= 1e-6
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,7 +11,7 @@ from gridrepair import schedule as sched
 from gridrepair.harness import GenParams, generate_random
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import instances
+from conftest import exhaustive_separation, instances
 
 
 def reference_brute_force(instance, m):
@@ -119,6 +120,17 @@ def test_matches_reference_brute_force(inst):
         assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m), m
 
 
+def test_memory_does_not_grow_with_crews():
+    inst = _generated(108, 8, (1, 10), 0.4)
+    peaks = {}
+    for m in (8, 64):
+        tracemalloc.start()
+        oracle.brute_force_optimal(inst, m)
+        peaks[m] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[64] <= 1.5 * peaks[8], peaks
+
+
 class TestBruteForce:
     def test_two_island(self, two_island):
         result = oracle.brute_force_optimal(two_island, 2)
@@ -189,20 +201,20 @@ class TestCheckBounds:
 
 class TestExhaustiveSeparation:
     def test_violated_pair(self):
-        result = oracle.exhaustive_separation(
+        result = exhaustive_separation(
             {"1": 0.1, "2": 0.1}, {"1": 1.0, "2": 1.0}, 1
         )
         assert result.subset == frozenset({"1", "2"})
         assert result.violation == pytest.approx(2.8)
 
     def test_clean_point(self):
-        result = oracle.exhaustive_separation(
+        result = exhaustive_separation(
             {"1": 2.0, "2": 1.0}, {"1": 2.0, "2": 1.0}, 2
         )
         assert result.violation <= 0
 
     def test_boundary_single(self):
-        result = oracle.exhaustive_separation({"1": 1.0}, {"1": 1.0}, 1)
+        result = exhaustive_separation({"1": 1.0}, {"1": 1.0}, 1)
         assert result.subset == frozenset({"1"})
         assert result.violation == pytest.approx(0.0)
 
@@ -210,7 +222,7 @@ class TestExhaustiveSeparation:
         p = {f"l{k}": 1.0 for k in range(13)}
         c = {lid: 1.0 for lid in p}
         with pytest.raises(oracle.TooLarge):
-            oracle.exhaustive_separation(c, p, 1)
+            exhaustive_separation(c, p, 1)
 
 
 @given(instances(max_nodes=6), st.sampled_from([1, 2, 3]))
