@@ -1,9 +1,9 @@
 """LP relaxation of the m-crew repair problem, solved by cutting planes.
 
 Variables are per-line completion times C and per-island energization
-times E, in that column order.  The model is held as arrays: an objective
-and a lower-bound vector, and one sparse `>=` row (column indices and
-values) per constraint.  Besides the base rows (E above every
+times E, in that column order.  The model is held as an objective and a
+lower-bound vector and, for the `>=` rows, a row-wise sparse matrix in
+lists that only grow, one row per constraint.  Besides the base rows (E above every
 member completion and above the parent island's E; C is bounded below
 by its repair time), feasible completion vectors obey one load
 inequality per line subset A:
@@ -22,7 +22,7 @@ exact violation, so it picks the cut the prefix-by-prefix fsum scan picks.
 
 The loop runs on integer column indices.  One relaxation owns one HiGHS
 instance, its options set once, and each round passes it the whole model
-afresh: a cold solve that keeps no basis.  It goes straight to HiGHS
+afresh (the row-wise lists as they stand): a cold solve that keeps no basis.  It goes straight to HiGHS
 through SciPy's private binding (`scipy.optimize._highspy._core`, tested
 with SciPy 1.17) with the matrix, bounds and options that
 `linprog(method="highs-ds")` would pass, and falls back to `linprog` where
@@ -32,7 +32,7 @@ that binding cannot be imported; both give the same vertex bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -88,21 +88,27 @@ class Cut:
 
 @dataclass
 class LpModel:
-    """Minimize objective . x subject to rows[k] . x >= rhs[k] and x >= lower.
+    """Minimize objective . x subject to row k . x >= rhs[k] and x >= lower.
 
-    A row is a pair (column indices, nonzero values).  `variables` and `labels`
-    name columns and rows only to render the model; a None label marks a load cut.
+    The rows are held row-wise in the `<=` form HiGHS is given, negated: row k
+    has the columns index[start[k]:start[k + 1]] with the coefficients minus
+    value[start[k]:start[k + 1]].  `variables` and `labels` name columns and
+    rows only to render the model; a None label marks a load cut.
     """
 
     variables: list[str]
     objective: np.ndarray
     lower: np.ndarray
-    rows: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    start: list[int] = field(default_factory=lambda: [0])
+    index: list[int] = field(default_factory=list)
+    value: list[float] = field(default_factory=list)
     rhs: list[float] = field(default_factory=list)
     labels: list[str | None] = field(default_factory=list)
 
     def add_row(self, columns: np.ndarray, values: np.ndarray, rhs: float, label="") -> None:
-        self.rows.append((columns, values))
+        self.index += columns.tolist()
+        self.value += (-values).tolist()
+        self.start.append(len(self.index))
         self.rhs.append(rhs)
         self.labels.append(label)
 
@@ -147,39 +153,29 @@ def _new_highs():
     return highs
 
 
-def _csc(model: LpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column starts, row indices and values of -rows, column-major with rows
-    ascending within a column, as `np.nonzero` orders the dense transpose."""
-    rows = model.rows
-    col = np.concatenate([np.empty(0, np.intp)] + [cols for cols, _ in rows])
-    order = np.argsort(col, kind="stable")  # rows are concatenated in ascending order
-    row = np.repeat(np.arange(len(rows)), [len(cols) for cols, _ in rows])[order]
-    value = -np.concatenate([np.empty(0)] + [values for _, values in rows])[order]
-    start = np.cumsum(np.bincount(col, minlength=len(model.variables)))
-    return np.concatenate(([0], start)), row, value
-
-
 def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     """Solve on `highs` (or a fresh instance) through SciPy's private binding;
     None if it is missing.  `passModel` drops the model and basis it held.
 
     With `_new_highs`, the one user of `scipy.optimize._highspy._core` (tested
     with SciPy 1.17).  It passes the HighsLp `linprog(method="highs-ds")`
-    builds, the CSC matrix of -rows with row bounds [-inf, -rhs] and column
+    builds, the matrix of -rows with row bounds [-inf, -rhs] and column
     bounds [lower, inf], and raises what `_solve_linprog` raises per status.
+    The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in
+    each column, which is the CSC matrix linprog passes.
     """
     highs = _new_highs() if highs is None else highs
     if highs is None:
         return None
     from scipy.optimize._highspy import _core as hs
 
-    n, k = len(model.variables), len(model.rows)
+    n, k = len(model.variables), len(model.rhs)
     lower, upper = np.array(model.lower, dtype=float), -np.array(model.rhs, dtype=float)
     lp = hs.HighsLp()  # filled with lists: the binding converts them faster than arrays
     matrix = lp.a_matrix_
     lp.num_col_, lp.num_row_ = matrix.num_col_, matrix.num_row_ = n, k
-    matrix.format_ = hs.MatrixFormat.kColwise
-    matrix.start_, matrix.index_, matrix.value_ = (a.tolist() for a in _csc(model))
+    matrix.format_ = hs.MatrixFormat.kRowwise
+    matrix.start_, matrix.index_, matrix.value_ = model.start, model.index, model.value
     lp.col_cost_ = model.objective.tolist()
     lp.col_lower_ = lower.tolist()
     lp.col_upper_ = [hs.kHighsInf] * n
@@ -211,13 +207,12 @@ def _solve_linprog(model: LpModel) -> LpVertex:
     """The same solve through public `linprog`: the fallback, and the tests' reference."""
     from scipy.optimize import linprog
 
-    dense = np.zeros((len(model.rows), len(model.variables)))
-    for k, (columns, values) in enumerate(model.rows):
-        dense[k, columns] = values
+    dense = np.zeros((len(model.rhs), len(model.variables)))  # the `<=` rows
+    dense[np.repeat(np.arange(len(model.rhs)), np.diff(model.start)), model.index] = model.value
     res = linprog(
         model.objective,
-        A_ub=-dense if model.rows else None,
-        b_ub=-np.array(model.rhs) if model.rows else None,
+        A_ub=dense if model.rhs else None,
+        b_ub=-np.array(model.rhs) if model.rhs else None,
         bounds=[(lo, None) for lo in model.lower.tolist()],
         method="highs-ds",
         options=_HIGHS_OPTIONS,
@@ -322,14 +317,14 @@ def _base_model(
     pairs, labels = [], []  # (column +1, column -1) per row
     for isl in islands.islands:
         for lid in isl.line_ids:
-            pairs.append((island_col[isl.id], line_col[lid]))
+            pairs += (island_col[isl.id], line_col[lid])
             labels.append(f"island {isl.id} covers {lid}")
     for parent, child in precedence.edges():
-        pairs.append((island_col[child], island_col[parent]))
+        pairs += (island_col[child], island_col[parent])
         labels.append(f"{child} after {parent}")
-    plus_minus = np.array([1.0, -1.0])
-    model.rows = [(columns, plus_minus) for columns in np.array(pairs, np.intp).reshape(-1, 2)]
-    model.rhs, model.labels = [0.0] * len(pairs), labels
+    model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
+    model.value = [-1.0, 1.0] * len(labels)  # negated, as the model holds its rows
+    model.rhs, model.labels = [0.0] * len(labels), labels
     return model
 
 
@@ -416,14 +411,10 @@ def _canonical_pass(model: LpModel, optimum: float, highs) -> LpVertex:
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
     weighted = np.flatnonzero(model.objective)
     # the cap row -objective >= -cap goes on copies: the loop's model must not get it
-    canon = LpModel(
-        variables=model.variables,
-        objective=np.ones(len(model.variables)),
-        lower=model.lower,
-        rows=[*model.rows, (weighted, -model.objective[weighted])],
-        rhs=[*model.rhs, -cap],
-        labels=[*model.labels, "objective cap"],
-    )
+    canon = replace(model, objective=np.ones(len(model.variables)), start=model.start[:],
+                    index=model.index[:], value=model.value[:], rhs=model.rhs[:],
+                    labels=model.labels[:])
+    canon.add_row(weighted, -model.objective[weighted], -cap, "objective cap")
     return simplex_solve(canon, highs)
 
 
@@ -456,10 +447,12 @@ def format_model(model: LpModel) -> str:
     out = ["minimize", "  " + (terms(weighted, model.objective[weighted]) or "0"), "subject to"]
     for v, lo in zip(model.variables, model.lower.tolist()):
         out.append(f"  {v} >= {lo:g}")
-    for (columns, values), rhs, label in zip(model.rows, model.rhs, model.labels):
+    for k, (rhs, label) in enumerate(zip(model.rhs, model.labels)):
+        row = slice(model.start[k], model.start[k + 1])
+        columns, values = model.index[row], [-v for v in model.value[row]]
         if label is None:  # a load cut, on columns named C[id]
-            ids = sorted(model.variables[k][2:-1] for k in columns)
+            ids = sorted(model.variables[j][2:-1] for j in columns)
             label = f"load cut on {{{', '.join(ids)}}}"
-        line = f"  {terms(columns.tolist(), values.tolist()).replace('+ -', '- ')} >= {rhs:g}"
+        line = f"  {terms(columns, values).replace('+ -', '- ')} >= {rhs:g}"
         out.append(line + (f"    # {label}" if label else ""))
     return "\n".join(out) + "\n"

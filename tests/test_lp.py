@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -12,7 +13,6 @@ from gridrepair.harness import GenParams, generate_random, load_instance
 from gridrepair.lp import (
     Cut,
     LpModel,
-    _csc,
     _new_highs,
     _solve_highs,
     _solve_linprog,
@@ -44,8 +44,7 @@ def round_models(monkeypatch, name, m):
     models = []
 
     def record(model, highs=None):
-        models.append(LpModel(model.variables, model.objective, model.lower,
-                              list(model.rows), list(model.rhs)))
+        models.append(copy.deepcopy(model))  # the loop appends to its lists
         return simplex_solve(model, highs)
 
     monkeypatch.setattr(lp, "simplex_solve", record)
@@ -118,18 +117,23 @@ class TestSimplexSolve:
 
     @pytest.mark.parametrize("name, m", ROUND_CASES)
     def test_sparse_rows_give_the_dense_path_matrix(self, monkeypatch, name, m):
+        highs = _new_highs()
+        if highs is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
         for model in round_models(monkeypatch, name, m):
-            n, k = len(model.variables), len(model.rows)
-            dense = np.zeros((k, n))
-            for r, (columns, values) in enumerate(model.rows):
-                dense[r, columns] = values
-            # the CSC arrays as they were built from dense rows
+            n, k = len(model.variables), len(model.rhs)
+            dense = np.zeros((k, n))  # the >= rows, one by one
+            for r in range(k):
+                s, e = model.start[r], model.start[r + 1]
+                dense[r, model.index[s:e]] = [-v for v in model.value[s:e]]
+            # the CSC arrays of the -rows linprog passes, column-major as np.nonzero gives
             columns = -dense.T
             col, row = np.nonzero(columns)
             start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
-            got = _csc(model)
-            assert [a.tolist() for a in got] == [start.tolist(), row.tolist(),
-                                                 columns[col, row].tolist()]
+            _solve_highs(model, highs)
+            held = highs.getLp().a_matrix_  # the matrix HiGHS holds after passModel
+            assert [held.start_, held.index_, held.value_] == [
+                start.tolist(), row.tolist(), columns[col, row].tolist()]
 
     def test_reused_instance_solves_cold(self, monkeypatch):
         highs = _new_highs()
