@@ -3,10 +3,10 @@
 Variables are per-line completion times C and per-island energization
 times E, in that column order.  The model is held as an objective and a
 lower-bound vector and, for the `>=` rows, a row-wise sparse matrix in
-lists that only grow, one row per constraint.  Besides the base rows (E above every
-member completion and above the parent island's E; C is bounded below
-by its repair time), feasible completion vectors obey one load
-inequality per line subset A:
+lists that only grow, one row per constraint.  Besides the base rows (E
+above every member completion and above the parent island's E; C is
+bounded below by its repair time), feasible completion vectors obey one
+load inequality per line subset A:
 
     sum_{j in A} p_j C_j >= f(A) = (sum_A p_j)^2 / (2m) + sum_A p_j^2 / 2
 
@@ -22,11 +22,12 @@ exact violation, so it picks the cut the prefix-by-prefix fsum scan picks.
 
 The loop runs on integer column indices.  One relaxation owns one HiGHS
 instance, its options set once, and each round passes it the whole model
-afresh (the row-wise lists as they stand): a cold solve that keeps no basis.  It goes straight to HiGHS
-through SciPy's private binding (`scipy.optimize._highspy._core`, tested
-with SciPy 1.17) with the matrix, bounds and options that
-`linprog(method="highs-ds")` would pass, and falls back to `linprog` where
-that binding cannot be imported; both give the same vertex bit for bit.
+afresh, the row-wise lists as they stand: a cold solve that keeps no
+basis.  It goes straight to HiGHS through SciPy's private binding
+(`scipy.optimize._highspy._core`, tested with SciPy 1.17) with the matrix,
+bounds and options that `linprog(method="highs-ds")` would pass, and falls
+back to `linprog` where that binding cannot be imported; both give the
+same vertex bit for bit.
 """
 
 from __future__ import annotations
