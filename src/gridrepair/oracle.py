@@ -19,7 +19,9 @@ here, and all algorithm guarantees on a bench row in `certify_row`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -29,9 +31,6 @@ from gridrepair.algos import AlgoResult
 from gridrepair.model import NetworkInstance
 
 MAX_BRUTE_FORCE_LINES = 9
-# _SKIP[r][q, j]: the position, among r lines in order, of the q-th line left once the j-th is taken
-_SKIP = [np.array([[q + (q >= j) for j in range(r)] for q in range(r - 1)], dtype=np.intp)
-         for r in range(2, MAX_BRUTE_FORCE_LINES + 1)]
 
 
 class TooLarge(ValueError):
@@ -89,40 +88,48 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
         )
 
     ids = sorted(weights)
+    c, width = min(m, n), len(ids)
     position = {iid: k for k, iid in enumerate(ids)}
     island_of = islands.island_of_line()
     home = np.array([position[island_of[lid]] for lid in damaged], dtype=np.intp)
-    slots = np.arange(len(ids))[:, None, None]
+    slots = np.arange(width)[:, None, None]
     p = np.array([repair[lid] for lid in damaged], dtype=float)
-    # one column per prefix: its crews' sorted free times, its islands' latest completions,
-    # and its remaining lines in id order (rest[q, i] is the q-th one of prefix i)
-    free = np.zeros((min(m, n), 1))
-    done = np.zeros((len(ids), 1))
+    # one column per prefix: its c crews' sorted free times, its islands' latest
+    # completions, and its remaining lines in id order (rest[q, i]: the q-th of prefix i)
+    free = np.zeros((c, 1))
+    done = np.zeros((width, 1))
     rest = np.arange(n)[:, None]
     for r in range(n, 0, -1):
         # child j * R + i of prefix i (of R) appends its j-th remaining line
         finish = free[0] + p.take(rest)
         grown = np.multiply(finish, home.take(rest) == slots)
-        done = np.maximum(grown, done[:, None, :], out=grown).reshape(len(ids), -1)
+        done = np.maximum(grown, done[:, None], out=grown).reshape(width, -1)
         if r > 1:
             # the earliest free time becomes finish: clamp it into the sorted order
-            later = np.maximum(finish, free[:, None, :])
-            np.minimum(later[:-1], free[1:, None, :], out=later[:-1])
-            free = later.reshape(len(free), -1)
-            rest = rest.take(_SKIP[r - 2], axis=0).reshape(r - 1, -1)
+            later = np.maximum(finish, free[:, None])
+            head = later[:-1]
+            np.minimum(head, free[1:, None], out=head)
+            free = later.reshape(c, -1)
+            rest = rest.take(_skip(r), axis=0).reshape(r - 1, -1)
     energization = sched.energize(dict(zip(ids, done)), precedence, np.maximum)
     harms = sum(weights[iid] * energization[iid] for iid in ids)
 
     # column sum_k j_k n!/(n-k)! holds the list of choices j_0, j_1, ...;
     # reversing those mixed-radix axes puts the lists in itertools order
-    lists = harms.reshape(range(1, n + 1)).T
-    choice = np.unravel_index(np.argmin(lists), lists.shape)  # first hit = smallest list
-    left = list(damaged)
-    return OracleResult(
-        harm=float(lists[choice]),
-        priority_list=tuple(zero_lines) + tuple(left.pop(j) for j in choice),
-        enumerated=harms.size,
-    )
+    lists = harms.reshape(range(1, n + 1)).T.ravel()
+    best = int(np.argmin(lists))  # first hit = lexicographically smallest list
+    order, left, rank = list(zero_lines), list(damaged), best
+    for r in range(n, 0, -1):
+        j, rank = divmod(rank, math.factorial(r - 1))
+        order.append(left.pop(j))
+    return OracleResult(harm=float(lists[best]), priority_list=tuple(order), enumerated=lists.size)
+
+
+@cache
+def _skip(r: int) -> np.ndarray:
+    """[q, j]: the position, among r lines in order, of the q-th line left
+    once the j-th is taken.  Built on first use: importing makes no arrays."""
+    return np.array([[q + (q >= j) for j in range(r)] for q in range(r - 1)], dtype=np.intp)
 
 
 def _lower_bound_failures(
