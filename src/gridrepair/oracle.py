@@ -102,6 +102,7 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     for r in range(n, 0, -1):
         # child j * R + i of prefix i (of R) appends its j-th remaining line
         finish = free[0] + p.take(rest)
+        # masked to the line's island; a 0 leaves a maximum of times >= 0 as it was
         grown = np.multiply(finish, home.take(rest) == slots)
         done = np.maximum(grown, done[:, None], out=grown).reshape(width, -1)
         if r > 1:
