@@ -9,13 +9,18 @@ byte for byte: the final model is data, not a solver answer.  Under
 `generated-lp-list` it holds the `schedule --alg lp-list --crews 3` JSON of
 three generated 60-line feeders, byte for byte, and under `oracle` the
 `oracle` JSON of the three small fixtures at m = 1, 2, 3, byte for byte.
-A refactor must reproduce
+Under `convert-orders` it holds the `schedule --alg convert` JSON with
+`--within-island-order reversed` and `adversarial-longest-last` at
+m = 1, 2, 3 on `feeder123.json` and the three generated feeders, and under
+`bench` the CSV of `bench --seed 1000 --count 40 --max-lines 8 --crews 2,3`
+without its timing columns, both byte for byte.  A refactor must reproduce
 them unchanged.  Regenerate only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import csv
 import io
 import json
 import sys
@@ -26,7 +31,13 @@ import pytest
 
 from gridrepair import algos
 from gridrepair.cli import EXIT_OK, main
-from gridrepair.harness import GenParams, generate_random, load_instance, save_instance
+from gridrepair.harness import (
+    TIMING_COLUMNS,
+    GenParams,
+    generate_random,
+    load_instance,
+    save_instance,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -36,6 +47,10 @@ DUMP_LP_NAMES = ("fork.json", "two_island.json", "graham_m3.json")
 GENERATED = "generated-lp-list"
 GENERATED_SEEDS = (1, 2, 3)
 ORACLE = "oracle"
+CONVERT_ORDERS = "convert-orders"
+CONVERT_ORDER_SOURCES = ("feeder123.json", "generated-1", "generated-2", "generated-3")
+NON_DEFAULT_ORDERS = ("reversed", "adversarial-longest-last")
+BENCH = "bench"
 
 
 def _stdout(argv: list[str]) -> str:
@@ -74,14 +89,49 @@ def fixture_outputs(name: str) -> dict:
     return out
 
 
-def generated_lp_list(seed: int) -> str:
-    """lp-list JSON of a generated 60-line feeder with about 10 % switches, m = 3."""
+def _generated(seed: int, tmp: str) -> str:
+    """Writes a generated 60-line feeder with about 10 % switches under `tmp`."""
     params = GenParams(seed=seed, nodes=(61, 61), switch_probability=0.1,
                        repair_time=(1, 10), crews=(3,))
+    path = Path(tmp) / "feeder.json"
+    save_instance(path, generate_random(params))
+    return str(path)
+
+
+def generated_lp_list(seed: int) -> str:
+    """lp-list JSON of a generated feeder, m = 3."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "feeder.json"
-        save_instance(path, generate_random(params))
-        return _stdout(["schedule", str(path), "--alg", algos.LP_LIST, "--crews", "3"])
+        return _stdout(["schedule", _generated(seed, tmp), "--alg", algos.LP_LIST, "--crews", "3"])
+
+
+def convert_order_outputs(source: str) -> dict:
+    """convert JSON at each non-default within-island order, m = 1, 2, 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if source in NAMES:
+            path = str(FIXTURES / source)
+        else:
+            path = _generated(int(source.removeprefix("generated-")), tmp)
+        return {
+            order: {
+                str(m): _stdout(["schedule", path, "--alg", algos.CONVERT, "--crews", str(m),
+                                 "--within-island-order", order])
+                for m in CREWS
+            }
+            for order in NON_DEFAULT_ORDERS
+        }
+
+
+def bench_without_timing() -> str:
+    """The standard bench CSV on 40 instances, its timing columns dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "bench.csv"
+        _stdout(["bench", "--seed", "1000", "--count", "40", "--max-lines", "8",
+                 "--crews", "2,3", "--out", str(out)])
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+    keep = [k for k, column in enumerate(rows[0]) if column not in TIMING_COLUMNS]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([row[k] for k in keep] for row in rows)
+    return buf.getvalue()
 
 
 def oracle_outputs(name: str) -> dict:
@@ -111,9 +161,21 @@ def test_oracle_matches_golden(name):
     assert oracle_outputs(name) == json.loads(GOLDEN.read_text())[ORACLE][name]
 
 
+@pytest.mark.parametrize("source", CONVERT_ORDER_SOURCES)
+def test_convert_orders_match_golden(source):
+    assert convert_order_outputs(source) == json.loads(GOLDEN.read_text())[CONVERT_ORDERS][source]
+
+
+def test_bench_csv_matches_golden():
+    assert bench_without_timing() == json.loads(GOLDEN.read_text())[BENCH]
+
+
 if __name__ == "__main__":
     golden = {name: fixture_outputs(name) for name in NAMES}
     golden[GENERATED] = {str(seed): generated_lp_list(seed) for seed in GENERATED_SEEDS}
     golden[ORACLE] = {name: oracle_outputs(name) for name in DUMP_LP_NAMES}
+    golden[CONVERT_ORDERS] = {source: convert_order_outputs(source)
+                              for source in CONVERT_ORDER_SOURCES}
+    golden[BENCH] = bench_without_timing()
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     sys.exit(0)
