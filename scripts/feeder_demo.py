@@ -34,14 +34,14 @@ def main() -> None:
     single = algos.single_optimal(instance)
     alg1 = algos.lp_list_schedule(instance)
     alg2 = algos.convert_single_to_m(instance)
-    h_infinite = alg2.report.infinite_crew_optimum
+    h_infinite = alg2.infinite_crew_harm
 
     print(f"\n  {'algorithm':28s} {'harm':>12s}")
     print(f"  {'-' * 28} {'-' * 12}")
-    print(f"  {'single crew, exact':28s} {single.report.harm:12.1f}")
+    print(f"  {'single crew, exact':28s} {single.harm:12.1f}")
     print(f"  {'relaxation lower bound':28s} {alg1.lp.objective:12.1f}")
-    print(f"  {'midpoint list (2x)':28s} {alg1.report.harm:12.1f}")
-    print(f"  {'conversion (2 - 1/m)':28s} {alg2.report.harm:12.1f}")
+    print(f"  {'midpoint list (2x)':28s} {alg1.harm:12.1f}")
+    print(f"  {'conversion (2 - 1/m)':28s} {alg2.harm:12.1f}")
     print(f"  {'unlimited crews floor':28s} {h_infinite:12.1f}")
     print(
         f"\n  relaxation cuts: {len(alg1.lp.cuts)} "

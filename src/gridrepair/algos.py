@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
 from gridrepair.lp import LpSolution, solve_relaxation
-from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
-from gridrepair.schedule import HarmReport, Schedule
+from gridrepair.model import NetworkInstance
+from gridrepair.schedule import Schedule
 from gridrepair.seq_opt import SingleCrewOptimum
 
 LP_LIST = "lp-list"
@@ -23,21 +23,37 @@ CONVERT = "convert"
 SINGLE_OPTIMAL = "single-optimal"
 ALGORITHMS = (LP_LIST, CONVERT, SINGLE_OPTIMAL)
 
-WITHIN_ISLAND_ORDERS = ("given", "reversed", "adversarial-longest-last")
+# each island's lines, in id order, arranged for the conversion's priority list
+_ARRANGEMENTS = {
+    "given": lambda lids, p: lids,
+    "reversed": lambda lids, p: lids[::-1],
+    "adversarial-longest-last": lambda lids, p: sorted(lids, key=lambda lid: (p[lid], lid)),
+}
+WITHIN_ISLAND_ORDERS = tuple(_ARRANGEMENTS)
 
 
 @dataclass(frozen=True)
 class AlgoResult:
+    """A schedule, its per-island energization and its harm, with what the
+    algorithm derived on the way: the relaxation, the single-crew optimum, and
+    the unlimited-crew energization and its harm."""
+
     algorithm: str
     crews: int
     schedule: Schedule
     energization: dict[str, float]
-    report: HarmReport
-    islands: IslandSet
-    precedence: PrecedenceGraph
+    harm: float
     lp: LpSolution | None = None
     single_crew: SingleCrewOptimum | None = None
-    infinite_crew: dict[str, float] | None = None  # unlimited-crew energization
+    infinite_crew: dict[str, float] | None = None
+    infinite_crew_harm: float | None = None
+
+
+def _scored(algorithm: str, instance: NetworkInstance, plan: Schedule, **derived) -> AlgoResult:
+    """The result of `plan`: its energization and harm on the instance."""
+    energization = sched.energization_times(plan, instance.islands, instance.precedence)
+    harm = sched.harm(energization, instance.islands.weights)
+    return AlgoResult(algorithm, plan.m, plan, energization, harm, **derived)
 
 
 def lp_list_schedule(
@@ -52,37 +68,13 @@ def lp_list_schedule(
     relaxation to skip the LP solve.
     """
     m = instance.crews if crews is None else crews
-    islands, precedence = instance.islands, instance.precedence
     if solution is None:
         solution = solve_relaxation(instance, crews=m)
-    depth = precedence.depth()
-    of_line = islands.island_of_line()
-    order = sorted(
-        solution.midpoints,
-        key=lambda lid: (solution.midpoints[lid], depth[of_line[lid]], lid),
-    )
+    mid, depth = solution.midpoints, instance.precedence.depth
+    of_line = instance.islands.island_of_line
+    order = sorted(mid, key=lambda lid: (mid[lid], depth[of_line[lid]], lid))
     plan = sched.list_schedule(order, m, instance.repair_times())
-    energization = sched.energization_times(plan, islands, precedence)
-    return AlgoResult(
-        algorithm=LP_LIST,
-        crews=m,
-        schedule=plan,
-        energization=energization,
-        report=sched.harm_report(energization, islands, LP_LIST),
-        islands=islands,
-        precedence=precedence,
-        lp=solution,
-    )
-
-
-def _within_island_key(order: str, repair_times):
-    if order == "given":
-        return lambda lid: lid
-    if order == "reversed":
-        return None  # handled by reversing the id-sorted block
-    if order == "adversarial-longest-last":
-        return lambda lid: (repair_times[lid], lid)
-    raise ValueError(f"unknown within-island order {order!r}")
+    return _scored(LP_LIST, instance, plan, lp=solution)
 
 
 def convert_single_to_m(
@@ -96,54 +88,21 @@ def convert_single_to_m(
     island completions), so the order knob exists purely to explore that
     family of schedules; `adversarial-longest-last` realizes the worst one.
     """
+    if within_island_order not in _ARRANGEMENTS:
+        raise ValueError(f"unknown within-island order {within_island_order!r}")
     m = instance.crews if crews is None else crews
-    islands, precedence = instance.islands, instance.precedence
+    islands, repair = instance.islands, instance.repair_times()
     single = seq_opt.optimal_single_crew_harm(instance)
-
-    repair = instance.repair_times()
-    key = _within_island_key(within_island_order, repair)
-    by_id = islands.by_id()
-    lines: list[str] = []
-    for iid in single.island_order:
-        block = sorted(by_id[iid].line_ids)
-        if key is None:
-            block.reverse()
-        else:
-            block.sort(key=key)
-        lines.extend(block)
-
-    plan = sched.list_schedule(lines, m, repair)
-    energization = sched.energization_times(plan, islands, precedence)
-    infinite_e, infinite = sched.infinite_crew_energization(islands, precedence, repair)
-    return AlgoResult(
-        algorithm=CONVERT,
-        crews=m,
-        schedule=plan,
-        energization=energization,
-        report=sched.harm_report(
-            energization,
-            islands,
-            CONVERT,
-            single_crew_optimum=single.harm,
-            infinite_crew_optimum=infinite,
-        ),
-        islands=islands,
-        precedence=precedence,
-        single_crew=single,
-        infinite_crew=infinite_e,
-    )
+    arrange = _ARRANGEMENTS[within_island_order]
+    arrangement = {isl.id: arrange(isl.line_ids, repair) for isl in islands.islands}
+    lines = seq_opt.expand_sequence(single.island_order, arrangement)
+    infinite_e, infinite = sched.infinite_crew_energization(islands, instance.precedence, repair)
+    return _scored(CONVERT, instance, sched.list_schedule(lines, m, repair), single_crew=single,
+                   infinite_crew=infinite_e, infinite_crew_harm=infinite)
 
 
 def single_optimal(instance: NetworkInstance) -> AlgoResult:
     """The exact single-crew schedule as an algorithm result (m = 1)."""
     single = seq_opt.optimal_single_crew_harm(instance)
-    return AlgoResult(
-        algorithm=SINGLE_OPTIMAL,
-        crews=1,
-        schedule=single.plan,
-        energization=single.energization,
-        report=sched.harm_report(single.energization, instance.islands, SINGLE_OPTIMAL),
-        islands=instance.islands,
-        precedence=instance.precedence,
-        single_crew=single,
-    )
+    return AlgoResult(SINGLE_OPTIMAL, 1, single.plan, single.energization, single.harm,
+                      single_crew=single)

@@ -14,7 +14,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from gridrepair import algos, oracle
@@ -76,7 +76,7 @@ def result_to_json(result: algos.AlgoResult) -> dict:
             for crew in result.schedule.crews
         ],
         "energization": {iid: result.energization[iid] for iid in sorted(result.energization)},
-        "harm": result.report.harm,
+        "harm": result.harm,
     }
 
 
@@ -86,7 +86,7 @@ def result_to_text(result: algos.AlgoResult) -> str:
     number, in text order."""
     quote, iids = json.encoder.encode_basestring_ascii, sorted(result.energization)
     times = [t for crew in result.schedule.crews for a in crew for t in (a.start, a.completion)]
-    flat = [result.crews, *times, *map(result.energization.get, iids), result.report.harm]
+    flat = [result.crews, *times, *map(result.energization.get, iids), result.harm]
     number = iter(json.dumps(flat)[1:-1].split(", ")).__next__
 
     def block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -184,26 +184,6 @@ def generate_corpus(
     return out
 
 
-BENCH_COLUMNS = [
-    "instance",
-    "lines",
-    "islands",
-    "crews",
-    "h_lp",
-    "h_alg1",
-    "h_alg2",
-    "h_single",
-    "h_infinite",
-    "h_opt",
-    "ratio_alg1",
-    "ratio_alg2",
-    "ratio_lp",
-    "t_lp",
-    "t_alg1",
-    "t_alg2",
-    "t_oracle",
-]
-
 TIMING_COLUMNS = ("t_lp", "t_alg1", "t_alg2", "t_oracle")
 
 
@@ -228,36 +208,20 @@ class BenchRow:
     t_oracle: float
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.10g}"
+BENCH_COLUMNS = [f.name for f in fields(BenchRow)]
+
+
+def _cell(value: str | int | float | None) -> str | int:
+    if value is None:
+        return ""
+    return f"{value:.10g}" if isinstance(value, float) else value
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.instance,
-                row.lines,
-                row.islands,
-                row.crews,
-                _fmt(row.h_lp),
-                _fmt(row.h_alg1),
-                _fmt(row.h_alg2),
-                _fmt(row.h_single),
-                _fmt(row.h_infinite),
-                _fmt(row.h_opt),
-                _fmt(row.ratio_alg1),
-                _fmt(row.ratio_alg2),
-                _fmt(row.ratio_lp),
-                _fmt(row.t_lp),
-                _fmt(row.t_alg1),
-                _fmt(row.t_alg2),
-                _fmt(row.t_oracle),
-            ]
-        )
+    writer.writerows([_cell(getattr(row, name)) for name in BENCH_COLUMNS] for row in rows)
     return buf.getvalue()
 
 
@@ -297,13 +261,13 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
         islands=len(instance.islands.islands),
         crews=m,
         h_lp=alg1.lp.objective,
-        h_alg1=alg1.report.harm,
-        h_alg2=alg2.report.harm,
+        h_alg1=alg1.harm,
+        h_alg2=alg2.harm,
         h_single=alg2.single_crew.harm,
-        h_infinite=alg2.report.infinite_crew_optimum,
+        h_infinite=alg2.infinite_crew_harm,
         h_opt=h_opt,
-        ratio_alg1=None if h_opt in (None, 0) else alg1.report.harm / h_opt,
-        ratio_alg2=None if h_opt in (None, 0) else alg2.report.harm / h_opt,
+        ratio_alg1=None if h_opt in (None, 0) else alg1.harm / h_opt,
+        ratio_alg2=None if h_opt in (None, 0) else alg2.harm / h_opt,
         ratio_lp=None if h_opt in (None, 0) else alg1.lp.objective / h_opt,
         t_lp=t_lp,
         t_alg1=t_alg1,

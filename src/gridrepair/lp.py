@@ -305,9 +305,8 @@ def _base_model(
     instance: NetworkInstance, islands: IslandSet, precedence: PrecedenceGraph
 ) -> LpModel:
     """Columns C by line id then E by island id; island-cover and precedence rows."""
-    p = instance.repair_times()
-    weights = islands.weights()
-    lids, iids = sorted(p), sorted(weights)
+    p, weights = instance.repair_times(), islands.weights
+    lids, iids = sorted(p), list(weights)  # islands are in id order
     line_col = {lid: k for k, lid in enumerate(lids)}
     island_col = {iid: len(lids) + k for k, iid in enumerate(iids)}
     model = LpModel(
@@ -395,7 +394,7 @@ def solve_relaxation(
 
         solution = LpSolution(
             completion=dict(zip(lids, c.tolist())),
-            energization=dict(zip(sorted(islands.weights()), canon_vertex.values[n:].tolist())),
+            energization=dict(zip(islands.weights, canon_vertex.values[n:].tolist())),
             midpoints={},
             objective=vertex.objective,
             iterations=iterations,

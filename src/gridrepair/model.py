@@ -98,9 +98,6 @@ class NetworkInstance:
     def repair_times(self) -> dict[str, float]:
         return {ln.id: ln.repair_time for ln in self.lines}
 
-    def line_ids(self) -> list[str]:
-        return [ln.id for ln in self.lines]
-
     @cached_property
     def islands(self) -> IslandSet:
         return partition_islands(self)
@@ -114,8 +111,8 @@ class NetworkInstance:
 class Island:
     """A maximal switch-free group of lines, energized as a unit.
 
-    `weight` and `processing` are the plain sums of the member line
-    weights and repair times.  The island containing the source keeps the
+    `line_ids` and `node_ids` are in id order.  `weight` and `processing`
+    are the plain sums of the member line weights and repair times.  The island containing the source keeps the
     root node in `node_ids` and may own no lines at all (every line out
     of the source is a switch); it then gets the root node id as its id.
     """
@@ -129,22 +126,26 @@ class Island:
 
 @dataclass(frozen=True)
 class IslandSet:
+    """The islands in id order; each lookup table is built on first use and kept."""
+
     islands: tuple[Island, ...]
 
+    @cached_property
     def by_id(self) -> dict[str, Island]:
         return {isl.id: isl for isl in self.islands}
 
+    @cached_property
     def island_of_line(self) -> dict[str, str]:
         return {lid: isl.id for isl in self.islands for lid in isl.line_ids}
 
+    @cached_property
     def island_of_node(self) -> dict[str, str]:
         return {nid: isl.id for isl in self.islands for nid in isl.node_ids}
 
+    @cached_property
     def weights(self) -> dict[str, float]:
+        """Island weights, keyed in id order."""
         return {isl.id: isl.weight for isl in self.islands}
-
-    def ids(self) -> list[str]:
-        return [isl.id for isl in self.islands]
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,7 @@ class PrecedenceGraph:
     """Out-tree over islands: a child cannot energize before its parent.
 
     One edge per switch line; rooted at the island containing the source.
+    The order and depths are built on first use and kept.
     """
 
     root: str
@@ -160,28 +162,23 @@ class PrecedenceGraph:
     def edges(self) -> list[tuple[str, str]]:
         return sorted((p, c) for c, p in self.parent.items())
 
-    def children(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {self.root: []}
-        for child, par in self.parent.items():
-            out.setdefault(par, []).append(child)
-            out.setdefault(child, [])
-        for kids in out.values():
-            kids.sort()
-        return out
-
-    def topological_order(self) -> list[str]:
+    @cached_property
+    def topological_order(self) -> tuple[str, ...]:
         """Parents before children, siblings in id order."""
-        kids = self.children()
+        kids: dict[str, list[str]] = {}
+        for child in sorted(self.parent, reverse=True):  # popped back in id order
+            kids.setdefault(self.parent[child], []).append(child)
         order, stack = [], [self.root]
         while stack:
             cur = stack.pop()
             order.append(cur)
-            stack.extend(reversed(kids[cur]))
-        return order
+            stack.extend(kids.get(cur, ()))
+        return tuple(order)
 
+    @cached_property
     def depth(self) -> dict[str, int]:
         depths = {self.root: 0}
-        for isl in self.topological_order()[1:]:
+        for isl in self.topological_order[1:]:
             depths[isl] = depths[self.parent[isl]] + 1
         return depths
 
@@ -410,8 +407,7 @@ def build_precedence_graph(instance: NetworkInstance, islands: IslandSet) -> Pre
     endpoint to the island owning the line itself, so the result is an
     out-tree rooted at the source island with one edge per switch.
     """
-    of_node = islands.island_of_node()
-    of_line = islands.island_of_line()
+    of_node, of_line = islands.island_of_node, islands.island_of_line
     parent: dict[str, str] = {}
     for ln in instance.lines:
         if ln.is_switch:

@@ -78,19 +78,13 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     if n > MAX_BRUTE_FORCE_LINES:
         raise TooLarge(n, MAX_BRUTE_FORCE_LINES)
 
-    weights = islands.weights()
     if n == 0:
-        energization = {iid: 0.0 for iid in weights}
-        return OracleResult(
-            harm=sched.harm(energization, weights),
-            priority_list=tuple(zero_lines),
-            enumerated=1,
-        )
+        return OracleResult(harm=0.0, priority_list=tuple(zero_lines), enumerated=1)
 
-    ids = sorted(weights)
+    ids = list(islands.weights)  # in id order
     c, width = min(m, n), len(ids)
     position = {iid: k for k, iid in enumerate(ids)}
-    island_of = islands.island_of_line()
+    island_of = islands.island_of_line
     home = np.array([position[island_of[lid]] for lid in damaged], dtype=np.intp)
     slots = np.arange(width)[:, None, None]
     p = np.array([repair[lid] for lid in damaged], dtype=float)
@@ -113,7 +107,7 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
             free = later.reshape(c, -1)
             rest = rest.take(_skip(r), axis=0).reshape(r - 1, -1)
     energization = sched.energize(dict(zip(ids, done)), precedence, np.maximum)
-    harms = sum(weights[iid] * energization[iid] for iid in ids)
+    harms = sched.harm(energization, islands.weights)
 
     # column sum_k j_k n!/(n-k)! holds the list of choices j_0, j_1, ...;
     # reversing those mixed-radix axes puts the lists in itertools order
@@ -213,15 +207,13 @@ def certify_row(
             failures.append(f"conversion bound broken for island {iid}")
 
     if h_opt is not None:
-        if alg1.report.harm > 2.0 * h_opt + tol:
+        if alg1.harm > 2.0 * h_opt + tol:
             failures.append("2x harm guarantee broken")
-        if alg2.report.harm > (2.0 - 1.0 / m) * h_opt + tol:
+        if alg2.harm > (2.0 - 1.0 / m) * h_opt + tol:
             failures.append("(2 - 1/m) harm guarantee broken")
         if alg1.lp.objective > h_opt + tol:
             failures.append("relaxation exceeds the optimum")
-        failures += _lower_bound_failures(
-            h_opt, single.harm, alg2.report.infinite_crew_optimum, m
-        )
+        failures += _lower_bound_failures(h_opt, single.harm, alg2.infinite_crew_harm, m)
 
     if failures:
         raise InvariantViolation(f"{name} (m={m}): " + "; ".join(failures))

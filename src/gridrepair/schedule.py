@@ -47,17 +47,6 @@ class Schedule:
         return max((a.completion for crew in self.crews for a in crew), default=0.0)
 
 
-@dataclass(frozen=True)
-class HarmReport:
-    """Harm value with its per-island breakdown and optional reference bounds."""
-
-    harm: float
-    per_island: tuple[tuple[str, float, float], ...]  # (island, weight, energization)
-    algorithm: str
-    single_crew_optimum: float | None = None
-    infinite_crew_optimum: float | None = None
-
-
 def list_schedule(
     priority: Sequence[str], m: int, repair_times: Mapping[str, float]
 ) -> Schedule:
@@ -102,7 +91,7 @@ def energize(own: Mapping[str, T], precedence: PrecedenceGraph, combine=max) -> 
     `numpy.maximum` for arrays of many schedules at once.
     """
     energization: dict[str, T] = {}
-    for isl in precedence.topological_order():
+    for isl in precedence.topological_order:
         parent = precedence.parent.get(isl)
         energization[isl] = (
             own[isl] if parent is None else combine(own[isl], energization[parent])
@@ -133,23 +122,5 @@ def infinite_crew_energization(
     Returns the energization map and its harm, the unlimited-crew optimum.
     """
     energization = energize(_island_max(repair_times, islands), precedence)
-    return energization, harm(energization, islands.weights())
+    return energization, harm(energization, islands.weights)
 
-
-def harm_report(
-    energization: Mapping[str, float],
-    islands: IslandSet,
-    algorithm: str,
-    single_crew_optimum: float | None = None,
-    infinite_crew_optimum: float | None = None,
-) -> HarmReport:
-    weights = islands.weights()
-    return HarmReport(
-        harm=harm(energization, weights),
-        per_island=tuple(
-            (isl, weights[isl], energization[isl]) for isl in sorted(energization)
-        ),
-        algorithm=algorithm,
-        single_crew_optimum=single_crew_optimum,
-        infinite_crew_optimum=infinite_crew_optimum,
-    )

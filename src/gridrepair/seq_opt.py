@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from gridrepair import schedule as sched
 from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
@@ -26,7 +26,6 @@ class CompositeJob:
     island_ids: list[str]
     processing: Fraction
     weight: Fraction
-    lines: list[str]
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,17 @@ class SingleCrewOptimum:
 
     harm: float
     island_order: tuple[str, ...]
-    line_list: tuple[str, ...]
     plan: sched.Schedule
     energization: dict[str, float]
 
 
-def _ratio_key(job: CompositeJob, rank: int) -> tuple:
+def _ratio_key(job: CompositeJob, head: str) -> tuple:
     # max ratio pops first from the min-heap; zero-processing composites
-    # count as infinite ratio; ties fall to the smaller head-island rank.
+    # count as infinite ratio; ties fall to the smaller head-island id.
     # Fractions keep the weight/processing comparison exact (no float division).
     if job.processing == 0:
-        return (0, Fraction(0), rank)
-    return (1, -job.weight / job.processing, rank)
+        return (0, Fraction(0), head)
+    return (1, -job.weight / job.processing, head)
 
 
 def optimal_island_sequence(
@@ -59,18 +57,11 @@ def optimal_island_sequence(
     compression.  The surviving root sequence is optimal and is a linear
     extension of the precedence out-tree.
     """
-    ids = sorted(isl.id for isl in islands.islands)
-    rank = {iid: k for k, iid in enumerate(ids)}
-    jobs: dict[str, CompositeJob] = {}
-    for isl in islands.islands:
-        jobs[isl.id] = CompositeJob(
-            island_ids=[isl.id],
-            processing=Fraction(isl.processing),
-            weight=Fraction(isl.weight),
-            lines=sorted(isl.line_ids),
-        )
-
-    merged_into = {iid: iid for iid in ids}
+    jobs = {
+        isl.id: CompositeJob([isl.id], Fraction(isl.processing), Fraction(isl.weight))
+        for isl in islands.islands
+    }
+    merged_into = {iid: iid for iid in jobs}
 
     def find(x: str) -> str:
         while merged_into[x] != x:
@@ -78,15 +69,11 @@ def optimal_island_sequence(
             x = merged_into[x]
         return x
 
-    version = {iid: 0 for iid in ids}
-    heap = [
-        (_ratio_key(jobs[iid], rank[iid]), 0, iid)
-        for iid in ids
-        if iid != precedence.root
-    ]
+    version = dict.fromkeys(jobs, 0)
+    heap = [(_ratio_key(job, iid), 0, iid) for iid, job in jobs.items() if iid != precedence.root]
     heapq.heapify(heap)
 
-    remaining = len(ids) - 1
+    remaining = len(jobs) - 1
     while remaining:
         _, ver, head = heapq.heappop(heap)
         if find(head) != head or ver != version[head]:
@@ -95,30 +82,25 @@ def optimal_island_sequence(
         target = find(precedence.parent[job.island_ids[0]])
         parent_job = jobs[target]
         parent_job.island_ids.extend(job.island_ids)
-        parent_job.lines.extend(job.lines)
         parent_job.processing += job.processing
         parent_job.weight += job.weight
         merged_into[head] = target
         remaining -= 1
         if target != precedence.root:
             version[target] += 1
-            heapq.heappush(
-                heap, (_ratio_key(parent_job, rank[target]), version[target], target)
-            )
+            heapq.heappush(heap, (_ratio_key(parent_job, target), version[target], target))
     return list(jobs[precedence.root].island_ids)
 
 
-def expand_sequence(island_order: Sequence[str], islands: IslandSet) -> list[str]:
+def expand_sequence(
+    island_order: Sequence[str], arrangement: Mapping[str, Sequence[str]]
+) -> list[str]:
     """Flatten an island order into a line priority list.
 
-    Each island's lines stay contiguous; the internal order is ascending
-    line id, which is cost-neutral for a single crew.
+    Each island's lines stay contiguous, in the order `arrangement` gives
+    for that island id; any such order is cost-neutral for a single crew.
     """
-    by_id = islands.by_id()
-    out: list[str] = []
-    for iid in island_order:
-        out.extend(sorted(by_id[iid].line_ids))
-    return out
+    return [lid for iid in island_order for lid in arrangement[iid]]
 
 
 def optimal_single_crew_harm(instance: NetworkInstance) -> SingleCrewOptimum:
@@ -129,13 +111,12 @@ def optimal_single_crew_harm(instance: NetworkInstance) -> SingleCrewOptimum:
     """
     islands, precedence = instance.islands, instance.precedence
     order = optimal_island_sequence(islands, precedence)
-    lines = expand_sequence(order, islands)
+    lines = expand_sequence(order, {isl.id: isl.line_ids for isl in islands.islands})
     plan = sched.list_schedule(lines, 1, instance.repair_times())
     energization = sched.energization_times(plan, islands, precedence)
     return SingleCrewOptimum(
-        harm=sched.harm(energization, islands.weights()),
+        harm=sched.harm(energization, islands.weights),
         island_order=tuple(order),
-        line_list=tuple(lines),
         plan=plan,
         energization=energization,
     )

@@ -33,8 +33,8 @@ def _fixture_numbers(instance, m):
         islands, precedence, instance.repair_times()
     )
     best = oracle.brute_force_optimal(instance, m).harm
-    h1 = algos.lp_list_schedule(instance, crews=m).report.harm
-    h2 = algos.convert_single_to_m(instance, crews=m).report.harm
+    h1 = algos.lp_list_schedule(instance, crews=m).harm
+    h2 = algos.convert_single_to_m(instance, crews=m).harm
     return single, infinite, best, h1, h2
 
 
@@ -49,7 +49,7 @@ def corpus_runs():
         precedence = build_precedence_graph(instance, islands)
         repair = instance.repair_times()
         single_optimum = seq_opt.optimal_single_crew_harm(instance)
-        single_plan = sched.list_schedule(list(single_optimum.line_list), 1, repair)
+        single_plan = sched.list_schedule(list(single_optimum.plan.priority), 1, repair)
         single_e = sched.energization_times(single_plan, islands, precedence)
         infinite_e, h_infinite = sched.infinite_crew_energization(
             islands, precedence, repair
@@ -78,8 +78,8 @@ def corpus_runs():
                 {
                     "name": name,
                     "m": m,
-                    "h_alg1": alg1.report.harm,
-                    "h_alg2": alg2.report.harm,
+                    "h_alg1": alg1.harm,
+                    "h_alg2": alg2.harm,
                     "h_opt": h_opt,
                     "h_lp": alg1.lp.objective,
                     "h_single": single_optimum.harm,
@@ -212,7 +212,7 @@ def test_criterion_8_conversion_tightness(graham):
     best = oracle.brute_force_optimal(graham, 3).harm
     worst = algos.convert_single_to_m(
         graham, crews=3, within_island_order="adversarial-longest-last"
-    ).report.harm
+    ).harm
     weight = sum(isl.weight for isl in partition_islands(graham).islands)
     if best != 3 * weight:
         failures.append(f"optimum {best} != 3 * total weight {3 * weight}")
@@ -234,10 +234,10 @@ def test_criterion_9_feeder_partition(feeder123):
         failures.append(f"{len(islands.islands)} islands, expected 7")
     if len(precedence.edges()) != 6:
         failures.append(f"{len(precedence.edges())} precedence edges, expected 6")
-    if sorted(precedence.topological_order()) != sorted(islands.ids()):
+    if sorted(precedence.topological_order) != sorted(list(islands.by_id)):
         failures.append("precedence tree does not span the islands")
-    if precedence.root not in islands.island_of_node().values():
+    if precedence.root not in islands.island_of_node.values():
         failures.append("precedence root is not an island")
-    if islands.island_of_node()[feeder123.root] != precedence.root:
+    if islands.island_of_node[feeder123.root] != precedence.root:
         failures.append("precedence root does not contain the source")
     _verdict("9 feeder partition (123 nodes, 6 switches, 7 islands)", failures)

@@ -13,7 +13,7 @@ class TestLpListSchedule:
     def test_two_island(self, two_island):
         result = algos.lp_list_schedule(two_island, crews=2)
         assert result.schedule.priority == ("e2", "e1")
-        assert result.report.harm == 22
+        assert result.harm == 22
 
     def test_single_line(self):
         inst = validate(
@@ -28,25 +28,25 @@ class TestLpListSchedule:
         )
         result = algos.lp_list_schedule(inst)
         assert result.schedule.starts()["x"] == 0
-        assert result.report.harm == 20
+        assert result.harm == 20
 
     def test_fork(self, fork):
         result = algos.lp_list_schedule(fork, crews=2)
         assert result.schedule.priority == ("a", "b", "c")
-        assert result.report.harm == 21
+        assert result.harm == 21
         best = oracle.brute_force_optimal(fork, 2)
         assert best.harm == 21
 
     def test_harm_recomputable_from_schedule(self, fork):
         result = algos.lp_list_schedule(fork, crews=2)
-        e = sched.energization_times(result.schedule, result.islands, result.precedence)
-        assert sched.harm(e, result.islands.weights()) == result.report.harm
+        e = sched.energization_times(result.schedule, fork.islands, fork.precedence)
+        assert sched.harm(e, fork.islands.weights) == result.harm
 
 
 class TestConvertSingleToM:
     def test_fork(self, fork):
         result = algos.convert_single_to_m(fork, crews=2)
-        assert result.report.harm == 21
+        assert result.harm == 21
         # per-island conversion bound, island c: 4 <= (6 + 3) / 2
         assert result.energization["c"] == 4
         assert result.energization["c"] <= 0.5 * 6 + 0.5 * 3
@@ -54,17 +54,17 @@ class TestConvertSingleToM:
     def test_one_crew_matches_exact_sequencer(self, fork, two_island):
         for inst in (fork, two_island):
             result = algos.convert_single_to_m(inst, crews=1)
-            assert result.report.harm == result.single_crew.harm
+            assert result.harm == result.single_crew.harm
 
     def test_two_island(self, two_island):
         result = algos.convert_single_to_m(two_island, crews=2)
-        assert result.report.harm == 22
+        assert result.harm == 22
         assert result.energization["e2"] <= 0.5 * 3 + 0.5 * 2
 
     def test_within_island_orders(self, graham):
         default = algos.convert_single_to_m(graham, crews=3)
         assert default.schedule.priority[0] == "j0"  # longest first by id
-        assert default.report.harm == 21
+        assert default.harm == 21
         reversed_ = algos.convert_single_to_m(
             graham, crews=3, within_island_order="reversed"
         )
@@ -73,7 +73,7 @@ class TestConvertSingleToM:
             graham, crews=3, within_island_order="adversarial-longest-last"
         )
         assert adversarial.schedule.priority[-1] == "j0"
-        assert adversarial.report.harm == 35
+        assert adversarial.harm == 35
 
     def test_unknown_order_rejected(self, graham):
         with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ class TestConvertSingleToM:
 class TestSingleOptimal:
     def test_matches_sequencer(self, fork):
         result = algos.single_optimal(fork)
-        assert result.report.harm == 31
+        assert result.harm == 31
         assert result.crews == 1
 
 
@@ -110,11 +110,9 @@ def test_per_job_and_per_island_guarantees(inst, m):
 def test_conversion_island_bound(inst, m, order):
     result = algos.convert_single_to_m(inst, crews=m, within_island_order=order)
     repair = inst.repair_times()
-    single_plan = sched.list_schedule(list(result.single_crew.line_list), 1, repair)
-    single_e = sched.energization_times(single_plan, result.islands, result.precedence)
-    infinite_e, _ = sched.infinite_crew_energization(
-        result.islands, result.precedence, repair
-    )
+    single_plan = sched.list_schedule(list(result.single_crew.plan.priority), 1, repair)
+    single_e = sched.energization_times(single_plan, inst.islands, inst.precedence)
+    infinite_e, _ = sched.infinite_crew_energization(inst.islands, inst.precedence, repair)
     for iid, e in result.energization.items():
         assert e <= single_e[iid] / m + (m - 1) / m * infinite_e[iid] + 1e-9
 
@@ -123,8 +121,8 @@ def test_conversion_island_bound(inst, m, order):
 @settings(max_examples=30, deadline=None)
 def test_global_ratios_against_oracle(inst, m):
     best = oracle.brute_force_optimal(inst, m).harm
-    h1 = algos.lp_list_schedule(inst, crews=m).report.harm
-    h2 = algos.convert_single_to_m(inst, crews=m).report.harm
+    h1 = algos.lp_list_schedule(inst, crews=m).harm
+    h2 = algos.convert_single_to_m(inst, crews=m).harm
     assert h1 <= 2.0 * best + 1e-6
     assert h2 <= (2.0 - 1.0 / m) * best + 1e-6
 
@@ -138,8 +136,8 @@ def test_source_only_network_is_trivially_energized():
             "lines": [],
         }
     )
-    assert algos.lp_list_schedule(inst).report.harm == 0
-    assert algos.convert_single_to_m(inst).report.harm == 0
+    assert algos.lp_list_schedule(inst).harm == 0
+    assert algos.convert_single_to_m(inst).harm == 0
     assert oracle.brute_force_optimal(inst, 1).harm == 0
 
 
@@ -159,7 +157,7 @@ def test_all_lines_undamaged_means_zero_harm():
             ],
         }
     )
-    assert algos.lp_list_schedule(inst).report.harm == 0
-    assert algos.convert_single_to_m(inst).report.harm == 0
-    assert algos.single_optimal(inst).report.harm == 0
+    assert algos.lp_list_schedule(inst).harm == 0
+    assert algos.convert_single_to_m(inst).harm == 0
+    assert algos.single_optimal(inst).harm == 0
     assert oracle.brute_force_optimal(inst, 2).harm == 0

@@ -81,7 +81,7 @@ def fixture_outputs(name: str) -> dict:
     for m in CREWS:
         result = algos.lp_list_schedule(instance, crews=m)
         out[algos.LP_LIST][str(m)] = {
-            "harm": result.report.harm,
+            "harm": result.harm,
             "objective": result.lp.objective,
         }
     if name in DUMP_LP_NAMES:

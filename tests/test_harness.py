@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 
@@ -158,7 +159,8 @@ class TestBench:
         from gridrepair import model, seq_opt
         from gridrepair import schedule as sched
 
-        calls = {"partition": 0, "infinite": 0, "single": 0, "one_crew_plan": 0}
+        calls = {"partition": 0, "precedence": 0, "order": 0, "infinite": 0, "single": 0,
+                 "one_crew_plan": 0}
 
         def counting(key, fn, when=lambda *a: True):
             def wrapper(*args, **kwargs):
@@ -168,6 +170,12 @@ class TestBench:
 
         monkeypatch.setattr(model, "partition_islands",
                             counting("partition", model.partition_islands))
+        monkeypatch.setattr(model, "build_precedence_graph",
+                            counting("precedence", model.build_precedence_graph))
+        order = functools.cached_property(
+            counting("order", model.PrecedenceGraph.topological_order.func))
+        order.__set_name__(model.PrecedenceGraph, "topological_order")
+        monkeypatch.setattr(model.PrecedenceGraph, "topological_order", order)
         monkeypatch.setattr(sched, "infinite_crew_energization",
                             counting("infinite", sched.infinite_crew_energization))
         monkeypatch.setattr(seq_opt, "optimal_single_crew_harm",
@@ -177,7 +185,8 @@ class TestBench:
                                      lambda priority, m, times: m == 1))
         instance = generate_random(GenParams(seed=4, nodes=(7, 7)))
         harness.bench_instance("gen-4", instance, 2)
-        assert calls == {"partition": 1, "infinite": 1, "single": 1, "one_crew_plan": 1}
+        assert calls == {"partition": 1, "precedence": 1, "order": 1, "infinite": 1,
+                         "single": 1, "one_crew_plan": 1}
 
     def test_worker_pool_matches_serial(self):
         params = GenParams(seed=31, nodes=(2, 5), crews=(2,))

@@ -217,7 +217,7 @@ class TestLineWeights:
 class TestPartition:
     def test_two_island(self, two_island):
         islands = partition_islands(two_island)
-        by_id = islands.by_id()
+        by_id = islands.by_id
         assert set(by_id) == {"e1", "e2"}
         assert by_id["e1"].weight == 1 and by_id["e1"].processing == 2
         assert by_id["e2"].weight == 10 and by_id["e2"].processing == 1
@@ -267,12 +267,12 @@ class TestPrecedence:
         islands = partition_islands(graham)
         prec = build_precedence_graph(graham, islands)
         assert prec.edges() == []
-        assert prec.topological_order() == [islands.islands[0].id]
+        assert prec.topological_order == (islands.islands[0].id,)
 
     def test_depths(self, feeder123):
         islands = partition_islands(feeder123)
         prec = build_precedence_graph(feeder123, islands)
-        depth = prec.depth()
+        depth = prec.depth
         assert depth[prec.root] == 0
         assert max(depth.values()) == 3
 
@@ -284,7 +284,7 @@ def test_partition_invariants(inst):
     prec = build_precedence_graph(inst, islands)
     # islands partition the lines
     all_lines = [lid for isl in islands.islands for lid in isl.line_ids]
-    assert sorted(all_lines) == sorted(inst.line_ids())
+    assert sorted(all_lines) == sorted([ln.id for ln in inst.lines])
     # island weights add up to the non-root node weight
     weights = inst.node_weights()
     total = sum(w for nid, w in weights.items() if nid != inst.root)
@@ -294,8 +294,8 @@ def test_partition_invariants(inst):
     assert len(prec.edges()) == switches
     assert len(prec.parent) == len(islands.islands) - 1
     assert prec.root not in prec.parent
-    order = prec.topological_order()
-    assert sorted(order) == sorted(islands.ids())
+    order = prec.topological_order
+    assert sorted(order) == sorted(list(islands.by_id))
     seen = set()
     for iid in order:
         assert prec.parent.get(iid) is None or prec.parent[iid] in seen

@@ -27,7 +27,7 @@ def reference_brute_force(instance, m):
     if n > oracle.MAX_BRUTE_FORCE_LINES:
         raise oracle.TooLarge(n, oracle.MAX_BRUTE_FORCE_LINES)
 
-    weights = islands.weights()
+    weights = islands.weights
     if n == 0:
         energization = {iid: 0.0 for iid in weights}
         return oracle.OracleResult(
@@ -153,7 +153,7 @@ class TestBruteForce:
                     islands,
                     prec,
                 ),
-                islands.weights(),
+                islands.weights,
             )
             for perm in itertools.permutations(["a", "b", "c"])
         )
@@ -177,7 +177,7 @@ class TestBruteForce:
         prec = build_precedence_graph(fork, islands)
         plan = sched.list_schedule(list(result.priority_list), 2, fork.repair_times())
         e = sched.energization_times(plan, islands, prec)
-        assert sched.harm(e, islands.weights()) == result.harm
+        assert sched.harm(e, islands.weights) == result.harm
 
 
 class TestCheckBounds:
@@ -234,7 +234,7 @@ def test_vectorized_simulation_matches_scalar(inst, m):
     zero = sorted(lid for lid in repair if repair[lid] == 0)
     islands = partition_islands(inst)
     prec = build_precedence_graph(inst, islands)
-    weights = islands.weights()
+    weights = islands.weights
     best = None
     for perm in itertools.permutations(damaged):
         plan = sched.list_schedule(zero + list(perm), m, repair)

@@ -72,7 +72,7 @@ class TestHarm:
         prec = build_precedence_graph(two_island, islands)
         plan = list_schedule(["e1", "e2"], 1, two_island.repair_times())
         e = sched.energization_times(plan, islands, prec)
-        assert sched.harm(e, islands.weights()) == 32
+        assert sched.harm(e, islands.weights) == 32
 
     def test_all_weights_zero(self):
         assert sched.harm({"x": 5.0, "y": 9.0}, {"x": 0.0, "y": 0.0}) == 0
@@ -82,7 +82,7 @@ class TestHarm:
         prec = build_precedence_graph(fork, islands)
         plan = list_schedule(["a", "b", "c"], 2, fork.repair_times())
         e = sched.energization_times(plan, islands, prec)
-        assert sched.harm(e, islands.weights()) == 21
+        assert sched.harm(e, islands.weights) == 21
 
 
 class TestInfiniteCrew:
@@ -163,7 +163,7 @@ def test_energization_feasible_for_relaxation_rows(inst, m):
     plan = sched.list_schedule(sorted(repair), m, repair)
     e = sched.energization_times(plan, islands, prec)
     completions = plan.completions()
-    of_line = islands.island_of_line()
+    of_line = islands.island_of_line
     for lid in repair:
         assert completions[lid] >= repair[lid] - 1e-12
         assert e[of_line[lid]] >= completions[lid] - 1e-12
@@ -181,4 +181,4 @@ def test_enough_crews_reach_infinite_crew_harm(inst):
     plan = sched.list_schedule(sorted(repair), m, repair)
     e = sched.energization_times(plan, islands, prec)
     _, h_inf = sched.infinite_crew_energization(islands, prec, repair)
-    assert sched.harm(e, islands.weights()) == pytest.approx(h_inf)
+    assert sched.harm(e, islands.weights) == pytest.approx(h_inf)

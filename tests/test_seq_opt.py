@@ -30,7 +30,7 @@ def island_order_harm(order, islands, precedence):
     Islands run contiguously in the given order; energization is the max
     completion over each island's ancestor chain.
     """
-    by_id = islands.by_id()
+    by_id = islands.by_id
     clock = 0.0
     completion = {}
     for iid in order:
@@ -43,8 +43,13 @@ def island_order_harm(order, islands, precedence):
     return harm
 
 
+def id_order(islands):
+    """The arrangement of each island's lines in id order."""
+    return {isl.id: isl.line_ids for isl in islands.islands}
+
+
 def best_over_all_orders(islands, precedence):
-    ids = islands.ids()
+    ids = list(islands.by_id)
     return min(
         island_order_harm(order, islands, precedence)
         for order in itertools.permutations(ids)
@@ -88,7 +93,7 @@ class TestOptimalSequence:
 class TestExpandSequence:
     def test_singleton_islands(self, two_island):
         islands = partition_islands(two_island)
-        assert seq_opt.expand_sequence(["e1", "e2"], islands) == ["e1", "e2"]
+        assert seq_opt.expand_sequence(["e1", "e2"], id_order(islands)) == ["e1", "e2"]
 
     def test_block_is_id_sorted(self):
         inst = validate(
@@ -108,12 +113,17 @@ class TestExpandSequence:
                 ],
             }
         )
-        islands = partition_islands(inst)
-        assert seq_opt.expand_sequence(["x1"], islands) == ["x1", "x2", "x3"]
+        assert partition_islands(inst).islands[0].line_ids == ("x1", "x2", "x3")
+        plan = seq_opt.optimal_single_crew_harm(inst).plan
+        assert plan.priority == ("x1", "x2", "x3")
 
     def test_fork(self, fork):
         islands = partition_islands(fork)
-        assert seq_opt.expand_sequence(["a", "b", "c"], islands) == ["a", "b", "c"]
+        assert seq_opt.expand_sequence(["a", "b", "c"], id_order(islands)) == ["a", "b", "c"]
+
+    def test_arrangement_order_kept(self):
+        arrangement = {"a": ("a2", "a1"), "b": ("b1",)}
+        assert seq_opt.expand_sequence(["b", "a"], arrangement) == ["b1", "a2", "a1"]
 
 
 @given(instances(max_nodes=9))
@@ -135,12 +145,12 @@ def test_output_is_linear_extension_with_contiguous_blocks(inst):
     islands = partition_islands(inst)
     prec = build_precedence_graph(inst, islands)
     order = seq_opt.optimal_island_sequence(islands, prec)
-    assert sorted(order) == sorted(islands.ids())
+    assert sorted(order) == sorted(list(islands.by_id))
     pos = {iid: k for k, iid in enumerate(order)}
     for child, parent in prec.parent.items():
         assert pos[parent] < pos[child]
-    lines = seq_opt.expand_sequence(order, islands)
-    of_line = islands.island_of_line()
+    lines = seq_opt.expand_sequence(order, id_order(islands))
+    of_line = islands.island_of_line
     runs = [iid for iid, _ in itertools.groupby(lines, key=lambda lid: of_line[lid])]
     assert len(runs) == len(set(runs))
 
@@ -152,7 +162,7 @@ def test_within_island_permutation_is_cost_neutral(inst, seed):
     prec = build_precedence_graph(inst, islands)
     best = seq_opt.optimal_single_crew_harm(inst)
     rng = random.Random(seed)
-    by_id = islands.by_id()
+    by_id = islands.by_id
     shuffled = []
     for iid in best.island_order:
         block = list(by_id[iid].line_ids)
@@ -160,4 +170,4 @@ def test_within_island_permutation_is_cost_neutral(inst, seed):
         shuffled.extend(block)
     plan = sched.list_schedule(shuffled, 1, inst.repair_times())
     e = sched.energization_times(plan, islands, prec)
-    assert sched.harm(e, islands.weights()) == pytest.approx(best.harm)
+    assert sched.harm(e, islands.weights) == pytest.approx(best.harm)
