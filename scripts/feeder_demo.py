@@ -34,7 +34,6 @@ def main() -> None:
     single = algos.single_optimal(instance)
     alg1 = algos.lp_list_schedule(instance)
     alg2 = algos.convert_single_to_m(instance)
-    h_infinite = alg2.infinite_crew_harm
 
     print(f"\n  {'algorithm':28s} {'harm':>12s}")
     print(f"  {'-' * 28} {'-' * 12}")
@@ -42,7 +41,7 @@ def main() -> None:
     print(f"  {'relaxation lower bound':28s} {alg1.lp.objective:12.1f}")
     print(f"  {'midpoint list (2x)':28s} {alg1.harm:12.1f}")
     print(f"  {'conversion (2 - 1/m)':28s} {alg2.harm:12.1f}")
-    print(f"  {'unlimited crews floor':28s} {h_infinite:12.1f}")
+    print(f"  {'unlimited crews floor':28s} {alg2.infinite_crew_harm:12.1f}")
     print(
         f"\n  relaxation cuts: {len(alg1.lp.cuts)} "
         f"({alg1.lp.iterations} rounds)"

@@ -112,9 +112,10 @@ class Island:
     """A maximal switch-free group of lines, energized as a unit.
 
     `line_ids` and `node_ids` are in id order.  `weight` and `processing`
-    are the plain sums of the member line weights and repair times.  The island containing the source keeps the
-    root node in `node_ids` and may own no lines at all (every line out
-    of the source is a switch); it then gets the root node id as its id.
+    are the plain sums of the member line weights and repair times.  The
+    island containing the source keeps the root node in `node_ids` and may
+    own no lines at all (every line out of the source is a switch); it then
+    gets the root node id as its id.
     """
 
     id: str
@@ -126,7 +127,11 @@ class Island:
 
 @dataclass(frozen=True)
 class IslandSet:
-    """The islands in id order; each lookup table is built on first use and kept."""
+    """The islands in id order.
+
+    Each lookup table is built on first use and kept; every reader shares
+    the one dict, so none may change it.
+    """
 
     islands: tuple[Island, ...]
 

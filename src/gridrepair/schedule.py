@@ -123,4 +123,3 @@ def infinite_crew_energization(
     """
     energization = energize(_island_max(repair_times, islands), precedence)
     return energization, harm(energization, islands.weights)
-
