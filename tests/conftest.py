@@ -1,5 +1,7 @@
+import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,27 @@ from hypothesis import strategies as st
 
 from gridrepair.harness import GenParams, generate_random, load_instance
 from gridrepair.lp import load_rhs
+from gridrepair.model import (
+    AllWeightsZero,
+    CycleDetected,
+    Disconnected,
+    DuplicateId,
+    InvalidCrewCount,
+    Island,
+    IslandSet,
+    Line,
+    NegativeRepairTime,
+    NegativeWeight,
+    NetworkInstance,
+    Node,
+    NonFiniteValue,
+    PrecedenceGraph,
+    SchemaError,
+    UnknownEndpoint,
+    UnknownRoot,
+    ValidationError,
+    derive_line_weights,
+)
 from gridrepair.oracle import TooLarge
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -85,3 +108,215 @@ def exhaustive_separation(
     # recompute in exact scalar arithmetic for the reported value
     value = load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
     return SeparationResult(subset=subset, violation=value)
+
+
+# Reference implementations: the straightforward forms of `model.validate`,
+# `model.partition_islands` and `seq_opt.optimal_island_sequence` (per-field
+# helper calls, string-keyed union-find, a Fraction-only ratio key).  The
+# faster versions must agree with them on every instance and every error.
+
+
+def _ref_fields(entry, fields, owner):
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{owner} must be an object")
+    for key in entry:
+        if key not in fields:
+            raise SchemaError(f"{owner} has unknown field {key!r}")
+    for key in fields:
+        if key not in entry:
+            raise SchemaError(f"{owner} is missing field {key!r}")
+
+
+def _ref_number(value, name, owner):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{owner} has non-numeric {name} {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise NonFiniteValue(f"{owner} has non-finite {name} {number}")
+    return number
+
+
+def _ref_id(value, owner):
+    if not isinstance(value, str):
+        raise SchemaError(f"{owner} must be a string, got {value!r}")
+    return value
+
+
+def reference_validate(raw: dict) -> NetworkInstance:
+    """`model.validate` as a union-find cycle check followed by a traversal."""
+    _ref_fields(raw, ("root", "crews", "nodes", "lines"), "instance")
+    crews = raw["crews"]
+    if isinstance(crews, bool) or not isinstance(crews, int):
+        raise SchemaError(f"crews must be an integer, got {crews!r}")
+    if crews < 1:
+        raise InvalidCrewCount(f"crews must be >= 1, got {crews}")
+    for key in ("nodes", "lines"):
+        if not isinstance(raw[key], list):
+            raise SchemaError(f"{key} must be an array")
+
+    nodes, seen_nodes = [], set()
+    for k, entry in enumerate(raw["nodes"]):
+        _ref_fields(entry, ("id", "weight"), f"node entry {k}")
+        nid = _ref_id(entry["id"], f"node entry {k} id")
+        if nid in seen_nodes:
+            raise DuplicateId(f"duplicate node id {nid!r}")
+        seen_nodes.add(nid)
+        w = _ref_number(entry["weight"], "weight", f"node {nid!r}")
+        if w < 0:
+            raise NegativeWeight(f"node {nid!r} has negative weight {w}")
+        nodes.append(Node(nid, w))
+
+    root = _ref_id(raw["root"], "root")
+    if root not in seen_nodes:
+        raise UnknownRoot(f"root {root!r} is not a node")
+
+    raw_lines, seen_lines = [], set()
+    for k, entry in enumerate(raw["lines"]):
+        _ref_fields(entry, ("id", "from", "to", "repair_time", "switch"), f"line entry {k}")
+        lid = _ref_id(entry["id"], f"line entry {k} id")
+        if lid in seen_lines:
+            raise DuplicateId(f"duplicate line id {lid!r}")
+        seen_lines.add(lid)
+        u = _ref_id(entry["from"], f"line {lid!r} 'from'")
+        v = _ref_id(entry["to"], f"line {lid!r} 'to'")
+        for end in (u, v):
+            if end not in seen_nodes:
+                raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")
+        p = _ref_number(entry["repair_time"], "repair time", f"line {lid!r}")
+        if p < 0:
+            raise NegativeRepairTime(f"line {lid!r} has negative repair time {p}")
+        sw = entry["switch"]
+        if not isinstance(sw, bool):
+            raise SchemaError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
+        raw_lines.append((lid, u, v, p, sw))
+
+    comp = {nid: nid for nid in seen_nodes}
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    adjacency = {nid: [] for nid in seen_nodes}
+    for k, (lid, u, v, _, _) in enumerate(raw_lines):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
+        comp[ru] = rv
+        adjacency[u].append((v, k))
+        adjacency[v].append((u, k))
+
+    parent_of, visited, stack = {}, {root}, [root]
+    while stack:
+        cur = stack.pop()
+        for other, k in adjacency[cur]:
+            if other not in visited:
+                visited.add(other)
+                parent_of[other] = k
+                stack.append(other)
+    if len(visited) < len(seen_nodes):
+        missing = sorted(seen_nodes - visited)[0]
+        raise Disconnected(f"node {missing!r} is not connected to the root")
+    if len(raw_lines) != len(seen_nodes) - 1:
+        raise ValidationError(f"{len(raw_lines)} lines cannot span {len(seen_nodes)} nodes")
+    if all(n.weight == 0 for n in nodes):
+        raise AllWeightsZero("every node weight is zero")
+
+    lines = []
+    for node_id, k in parent_of.items():
+        lid, u, v, p, sw = raw_lines[k]
+        lines.append(Line(lid, v if u == node_id else u, node_id, p, sw))
+    return NetworkInstance(
+        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
+        lines=tuple(sorted(lines, key=lambda ln: ln.id)),
+        root=root,
+        crews=crews,
+    )
+
+
+def reference_partition(instance: NetworkInstance) -> IslandSet:
+    """`model.partition_islands` as a union-find over the non-switch lines."""
+    comp = {n.id: n.id for n in instance.nodes}
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    for ln in instance.lines:
+        if not ln.is_switch:
+            comp[find(ln.upstream)] = find(ln.downstream)
+    members, line_groups = {}, {}
+    for n in instance.nodes:
+        members.setdefault(find(n.id), []).append(n.id)
+        line_groups.setdefault(find(n.id), [])
+    for ln in instance.lines:
+        line_groups[find(ln.downstream)].append(ln.id)
+    line_weights = derive_line_weights(instance)
+    repair = instance.repair_times()
+    islands, taken = [], set()
+    for rep, node_ids in members.items():
+        line_ids = sorted(line_groups[rep])
+        if line_ids:
+            island_id = line_ids[0]
+        else:
+            island_id = instance.root
+            if island_id in {sorted(g)[0] for g in line_groups.values() if g}:
+                island_id = f"root({instance.root})"
+        if island_id in taken:
+            raise ValidationError(f"island id collision on {island_id!r}")
+        taken.add(island_id)
+        islands.append(Island(
+            id=island_id,
+            line_ids=tuple(line_ids),
+            node_ids=tuple(sorted(node_ids)),
+            weight=sum(line_weights[lid] for lid in line_ids),
+            processing=sum(repair[lid] for lid in line_ids),
+        ))
+    return IslandSet(islands=tuple(sorted(islands, key=lambda isl: isl.id)))
+
+
+def reference_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> list[str]:
+    """`seq_opt.optimal_island_sequence` with an exact Fraction ratio key."""
+
+    def key(weight, processing, head):
+        if processing == 0:
+            return (0, Fraction(0), head)
+        return (1, -weight / processing, head)
+
+    jobs = {isl.id: [[isl.id], Fraction(isl.processing), Fraction(isl.weight)]
+            for isl in islands.islands}
+    merged_into = {iid: iid for iid in jobs}
+
+    def find(x):
+        while merged_into[x] != x:
+            merged_into[x] = merged_into[merged_into[x]]
+            x = merged_into[x]
+        return x
+
+    version = dict.fromkeys(jobs, 0)
+    heap = [(key(w, p, iid), 0, iid) for iid, (_, p, w) in jobs.items() if iid != precedence.root]
+    heapq.heapify(heap)
+    remaining = len(jobs) - 1
+    while remaining:
+        _, ver, head = heapq.heappop(heap)
+        if find(head) != head or ver != version[head]:
+            continue
+        ids, p, w = jobs[head]
+        target = find(precedence.parent[ids[0]])
+        parent_job = jobs[target]
+        parent_job[0].extend(ids)
+        parent_job[1] += p
+        parent_job[2] += w
+        merged_into[head] = target
+        remaining -= 1
+        if target != precedence.root:
+            version[target] += 1
+            heapq.heappush(heap, (key(parent_job[2], parent_job[1], target),
+                                  version[target], target))
+    return list(jobs[precedence.root][0])

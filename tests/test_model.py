@@ -1,5 +1,8 @@
+import copy
 import json
+import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,9 @@ from gridrepair.model import (
     validate,
 )
 
-from conftest import instances
+from gridrepair.harness import GenParams, generate_random, instance_to_json
+
+from conftest import instances, reference_partition, reference_validate
 
 
 def two_island_raw():
@@ -311,3 +316,224 @@ def test_partition_invariant_under_shuffle(inst):
     raw["lines"] = list(reversed(raw["lines"]))
     raw["nodes"] = list(reversed(raw["nodes"]))
     assert partition_islands(validate(raw)) == partition_islands(inst)
+
+
+# Differential tests against the reference forms in conftest.py: the same
+# instance, or the same error class and message, on every input.
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _reference_raw():
+    return {
+        "root": "0",
+        "crews": 2,
+        "nodes": [
+            {"id": "0", "weight": 0},
+            {"id": "1", "weight": 1},
+            {"id": "2", "weight": 10},
+            {"id": "3", "weight": 4.5},
+        ],
+        "lines": [
+            {"id": "e1", "from": "0", "to": "1", "repair_time": 2, "switch": False},
+            {"id": "e2", "from": "1", "to": "2", "repair_time": 1, "switch": True},
+            {"id": "e3", "from": "3", "to": "1", "repair_time": 3.25, "switch": False},
+        ],
+    }
+
+
+def _set(path, value):
+    def mutate(raw):
+        *head, last = path
+        target = raw
+        for key in head:
+            target = target[key]
+        target[last] = value
+    return mutate
+
+
+def _delete(path):
+    def mutate(raw):
+        *head, last = path
+        target = raw
+        for key in head:
+            target = target[key]
+        del target[last]
+    return mutate
+
+
+def _add_line(lid, u, v, p=1, switch=False):
+    return lambda raw: raw["lines"].append(
+        {"id": lid, "from": u, "to": v, "repair_time": p, "switch": switch})
+
+
+def _add_node(nid, w=1):
+    return lambda raw: raw["nodes"].append({"id": nid, "weight": w})
+
+
+def _both(*mutations):
+    def mutate(raw):
+        for fn in mutations:
+            fn(raw)
+    return mutate
+
+
+MUTATIONS = {
+    "unchanged": lambda raw: None,
+    "instance not an object": lambda raw: [raw],
+    "instance empty": lambda raw: raw.clear(),
+    "instance missing crews": _delete(("crews",)),
+    "instance extra field": _set(("extra",), 1),
+    "node missing weight": _delete(("nodes", 1, "weight")),
+    "node extra field": _set(("nodes", 2, "name"), "x"),
+    "line missing switch": _delete(("lines", 1, "switch")),
+    "line extra field": _set(("lines", 0, "length"), 3),
+    "node entry a list": _set(("nodes", 1), ["1", 1]),
+    "line entry a string": _set(("lines", 2), "e3"),
+    "node entry a dict subclass": _set(("nodes", 1), _Dict(id="1", weight=1)),
+    "line entry a dict subclass": _set(
+        ("lines", 0), _Dict({"id": "e1", "from": "0", "to": "1", "repair_time": 2,
+                             "switch": False})),
+    "crews a bool": _set(("crews",), True),
+    "crews zero": _set(("crews",), 0),
+    "crews a string": _set(("crews",), "2"),
+    "nodes not an array": _set(("nodes",), {}),
+    "lines not an array": _set(("lines",), None),
+    "weight a bool": _set(("nodes", 1, "weight"), True),
+    "repair time a bool": _set(("lines", 0, "repair_time"), False),
+    "switch an int": _set(("lines", 1, "switch"), 1),
+    "weight a string": _set(("nodes", 2, "weight"), "10"),
+    "weight None": _set(("nodes", 2, "weight"), None),
+    "node id a str subclass": _set(("nodes", 3, "id"), _Str("3")),
+    "line id a str subclass": _set(("lines", 2, "id"), _Str("e3")),
+    "endpoint a str subclass": _set(("lines", 2, "to"), _Str("1")),
+    "root a str subclass": _set(("root",), _Str("0")),
+    "weight an int subclass": _set(("nodes", 2, "weight"), _Int(10)),
+    "repair time an int subclass": _set(("lines", 1, "repair_time"), _Int(7)),
+    "node id an int": _set(("nodes", 1, "id"), 1),
+    "line id None": _set(("lines", 1, "id"), None),
+    "line id a list": _set(("lines", 1, "id"), ["e2"]),
+    "endpoint an int": _set(("lines", 0, "from"), 0),
+    "root an int": _set(("root",), 0),
+    "weight NaN": _set(("nodes", 1, "weight"), math.nan),
+    "weight inf": _set(("nodes", 1, "weight"), math.inf),
+    "weight -inf": _set(("nodes", 1, "weight"), -math.inf),
+    "weight 10**400": _set(("nodes", 1, "weight"), 10**400),
+    "weight just above the largest float": _set(
+        ("nodes", 1, "weight"), int(sys.float_info.max) + 1),
+    "weight the largest float": _set(("nodes", 1, "weight"), sys.float_info.max),
+    "weight negative": _set(("nodes", 1, "weight"), -1),
+    "weight -0.0": _set(("nodes", 1, "weight"), -0.0),
+    "repair time NaN": _set(("lines", 2, "repair_time"), math.nan),
+    "repair time inf": _set(("lines", 2, "repair_time"), math.inf),
+    "repair time -inf": _set(("lines", 2, "repair_time"), -math.inf),
+    "repair time 10**400": _set(("lines", 2, "repair_time"), 10**400),
+    "repair time negative": _set(("lines", 2, "repair_time"), -2.5),
+    "repair time -0.0": _set(("lines", 2, "repair_time"), -0.0),
+    "repair time subnormal": _set(("lines", 2, "repair_time"), 5e-324),
+    "duplicate node id": _set(("nodes", 3, "id"), "1"),
+    "duplicate line id": _set(("lines", 2, "id"), "e1"),
+    "unknown root": _set(("root",), "9"),
+    "unknown from": _set(("lines", 1, "from"), "9"),
+    "unknown to": _set(("lines", 2, "to"), "9"),
+    "self-loop added": _add_line("e4", "2", "2"),
+    "self-loop in place of a line": _set(("lines", 2, "from"), "1"),
+    "cycle and a disconnected node": _both(_add_node("4"), _add_line("e4", "2", "0")),
+    "disconnected node before a cycle": _both(
+        _add_node("4"), _add_line("e0", "3", "0"), _add_line("e5", "2", "4")),
+    "too many lines": _add_line("e4", "0", "1", switch=True),
+    "too few lines": _delete(("lines", 2)),
+    "a node of its own": _add_node("4"),
+    "all weights zero": _both(_set(("nodes", 1, "weight"), 0), _set(("nodes", 2, "weight"), 0.0),
+                              _set(("nodes", 3, "weight"), -0.0)),
+    "only the root weighs": _both(_set(("nodes", 0, "weight"), 1), _set(("nodes", 1, "weight"), 0),
+                                  _set(("nodes", 2, "weight"), 0), _set(("nodes", 3, "weight"), 0)),
+    "lines reversed": lambda raw: raw["lines"].reverse(),
+    "endpoints swapped": _both(_set(("lines", 0, "from"), "1"), _set(("lines", 0, "to"), "0")),
+    "no lines, one node": _both(_set(("nodes",), [{"id": "0", "weight": 3}]),
+                                _set(("lines",), [])),
+    "no nodes": _both(_set(("nodes",), []), _set(("lines",), [])),
+}
+
+
+def _outcome(fn, arg):
+    """The value `fn(arg)` returns, or the class and message of what it raises."""
+    try:
+        value = fn(arg)
+    except (ValueError, TypeError) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("returned", value, repr(value))
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=list(MUTATIONS))
+def test_validate_matches_reference(mutation):
+    raw = _reference_raw()
+    raw = MUTATIONS[mutation](raw) or raw  # a mutation may return a replacement
+    expected = _outcome(reference_validate, copy.deepcopy(raw))
+    assert _outcome(validate, raw) == expected
+
+
+def _generated(nodes, switch_probability, seed):
+    return generate_random(GenParams(
+        seed=seed, nodes=(nodes, nodes), switch_probability=switch_probability,
+        weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
+
+
+REFERENCE_SIZES = (1, 2, 3, 8, 40, 300, 1200)
+SWITCH_PROBABILITIES = (0.0, 0.1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("switch_probability", SWITCH_PROBABILITIES)
+@pytest.mark.parametrize("nodes", REFERENCE_SIZES)
+def test_accepted_and_partitioned_as_reference(nodes, switch_probability):
+    for seed in (1, 2):
+        inst = _generated(nodes, switch_probability, seed)
+        raw = instance_to_json(inst)
+        raw["lines"].reverse()
+        for ln in raw["lines"][::3]:
+            ln["from"], ln["to"] = ln["to"], ln["from"]
+        expected = reference_validate(copy.deepcopy(raw))
+        got = validate(raw)
+        assert got == expected and repr(got) == repr(expected)
+        assert _outcome(partition_islands, got) == _outcome(reference_partition, expected)
+
+
+def _star(root, switches):
+    """A root with one line to each leaf; `switches` maps line id to its switch flag."""
+    leaves = [f"leaf{k}" for k in range(len(switches))]
+    return validate({
+        "root": root,
+        "crews": 2,
+        "nodes": [{"id": root, "weight": 0}] + [{"id": n, "weight": 2} for n in leaves],
+        "lines": [{"id": lid, "from": root, "to": leaf, "repair_time": 1, "switch": sw}
+                  for (lid, sw), leaf in zip(switches.items(), leaves)],
+    })
+
+
+PARTITION_CASES = {
+    "root out-lines all switches": _star("r", {"a": True, "b": True, "c": True}),
+    "root out-lines mixed": _star("r", {"a": True, "b": False, "c": True}),
+    "root(<id>) rename": _star("a", {"a": True, "b": True}),
+    "root id is a larger line id": _star("b", {"a": True, "b": True}),
+    "island id collision": _star("r", {"r": True, "root(r)": True}),
+    "fixture feeder123": "feeder123.json",
+    "fixture two_island": "two_island.json",
+}
+
+
+@pytest.mark.parametrize("case", PARTITION_CASES, ids=list(PARTITION_CASES))
+def test_partition_matches_reference(case, fixtures_dir):
+    inst = PARTITION_CASES[case]
+    if isinstance(inst, str):
+        inst = validate(json.loads((fixtures_dir / inst).read_text()))
+    assert _outcome(partition_islands, inst) == _outcome(reference_partition, inst)

@@ -31,6 +31,10 @@ class TestListSchedule:
             list_schedule(["a", "b"], 2, FORK_TIMES)
         with pytest.raises(ListNotPermutation):
             list_schedule(["a", "b", "b"], 2, FORK_TIMES)
+        with pytest.raises(ListNotPermutation):  # right length, an unknown id
+            list_schedule(["a", "b", "z"], 2, FORK_TIMES)
+        with pytest.raises(ListNotPermutation):  # right length, a duplicate
+            list_schedule(["a", "a", "b"], 2, FORK_TIMES)
 
     def test_first_jobs_fill_crews_in_order(self):
         plan = list_schedule(["b", "c", "a"], 3, FORK_TIMES)

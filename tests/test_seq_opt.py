@@ -12,9 +12,10 @@ from hypothesis import given, settings
 
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
+from gridrepair.harness import GenParams, generate_random, instance_to_json
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import instances
+from conftest import instances, reference_island_sequence
 
 
 def ancestors_and_self(precedence, island_id):
@@ -171,3 +172,62 @@ def test_within_island_permutation_is_cost_neutral(inst, seed):
     plan = sched.list_schedule(shuffled, 1, inst.repair_times())
     e = sched.energization_times(plan, islands, prec)
     assert sched.harm(e, islands.weights) == pytest.approx(best.harm)
+
+
+def _sequence_pair(inst):
+    """The island order of the sequencer and of its Fraction-only reference."""
+    islands, prec = partition_islands(inst), inst.precedence
+    return (seq_opt.optimal_island_sequence(islands, prec),
+            reference_island_sequence(islands, prec))
+
+
+@pytest.mark.parametrize("tenths", [False, True], ids=["integers", "tenths"])
+@pytest.mark.parametrize("switch_probability", [0.0, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("nodes", [1, 2, 3, 8, 40, 300, 1200])
+def test_island_sequence_matches_reference(nodes, switch_probability, tenths):
+    """Integer data ties many ratios exactly; data in tenths (0.1, 0.3, ...)
+    makes ratios that round to one float but differ exactly."""
+    for seed in (1, 2):
+        inst = generate_random(GenParams(
+            seed=seed, nodes=(nodes, nodes), switch_probability=switch_probability,
+            weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
+        if tenths:
+            raw = instance_to_json(inst)
+            for entry in raw["nodes"]:
+                entry["weight"] *= 0.1
+            for entry in raw["lines"]:
+                entry["repair_time"] *= 0.1
+            inst = validate(raw)
+        got, expected = _sequence_pair(inst)
+        assert got == expected
+
+
+def _siblings(children):
+    """A root with one switch line to each child; `children` maps line id to
+    (repair time, weight of the node it feeds)."""
+    return validate({
+        "root": "r",
+        "crews": 1,
+        "nodes": [{"id": "r", "weight": 0}]
+        + [{"id": f"n-{lid}", "weight": w} for lid, (_, w) in children.items()],
+        "lines": [{"id": lid, "from": "r", "to": f"n-{lid}", "repair_time": p, "switch": True}
+                  for lid, (p, _) in children.items()],
+    })
+
+
+class TestRatioEdgeCases:
+    def test_ratios_equal_as_floats_differ_exactly(self):
+        # 1/3 and 3333333333333333/10**16 round to the same float; 1/3 is
+        # larger, so "b" must come first although "a" has the smaller id
+        inst = _siblings({"a": (10**16, 3333333333333333), "b": (3, 1)})
+        assert 1 / 3 == 3333333333333333 / 10**16
+        got, expected = _sequence_pair(inst)
+        assert got == expected == ["r", "b", "a"]
+
+    def test_ratio_beyond_float_range(self):
+        # 10 / 5e-324 overflows a float division; it sorts after the
+        # zero-time island, and 10 / 5e-324 before 9 / 5e-324 before 1 / 1e-300
+        inst = _siblings({"a": (1e-300, 1), "b": (5e-324, 9), "c": (5e-324, 10),
+                          "d": (0, 1), "e": (2, 1)})
+        got, expected = _sequence_pair(inst)
+        assert got == expected == ["r", "d", "c", "b", "a", "e"]
