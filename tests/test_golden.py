@@ -13,14 +13,17 @@ Under `convert-orders` it holds the `schedule --alg convert` JSON with
 `--within-island-order reversed` and `adversarial-longest-last` at
 m = 1, 2, 3 on `feeder123.json` and the three generated feeders, and under
 `bench` the CSV of `bench --seed 1000 --count 40 --max-lines 8 --crews 2,3`
-without its timing columns, both byte for byte.  A refactor must reproduce
-them unchanged.  Regenerate only for a deliberate output change:
+without its timing columns, both byte for byte.  Under `convert-scale` it
+holds the sha256 of the `schedule --alg convert` JSON of generated 600-,
+900- and 1200-line feeders at m = 1, 2, 3 and every within-island order.
+A refactor must reproduce them unchanged.  Regenerate only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -51,6 +54,8 @@ CONVERT_ORDERS = "convert-orders"
 CONVERT_ORDER_SOURCES = ("feeder123.json", "generated-1", "generated-2", "generated-3")
 NON_DEFAULT_ORDERS = ("reversed", "adversarial-longest-last")
 BENCH = "bench"
+CONVERT_SCALE = "convert-scale"
+CONVERT_SCALE_LINES = (600, 900, 1200)
 
 
 def _stdout(argv: list[str]) -> str:
@@ -121,6 +126,26 @@ def convert_order_outputs(source: str) -> dict:
         }
 
 
+def convert_scale_digests(lines: int) -> dict:
+    """sha256 of the convert JSON of a generated feeder of `lines` lines (about
+    10 % switches, some undamaged lines), at every within-island order and
+    m = 1, 2, 3."""
+    params = GenParams(seed=lines, nodes=(lines + 1, lines + 1), switch_probability=0.1,
+                       repair_time=(0, 10), crews=(3,))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feeder.json"
+        save_instance(path, generate_random(params))
+        return {
+            order: {
+                str(m): hashlib.sha256(_stdout(
+                    ["schedule", str(path), "--alg", algos.CONVERT, "--crews", str(m),
+                     "--within-island-order", order]).encode()).hexdigest()
+                for m in CREWS
+            }
+            for order in algos.WITHIN_ISLAND_ORDERS
+        }
+
+
 def bench_without_timing() -> str:
     """The standard bench CSV on 40 instances, its timing columns dropped."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -166,6 +191,12 @@ def test_convert_orders_match_golden(source):
     assert convert_order_outputs(source) == json.loads(GOLDEN.read_text())[CONVERT_ORDERS][source]
 
 
+@pytest.mark.parametrize("lines", CONVERT_SCALE_LINES)
+def test_convert_at_scale_matches_golden(lines):
+    expected = json.loads(GOLDEN.read_text())[CONVERT_SCALE][str(lines)]
+    assert convert_scale_digests(lines) == expected
+
+
 def test_bench_csv_matches_golden():
     assert bench_without_timing() == json.loads(GOLDEN.read_text())[BENCH]
 
@@ -177,5 +208,6 @@ if __name__ == "__main__":
     golden[CONVERT_ORDERS] = {source: convert_order_outputs(source)
                               for source in CONVERT_ORDER_SOURCES}
     golden[BENCH] = bench_without_timing()
+    golden[CONVERT_SCALE] = {str(n): convert_scale_digests(n) for n in CONVERT_SCALE_LINES}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     sys.exit(0)
