@@ -9,8 +9,10 @@ energization.  Everything here is a pure function of the instance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 class ValidationError(ValueError):
@@ -136,10 +138,6 @@ class IslandSet:
     islands: tuple[Island, ...]
 
     @cached_property
-    def by_id(self) -> dict[str, Island]:
-        return {isl.id: isl for isl in self.islands}
-
-    @cached_property
     def island_of_line(self) -> dict[str, str]:
         return {lid: isl.id for isl in self.islands for lid in isl.line_ids}
 
@@ -225,6 +223,12 @@ def _id(value: object, owner: str, *args: object) -> str:
     return value
 
 
+_NODE_FIELDS, _LINE_FIELDS = ("id", "weight"), ("id", "from", "to", "repair_time", "switch")
+_NODE_KEYS, _LINE_KEYS = frozenset(_NODE_FIELDS), frozenset(_LINE_FIELDS)
+_LINE_ITEMS = itemgetter(*_LINE_FIELDS)
+_FLOAT_MAX = sys.float_info.max  # a plain int or float in [0, _FLOAT_MAX] is finite as a float
+
+
 def validate(raw: dict) -> NetworkInstance:
     """Check a parsed raw instance and normalize it.
 
@@ -234,6 +238,14 @@ def validate(raw: dict) -> NetworkInstance:
     the line set is a spanning tree, and at least one node weight is
     positive; orients every line away from the root.  Nothing is coerced: a failing check
     raises a ValidationError subclass naming the offending element.
+
+    An entry of the common shape (a plain dict with exactly its fields, str
+    ids, plain int or float values in range) passes inline checks; any other
+    entry takes the checks one by one, which accept a str or int subclass
+    or name the failure.  The tree check is the orienting traversal: lines
+    that connect all n nodes and number n - 1 form a tree, so they close no
+    cycle.  Only otherwise does a union-find look for the first line that
+    closes a cycle, which is reported before a disconnected node.
     """
     _fields(raw, ("root", "crews", "nodes", "lines"), "instance")
     crews = raw["crews"]
@@ -248,15 +260,19 @@ def validate(raw: dict) -> NetworkInstance:
     nodes: list[Node] = []
     seen_nodes: set[str] = set()
     for k, entry in enumerate(raw["nodes"]):
-        _fields(entry, ("id", "weight"), "node entry {}", k)
-        nid = _id(entry["id"], "node entry {} id", k)
-        if nid in seen_nodes:
-            raise DuplicateId(f"duplicate node id {nid!r}")
+        plain = type(entry) is dict and entry.keys() == _NODE_KEYS
+        nid, w = (entry["id"], entry["weight"]) if plain else (None, None)
+        if not (type(nid) is str and nid not in seen_nodes
+                and type(w) in (int, float) and 0 <= w <= _FLOAT_MAX):
+            _fields(entry, _NODE_FIELDS, "node entry {}", k)
+            nid = _id(entry["id"], "node entry {} id", k)
+            if nid in seen_nodes:
+                raise DuplicateId(f"duplicate node id {nid!r}")
+            w = _number(entry["weight"], "weight", "node {!r}", nid)
+            if w < 0:
+                raise NegativeWeight(f"node {nid!r} has negative weight {w}")
         seen_nodes.add(nid)
-        w = _number(entry["weight"], "weight", "node {!r}", nid)
-        if w < 0:
-            raise NegativeWeight(f"node {nid!r} has negative weight {w}")
-        nodes.append(Node(nid, w))
+        nodes.append(Node(nid, float(w)))
 
     root = _id(raw["root"], "root")
     if root not in seen_nodes:
@@ -264,46 +280,36 @@ def validate(raw: dict) -> NetworkInstance:
 
     raw_lines: list[tuple[str, str, str, float, bool]] = []
     seen_lines: set[str] = set()
-    for k, entry in enumerate(raw["lines"]):
-        _fields(entry, ("id", "from", "to", "repair_time", "switch"), "line entry {}", k)
-        lid = _id(entry["id"], "line entry {} id", k)
-        if lid in seen_lines:
-            raise DuplicateId(f"duplicate line id {lid!r}")
-        seen_lines.add(lid)
-        u, v = _id(entry["from"], "line {!r} 'from'", lid), _id(entry["to"], "line {!r} 'to'", lid)
-        for end in (u, v):
-            if end not in seen_nodes:
-                raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")
-        p = _number(entry["repair_time"], "repair time", "line {!r}", lid)
-        if p < 0:
-            raise NegativeRepairTime(f"line {lid!r} has negative repair time {p}")
-        sw = entry["switch"]
-        if not isinstance(sw, bool):
-            raise SchemaError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
-        raw_lines.append((lid, u, v, p, sw))
-
-    # union-find over endpoints: a line joining an already-connected pair closes a cycle
-    comp = {nid: nid for nid in seen_nodes}
-
-    def find(x: str) -> str:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     adjacency: dict[str, list[tuple[str, int]]] = {nid: [] for nid in seen_nodes}
-    for k, (lid, u, v, _, _) in enumerate(raw_lines):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
-        comp[ru] = rv
+    for k, entry in enumerate(raw["lines"]):
+        plain = type(entry) is dict and entry.keys() == _LINE_KEYS
+        lid, u, v, p, sw = _LINE_ITEMS(entry) if plain else (None,) * 5
+        if not (type(lid) is str and type(u) is str and type(v) is str
+                and lid not in seen_lines and u in seen_nodes and v in seen_nodes
+                and type(p) in (int, float) and 0 <= p <= _FLOAT_MAX and type(sw) is bool):
+            _fields(entry, _LINE_FIELDS, "line entry {}", k)
+            lid = _id(entry["id"], "line entry {} id", k)
+            if lid in seen_lines:
+                raise DuplicateId(f"duplicate line id {lid!r}")
+            u = _id(entry["from"], "line {!r} 'from'", lid)
+            v = _id(entry["to"], "line {!r} 'to'", lid)
+            for end in (u, v):
+                if end not in seen_nodes:
+                    raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")
+            p = _number(entry["repair_time"], "repair time", "line {!r}", lid)
+            if p < 0:
+                raise NegativeRepairTime(f"line {lid!r} has negative repair time {p}")
+            sw = entry["switch"]
+            if not isinstance(sw, bool):
+                raise SchemaError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
+        seen_lines.add(lid)
+        raw_lines.append((lid, u, v, float(p), sw))
         adjacency[u].append((v, k))
         adjacency[v].append((u, k))
 
     # orient away from the root by traversal
     parent_of: dict[str, int] = {}
-    visited = {root}
-    stack = [root]
+    visited, stack = {root}, [root]
     while stack:
         cur = stack.pop()
         for other, k in adjacency[cur]:
@@ -311,31 +317,33 @@ def validate(raw: dict) -> NetworkInstance:
                 visited.add(other)
                 parent_of[other] = k
                 stack.append(other)
-    if len(visited) < len(seen_nodes):
-        missing = sorted(seen_nodes - visited)[0]
-        raise Disconnected(f"node {missing!r} is not connected to the root")
-    if len(raw_lines) != len(seen_nodes) - 1:
-        raise ValidationError(
-            f"{len(raw_lines)} lines cannot span {len(seen_nodes)} nodes"
-        )
+    if len(visited) < len(seen_nodes) or len(raw_lines) != len(seen_nodes) - 1:
+        # union-find over endpoints: a line joining a connected pair closes a cycle
+        comp = {nid: nid for nid in seen_nodes}
+        for lid, u, v, _, _ in raw_lines:
+            ru, rv = u, v
+            while comp[ru] != ru:
+                comp[ru] = ru = comp[comp[ru]]  # path halving
+            while comp[rv] != rv:
+                comp[rv] = rv = comp[comp[rv]]
+            if ru == rv:
+                raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
+            comp[ru] = rv
+        if len(visited) < len(seen_nodes):
+            missing = sorted(seen_nodes - visited)[0]
+            raise Disconnected(f"node {missing!r} is not connected to the root")
+        raise ValidationError(f"{len(raw_lines)} lines cannot span {len(seen_nodes)} nodes")
 
-    weights = {n.id: n.weight for n in nodes}
-    if all(weights[nid] == 0 for nid in seen_nodes):
+    if all(node.weight == 0 for node in nodes):
         raise AllWeightsZero("every node weight is zero")
 
     lines = []
     for node_id, k in parent_of.items():
         lid, u, v, p, sw = raw_lines[k]
-        up = v if u == node_id else u
-        lines.append(Line(lid, up, node_id, p, sw))
+        lines.append(Line(lid, v if u == node_id else u, node_id, p, sw))
     lines.sort(key=lambda ln: ln.id)
-
-    return NetworkInstance(
-        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
-        lines=tuple(lines),
-        root=root,
-        crews=crews,
-    )
+    nodes.sort(key=lambda n: n.id)
+    return NetworkInstance(nodes=tuple(nodes), lines=tuple(lines), root=root, crews=crews)
 
 
 def derive_line_weights(instance: NetworkInstance) -> dict[str, float]:
@@ -355,26 +363,29 @@ def partition_islands(instance: NetworkInstance) -> IslandSet:
     smallest member line id (the root island falls back to the root node
     id when it owns no lines), so the partition is independent of input
     line order.
+
+    Each node's island is found in one memoized walk up its feeding lines:
+    the root and every node fed by a switch line head their own island, and
+    any other node is in its upstream node's island.
     """
-    comp = {n.id: n.id for n in instance.nodes}
-
-    def find(x: str) -> str:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for ln in instance.lines:
-        if not ln.is_switch:
-            comp[find(ln.upstream)] = find(ln.downstream)
+    feeding = {ln.downstream: ln for ln in instance.lines}
+    head = {instance.root: instance.root}
+    for node in feeding:
+        path = []
+        while node not in head:
+            if feeding[node].is_switch:
+                head[node] = node
+                break
+            path.append(node)
+            node = feeding[node].upstream
+        head.update(dict.fromkeys(path, head[node]))
 
     members: dict[str, list[str]] = {}
     for n in instance.nodes:
-        members.setdefault(find(n.id), []).append(n.id)
-
+        members.setdefault(head[n.id], []).append(n.id)
     line_groups: dict[str, list[str]] = {rep: [] for rep in members}
     for ln in instance.lines:
-        line_groups[find(ln.downstream)].append(ln.id)
+        line_groups[head[ln.downstream]].append(ln.id)
 
     line_weights = derive_line_weights(instance)
     repair = instance.repair_times()
@@ -392,15 +403,9 @@ def partition_islands(instance: NetworkInstance) -> IslandSet:
         if island_id in taken:
             raise ValidationError(f"island id collision on {island_id!r}")
         taken.add(island_id)
-        islands.append(
-            Island(
-                id=island_id,
-                line_ids=tuple(line_ids),
-                node_ids=tuple(sorted(node_ids)),
-                weight=sum(line_weights[lid] for lid in line_ids),
-                processing=sum(repair[lid] for lid in line_ids),
-            )
-        )
+        islands.append(Island(island_id, tuple(line_ids), tuple(sorted(node_ids)),
+                              weight=sum(line_weights[lid] for lid in line_ids),
+                              processing=sum(repair[lid] for lid in line_ids)))
     islands.sort(key=lambda isl: isl.id)
     return IslandSet(islands=tuple(islands))
 

@@ -58,7 +58,7 @@ def list_schedule(
     """
     if m < 1:
         raise ValueError(f"crew count must be >= 1, got {m}")
-    if sorted(priority) != sorted(repair_times) or len(priority) != len(repair_times):
+    if len(priority) != len(repair_times) or set(priority) != repair_times.keys():
         raise ListNotPermutation(
             "priority list is not a permutation of the damaged lines"
         )

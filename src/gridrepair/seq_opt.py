@@ -11,6 +11,7 @@ onto the end of its parent.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -39,12 +40,19 @@ class SingleCrewOptimum:
 
 
 def _ratio_key(job: CompositeJob, head: str) -> tuple:
-    # max ratio pops first from the min-heap; zero-processing composites
-    # count as infinite ratio; ties fall to the smaller head-island id.
-    # Fractions keep the weight/processing comparison exact (no float division).
+    # Max ratio pops first from the min-heap; zero-processing composites
+    # count as infinite ratio; ties fall to the smaller head-island id.  The
+    # correctly rounded float of the ratio orders first and the exact Fraction
+    # only breaks float ties: rounding is monotone (a < b gives float(a) <=
+    # float(b)), so this is the exact order.  Beyond float range it is inf.
     if job.processing == 0:
-        return (0, Fraction(0), head)
-    return (1, -job.weight / job.processing, head)
+        return (0, 0.0, 0, head)
+    ratio = job.weight / job.processing
+    try:
+        rounded = float(ratio)
+    except OverflowError:
+        rounded = math.inf
+    return (1, -rounded, -ratio, head)
 
 
 def optimal_island_sequence(

@@ -234,7 +234,7 @@ def test_criterion_9_feeder_partition(feeder123):
         failures.append(f"{len(islands.islands)} islands, expected 7")
     if len(precedence.edges()) != 6:
         failures.append(f"{len(precedence.edges())} precedence edges, expected 6")
-    if sorted(precedence.topological_order) != sorted(list(islands.by_id)):
+    if sorted(precedence.topological_order) != sorted(isl.id for isl in islands.islands):
         failures.append("precedence tree does not span the islands")
     if precedence.root not in islands.island_of_node.values():
         failures.append("precedence root is not an island")

@@ -222,7 +222,7 @@ class TestLineWeights:
 class TestPartition:
     def test_two_island(self, two_island):
         islands = partition_islands(two_island)
-        by_id = islands.by_id
+        by_id = {isl.id: isl for isl in islands.islands}
         assert set(by_id) == {"e1", "e2"}
         assert by_id["e1"].weight == 1 and by_id["e1"].processing == 2
         assert by_id["e2"].weight == 10 and by_id["e2"].processing == 1
@@ -300,7 +300,7 @@ def test_partition_invariants(inst):
     assert len(prec.parent) == len(islands.islands) - 1
     assert prec.root not in prec.parent
     order = prec.topological_order
-    assert sorted(order) == sorted(list(islands.by_id))
+    assert sorted(order) == sorted(isl.id for isl in islands.islands)
     seen = set()
     for iid in order:
         assert prec.parent.get(iid) is None or prec.parent[iid] in seen

@@ -31,7 +31,7 @@ def island_order_harm(order, islands, precedence):
     Islands run contiguously in the given order; energization is the max
     completion over each island's ancestor chain.
     """
-    by_id = islands.by_id
+    by_id = {isl.id: isl for isl in islands.islands}
     clock = 0.0
     completion = {}
     for iid in order:
@@ -50,7 +50,7 @@ def id_order(islands):
 
 
 def best_over_all_orders(islands, precedence):
-    ids = list(islands.by_id)
+    ids = [isl.id for isl in islands.islands]
     return min(
         island_order_harm(order, islands, precedence)
         for order in itertools.permutations(ids)
@@ -146,7 +146,7 @@ def test_output_is_linear_extension_with_contiguous_blocks(inst):
     islands = partition_islands(inst)
     prec = build_precedence_graph(inst, islands)
     order = seq_opt.optimal_island_sequence(islands, prec)
-    assert sorted(order) == sorted(list(islands.by_id))
+    assert sorted(order) == sorted(isl.id for isl in islands.islands)
     pos = {iid: k for k, iid in enumerate(order)}
     for child, parent in prec.parent.items():
         assert pos[parent] < pos[child]
@@ -163,7 +163,7 @@ def test_within_island_permutation_is_cost_neutral(inst, seed):
     prec = build_precedence_graph(inst, islands)
     best = seq_opt.optimal_single_crew_harm(inst)
     rng = random.Random(seed)
-    by_id = islands.by_id
+    by_id = {isl.id: isl for isl in islands.islands}
     shuffled = []
     for iid in best.island_order:
         block = list(by_id[iid].line_ids)
