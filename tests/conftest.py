@@ -77,6 +77,18 @@ def instances(draw, min_nodes=2, max_nodes=9, zero_times=True):
     return generate_random(params)
 
 
+# sizes and switch probabilities of the generated feeders the reference tests cover
+REFERENCE_SIZES = (1, 2, 3, 8, 40, 300, 1200)
+SWITCH_PROBABILITIES = (0.0, 0.1, 0.5, 1.0)
+
+
+def feeder(nodes, switch_probability, seed):
+    """A generated feeder of exactly `nodes` nodes, some lines undamaged."""
+    return generate_random(GenParams(
+        seed=seed, nodes=(nodes, nodes), switch_probability=switch_probability,
+        weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
+
+
 @dataclass(frozen=True)
 class SeparationResult:
     subset: frozenset[str]

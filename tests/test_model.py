@@ -24,9 +24,16 @@ from gridrepair.model import (
     validate,
 )
 
-from gridrepair.harness import GenParams, generate_random, instance_to_json
+from gridrepair.harness import instance_to_json
 
-from conftest import instances, reference_partition, reference_validate
+from conftest import (
+    REFERENCE_SIZES,
+    SWITCH_PROBABILITIES,
+    feeder,
+    instances,
+    reference_partition,
+    reference_validate,
+)
 
 
 def two_island_raw():
@@ -352,24 +359,18 @@ def _reference_raw():
     }
 
 
+def _parent(raw, path):
+    for key in path[:-1]:
+        raw = raw[key]
+    return raw
+
+
 def _set(path, value):
-    def mutate(raw):
-        *head, last = path
-        target = raw
-        for key in head:
-            target = target[key]
-        target[last] = value
-    return mutate
+    return lambda raw: _parent(raw, path).__setitem__(path[-1], value)
 
 
 def _delete(path):
-    def mutate(raw):
-        *head, last = path
-        target = raw
-        for key in head:
-            target = target[key]
-        del target[last]
-    return mutate
+    return lambda raw: _parent(raw, path).__delitem__(path[-1])
 
 
 def _add_line(lid, u, v, p=1, switch=False):
@@ -483,21 +484,11 @@ def test_validate_matches_reference(mutation):
     assert _outcome(validate, raw) == expected
 
 
-def _generated(nodes, switch_probability, seed):
-    return generate_random(GenParams(
-        seed=seed, nodes=(nodes, nodes), switch_probability=switch_probability,
-        weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
-
-
-REFERENCE_SIZES = (1, 2, 3, 8, 40, 300, 1200)
-SWITCH_PROBABILITIES = (0.0, 0.1, 0.5, 1.0)
-
-
 @pytest.mark.parametrize("switch_probability", SWITCH_PROBABILITIES)
 @pytest.mark.parametrize("nodes", REFERENCE_SIZES)
 def test_accepted_and_partitioned_as_reference(nodes, switch_probability):
     for seed in (1, 2):
-        inst = _generated(nodes, switch_probability, seed)
+        inst = feeder(nodes, switch_probability, seed)
         raw = instance_to_json(inst)
         raw["lines"].reverse()
         for ln in raw["lines"][::3]:

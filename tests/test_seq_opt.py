@@ -12,10 +12,16 @@ from hypothesis import given, settings
 
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
-from gridrepair.harness import GenParams, generate_random, instance_to_json
+from gridrepair.harness import instance_to_json
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import instances, reference_island_sequence
+from conftest import (
+    REFERENCE_SIZES,
+    SWITCH_PROBABILITIES,
+    feeder,
+    instances,
+    reference_island_sequence,
+)
 
 
 def ancestors_and_self(precedence, island_id):
@@ -182,15 +188,13 @@ def _sequence_pair(inst):
 
 
 @pytest.mark.parametrize("tenths", [False, True], ids=["integers", "tenths"])
-@pytest.mark.parametrize("switch_probability", [0.0, 0.1, 0.5, 1.0])
-@pytest.mark.parametrize("nodes", [1, 2, 3, 8, 40, 300, 1200])
+@pytest.mark.parametrize("switch_probability", SWITCH_PROBABILITIES)
+@pytest.mark.parametrize("nodes", REFERENCE_SIZES)
 def test_island_sequence_matches_reference(nodes, switch_probability, tenths):
     """Integer data ties many ratios exactly; data in tenths (0.1, 0.3, ...)
     makes ratios that round to one float but differ exactly."""
     for seed in (1, 2):
-        inst = generate_random(GenParams(
-            seed=seed, nodes=(nodes, nodes), switch_probability=switch_probability,
-            weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
+        inst = feeder(nodes, switch_probability, seed)
         if tenths:
             raw = instance_to_json(inst)
             for entry in raw["nodes"]:
