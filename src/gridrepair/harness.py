@@ -38,16 +38,9 @@ def instance_to_json(instance: NetworkInstance) -> dict:
         "root": instance.root,
         "crews": instance.crews,
         "nodes": [{"id": n.id, "weight": n.weight} for n in instance.nodes],
-        "lines": [
-            {
-                "id": ln.id,
-                "from": ln.upstream,
-                "to": ln.downstream,
-                "repair_time": ln.repair_time,
-                "switch": ln.is_switch,
-            }
-            for ln in instance.lines
-        ],
+        "lines": [{"id": ln.id, "from": ln.upstream, "to": ln.downstream,
+                   "repair_time": ln.repair_time, "switch": ln.is_switch}
+                  for ln in instance.lines],
     }
 
 
@@ -68,13 +61,8 @@ def result_to_json(result: algos.AlgoResult) -> dict:
     return {
         "algorithm": result.algorithm,
         "crews": result.crews,
-        "assignments": [
-            [
-                {"line": a.line, "start": a.start, "completion": a.completion}
-                for a in crew
-            ]
-            for crew in result.schedule.crews
-        ],
+        "assignments": [[{"line": a.line, "start": a.start, "completion": a.completion}
+                         for a in crew] for crew in result.schedule.crews],
         "energization": {iid: result.energization[iid] for iid in sorted(result.energization)},
         "harm": result.harm,
     }
@@ -85,7 +73,7 @@ def result_to_text(result: algos.AlgoResult) -> str:
     pure-Python encoder: one C-encoded `json.dumps` of a flat list formats every
     number, in text order."""
     quote, iids = json.encoder.encode_basestring_ascii, sorted(result.energization)
-    times = [t for crew in result.schedule.crews for a in crew for t in (a.start, a.completion)]
+    times = [t for crew in result.schedule.crews for a in crew for t in a[1:]]  # start, completion
     flat = [result.crews, *times, *map(result.energization.get, iids), result.harm]
     number = iter(json.dumps(flat)[1:-1].split(", ")).__next__
 
@@ -142,21 +130,13 @@ def generate_random(params: GenParams) -> NetworkInstance:
     lines = []
     for k in range(1, count):
         parent = rng.randrange(k)
-        lines.append(
-            {
-                "id": f"l{k:0{width}d}",
-                "from": node_ids[parent],
-                "to": node_ids[k],
-                "repair_time": rng.randint(*params.repair_time),
-                "switch": rng.random() < params.switch_probability,
-            }
-        )
+        lines.append({"id": f"l{k:0{width}d}", "from": node_ids[parent], "to": node_ids[k],
+                      "repair_time": rng.randint(*params.repair_time),
+                      "switch": rng.random() < params.switch_probability})
     raw = {
         "root": node_ids[0],
         "crews": params.crews[0] if params.crews else 1,
-        "nodes": [
-            {"id": nid, "weight": w} for nid, w in zip(node_ids, weights)
-        ],
+        "nodes": [{"id": nid, "weight": w} for nid, w in zip(node_ids, weights)],
         "lines": lines,
     }
     return validate(raw)

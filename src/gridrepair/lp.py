@@ -27,7 +27,8 @@ basis.  It goes straight to HiGHS through SciPy's private binding
 (`scipy.optimize._highspy._core`, tested with SciPy 1.17) with the matrix,
 bounds and options that `linprog(method="highs-ds")` would pass, and falls
 back to `linprog` where that binding cannot be imported; both give the
-same vertex bit for bit.
+same vertex bit for bit.  NumPy and SciPy are imported by the functions
+that use them, so commands that solve no LP load neither.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
 
@@ -126,8 +125,7 @@ def simplex_solve(model: LpModel, highs=None) -> LpVertex:
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
     anti-cycling safeguards) at 1e-9 feasibility tolerances.  HiGHS gets
     the model directly where SciPy's binding allows it, on `highs` if given,
-    else through `linprog`; both give the same vertex bit for bit.  SciPy is
-    imported here, so commands that solve no LP never load it.
+    else through `linprog`; both give the same vertex bit for bit.
     """
     vertex = _solve_highs(model, highs)
     return _solve_linprog(model) if vertex is None else vertex
@@ -165,6 +163,7 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in
     each column, which is the CSC matrix linprog passes.
     """
+    import numpy as np
     highs = _new_highs() if highs is None else highs
     if highs is None:
         return None
@@ -206,6 +205,7 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
 
 def _solve_linprog(model: LpModel) -> LpVertex:
     """The same solve through public `linprog`: the fallback, and the tests' reference."""
+    import numpy as np
     from scipy.optimize import linprog
 
     dense = np.zeros((len(model.rhs), len(model.variables)))  # the `<=` rows
@@ -238,6 +238,7 @@ def separate(c: Mapping[str, float], p: Mapping[str, float], m: int,
     `pooled` are skipped: a pooled cut's residual violation is solver
     noise.  Ties in violation go to the smaller sorted id list.
     """
+    import numpy as np
     lines = [j for j in sorted(p) if p[j] > 0]
     index = {j: k for k, j in enumerate(lines)}
     completions, times = (np.array([x[j] for j in lines], dtype=float) for x in (c, p))
@@ -260,6 +261,7 @@ def _most_violated(completions: np.ndarray, times: np.ndarray, m: int,
     until a bound falls below the best exact violation found, and the rule
     of `separate` is applied to the exact values.
     """
+    import numpy as np
     # one row per order; stable sorts break ties by position, that is by id
     keys = (completions - times / 2.0, completions)
     orders = np.array([np.argsort(key, kind="stable") for key in keys])
@@ -305,6 +307,7 @@ def _base_model(
     instance: NetworkInstance, islands: IslandSet, precedence: PrecedenceGraph
 ) -> LpModel:
     """Columns C by line id then E by island id; island-cover and precedence rows."""
+    import numpy as np
     p, weights = instance.repair_times(), islands.weights
     lids, iids = sorted(p), list(weights)  # islands are in id order
     line_col = {lid: k for k, lid in enumerate(lids)}
@@ -343,6 +346,7 @@ def solve_relaxation(
     which optimal face the simplex lands on; separation is re-checked on
     that point too.
     """
+    import numpy as np
     islands = instance.islands if islands is None else islands
     precedence = instance.precedence if precedence is None else precedence
     m = instance.crews if crews is None else crews
@@ -408,6 +412,7 @@ def solve_relaxation(
 
 def _canonical_pass(model: LpModel, optimum: float, highs) -> LpVertex:
     """Re-minimize sum of all variables with the objective capped at its optimum."""
+    import numpy as np
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
     weighted = np.flatnonzero(model.objective)
     # the cap row -objective >= -cap goes on copies: the loop's model must not get it
@@ -443,7 +448,7 @@ def format_model(model: LpModel) -> str:
         named = sorted(zip((model.variables[k] for k in columns), values))
         return " + ".join(f"{coef:g}*{v}" for v, coef in named)
 
-    weighted = np.flatnonzero(model.objective).tolist()
+    weighted = model.objective.nonzero()[0].tolist()
     out = ["minimize", "  " + (terms(weighted, model.objective[weighted]) or "0"), "subject to"]
     for v, lo in zip(model.variables, model.lower.tolist()):
         out.append(f"  {v} >= {lo:g}")

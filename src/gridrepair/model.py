@@ -12,7 +12,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -63,14 +64,14 @@ class NonFiniteValue(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class Node:
+# Named tuples, not dataclasses: a feeder builds thousands of them.  Read their
+# fields by name: unpacking a tuple subclass takes CPython's slow path.
+class Node(NamedTuple):
     id: str
     weight: float
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """A feeder line, oriented so `upstream` is the endpoint nearer the source."""
 
     id: str
@@ -84,9 +85,11 @@ class Line:
 class NetworkInstance:
     """A validated damaged feeder: a spanning tree of lines over the nodes.
 
-    Lines are stored oriented away from the root.  Undamaged lines are
-    admitted with repair_time 0.  The island partition and its precedence
-    tree are derived on first use and kept with the instance.
+    Nodes and lines are in id order, lines oriented away from the root.
+    Undamaged lines are admitted with repair_time 0.  The repair-time table,
+    the island partition and its precedence tree are derived on first use
+    and kept with the instance; every reader shares them, so none may change
+    them.
     """
 
     nodes: tuple[Node, ...]
@@ -98,6 +101,10 @@ class NetworkInstance:
         return {n.id: n.weight for n in self.nodes}
 
     def repair_times(self) -> dict[str, float]:
+        return self._repair_times  # one dict per instance, shared by every caller
+
+    @cached_property
+    def _repair_times(self) -> dict[str, float]:
         return {ln.id: ln.repair_time for ln in self.lines}
 
     @cached_property
@@ -329,10 +336,9 @@ def validate(raw: dict) -> NetworkInstance:
             if ru == rv:
                 raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
             comp[ru] = rv
-        if len(visited) < len(seen_nodes):
-            missing = sorted(seen_nodes - visited)[0]
-            raise Disconnected(f"node {missing!r} is not connected to the root")
-        raise ValidationError(f"{len(raw_lines)} lines cannot span {len(seen_nodes)} nodes")
+        # acyclic lines that reach every node number n - 1, so some node is unreached
+        missing = sorted(seen_nodes - visited)[0]
+        raise Disconnected(f"node {missing!r} is not connected to the root")
 
     if all(node.weight == 0 for node in nodes):
         raise AllWeightsZero("every node weight is zero")
@@ -341,8 +347,8 @@ def validate(raw: dict) -> NetworkInstance:
     for node_id, k in parent_of.items():
         lid, u, v, p, sw = raw_lines[k]
         lines.append(Line(lid, v if u == node_id else u, node_id, p, sw))
-    lines.sort(key=lambda ln: ln.id)
-    nodes.sort(key=lambda n: n.id)
+    lines.sort()  # by id: ids are unique, so no later field is compared
+    nodes.sort()
     return NetworkInstance(nodes=tuple(nodes), lines=tuple(lines), root=root, crews=crews)
 
 
@@ -366,46 +372,49 @@ def partition_islands(instance: NetworkInstance) -> IslandSet:
 
     Each node's island is found in one memoized walk up its feeding lines:
     the root and every node fed by a switch line head their own island, and
-    any other node is in its upstream node's island.
+    any other node is in its upstream node's island.  One pass over the
+    id-ordered nodes and one over the id-ordered lines then group them by
+    island, already in id order.
     """
     feeding = {ln.downstream: ln for ln in instance.lines}
     head = {instance.root: instance.root}
+    groups = {instance.root: ([], [])}  # per head: its node ids and its lines, in id order
     for node in feeding:
-        path = []
-        while node not in head:
-            if feeding[node].is_switch:
-                head[node] = node
+        top = node  # up to the first node with a head, or one fed by a switch line
+        while top not in head:
+            line = feeding[top]
+            if line.is_switch:
+                head[top], groups[top] = top, ([], [])
                 break
-            path.append(node)
+            top = line.upstream
+        rep = head[top]
+        while node not in head:
+            head[node] = rep
             node = feeding[node].upstream
-        head.update(dict.fromkeys(path, head[node]))
-
-    members: dict[str, list[str]] = {}
-    for n in instance.nodes:
-        members.setdefault(head[n.id], []).append(n.id)
-    line_groups: dict[str, list[str]] = {rep: [] for rep in members}
+    for node in instance.nodes:
+        groups[head[node.id]][0].append(node.id)
     for ln in instance.lines:
-        line_groups[head[ln.downstream]].append(ln.id)
+        groups[head[ln.downstream]][1].append(ln)
 
-    line_weights = derive_line_weights(instance)
-    repair = instance.repair_times()
-
+    weights, line_id = instance.node_weights(), attrgetter("id")
+    downstream, repair_time = attrgetter("downstream"), attrgetter("repair_time")
     islands = []
     taken: set[str] = set()
-    for rep, node_ids in members.items():
-        line_ids = sorted(line_groups[rep])
+    for node_ids, lines in groups.values():
+        line_ids = tuple(map(line_id, lines))
         if line_ids:
             island_id = line_ids[0]
         else:
             island_id = instance.root
-            if island_id in {sorted(g)[0] for g in line_groups.values() if g}:
+            if island_id in {g[1][0].id for g in groups.values() if g[1]}:
                 island_id = f"root({instance.root})"
         if island_id in taken:
             raise ValidationError(f"island id collision on {island_id!r}")
         taken.add(island_id)
-        islands.append(Island(island_id, tuple(line_ids), tuple(sorted(node_ids)),
-                              weight=sum(line_weights[lid] for lid in line_ids),
-                              processing=sum(repair[lid] for lid in line_ids)))
+        # sum() over id-ordered values, not a += loop: from Python 3.12 the two differ
+        islands.append(Island(island_id, line_ids, tuple(node_ids),
+                              weight=sum(map(weights.__getitem__, map(downstream, lines))),
+                              processing=sum(map(repair_time, lines))))
     islands.sort(key=lambda isl: isl.id)
     return IslandSet(islands=tuple(islands))
 

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
 from gridrepair.algos import AlgoResult
@@ -80,6 +78,7 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
 
     if n == 0:
         return OracleResult(harm=0.0, priority_list=tuple(zero_lines), enumerated=1)
+    import numpy as np  # here, so that importing the oracle does not load NumPy
 
     ids = list(islands.weights)  # in id order
     c, width = min(m, n), len(ids)
@@ -124,6 +123,7 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
 def _skip(r: int) -> np.ndarray:
     """[q, j]: the position, among r lines in order, of the q-th line left
     once the j-th is taken.  Built on first use: importing makes no arrays."""
+    import numpy as np
     return np.array([[q + (q >= j) for j in range(r)] for q in range(r - 1)], dtype=np.intp)
 
 

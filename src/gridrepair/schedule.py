@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TypeVar
+from typing import Mapping, NamedTuple, Sequence, TypeVar
 
 from gridrepair.model import IslandSet, PrecedenceGraph
 
@@ -22,8 +22,7 @@ class ListNotPermutation(ValueError):
     """Priority list does not cover every line exactly once."""
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):  # a tuple: one per line per schedule
     line: str
     start: float
     completion: float
@@ -66,10 +65,10 @@ def list_schedule(
     free: list[tuple[float, int]] = [(0.0, k) for k in range(m)]
     heapq.heapify(free)
     for line in priority:
-        start, crew = heapq.heappop(free)
+        start, crew = free[0]  # (free time, index) pairs never tie: heappop's order
         completion = start + repair_times[line]
         crews[crew].append(Assignment(line, start, completion))
-        heapq.heappush(free, (completion, crew))
+        heapq.heapreplace(free, (completion, crew))
     return Schedule(
         crews=tuple(tuple(c) for c in crews), m=m, priority=tuple(priority)
     )

@@ -14,6 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from gridrepair import schedule as sched
@@ -31,12 +32,30 @@ class CompositeJob:
 
 @dataclass(frozen=True)
 class SingleCrewOptimum:
-    """The optimal single-crew plan with its per-island energization."""
+    """The optimal single-crew island order on `instance`.
 
-    harm: float
+    The plan that follows it, its per-island energization and its harm are
+    simulated on first read and kept; the conversion needs only the order.
+    The harm comes from the schedule simulator, not the merge bookkeeping,
+    so the two paths cross-check each other.
+    """
+
+    instance: NetworkInstance
     island_order: tuple[str, ...]
-    plan: sched.Schedule
-    energization: dict[str, float]
+
+    @cached_property
+    def plan(self) -> sched.Schedule:
+        islands = self.instance.islands.islands
+        lines = expand_sequence(self.island_order, {isl.id: isl.line_ids for isl in islands})
+        return sched.list_schedule(lines, 1, self.instance.repair_times())
+
+    @cached_property
+    def energization(self) -> dict[str, float]:
+        return sched.energization_times(self.plan, self.instance.islands, self.instance.precedence)
+
+    @cached_property
+    def harm(self) -> float:
+        return sched.harm(self.energization, self.instance.islands.weights)
 
 
 def _ratio_key(job: CompositeJob, head: str) -> tuple:
@@ -112,19 +131,7 @@ def expand_sequence(
 
 
 def optimal_single_crew_harm(instance: NetworkInstance) -> SingleCrewOptimum:
-    """Best achievable harm with one crew, plus the sequence that attains it.
-
-    The harm is re-evaluated through the schedule simulator rather than
-    read off the merge bookkeeping, so the two paths cross-check each other.
-    """
-    islands, precedence = instance.islands, instance.precedence
-    order = optimal_island_sequence(islands, precedence)
-    lines = expand_sequence(order, {isl.id: isl.line_ids for isl in islands.islands})
-    plan = sched.list_schedule(lines, 1, instance.repair_times())
-    energization = sched.energization_times(plan, islands, precedence)
-    return SingleCrewOptimum(
-        harm=sched.harm(energization, islands.weights),
-        island_order=tuple(order),
-        plan=plan,
-        energization=energization,
-    )
+    """Best achievable harm with one crew: the island order that attains it,
+    by ratio merging; its plan and harm follow on first read."""
+    order = optimal_island_sequence(instance.islands, instance.precedence)
+    return SingleCrewOptimum(instance, tuple(order))

@@ -87,6 +87,22 @@ class TestSingleOptimal:
         assert result.crews == 1
 
 
+def test_convert_simulates_only_the_m_crew_plan(feeder123, monkeypatch):
+    """The conversion reads only the single-crew order: one list schedule per call."""
+    calls = []
+    real = sched.list_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sched, "list_schedule", counted)
+    result = algos.convert_single_to_m(feeder123, crews=3)
+    assert calls == [3]
+    result.single_crew.harm  # the single-crew plan is simulated when read
+    assert calls == [3, 1]
+
+
 @given(inst=instances(max_nodes=9), m=st.sampled_from([2, 3]))
 @settings(max_examples=40, deadline=None)
 def test_per_job_and_per_island_guarantees(inst, m):

@@ -211,6 +211,28 @@ def test_scipy_loaded_only_to_solve_an_lp(fixtures_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_numpy_loaded_only_by_the_lp_and_the_oracle(fixtures_dir, tmp_path):
+    import gridrepair
+
+    src = str(Path(gridrepair.__file__).resolve().parent.parent)
+    fixture, out = str(fixtures_dir / "feeder123.json"), str(tmp_path / "out.json")
+    script = (
+        "import sys\n"
+        "from gridrepair import cli, lp, oracle\n"
+        f"for argv in (['validate', {fixture!r}], ['islands', {fixture!r}],\n"
+        f"             ['schedule', {fixture!r}, '--alg', 'convert', '--crews', '3',\n"
+        f"              '--out', {out!r}]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        f"assert cli.main(['schedule', {fixture!r}, '--alg', 'lp-list', '--out', {out!r}]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_schedule_out_file(fixtures_dir, tmp_path):
     out = tmp_path / "result.json"
     code = main([

@@ -12,8 +12,10 @@ from gridrepair.model import (
     CycleDetected,
     Disconnected,
     DuplicateId,
+    Line,
     NegativeRepairTime,
     NegativeWeight,
+    Node,
     NonFiniteValue,
     SchemaError,
     UnknownRoot,
@@ -25,6 +27,7 @@ from gridrepair.model import (
 )
 
 from gridrepair.harness import instance_to_json
+from gridrepair.schedule import Assignment
 
 from conftest import (
     REFERENCE_SIZES,
@@ -198,6 +201,32 @@ class TestDerivedStructure:
         assert fresh == used and hash(fresh) == hash(used)
         clone = pickle.loads(pickle.dumps(used))
         assert clone == fresh and clone.islands == fresh.islands
+
+    def test_repair_times_built_once(self):
+        inst = validate(two_island_raw())
+        assert inst.repair_times() is inst.repair_times()
+        assert inst.repair_times() == {"e1": 2.0, "e2": 1.0}
+
+
+@pytest.mark.parametrize("record, text", [
+    (Node("n1", 2.5), "Node(id='n1', weight=2.5)"),
+    (Line("e1", "s", "n1", 3.0, True),
+     "Line(id='e1', upstream='s', downstream='n1', repair_time=3.0, is_switch=True)"),
+    (Assignment("e1", 0.0, 3.0), "Assignment(line='e1', start=0.0, completion=3.0)"),
+], ids=["node", "line", "assignment"])
+def test_record_contract(record, text):
+    """The records keep the repr, immutability, equality, hash and pickling
+    they had as frozen dataclasses."""
+    assert repr(record) == text
+    fields = list(type(record).__annotations__)
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    clone = pickle.loads(pickle.dumps(record))
+    assert type(clone) is type(record) and clone == record and hash(clone) == hash(record)
+    values = [getattr(record, name) for name in fields]
+    assert type(record)(*values) == record != type(record)(*values[:-1], None)
 
 
 class TestLineWeights:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
-from gridrepair.harness import instance_to_json
+from gridrepair.harness import instance_to_json, load_instance
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
 from conftest import (
@@ -178,6 +178,22 @@ def test_within_island_permutation_is_cost_neutral(inst, seed):
     plan = sched.list_schedule(shuffled, 1, inst.repair_times())
     e = sched.energization_times(plan, islands, prec)
     assert sched.harm(e, islands.weights) == pytest.approx(best.harm)
+
+
+@pytest.mark.parametrize("name", ["two_island", "fork", "graham_m3", "feeder123"])
+def test_on_demand_plan_matches_eager_simulation(name, fixtures_dir):
+    """The plan, energization and harm simulated on first read are those of
+    an eager list schedule of the island order."""
+    inst = load_instance(fixtures_dir / f"{name}.json")
+    best = seq_opt.optimal_single_crew_harm(inst)
+    arrangement = id_order(inst.islands)
+    lines = [lid for iid in best.island_order for lid in arrangement[iid]]
+    plan = sched.list_schedule(lines, 1, inst.repair_times())
+    energization = sched.energization_times(plan, inst.islands, inst.precedence)
+    assert best.plan == plan
+    assert best.energization == energization
+    assert best.harm == sched.harm(energization, inst.islands.weights)
+    assert best.plan is best.plan and best.energization is best.energization
 
 
 def _sequence_pair(inst):
