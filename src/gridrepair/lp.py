@@ -20,20 +20,22 @@ those whose score plus its rounding-error bound, 4(k+8) 2^-53 times the
 sum of the magnitudes on a prefix of k lines, can still beat the best
 exact violation, so it picks the cut the prefix-by-prefix fsum scan picks.
 
-The loop runs on integer column indices.  One relaxation owns one HiGHS
-instance, its options set once, and each round passes it the whole model
-afresh, the row-wise lists as they stand: a cold solve that keeps no
-basis.  It goes straight to HiGHS through SciPy's private binding
-(`scipy.optimize._highspy._core`, tested with SciPy 1.17) with the matrix,
-bounds and options that `linprog(method="highs-ds")` would pass, and falls
-back to `linprog` where that binding cannot be imported; both give the
-same vertex bit for bit.  NumPy and SciPy are imported by the functions
-that use them, so commands that solve no LP load neither.
+The loop runs on integer column indices and plain Python floats.  One
+HiGHS instance per process, its options set once, solves every model, and
+each round passes it the whole model afresh, the row-wise lists as they
+stand: a cold solve that keeps no basis.  It goes straight to HiGHS
+through SciPy's private binding (`scipy.optimize._highspy._core`, tested
+with SciPy 1.17) with the matrix, bounds and options that
+`linprog(method="highs-ds")` would pass, and falls back to `linprog` where
+that binding cannot be imported; both give the same vertex bit for bit.
+NumPy and SciPy are imported by the functions that use them, so commands
+that solve no LP load neither; separation uses neither.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -105,9 +107,10 @@ class LpModel:
     rhs: list[float] = field(default_factory=list)
     labels: list[str | None] = field(default_factory=list)
 
-    def add_row(self, columns: np.ndarray, values: np.ndarray, rhs: float, label="") -> None:
-        self.index += columns.tolist()
-        self.value += (-values).tolist()
+    def add_row(self, columns: Iterable[int], values: Iterable[float], rhs: float,
+                label="") -> None:
+        self.index += map(int, columns)
+        self.value += (-float(v) for v in values)
         self.start.append(len(self.index))
         self.rhs.append(rhs)
         self.labels.append(label)
@@ -115,7 +118,7 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpVertex:
-    values: np.ndarray  # one entry per model variable, in column order
+    values: list[float]  # one entry per model variable, in column order
     objective: float
 
 
@@ -125,10 +128,23 @@ def simplex_solve(model: LpModel, highs=None) -> LpVertex:
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
     anti-cycling safeguards) at 1e-9 feasibility tolerances.  HiGHS gets
     the model directly where SciPy's binding allows it, on `highs` if given,
-    else through `linprog`; both give the same vertex bit for bit.
+    else on the process's shared instance; else through `linprog`.  All
+    three give the same vertex bit for bit.
     """
     vertex = _solve_highs(model, highs)
     return _solve_linprog(model) if vertex is None else vertex
+
+
+_shared: tuple[int, object] | None = None  # (pid, the instance of `_shared_highs`)
+
+
+def _shared_highs():
+    """The process's one HiGHS instance, built on first use.  It is keyed by
+    the process id, so a forked child builds its own."""
+    global _shared
+    if _shared is None or _shared[0] != os.getpid():
+        _shared = (os.getpid(), _new_highs())
+    return _shared[1]
 
 
 def _new_highs():
@@ -153,8 +169,8 @@ def _new_highs():
 
 
 def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
-    """Solve on `highs` (or a fresh instance) through SciPy's private binding;
-    None if it is missing.  `passModel` drops the model and basis it held.
+    """Solve on `highs` (or the shared instance) through SciPy's private
+    binding; None if it is missing.  `passModel` drops the model and basis it held.
 
     With `_new_highs`, the one user of `scipy.optimize._highspy._core` (tested
     with SciPy 1.17).  It passes the HighsLp `linprog(method="highs-ds")`
@@ -163,24 +179,23 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in
     each column, which is the CSC matrix linprog passes.
     """
-    import numpy as np
-    highs = _new_highs() if highs is None else highs
+    highs = _shared_highs() if highs is None else highs
     if highs is None:
         return None
     from scipy.optimize._highspy import _core as hs
 
     n, k = len(model.variables), len(model.rhs)
-    lower, upper = np.array(model.lower, dtype=float), -np.array(model.rhs, dtype=float)
+    lower, upper = model.lower.tolist(), [-rhs for rhs in model.rhs]
     lp = hs.HighsLp()  # filled with lists: the binding converts them faster than arrays
     matrix = lp.a_matrix_
     lp.num_col_, lp.num_row_ = matrix.num_col_, matrix.num_row_ = n, k
     matrix.format_ = hs.MatrixFormat.kRowwise
     matrix.start_, matrix.index_, matrix.value_ = model.start, model.index, model.value
     lp.col_cost_ = model.objective.tolist()
-    lp.col_lower_ = lower.tolist()
+    lp.col_lower_ = lower
     lp.col_upper_ = [hs.kHighsInf] * n
     lp.row_lower_ = [-hs.kHighsInf] * k
-    lp.row_upper_ = upper.tolist()
+    lp.row_upper_ = upper
 
     if highs.passModel(lp) == hs.HighsStatus.kError:
         raise Infeasible("HiGHS rejected the model")
@@ -193,14 +208,14 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
                    known.kTimeLimit: IterationLimit}.get(status, LpError)
         raise failure(f"HiGHS model status {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    fun = highs.getInfo().objective_function_value
-    # linprog's own check of the returned point, at its tolerance
+    x, fun = solution.col_value, highs.getObjectiveValue()
+    # linprog's own check of the returned point, at its tolerance; NaN fails it
     tol = math.sqrt(LP_TOLERANCE) * 10
-    row_value = np.array(solution.row_value)
-    if not (np.all(x >= lower - tol) and np.all(row_value <= upper + tol) and not math.isnan(fun)):
+    if not (all(v >= lo - tol for v, lo in zip(x, lower))
+            and all(v <= up + tol for v, up in zip(solution.row_value, upper))
+            and not math.isnan(fun)):
         raise LpError("the optimal point HiGHS returned violates the constraints")
-    return LpVertex(values=x, objective=float(fun))
+    return LpVertex(values=x, objective=fun)
 
 
 def _solve_linprog(model: LpModel) -> LpVertex:
@@ -220,7 +235,7 @@ def _solve_linprog(model: LpModel) -> LpVertex:
     )
     if res.status != 0:
         raise {1: IterationLimit, 2: Infeasible, 3: Unbounded}.get(res.status, LpError)(res.message)
-    return LpVertex(values=res.x, objective=float(res.fun))
+    return LpVertex(values=res.x.tolist(), objective=float(res.fun))
 
 
 def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m: int) -> float:
@@ -238,49 +253,54 @@ def separate(c: Mapping[str, float], p: Mapping[str, float], m: int,
     `pooled` are skipped: a pooled cut's residual violation is solver
     noise.  Ties in violation go to the smaller sorted id list.
     """
-    import numpy as np
     lines = [j for j in sorted(p) if p[j] > 0]
     index = {j: k for k, j in enumerate(lines)}
-    completions, times = (np.array([x[j] for j in lines], dtype=float) for x in (c, p))
+    completions, times = ([float(x[j]) for j in lines] for x in (c, p))
     pooled = {tuple(sorted(index[j] for j in s)) for s in pooled if s.issubset(index)}
     subset = _most_violated(completions, times, m, pooled)
     return None if subset is None else Cut.for_subset([lines[i] for i in subset], p, m)
 
 
-def _most_violated(completions: np.ndarray, times: np.ndarray, m: int,
+def _most_violated(completions: list[float], times: list[float], m: int,
                    pooled: Collection[tuple[int, ...]]) -> tuple[int, ...] | None:
     """`separate` on the positive `times` of the lines in id order and their
     `completions`: the sorted positions of the cut, or None.
 
-    Every prefix is scored at once from prefix sums S = sum p, Q = sum p^2
-    and W = sum p*C as S^2/2m + Q/2 - W.  On a prefix of k lines this
-    score is within 4(k+8) 2^-53 (S^2/2m + Q/2 + sum |p*C|) of the exact
-    (fsum) violation: k-1 roundings in each running sum, a few more in the
+    Every prefix is scored from running sums S = sum p, Q = sum p^2 and
+    W = sum p*C as S^2/2m + Q/2 - W.  On a prefix of k lines this score is
+    within 4(k+8) 2^-53 (S^2/2m + Q/2 + sum |p*C|) of the exact (fsum)
+    violation: k-1 roundings in each running sum, a few more in the
     products and in the exact value's own formula.
     Candidates are re-scored exactly from the highest upper bound down,
     until a bound falls below the best exact violation found, and the rule
-    of `separate` is applied to the exact values.
+    of `separate` is applied to the exact values.  The bound is rigorous, so
+    the cut is the least key over all violated unpooled prefixes, whatever
+    the order the candidates come in.
     """
-    import numpy as np
-    # one row per order; stable sorts break ties by position, that is by id
-    keys = (completions - times / 2.0, completions)
-    orders = np.array([np.argsort(key, kind="stable") for key in keys])
-    pt = times[orders]
-    ptc = pt * completions[orders]
-    load = np.cumsum(pt, axis=1) ** 2 / (2.0 * m) + np.cumsum(pt * pt, axis=1) / 2.0
-    slack = 4.0 * (np.arange(1, len(times) + 1) + 8) * 2.0**-53
-    upper = load - np.cumsum(ptc, axis=1) + slack * (load + np.cumsum(np.abs(ptc), axis=1))
-    row, last = np.nonzero(upper > SEPARATION_TOLERANCE)
-    bounds = upper[row, last]
-    rank = np.argsort(-bounds, kind="stable")
-    candidates = zip(bounds[rank].tolist(), row[rank].tolist(), (last[rank] + 1).tolist())
-    orders, c, p = orders.tolist(), completions.tolist(), times.tolist()
+    candidates = []  # (upper bound, order, prefix length)
+    positions = range(len(times))
+    # stable sorts break ties by position, that is by id
+    for order in (sorted(positions, key=lambda i: completions[i] - times[i] / 2.0),
+                  sorted(positions, key=completions.__getitem__)):
+        s = q = w = a = 0.0
+        for k, i in enumerate(order, 1):
+            pt = times[i]
+            ptc = pt * completions[i]
+            s += pt
+            q += pt * pt
+            w += ptc
+            a += abs(ptc)
+            load = s * s / (2.0 * m) + q / 2.0
+            upper = load - w + 4.0 * (k + 8) * 2.0**-53 * (load + a)
+            if upper > SEPARATION_TOLERANCE:
+                candidates.append((upper, order, k))
+    candidates.sort(key=lambda candidate: candidate[0], reverse=True)
     best: tuple[float, tuple[int, ...]] | None = None  # (-violation, sorted positions)
-    for bound, which, size in candidates:
+    for bound, order, size in candidates:
         if best is not None and bound < -best[0]:
             break
-        subset = orders[which][:size]
-        violation = _violation(subset, c, p, m)
+        subset = order[:size]
+        violation = _violation(subset, completions, times, m)
         if violation <= SEPARATION_TOLERANCE:
             continue
         key = (-violation, tuple(sorted(subset)))
@@ -346,7 +366,6 @@ def solve_relaxation(
     which optimal face the simplex lands on; separation is re-checked on
     that point too.
     """
-    import numpy as np
     islands = instance.islands if islands is None else islands
     precedence = instance.precedence if precedence is None else precedence
     m = instance.crews if crews is None else crews
@@ -354,51 +373,56 @@ def solve_relaxation(
         raise ValueError(f"crew count must be >= 1, got {m}")
     p = instance.repair_times()
     lids, n = sorted(p), len(p)
-    # lines with p > 0, by position: their ids, C columns and times
-    names = [lid for lid in lids if p[lid] > 0]
-    columns = np.array([k for k, lid in enumerate(lids) if p[lid] > 0], dtype=np.intp)
-    times = np.array([p[lid] for lid in names], dtype=float)
+    # lines with p > 0, by position: their C columns, ids and times
+    columns = [k for k, lid in enumerate(lids) if p[lid] > 0]
+    names = [lids[k] for k in columns]
+    times = [p[lid] for lid in names]
 
     model = _base_model(instance, islands, precedence)
-    highs = _new_highs()
-    pool: list[Cut] = []
-    pooled: set[tuple[int, ...]] = set()
+    # the singleton cuts in one batch; fsum of one term is exact, so each
+    # rhs is load_rhs([t], m) bit for bit
+    singles = [t * t / (2.0 * m) + t * t / 2.0 for t in times]
+    model.start += range(len(model.index) + 1, len(model.index) + len(columns) + 1)
+    model.index += columns
+    model.value += [-t for t in times]
+    model.rhs += singles
+    model.labels += [None] * len(columns)  # load cuts
+    pool = [Cut(lines=frozenset((lid,)), rhs=rhs) for lid, rhs in zip(names, singles)]
+    pooled = {(i,) for i in range(len(names))}
 
     def add_cut(subset: tuple[int, ...]) -> None:
         cut = Cut.for_subset([names[i] for i in subset], p, m)
-        positions = np.array(subset, dtype=np.intp)
-        model.add_row(columns[positions], times[positions], cut.rhs, None)  # a load cut
+        model.add_row([columns[i] for i in subset], [times[i] for i in subset], cut.rhs, None)
         pool.append(cut)
         pooled.add(subset)
 
-    for i in range(len(names)):
-        add_cut((i,))
     cut_limit = 10 * max(1, len(p)) ** 2
     iterations = 0
     history: list[float] = []
 
     while True:
-        vertex = simplex_solve(model, highs)
+        vertex = simplex_solve(model)
         iterations += 1
         history.append(vertex.objective)
-        c = vertex.values[:n]
-        subset = _most_violated(c[columns], times, m, pooled)
+        x = vertex.values
+        c = [x[k] for k in columns]
+        subset = _most_violated(c, times, m, pooled)
         if subset is None:
-            canon_vertex = _canonical_pass(model, vertex.objective, highs)
-            c = canon_vertex.values[:n]
-            subset = _most_violated(c[columns], times, m, pooled)
+            x = _canonical_pass(model, vertex.objective).values
+            c = [x[k] for k in columns]
+            subset = _most_violated(c, times, m, pooled)
         if subset is not None:
             add_cut(subset)
             if len(pool) > cut_limit:
-                violation = _violation(subset, c[columns].tolist(), times.tolist(), m)
+                violation = _violation(subset, c, times, m)
                 raise IterationLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})"
                 )
             continue
 
         solution = LpSolution(
-            completion=dict(zip(lids, c.tolist())),
-            energization=dict(zip(islands.weights, canon_vertex.values[n:].tolist())),
+            completion=dict(zip(lids, x[:n])),
+            energization=dict(zip(islands.weights, x[n:])),
             midpoints={},
             objective=vertex.objective,
             iterations=iterations,
@@ -410,7 +434,7 @@ def solve_relaxation(
         return solution
 
 
-def _canonical_pass(model: LpModel, optimum: float, highs) -> LpVertex:
+def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
     """Re-minimize sum of all variables with the objective capped at its optimum."""
     import numpy as np
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
@@ -420,7 +444,7 @@ def _canonical_pass(model: LpModel, optimum: float, highs) -> LpVertex:
                     index=model.index[:], value=model.value[:], rhs=model.rhs[:],
                     labels=model.labels[:])
     canon.add_row(weighted, -model.objective[weighted], -cap, "objective cap")
-    return simplex_solve(canon, highs)
+    return simplex_solve(canon)
 
 
 def lp_midpoints(solution: LpSolution, p: Mapping[str, float]) -> dict[str, float]:

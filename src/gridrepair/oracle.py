@@ -12,9 +12,9 @@ earliest free time plus its repair time, whichever crew index takes it, so
 the crews' identities never matter, and only min(m, n) of them can ever
 be used.  The other is each island's latest completion so far.  The
 simulation is vectorized across all prefixes of a level at once,
-independently of the scalar simulator in `schedule`.  The certifiers
-re-check every proven guarantee: the two lower bounds on the optimum
-here, and all algorithm guarantees on a bench row in `certify_row`.
+independently of the scalar simulator in `schedule`.  `certify_row`
+re-checks every proven guarantee on a bench row: the algorithms' bounds
+and, with the optimum, the two lower bounds on it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cache
 
 from gridrepair import schedule as sched
-from gridrepair import seq_opt
 from gridrepair.algos import AlgoResult
 from gridrepair.model import NetworkInstance
 
@@ -47,16 +46,6 @@ class OracleResult:
     harm: float
     priority_list: tuple[str, ...]
     enumerated: int
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    crews: int
-    optimum: float
-    single_crew_optimum: float
-    infinite_crew_optimum: float
-    slack_single: float
-    slack_infinite: float
 
 
 def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
@@ -138,31 +127,6 @@ def _lower_bound_failures(
     if optimum < infinite - tol:
         failures.append(f"m-crew optimum {optimum} below unlimited-crew bound {infinite}")
     return failures
-
-
-def check_bounds(instance: NetworkInstance, m: int) -> BoundCheck:
-    """Certify the two lower bounds on the m-crew optimum.
-
-    The optimum is at least the single-crew optimum divided by m, and at
-    least the unlimited-crew optimum.  Violations mean an implementation
-    bug, not a hard instance.
-    """
-    single = seq_opt.optimal_single_crew_harm(instance).harm
-    _, infinite = sched.infinite_crew_energization(
-        instance.islands, instance.precedence, instance.repair_times()
-    )
-    optimum = brute_force_optimal(instance, m).harm
-    failures = _lower_bound_failures(optimum, single, infinite, m)
-    if failures:
-        raise InvariantViolation("; ".join(failures))
-    return BoundCheck(
-        crews=m,
-        optimum=optimum,
-        single_crew_optimum=single,
-        infinite_crew_optimum=infinite,
-        slack_single=optimum - single / m,
-        slack_infinite=optimum - infinite,
-    )
 
 
 def certify_row(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from gridrepair import algos, oracle
 from gridrepair.harness import GenParams, generate_random, load_instance
 from gridrepair.lp import load_rhs
 from gridrepair.model import (
@@ -31,7 +32,6 @@ from gridrepair.model import (
     ValidationError,
     derive_line_weights,
 )
-from gridrepair.oracle import TooLarge
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MAX_SUBSET_LINES = 12
@@ -89,6 +89,18 @@ def feeder(nodes, switch_probability, seed):
         weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
 
 
+def certified_bounds(instance, m):
+    """Certify both algorithms' m-crew runs against the brute-force optimum
+    with `oracle.certify_row`, which raises InvariantViolation on a broken
+    guarantee, and return the values of its lower-bound check: the optimum,
+    the single-crew optimum and the unlimited-crew optimum."""
+    optimum = oracle.brute_force_optimal(instance, m).harm
+    convert = algos.convert_single_to_m(instance, crews=m)
+    oracle.certify_row("certified", instance, m, algos.lp_list_schedule(instance, crews=m),
+                       convert, optimum)
+    return optimum, convert.single_crew.harm, convert.infinite_crew_harm
+
+
 @dataclass(frozen=True)
 class SeparationResult:
     subset: frozenset[str]
@@ -106,7 +118,7 @@ def exhaustive_separation(
     lines = sorted(p)
     n = len(lines)
     if n > MAX_SUBSET_LINES:
-        raise TooLarge(n, MAX_SUBSET_LINES)
+        raise oracle.TooLarge(n, MAX_SUBSET_LINES)
     if n == 0:
         raise ValueError("no lines to separate over")
     pv = np.array([p[j] for j in lines])
@@ -120,6 +132,40 @@ def exhaustive_separation(
     # recompute in exact scalar arithmetic for the reported value
     value = load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
     return SeparationResult(subset=subset, violation=value)
+
+
+def reference_most_violated(completions, times, m, pooled):
+    """`lp._most_violated` as first vectorized: both orders' prefixes scored
+    at once from NumPy prefix sums, with the same rounding-error bound, and
+    candidates re-scored exactly (fsum) from the highest bound down."""
+    from gridrepair.lp import SEPARATION_TOLERANCE, _violation
+
+    completions, times = np.asarray(completions, dtype=float), np.asarray(times, dtype=float)
+    # one row per order; stable sorts break ties by position, that is by id
+    keys = (completions - times / 2.0, completions)
+    orders = np.array([np.argsort(key, kind="stable") for key in keys])
+    pt = times[orders]
+    ptc = pt * completions[orders]
+    load = np.cumsum(pt, axis=1) ** 2 / (2.0 * m) + np.cumsum(pt * pt, axis=1) / 2.0
+    slack = 4.0 * (np.arange(1, len(times) + 1) + 8) * 2.0**-53
+    upper = load - np.cumsum(ptc, axis=1) + slack * (load + np.cumsum(np.abs(ptc), axis=1))
+    row, last = np.nonzero(upper > SEPARATION_TOLERANCE)
+    bounds = upper[row, last]
+    rank = np.argsort(-bounds, kind="stable")
+    candidates = zip(bounds[rank].tolist(), row[rank].tolist(), (last[rank] + 1).tolist())
+    orders, c, p = orders.tolist(), completions.tolist(), times.tolist()
+    best = None  # (-violation, sorted positions)
+    for bound, which, size in candidates:
+        if best is not None and bound < -best[0]:
+            break
+        subset = orders[which][:size]
+        violation = _violation(subset, c, p, m)
+        if violation <= SEPARATION_TOLERANCE:
+            continue
+        key = (-violation, tuple(sorted(subset)))
+        if (best is None or key < best) and key[1] not in pooled:
+            best = key
+    return None if best is None else best[1]
 
 
 # Reference implementations: the straightforward forms of `model.validate`,

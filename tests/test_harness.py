@@ -1,13 +1,15 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gridrepair import algos, harness
+from gridrepair import algos, harness, lp
 from gridrepair.harness import (
     GenParams,
     ParseError,
@@ -196,3 +198,14 @@ class TestBench:
             (r.instance, r.crews, r.h_lp, r.h_alg1, r.h_alg2, r.h_opt) for r in rows
         ]
         assert strip(serial) == strip(parallel)
+
+    def test_forked_workers_after_a_parent_solve(self, two_island):
+        # the parent holds its shared HiGHS instance before the pool forks
+        lp.solve_relaxation(two_island, crews=2)
+        assert lp._shared[0] == os.getpid()
+        params = GenParams(seed=47, nodes=(2, 7), crews=(2, 3))
+        strip = lambda rows: [
+            {k: v for k, v in dataclasses.asdict(r).items() if not k.startswith("t_")}
+            for r in rows
+        ]
+        assert strip(run_bench(params, 6, jobs=2)) == strip(run_bench(params, 6, jobs=1))

@@ -1,5 +1,7 @@
 import copy
+import heapq
 import itertools
+import os
 import random
 
 import hypothesis.strategies as st
@@ -12,7 +14,10 @@ from gridrepair import lp, oracle
 from gridrepair.harness import GenParams, generate_random, load_instance
 from gridrepair.lp import (
     Cut,
+    Infeasible,
     LpModel,
+    Unbounded,
+    _most_violated,
     _new_highs,
     _solve_highs,
     _solve_linprog,
@@ -24,7 +29,7 @@ from gridrepair.lp import (
 )
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import FIXTURES, exhaustive_separation, instances
+from conftest import FIXTURES, exhaustive_separation, instances, reference_most_violated
 
 
 ROUND_CASES = [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 2, 3)] + [
@@ -66,7 +71,7 @@ class TestSimplexSolve:
         )
         model.add_row(np.array([0, 1]), np.array([-1.0, 1.0]), 0.0)
         vertex = simplex_solve(model)
-        assert vertex.values.tolist() == pytest.approx([2.0, 2.0])
+        assert list(vertex.values) == pytest.approx([2.0, 2.0])
 
     def test_two_island_base_model(self, two_island):
         # base rows only, no load cuts: all lower bounds tight
@@ -77,7 +82,7 @@ class TestSimplexSolve:
         model = _base_model(two_island, islands, prec)
         assert model.variables == ["C[e1]", "C[e2]", "E[e1]", "E[e2]"]
         vertex = simplex_solve(model)
-        assert vertex.values.tolist() == pytest.approx([2.0, 1.0, 2.0, 2.0])
+        assert list(vertex.values) == pytest.approx([2.0, 1.0, 2.0, 2.0])
         assert vertex.objective == pytest.approx(22.0)
 
     def test_unbounded_raises(self):
@@ -112,7 +117,7 @@ class TestSimplexSolve:
         assert len(models) >= 2  # the cutting-plane rounds and the canonical pass
         for model in models:
             direct, reference = _solve_highs(model), _solve_linprog(model)
-            assert direct.values.tolist() == reference.values.tolist()
+            assert list(direct.values) == list(reference.values)
             assert direct.objective == reference.objective
 
     @pytest.mark.parametrize("name, m", ROUND_CASES)
@@ -144,13 +149,35 @@ class TestSimplexSolve:
 
         def solve(model, on):
             vertex = _solve_highs(model, on)
-            return vertex.values.tolist(), vertex.objective, on.getInfo().simplex_iteration_count
+            return list(vertex.values), vertex.objective, on.getInfo().simplex_iteration_count
 
         fresh = solve(a, _new_highs())
         first, _, again, twice = solve(a, highs), solve(b, highs), solve(a, highs), solve(a, highs)
         assert first == fresh
         assert again == fresh
         assert twice == fresh  # a kept basis would take no iterations here
+
+    @pytest.mark.parametrize("failure", [Infeasible, Unbounded])
+    def test_shared_instance_after_a_failed_solve(self, monkeypatch, feeder123, failure):
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+
+        def relax():
+            sol = solve_relaxation(feeder123, crews=3)
+            return (sol.completion, sol.energization, sol.objective, sol.objective_history,
+                    sol.iterations, lp._shared_highs().getInfo().simplex_iteration_count)
+
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
+        fresh = relax()
+        monkeypatch.undo()
+        model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.zeros(1))
+        if failure is Infeasible:
+            model.add_row([0], [-1.0], 1.0)  # x <= -1
+        else:
+            model.objective = np.array([-1.0])
+        with pytest.raises(failure):
+            simplex_solve(model)  # on the shared instance
+        assert relax() == fresh
 
 
 class TestSeparate:
@@ -396,3 +423,69 @@ def test_separate_matches_reference(n_max, points):
             if want is not None:
                 assert got.lines == want.lines
                 assert got.rhs == want.rhs
+
+
+POINT_KINDS = ("random", "negative", "tight", "schedule")
+
+
+def differential_point(rng, n, m, kind):
+    """Positive times and completions for the separation core.
+
+    The data are multiples of 1, 1/2 or 1/10, and lines repeat, so keys tie
+    exactly.  The completions are of one `kind`: random; partly negative,
+    which exercises the |p*C| term; just under a list schedule's tight load
+    bounds; or those of an m-crew list schedule, where no load inequality
+    is violated.
+    """
+    step = rng.choice([1.0, 0.5, 0.1])
+    times = [rng.randint(1, 20) * step for _ in range(n)]
+    if rng.random() < 0.3:
+        times = [times[k % 3] for k in range(n)]
+    load = sum(times) / m
+    if kind == "random":
+        return [rng.randint(0, int(4 * load)) / 2.0 for _ in times], times
+    if kind == "negative":
+        return [rng.randint(-int(2 * load) - 1, -1) / 2.0 if k == 0 else
+                rng.randint(-int(2 * load), int(2 * load)) / 2.0 for k in range(n)], times
+    completions, before, free = [0.0] * n, 0.0, [0.0] * m
+    for i in rng.sample(range(n), n):
+        if kind == "tight":
+            completions[i] = before / m + times[i] * (m + 1) / (2 * m) - rng.choice([0, 0.5, 1])
+            before += times[i]
+        else:
+            completions[i] = heapq.heappop(free) + times[i]
+            heapq.heappush(free, completions[i])
+    return completions, times
+
+
+def prefixes(completions, times):
+    """Sorted positions of every prefix of the midpoint and completion orders."""
+    positions = range(len(times))
+    orders = (sorted(positions, key=lambda i: completions[i] - times[i] / 2.0),
+              sorted(positions, key=lambda i: completions[i]))
+    return sorted({tuple(sorted(o[:k])) for o in orders for k in range(1, len(o) + 1)})
+
+
+@pytest.mark.parametrize("n, points", [(n, 160) for n in range(1, 9)] + [(60, 40), (400, 8)])
+def test_most_violated_matches_reference(n, points):
+    """The plain-Python separation core returns the subset the NumPy form
+    returns: with nothing, the best cuts, a sample or every prefix pooled."""
+    rng = random.Random(n)
+    unviolated = ties = 0
+    for k in range(points):
+        m = rng.choice([1, 2, 3])
+        c, p = differential_point(rng, n, m, POINT_KINDS[k % len(POINT_KINDS)])
+        every = prefixes(c, p)
+        first = reference_most_violated(c, p, m, set())
+        cases = [set(), set(rng.sample(every, min(len(every), 5))), set(every)]
+        if first is None:
+            unviolated += 1
+        else:  # pool the maximum, then the runner-up too
+            cases += [{first}, {first, reference_most_violated(c, p, m, {first})}]
+            if n <= 8:  # an exact tie in violation, broken by the sorted positions
+                violations = [lp._violation(s, c, p, m) for s in every]
+                ties += violations.count(max(violations)) > 1
+        for pooled in cases:
+            assert _most_violated(c, p, m, pooled) == reference_most_violated(c, p, m, pooled)
+        assert _most_violated(c, p, m, set(every)) is None
+    assert unviolated and (ties or n == 1 or n > 8)

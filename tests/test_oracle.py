@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gridrepair import oracle, seq_opt
+from gridrepair import algos, oracle, seq_opt
 from gridrepair import schedule as sched
 from gridrepair.harness import GenParams, generate_random
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import exhaustive_separation, instances
+from conftest import certified_bounds, exhaustive_separation, instances
 
 
 def reference_brute_force(instance, m):
@@ -181,22 +181,37 @@ class TestBruteForce:
 
 
 class TestCheckBounds:
+    """The lower bounds E1/m and E-infinity on the optimum, as `certify_row`
+    checks them through `_lower_bound_failures`."""
+
     def test_two_island(self, two_island):
-        check = oracle.check_bounds(two_island, 2)
-        assert check.optimum == 22
-        assert check.single_crew_optimum == 32
-        assert check.infinite_crew_optimum == 22
-        assert check.slack_single == pytest.approx(22 - 16)
-        assert check.slack_infinite == 0  # the unlimited-crew bound is tight here
+        optimum, single, infinite = certified_bounds(two_island, 2)
+        assert (optimum, single, infinite) == (22, 32, 22)
+        assert oracle._lower_bound_failures(optimum, single, infinite, 2) == []
+        assert optimum - single / 2 == pytest.approx(22 - 16)
+        assert optimum - infinite == 0  # the unlimited-crew bound is tight here
 
     def test_fork(self, fork):
-        check = oracle.check_bounds(fork, 2)
-        assert (check.optimum, check.single_crew_optimum, check.infinite_crew_optimum) == (21, 31, 18)
+        optimum, single, infinite = certified_bounds(fork, 2)
+        assert (optimum, single, infinite) == (21, 31, 18)
+        assert oracle._lower_bound_failures(optimum, single, infinite, 2) == []
 
     def test_one_crew_bound_tight(self, fork):
-        check = oracle.check_bounds(fork, 1)
-        assert check.optimum == check.single_crew_optimum == 31
-        assert check.slack_single == 0
+        optimum, single, infinite = certified_bounds(fork, 1)
+        assert optimum == single == 31
+        assert oracle._lower_bound_failures(optimum, single, infinite, 1) == []
+
+    def test_optimum_below_either_bound_fails(self, two_island):
+        # E1/m = 16 and E-infinity = 22 at m = 2
+        assert oracle._lower_bound_failures(21.5, 32, 22, 2) == [
+            "m-crew optimum 21.5 below unlimited-crew bound 22"]
+        assert len(oracle._lower_bound_failures(15.5, 32, 22, 2)) == 2
+        alg1 = algos.lp_list_schedule(two_island, crews=2)
+        alg2 = algos.convert_single_to_m(two_island, crews=2)
+        with pytest.raises(oracle.InvariantViolation,
+                           match="below single-crew bound 32.0/2; m-crew optimum 15.5 below "
+                                 "unlimited-crew bound 22"):
+            oracle.certify_row("two_island", two_island, 2, alg1, alg2, 15.5)
 
 
 class TestExhaustiveSeparation:
@@ -259,4 +274,5 @@ def test_single_crew_brute_force_matches_sequencer(inst):
 @given(instances(max_nodes=8), st.sampled_from([1, 2, 3]))
 @settings(max_examples=30, deadline=None)
 def test_bound_checks_never_fire_on_valid_instances(inst, m):
-    oracle.check_bounds(inst, m)
+    optimum, single, infinite = certified_bounds(inst, m)
+    assert oracle._lower_bound_failures(optimum, single, infinite, m) == []
