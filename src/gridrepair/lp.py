@@ -34,8 +34,11 @@ that solve no LP load neither; separation uses neither.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -147,13 +150,43 @@ def _shared_highs():
     return _shared[1]
 
 
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _binding():
+    """SciPy's HiGHS extension module, loaded without `scipy.optimize`; None
+    where its file is not found or fails to import.
+
+    The file is found next to the `scipy` package, which `find_spec` locates
+    without importing, and is registered in `sys.modules` under its full name,
+    so a later `import scipy.optimize` reuses it rather than initialising the
+    module a second time."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    scipy = importlib.util.find_spec("scipy")
+    folders = scipy.submodule_search_locations or () if scipy else ()
+    paths = [os.path.join(folder, "optimize", "_highspy", "_core" + suffix)
+             for folder in folders for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        return None
+    loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
+    try:
+        core = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(_CORE, path, loader=loader))
+        loader.exec_module(core)  # module_from_spec alone leaves it uninitialised
+    except ImportError:
+        return None
+    sys.modules[_CORE] = core
+    return core
+
+
 def _new_highs():
     """A HiGHS instance with the options `linprog(method="highs-ds")` sets
     (presolve, dual simplex, the two 1e-9 tolerances, output off); None
-    where SciPy's private binding cannot be imported."""
-    try:
-        from scipy.optimize._highspy import _core as hs
-    except ImportError:
+    where `_binding` finds no extension module."""
+    hs = _binding()
+    if hs is None:
         return None
     highs = hs._Highs()
     for option, value in (
@@ -182,7 +215,7 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     highs = _shared_highs() if highs is None else highs
     if highs is None:
         return None
-    from scipy.optimize._highspy import _core as hs
+    hs = _binding()
 
     n, k = len(model.variables), len(model.rhs)
     lower, upper = model.lower.tolist(), [-rhs for rhs in model.rhs]
