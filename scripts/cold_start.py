@@ -11,12 +11,15 @@ repetition, so no side always runs first.  The commands are `validate`,
 fixture, `oracle` on fork.json and `bench --count 20`.  One JSON object is
 printed: per command and SRC, the median wall time in seconds, the largest
 peak RSS of a run in MB (from `wait4`, so the child alone), and whether the
-SRCs printed the same stdout.  Standard library only; Linux or macOS.
+SRCs printed the same stdout.  Each SRC is byte-compiled first, as
+perfbench does, so no side pays for compiling its sources.  Standard
+library only; Linux or macOS.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -66,6 +69,8 @@ def main() -> None:
     parser.add_argument("src", nargs="*", default=[str(ROOT / "src")])
     args = parser.parse_args()
     srcs = args.src
+    for src in srcs:
+        compileall.compile_dir(src, quiet=1)
     with tempfile.TemporaryDirectory() as out_dir:
         table = commands(out_dir)
         runs = {(label, src): [] for label in table for src in srcs}

@@ -27,9 +27,10 @@ stand: a cold solve that keeps no basis.  It goes straight to HiGHS
 through SciPy's private binding (`scipy.optimize._highspy._core`, tested
 with SciPy 1.17) with the matrix, bounds and options that
 `linprog(method="highs-ds")` would pass, and falls back to `linprog` where
-that binding cannot be imported; both give the same vertex bit for bit.
-NumPy and SciPy are imported by the functions that use them, so commands
-that solve no LP load neither; separation uses neither.
+that binding cannot be loaded; both give the same vertex bit for bit.
+The binding is loaded from its file, without the half second of importing
+`scipy.optimize`.  It and NumPy are loaded by the functions that use them,
+so commands that solve no LP load neither; separation uses neither.
 """
 
 from __future__ import annotations
@@ -154,26 +155,22 @@ _CORE = "scipy.optimize._highspy._core"
 
 
 def _binding():
-    """SciPy's HiGHS extension module, loaded without `scipy.optimize`; None
-    where its file is not found or fails to import.
-
-    The file is found next to the `scipy` package, which `find_spec` locates
-    without importing, and is registered in `sys.modules` under its full name,
-    so a later `import scipy.optimize` reuses it rather than initialising the
-    module a second time."""
+    """SciPy's HiGHS extension module, loaded from its file beside the `scipy`
+    package (which `find_spec` locates without importing it) and kept in
+    `sys.modules` under its full name, so `scipy.optimize` reuses it rather than
+    initialising it twice; None where the file is missing or fails to import."""
     if _CORE in sys.modules:
         return sys.modules[_CORE]
     scipy = importlib.util.find_spec("scipy")
-    folders = scipy.submodule_search_locations or () if scipy else ()
     paths = [os.path.join(folder, "optimize", "_highspy", "_core" + suffix)
-             for folder in folders for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((path for path in paths if os.path.isfile(path)), None)
+             for folder in ((scipy.submodule_search_locations or ()) if scipy else ())
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
     if path is None:
         return None
     loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
     try:
-        core = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(_CORE, path, loader=loader))
+        core = importlib.util.module_from_spec(importlib.util.spec_from_loader(_CORE, loader))
         loader.exec_module(core)  # module_from_spec alone leaves it uninitialised
     except ImportError:
         return None
@@ -205,8 +202,8 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     """Solve on `highs` (or the shared instance) through SciPy's private
     binding; None if it is missing.  `passModel` drops the model and basis it held.
 
-    With `_new_highs`, the one user of `scipy.optimize._highspy._core` (tested
-    with SciPy 1.17).  It passes the HighsLp `linprog(method="highs-ds")`
+    With `_new_highs`, the one user of `_binding()`, the extension module
+    `scipy.optimize._highspy._core` (tested with SciPy 1.17).  It passes the HighsLp `linprog(method="highs-ds")`
     builds, the matrix of -rows with row bounds [-inf, -rhs] and column
     bounds [lower, inf], and raises what `_solve_linprog` raises per status.
     The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in

@@ -3,6 +3,10 @@ import heapq
 import itertools
 import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -30,6 +34,8 @@ from gridrepair.lp import (
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
 from conftest import FIXTURES, exhaustive_separation, instances, reference_most_violated
+
+SRC = str(Path(lp.__file__).resolve().parent.parent)
 
 
 ROUND_CASES = [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 2, 3)] + [
@@ -178,6 +184,134 @@ class TestSimplexSolve:
         with pytest.raises(failure):
             simplex_solve(model)  # on the shared instance
         assert relax() == fresh
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports gridrepair from this tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+FALLBACK_SOLVES = textwrap.dedent(f"""
+    import copy, sys
+    from gridrepair import harness, lp
+    assert lp._new_highs() is None
+    models = []
+    def record(model, highs=None):
+        models.append(copy.deepcopy(model))
+        return solve(model, highs)
+    solve, lp.simplex_solve = lp.simplex_solve, record
+    harness.bench_instance("fork", harness.load_instance({str(FIXTURES / "fork.json")!r}), 2)
+    assert len(models) >= 2 and lp._shared[1] is None
+    for model in models:
+        assert solve(model) == lp._solve_linprog(model)
+""")
+
+
+class TestBinding:
+    """`lp._binding` loads SciPy's HiGHS extension without `scipy.optimize`.
+    Each case runs in a fresh interpreter, since the module is loaded once
+    per process."""
+
+    def test_lp_runs_leave_scipy_optimize_unimported(self, tmp_path):
+        fixtures = {f.stem: str(f) for f in FIXTURES.glob("*.json")}
+        proc = run_fresh(f"""
+            import copy, sys
+            from gridrepair import cli, harness, lp
+            out = {str(tmp_path / "out.json")!r}
+            assert cli.main(["schedule", {fixtures["feeder123"]!r}, "--alg", "lp-list",
+                             "--crews", "3", "--out", out]) == 0
+            assert "scipy.optimize" not in sys.modules
+            core = sys.modules["scipy.optimize._highspy._core"]
+            models = []
+            def record(model, highs=None):
+                models.append(copy.deepcopy(model))
+                return solve(model, highs)
+            solve, lp.simplex_solve = lp.simplex_solve, record
+            harness.bench_instance("fork", harness.load_instance({fixtures["fork"]!r}), 3)
+            lp.simplex_solve = solve
+            assert len(models) >= 2
+            assert "scipy.optimize" not in sys.modules
+            assert sys.modules["scipy.optimize._highspy._core"] is core
+
+            from scipy.optimize import linprog
+            from scipy.optimize._highspy import _core
+            assert _core is core and lp._binding() is core
+            for model in models:
+                assert lp._solve_linprog(model) == lp._solve_highs(model)
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_scipy_optimize_imported_first(self):
+        proc = run_fresh("""
+            import importlib.machinery, importlib.util
+            import scipy.optimize
+            from scipy.optimize._highspy import _core
+            from gridrepair import lp
+            assert lp._binding() is _core
+            def refuse(*args, **kwargs):
+                raise AssertionError("a second call loaded something")
+            importlib.util.find_spec = importlib.machinery.ExtensionFileLoader = refuse
+            assert lp._binding() is _core
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_loaded_once(self):
+        proc = run_fresh("""
+            import importlib.machinery, sys
+            loads = []
+            class Counting(importlib.machinery.ExtensionFileLoader):
+                def exec_module(self, module):
+                    loads.append(self.name)
+                    super().exec_module(module)
+            importlib.machinery.ExtensionFileLoader = Counting  # for lp alone
+            from gridrepair import lp
+            core = lp._binding()
+            assert core is not None and lp._binding() is core
+            assert loads == ["scipy.optimize._highspy._core"]
+            assert sys.modules["scipy.optimize._highspy._core"] is core
+            assert core.__spec__.parent == "scipy.optimize._highspy"
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("missing", [
+        "importlib.machinery.EXTENSION_SUFFIXES = []",
+        "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)",
+    ], ids=["no-suffix", "no-scipy-spec"])
+    def test_extension_not_found_falls_back(self, missing):
+        proc = run_fresh(textwrap.dedent(f"""
+            import importlib.machinery, importlib.util
+            find_spec = importlib.util.find_spec
+            {missing}
+        """) + FALLBACK_SOLVES)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_error_falls_back(self):
+        proc = run_fresh(textwrap.dedent("""
+            import importlib.abc, importlib.machinery  # abc registers the real loader class
+            class Broken(importlib.machinery.ExtensionFileLoader):
+                def exec_module(self, module):
+                    raise ImportError("stand-in for a broken extension")
+            importlib.machinery.ExtensionFileLoader = Broken  # SciPy's own import keeps the real one
+        """) + FALLBACK_SOLVES + textwrap.dedent("""
+            assert "scipy.optimize._highspy._core" in sys.modules  # loaded by linprog's import
+        """))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_other_load_errors_propagate(self):
+        proc = run_fresh(f"""
+            import importlib.machinery, sys
+            from gridrepair import cli
+            class Failing(importlib.machinery.ExtensionFileLoader):
+                def exec_module(self, module):
+                    raise RuntimeError("stand-in for a failing extension")
+            importlib.machinery.ExtensionFileLoader = Failing
+            sys.exit(cli.main(["schedule", {str(FIXTURES / "fork.json")!r},
+                               "--alg", "lp-list"]))
+        """)
+        assert proc.returncode not in (0, 2)
+        assert "RuntimeError: stand-in for a failing extension" in proc.stderr
 
 
 class TestSeparate:
