@@ -47,6 +47,7 @@ from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
 
 LP_TOLERANCE = 1e-9
 SEPARATION_TOLERANCE = 1e-7
+_CORE = "scipy.optimize._highspy._core"  # the binding's module name
 
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": LP_TOLERANCE,
@@ -151,14 +152,10 @@ def _shared_highs():
     return _shared[1]
 
 
-_CORE = "scipy.optimize._highspy._core"
-
-
 def _binding():
     """SciPy's HiGHS extension module, loaded from its file beside the `scipy`
-    package (which `find_spec` locates without importing it) and kept in
-    `sys.modules` under its full name, so `scipy.optimize` reuses it rather than
-    initialising it twice; None where the file is missing or fails to import."""
+    package (which `find_spec` finds without importing) and kept in `sys.modules`,
+    so `scipy.optimize` reuses it; None where the file is missing or fails to import."""
     if _CORE in sys.modules:
         return sys.modules[_CORE]
     scipy = importlib.util.find_spec("scipy")
