@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=algos.ALGORITHMS, required=True)
     p.add_argument("--crews", type=int, default=None, help="override the instance crew count")
     p.add_argument("--dump-lp", type=Path, default=None, metavar="PATH",
-                   help="write the final LP model and cut pool as text")
+                   help="write the final LP model and cut pool as text (lp-list only)")
     p.add_argument("--within-island-order", choices=algos.WITHIN_ISLAND_ORDERS,
                    default="given", help="line order inside each island (convert only)")
     p.add_argument("--out", type=Path, default=None, help="write JSON here instead of stdout")
@@ -102,6 +102,8 @@ def _cmd_islands(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    if args.dump_lp is not None and args.alg != algos.LP_LIST:
+        raise ValueError(f"--dump-lp needs --alg {algos.LP_LIST}, got --alg {args.alg}")
     instance = harness.load_instance(args.instance)
     if args.alg == algos.LP_LIST:
         result = algos.lp_list_schedule(instance, crews=args.crews)

@@ -13,7 +13,6 @@ import io
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -281,6 +280,8 @@ def run_bench(
     ]
     try:
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_bench_task, tasks))
         else:

@@ -1,24 +1,26 @@
 """LP relaxation of the m-crew repair problem, solved by cutting planes.
 
 Variables are per-line completion times C and per-island energization
-times E, in that column order.  The model is held as an objective and a
-lower-bound vector and, for the `>=` rows, a row-wise sparse matrix in
-lists that only grow, one row per constraint.  Besides the base rows (E
-above every member completion and above the parent island's E; C is
-bounded below by its repair time), feasible completion vectors obey one
-load inequality per line subset A:
+times E, in that column order.  The model, in plain Python lists, is the
+one record of the relaxation: an objective, lower bounds and, for the `>=`
+rows, a row-wise sparse matrix in lists that only grow, one row per
+constraint.  Besides the base rows (E above every member completion and
+above the parent island's E; C is bounded below by its repair time),
+feasible completion vectors obey one load inequality per line subset A:
 
     sum_{j in A} p_j C_j >= f(A) = (sum_A p_j)^2 / (2m) + sum_A p_j^2 / 2
 
 The exponentially many subset rows are generated on demand, one row per
-cut: prefixes of the solution sorted by completion and by midpoint
-(C - p/2).  Midpoint prefixes are exact maximizers of the violation
-whenever any subset is violated, which a threshold argument shows and the
-test suite re-checks against full subset enumeration.  Separation scores
-all prefixes at once from running sums and re-scores exactly (fsum) only
-those whose score plus its rounding-error bound, 4(k+8) 2^-53 times the
-sum of the magnitudes on a prefix of k lines, can still beat the best
-exact violation, so it picks the cut the prefix-by-prefix fsum scan picks.
+cut, and these rows, the ones on C columns alone, are the cut pool.  The
+candidates are the prefixes of the solution sorted by completion and by
+midpoint (C - p/2).  Midpoint prefixes are exact maximizers of the
+violation whenever any subset is violated, which a threshold argument
+shows and the test suite re-checks against full subset enumeration.
+Separation scores all prefixes at once from running sums and re-scores
+exactly (fsum) only those whose score plus its rounding-error bound,
+4(k+8) 2^-53 times the sum of the magnitudes on a prefix of k lines, can
+still beat the best exact violation, so it picks the cut the
+prefix-by-prefix fsum scan picks.
 
 The loop runs on integer column indices and plain Python floats.  One
 HiGHS instance per process, its options set once, solves every model, and
@@ -29,8 +31,9 @@ with SciPy 1.17) with the matrix, bounds and options that
 `linprog(method="highs-ds")` would pass, and falls back to `linprog` where
 that binding cannot be loaded; both give the same vertex bit for bit.
 The binding is loaded from its file, without the half second of importing
-`scipy.optimize`.  It and NumPy are loaded by the functions that use them,
-so commands that solve no LP load neither; separation uses neither.
+`scipy.optimize`, and only by the functions that solve.  NumPy reaches an
+LP run only through that binding, which imports it, or the `linprog`
+fallback: building, separating and rendering a model use neither.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
 
@@ -78,19 +81,11 @@ def load_rhs(subset_times: Iterable[float], m: int) -> float:
     return total * total / (2.0 * m) + math.fsum(t * t for t in times) / 2.0
 
 
-@dataclass(frozen=True)
-class Cut:
-    """One generated load inequality: sum over `lines` of p_j C_j >= rhs."""
+class Cut(NamedTuple):
+    """One load inequality: sum over `lines` of p_j C_j >= rhs."""
 
     lines: frozenset[str]
     rhs: float
-
-    @staticmethod
-    def for_subset(lines: Iterable[str], p: Mapping[str, float], m: int) -> "Cut":
-        ids = frozenset(lines)
-        if not ids:
-            raise ValueError("cut subset must be non-empty")
-        return Cut(lines=ids, rhs=load_rhs((p[j] for j in ids), m))
 
 
 @dataclass
@@ -99,44 +94,40 @@ class LpModel:
 
     The rows are held row-wise in the `<=` form HiGHS is given, negated: row k
     has the columns index[start[k]:start[k + 1]] with the coefficients minus
-    value[start[k]:start[k + 1]].  `variables` and `labels` name columns and
-    rows only to render the model; a None label marks a load cut.
+    value[start[k]:start[k + 1]].  `variables` names the columns, C[line id]
+    then E[island id]; `format_model` names each row from them.
     """
 
     variables: list[str]
-    objective: np.ndarray
-    lower: np.ndarray
+    objective: list[float]
+    lower: list[float]
     start: list[int] = field(default_factory=lambda: [0])
     index: list[int] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
     rhs: list[float] = field(default_factory=list)
-    labels: list[str | None] = field(default_factory=list)
 
-    def add_row(self, columns: Iterable[int], values: Iterable[float], rhs: float,
-                label="") -> None:
-        self.index += map(int, columns)
+    def add_row(self, columns: Iterable[int], values: Iterable[float], rhs: float) -> None:
+        self.index += columns
         self.value += (-float(v) for v in values)
         self.start.append(len(self.index))
         self.rhs.append(rhs)
-        self.labels.append(label)
 
 
-@dataclass(frozen=True)
-class LpVertex:
+class LpVertex(NamedTuple):
     values: list[float]  # one entry per model variable, in column order
     objective: float
 
 
-def simplex_solve(model: LpModel, highs=None) -> LpVertex:
+def simplex_solve(model: LpModel) -> LpVertex:
     """Solve the model to an optimal basic solution.
 
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
     anti-cycling safeguards) at 1e-9 feasibility tolerances.  HiGHS gets
-    the model directly where SciPy's binding allows it, on `highs` if given,
-    else on the process's shared instance; else through `linprog`.  All
-    three give the same vertex bit for bit.
+    the model directly on the process's shared instance where SciPy's
+    binding allows it, else through `linprog`.  Both give the same vertex
+    bit for bit.
     """
-    vertex = _solve_highs(model, highs)
+    vertex = _solve_highs(model)
     return _solve_linprog(model) if vertex is None else vertex
 
 
@@ -212,13 +203,13 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     hs = _binding()
 
     n, k = len(model.variables), len(model.rhs)
-    lower, upper = model.lower.tolist(), [-rhs for rhs in model.rhs]
+    lower, upper = model.lower, [-rhs for rhs in model.rhs]
     lp = hs.HighsLp()  # filled with lists: the binding converts them faster than arrays
     matrix = lp.a_matrix_
     lp.num_col_, lp.num_row_ = matrix.num_col_, matrix.num_row_ = n, k
     matrix.format_ = hs.MatrixFormat.kRowwise
     matrix.start_, matrix.index_, matrix.value_ = model.start, model.index, model.value
-    lp.col_cost_ = model.objective.tolist()
+    lp.col_cost_ = model.objective
     lp.col_lower_ = lower
     lp.col_upper_ = [hs.kHighsInf] * n
     lp.row_lower_ = [-hs.kHighsInf] * k
@@ -256,7 +247,7 @@ def _solve_linprog(model: LpModel) -> LpVertex:
         model.objective,
         A_ub=dense if model.rhs else None,
         b_ub=-np.array(model.rhs) if model.rhs else None,
-        bounds=[(lo, None) for lo in model.lower.tolist()],
+        bounds=[(lo, None) for lo in model.lower],
         method="highs-ds",
         options=_HIGHS_OPTIONS,
     )
@@ -285,7 +276,10 @@ def separate(c: Mapping[str, float], p: Mapping[str, float], m: int,
     completions, times = ([float(x[j]) for j in lines] for x in (c, p))
     pooled = {tuple(sorted(index[j] for j in s)) for s in pooled if s.issubset(index)}
     subset = _most_violated(completions, times, m, pooled)
-    return None if subset is None else Cut.for_subset([lines[i] for i in subset], p, m)
+    if subset is None:
+        return None
+    ids = [lines[i] for i in subset]
+    return Cut(frozenset(ids), load_rhs((p[j] for j in ids), m))
 
 
 def _most_violated(completions: list[float], times: list[float], m: int,
@@ -338,43 +332,43 @@ def _most_violated(completions: list[float], times: list[float], m: int,
 
 @dataclass
 class LpSolution:
-    """Optimal point of the relaxation with its generated cut pool."""
+    """Optimal point of the relaxation; `cuts` are its model's load-cut rows."""
 
     completion: dict[str, float]
     energization: dict[str, float]
-    midpoints: dict[str, float]
+    midpoints: dict[str, float]  # C - p/2
     objective: float
-    iterations: int
     cuts: list[Cut]
-    objective_history: list[float]
+    objective_history: list[float]  # one objective per cutting-plane round
     model: LpModel
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_history)
 
 
 def _base_model(
     instance: NetworkInstance, islands: IslandSet, precedence: PrecedenceGraph
 ) -> LpModel:
     """Columns C by line id then E by island id; island-cover and precedence rows."""
-    import numpy as np
     p, weights = instance.repair_times(), islands.weights
     lids, iids = sorted(p), list(weights)  # islands are in id order
     line_col = {lid: k for k, lid in enumerate(lids)}
     island_col = {iid: len(lids) + k for k, iid in enumerate(iids)}
     model = LpModel(
         variables=[f"C[{lid}]" for lid in lids] + [f"E[{iid}]" for iid in iids],
-        objective=np.array([0.0] * len(lids) + [weights[iid] for iid in iids]),
-        lower=np.array([p[lid] for lid in lids] + [0.0] * len(iids)),
+        objective=[0.0] * len(lids) + [float(weights[iid]) for iid in iids],
+        lower=[float(p[lid]) for lid in lids] + [0.0] * len(iids),
     )
-    pairs, labels = [], []  # (column +1, column -1) per row
+    pairs = []  # (column +1, column -1) per row: island over line, child over parent
     for isl in islands.islands:
         for lid in isl.line_ids:
             pairs += (island_col[isl.id], line_col[lid])
-            labels.append(f"island {isl.id} covers {lid}")
     for parent, child in precedence.edges():
         pairs += (island_col[child], island_col[parent])
-        labels.append(f"{child} after {parent}")
     model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
-    model.value = [-1.0, 1.0] * len(labels)  # negated, as the model holds its rows
-    model.rhs, model.labels = [0.0] * len(labels), labels
+    model.value = [-1.0, 1.0] * (len(pairs) // 2)  # negated, as the model holds its rows
+    model.rhs = [0.0] * (len(pairs) // 2)
     return model
 
 
@@ -406,30 +400,20 @@ def solve_relaxation(
     times = [p[lid] for lid in names]
 
     model = _base_model(instance, islands, precedence)
+    first_cut = len(model.rhs)  # the rows from here on are the cut pool
     # the singleton cuts in one batch; fsum of one term is exact, so each
     # rhs is load_rhs([t], m) bit for bit
-    singles = [t * t / (2.0 * m) + t * t / 2.0 for t in times]
     model.start += range(len(model.index) + 1, len(model.index) + len(columns) + 1)
     model.index += columns
     model.value += [-t for t in times]
-    model.rhs += singles
-    model.labels += [None] * len(columns)  # load cuts
-    pool = [Cut(lines=frozenset((lid,)), rhs=rhs) for lid, rhs in zip(names, singles)]
-    pooled = {(i,) for i in range(len(names))}
-
-    def add_cut(subset: tuple[int, ...]) -> None:
-        cut = Cut.for_subset([names[i] for i in subset], p, m)
-        model.add_row([columns[i] for i in subset], [times[i] for i in subset], cut.rhs, None)
-        pool.append(cut)
-        pooled.add(subset)
+    model.rhs += [t * t / (2.0 * m) + t * t / 2.0 for t in times]
+    pooled = {(i,) for i in range(len(names))}  # the pool's subsets, by position in `names`
 
     cut_limit = 10 * max(1, len(p)) ** 2
-    iterations = 0
     history: list[float] = []
 
     while True:
         vertex = simplex_solve(model)
-        iterations += 1
         history.append(vertex.objective)
         x = vertex.values
         c = [x[k] for k in columns]
@@ -439,76 +423,80 @@ def solve_relaxation(
             c = [x[k] for k in columns]
             subset = _most_violated(c, times, m, pooled)
         if subset is not None:
-            add_cut(subset)
-            if len(pool) > cut_limit:
+            rhs = load_rhs((times[i] for i in subset), m)
+            model.add_row([columns[i] for i in subset], [times[i] for i in subset], rhs)
+            pooled.add(subset)
+            if len(pooled) > cut_limit:
                 violation = _violation(subset, c, times, m)
                 raise IterationLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})"
                 )
             continue
 
-        solution = LpSolution(
-            completion=dict(zip(lids, x[:n])),
+        completion = dict(zip(lids, x[:n]))
+        midpoints = {lid: completion[lid] - p[lid] / 2.0 for lid in lids}
+        cuts = [Cut(frozenset(lids[j] for j in model.index[model.start[k]:model.start[k + 1]]),
+                    model.rhs[k]) for k in range(first_cut, len(model.rhs))]
+        # the midpoint form of each cut, sum_A p_j M_j >= (sum_A p_j)^2 / (2m),
+        # is algebraically the cut itself and must hold at any feasible point
+        for cut in cuts:
+            lhs = math.fsum(p[j] * midpoints[j] for j in cut.lines)
+            square = cut.rhs - math.fsum(p[j] * p[j] for j in cut.lines) / 2.0
+            if lhs < square - 1e-6 * max(1.0, abs(square)):
+                raise LpError(
+                    f"midpoint form violated on {sorted(cut.lines)}: {lhs} < {square}"
+                )
+        return LpSolution(
+            completion=completion,
             energization=dict(zip(islands.weights, x[n:])),
-            midpoints={},
+            midpoints=midpoints,
             objective=vertex.objective,
-            iterations=iterations,
-            cuts=pool,
+            cuts=cuts,
             objective_history=history,
             model=model,
         )
-        solution.midpoints = lp_midpoints(solution, p)
-        return solution
 
 
 def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
     """Re-minimize sum of all variables with the objective capped at its optimum."""
-    import numpy as np
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
-    weighted = np.flatnonzero(model.objective)
+    weighted = [k for k, w in enumerate(model.objective) if w]
     # the cap row -objective >= -cap goes on copies: the loop's model must not get it
-    canon = replace(model, objective=np.ones(len(model.variables)), start=model.start[:],
-                    index=model.index[:], value=model.value[:], rhs=model.rhs[:],
-                    labels=model.labels[:])
-    canon.add_row(weighted, -model.objective[weighted], -cap, "objective cap")
+    canon = replace(model, objective=[1.0] * len(model.variables), start=model.start[:],
+                    index=model.index[:], value=model.value[:], rhs=model.rhs[:])
+    canon.add_row(weighted, [-model.objective[k] for k in weighted], -cap)
     return simplex_solve(canon)
 
 
-def lp_midpoints(solution: LpSolution, p: Mapping[str, float]) -> dict[str, float]:
-    """Midpoints C - p/2 of the LP completions.
-
-    Also re-checks the midpoint form of every pooled cut,
-    sum_A p_j M_j >= (sum_A p_j)^2 / (2m), which is algebraically the cut
-    itself and must hold at any feasible point.
-    """
-    mids = {lid: solution.completion[lid] - p[lid] / 2.0 for lid in solution.completion}
-    for cut in solution.cuts:
-        lhs = math.fsum(p[j] * mids[j] for j in cut.lines)
-        square = cut.rhs - math.fsum(p[j] * p[j] for j in cut.lines) / 2.0
-        if lhs < square - 1e-6 * max(1.0, abs(square)):
-            raise LpError(
-                f"midpoint form violated on {sorted(cut.lines)}: {lhs} < {square}"
-            )
-    return mids
-
-
 def format_model(model: LpModel) -> str:
-    """Plain-text rendering of the final model for audit."""
+    """Plain-text rendering of the final model for audit.
+
+    Each row is named from its columns: E then C is an island covering a
+    line, E then E a child island after its parent, C alone a load cut.
+    """
 
     def terms(columns: list[int], values: Iterable[float]) -> str:
         named = sorted(zip((model.variables[k] for k in columns), values))
         return " + ".join(f"{coef:g}*{v}" for v, coef in named)
 
-    weighted = model.objective.nonzero()[0].tolist()
-    out = ["minimize", "  " + (terms(weighted, model.objective[weighted]) or "0"), "subject to"]
-    for v, lo in zip(model.variables, model.lower.tolist()):
+    weighted = [k for k, w in enumerate(model.objective) if w]
+    out = ["minimize", "  " + (terms(weighted, [model.objective[k] for k in weighted]) or "0"),
+           "subject to"]
+    for v, lo in zip(model.variables, model.lower):
         out.append(f"  {v} >= {lo:g}")
-    for k, (rhs, label) in enumerate(zip(model.rhs, model.labels)):
+    for k, rhs in enumerate(model.rhs):
         row = slice(model.start[k], model.start[k + 1])
         columns, values = model.index[row], [-v for v in model.value[row]]
-        if label is None:  # a load cut, on columns named C[id]
-            ids = sorted(model.variables[j][2:-1] for j in columns)
-            label = f"load cut on {{{', '.join(ids)}}}"
+        names = [model.variables[j] for j in columns]
+        kinds, ids = [name[:2] for name in names], [name[2:-1] for name in names]
+        if kinds == ["E[", "C["]:
+            label = f"island {ids[0]} covers {ids[1]}"
+        elif kinds == ["E[", "E["]:
+            label = f"{ids[0]} after {ids[1]}"
+        elif set(kinds) == {"C["}:
+            label = f"load cut on {{{', '.join(sorted(ids))}}}"
+        else:
+            label = ""
         line = f"  {terms(columns, values).replace('+ -', '- ')} >= {rhs:g}"
         out.append(line + (f"    # {label}" if label else ""))
     return "\n".join(out) + "\n"

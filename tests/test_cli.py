@@ -86,6 +86,65 @@ def test_schedule_dump_lp(fixtures_dir, tmp_path, capsys):
     assert "C[a]" in text and "E[b]" in text
 
 
+# Ids with brackets and ", ", starting with C or E, and a switch out of the
+# root, so the root island E[0] owns no lines.
+AWKWARD = {
+    "root": "E[0]", "crews": 1,
+    "nodes": [{"id": "E[0]", "weight": 0}, {"id": "C, 1", "weight": 2},
+              {"id": "E]2[", "weight": 5}, {"id": "C[3], [4]", "weight": 1},
+              {"id": "E, 5", "weight": 3}],
+    "lines": [
+        {"id": "C[s]", "from": "E[0]", "to": "C, 1", "repair_time": 2, "switch": True},
+        {"id": "E, x]", "from": "C, 1", "to": "E]2[", "repair_time": 3, "switch": False},
+        {"id": "E]y[, C", "from": "E]2[", "to": "C[3], [4]", "repair_time": 1, "switch": True},
+        {"id": "E[z], C[w]", "from": "C, 1", "to": "E, 5", "repair_time": 4, "switch": False},
+    ],
+}
+
+AWKWARD_DUMP = """\
+minimize
+  10*E[C[s]] + 1*E[E]y[, C]
+subject to
+  C[C[s]] >= 2
+  C[E, x]] >= 3
+  C[E[z], C[w]] >= 4
+  C[E]y[, C] >= 1
+  E[C[s]] >= 0
+  E[E[0]] >= 0
+  E[E]y[, C] >= 0
+  -1*C[C[s]] + 1*E[C[s]] >= 0    # island C[s] covers C[s]
+  -1*C[E, x]] + 1*E[C[s]] >= 0    # island C[s] covers E, x]
+  -1*C[E[z], C[w]] + 1*E[C[s]] >= 0    # island C[s] covers E[z], C[w]
+  -1*C[E]y[, C] + 1*E[E]y[, C] >= 0    # island E]y[, C covers E]y[, C
+  -1*E[C[s]] + 1*E[E]y[, C] >= 0    # E]y[, C after C[s]
+  1*E[C[s]] - 1*E[E[0]] >= 0    # C[s] after E[0]
+  2*C[C[s]] >= 4    # load cut on {C[s]}
+  3*C[E, x]] >= 9    # load cut on {E, x]}
+  4*C[E[z], C[w]] >= 16    # load cut on {E[z], C[w]}
+  1*C[E]y[, C] >= 1    # load cut on {E]y[, C}
+  2*C[C[s]] + 3*C[E, x]] + 4*C[E[z], C[w]] + 1*C[E]y[, C] >= 65    # load cut on {C[s], E, x], E[z], C[w], E]y[, C}
+  2*C[C[s]] + 3*C[E, x]] + 4*C[E[z], C[w]] >= 55    # load cut on {C[s], E, x], E[z], C[w]}
+"""
+
+
+def test_dump_lp_names_rows_from_awkward_ids(tmp_path, capsys):
+    path, dump = tmp_path / "awkward.json", tmp_path / "model.txt"
+    path.write_text(json.dumps(AWKWARD))
+    assert main(["schedule", str(path), "--alg", "lp-list", "--dump-lp", str(dump)]) == EXIT_OK
+    assert dump.read_text() == AWKWARD_DUMP
+
+
+@pytest.mark.parametrize("alg", ["convert", "single-optimal"])
+def test_dump_lp_needs_lp_list(fixtures_dir, tmp_path, capsys, alg):
+    dump = tmp_path / "model.txt"
+    code = main(["schedule", str(fixtures_dir / "fork.json"), "--alg", alg,
+                 "--dump-lp", str(dump)])
+    assert code == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert "--dump-lp" in err and not out
+    assert not dump.exists()
+
+
 def test_parser_built_once_keeps_no_options_between_calls(fixtures_dir, tmp_path, capsys):
     from gridrepair import cli
 
@@ -171,7 +230,7 @@ def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
 def test_lp_error_exits_3(fixtures_dir, capsys, monkeypatch):
     from gridrepair import cli, lp
 
-    def infeasible(model, highs=None):
+    def infeasible(model):
         raise lp.Infeasible("fabricated for the test")
 
     monkeypatch.setattr(lp, "simplex_solve", infeasible)
@@ -226,6 +285,22 @@ def test_numpy_loaded_only_by_the_lp_and_the_oracle(fixtures_dir, tmp_path):
         "    assert 'numpy' not in sys.modules, argv\n"
         f"assert cli.main(['schedule', {fixture!r}, '--alg', 'lp-list', '--out', {out!r}]) == 0\n"
         "assert 'numpy' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    import gridrepair
+
+    src = str(Path(gridrepair.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "import gridrepair.cli\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -26,7 +26,6 @@ from gridrepair.lp import (
     _solve_highs,
     _solve_linprog,
     load_rhs,
-    lp_midpoints,
     separate,
     simplex_solve,
     solve_relaxation,
@@ -43,20 +42,34 @@ ROUND_CASES = [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1,
 ]
 
 
+# every fixture at m = 1, 2, 3 and the three 60-line feeders of tests/golden.json
+POOL_CASES = [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 2, 3)] + [
+    (f"golden-{seed}", 3) for seed in (1, 2, 3)
+]
+
+
+def case_instance(name):
+    """A fixture, a generated 50-line feeder (`gen-<seed>`) or one of the
+    generated 60-line feeders `tests/golden.json` pins (`golden-<seed>`)."""
+    if name.startswith("gen-"):
+        return generate_random(GenParams(seed=int(name[4:]), nodes=(51, 51),
+                                         switch_probability=0.1, repair_time=(1, 10)))
+    if name.startswith("golden-"):  # as tests/test_golden.py generates them
+        return generate_random(GenParams(seed=int(name[7:]), nodes=(61, 61),
+                                         switch_probability=0.1, repair_time=(1, 10),
+                                         crews=(3,)))
+    return load_instance(FIXTURES / name)
+
+
 def round_models(monkeypatch, name, m):
     """Every model `solve_relaxation` solves on a fixture or a generated
     50-line feeder: its rounds, then its canonical pass."""
-    if name.startswith("gen-"):
-        params = GenParams(seed=int(name[4:]), nodes=(51, 51), switch_probability=0.1,
-                           repair_time=(1, 10))
-        inst = generate_random(params)
-    else:
-        inst = load_instance(FIXTURES / name)
+    inst = case_instance(name)
     models = []
 
-    def record(model, highs=None):
+    def record(model):
         models.append(copy.deepcopy(model))  # the loop appends to its lists
-        return simplex_solve(model, highs)
+        return simplex_solve(model)
 
     monkeypatch.setattr(lp, "simplex_solve", record)
     solve_relaxation(inst, crews=m)
@@ -66,16 +79,14 @@ def round_models(monkeypatch, name, m):
 
 class TestSimplexSolve:
     def test_one_variable_bound(self):
-        model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.array([1.0]))
+        model = LpModel(variables=["x"], objective=[1.0], lower=[1.0])
         vertex = simplex_solve(model)
         assert vertex.values[0] == pytest.approx(1.0)
         assert vertex.objective == pytest.approx(1.0)
 
     def test_chained_lower_bounds(self):
-        model = LpModel(
-            variables=["C", "E"], objective=np.array([0.0, 1.0]), lower=np.array([2.0, 0.0])
-        )
-        model.add_row(np.array([0, 1]), np.array([-1.0, 1.0]), 0.0)
+        model = LpModel(variables=["C", "E"], objective=[0.0, 1.0], lower=[2.0, 0.0])
+        model.add_row([0, 1], [-1.0, 1.0], 0.0)
         vertex = simplex_solve(model)
         assert list(vertex.values) == pytest.approx([2.0, 2.0])
 
@@ -94,7 +105,7 @@ class TestSimplexSolve:
     def test_unbounded_raises(self):
         from gridrepair.lp import Unbounded
 
-        model = LpModel(variables=["x"], objective=np.array([-1.0]), lower=np.zeros(1))
+        model = LpModel(variables=["x"], objective=[-1.0], lower=[0.0])
         for solve in (simplex_solve, _solve_linprog):
             with pytest.raises(Unbounded):
                 solve(model)
@@ -102,8 +113,8 @@ class TestSimplexSolve:
     def test_infeasible_raises(self):
         from gridrepair.lp import Infeasible
 
-        model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.zeros(1))
-        model.add_row(np.array([0]), np.array([-1.0]), 1.0)  # x <= -1
+        model = LpModel(variables=["x"], objective=[1.0], lower=[0.0])
+        model.add_row([0], [-1.0], 1.0)  # x <= -1
         for solve in (simplex_solve, _solve_linprog):
             with pytest.raises(Infeasible):
                 solve(model)
@@ -114,7 +125,7 @@ class TestSimplexSolve:
 
         if not scipy.__version__.startswith("1.17."):
             pytest.skip(f"direct HiGHS path is tested with SciPy 1.17, not {scipy.__version__}")
-        model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.array([1.0]))
+        model = LpModel(variables=["x"], objective=[1.0], lower=[1.0])
         assert _solve_highs(model) is not None
 
     @pytest.mark.parametrize("name, m", ROUND_CASES)
@@ -176,11 +187,11 @@ class TestSimplexSolve:
         monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
         fresh = relax()
         monkeypatch.undo()
-        model = LpModel(variables=["x"], objective=np.array([1.0]), lower=np.zeros(1))
+        model = LpModel(variables=["x"], objective=[1.0], lower=[0.0])
         if failure is Infeasible:
             model.add_row([0], [-1.0], 1.0)  # x <= -1
         else:
-            model.objective = np.array([-1.0])
+            model.objective = [-1.0]
         with pytest.raises(failure):
             simplex_solve(model)  # on the shared instance
         assert relax() == fresh
@@ -193,14 +204,28 @@ def run_fresh(script: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def test_model_needs_no_numpy():
+    """Building, extending and rendering a model load no NumPy; only a solve does."""
+    proc = run_fresh(f"""
+        import sys
+        from gridrepair import harness, lp
+        inst = harness.load_instance({str(FIXTURES / "feeder123.json")!r})
+        model = lp._base_model(inst, inst.islands, inst.precedence)
+        model.add_row([0, 1], [2.0, 3.0], 4.0)
+        assert "load cut on" in lp.format_model(model)
+        assert "numpy" not in sys.modules
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
 FALLBACK_SOLVES = textwrap.dedent(f"""
     import copy, sys
     from gridrepair import harness, lp
     assert lp._new_highs() is None
     models = []
-    def record(model, highs=None):
+    def record(model):
         models.append(copy.deepcopy(model))
-        return solve(model, highs)
+        return solve(model)
     solve, lp.simplex_solve = lp.simplex_solve, record
     harness.bench_instance("fork", harness.load_instance({str(FIXTURES / "fork.json")!r}), 2)
     assert len(models) >= 2 and lp._shared[1] is None
@@ -225,9 +250,9 @@ class TestBinding:
             assert "scipy.optimize" not in sys.modules
             core = sys.modules["scipy.optimize._highspy._core"]
             models = []
-            def record(model, highs=None):
+            def record(model):
                 models.append(copy.deepcopy(model))
-                return solve(model, highs)
+                return solve(model)
             solve, lp.simplex_solve = lp.simplex_solve, record
             harness.bench_instance("fork", harness.load_instance({fixtures["fork"]!r}), 3)
             lp.simplex_solve = solve
@@ -389,9 +414,9 @@ class TestSolveRelaxation:
         model = _base_model(fork, islands, prec)
         for r in range(1, 4):
             for subset in itertools.combinations(sorted(p), r):
-                cut = Cut.for_subset(subset, p, 2)
                 columns = [model.variables.index(f"C[{lid}]") for lid in subset]
-                model.add_row(np.array(columns), np.array([p[lid] for lid in subset]), cut.rhs)
+                model.add_row(columns, [p[lid] for lid in subset],
+                              load_rhs([p[lid] for lid in subset], 2))
         full = simplex_solve(model)
         sol = solve_relaxation(fork, crews=2)
         assert sol.objective == pytest.approx(full.objective, abs=1e-9)
@@ -403,6 +428,18 @@ class TestSolveRelaxation:
         assert frozenset({"a", "b", "c"}) in {cut.lines for cut in sol.cuts}
         triple = load_rhs([1.0, 2.0, 3.0], 2)
         assert triple == pytest.approx(16.0)
+
+    @pytest.mark.parametrize("name, m", POOL_CASES)
+    def test_cut_pool_is_the_singletons_then_one_cut_per_round(self, name, m):
+        inst = case_instance(name)
+        p = inst.repair_times()
+        positive = [lid for lid in sorted(p) if p[lid] > 0]
+        sol = solve_relaxation(inst, crews=m)
+        assert len(sol.cuts) == len(positive) + sol.iterations - 1
+        assert [cut.lines for cut in sol.cuts[:len(positive)]] == [
+            frozenset((lid,)) for lid in positive]
+        for cut in sol.cuts:
+            assert cut.rhs == load_rhs([p[j] for j in cut.lines], m)
 
     def test_objective_history_monotone(self, fork, feeder123):
         for inst, m in ((fork, 2), (feeder123, 3)):
@@ -444,7 +481,7 @@ class TestMidpoints:
     def test_midpoint_form_of_pooled_cuts(self, fork):
         sol = solve_relaxation(fork, crews=2)
         p = fork.repair_times()
-        mids = lp_midpoints(sol, p)
+        mids = sol.midpoints
         for cut in sol.cuts:
             lhs = sum(p[j] * mids[j] for j in cut.lines)
             total = sum(p[j] for j in cut.lines)
@@ -507,7 +544,7 @@ def reference_separate(c, p, m, pooled=frozenset()):
             key = (-violation, sorted(order[:k]))
             if (best is None or key < best) and frozenset(key[1]) not in pooled:
                 best = key
-    return None if best is None else Cut.for_subset(best[1], p, m)
+    return None if best is None else Cut(frozenset(best[1]), load_rhs([p[j] for j in best[1]], m))
 
 
 def separation_point(rng, n, m):
