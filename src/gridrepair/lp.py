@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import json
 import math
 import os
 import sys
@@ -472,7 +473,8 @@ def format_model(model: LpModel) -> str:
     """Plain-text rendering of the final model for audit.
 
     Each row is named from its columns: E then C is an island covering a
-    line, E then E a child island after its parent, C alone a load cut.
+    line, E then E a child island after its parent, C alone a load cut, whose
+    ids are JSON-quoted if any holds ", ", a brace or a quote, to read back.
     """
 
     def terms(columns: list[int], values: Iterable[float]) -> str:
@@ -494,7 +496,10 @@ def format_model(model: LpModel) -> str:
         elif kinds == ["E[", "E["]:
             label = f"{ids[0]} after {ids[1]}"
         elif set(kinds) == {"C["}:
-            label = f"load cut on {{{', '.join(sorted(ids))}}}"
+            ids = sorted(ids)
+            if any(", " in i or "{" in i or "}" in i or '"' in i for i in ids):
+                ids = [json.dumps(i) for i in ids]
+            label = f"load cut on {{{', '.join(ids)}}}"
         else:
             label = ""
         line = f"  {terms(columns, values).replace('+ -', '- ')} >= {rhs:g}"

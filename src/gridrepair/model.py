@@ -234,6 +234,7 @@ _NODE_FIELDS, _LINE_FIELDS = ("id", "weight"), ("id", "from", "to", "repair_time
 _NODE_KEYS, _LINE_KEYS = frozenset(_NODE_FIELDS), frozenset(_LINE_FIELDS)
 _LINE_ITEMS = itemgetter(*_LINE_FIELDS)
 _FLOAT_MAX = sys.float_info.max  # a plain int or float in [0, _FLOAT_MAX] is finite as a float
+new_record = tuple.__new__  # new_record(Node, (id, w)) is Node(id, w) minus its Python __new__
 
 
 def validate(raw: dict) -> NetworkInstance:
@@ -279,7 +280,7 @@ def validate(raw: dict) -> NetworkInstance:
             if w < 0:
                 raise NegativeWeight(f"node {nid!r} has negative weight {w}")
         seen_nodes.add(nid)
-        nodes.append(Node(nid, float(w)))
+        nodes.append(new_record(Node, (nid, float(w))))
 
     root = _id(raw["root"], "root")
     if root not in seen_nodes:
@@ -346,7 +347,7 @@ def validate(raw: dict) -> NetworkInstance:
     lines = []
     for node_id, k in parent_of.items():
         lid, u, v, p, sw = raw_lines[k]
-        lines.append(Line(lid, v if u == node_id else u, node_id, p, sw))
+        lines.append(new_record(Line, (lid, v if u == node_id else u, node_id, p, sw)))
     lines.sort()  # by id: ids are unique, so no later field is compared
     nodes.sort()
     return NetworkInstance(nodes=tuple(nodes), lines=tuple(lines), root=root, crews=crews)

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, TypeVar
 
-from gridrepair.model import IslandSet, PrecedenceGraph
+from gridrepair.model import IslandSet, PrecedenceGraph, new_record
 
 
 T = TypeVar("T")
@@ -67,7 +67,7 @@ def list_schedule(
     for line in priority:
         start, crew = free[0]  # (free time, index) pairs never tie: heappop's order
         completion = start + repair_times[line]
-        crews[crew].append(Assignment(line, start, completion))
+        crews[crew].append(new_record(Assignment, (line, start, completion)))
         heapq.heapreplace(free, (completion, crew))
     return Schedule(
         crews=tuple(tuple(c) for c in crews), m=m, priority=tuple(priority)

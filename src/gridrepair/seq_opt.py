@@ -3,9 +3,11 @@
 With one crew the problem collapses to sequencing composite jobs, one per
 island (repairs within an island may run contiguously in any internal
 order without changing the cost), subject to the island out-tree.  That
-is solved exactly by the classic ratio-merge rule: repeatedly take the
-non-root composite with the largest weight/processing ratio and glue it
-onto the end of its parent.
+is solved exactly by the classic ratio-merge rule (Horn 1972): repeatedly
+take the non-root composite with the largest weight/processing ratio and
+glue it onto the end of its parent.  It runs on exact ints: every float is
+an int over a power of two, so processing and weight scaled by the largest
+such denominator are ints, and so are their sums.
 """
 
 from __future__ import annotations
@@ -13,21 +15,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from gridrepair import schedule as sched
 from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
-
-
-@dataclass
-class CompositeJob:
-    """A merged run of islands scheduled back to back by one crew."""
-
-    island_ids: list[str]
-    processing: Fraction
-    weight: Fraction
 
 
 @dataclass(frozen=True)
@@ -58,65 +50,67 @@ class SingleCrewOptimum:
         return sched.harm(self.energization, self.instance.islands.weights)
 
 
-def _ratio_key(job: CompositeJob, head: str) -> tuple:
-    # Max ratio pops first from the min-heap; zero-processing composites
-    # count as infinite ratio; ties fall to the smaller head-island id.  The
-    # correctly rounded float of the ratio orders first and the exact Fraction
-    # only breaks float ties: rounding is monotone (a < b gives float(a) <=
-    # float(b)), so this is the exact order.  Beyond float range it is inf.
-    if job.processing == 0:
-        return (0, 0.0, 0, head)
-    ratio = job.weight / job.processing
+class _Ratio(tuple):
+    """(weight, processing) as ints, ordered by exact ratio, largest first."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: _Ratio) -> bool:
+        return self[0] * other[1] == other[0] * self[1]
+
+    def __lt__(self, other: _Ratio) -> bool:
+        return self[0] * other[1] > other[0] * self[1]
+
+
+def _ratio_key(job: list) -> tuple:
+    # Max ratio pops first from the min-heap; zero-processing composites count
+    # as infinite ratio; ties fall to the smaller head-island id.  The float of
+    # the ratio (int / int rounds correctly, and rounding is monotone) orders
+    # first; the exact `_Ratio` breaks float ties.  Beyond float range it is inf.
+    head, processing, weight = job[0][0], job[1], job[2]
+    if processing == 0:
+        return (0, head)
     try:
-        rounded = float(ratio)
+        rounded = weight / processing
     except OverflowError:
         rounded = math.inf
-    return (1, -rounded, -ratio, head)
+    return (1, -rounded, _Ratio((weight, processing)), head)
 
 
-def optimal_island_sequence(
-    islands: IslandSet, precedence: PrecedenceGraph
-) -> list[str]:
+def optimal_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> list[str]:
     """Optimal island order for a single crew via ratio merging.
 
-    Each non-root composite is absorbed into its parent in decreasing
-    ratio order; parent pointers are resolved union-find style with path
-    compression.  The surviving root sequence is optimal and is a linear
-    extension of the precedence out-tree.
+    Each non-root composite [island ids, processing, weight], keyed by its
+    first (head) island, is absorbed into the composite holding the head's
+    parent island, in decreasing ratio order.  The surviving root sequence
+    is optimal and is a linear extension of the precedence out-tree.
     """
-    jobs = {
-        isl.id: CompositeJob([isl.id], Fraction(isl.processing), Fraction(isl.weight))
-        for isl in islands.islands
-    }
-    merged_into = {iid: iid for iid in jobs}
-
-    def find(x: str) -> str:
-        while merged_into[x] != x:
-            merged_into[x] = merged_into[merged_into[x]]
-            x = merged_into[x]
-        return x
-
-    version = dict.fromkeys(jobs, 0)
-    heap = [(_ratio_key(job, iid), 0, iid) for iid, job in jobs.items() if iid != precedence.root]
-    heapq.heapify(heap)
-
-    remaining = len(jobs) - 1
-    while remaining:
-        _, ver, head = heapq.heappop(heap)
-        if find(head) != head or ver != version[head]:
+    exact = [(isl.id, isl.processing.as_integer_ratio(), isl.weight.as_integer_ratio())
+             for isl in islands.islands]
+    scale = max(max(dp, dw) for _, (_, dp), (_, dw) in exact)
+    jobs = {iid: [[iid], p * (scale // dp), w * (scale // dw)] for iid, (p, dp), (w, dw) in exact}
+    merged_into = {iid: iid for iid in jobs}  # union-find over heads, path-halved
+    current = {iid: _ratio_key(job) for iid, job in jobs.items() if iid != precedence.root}
+    heap = sorted(current.values())  # a sorted list is a heap
+    while current:  # `current` holds the live key of each unmerged non-root composite
+        key = heapq.heappop(heap)
+        head = key[-1]
+        if current.get(head) is not key:
             continue
-        job = jobs[head]
-        target = find(precedence.parent[job.island_ids[0]])
+        del current[head]
+        ids, p, w = jobs[head]
+        target = precedence.parent[head]
+        while merged_into[target] != target:
+            merged_into[target] = target = merged_into[merged_into[target]]
         parent_job = jobs[target]
-        parent_job.island_ids.extend(job.island_ids)
-        parent_job.processing += job.processing
-        parent_job.weight += job.weight
+        parent_job[0].extend(ids)
+        parent_job[1] += p
+        parent_job[2] += w
         merged_into[head] = target
-        remaining -= 1
         if target != precedence.root:
-            version[target] += 1
-            heapq.heappush(heap, (_ratio_key(parent_job, target), version[target], target))
-    return list(jobs[precedence.root].island_ids)
+            current[target] = key = _ratio_key(parent_job)
+            heapq.heappush(heap, key)
+    return jobs[precedence.root][0]
 
 
 def expand_sequence(

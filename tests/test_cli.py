@@ -119,11 +119,11 @@ subject to
   -1*E[C[s]] + 1*E[E]y[, C] >= 0    # E]y[, C after C[s]
   1*E[C[s]] - 1*E[E[0]] >= 0    # C[s] after E[0]
   2*C[C[s]] >= 4    # load cut on {C[s]}
-  3*C[E, x]] >= 9    # load cut on {E, x]}
-  4*C[E[z], C[w]] >= 16    # load cut on {E[z], C[w]}
-  1*C[E]y[, C] >= 1    # load cut on {E]y[, C}
-  2*C[C[s]] + 3*C[E, x]] + 4*C[E[z], C[w]] + 1*C[E]y[, C] >= 65    # load cut on {C[s], E, x], E[z], C[w], E]y[, C}
-  2*C[C[s]] + 3*C[E, x]] + 4*C[E[z], C[w]] >= 55    # load cut on {C[s], E, x], E[z], C[w]}
+  3*C[E, x]] >= 9    # load cut on {"E, x]"}
+  4*C[E[z], C[w]] >= 16    # load cut on {"E[z], C[w]"}
+  1*C[E]y[, C] >= 1    # load cut on {"E]y[, C"}
+  2*C[C[s]] + 3*C[E, x]] + 4*C[E[z], C[w]] + 1*C[E]y[, C] >= 65    # load cut on {"C[s]", "E, x]", "E[z], C[w]", "E]y[, C"}
+  2*C[C[s]] + 3*C[E, x]] + 4*C[E[z], C[w]] >= 55    # load cut on {"C[s]", "E, x]", "E[z], C[w]"}
 """
 
 
@@ -132,6 +132,28 @@ def test_dump_lp_names_rows_from_awkward_ids(tmp_path, capsys):
     path.write_text(json.dumps(AWKWARD))
     assert main(["schedule", str(path), "--alg", "lp-list", "--dump-lp", str(dump)]) == EXIT_OK
     assert dump.read_text() == AWKWARD_DUMP
+
+
+def _load_cut_ids(label: str) -> list[str]:
+    """The ids of a `load cut on {...}` label: JSON strings if the first
+    starts with a quote, else split on ", "."""
+    text = label.removeprefix("load cut on {").removesuffix("}")
+    return json.loads(f"[{text}]") if text.startswith('"') else text.split(", ")
+
+
+@pytest.mark.parametrize("raw", ["awkward", "fork"])
+def test_dump_lp_load_cut_labels_read_back(fixtures_dir, tmp_path, raw):
+    """Each load-cut label names exactly its cut's lines, awkward ids or not."""
+    from gridrepair import lp
+    from gridrepair.harness import load_instance
+    from gridrepair.model import validate
+
+    inst = validate(AWKWARD) if raw == "awkward" else load_instance(fixtures_dir / "fork.json")
+    sol = lp.solve_relaxation(inst)
+    labels = [line.split("    # ", 1)[1] for line in lp.format_model(sol.model).splitlines()
+              if "# load cut on {" in line]
+    assert [frozenset(_load_cut_ids(label)) for label in labels] == [c.lines for c in sol.cuts]
+    assert any('"' in label for label in labels) == (raw == "awkward")
 
 
 @pytest.mark.parametrize("alg", ["convert", "single-optimal"])
@@ -301,6 +323,28 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         "import gridrepair.cli\n"
         "assert 'concurrent.futures.process' not in sys.modules\n"
         "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_convert_leaves_fractions_and_decimal_unloaded(fixtures_dir, tmp_path):
+    """The ratio merge runs on ints: neither importing the CLI nor a convert
+    run loads `fractions` (or `decimal`, which it imports)."""
+    import gridrepair
+
+    src = str(Path(gridrepair.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from gridrepair import cli\n"
+        "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
+        f"code = cli.main(['schedule', {str(fixtures_dir / 'feeder123.json')!r}, "
+        f"'--alg', 'convert', '--out', {str(tmp_path / 'out.json')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'fractions' not in sys.modules, 'fractions was imported'\n"
+        "assert 'decimal' not in sys.modules, 'decimal was imported'\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -27,7 +27,7 @@ from gridrepair.model import (
 )
 
 from gridrepair.harness import instance_to_json
-from gridrepair.schedule import Assignment
+from gridrepair.schedule import Assignment, list_schedule
 
 from conftest import (
     REFERENCE_SIZES,
@@ -208,15 +208,29 @@ class TestDerivedStructure:
         assert inst.repair_times() == {"e1": 2.0, "e2": 1.0}
 
 
+# The same three records as `validate` and `list_schedule` build them, which
+# is without the named tuples' own constructors.
+_BUILT = validate({"root": "s", "crews": 1,
+                   "nodes": [{"id": "s", "weight": 0}, {"id": "n1", "weight": 2.5}],
+                   "lines": [{"id": "e1", "from": "s", "to": "n1", "repair_time": 3.0,
+                              "switch": True}]})
+
+
 @pytest.mark.parametrize("record, text", [
     (Node("n1", 2.5), "Node(id='n1', weight=2.5)"),
     (Line("e1", "s", "n1", 3.0, True),
      "Line(id='e1', upstream='s', downstream='n1', repair_time=3.0, is_switch=True)"),
     (Assignment("e1", 0.0, 3.0), "Assignment(line='e1', start=0.0, completion=3.0)"),
-], ids=["node", "line", "assignment"])
+    (_BUILT.nodes[0], "Node(id='n1', weight=2.5)"),
+    (_BUILT.lines[0],
+     "Line(id='e1', upstream='s', downstream='n1', repair_time=3.0, is_switch=True)"),
+    (list_schedule(["e1"], 1, _BUILT.repair_times()).crews[0][0],
+     "Assignment(line='e1', start=0.0, completion=3.0)"),
+], ids=["node", "line", "assignment", "validated-node", "validated-line", "scheduled-assignment"])
 def test_record_contract(record, text):
     """The records keep the repr, immutability, equality, hash and pickling
-    they had as frozen dataclasses."""
+    they had as frozen dataclasses, however they were built."""
+    assert type(record) in (Node, Line, Assignment)
     assert repr(record) == text
     fields = list(type(record).__annotations__)
     with pytest.raises(AttributeError):
@@ -226,7 +240,9 @@ def test_record_contract(record, text):
     clone = pickle.loads(pickle.dumps(record))
     assert type(clone) is type(record) and clone == record and hash(clone) == hash(record)
     values = [getattr(record, name) for name in fields]
-    assert type(record)(*values) == record != type(record)(*values[:-1], None)
+    made = type(record)(*values)
+    assert made == record != type(record)(*values[:-1], None)
+    assert hash(made) == hash(record) and pickle.dumps(made) == pickle.dumps(record)
 
 
 class TestLineWeights:

@@ -8,7 +8,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
@@ -251,3 +251,42 @@ class TestRatioEdgeCases:
                           "d": (0, 1), "e": (2, 1)})
         got, expected = _sequence_pair(inst)
         assert got == expected == ["r", "d", "c", "b", "a", "e"]
+
+
+# Repair times and node weights that stress the exact merge: subnormals,
+# extremes, 10**16-scale ints (not all exact as floats), tenths (whose ratios
+# tie as floats but not exactly), zeros and small ints (which tie exactly).
+EXTREME_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-323, 1e-300, 3e-300, 1e300, 2e300, 1e308]),
+    st.integers(10**16 - 8, 10**16 + 8).map(float),
+    st.integers(0, 40).map(lambda k: k * 0.1),
+    st.integers(0, 6).map(float),
+)
+
+
+@st.composite
+def extreme_island_trees(draw):
+    """A random tree of 2-40 lines with switches, drawn from EXTREME_VALUES."""
+    lines = draw(st.integers(2, 40))
+    return validate({
+        "root": "0",
+        "crews": 1,
+        "nodes": [{"id": "0", "weight": 1.0}]
+        + [{"id": str(k), "weight": draw(EXTREME_VALUES)} for k in range(1, lines + 1)],
+        "lines": [{"id": f"e{k:02d}", "from": str(draw(st.integers(0, k - 1))), "to": str(k),
+                   "repair_time": draw(EXTREME_VALUES), "switch": draw(st.booleans())}
+                  for k in range(1, lines + 1)],
+    })
+
+
+@given(extreme_island_trees())
+@settings(max_examples=300, deadline=None)
+def test_island_sequence_matches_reference_on_extreme_data(inst):
+    """The integer merge orders islands as the Fraction-only reference does.
+    Where an island's sum overflows to inf the reference cannot run (nor can
+    the merge), and the case is skipped."""
+    try:
+        expected = reference_island_sequence(inst.islands, inst.precedence)
+    except OverflowError:
+        assume(False)
+    assert seq_opt.optimal_island_sequence(inst.islands, inst.precedence) == expected
