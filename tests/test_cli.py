@@ -142,7 +142,7 @@ def _load_cut_ids(label: str) -> list[str]:
 
 
 @pytest.mark.parametrize("raw", ["awkward", "fork"])
-def test_dump_lp_load_cut_labels_read_back(fixtures_dir, tmp_path, raw):
+def test_dump_lp_load_cut_labels_read_back(fixtures_dir, raw):
     """Each load-cut label names exactly its cut's lines, awkward ids or not."""
     from gridrepair import lp
     from gridrepair.harness import load_instance
