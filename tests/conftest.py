@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gridrepair import algos, oracle
+from gridrepair import algos, lp, oracle
 from gridrepair.harness import GenParams, generate_random, load_instance
-from gridrepair.lp import load_rhs
+from gridrepair.lp import LpModel, LpVertex, load_rhs
 from gridrepair.model import (
     AllWeightsZero,
     CycleDetected,
@@ -378,3 +378,45 @@ def reference_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -
             heapq.heappush(heap, (key(parent_job[2], parent_job[1], target),
                                   version[target], target))
     return list(jobs[precedence.root][0])
+
+
+def reference_solve_highs(model: LpModel, highs=None) -> LpVertex | None:
+    """`lp._solve_highs` as first written: every field of the HighsLp, the
+    cost vector too, set from Python lists before one `passModel`.  Setting
+    `col_cost_` loads NumPy, since SciPy's binding types it as an array."""
+    highs = lp._shared_highs() if highs is None else highs
+    if highs is None:
+        return None
+    hs = lp._binding()
+
+    n, k = len(model.variables), len(model.rhs)
+    lower, upper = model.lower, [-rhs for rhs in model.rhs]
+    held = hs.HighsLp()
+    matrix = held.a_matrix_
+    held.num_col_, held.num_row_ = matrix.num_col_, matrix.num_row_ = n, k
+    matrix.format_ = hs.MatrixFormat.kRowwise
+    matrix.start_, matrix.index_, matrix.value_ = model.start, model.index, model.value
+    held.col_cost_ = model.objective
+    held.col_lower_ = lower
+    held.col_upper_ = [hs.kHighsInf] * n
+    held.row_lower_ = [-hs.kHighsInf] * k
+    held.row_upper_ = upper
+
+    if highs.passModel(held) == hs.HighsStatus.kError:
+        raise lp.Infeasible("HiGHS rejected the model")
+    run_failed = highs.run() == hs.HighsStatus.kError
+    status = highs.getModelStatus()
+    if run_failed or status != hs.HighsModelStatus.kOptimal:
+        known = hs.HighsModelStatus
+        failure = {known.kInfeasible: lp.Infeasible, known.kModelError: lp.Infeasible,
+                   known.kUnbounded: lp.Unbounded, known.kIterationLimit: lp.IterationLimit,
+                   known.kTimeLimit: lp.IterationLimit}.get(status, lp.LpError)
+        raise failure(f"HiGHS model status {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x, fun = solution.col_value, highs.getObjectiveValue()
+    tol = math.sqrt(lp.LP_TOLERANCE) * 10
+    if not (all(v >= lo - tol for v, lo in zip(x, lower))
+            and all(v <= up + tol for v, up in zip(solution.row_value, upper))
+            and not math.isnan(fun)):
+        raise lp.LpError("the optimal point HiGHS returned violates the constraints")
+    return LpVertex(values=x, objective=fun)

@@ -314,6 +314,22 @@ def test_numpy_loaded_only_by_the_lp_and_the_oracle(fixtures_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_lp_list_stdout_is_the_result_alone(fixtures_dir, tmp_path):
+    """A fresh lp-list run prints its result JSON and nothing else: HiGHS
+    writes to the process's stdout, so a banner would land there."""
+    import gridrepair
+
+    src = str(Path(gridrepair.__file__).resolve().parent.parent)
+    argv = ["schedule", str(fixtures_dir / "feeder123.json"), "--alg", "lp-list", "--crews", "3"]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    proc = subprocess.run([sys.executable, "-m", "gridrepair.cli", *argv,
+                           "--dump-lp", str(tmp_path / "model.txt")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_text() and not proc.stderr
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     import gridrepair
 

@@ -32,7 +32,13 @@ from gridrepair.lp import (
 )
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import FIXTURES, exhaustive_separation, instances, reference_most_violated
+from conftest import (
+    FIXTURES,
+    exhaustive_separation,
+    instances,
+    reference_most_violated,
+    reference_solve_highs,
+)
 
 SRC = str(Path(lp.__file__).resolve().parent.parent)
 
@@ -174,6 +180,17 @@ class TestSimplexSolve:
         assert again == fresh
         assert twice == fresh  # a kept basis would take no iterations here
 
+    @pytest.mark.parametrize("name, m", POOL_CASES)
+    def test_pass_matches_the_reference_pass(self, monkeypatch, name, m):
+        """The solve, and the LP HiGHS holds after it, equal those of the pass
+        that sets `col_cost_` from Python, on every round and canonical pass."""
+        ours, theirs = _new_highs(), _new_highs()
+        if ours is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        for model in round_models(monkeypatch, name, m):
+            assert _solve_highs(model, ours) == reference_solve_highs(model, theirs)
+            assert held_lp(ours) == held_lp(theirs)
+
     @pytest.mark.parametrize("failure", [Infeasible, Unbounded])
     def test_shared_instance_after_a_failed_solve(self, monkeypatch, feeder123, failure):
         if _new_highs() is None:
@@ -195,6 +212,18 @@ class TestSimplexSolve:
         with pytest.raises(failure):
             simplex_solve(model)  # on the shared instance
         assert relax() == fresh
+
+
+def held_lp(highs) -> tuple:
+    """The LP `highs` holds: sizes, sense, matrix, and every float vector as
+    `float.hex` strings, so costs and bounds compare bit for bit."""
+    held = highs.getLp()
+    matrix = held.a_matrix_
+    vectors = (held.col_cost_, held.col_lower_, held.col_upper_, held.row_lower_,
+               held.row_upper_, matrix.value_)
+    return (held.num_col_, held.num_row_, held.sense_, held.offset_, matrix.format_,
+            list(matrix.start_), list(matrix.index_),
+            [[float(v).hex() for v in vector] for vector in vectors])
 
 
 def run_fresh(script: str) -> subprocess.CompletedProcess:
