@@ -31,9 +31,9 @@ with SciPy 1.17) with the matrix, bounds and options that
 `linprog(method="highs-ds")` would pass, and falls back to `linprog` where
 that binding cannot be loaded; both give the same vertex bit for bit.
 The binding is loaded from its file, without the half second of importing
-`scipy.optimize`, and only by the functions that solve.  NumPy reaches an
-LP run only through that binding, which imports it, or the `linprog`
-fallback: building, separating and rendering a model use neither.
+`scipy.optimize`, and only by the functions that solve.  Only the `linprog`
+fallback loads NumPy: the binding imports it only to convert an array, and
+the direct solve passes the binding lists and reads back only lists.
 """
 
 from __future__ import annotations
@@ -133,6 +133,7 @@ def simplex_solve(model: LpModel) -> LpVertex:
 
 
 _shared: tuple[int, object] | None = None  # (pid, the instance of `_shared_highs`)
+_zero_cost_lps: dict[int, object] = {}  # column count -> a HighsLp of that many zero costs
 
 
 def _shared_highs():
@@ -196,7 +197,9 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     builds, the matrix of -rows with row bounds [-inf, -rhs] and column
     bounds [lower, inf], and raises what `_solve_linprog` raises per status.
     The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in
-    each column, which is the CSC matrix linprog passes.
+    each column, which is the CSC matrix linprog passes.  The binding's
+    `col_cost_` setter takes a NumPy array, so the HighsLp has n zero costs
+    HiGHS sized (by `addVar`, once per n) and `changeColCost` sets the rest.
     """
     highs = _shared_highs() if highs is None else highs
     if highs is None:
@@ -205,19 +208,25 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
 
     n, k = len(model.variables), len(model.rhs)
     lower, upper = model.lower, [-rhs for rhs in model.rhs]
-    lp = hs.HighsLp()  # filled with lists: the binding converts them faster than arrays
+    lp = _zero_cost_lps.get(n)  # filled with lists: the binding converts them faster than arrays
+    if lp is None:
+        highs.clearModel()
+        for _ in range(n):
+            highs.addVar(0.0, hs.kHighsInf)
+        lp = _zero_cost_lps[n] = highs.getLp()
     matrix = lp.a_matrix_
-    lp.num_col_, lp.num_row_ = matrix.num_col_, matrix.num_row_ = n, k
+    lp.num_row_ = matrix.num_row_ = k
     matrix.format_ = hs.MatrixFormat.kRowwise
     matrix.start_, matrix.index_, matrix.value_ = model.start, model.index, model.value
-    lp.col_cost_ = model.objective
     lp.col_lower_ = lower
-    lp.col_upper_ = [hs.kHighsInf] * n
     lp.row_lower_ = [-hs.kHighsInf] * k
     lp.row_upper_ = upper
 
     if highs.passModel(lp) == hs.HighsStatus.kError:
         raise Infeasible("HiGHS rejected the model")
+    for column, cost in enumerate(model.objective):
+        if cost and highs.changeColCost(column, cost) != hs.HighsStatus.kOk:
+            raise LpError(f"HiGHS rejected cost {cost!r} of column {column}")
     run_failed = highs.run() == hs.HighsStatus.kError
     status = highs.getModelStatus()
     if run_failed or status != hs.HighsModelStatus.kOptimal:
@@ -472,14 +481,19 @@ def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
 def format_model(model: LpModel) -> str:
     """Plain-text rendering of the final model for audit.
 
-    Each row is named from its columns: E then C is an island covering a
-    line, E then E a child island after its parent, C alone a load cut, whose
-    ids are JSON-quoted if any holds ", ", a brace or a quote, to read back.
+    Each row is named from its columns (E then C: an island covers a line;
+    E then E: a child island after its parent; C alone: a load cut), its ids
+    JSON-quoted if any holds a quote or the label's separator, to read back.
     """
 
     def terms(columns: list[int], values: Iterable[float]) -> str:
         named = sorted(zip((model.variables[k] for k in columns), values))
         return " + ".join(f"{coef:g}*{v}" for v, coef in named)
+
+    def quoted(ids: list[str], *separators: str) -> list[str]:
+        if any(s in i for i in ids for s in (*separators, '"')):
+            return [json.dumps(i) for i in ids]
+        return ids
 
     weighted = [k for k, w in enumerate(model.objective) if w]
     out = ["minimize", "  " + (terms(weighted, [model.objective[k] for k in weighted]) or "0"),
@@ -492,14 +506,11 @@ def format_model(model: LpModel) -> str:
         names = [model.variables[j] for j in columns]
         kinds, ids = [name[:2] for name in names], [name[2:-1] for name in names]
         if kinds == ["E[", "C["]:
-            label = f"island {ids[0]} covers {ids[1]}"
+            label = "island {} covers {}".format(*quoted(ids, " covers "))
         elif kinds == ["E[", "E["]:
-            label = f"{ids[0]} after {ids[1]}"
+            label = "{} after {}".format(*quoted(ids, " after "))
         elif set(kinds) == {"C["}:
-            ids = sorted(ids)
-            if any(", " in i or "{" in i or "}" in i or '"' in i for i in ids):
-                ids = [json.dumps(i) for i in ids]
-            label = f"load cut on {{{', '.join(ids)}}}"
+            label = f"load cut on {{{', '.join(quoted(sorted(ids), ', ', '{', '}'))}}}"
         else:
             label = ""
         line = f"  {terms(columns, values).replace('+ -', '- ')} >= {rhs:g}"

@@ -62,12 +62,12 @@ class _Ratio(tuple):
         return self[0] * other[1] > other[0] * self[1]
 
 
-def _ratio_key(job: list) -> tuple:
+def _ratio_key(head: str, job: list) -> tuple:
     # Max ratio pops first from the min-heap; zero-processing composites count
     # as infinite ratio; ties fall to the smaller head-island id.  The float of
     # the ratio (int / int rounds correctly, and rounding is monotone) orders
     # first; the exact `_Ratio` breaks float ties.  Beyond float range it is inf.
-    head, processing, weight = job[0][0], job[1], job[2]
+    _, processing, weight = job
     if processing == 0:
         return (0, head)
     try:
@@ -80,17 +80,18 @@ def _ratio_key(job: list) -> tuple:
 def optimal_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> list[str]:
     """Optimal island order for a single crew via ratio merging.
 
-    Each non-root composite [island ids, processing, weight], keyed by its
-    first (head) island, is absorbed into the composite holding the head's
-    parent island, in decreasing ratio order.  The surviving root sequence
-    is optimal and is a linear extension of the precedence out-tree.
+    Each non-root composite [last island, processing, weight], keyed by its
+    first (head) island, is linked in O(1) after the last island of the one
+    holding the head's parent island, in decreasing ratio order.  The root's
+    chain is optimal and is a linear extension of the precedence out-tree.
     """
     exact = [(isl.id, isl.processing.as_integer_ratio(), isl.weight.as_integer_ratio())
              for isl in islands.islands]
     scale = max(max(dp, dw) for _, (_, dp), (_, dw) in exact)
-    jobs = {iid: [[iid], p * (scale // dp), w * (scale // dw)] for iid, (p, dp), (w, dw) in exact}
+    jobs = {iid: [iid, p * (scale // dp), w * (scale // dw)] for iid, (p, dp), (w, dw) in exact}
     merged_into = {iid: iid for iid in jobs}  # union-find over heads, path-halved
-    current = {iid: _ratio_key(job) for iid, job in jobs.items() if iid != precedence.root}
+    after: dict[str, str] = {}  # the island that follows each island in its composite
+    current = {iid: _ratio_key(iid, job) for iid, job in jobs.items() if iid != precedence.root}
     heap = sorted(current.values())  # a sorted list is a heap
     while current:  # `current` holds the live key of each unmerged non-root composite
         key = heapq.heappop(heap)
@@ -98,19 +99,23 @@ def optimal_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> 
         if current.get(head) is not key:
             continue
         del current[head]
-        ids, p, w = jobs[head]
+        last, p, w = jobs[head]
         target = precedence.parent[head]
         while merged_into[target] != target:
             merged_into[target] = target = merged_into[merged_into[target]]
         parent_job = jobs[target]
-        parent_job[0].extend(ids)
+        after[parent_job[0]] = head
+        parent_job[0] = last
         parent_job[1] += p
         parent_job[2] += w
         merged_into[head] = target
         if target != precedence.root:
-            current[target] = key = _ratio_key(parent_job)
+            current[target] = key = _ratio_key(target, parent_job)
             heapq.heappush(heap, key)
-    return jobs[precedence.root][0]
+    order = [precedence.root]
+    while order[-1] in after:
+        order.append(after[order[-1]])
+    return order
 
 
 def expand_sequence(

@@ -156,6 +156,48 @@ def test_dump_lp_load_cut_labels_read_back(fixtures_dir, raw):
     assert any('"' in label for label in labels) == (raw == "awkward")
 
 
+def _separator_instance(line_id: str) -> dict:
+    """r -> a -> b over two switch lines: `line_id` feeds island `line_id`,
+    and line `y` its child island `y`."""
+    return {"root": "r", "crews": 1,
+            "nodes": [{"id": "r", "weight": 0}, {"id": "a", "weight": 1}, {"id": "b", "weight": 2}],
+            "lines": [{"id": line_id, "from": "r", "to": "a", "repair_time": 1, "switch": True},
+                      {"id": "y", "from": "a", "to": "b", "repair_time": 2, "switch": True}]}
+
+
+SEPARATOR_DUMP = """\
+minimize
+  1*E[x after y] + 2*E[y]
+subject to
+  C[x after y] >= 1
+  C[y] >= 2
+  E[r] >= 0
+  E[x after y] >= 0
+  E[y] >= 0
+  -1*C[x after y] + 1*E[x after y] >= 0    # island x after y covers x after y
+  -1*C[y] + 1*E[y] >= 0    # island y covers y
+  -1*E[r] + 1*E[x after y] >= 0    # "x after y" after "r"
+  -1*E[x after y] + 1*E[y] >= 0    # "y" after "x after y"
+  1*C[x after y] >= 1    # load cut on {x after y}
+  2*C[y] >= 4    # load cut on {y}
+  1*C[x after y] + 2*C[y] >= 7    # load cut on {x after y, y}
+"""
+
+
+def test_dump_lp_quotes_ids_holding_a_label_separator(tmp_path):
+    path, dump = tmp_path / "separator.json", tmp_path / "model.txt"
+    path.write_text(json.dumps(_separator_instance("x after y")))
+    assert main(["schedule", str(path), "--alg", "lp-list", "--dump-lp", str(dump),
+                 "--out", str(tmp_path / "out.json")]) == EXIT_OK
+    assert dump.read_text() == SEPARATOR_DUMP
+    path.write_text(json.dumps(_separator_instance("x covers y")))
+    assert main(["schedule", str(path), "--alg", "lp-list", "--dump-lp", str(dump),
+                 "--out", str(tmp_path / "out.json")]) == EXIT_OK
+    text = dump.read_text()
+    assert '# island "x covers y" covers "x covers y"\n' in text
+    assert "# island y covers y\n" in text and "# x covers y after r\n" in text
+
+
 @pytest.mark.parametrize("alg", ["convert", "single-optimal"])
 def test_dump_lp_needs_lp_list(fixtures_dir, tmp_path, capsys, alg):
     dump = tmp_path / "model.txt"
@@ -292,20 +334,22 @@ def test_scipy_loaded_only_to_solve_an_lp(fixtures_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_numpy_loaded_only_by_the_lp_and_the_oracle(fixtures_dir, tmp_path):
+def test_numpy_loaded_only_by_the_oracle(fixtures_dir, tmp_path):
     import gridrepair
 
     src = str(Path(gridrepair.__file__).resolve().parent.parent)
     fixture, out = str(fixtures_dir / "feeder123.json"), str(tmp_path / "out.json")
+    lp_list = ['schedule', fixture, '--alg', 'lp-list', '--out', out]
     script = (
         "import sys\n"
         "from gridrepair import cli, lp, oracle\n"
         f"for argv in (['validate', {fixture!r}], ['islands', {fixture!r}],\n"
         f"             ['schedule', {fixture!r}, '--alg', 'convert', '--crews', '3',\n"
-        f"              '--out', {out!r}]):\n"
+        f"              '--out', {out!r}],\n"
+        f"             {lp_list!r}, {[*lp_list, '--dump-lp', str(tmp_path / 'model.txt')]!r}):\n"
         "    assert cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
-        f"assert cli.main(['schedule', {fixture!r}, '--alg', 'lp-list', '--out', {out!r}]) == 0\n"
+        f"assert cli.main(['oracle', {str(fixtures_dir / 'fork.json')!r}, '--out', {out!r}]) == 0\n"
         "assert 'numpy' in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=src)

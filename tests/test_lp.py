@@ -276,6 +276,7 @@ class TestBinding:
             out = {str(tmp_path / "out.json")!r}
             assert cli.main(["schedule", {fixtures["feeder123"]!r}, "--alg", "lp-list",
                              "--crews", "3", "--out", out]) == 0
+            assert "numpy" not in sys.modules
             assert "scipy.optimize" not in sys.modules
             core = sys.modules["scipy.optimize._highspy._core"]
             models = []

@@ -290,3 +290,26 @@ def test_island_sequence_matches_reference_on_extreme_data(inst):
     except OverflowError:
         assume(False)
     assert seq_opt.optimal_island_sequence(inst.islands, inst.precedence) == expected
+
+
+def _cascade(n, comb):
+    """A chain of n switch lines with node weights rising downstream, so each
+    merge lands on a composite that merges next; with `comb`, every third
+    chain node also feeds a switch leaf of weight 2 that merges part way."""
+    chain = [(str(k - 1), str(k), 1 + k % 3, k) for k in range(1, n + 1)]
+    leaves = [(str(k), f"leaf{k}", 2, 2) for k in range(0, n, 3)] if comb else []
+    return validate({
+        "root": "0", "crews": 1,
+        "nodes": [{"id": "0", "weight": 0}]
+        + [{"id": v, "weight": w} for _, v, _, w in chain + leaves],
+        "lines": [{"id": f"e-{v}", "from": u, "to": v, "repair_time": p, "switch": True}
+                  for u, v, p, _ in chain + leaves],
+    })
+
+
+@pytest.mark.parametrize("comb", [False, True], ids=["chain", "comb"])
+@pytest.mark.parametrize("n", [2, 50, 3000])
+def test_island_sequence_matches_reference_on_cascades(n, comb):
+    got, expected = _sequence_pair(_cascade(n, comb))
+    assert got == expected
+    assert len(got) == n + 1 + (len(range(0, n, 3)) if comb else 0)
