@@ -10,10 +10,12 @@ repetition, so no side always runs first.  The commands are `validate`,
 `schedule --alg convert` and `schedule --alg lp-list` on each bundled
 fixture, `oracle` on fork.json and `bench --count 20`.  One JSON object is
 printed: per command and SRC, the median wall time in seconds, the largest
-peak RSS of a run in MB (from `wait4`, so the child alone), and whether the
-SRCs printed the same stdout.  Each SRC is byte-compiled first, as
-perfbench does, so no side pays for compiling its sources.  Standard
-library only; Linux or macOS.
+peak RSS of a run in MB (from `wait4`, so the child alone), which of
+`numpy` and `scipy.optimize` the command loaded, and whether the SRCs
+printed the same stdout.  The loaded modules come from one more run per
+command and SRC, under `-X importtime` and left out of the times.  Each SRC
+is byte-compiled first, as perfbench does, so no side pays for compiling
+its sources.  Standard library only; Linux or macOS.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WATCHED = ("numpy", "scipy.optimize")  # the heavy imports a command may load
 
 
 def commands(out_dir: str) -> dict[str, list[str]]:
@@ -63,6 +66,18 @@ def run_once(src: str, argv: list[str]) -> tuple[float, float, str]:
     return wall, kib / 1024, hashlib.sha256(stdout).hexdigest()
 
 
+def loaded(src: str, argv: list[str]) -> list[str]:
+    """Which WATCHED modules one untimed run imports, read from the
+    `-X importtime` lines it writes to stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gridrepair.cli", *argv],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, check=True)
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return [module for module in WATCHED if module in names]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5, metavar="K")
@@ -79,10 +94,13 @@ def main() -> None:
             for label, argv in table.items():
                 for src in order:
                     runs[label, src].append(run_once(src, argv))
+        modules = {(label, src): loaded(src, argv) for label, argv in table.items()
+                   for src in srcs}
     result = {"repeat": args.repeat, "python": sys.version.split()[0], "commands": {}}
     for label in table:
         row = {src: {"wall_s": round(statistics.median(r[0] for r in runs[label, src]), 4),
-                     "peak_rss_mb": round(max(r[1] for r in runs[label, src]), 1)}
+                     "peak_rss_mb": round(max(r[1] for r in runs[label, src]), 1),
+                     "loaded": modules[label, src]}
                for src in srcs}
         row["same_stdout"] = len({r[2] for src in srcs for r in runs[label, src]}) == 1
         result["commands"][label] = row

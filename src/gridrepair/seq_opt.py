@@ -112,9 +112,9 @@ def optimal_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> 
         if target != precedence.root:
             current[target] = key = _ratio_key(target, parent_job)
             heapq.heappush(heap, key)
-    order = [precedence.root]
-    while order[-1] in after:
-        order.append(after[order[-1]])
+    order = [island := precedence.root]
+    for _ in after:  # every island but the root follows one other
+        order.append(island := after[island])
     return order
 
 
