@@ -199,7 +199,7 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in
     each column, which is the CSC matrix linprog passes.  The binding's
     `col_cost_` setter takes a NumPy array, so the HighsLp has n zero costs
-    HiGHS sized (by `addVar`, once per n) and `changeColCost` sets the rest.
+    HiGHS sized (`addVar`, once per n) and `changeColCost` sets the nonzero ones.
     """
     highs = _shared_highs() if highs is None else highs
     if highs is None:

@@ -339,7 +339,7 @@ def test_numpy_loaded_only_by_the_oracle(fixtures_dir, tmp_path):
 
     src = str(Path(gridrepair.__file__).resolve().parent.parent)
     fixture, out = str(fixtures_dir / "feeder123.json"), str(tmp_path / "out.json")
-    lp_list = ['schedule', fixture, '--alg', 'lp-list', '--out', out]
+    lp_list = ["schedule", fixture, "--alg", "lp-list", "--out", out]
     script = (
         "import sys\n"
         "from gridrepair import cli, lp, oracle\n"
