@@ -152,6 +152,17 @@ class TestBench:
         params = GenParams(seed=5, nodes=(2, 6), crews=(2,))
         assert strip(run_bench(params, 5)) == strip(run_bench(params, 5))
 
+    def test_beyond_the_oracle_leaves_its_cells_empty(self):
+        instance = generate_random(GenParams(seed=7, nodes=(11, 11), repair_time=(1, 10)))
+        assert sum(1 for p in instance.repair_times().values() if p > 0) == 10
+        row = harness.bench_instance("gen-7", instance, 2)
+        assert row.h_opt is None and row.t_oracle == 0.0
+        assert (row.ratio_alg1, row.ratio_alg2, row.ratio_lp) == (None, None, None)
+        header, line = list(csv.reader(io.StringIO(rows_to_csv([row]))))
+        cells = dict(zip(header, line))
+        assert [cells[k] for k in ("h_opt", "ratio_alg1", "ratio_alg2", "ratio_lp")] == [""] * 4
+        assert cells["t_oracle"] == "0" and cells["h_alg1"] != ""
+
     def test_all_undamaged_instance_zero_harm(self):
         params = GenParams(seed=2, nodes=(5, 5), repair_time=(0, 0))
         rows = run_bench(params, 1)

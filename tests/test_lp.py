@@ -391,18 +391,18 @@ class TestSeparate:
         assert cut is not None and cut.lines == frozenset({"a"})
 
     def test_pooled_most_violated_yields_next(self):
-        # prefixes {1} (violation 0.9) and {1, 2} (violation 2.4)
-        c, p = {"1": 0.1, "2": 0.5}, {"1": 1.0, "2": 1.0}
-        assert separate(c, p, 1).lines == frozenset({"1", "2"})
-        cut = separate(c, p, 1, pooled={frozenset({"1", "2"})})
-        assert cut is not None and cut.lines == frozenset({"1"})
-        assert cut.rhs == pytest.approx(1.0)
+        # prefixes {0} (violation 0.9) and {0, 1} (violation 2.4), by position
+        c, p = [0.1, 0.5], [1.0, 1.0]
+        assert _most_violated(c, p, 1, set()) == (0, 1)
+        subset = _most_violated(c, p, 1, {(0, 1)})
+        assert subset == (0,)
+        assert load_rhs([p[i] for i in subset], 1) == pytest.approx(1.0)
 
     def test_pooled_only_violated_yields_none(self):
-        # {1} is violated by 0.9; {1, 2} holds with slack 2.1
-        c, p = {"1": 0.1, "2": 5.0}, {"1": 1.0, "2": 1.0}
-        assert separate(c, p, 1).lines == frozenset({"1"})
-        assert separate(c, p, 1, pooled={frozenset({"1"})}) is None
+        # {0} is violated by 0.9; {0, 1} holds with slack 2.1
+        c, p = [0.1, 5.0], [1.0, 1.0]
+        assert _most_violated(c, p, 1, set()) == (0,)
+        assert _most_violated(c, p, 1, {(0,)}) is None
 
     def test_equal_violation_takes_smaller_sorted_ids(self):
         # {b} and {a, b} are both violated by exactly 1.0
@@ -577,6 +577,20 @@ def reference_separate(c, p, m, pooled=frozenset()):
     return None if best is None else Cut(frozenset(best[1]), load_rhs([p[j] for j in best[1]], m))
 
 
+def separate_pooled(c, p, m, pooled):
+    """`separate` with the id subsets in `pooled` skipped: `_most_violated` on
+    the lines of positive time in id order, with `pooled` by position."""
+    lines = [j for j in sorted(p) if p[j] > 0]
+    index = {j: k for k, j in enumerate(lines)}
+    positions = {tuple(sorted(index[j] for j in s)) for s in pooled if s.issubset(index)}
+    subset = _most_violated([float(c[j]) for j in lines], [float(p[j]) for j in lines], m,
+                            positions)
+    if subset is None:
+        return None
+    ids = [lines[i] for i in subset]
+    return Cut(frozenset(ids), load_rhs([p[j] for j in ids], m))
+
+
 def separation_point(rng, n, m):
     """Integer or half-integer p and C, so that violations often tie exactly.
 
@@ -619,7 +633,7 @@ def test_separate_matches_reference(n_max, points):
             pooled = set(rng.sample(prefixes, min(len(prefixes), 5)))
             cases.append((pooled, reference_separate(c, p, m, pooled)))
         for pooled, want in cases:
-            got = separate(c, p, m, pooled)
+            got = separate_pooled(c, p, m, pooled) if pooled else separate(c, p, m)
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.lines == want.lines
