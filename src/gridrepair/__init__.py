@@ -15,30 +15,4 @@ weighted island energization time ("harm"):
 * instance I/O, random generation and benchmarking (`harness`, `cli`).
 """
 
-from gridrepair.model import (
-    Island,
-    IslandSet,
-    Line,
-    NetworkInstance,
-    Node,
-    PrecedenceGraph,
-    build_precedence_graph,
-    derive_line_weights,
-    partition_islands,
-    validate,
-)
-
-__all__ = [
-    "Island",
-    "IslandSet",
-    "Line",
-    "NetworkInstance",
-    "Node",
-    "PrecedenceGraph",
-    "build_precedence_graph",
-    "derive_line_weights",
-    "partition_islands",
-    "validate",
-]
-
 __version__ = "0.1.0"

@@ -53,7 +53,7 @@ def _scored(algorithm: str, instance: NetworkInstance, plan: Schedule, **derived
     """The result of `plan`: its energization and harm on the instance."""
     energization = sched.energization_times(plan, instance.islands, instance.precedence)
     harm = sched.harm(energization, instance.islands.weights)
-    return AlgoResult(algorithm, plan.m, plan, energization, harm, **derived)
+    return AlgoResult(algorithm, len(plan.crews), plan, energization, harm, **derived)
 
 
 def lp_list_schedule(

@@ -104,6 +104,8 @@ def _cmd_islands(args) -> int:
 def _cmd_schedule(args) -> int:
     if args.dump_lp is not None and args.alg != algos.LP_LIST:
         raise ValueError(f"--dump-lp needs --alg {algos.LP_LIST}, got --alg {args.alg}")
+    if args.crews is not None and args.crews < 1:  # single-optimal reads no crew count
+        raise ValueError(f"--crews must be at least 1, got {args.crews}")
     instance = harness.load_instance(args.instance)
     if args.alg == algos.LP_LIST:
         result = algos.lp_list_schedule(instance, crews=args.crews)

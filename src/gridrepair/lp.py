@@ -222,7 +222,11 @@ def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     lp.row_lower_ = [-hs.kHighsInf] * k
     lp.row_upper_ = upper
 
-    if highs.passModel(lp) == hs.HighsStatus.kError:
+    passed = highs.passModel(lp)
+    # HiGHS holds its own copy now; the cached LP keeps no rows for the process's life
+    lp.num_row_ = matrix.num_row_ = 0
+    matrix.start_, matrix.index_, matrix.value_, lp.row_lower_, lp.row_upper_ = [0], [], [], [], []
+    if passed == hs.HighsStatus.kError:
         raise Infeasible("HiGHS rejected the model")
     for column, cost in enumerate(model.objective):
         if cost and highs.changeColCost(column, cost) != hs.HighsStatus.kOk:
@@ -270,22 +274,18 @@ def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m
     return load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
 
 
-def separate(c: Mapping[str, float], p: Mapping[str, float], m: int,
-             pooled: Collection[frozenset[str]] = frozenset()) -> Cut | None:
+def separate(c: Mapping[str, float], p: Mapping[str, float], m: int) -> Cut | None:
     """Most violated load inequality at the point C, or None if all hold.
 
     Candidates are the prefixes of the midpoint order and the completion
     order; zero-time lines are left out, as they contribute nothing to
     either side.  When any subset is violated the returned prefix attains
-    the exact maximum violation over all 2^n - 1 subsets.  Subsets in
-    `pooled` are skipped: a pooled cut's residual violation is solver
-    noise.  Ties in violation go to the smaller sorted id list.
+    the exact maximum violation over all 2^n - 1 subsets.  Ties in
+    violation go to the smaller sorted id list.
     """
     lines = [j for j in sorted(p) if p[j] > 0]
-    index = {j: k for k, j in enumerate(lines)}
     completions, times = ([float(x[j]) for j in lines] for x in (c, p))
-    pooled = {tuple(sorted(index[j] for j in s)) for s in pooled if s.issubset(index)}
-    subset = _most_violated(completions, times, m, pooled)
+    subset = _most_violated(completions, times, m, ())
     if subset is None:
         return None
     ids = [lines[i] for i in subset]
@@ -295,7 +295,9 @@ def separate(c: Mapping[str, float], p: Mapping[str, float], m: int,
 def _most_violated(completions: list[float], times: list[float], m: int,
                    pooled: Collection[tuple[int, ...]]) -> tuple[int, ...] | None:
     """`separate` on the positive `times` of the lines in id order and their
-    `completions`: the sorted positions of the cut, or None.
+    `completions`: the sorted positions of the cut, or None.  Subsets in
+    `pooled`, by sorted position, are skipped: a pooled cut's residual
+    violation is solver noise.
 
     Every prefix is scored from running sums S = sum p, Q = sum p^2 and
     W = sum p*C as S^2/2m + Q/2 - W.  On a prefix of k lines this score is

@@ -412,10 +412,11 @@ def partition_islands(instance: NetworkInstance) -> IslandSet:
         if island_id in taken:
             raise ValidationError(f"island id collision on {island_id!r}")
         taken.add(island_id)
-        # sum() over id-ordered values, not a += loop: from Python 3.12 the two differ
+        # sum() over id-ordered values, not a += loop: from Python 3.12 the two differ;
+        # a 0.0 start keeps an island with no lines a float and leaves other sums alone
         islands.append(Island(island_id, line_ids, tuple(node_ids),
-                              weight=sum(map(weights.__getitem__, map(downstream, lines))),
-                              processing=sum(map(repair_time, lines))))
+                              weight=sum(map(weights.__getitem__, map(downstream, lines)), 0.0),
+                              processing=sum(map(repair_time, lines), 0.0)))
     islands.sort(key=lambda isl: isl.id)
     return IslandSet(islands=tuple(islands))
 

@@ -33,7 +33,6 @@ class Schedule:
     """Per-crew ordered job assignments plus the priority list that built them."""
 
     crews: tuple[tuple[Assignment, ...], ...]
-    m: int
     priority: tuple[str, ...]
 
     def completions(self) -> dict[str, float]:
@@ -41,9 +40,6 @@ class Schedule:
 
     def starts(self) -> dict[str, float]:
         return {a.line: a.start for crew in self.crews for a in crew}
-
-    def makespan(self) -> float:
-        return max((a.completion for crew in self.crews for a in crew), default=0.0)
 
 
 def list_schedule(
@@ -69,9 +65,7 @@ def list_schedule(
         completion = start + repair_times[line]
         crews[crew].append(new_record(Assignment, (line, start, completion)))
         heapq.heapreplace(free, (completion, crew))
-    return Schedule(
-        crews=tuple(tuple(c) for c in crews), m=m, priority=tuple(priority)
-    )
+    return Schedule(crews=tuple(tuple(c) for c in crews), priority=tuple(priority))
 
 
 def _island_max(line_values: Mapping[str, float], islands: IslandSet) -> dict[str, float]:

@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from gridrepair import algos, lp, oracle
-from gridrepair.harness import GenParams, generate_random, load_instance
+from gridrepair.harness import GenParams, generate_random, instance_to_json, load_instance
 from gridrepair.lp import LpModel, LpVertex, load_rhs
 from gridrepair.model import (
     AllWeightsZero,
@@ -87,6 +88,16 @@ def feeder(nodes, switch_probability, seed):
     return generate_random(GenParams(
         seed=seed, nodes=(nodes, nodes), switch_probability=switch_probability,
         weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
+
+
+def save_instance(path, instance):
+    """Write `instance` as an indented instance file that `load_instance` reads back."""
+    Path(path).write_text(json.dumps(instance_to_json(instance), indent=2) + "\n")
+
+
+def makespan(plan):
+    """The latest completion over every crew of a schedule, 0 if it has no jobs."""
+    return max((a.completion for crew in plan.crews for a in crew), default=0.0)
 
 
 def certified_bounds(instance, m):
@@ -333,8 +344,8 @@ def reference_partition(instance: NetworkInstance) -> IslandSet:
             id=island_id,
             line_ids=tuple(line_ids),
             node_ids=tuple(sorted(node_ids)),
-            weight=sum(line_weights[lid] for lid in line_ids),
-            processing=sum(repair[lid] for lid in line_ids),
+            weight=sum((line_weights[lid] for lid in line_ids), 0.0),  # 0.0 with no lines
+            processing=sum((repair[lid] for lid in line_ids), 0.0),
         ))
     return IslandSet(islands=tuple(sorted(islands, key=lambda isl: isl.id)))
 

@@ -54,6 +54,37 @@ def test_validate_rejects_unknown_field(tmp_path, capsys):
     assert "voltage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("opening", ["[", '{"a": '], ids=["arrays", "objects"])
+@pytest.mark.parametrize("command", [["validate"], ["schedule", "--alg", "convert"]],
+                         ids=["validate", "schedule"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, opening, command):
+    path = tmp_path / "deep.json"
+    path.write_text(opening * 100000)
+    assert main([command[0], str(path), *command[1:]]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "nest too deeply" in err and not out
+
+
+@pytest.mark.parametrize("alg", ["single-optimal", "lp-list", "convert"])
+@pytest.mark.parametrize("crews", ["0", "-1"])
+def test_schedule_crews_below_one_is_an_input_error(fixtures_dir, capsys, alg, crews):
+    code = main(["schedule", str(fixtures_dir / "fork.json"), "--alg", alg, "--crews", crews])
+    assert code == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert err.startswith("error: --crews") and not out
+
+
+def test_island_with_no_lines_prints_floats(tmp_path, capsys):
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps({"root": "s", "crews": 1, "nodes": [{"id": "s", "weight": 1}],
+                                "lines": []}))
+    assert main(["islands", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert '"weight": 0.0,' in text and '"processing": 0.0' in text
+    assert json.loads(text)["islands"] == [
+        {"id": "s", "lines": [], "nodes": ["s"], "weight": 0.0, "processing": 0.0}]
+
+
 def test_islands_output(fixtures_dir, capsys):
     assert main(["islands", str(fixtures_dir / "fork.json")]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

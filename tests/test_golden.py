@@ -39,8 +39,9 @@ from gridrepair.harness import (
     GenParams,
     generate_random,
     load_instance,
-    save_instance,
 )
+
+from conftest import save_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"

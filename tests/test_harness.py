@@ -23,6 +23,8 @@ from gridrepair.harness import (
 )
 from gridrepair.model import SchemaError, partition_islands
 
+from conftest import save_instance
+
 
 @pytest.mark.parametrize("name", ["fork.json", "two_island.json", "graham_m3.json",
                                   "feeder123.json"])
@@ -43,7 +45,7 @@ def test_result_text_is_the_indented_json_dump(fixtures_dir, name):
 class TestLoadSave:
     def test_fixture_round_trip(self, two_island, tmp_path):
         path = tmp_path / "copy.json"
-        harness.save_instance(path, two_island)
+        save_instance(path, two_island)
         assert load_instance(path) == two_island
 
     def test_malformed_json(self, tmp_path):
@@ -112,13 +114,12 @@ class TestGenerator:
     def test_always_validates(self, seed):
         generate_random(GenParams(seed=seed))  # validate() runs inside
 
-    def test_corpus_filter(self):
-        corpus = generate_corpus(
-            GenParams(seed=0, nodes=(3, 9)), 20, max_islands=3
-        )
-        assert len(corpus) == 20
-        for _, inst in corpus:
-            assert len(partition_islands(inst).islands) <= 3
+    def test_corpus_is_consecutive_seeds(self):
+        params = GenParams(seed=40, nodes=(3, 9))
+        corpus = generate_corpus(params, 20)
+        assert [name for name, _ in corpus] == [f"gen-{seed}" for seed in range(40, 60)]
+        for seed, (_, inst) in enumerate(corpus, 40):
+            assert inst == generate_random(dataclasses.replace(params, seed=seed))
 
 
 class TestBench:

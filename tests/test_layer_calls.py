@@ -1,10 +1,11 @@
 """The calls the traced benchmark makes into the program, as it makes them.
 
 `perfbench/worker.py`'s `layers` calls each layer's public function
-directly, by position where it passes arguments by position.  The test
-suite does not collect `perfbench/`, so this test makes every one of
-those calls, with the same argument shapes, on one fixture: a signature
-change that would crash a traced run fails here.
+directly, by position where it passes arguments by position.  The suite
+collects `perfbench/test_checks.py` too, but that file makes none of these
+traced layer calls, so this test makes every one of them, with the same
+argument shapes, on one fixture: a signature change that would crash a
+traced run fails here.
 """
 
 from gridrepair import algos, harness, lp, model, oracle, schedule, seq_opt

@@ -247,6 +247,20 @@ def test_model_needs_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cached_zero_cost_lp_keeps_no_rows():
+    """Once `passModel` has copied a model, the cached `HighsLp` of its column
+    count holds no rows, so a long-lived process keeps no matrix per column count."""
+    inst = generate_random(GenParams(seed=7, nodes=(201, 201), switch_probability=0.1,
+                                     repair_time=(1, 10), crews=(3,)))
+    sol = solve_relaxation(inst)
+    cached = lp._zero_cost_lps[len(sol.model.variables)]
+    matrix = cached.a_matrix_
+    assert len(sol.model.rhs) > 400 and len(cached.col_lower_) == len(sol.model.variables)
+    assert cached.num_row_ == matrix.num_row_ == 0
+    assert list(matrix.start_) == [0] and len(matrix.index_) == len(matrix.value_) == 0
+    assert len(cached.row_lower_) == len(cached.row_upper_) == 0
+
+
 FALLBACK_SOLVES = textwrap.dedent(f"""
     import copy, sys
     from gridrepair import harness, lp
