@@ -114,7 +114,7 @@ def test_criterion_2_single_crew_equivalence():
     corpus = [(name, instance) for name, instance
               in generate_corpus(GenParams(seed=2000, nodes=(2, 9)), 200)
               if len(instance.islands.islands) <= 7]
-    # the same 200 instances as when the filter was a corpus parameter: none is skipped
+    # pinned: no instance of this stream has more than 7 islands, so none is skipped
     assert [name for name, _ in corpus] == [f"gen-{seed}" for seed in range(2000, 2200)]
     failures = []
     for name, instance in corpus:

@@ -13,7 +13,6 @@ from gridrepair import algos, harness, lp
 from gridrepair.harness import (
     GenParams,
     ParseError,
-    generate_corpus,
     generate_random,
     instance_from_json,
     instance_to_json,
@@ -113,13 +112,6 @@ class TestGenerator:
     @settings(max_examples=100, deadline=None)
     def test_always_validates(self, seed):
         generate_random(GenParams(seed=seed))  # validate() runs inside
-
-    def test_corpus_is_consecutive_seeds(self):
-        params = GenParams(seed=40, nodes=(3, 9))
-        corpus = generate_corpus(params, 20)
-        assert [name for name, _ in corpus] == [f"gen-{seed}" for seed in range(40, 60)]
-        for seed, (_, inst) in enumerate(corpus, 40):
-            assert inst == generate_random(dataclasses.replace(params, seed=seed))
 
 
 class TestBench:
