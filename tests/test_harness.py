@@ -194,6 +194,25 @@ class TestBench:
         assert calls == {"partition": 1, "precedence": 1, "order": 1, "infinite": 1,
                          "single": 1, "one_crew_plan": 1}
 
+    def test_violation_writes_the_instance_for_replay(self, tmp_path, monkeypatch):
+        from gridrepair import oracle
+
+        certify = oracle.certify_row
+
+        def fail_on_gen_13(name, *args):
+            if name == "gen-13":
+                raise oracle.InvariantViolation(f"{name} (m=2): fabricated for the test")
+            return certify(name, *args)
+
+        monkeypatch.setattr(oracle, "certify_row", fail_on_gen_13)
+        params = GenParams(seed=11, nodes=(2, 6), crews=(2, 3))
+        out = tmp_path / "bench.csv"
+        with pytest.raises(oracle.InvariantViolation, match=r"^gen-13 \(m=2\): fabricated"):
+            run_bench(params, 4, out_path=out, jobs=1)
+        assert not out.exists()
+        replay = json.loads((tmp_path / "bench.csv.violation.json").read_text())
+        assert instance_from_json(replay) == generate_random(dataclasses.replace(params, seed=13))
+
     def test_worker_pool_matches_serial(self):
         params = GenParams(seed=31, nodes=(2, 5), crews=(2,))
         serial = run_bench(params, 4, jobs=1)
