@@ -35,25 +35,25 @@ WITHIN_ISLAND_ORDERS = tuple(_ARRANGEMENTS)
 @dataclass(frozen=True)
 class AlgoResult:
     """A schedule, its per-island energization and its harm, with what the
-    algorithm derived on the way: the relaxation, the single-crew optimum, and
-    the unlimited-crew energization and its harm."""
+    algorithm derived on the way: the relaxation or the single-crew optimum."""
 
     algorithm: str
-    crews: int
     schedule: Schedule
     energization: dict[str, float]
     harm: float
     lp: LpSolution | None = None
     single_crew: SingleCrewOptimum | None = None
-    infinite_crew: dict[str, float] | None = None
-    infinite_crew_harm: float | None = None
+
+    @property
+    def crews(self) -> int:
+        return len(self.schedule.crews)
 
 
 def _scored(algorithm: str, instance: NetworkInstance, plan: Schedule, **derived) -> AlgoResult:
     """The result of `plan`: its energization and harm on the instance."""
     energization = sched.energization_times(plan, instance.islands, instance.precedence)
     harm = sched.harm(energization, instance.islands.weights)
-    return AlgoResult(algorithm, len(plan.crews), plan, energization, harm, **derived)
+    return AlgoResult(algorithm, plan, energization, harm, **derived)
 
 
 def lp_list_schedule(
@@ -96,13 +96,10 @@ def convert_single_to_m(
     arrange = _ARRANGEMENTS[within_island_order]
     arrangement = {isl.id: arrange(isl.line_ids, repair) for isl in islands.islands}
     lines = seq_opt.expand_sequence(single.island_order, arrangement)
-    infinite_e, infinite = sched.infinite_crew_energization(islands, instance.precedence, repair)
-    return _scored(CONVERT, instance, sched.list_schedule(lines, m, repair), single_crew=single,
-                   infinite_crew=infinite_e, infinite_crew_harm=infinite)
+    return _scored(CONVERT, instance, sched.list_schedule(lines, m, repair), single_crew=single)
 
 
 def single_optimal(instance: NetworkInstance) -> AlgoResult:
     """The exact single-crew schedule as an algorithm result (m = 1)."""
     single = seq_opt.optimal_single_crew_harm(instance)
-    return AlgoResult(SINGLE_OPTIMAL, 1, single.plan, single.energization, single.harm,
-                      single_crew=single)
+    return _scored(SINGLE_OPTIMAL, instance, single.plan, single_crew=single)

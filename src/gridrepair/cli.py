@@ -122,6 +122,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.crews is not None and args.crews < 1:
+        raise ValueError(f"--crews must be at least 1, got {args.crews}")
     instance = harness.load_instance(args.instance)
     m = instance.crews if args.crews is None else args.crews
     result = oracle.brute_force_optimal(instance, m)
@@ -137,6 +139,7 @@ def _cmd_bench(args) -> int:
     if not crews:
         raise ValueError(f"--crews takes comma-separated crew counts, got {args.crews!r}")
     for option, value, wanted, ok in (
+        ("--crews", min(crews), "at least 1", min(crews) >= 1),
         ("--count", args.count, "at least 1", args.count >= 1),
         ("--max-lines", args.max_lines, "at least 1", args.max_lines >= 1),
         ("--jobs", args.jobs, "at least 1", args.jobs >= 1),

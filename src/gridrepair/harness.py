@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from gridrepair import algos, oracle
+from gridrepair import schedule as sched
 from gridrepair.lp import solve_relaxation
 from gridrepair.model import NetworkInstance, validate
 
@@ -30,17 +31,6 @@ class ParseError(ValueError):
 
 # The name perfbench/test_checks.py imports; `validate` makes every check.
 instance_from_json = validate
-
-
-def instance_to_json(instance: NetworkInstance) -> dict:
-    return {
-        "root": instance.root,
-        "crews": instance.crews,
-        "nodes": [{"id": n.id, "weight": n.weight} for n in instance.nodes],
-        "lines": [{"id": ln.id, "from": ln.upstream, "to": ln.downstream,
-                   "repair_time": ln.repair_time, "switch": ln.is_switch}
-                  for ln in instance.lines],
-    }
 
 
 def load_instance(path: str | Path) -> NetworkInstance:
@@ -109,8 +99,9 @@ class GenParams:
     crews: tuple[int, ...] = (2, 3)
 
 
-def generate_random(params: GenParams) -> NetworkInstance:
-    """Uniform random tree by random-parent attachment; always validates.
+def random_raw(params: GenParams) -> dict:
+    """A uniform random tree by random-parent attachment, as the instance
+    file's JSON object; with crew counts of at least 1 it always validates.
 
     Node weights are redrawn until at least one non-root weight is
     positive, so the result is a well-formed instance by construction.
@@ -130,20 +121,17 @@ def generate_random(params: GenParams) -> NetworkInstance:
         lines.append({"id": f"l{k:0{width}d}", "from": node_ids[parent], "to": node_ids[k],
                       "repair_time": rng.randint(*params.repair_time),
                       "switch": rng.random() < params.switch_probability})
-    raw = {
+    return {
         "root": node_ids[0],
         "crews": params.crews[0] if params.crews else 1,
         "nodes": [{"id": nid, "weight": w} for nid, w in zip(node_ids, weights)],
         "lines": lines,
     }
-    return validate(raw)
 
 
-def generate_corpus(params: GenParams, count: int) -> list[tuple[str, NetworkInstance]]:
-    """`count` generated instances, named by their seeds, which advance one by
-    one from params.seed, so the corpus is reproducible from the base seed alone."""
-    seeds = range(params.seed, params.seed + count)
-    return [(f"gen-{seed}", generate_random(replace(params, seed=seed))) for seed in seeds]
+def generate_random(params: GenParams) -> NetworkInstance:
+    """`random_raw(params)`, validated."""
+    return validate(random_raw(params))
 
 
 TIMING_COLUMNS = ("t_lp", "t_alg1", "t_alg2", "t_oracle")
@@ -207,13 +195,16 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
     alg2 = algos.convert_single_to_m(instance, crews=m)
     t_alg2 = time.perf_counter() - t0
 
+    # (energization, harm) with a crew per line: only the certificate and h_infinite read it
+    infinite = sched.infinite_crew_energization(instance.islands, instance.precedence, repair)
+
     t0 = time.perf_counter()
     try:
         h_opt, t_oracle = oracle.brute_force_optimal(instance, m).harm, time.perf_counter() - t0
     except oracle.TooLarge:  # beyond the oracle's reach: no optimum to compare with
         h_opt, t_oracle = None, 0.0
 
-    oracle.certify_row(name, instance, m, alg1, alg2, h_opt)
+    oracle.certify_row(name, instance, m, alg1, alg2, infinite, h_opt)
 
     return BenchRow(
         instance=name,
@@ -224,7 +215,7 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
         h_alg1=alg1.harm,
         h_alg2=alg2.harm,
         h_single=alg2.single_crew.harm,
-        h_infinite=alg2.infinite_crew_harm,
+        h_infinite=infinite[1],
         h_opt=h_opt,
         ratio_alg1=None if h_opt in (None, 0) else alg1.harm / h_opt,
         ratio_alg2=None if h_opt in (None, 0) else alg2.harm / h_opt,
@@ -250,15 +241,14 @@ def run_bench(
     """Benchmark generated instances across the configured crew counts.
 
     Rows come back ordered by instance id then crew count regardless of
-    worker scheduling.  On an invariant violation the offending instance
-    is written next to the output file for replay and the error re-raised.
+    worker scheduling.  On an invariant violation the offending instance is
+    written as generated next to the output file, for replay, and the error
+    re-raised.
     """
-    corpus = generate_corpus(params, count)
-    tasks = [
-        (name, instance_to_json(instance), m)
-        for name, instance in corpus
-        for m in params.crews
-    ]
+    # named by their seeds; each (instance, m) task validates its raw dict once
+    corpus = [(f"gen-{seed}", random_raw(replace(params, seed=seed)))
+              for seed in range(params.seed, params.seed + count)]
+    tasks = [(name, raw, m) for name, raw in corpus for m in params.crews]
     try:
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
@@ -270,7 +260,7 @@ def run_bench(
     except oracle.InvariantViolation as exc:
         if out_path is not None:
             name = str(exc).split(" ", 1)[0]
-            replay = {n: raw for n, raw, _ in tasks}.get(name)
+            replay = dict(corpus).get(name)
             if replay is not None:
                 Path(str(out_path) + ".violation.json").write_text(
                     json.dumps(replay, indent=2) + "\n"

@@ -406,10 +406,9 @@ def solve_relaxation(
         raise ValueError(f"crew count must be >= 1, got {m}")
     p = instance.repair_times()
     lids, n = sorted(p), len(p)
-    # lines with p > 0, by position: their C columns, ids and times
+    # lines with p > 0, by position: their C columns and times
     columns = [k for k, lid in enumerate(lids) if p[lid] > 0]
-    names = [lids[k] for k in columns]
-    times = [p[lid] for lid in names]
+    times = [p[lids[k]] for k in columns]
 
     model = _base_model(instance, islands, precedence)
     first_cut = len(model.rhs)  # the rows from here on are the cut pool
@@ -419,7 +418,7 @@ def solve_relaxation(
     model.index += columns
     model.value += [-t for t in times]
     model.rhs += [t * t / (2.0 * m) + t * t / 2.0 for t in times]
-    pooled = {(i,) for i in range(len(names))}  # the pool's subsets, by position in `names`
+    pooled = {(i,) for i in range(len(columns))}  # the pool's subsets, by position in `columns`
 
     cut_limit = 10 * max(1, len(p)) ** 2
     history: list[float] = []

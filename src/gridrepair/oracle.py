@@ -33,8 +33,6 @@ MAX_BRUTE_FORCE_LINES = 9
 class TooLarge(ValueError):
     def __init__(self, n: int, limit: int):
         super().__init__(f"{n} damaged lines exceed the enumeration guard of {limit}")
-        self.n = n
-        self.limit = limit
 
 
 class InvariantViolation(AssertionError):
@@ -135,12 +133,14 @@ def certify_row(
     m: int,
     alg1: AlgoResult,
     alg2: AlgoResult,
+    infinite: tuple[dict[str, float], float],
     h_opt: float | None,
 ) -> None:
     """Re-check every guarantee on one bench row.
 
-    `alg1` is the midpoint list schedule, `alg2` the conversion; `h_opt`
-    is the brute-force optimum, or None beyond the enumeration guard.
+    `alg1` is the midpoint list schedule, `alg2` the conversion, `infinite`
+    the unlimited-crew energization and harm; `h_opt` is the brute-force
+    optimum, or None beyond the enumeration guard.
     Raises InvariantViolation with a message starting "<name> (m=<m>): ",
     which the bench parses to write the instance out for replay.
     """
@@ -164,9 +164,9 @@ def certify_row(
             failures.append(f"2x energization bound broken for island {iid}")
 
     # per-island conversion bound
-    single, infinite = alg2.single_crew, alg2.infinite_crew
+    single, (infinite_e, infinite_harm) = alg2.single_crew, infinite
     for iid, e in alg2.energization.items():
-        bound = single.energization[iid] / m + (m - 1) / m * infinite[iid]
+        bound = single.energization[iid] / m + (m - 1) / m * infinite_e[iid]
         if e > bound + 1e-9:
             failures.append(f"conversion bound broken for island {iid}")
 
@@ -177,7 +177,7 @@ def certify_row(
             failures.append("(2 - 1/m) harm guarantee broken")
         if alg1.lp.objective > h_opt + tol:
             failures.append("relaxation exceeds the optimum")
-        failures += _lower_bound_failures(h_opt, single.harm, alg2.infinite_crew_harm, m)
+        failures += _lower_bound_failures(h_opt, single.harm, infinite_harm, m)
 
     if failures:
         raise InvariantViolation(f"{name} (m={m}): " + "; ".join(failures))

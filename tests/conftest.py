@@ -1,7 +1,7 @@
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from gridrepair import algos, lp, oracle
-from gridrepair.harness import GenParams, generate_random, instance_to_json, load_instance
+from gridrepair import schedule as sched
+from gridrepair.harness import GenParams, generate_random, load_instance
 from gridrepair.lp import LpModel, LpVertex, load_rhs
 from gridrepair.model import (
     AllWeightsZero,
@@ -90,6 +91,25 @@ def feeder(nodes, switch_probability, seed):
         weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
 
 
+def instance_to_json(instance):
+    """`instance` as the instance file's JSON object; `validate` reads it back."""
+    return {
+        "root": instance.root,
+        "crews": instance.crews,
+        "nodes": [{"id": n.id, "weight": n.weight} for n in instance.nodes],
+        "lines": [{"id": ln.id, "from": ln.upstream, "to": ln.downstream,
+                   "repair_time": ln.repair_time, "switch": ln.is_switch}
+                  for ln in instance.lines],
+    }
+
+
+def generate_corpus(params, count):
+    """`count` generated instances, named by their seeds, which advance one by
+    one from params.seed, as `gridrepair bench` draws them."""
+    seeds = range(params.seed, params.seed + count)
+    return [(f"gen-{seed}", generate_random(replace(params, seed=seed))) for seed in seeds]
+
+
 def save_instance(path, instance):
     """Write `instance` as an indented instance file that `load_instance` reads back."""
     Path(path).write_text(json.dumps(instance_to_json(instance), indent=2) + "\n")
@@ -107,9 +127,11 @@ def certified_bounds(instance, m):
     the single-crew optimum and the unlimited-crew optimum."""
     optimum = oracle.brute_force_optimal(instance, m).harm
     convert = algos.convert_single_to_m(instance, crews=m)
+    infinite = sched.infinite_crew_energization(
+        instance.islands, instance.precedence, instance.repair_times())
     oracle.certify_row("certified", instance, m, algos.lp_list_schedule(instance, crews=m),
-                       convert, optimum)
-    return optimum, convert.single_crew.harm, convert.infinite_crew_harm
+                       convert, infinite, optimum)
+    return optimum, convert.single_crew.harm, infinite[1]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ import pytest
 
 from gridrepair import algos, oracle, seq_opt
 from gridrepair import schedule as sched
-from gridrepair.harness import GenParams, generate_corpus
+from gridrepair.harness import GenParams
 from gridrepair.lp import separate
 from gridrepair.model import build_precedence_graph, partition_islands
 
-from conftest import certified_bounds, exhaustive_separation
+from conftest import certified_bounds, exhaustive_separation, generate_corpus
 
 
 def _verdict(label, failures, elapsed=None):

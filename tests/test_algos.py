@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,28 @@ def test_convert_simulates_only_the_m_crew_plan(feeder123, monkeypatch):
     assert calls == [3]
     result.single_crew.harm  # the single-crew plan is simulated when read
     assert calls == [3, 1]
+
+
+def test_convert_leaves_the_unlimited_crew_bound_to_the_bench(feeder123, monkeypatch):
+    """Only the certificate reads E-infinity, so the bench row computes it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("convert computed the unlimited-crew energization")
+
+    monkeypatch.setattr(sched, "infinite_crew_energization", refuse)
+    for order in algos.WITHIN_ISLAND_ORDERS:
+        algos.convert_single_to_m(feeder123, crews=3, within_island_order=order)
+
+
+def test_results_carry_only_what_their_algorithm_derives(fork):
+    assert [f.name for f in dataclasses.fields(algos.AlgoResult)] == [
+        "algorithm", "schedule", "energization", "harm", "lp", "single_crew"]
+    lp_list = algos.lp_list_schedule(fork, crews=2)
+    convert, single = algos.convert_single_to_m(fork, crews=2), algos.single_optimal(fork)
+    assert lp_list.lp is not None and lp_list.single_crew is None
+    assert convert.lp is None and single.lp is None
+    assert (convert.crews, single.crews) == (2, 1)
+    assert single.energization == single.single_crew.energization
+    assert single.harm == single.single_crew.harm
 
 
 @given(inst=instances(max_nodes=9), m=st.sampled_from([2, 3]))

@@ -270,6 +270,14 @@ def test_oracle(fixtures_dir, capsys):
     assert payload["enumerated"] == 2
 
 
+@pytest.mark.parametrize("crews", ["0", "-3"])
+def test_oracle_crews_below_one_is_an_input_error(fixtures_dir, capsys, crews):
+    code = main(["oracle", str(fixtures_dir / "fork.json"), "--crews", crews])
+    assert code == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert err == f"error: --crews must be at least 1, got {crews}\n" and not out
+
+
 def test_oracle_too_large(fixtures_dir, capsys):
     assert main(["oracle", str(fixtures_dir / "feeder123.json")]) == EXIT_INVALID
     assert "guard" in capsys.readouterr().err
@@ -295,6 +303,22 @@ def test_bench_without_crew_counts_is_an_input_error(tmp_path, capsys, crews):
     assert code == EXIT_INVALID
     assert "--crews" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("crews, below", [("0", "0"), ("-1", "-1"), ("2,0", "0"),
+                                          ("3,-2,2", "-2")])
+def test_bench_crews_below_one_fails_before_any_row(tmp_path, capsys, monkeypatch, crews, below):
+    from gridrepair import harness
+
+    rows = []
+    bench_instance = harness.bench_instance
+    monkeypatch.setattr(harness, "bench_instance",
+                        lambda *args: rows.append(args) or bench_instance(*args))
+    out = tmp_path / "rows.csv"
+    code = main(["bench", "--count", "2", "--crews", crews, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: --crews must be at least 1, got {below}\n"
+    assert rows == [] and not out.exists()
 
 
 @pytest.mark.parametrize(

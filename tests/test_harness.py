@@ -15,14 +15,13 @@ from gridrepair.harness import (
     ParseError,
     generate_random,
     instance_from_json,
-    instance_to_json,
     load_instance,
     rows_to_csv,
     run_bench,
 )
 from gridrepair.model import SchemaError, partition_islands
 
-from conftest import save_instance
+from conftest import instance_to_json, save_instance
 
 
 @pytest.mark.parametrize("name", ["fork.json", "two_island.json", "graham_m3.json",
@@ -212,6 +211,13 @@ class TestBench:
         assert not out.exists()
         replay = json.loads((tmp_path / "bench.csv.violation.json").read_text())
         assert instance_from_json(replay) == generate_random(dataclasses.replace(params, seed=13))
+
+    def test_each_row_validates_its_instance_once(self, monkeypatch):
+        calls = []
+        validate = harness.validate
+        monkeypatch.setattr(harness, "validate", lambda raw: calls.append(raw) or validate(raw))
+        rows = run_bench(GenParams(seed=11, nodes=(2, 6), crews=(2, 3)), 4, jobs=1)
+        assert len(rows) == len(calls) == 4 * 2
 
     def test_worker_pool_matches_serial(self):
         params = GenParams(seed=31, nodes=(2, 5), crews=(2,))

@@ -26,13 +26,13 @@ from gridrepair.model import (
     validate,
 )
 
-from gridrepair.harness import instance_to_json
 from gridrepair.schedule import Assignment, list_schedule
 
 from conftest import (
     REFERENCE_SIZES,
     SWITCH_PROBABILITIES,
     feeder,
+    instance_to_json,
     instances,
     reference_partition,
     reference_validate,
@@ -362,8 +362,6 @@ def test_partition_invariants(inst):
 @given(instances(max_nodes=10))
 @settings(max_examples=40, deadline=None)
 def test_partition_invariant_under_shuffle(inst):
-    from gridrepair.harness import instance_to_json
-
     raw = instance_to_json(inst)
     raw["lines"] = list(reversed(raw["lines"]))
     raw["nodes"] = list(reversed(raw["nodes"]))

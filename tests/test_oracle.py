@@ -208,10 +208,12 @@ class TestCheckBounds:
         assert len(oracle._lower_bound_failures(15.5, 32, 22, 2)) == 2
         alg1 = algos.lp_list_schedule(two_island, crews=2)
         alg2 = algos.convert_single_to_m(two_island, crews=2)
+        infinite = sched.infinite_crew_energization(
+            two_island.islands, two_island.precedence, two_island.repair_times())
         with pytest.raises(oracle.InvariantViolation,
                            match="below single-crew bound 32.0/2; m-crew optimum 15.5 below "
                                  "unlimited-crew bound 22"):
-            oracle.certify_row("two_island", two_island, 2, alg1, alg2, 15.5)
+            oracle.certify_row("two_island", two_island, 2, alg1, alg2, infinite, 15.5)
 
 
 class TestExhaustiveSeparation:

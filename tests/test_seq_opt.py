@@ -12,13 +12,14 @@ from hypothesis import assume, given, settings
 
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
-from gridrepair.harness import instance_to_json, load_instance
+from gridrepair.harness import load_instance
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
 from conftest import (
     REFERENCE_SIZES,
     SWITCH_PROBABILITIES,
     feeder,
+    instance_to_json,
     instances,
     reference_island_sequence,
 )
