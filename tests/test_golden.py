@@ -7,8 +7,10 @@ since HiGHS may land on a different float).  For the three small fixtures
 it also holds the `schedule --alg lp-list --dump-lp` text at m = 1, 2, 3,
 byte for byte: the final model is data, not a solver answer.  Under
 `generated-lp-list` it holds the `schedule --alg lp-list --crews 3` JSON of
-three generated 60-line feeders, byte for byte, and under `oracle` the
-`oracle` JSON of the three small fixtures at m = 1, 2, 3, byte for byte.
+three generated 60-line feeders, byte for byte.  Under `oracle` it holds
+the `oracle` JSON of the three small fixtures at m = 1, 2, 3 and of
+generated feeders with 7, 8 and 9 damaged lines at m = 1, 2, 3, 4 and n,
+byte for byte.
 Under `convert-orders` it holds the `schedule --alg convert` JSON with
 `--within-island-order reversed` and `adversarial-longest-last` at
 m = 1, 2, 3 on `feeder123.json` and the three generated feeders, and under
@@ -51,6 +53,7 @@ DUMP_LP_NAMES = ("fork.json", "two_island.json", "graham_m3.json")
 GENERATED = "generated-lp-list"
 GENERATED_SEEDS = (1, 2, 3)
 ORACLE = "oracle"
+ORACLE_GENERATED_LINES = (7, 8, 9)
 CONVERT_ORDERS = "convert-orders"
 CONVERT_ORDER_SOURCES = ("feeder123.json", "generated-1", "generated-2", "generated-3")
 NON_DEFAULT_ORDERS = ("reversed", "adversarial-longest-last")
@@ -165,6 +168,17 @@ def oracle_outputs(name: str) -> dict:
     return {str(m): _stdout(["oracle", path, "--crews", str(m)]) for m in CREWS}
 
 
+def generated_oracle_outputs(lines: int) -> dict:
+    """oracle JSON of a generated feeder whose `lines` lines are all damaged, at
+    m = 1, 2, 3, 4 and m = lines (every line starts at time 0)."""
+    params = GenParams(seed=lines, nodes=(lines + 1, lines + 1), repair_time=(1, 10))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feeder.json"
+        save_instance(path, generate_random(params))
+        return {str(m): _stdout(["oracle", str(path), "--crews", str(m)])
+                for m in (1, 2, 3, 4, lines)}
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_fixture_outputs_match_golden(name):
     expected = json.loads(GOLDEN.read_text())[name]
@@ -187,6 +201,12 @@ def test_oracle_matches_golden(name):
     assert oracle_outputs(name) == json.loads(GOLDEN.read_text())[ORACLE][name]
 
 
+@pytest.mark.parametrize("lines", ORACLE_GENERATED_LINES)
+def test_generated_oracle_matches_golden(lines):
+    expected = json.loads(GOLDEN.read_text())[ORACLE][f"generated-{lines}"]
+    assert generated_oracle_outputs(lines) == expected
+
+
 @pytest.mark.parametrize("source", CONVERT_ORDER_SOURCES)
 def test_convert_orders_match_golden(source):
     assert convert_order_outputs(source) == json.loads(GOLDEN.read_text())[CONVERT_ORDERS][source]
@@ -205,7 +225,9 @@ def test_bench_csv_matches_golden():
 if __name__ == "__main__":
     golden = {name: fixture_outputs(name) for name in NAMES}
     golden[GENERATED] = {str(seed): generated_lp_list(seed) for seed in GENERATED_SEEDS}
-    golden[ORACLE] = {name: oracle_outputs(name) for name in DUMP_LP_NAMES}
+    golden[ORACLE] = {f"generated-{n}": generated_oracle_outputs(n)
+                      for n in ORACLE_GENERATED_LINES}
+    golden[ORACLE].update((name, oracle_outputs(name)) for name in DUMP_LP_NAMES)
     golden[CONVERT_ORDERS] = {source: convert_order_outputs(source)
                               for source in CONVERT_ORDER_SOURCES}
     golden[BENCH] = bench_without_timing()
