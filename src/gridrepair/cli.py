@@ -148,6 +148,10 @@ def _cmd_bench(args) -> int:
     ):
         if not ok:
             raise ValueError(f"{option} must be {wanted}, got {value!r}")
+    repeated = next((m for k, m in enumerate(crews) if m in crews[:k]), None)
+    if repeated is not None:  # run_bench would run and write each of its rows twice
+        raise ValueError(
+            f"--crews lists crew count {repeated} more than once, got {args.crews!r}")
     params = harness.GenParams(
         seed=args.seed,
         nodes=(2, args.max_lines + 1),

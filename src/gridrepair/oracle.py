@@ -4,21 +4,28 @@ The optimal m-crew schedule is found by enumerating every priority list
 of the damaged lines and simulating greedy list scheduling for each (with
 no release dates and only soft precedence, some no-idle list schedule is
 optimal).  Lists that share a prefix share its simulation, so the lists
-are grown one line at a time and each distinct prefix is simulated once:
-level k holds the n!/(n-k)! prefixes of length k, and a prefix's children
-append each of its remaining lines.  A prefix is summed up by two things.
-One is the sorted free times of its crews: the next job completes at the
-earliest free time plus its repair time, whichever crew index takes it, so
-the crews' identities never matter, and only min(m, n) of them can ever
-be used.  The other is each island's latest completion so far.  The
-simulation is vectorized across all prefixes of a level at once,
-independently of the scalar simulator in `schedule`.  `certify_row`
-re-checks every proven guarantee on a bench row: the algorithms' bounds
-and, with the optimum, the two lower bounds on it.
+are grown one line at a time and each distinct prefix is simulated once;
+a prefix's children append each of its remaining lines.  A prefix is
+summed up by two things.  One is the sorted free times of its crews: the
+next job completes at the earliest free time plus its repair time,
+whichever crew index takes it, so the crews' identities never matter,
+and only c = min(m, n) of them can ever be used.  The other is each
+island's latest completion so far.  The first c lines of every list start
+together at time 0, one per crew, so their order changes no completion:
+after them the crews are free at those lines' sorted repair times and
+each island's latest completion is the largest of them on the island.
+So the prefixes of length c are not grown line by line; each c-line set
+is one start state standing for its c! orderings, and the remaining
+(n - c)! suffixes are grown from it.  The simulation is vectorized across
+all prefixes of a level at once, independently of the scalar simulator in
+`schedule`.  `certify_row` re-checks every proven guarantee on a bench
+row: the algorithms' bounds and, with the optimum, the two lower bounds
+on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -43,7 +50,7 @@ class InvariantViolation(AssertionError):
 class OracleResult:
     harm: float
     priority_list: tuple[str, ...]
-    enumerated: int
+    enumerated: int  # the n! lists the minimum is taken over, not the lists simulated
 
 
 def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
@@ -75,11 +82,14 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     slots = np.arange(width)[:, None, None]
     p = np.array([repair[lid] for lid in damaged], dtype=float)
     # one column per prefix: its c crews' sorted free times, its islands' latest
-    # completions, and its remaining lines in id order (rest[q, i]: the q-th of prefix i)
-    free = np.zeros((c, 1))
-    done = np.zeros((width, 1))
-    rest = np.arange(n)[:, None]
-    for r in range(n, 0, -1):
+    # completions, and its remaining lines in id order (rest[q, i]: the q-th of prefix i);
+    # the first prefixes are the c-line sets, each standing for its c! orderings (all
+    # bit-identical: their floats are the lines' repair times and maxima of them)
+    heads, rest = _sets(n, c)
+    first = p.take(heads)
+    free = np.sort(first, axis=0)
+    done = np.multiply(first, home.take(heads) == slots).max(axis=1)
+    for r in range(n - c, 0, -1):
         # child j * R + i of prefix i (of R) appends its j-th remaining line
         finish = free[0] + p.take(rest)
         # masked to the line's island; a 0 leaves a maximum of times >= 0 as it was
@@ -95,15 +105,33 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     energization = sched.energize(dict(zip(ids, done)), precedence, np.maximum)
     harms = sched.harm(energization, islands.weights)
 
-    # column sum_k j_k n!/(n-k)! holds the list of choices j_0, j_1, ...;
-    # reversing those mixed-radix axes puts the lists in itertools order
-    lists = harms.reshape(range(1, n + 1)).T.ravel()
+    # column s + S * sum_k j_k (n-c)!/(n-c-k)! holds set s (of S), then the suffix
+    # choices j_0, j_1, ...; reversing those mixed-radix axes puts set s's lists first
+    # and its suffixes in itertools order.  Each set's lists in id order come first
+    # among its orderings, so this is the lexicographic order of the lists kept
+    lists = harms.reshape((*range(1, n - c + 1), -1)).T.ravel()
     best = int(np.argmin(lists))  # first hit = lexicographically smallest list
-    order, left, rank = list(zero_lines), list(damaged), best
-    for r in range(n, 0, -1):
+    s, rank = divmod(best, math.factorial(n - c))
+    chosen = heads[:, s].tolist()
+    order = list(zero_lines) + [damaged[k] for k in chosen]
+    left = [lid for k, lid in enumerate(damaged) if k not in chosen]
+    for r in range(n - c, 0, -1):
         j, rank = divmod(rank, math.factorial(r - 1))
         order.append(left.pop(j))
-    return OracleResult(harm=float(lists[best]), priority_list=tuple(order), enumerated=lists.size)
+    return OracleResult(harm=float(lists[best]), priority_list=tuple(order),
+                        enumerated=math.factorial(n))
+
+
+@cache
+def _sets(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """heads[k, s] and rest[q, s]: the k-th line of the s-th c-line set of n
+    lines and the q-th line outside it, sets in itertools.combinations order
+    and lines in id order.  Built on first use: importing makes no arrays."""
+    import numpy as np
+    heads = list(itertools.combinations(range(n), c))
+    rest = [[k for k in range(n) if k not in h] for h in heads]
+    return (np.array(heads, dtype=np.intp).T.copy(),
+            np.array(rest, dtype=np.intp).reshape(len(heads), n - c).T.copy())
 
 
 @cache

@@ -321,6 +321,21 @@ def test_bench_crews_below_one_fails_before_any_row(tmp_path, capsys, monkeypatc
     assert rows == [] and not out.exists()
 
 
+@pytest.mark.parametrize("crews, repeated", [("2,2", "2"), ("3,2,3", "3"), ("1,2,2,1", "2")])
+def test_bench_repeated_crew_count_fails_before_any_row(tmp_path, capsys, monkeypatch, crews,
+                                                       repeated):
+    from gridrepair import harness
+
+    rows = []
+    monkeypatch.setattr(harness, "bench_instance", lambda *args: rows.append(args))
+    out = tmp_path / "rows.csv"
+    code = main(["bench", "--count", "2", "--crews", crews, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: --crews lists crew count {repeated} more than once, got {crews!r}\n")
+    assert rows == [] and not out.exists()
+
+
 @pytest.mark.parametrize(
     "option, value",
     [("--count", "-3"), ("--max-lines", "0"), ("--switch-probability", "1.5"),

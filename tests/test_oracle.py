@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from gridrepair import algos, oracle, seq_opt
 from gridrepair import schedule as sched
-from gridrepair.harness import GenParams, generate_random
+from gridrepair.harness import GenParams, generate_random, random_raw
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
 from conftest import certified_bounds, exhaustive_separation, instances
@@ -116,8 +116,45 @@ DIFFERENTIAL_CASES = [
 @pytest.mark.parametrize("inst", DIFFERENTIAL_CASES)
 def test_matches_reference_brute_force(inst):
     n = sum(1 for p in inst.repair_times().values() if p > 0)
-    for m in sorted({1, 2, 3, max(1, n), n + 2}):
+    # m = n - 1 leaves one suffix level after the first-c sets, m = n none
+    for m in sorted({1, 2, 3, max(1, n - 1), max(1, n), n + 2}):
         assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m), m
+
+
+# few distinct values, so ties are common; zeros and non-dyadic fractions among them
+REPAIR_TIMES = (0, 0.1, 0.2, 1 / 3, 0.7, 1, 2, 2.5)
+
+
+@st.composite
+def tied_instances(draw):
+    """Generated feeders of at most 7 lines with repair times from REPAIR_TIMES."""
+    nodes = draw(st.integers(min_value=2, max_value=8))
+    raw = random_raw(GenParams(
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)), nodes=(nodes, nodes),
+        switch_probability=draw(st.sampled_from([0.0, 0.4, 1.0]))))
+    for line in raw["lines"]:
+        line["repair_time"] = draw(st.sampled_from(REPAIR_TIMES))
+    return validate(raw)
+
+
+@given(tied_instances(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_matches_reference_on_tied_zero_and_fractional_times(inst, m):
+    assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m)
+
+
+def test_first_line_sets_cut_memory():
+    """At m = 3 each 3-line set is simulated once for its 3! = 6 orderings,
+    so the peak is well under a third of the one-crew peak (c = 1)."""
+    inst = _generated(108, 8, (1, 10), 0.4)
+    peaks = {}
+    for m in (1, 3):
+        oracle.brute_force_optimal(inst, m)  # the cached index tables are built outside
+        tracemalloc.start()
+        oracle.brute_force_optimal(inst, m)
+        peaks[m] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[3] <= peaks[1] / 3, peaks
 
 
 def test_memory_does_not_grow_with_crews():
