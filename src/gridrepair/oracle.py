@@ -105,10 +105,10 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     energization = sched.energize(dict(zip(ids, done)), precedence, np.maximum)
     harms = sched.harm(energization, islands.weights)
 
-    # column s + S * sum_k j_k (n-c)!/(n-c-k)! holds set s (of S), then the suffix
-    # choices j_0, j_1, ...; reversing those mixed-radix axes puts set s's lists first
-    # and its suffixes in itertools order.  Each set's lists in id order come first
-    # among its orderings, so this is the lexicographic order of the lists kept
+    # column s + S * sum_k j_k (n-c)!/(n-c-k)! holds set s (of S) in id order, then the
+    # suffix choices j_0, j_1, ...; reversing those mixed-radix axes puts the lists kept
+    # in lexicographic order.  A set in id order is the smallest of its c! orderings,
+    # so the first hit below is still the smallest optimal list of all n!
     lists = harms.reshape((*range(1, n - c + 1), -1)).T.ravel()
     best = int(np.argmin(lists))  # first hit = lexicographically smallest list
     s, rank = divmod(best, math.factorial(n - c))

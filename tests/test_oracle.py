@@ -143,28 +143,27 @@ def test_matches_reference_on_tied_zero_and_fractional_times(inst, m):
     assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m)
 
 
+def _peak(inst, m):
+    """Peak traced bytes of one oracle call, its cached index tables built before."""
+    oracle.brute_force_optimal(inst, m)
+    tracemalloc.start()
+    oracle.brute_force_optimal(inst, m)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
 def test_first_line_sets_cut_memory():
     """At m = 3 each 3-line set is simulated once for its 3! = 6 orderings,
     so the peak is well under a third of the one-crew peak (c = 1)."""
     inst = _generated(108, 8, (1, 10), 0.4)
-    peaks = {}
-    for m in (1, 3):
-        oracle.brute_force_optimal(inst, m)  # the cached index tables are built outside
-        tracemalloc.start()
-        oracle.brute_force_optimal(inst, m)
-        peaks[m] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+    peaks = {m: _peak(inst, m) for m in (1, 3)}
     assert peaks[3] <= peaks[1] / 3, peaks
 
 
 def test_memory_does_not_grow_with_crews():
     inst = _generated(108, 8, (1, 10), 0.4)
-    peaks = {}
-    for m in (8, 64):
-        tracemalloc.start()
-        oracle.brute_force_optimal(inst, m)
-        peaks[m] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+    peaks = {m: _peak(inst, m) for m in (8, 64)}
     assert peaks[64] <= 1.5 * peaks[8], peaks
 
 
