@@ -237,7 +237,9 @@ def _ref_id(value, owner):
 
 
 def reference_validate(raw: dict) -> NetworkInstance:
-    """`model.validate` as a union-find cycle check followed by a traversal."""
+    """`model.validate` with per-field checks and, for every file whatever its
+    line order and orientation, the orienting traversal it used before files
+    already oriented from the root skipped it."""
     _ref_fields(raw, ("root", "crews", "nodes", "lines"), "instance")
     crews = raw["crews"]
     if isinstance(crews, bool) or not isinstance(crews, int):
@@ -284,23 +286,12 @@ def reference_validate(raw: dict) -> NetworkInstance:
             raise SchemaError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
         raw_lines.append((lid, u, v, p, sw))
 
-    comp = {nid: nid for nid in seen_nodes}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    # only a failed traversal runs the union-find: a cycle is reported before
+    # a disconnected node
     adjacency = {nid: [] for nid in seen_nodes}
-    for k, (lid, u, v, _, _) in enumerate(raw_lines):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
-        comp[ru] = rv
+    for k, (_, u, v, _, _) in enumerate(raw_lines):
         adjacency[u].append((v, k))
         adjacency[v].append((u, k))
-
     parent_of, visited, stack = {}, {root}, [root]
     while stack:
         cur = stack.pop()
@@ -309,11 +300,19 @@ def reference_validate(raw: dict) -> NetworkInstance:
                 visited.add(other)
                 parent_of[other] = k
                 stack.append(other)
-    if len(visited) < len(seen_nodes):
+    if len(visited) < len(seen_nodes) or len(raw_lines) != len(seen_nodes) - 1:
+        comp = {nid: nid for nid in seen_nodes}
+        for lid, u, v, _, _ in raw_lines:
+            ru, rv = u, v
+            while comp[ru] != ru:
+                comp[ru] = ru = comp[comp[ru]]
+            while comp[rv] != rv:
+                comp[rv] = rv = comp[comp[rv]]
+            if ru == rv:
+                raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
+            comp[ru] = rv
         missing = sorted(seen_nodes - visited)[0]
         raise Disconnected(f"node {missing!r} is not connected to the root")
-    if len(raw_lines) != len(seen_nodes) - 1:
-        raise ValidationError(f"{len(raw_lines)} lines cannot span {len(seen_nodes)} nodes")
     if all(n.weight == 0 for n in nodes):
         raise AllWeightsZero("every node weight is zero")
 

@@ -19,7 +19,7 @@ from gridrepair.harness import (
     rows_to_csv,
     run_bench,
 )
-from gridrepair.model import SchemaError, partition_islands
+from gridrepair.model import SchemaError, partition_islands, validate
 
 from conftest import instance_to_json, save_instance
 
@@ -38,6 +38,44 @@ def test_result_text_is_the_indented_json_dump(fixtures_dir, name):
     for result in results:
         want = json.dumps(harness.result_to_json(result), indent=2)
         assert harness.result_to_text(result) == want
+
+
+AWKWARD_IDS = ["%", "%s", "%%", '"', "\\", "{}", "%(x)s {0}", "\u00fc\u20ac", "\u2028",
+               "\x00\x1f", "\U0001f50c"]
+
+
+def _chain(ids, times, switches=None):
+    """A path feeder root -> a -> b -> ..., one line per id, every node weighing 1."""
+    nodes = ["root", *(f"node {k}" for k in range(len(ids)))]
+    switches = switches or [k % 2 == 1 for k in range(len(ids))]
+    return validate({
+        "root": "root", "crews": 1,
+        "nodes": [{"id": nid, "weight": 1} for nid in nodes],
+        "lines": [{"id": lid, "from": nodes[k], "to": nodes[k + 1], "repair_time": p,
+                   "switch": sw} for k, (lid, p, sw) in enumerate(zip(ids, times, switches))],
+    })
+
+
+TEXT_CASES = {
+    "more crews than lines": (_chain(["a", "b", "c"], [1, 2, 3]), 5),
+    "every repair time 0": (_chain(["a", "b", "c", "d"], [0, 0, 0, 0]), 2),
+    "awkward ids": (_chain(AWKWARD_IDS, range(1, len(AWKWARD_IDS) + 1)), 3),
+    "awkward ids, no switches": (
+        _chain(AWKWARD_IDS, [2] * len(AWKWARD_IDS), [False] * len(AWKWARD_IDS)), 2),
+    "extreme times": (_chain(["a", "b", "c", "d", "e"], [5e-324, 1e-7, 1e16, 0.0, 1e-7]), 2),
+}
+
+
+@pytest.mark.parametrize("case", TEXT_CASES, ids=list(TEXT_CASES))
+def test_result_text_matches_the_dump_on_edge_cases(case):
+    inst, m = TEXT_CASES[case]
+    results = [algos.single_optimal(inst), algos.convert_single_to_m(inst, crews=m),
+               algos.convert_single_to_m(inst, crews=m, within_island_order="reversed")]
+    if case != "extreme times":  # 1e16 is beyond HiGHS's largest matrix value
+        results.append(algos.lp_list_schedule(inst, crews=m))
+    for result in results:
+        assert harness.result_to_text(result) == json.dumps(harness.result_to_json(result),
+                                                            indent=2)
 
 
 class TestLoadSave:

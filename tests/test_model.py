@@ -5,6 +5,7 @@ import pickle
 import sys
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from gridrepair.model import (
@@ -571,3 +572,96 @@ def test_partition_matches_reference(case, fixtures_dir):
     if isinstance(inst, str):
         inst = validate(json.loads((fixtures_dir / inst).read_text()))
     assert _outcome(partition_islands, inst) == _outcome(reference_partition, inst)
+
+
+def _tree_file(draw, st):
+    """A valid instance file: a random tree over shuffled node ids, rooted at a
+    random node, its lines in shuffled order, each line's `from` and `to`
+    swapped with a drawn probability (so the root is often a `to`)."""
+    count = draw(st.integers(min_value=1, max_value=12))
+    names = draw(st.permutations([f"n{k}" for k in range(count)]))
+    parents = [draw(st.integers(min_value=0, max_value=k - 1)) for k in range(1, count)]
+    root = names[draw(st.integers(min_value=0, max_value=count - 1))]
+    adjacent = {name: [] for name in names}
+    for k, parent in enumerate(parents, 1):
+        adjacent[names[parent]].append(names[k])
+        adjacent[names[k]].append(names[parent])
+    lines, stack, seen = [], [root], {root}
+    while stack:  # orient away from the drawn root
+        cur = stack.pop()
+        for other in adjacent[cur]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+                lines.append([cur, other])
+    swap = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    line_ids = draw(st.permutations([f"l{k}" for k in range(len(lines))]))
+    raw_lines = []
+    for lid, (u, v) in zip(line_ids, lines):
+        if draw(st.floats(min_value=0, max_value=1)) < swap:
+            u, v = v, u
+        raw_lines.append({"id": lid, "from": u, "to": v,
+                          "repair_time": draw(st.sampled_from([0, 1, 2.5, 7])),
+                          "switch": draw(st.booleans())})
+    order = draw(st.sampled_from(["id", "shuffled", "reversed"]))
+    if order == "shuffled":
+        raw_lines = draw(st.permutations(raw_lines))
+    elif order == "reversed":
+        raw_lines.reverse()
+    else:
+        raw_lines.sort(key=lambda ln: ln["id"])
+    weights = [draw(st.sampled_from([0, 1, 3])) for _ in names]
+    return {"root": root, "crews": 2,
+            "nodes": [{"id": name, "weight": w} for name, w in zip(sorted(names), weights)],
+            "lines": raw_lines}
+
+
+def _break(draw, st, raw):
+    """Apply one drawn defect to a valid file (or none)."""
+    lines, nodes = raw["lines"], raw["nodes"]
+    ids = [n["id"] for n in nodes]
+    kind = draw(st.sampled_from(["none", "2-cycle", "cycle", "self-loop", "fed twice",
+                                 "lone node", "extra line", "missing line",
+                                 "duplicate line id", "duplicate node id", "unknown endpoint"]))
+    if kind == "none" or (not lines and kind not in ("lone node", "duplicate node id")):
+        return
+    k = draw(st.integers(min_value=0, max_value=max(0, len(lines) - 1)))
+    if kind in ("2-cycle", "cycle"):
+        # feed some node from a node below it: an oriented line a -> b becomes
+        # the feeder of a, so a and b (or a longer loop) close off the root
+        feeds = {ln["to"]: ln for ln in lines}
+        below = [ln for ln in lines if ln["from"] in feeds and ln["from"] != raw["root"]]
+        if not below:
+            return
+        child = draw(st.sampled_from(below))
+        top = child["from"]
+        if kind == "cycle":
+            while child["to"] in {ln["from"] for ln in lines}:
+                child = next(ln for ln in lines if ln["from"] == child["to"])
+        feeds[top]["from"] = child["to"]
+    elif kind == "self-loop":
+        lines[k]["from"] = lines[k]["to"]
+    elif kind == "fed twice":
+        lines[k]["to"] = draw(st.sampled_from([ln["to"] for ln in lines]))
+    elif kind == "lone node":
+        nodes.append({"id": "lone", "weight": 1})
+    elif kind == "extra line":
+        lines.insert(k, {"id": "extra", "from": draw(st.sampled_from(ids)),
+                         "to": draw(st.sampled_from(ids)), "repair_time": 1, "switch": False})
+    elif kind == "missing line":
+        del lines[k]
+    elif kind == "duplicate line id":
+        lines.append({**lines[k], "from": lines[k]["to"], "to": lines[k]["from"]})
+    elif kind == "duplicate node id":
+        nodes.append({"id": draw(st.sampled_from(ids)), "weight": 1})
+    else:
+        lines[k][draw(st.sampled_from(["from", "to"]))] = "nowhere"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_validate_matches_reference_on_drawn_files(data):
+    raw = _tree_file(data.draw, st)
+    _break(data.draw, st, raw)
+    got, expected = _outcome(validate, copy.deepcopy(raw)), _outcome(reference_validate, raw)
+    assert got == expected
