@@ -75,6 +75,10 @@ class IterationLimit(LpError):
     pass
 
 
+class BeyondSolverRange(ValueError):
+    """A valid instance whose LP holds a number HiGHS cannot take: an input error."""
+
+
 def load_rhs(subset_times: Iterable[float], m: int) -> float:
     """Right-hand side f(A) of the load inequality for one subset."""
     times = list(subset_times)
@@ -410,6 +414,8 @@ def solve_relaxation(
     columns = [k for k, lid in enumerate(lids) if p[lid] > 0]
     times = [p[lids[k]] for k in columns]
 
+    for iid, weight in islands.weights.items():  # each a coefficient of the objective cap
+        _limit(weight, 1e15, "island {!r} weight", iid)
     model = _base_model(instance, islands, precedence)
     first_cut = len(model.rhs)  # the rows from here on are the cut pool
     # the singleton cuts in one batch; fsum of one term is exact, so each
@@ -418,6 +424,8 @@ def solve_relaxation(
     model.index += columns
     model.value += [-t for t in times]
     model.rhs += [t * t / (2.0 * m) + t * t / 2.0 for t in times]
+    for k, rhs in zip(columns, model.rhs[first_cut:]):  # a time of 1e15 or more crosses 1e20 here
+        _limit(rhs, 1e20, "right-hand side of the load cut on {}", [lids[k]])
     pooled = {(i,) for i in range(len(columns))}  # the pool's subsets, by position in `columns`
 
     cut_limit = 10 * max(1, len(p)) ** 2
@@ -435,6 +443,8 @@ def solve_relaxation(
             subset = _most_violated(c, times, m, pooled)
         if subset is not None:
             rhs = load_rhs((times[i] for i in subset), m)
+            _limit(rhs, 1e20, "right-hand side of the load cut on {}",
+                   [lids[columns[i]] for i in subset])
             model.add_row([columns[i] for i in subset], [times[i] for i in subset], rhs)
             pooled.add(subset)
             if len(pooled) > cut_limit:
@@ -468,6 +478,13 @@ def solve_relaxation(
         )
 
 
+def _limit(value: float, limit: float, what: str, *args: object) -> None:
+    """Name `what.format(*args)` in a BeyondSolverRange if `value` reaches `limit`: HiGHS
+    rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as infinite."""
+    if value >= limit:
+        raise BeyondSolverRange(f"{what.format(*args)} {value!r} reaches HiGHS's limit {limit:g}")
+
+
 def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
     """Re-minimize sum of all variables with the objective capped at its optimum."""
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
@@ -476,7 +493,11 @@ def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
     canon = replace(model, objective=[1.0] * len(model.variables), start=model.start[:],
                     index=model.index[:], value=model.value[:], rhs=model.rhs[:])
     canon.add_row(weighted, [-model.objective[k] for k in weighted], -cap)
-    return simplex_solve(canon)
+    try:
+        return simplex_solve(canon)
+    except LpError:  # HiGHS drops a cap of 1e20 or more, and its point may then break it
+        _limit(cap, 1e20, "objective cap of the canonical pass")
+        raise
 
 
 def format_model(model: LpModel) -> str:

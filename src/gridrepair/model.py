@@ -250,10 +250,11 @@ def validate(raw: dict) -> NetworkInstance:
     An entry of the common shape (a plain dict with exactly its fields, str
     ids, plain int or float values in range) passes inline checks; any other
     entry takes the checks one by one, which accept a str or int subclass
-    or name the failure.  The tree check is the orienting traversal: lines
-    that connect all n nodes and number n - 1 form a tree, so they close no
-    cycle.  Only otherwise does a union-find look for the first line that
-    closes a cycle, which is reported before a disconnected node.
+    or name the failure.  Line records stay in file order until the final sort
+    by id.  Only where `from` -> `to` is not already a tree directed away from
+    the root does the orienting traversal run: lines that connect all n nodes
+    and number n - 1 form a tree.  Only otherwise does a union-find look for
+    the first line that closes a cycle, reported before a disconnected node.
     """
     _fields(raw, ("root", "crews", "nodes", "lines"), "instance")
     crews = raw["crews"]
@@ -286,9 +287,9 @@ def validate(raw: dict) -> NetworkInstance:
     if root not in seen_nodes:
         raise UnknownRoot(f"root {root!r} is not a node")
 
-    raw_lines: list[tuple[str, str, str, float, bool]] = []
+    lines: list[Line] = []  # in file order, as the file orients them until proven otherwise
     seen_lines: set[str] = set()
-    adjacency: dict[str, list[tuple[str, int]]] = {nid: [] for nid in seen_nodes}
+    feeder: dict[str, str] = {}  # `to` -> `from`
     for k, entry in enumerate(raw["lines"]):
         plain = type(entry) is dict and entry.keys() == _LINE_KEYS
         lid, u, v, p, sw = _LINE_ITEMS(entry) if plain else (None,) * 5
@@ -311,43 +312,60 @@ def validate(raw: dict) -> NetworkInstance:
             if not isinstance(sw, bool):
                 raise SchemaError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
         seen_lines.add(lid)
-        raw_lines.append((lid, u, v, float(p), sw))
-        adjacency[u].append((v, k))
-        adjacency[v].append((u, k))
+        lines.append(new_record(Line, (lid, u, v, float(p), sw)))
+        feeder[v] = u
 
-    # orient away from the root by traversal
-    parent_of: dict[str, int] = {}
-    visited, stack = {root}, [root]
-    while stack:
-        cur = stack.pop()
-        for other, k in adjacency[cur]:
-            if other not in visited:
-                visited.add(other)
-                parent_of[other] = k
-                stack.append(other)
-    if len(visited) < len(seen_nodes) or len(raw_lines) != len(seen_nodes) - 1:
-        # union-find over endpoints: a line joining a connected pair closes a cycle
-        comp = {nid: nid for nid in seen_nodes}
-        for lid, u, v, _, _ in raw_lines:
-            ru, rv = u, v
-            while comp[ru] != ru:
-                comp[ru] = ru = comp[comp[ru]]  # path halving
-            while comp[rv] != rv:
-                comp[rv] = rv = comp[comp[rv]]
-            if ru == rv:
-                raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
-            comp[ru] = rv
-        # acyclic lines that reach every node number n - 1, so some node is unreached
-        missing = sorted(seen_nodes - visited)[0]
-        raise Disconnected(f"node {missing!r} is not connected to the root")
+    # the file's orientation stands if n - 1 lines feed each non-root node once, up to the root
+    oriented = len(feeder) == len(lines) == len(seen_nodes) - 1 and root not in feeder
+    reached = {root} if oriented else set()
+    for node in feeder if reached else ():
+        path = []
+        while node not in reached and len(path) < len(lines):
+            path.append(node)
+            node = feeder[node]
+        if node not in reached:  # n - 1 lines up and not at the root: a cycle
+            break
+        reached.update(path)
+    if len(reached) < len(seen_nodes):  # orient by traversal
+        adjacency: dict[str, list[tuple[str, int]]] = {nid: [] for nid in seen_nodes}
+        for k, ln in enumerate(lines):
+            adjacency[ln.upstream].append((ln.downstream, k))
+            adjacency[ln.downstream].append((ln.upstream, k))
+        visited, stack = {root}, [root]
+        while stack:
+            cur = stack.pop()
+            for other, k in adjacency[cur]:
+                if other not in visited:
+                    visited.add(other)
+                    stack.append(other)
+                    if lines[k].downstream != other:  # given reversed
+                        lid, u, v, p, sw = lines[k]
+                        lines[k] = new_record(Line, (lid, v, u, p, sw))
+        if len(visited) < len(seen_nodes) or len(lines) != len(seen_nodes) - 1:
+            # union-find over endpoints: a line joining a connected pair closes a cycle
+            comp = {nid: nid for nid in seen_nodes}
+            for lid, u, v in map(itemgetter("id", "from", "to"), raw["lines"]):
+                ru, rv = u, v
+                while comp[ru] != ru:
+                    comp[ru] = ru = comp[comp[ru]]  # path halving
+                while comp[rv] != rv:
+                    comp[rv] = rv = comp[comp[rv]]
+                if ru == rv:
+                    raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
+                comp[ru] = rv
+            # acyclic lines that reach every node number n - 1, so some node is unreached
+            missing = sorted(seen_nodes - visited)[0]
+            raise Disconnected(f"node {missing!r} is not connected to the root")
 
     if all(node.weight == 0 for node in nodes):
         raise AllWeightsZero("every node weight is zero")
-
-    lines = []
-    for node_id, k in parent_of.items():
-        lid, u, v, p, sw = raw_lines[k]
-        lines.append(new_record(Line, (lid, v if u == node_id else u, node_id, p, sw)))
+    # a time is at most the total repair time, a harm at most that times the total
+    # weight; the margin covers rounding in sums of fewer than 2**30 terms
+    total = sum(map(attrgetter("repair_time"), lines))
+    weight = sum(node.weight for node in nodes if node.id != root) * total
+    for name, value in (("repair time", total), ("weight times total repair time", weight)):
+        if not math.isfinite(value * (1 + 2**-20)):
+            raise NonFiniteValue(f"total {name} {value} is not finite within rounding")
     lines.sort()  # by id: ids are unique, so no later field is compared
     nodes.sort()
     return NetworkInstance(nodes=tuple(nodes), lines=tuple(lines), root=root, crews=crews)

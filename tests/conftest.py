@@ -315,6 +315,14 @@ def reference_validate(raw: dict) -> NetworkInstance:
         raise Disconnected(f"node {missing!r} is not connected to the root")
     if all(n.weight == 0 for n in nodes):
         raise AllWeightsZero("every node weight is zero")
+    # the one check added since: totals that overflow a float with a 2**-20 margin
+    total = sum(line[3] for line in raw_lines)
+    weight = sum(n.weight for n in nodes if n.id != root)
+    if not math.isfinite(total * (1 + 2**-20)):
+        raise NonFiniteValue(f"total repair time {total} is not finite within rounding")
+    if not math.isfinite(weight * total * (1 + 2**-20)):
+        raise NonFiniteValue(f"total weight times total repair time {weight * total} "
+                             "is not finite within rounding")
 
     lines = []
     for node_id, k in parent_of.items():

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
 from gridrepair.harness import load_instance
-from gridrepair.model import build_precedence_graph, partition_islands, validate
+from gridrepair.model import (Line, NetworkInstance, Node, build_precedence_graph,
+                              partition_islands, validate)
 
 from conftest import (
     REFERENCE_SIZES,
@@ -267,17 +268,21 @@ EXTREME_VALUES = st.one_of(
 
 @st.composite
 def extreme_island_trees(draw):
-    """A random tree of 2-40 lines with switches, drawn from EXTREME_VALUES."""
+    """A random tree of 2-40 lines with switches, drawn from EXTREME_VALUES.
+
+    Built from its records, as `validate` builds them, without `validate`: that
+    rejects totals that overflow a float (1e300 times 1e300), which the merge
+    must still order exactly.
+    """
     lines = draw(st.integers(2, 40))
-    return validate({
-        "root": "0",
-        "crews": 1,
-        "nodes": [{"id": "0", "weight": 1.0}]
-        + [{"id": str(k), "weight": draw(EXTREME_VALUES)} for k in range(1, lines + 1)],
-        "lines": [{"id": f"e{k:02d}", "from": str(draw(st.integers(0, k - 1))), "to": str(k),
-                   "repair_time": draw(EXTREME_VALUES), "switch": draw(st.booleans())}
-                  for k in range(1, lines + 1)],
-    })
+    nodes = [Node("0", 1.0)] + [Node(str(k), draw(EXTREME_VALUES)) for k in range(1, lines + 1)]
+    return NetworkInstance(
+        nodes=tuple(sorted(nodes)),
+        lines=tuple(Line(f"e{k:02d}", str(draw(st.integers(0, k - 1))), str(k),
+                         draw(EXTREME_VALUES), draw(st.booleans())) for k in range(1, lines + 1)),
+        root="0",
+        crews=1,
+    )
 
 
 @given(extreme_island_trees())
