@@ -490,3 +490,55 @@ def test_schedule_out_file(fixtures_dir, tmp_path):
     ])
     assert code == EXIT_OK
     assert json.loads(out.read_text())["harm"] == 22
+
+
+def _path_file(tmp_path, times, weights):
+    """A path feeder 0 - 1 - ... whose second line is a switch, as a file."""
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({
+        "root": "0", "crews": 2,
+        "nodes": [{"id": "0", "weight": 1}]
+        + [{"id": str(k), "weight": w} for k, w in enumerate(weights, 1)],
+        "lines": [{"id": f"e{k}", "from": str(k - 1), "to": str(k), "repair_time": t,
+                   "switch": k == 2} for k, t in enumerate(times, 1)],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("times, weights, message", [
+    ([1e10] * 3, [1, 1, 1], "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20"),
+    ([1, 1, 1], [1, 1e16, 1], "island 'e2' weight 1e+16 reaches HiGHS's limit 1e+15"),
+], ids=["repair times of 1e10", "an island weight of 1e16"])
+def test_lp_rows_beyond_highs_limits_exit_2(tmp_path, capsys, times, weights, message):
+    out = tmp_path / "out.json"
+    code = main(["schedule", _path_file(tmp_path, times, weights), "--alg", "lp-list",
+                 "--out", str(out)])
+    assert code == EXIT_INVALID and not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_lp_rows_inside_highs_limits_keep_their_output(tmp_path, capsys):
+    assert main(["schedule", _path_file(tmp_path, [1e9] * 3, [1, 1, 1]), "--alg",
+                 "lp-list"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["assignments"] == [
+        [{"line": "e1", "start": 0.0, "completion": 1e9},
+         {"line": "e3", "start": 1e9, "completion": 2e9}],
+        [{"line": "e2", "start": 0.0, "completion": 1e9}]]
+    assert (out["energization"], out["harm"]) == ({"e1": 1e9, "e2": 2e9}, 5e9)
+
+
+@pytest.mark.parametrize("times, weights, total", [
+    ([1e308, 1e308], [1, 1], "total repair time inf"),
+    ([1e200, 1], [1e200, 1], "total weight times total repair time inf"),
+    ([1.7976931348623157e308, 0], [1, 0], "total repair time 1.7976931348623157e+308"),
+], ids=["repair times of 1e308", "weights times times", "within rounding of the largest float"])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["islands"], ["oracle"],
+    *(["schedule", "--alg", alg] for alg in ("convert", "single-optimal", "lp-list")),
+], ids=["validate", "islands", "oracle", "convert", "single-optimal", "lp-list"])
+def test_totals_that_overflow_a_float_exit_2(tmp_path, capsys, command, times, weights, total):
+    code = main([command[0], _path_file(tmp_path, times, weights), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID and captured.out == ""
+    assert total in captured.err and "is not finite within rounding" in captured.err

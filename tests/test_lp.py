@@ -492,6 +492,53 @@ class TestSolveRelaxation:
                 assert later >= earlier - 1e-9
 
 
+def _path(times, weights):
+    """A path feeder 0 - 1 - ... whose second line is a switch."""
+    return validate({
+        "root": "0", "crews": 2,
+        "nodes": [{"id": "0", "weight": 1}]
+        + [{"id": str(k), "weight": w} for k, w in enumerate(weights, 1)],
+        "lines": [{"id": f"e{k}", "from": str(k - 1), "to": str(k), "repair_time": t,
+                   "switch": k == 2} for k, t in enumerate(times, 1)],
+    })
+
+
+# HiGHS rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as infinite
+LIMIT_CASES = {
+    "a cut's right-hand side": (_path([1e10] * 3, [1, 1, 1]),
+                                "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20"),
+    "a repair time of 1e15": (_path([1e15, 1, 1], [1, 1, 1]),
+                              "right-hand side of the load cut on ['e1'] 7.500000000000001e+29"),
+    "an island weight, a coefficient of the objective cap": (
+        _path([1, 1, 1], [1, 1e16, 1]), "island 'e2' weight 1e+16 "),
+    "an island weight of exactly 1e15": (_path([1, 1, 1], [1, 1e15 - 1, 1]),
+                                         "island 'e2' weight 1000000000000000.0"),
+    "the objective cap": (_path([1e6] * 3, [1, 1e14, 1]),
+                          "objective cap of the canonical pass 1.250000001250025e+20"),
+}
+
+
+@pytest.mark.parametrize("case", LIMIT_CASES, ids=list(LIMIT_CASES))
+def test_rows_beyond_highs_limits_are_input_errors(case):
+    inst, message = LIMIT_CASES[case]
+    with pytest.raises(lp.BeyondSolverRange) as err:
+        solve_relaxation(inst, crews=2)
+    assert not isinstance(err.value, lp.LpError) and isinstance(err.value, ValueError)
+    assert str(err.value).startswith(message) and "reaches HiGHS's limit" in str(err.value)
+
+
+def test_rows_just_inside_highs_limits_solve():
+    # a largest cut rhs of 3.75e18, and a weight just below 1e15: the points
+    # pinned are those solve_relaxation gave before it checked HiGHS's limits
+    sol = solve_relaxation(_path([1e9] * 3, [1, 1, 1]), crews=2)
+    assert (sol.completion, sol.energization) == (
+        {"e1": 1e9, "e2": 1.375e9, "e3": 1.375e9}, {"e1": 1e9, "e2": 1.375e9})
+    sol = solve_relaxation(_path([1, 1, 1], [1, 1e15 - 2, 1]), crews=2)
+    assert (sol.completion, sol.energization) == (
+        {"e1": 1.2499999974999996, "e2": 1.25000000125, "e3": 1.25000000125},
+        {"e1": 1.2499999974999996, "e2": 1.25000000125})
+
+
 class TestMidpoints:
     def test_two_island(self, two_island):
         sol = solve_relaxation(two_island, crews=2)
