@@ -57,26 +57,26 @@ def result_to_json(result: algos.AlgoResult) -> dict:
 
 def result_to_text(result: algos.AlgoResult) -> str:
     """`json.dumps(result_to_json(result), indent=2)`, byte for byte, without that
-    pure-Python encoder: one C-encoded `json.dumps` of a flat list formats every
-    number, in text order, and each crew is one `%` format of a repeated item
-    template whose arguments are the quoted line ids and those numbers."""
+    pure-Python encoder: one C-encoded `json.dumps` formats every number, in text
+    order, and one `%` format puts them and the quoted line ids in the assignments."""
     quote, iids = json.encoder.encode_basestring_ascii, sorted(result.energization)
     times = [t for crew in result.schedule.crews for a in crew for t in a[1:]]  # start, completion
     flat = [result.crews, *times, *map(result.energization.get, iids), result.harm]
-    number = iter(json.dumps(flat)[1:-1].split(", "))
+    numbers = json.dumps(flat)[1:-1].split(", ")
 
     def block(items: list[str], pad: str, brackets: str = "[]") -> str:
         inner = f",\n{pad}  ".join(items)
         return f"{brackets[0]}\n{pad}  {inner}\n{pad}{brackets[1]}" if items else brackets
 
-    head = f'{{\n  "algorithm": {quote(result.algorithm)},\n  "crews": {next(number)},\n'
     item = '{\n        "line": %s,\n        "start": %s,\n        "completion": %s\n      }'
-    crews = [block([item] * len(crew), "    ")
-             % tuple(v for a, s, c in zip(crew, number, number) for v in (quote(a.line), s, c))
-             for crew in result.schedule.crews]
-    energization = block([f"{quote(i)}: {next(number)}" for i in iids], "  ", "{}")
-    return (f'{head}  "assignments": {block(crews, "  ")},\n  "energization": {energization},\n'
-            f'  "harm": {next(number)}\n}}')
+    assignments = block([block([item] * len(c), "    ") for c in result.schedule.crews], "  ")
+    args = [None] * (len(times) // 2 * 3)  # per assignment: quoted line id, start, completion
+    args[0::3] = [quote(a.line) for crew in result.schedule.crews for a in crew]
+    args[1::3], args[2::3] = numbers[1:len(times):2], numbers[2:len(times) + 1:2]
+    energization = [f"{quote(i)}: {n}" for i, n in zip(iids, numbers[len(times) + 1:])]
+    return (f'{{\n  "algorithm": {quote(result.algorithm)},\n  "crews": {numbers[0]},\n'
+            f'  "assignments": {assignments % tuple(args)},\n'
+            f'  "energization": {block(energization, "  ", "{}")},\n  "harm": {numbers[-1]}\n}}')
 
 
 def oracle_to_json(result: oracle.OracleResult, crews: int) -> dict:

@@ -76,7 +76,7 @@ class IterationLimit(LpError):
 
 
 class BeyondSolverRange(ValueError):
-    """A valid instance whose LP holds a number HiGHS cannot take: an input error."""
+    """An LP number HiGHS cannot take (a matrix value of 1e15+, a bound of 1e20+): bad input."""
 
 
 def load_rhs(subset_times: Iterable[float], m: int) -> float:
@@ -479,8 +479,7 @@ def solve_relaxation(
 
 
 def _limit(value: float, limit: float, what: str, *args: object) -> None:
-    """Name `what.format(*args)` in a BeyondSolverRange if `value` reaches `limit`: HiGHS
-    rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as infinite."""
+    """Raise BeyondSolverRange, naming `what.format(*args)`, if `value` reaches `limit`."""
     if value >= limit:
         raise BeyondSolverRange(f"{what.format(*args)} {value!r} reaches HiGHS's limit {limit:g}")
 

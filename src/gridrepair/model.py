@@ -251,10 +251,9 @@ def validate(raw: dict) -> NetworkInstance:
     ids, plain int or float values in range) passes inline checks; any other
     entry takes the checks one by one, which accept a str or int subclass
     or name the failure.  Line records stay in file order until the final sort
-    by id.  Only where `from` -> `to` is not already a tree directed away from
-    the root does the orienting traversal run: lines that connect all n nodes
-    and number n - 1 form a tree.  Only otherwise does a union-find look for
-    the first line that closes a cycle, reported before a disconnected node.
+    by id.  Only a file not already directed away from the root takes the
+    orienting traversal, and only a failed one a union-find, which reports the
+    first line that closes a cycle before a disconnected node.
     """
     _fields(raw, ("root", "crews", "nodes", "lines"), "instance")
     crews = raw["crews"]
@@ -318,12 +317,15 @@ def validate(raw: dict) -> NetworkInstance:
     # the file's orientation stands if n - 1 lines feed each non-root node once, up to the root
     oriented = len(feeder) == len(lines) == len(seen_nodes) - 1 and root not in feeder
     reached = {root} if oriented else set()
-    for node in feeder if reached else ():
-        path = []
-        while node not in reached and len(path) < len(lines):
-            path.append(node)
-            node = feeder[node]
-        if node not in reached:  # n - 1 lines up and not at the root: a cycle
+    for node, up in feeder.items() if reached else ():
+        if up in reached:  # its feeder already reaches the root
+            reached.add(node)
+            continue
+        path = [node]
+        while up not in reached and len(path) < len(lines):
+            path.append(up)
+            up = feeder[up]
+        if up not in reached:  # n - 1 lines up and not at the root: a cycle
             break
         reached.update(path)
     if len(reached) < len(seen_nodes):  # orient by traversal
@@ -359,8 +361,7 @@ def validate(raw: dict) -> NetworkInstance:
 
     if all(node.weight == 0 for node in nodes):
         raise AllWeightsZero("every node weight is zero")
-    # a time is at most the total repair time, a harm at most that times the total
-    # weight; the margin covers rounding in sums of fewer than 2**30 terms
+    # outputs are at most these totals; the margin covers rounding in sums of < 2**30 terms
     total = sum(map(attrgetter("repair_time"), lines))
     weight = sum(node.weight for node in nodes if node.id != root) * total
     for name, value in (("repair time", total), ("weight times total repair time", weight)):
