@@ -367,8 +367,8 @@ def validate(raw: dict) -> NetworkInstance:
     for name, value in (("repair time", total), ("weight times total repair time", weight)):
         if not math.isfinite(value * (1 + 2**-20)):
             raise NonFiniteValue(f"total {name} {value} is not finite within rounding")
-    lines.sort()  # by id: ids are unique, so no later field is compared
-    nodes.sort()
+    lines.sort(key=itemgetter(0))  # by unique id: a str key takes the sort's fast compare
+    nodes.sort(key=itemgetter(0))
     return NetworkInstance(nodes=tuple(nodes), lines=tuple(lines), root=root, crews=crews)
 
 
