@@ -103,6 +103,19 @@ def instance_to_json(instance):
     }
 
 
+def path_raw(times, weights):
+    """A path feeder 0 - 1 - ... as the instance file's JSON object: line k runs
+    from node k - 1 to node k with repair time times[k - 1], node k weighs
+    weights[k - 1] (the root 1), line e2 is the one switch, and m = 2."""
+    return {
+        "root": "0", "crews": 2,
+        "nodes": [{"id": "0", "weight": 1}]
+        + [{"id": str(k), "weight": w} for k, w in enumerate(weights, 1)],
+        "lines": [{"id": f"e{k}", "from": str(k - 1), "to": str(k), "repair_time": t,
+                   "switch": k == 2} for k, t in enumerate(times, 1)],
+    }
+
+
 def generate_corpus(params, count):
     """`count` generated instances, named by their seeds, which advance one by
     one from params.seed, as `gridrepair bench` draws them."""

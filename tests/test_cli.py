@@ -8,6 +8,8 @@ import pytest
 
 from gridrepair.cli import EXIT_INVALID, EXIT_OK, main
 
+from conftest import path_raw
+
 
 def test_validate_ok(fixtures_dir, capsys):
     assert main(["validate", str(fixtures_dir / "two_island.json")]) == EXIT_OK
@@ -493,15 +495,8 @@ def test_schedule_out_file(fixtures_dir, tmp_path):
 
 
 def _path_file(tmp_path, times, weights):
-    """A path feeder 0 - 1 - ... whose second line is a switch, as a file."""
     path = tmp_path / "path.json"
-    path.write_text(json.dumps({
-        "root": "0", "crews": 2,
-        "nodes": [{"id": "0", "weight": 1}]
-        + [{"id": str(k), "weight": w} for k, w in enumerate(weights, 1)],
-        "lines": [{"id": f"e{k}", "from": str(k - 1), "to": str(k), "repair_time": t,
-                   "switch": k == 2} for k, t in enumerate(times, 1)],
-    }))
+    path.write_text(json.dumps(path_raw(times, weights)))
     return str(path)
 
 

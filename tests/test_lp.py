@@ -36,6 +36,7 @@ from conftest import (
     FIXTURES,
     exhaustive_separation,
     instances,
+    path_raw,
     reference_most_violated,
     reference_solve_highs,
 )
@@ -493,14 +494,7 @@ class TestSolveRelaxation:
 
 
 def _path(times, weights):
-    """A path feeder 0 - 1 - ... whose second line is a switch."""
-    return validate({
-        "root": "0", "crews": 2,
-        "nodes": [{"id": "0", "weight": 1}]
-        + [{"id": str(k), "weight": w} for k, w in enumerate(weights, 1)],
-        "lines": [{"id": f"e{k}", "from": str(k - 1), "to": str(k), "repair_time": t,
-                   "switch": k == 2} for k, t in enumerate(times, 1)],
-    })
+    return validate(path_raw(times, weights))
 
 
 # HiGHS rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as infinite

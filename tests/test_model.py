@@ -574,7 +574,7 @@ def test_partition_matches_reference(case, fixtures_dir):
     assert _outcome(partition_islands, inst) == _outcome(reference_partition, inst)
 
 
-def _tree_file(draw, st):
+def _tree_file(draw):
     """A valid instance file: a random tree over shuffled node ids, rooted at a
     random node, its lines in shuffled order, each line's `from` and `to`
     swapped with a drawn probability (so the root is often a `to`)."""
@@ -616,7 +616,7 @@ def _tree_file(draw, st):
             "lines": raw_lines}
 
 
-def _break(draw, st, raw):
+def _break(draw, raw):
     """Apply one drawn defect to a valid file (or none)."""
     lines, nodes = raw["lines"], raw["nodes"]
     ids = [n["id"] for n in nodes]
@@ -661,7 +661,7 @@ def _break(draw, st, raw):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_validate_matches_reference_on_drawn_files(data):
-    raw = _tree_file(data.draw, st)
-    _break(data.draw, st, raw)
+    raw = _tree_file(data.draw)
+    _break(data.draw, raw)
     got, expected = _outcome(validate, copy.deepcopy(raw)), _outcome(reference_validate, raw)
     assert got == expected
