@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-feeder times of loading an instance file and writing a schedule's JSON.
+"""Per-feeder times of loading an instance file, partitioning its islands and
+writing a schedule's JSON.
 
     python scripts/load_timing.py [--repeat R] [SRC ...]
 
@@ -14,16 +15,21 @@ three forms:
 * `half-reversed`: the same lines with every other one given `to` -> `from`;
 * `shuffled`: the lines in random order, each reversed with probability 1/2.
 
-Only the first form skips the orienting traversal.  Each repetition runs
-every SRC in a fresh interpreter with PYTHONPATH=SRC; the order rotates on
-each repetition, so no side always runs first.  An interpreter makes one
-untimed pass over every file, then times `harness.load_instance` plus
-`harness.result_to_text` of the `convert` schedule (the schedule itself is
-not timed) on each file once.  One JSON object is printed: per size and
-form, the median over the five feeders of each one's best time in
-milliseconds, per SRC.  `same_outputs` says whether every run of every SRC
-wrote the same schedule JSON for each file; the exit status is 1 if not.
-Each SRC is byte-compiled first, so no side pays for compiling its sources.
+Only the first form skips the orienting traversal, and with it heads its
+islands in validation's own walk; the other two head them on first use.
+Each repetition runs every SRC in a fresh interpreter with PYTHONPATH=SRC;
+the order rotates on each repetition, so no side always runs first.  An
+interpreter makes one untimed pass over every file, then times on each
+file once: `harness.load_instance`, then `instance.islands` (the island
+partition), then `harness.result_to_text` of the `convert` schedule (the
+schedule itself is not timed).  One JSON object is printed: per size and
+form, per SRC, the median over the five feeders of each one's best time in
+milliseconds, for load plus JSON writing (`load_write`), for the islands
+alone (`islands`) and for load plus islands (`load_islands`).
+`same_outputs` says whether every run of every SRC wrote the same schedule
+JSON and the same `gridrepair islands` JSON for each file; the exit status
+is 1 if not.  Each SRC is byte-compiled first, so no side pays for
+compiling its sources.
 """
 
 from __future__ import annotations
@@ -45,25 +51,33 @@ FEEDERS = 5
 FORMS = ("oriented", "half-reversed", "shuffled")
 
 # Run in a fresh interpreter with PYTHONPATH=SRC: argv is the files; prints
-# [seconds, schedule JSON] per file.
+# [[load, islands, write seconds], schedule JSON + islands JSON] per file.
 WORKER = """
-import json, sys, time
-from gridrepair import algos, harness
+import contextlib, io, json, sys, time
+from gridrepair import algos, cli, harness
 
 def once(path):
     start = time.perf_counter()
     instance = harness.load_instance(path)
-    loaded = time.perf_counter() - start
+    loaded = time.perf_counter()
+    instance.islands
+    split = time.perf_counter()
     result = algos.convert_single_to_m(instance, crews=instance.crews)
-    start = time.perf_counter()
+    start_write = time.perf_counter()
     text = harness.result_to_text(result)
-    return loaded + time.perf_counter() - start, text
+    written = time.perf_counter() - start_write
+    with contextlib.redirect_stdout(io.StringIO()) as islands:
+        cli.main(["islands", path])
+    return [loaded - start, split - loaded, written], text + islands.getvalue()
 
 paths = sys.argv[1:]
 for path in paths:
     once(path)
 print(json.dumps([once(path) for path in paths]))
 """
+
+# what each reported time sums, from the worker's [load, islands, write]
+TIMES = {"load_write": (0, 2), "islands": (1,), "load_islands": (0, 1)}
 
 
 def feeder(rng: random.Random, lines: int) -> dict:
@@ -120,7 +134,7 @@ def main() -> int:
     srcs = args.src
     for src in srcs:
         compileall.compile_dir(src, quiet=1)
-    best: dict[tuple[str, str], float] = {}  # (src, file) -> best seconds
+    best: dict[tuple[str, str, str], float] = {}  # (src, file, time) -> best seconds
     texts: dict[str, set[str]] = {}
     with tempfile.TemporaryDirectory() as cwd:  # so that no `gridrepair` is found beside it
         files = write_corpus(Path(cwd))
@@ -128,7 +142,9 @@ def main() -> int:
         for k in range(args.repeat):
             for src in srcs[k % len(srcs):] + srcs[:k % len(srcs)]:
                 for path, (seconds, text) in zip(paths, run_once(src, paths, cwd)):
-                    best[src, path] = min(best.get((src, path), seconds), seconds)
+                    for name, parts in TIMES.items():
+                        total = sum(seconds[j] for j in parts)
+                        best[src, path, name] = min(best.get((src, path, name), total), total)
                     texts.setdefault(path, set()).add(text)
     same = all(len(outputs) == 1 for outputs in texts.values())
     result = {"repeat": args.repeat, "feeders_per_size": FEEDERS,
@@ -137,7 +153,8 @@ def main() -> int:
         for form in FORMS:
             group = [path for path, key in files.items() if key == (size, form)]
             result["median_best_ms"][f"{size} lines, {form}"] = {
-                src: round(statistics.median(best[src, path] for path in group) * 1e3, 3)
+                src: {name: round(statistics.median(best[src, path, name] for path in group) * 1e3,
+                                  3) for name in TIMES}
                 for src in srcs}
     print(json.dumps(result, indent=1))
     return 0 if same else 1

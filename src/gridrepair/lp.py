@@ -76,7 +76,8 @@ class IterationLimit(LpError):
 
 
 class BeyondSolverRange(ValueError):
-    """An LP number HiGHS cannot take (a matrix value of 1e15+, a bound of 1e20+): bad input."""
+    """An LP number HiGHS cannot take (a matrix value of 1e15+, a bound of 1e20+) or would
+    drop (a load-cut coefficient of at most 1e-9): bad input."""
 
 
 def load_rhs(subset_times: Iterable[float], m: int) -> float:
@@ -416,6 +417,10 @@ def solve_relaxation(
 
     for iid, weight in islands.weights.items():  # each a coefficient of the objective cap
         _limit(weight, 1e15, "island {!r} weight", iid)
+    if min(times, default=1.0) <= 1e-9:  # HiGHS drops such a coefficient from every load cut
+        lid = next(lids[k] for k, t in zip(columns, times) if t <= 1e-9)
+        raise BeyondSolverRange(f"line {lid!r} repair time {p[lid]!r} is at most HiGHS's "
+                                "small matrix value 1e-09, which it drops from the load cuts")
     model = _base_model(instance, islands, precedence)
     first_cut = len(model.rhs)  # the rows from here on are the cut pool
     # the singleton cuts in one batch; fsum of one term is exact, so each

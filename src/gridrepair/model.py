@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -106,6 +107,13 @@ class NetworkInstance:
     @cached_property
     def _repair_times(self) -> dict[str, float]:
         return {ln.id: ln.repair_time for ln in self.lines}
+
+    @cached_property
+    def _heads(self) -> dict[str, str]:
+        """Each node's island head; `validate` fills it from the walk that proves
+        a file already oriented, and any other instance walks its own lines."""
+        return island_heads({ln.downstream: ln.upstream for ln in self.lines},
+                            {ln.downstream for ln in self.lines if ln.is_switch}, self.root)
 
     @cached_property
     def islands(self) -> IslandSet:
@@ -237,6 +245,30 @@ _FLOAT_MAX = sys.float_info.max  # a plain int or float in [0, _FLOAT_MAX] is fi
 new_record = tuple.__new__  # new_record(Node, (id, w)) is Node(id, w) minus its Python __new__
 
 
+def island_heads(feeder: dict[str, str], switched: set[str], root: str) -> dict[str, str] | None:
+    """Each node's island head, in one memoized walk up `feeder` (node -> the
+    node feeding it): the root and every node in `switched`, fed by a switch
+    line, head their own island; any other node is in its feeder's.  None if
+    a chain of feeders does not reach the root within len(feeder) steps: it
+    loops, so bounding the walk keeps it O(n).
+    """
+    head = {root: root}
+    for node, up in feeder.items():
+        if up in head:  # the usual case: a feeder listed before the nodes it feeds
+            head[node] = node if node in switched else head[up]
+            continue
+        path = [node]
+        while up not in head and len(path) < len(feeder):
+            path.append(up)
+            up = feeder[up]
+        if up not in head:
+            return None
+        top = head[up]
+        for node in reversed(path):
+            top = head[node] = node if node in switched else top
+    return head
+
+
 def validate(raw: dict) -> NetworkInstance:
     """Check a parsed raw instance and normalize it.
 
@@ -253,7 +285,9 @@ def validate(raw: dict) -> NetworkInstance:
     or name the failure.  Line records stay in file order until the final sort
     by id.  Only a file not already directed away from the root takes the
     orienting traversal, and only a failed one a union-find, which reports the
-    first line that closes a cycle before a disconnected node.
+    first line that closes a cycle before a disconnected node.  A file already
+    so directed is proved a tree by the walk of `island_heads`, which also
+    heads its islands; the instance keeps those heads for `partition_islands`.
     """
     _fields(raw, ("root", "crews", "nodes", "lines"), "instance")
     crews = raw["crews"]
@@ -289,6 +323,7 @@ def validate(raw: dict) -> NetworkInstance:
     lines: list[Line] = []  # in file order, as the file orients them until proven otherwise
     seen_lines: set[str] = set()
     feeder: dict[str, str] = {}  # `to` -> `from`
+    switched: set[str] = set()  # the `to` of each switch line
     for k, entry in enumerate(raw["lines"]):
         plain = type(entry) is dict and entry.keys() == _LINE_KEYS
         lid, u, v, p, sw = _LINE_ITEMS(entry) if plain else (None,) * 5
@@ -313,22 +348,13 @@ def validate(raw: dict) -> NetworkInstance:
         seen_lines.add(lid)
         lines.append(new_record(Line, (lid, u, v, float(p), sw)))
         feeder[v] = u
+        if sw:
+            switched.add(v)
 
     # the file's orientation stands if n - 1 lines feed each non-root node once, up to the root
     oriented = len(feeder) == len(lines) == len(seen_nodes) - 1 and root not in feeder
-    reached = {root} if oriented else set()
-    for node, up in feeder.items() if reached else ():
-        if up in reached:  # its feeder already reaches the root
-            reached.add(node)
-            continue
-        path = [node]
-        while up not in reached and len(path) < len(lines):
-            path.append(up)
-            up = feeder[up]
-        if up not in reached:  # n - 1 lines up and not at the root: a cycle
-            break
-        reached.update(path)
-    if len(reached) < len(seen_nodes):  # orient by traversal
+    heads = island_heads(feeder, switched, root) if oriented else None
+    if heads is None:  # orient by traversal
         adjacency: dict[str, list[tuple[str, int]]] = {nid: [] for nid in seen_nodes}
         for k, ln in enumerate(lines):
             adjacency[ln.upstream].append((ln.downstream, k))
@@ -369,7 +395,10 @@ def validate(raw: dict) -> NetworkInstance:
             raise NonFiniteValue(f"total {name} {value} is not finite within rounding")
     lines.sort(key=itemgetter(0))  # by unique id: a str key takes the sort's fast compare
     nodes.sort(key=itemgetter(0))
-    return NetworkInstance(nodes=tuple(nodes), lines=tuple(lines), root=root, crews=crews)
+    instance = NetworkInstance(nodes=tuple(nodes), lines=tuple(lines), root=root, crews=crews)
+    if heads is not None:  # the walk that proved the file's orientation found them
+        instance.__dict__["_heads"] = heads
+    return instance
 
 
 def derive_line_weights(instance: NetworkInstance) -> dict[str, float]:
@@ -390,34 +419,20 @@ def partition_islands(instance: NetworkInstance) -> IslandSet:
     id when it owns no lines), so the partition is independent of input
     line order.
 
-    Each node's island is found in one memoized walk up its feeding lines:
-    the root and every node fed by a switch line head their own island, and
-    any other node is in its upstream node's island.  One pass over the
-    id-ordered nodes and one over the id-ordered lines then group them by
-    island, already in id order.
+    Each node's island is that of its head (see `island_heads`), kept with
+    the instance.  One pass over the id-ordered nodes and one over the
+    id-ordered lines group them by head, already in id order.
     """
-    feeding = {ln.downstream: ln for ln in instance.lines}
-    head = {instance.root: instance.root}
-    groups = {instance.root: ([], [])}  # per head: its node ids and its lines, in id order
-    for node in feeding:
-        top = node  # up to the first node with a head, or one fed by a switch line
-        while top not in head:
-            line = feeding[top]
-            if line.is_switch:
-                head[top], groups[top] = top, ([], [])
-                break
-            top = line.upstream
-        rep = head[top]
-        while node not in head:
-            head[node] = rep
-            node = feeding[node].upstream
-    for node in instance.nodes:
-        groups[head[node.id]][0].append(node.id)
-    for ln in instance.lines:
-        groups[head[ln.downstream]][1].append(ln)
+    heads = instance._heads
+    # per head: its node ids and its lines
+    groups = {top: ([], []) for top in dict.fromkeys(heads.values())}
+    for nid in map(itemgetter(0), instance.nodes):
+        groups[heads[nid]][0].append(nid)
+    for ln, top in zip(instance.lines, map(heads.__getitem__, map(itemgetter(2), instance.lines))):
+        groups[top][1].append(ln)
 
-    weights, line_id = instance.node_weights(), attrgetter("id")
-    downstream, repair_time = attrgetter("downstream"), attrgetter("repair_time")
+    weights, line_id = instance.node_weights(), itemgetter(0)
+    downstream, repair_time = itemgetter(2), itemgetter(3)
     islands = []
     taken: set[str] = set()
     for node_ids, lines in groups.values():
@@ -445,11 +460,13 @@ def build_precedence_graph(instance: NetworkInstance, islands: IslandSet) -> Pre
 
     The edge runs from the island owning the switch line's upstream
     endpoint to the island owning the line itself, so the result is an
-    out-tree rooted at the source island with one edge per switch.
+    out-tree rooted at the source island with one edge per switch.  Islands
+    are found by head: the head of an island's first node is its head, and a
+    switch line feeds the head of its own island.
     """
-    of_node, of_line = islands.island_of_node, islands.island_of_line
+    heads = instance._heads
+    of_head = {heads[isl.node_ids[0]]: isl.id for isl in islands.islands}
     parent: dict[str, str] = {}
-    for ln in instance.lines:
-        if ln.is_switch:
-            parent[of_line[ln.id]] = of_node[ln.upstream]
-    return PrecedenceGraph(root=of_node[instance.root], parent=parent)
+    for ln in compress(instance.lines, map(itemgetter(4), instance.lines)):  # the switch lines
+        parent[of_head[ln.downstream]] = of_head[heads[ln.upstream]]
+    return PrecedenceGraph(root=of_head[instance.root], parent=parent)

@@ -392,6 +392,15 @@ def reference_partition(instance: NetworkInstance) -> IslandSet:
     return IslandSet(islands=tuple(sorted(islands, key=lambda isl: isl.id)))
 
 
+def reference_precedence(instance: NetworkInstance, islands: IslandSet) -> PrecedenceGraph:
+    """`model.build_precedence_graph` with each switch line's islands looked up by
+    line and by node."""
+    of_node = {nid: isl.id for isl in islands.islands for nid in isl.node_ids}
+    of_line = {lid: isl.id for isl in islands.islands for lid in isl.line_ids}
+    return PrecedenceGraph(root=of_node[instance.root], parent={
+        of_line[ln.id]: of_node[ln.upstream] for ln in instance.lines if ln.is_switch})
+
+
 def reference_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> list[str]:
     """`seq_opt.optimal_island_sequence` with an exact Fraction ratio key."""
 

@@ -523,6 +523,29 @@ def test_lp_rows_inside_highs_limits_keep_their_output(tmp_path, capsys):
     assert (out["energization"], out["harm"]) == ({"e1": 1e9, "e2": 2e9}, 5e9)
 
 
+# HiGHS drops a matrix value of at most 1e-9, here a load cut's coefficient: at 1e-9
+# lp-list used to exit 3 (its canonical pass infeasible), and at 1e-10 it solved a
+# model without those coefficients
+@pytest.mark.parametrize("time", [1e-9, 1e-10])
+def test_repair_times_highs_drops_exit_2(tmp_path, capsys, time):
+    code = main(["schedule", _path_file(tmp_path, [time] * 3, [1, 1, 1]), "--alg", "lp-list"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID and captured.out == ""
+    assert (f"line 'e1' repair time {time!r} is at most HiGHS's small matrix value 1e-09"
+            in captured.err)
+
+
+def test_repair_times_above_what_highs_drops_keep_their_output(tmp_path, capsys):
+    assert main(["schedule", _path_file(tmp_path, [2e-9] * 3, [1, 1, 1]), "--alg",
+                 "lp-list"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["assignments"] == [
+        [{"line": "e1", "start": 0.0, "completion": 2e-9},
+         {"line": "e3", "start": 2e-9, "completion": 4e-9}],
+        [{"line": "e2", "start": 0.0, "completion": 2e-9}]]
+    assert (out["energization"], out["harm"]) == ({"e1": 2e-9, "e2": 4e-9}, 1e-8)
+
+
 @pytest.mark.parametrize("times, weights, total", [
     ([1e308, 1e308], [1, 1], "total repair time inf"),
     ([1e200, 1], [1e200, 1], "total weight times total repair time inf"),

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import random
 import sys
 
 import pytest
@@ -22,7 +23,9 @@ from gridrepair.model import (
     UnknownRoot,
     ValidationError,
     build_precedence_graph,
+    NetworkInstance,
     derive_line_weights,
+    island_heads,
     partition_islands,
     validate,
 )
@@ -36,6 +39,7 @@ from conftest import (
     instance_to_json,
     instances,
     reference_partition,
+    reference_precedence,
     reference_validate,
 )
 
@@ -543,6 +547,60 @@ def test_accepted_and_partitioned_as_reference(nodes, switch_probability):
         assert _outcome(partition_islands, got) == _outcome(reference_partition, expected)
 
 
+def _forms(raw, rng):
+    """The lines of `raw`, an oriented file in id order, in four forms; only the
+    first two are oriented, so only they skip the orienting traversal."""
+    lines = raw["lines"]
+
+    def flip(ln):
+        return {**ln, "from": ln["to"], "to": ln["from"]}
+
+    shuffled = [flip(ln) if rng.random() < 0.5 else ln for ln in lines]
+    rng.shuffle(shuffled)
+    return {"oriented": lines, "oriented, listed leaves first": lines[::-1],
+            "half-reversed": [flip(ln) if k % 2 else ln for k, ln in enumerate(lines)],
+            "shuffled": shuffled}
+
+
+def _assert_heads_and_partition(inst, expected):
+    """`inst` heads its islands as `island_heads` does on its own lines, and
+    partitions and orders them as the references do on `expected`."""
+    assert inst._heads == island_heads({ln.downstream: ln.upstream for ln in inst.lines},
+                                       {ln.downstream for ln in inst.lines if ln.is_switch},
+                                       inst.root)
+    got, want = _outcome(partition_islands, inst), _outcome(reference_partition, expected)
+    assert got == want
+    if got[0] == "returned":
+        for isl in want[1].islands:  # one head per island, its node nearest the root
+            (top,) = {inst._heads[nid] for nid in isl.node_ids}
+            assert top == inst.root or any(ln.is_switch and ln.downstream == top
+                                           for ln in inst.lines)
+        assert (build_precedence_graph(inst, got[1])
+                == reference_precedence(expected, want[1]))
+
+
+@pytest.mark.parametrize("switch_probability", SWITCH_PROBABILITIES)
+@pytest.mark.parametrize("nodes", REFERENCE_SIZES)
+def test_recorded_heads_match_those_of_the_lines(nodes, switch_probability):
+    rng = random.Random(nodes)
+    for seed in (1, 2):
+        raw = instance_to_json(feeder(nodes, switch_probability, seed))
+        expected = reference_validate(copy.deepcopy(raw))
+        for form, lines in _forms(raw, rng).items():
+            inst = validate({**raw, "lines": lines})
+            assert inst == expected
+            if form.startswith("oriented"):  # recorded by validate's own walk
+                assert "_heads" in vars(inst)
+            _assert_heads_and_partition(inst, expected)
+
+
+def test_heads_of_a_looping_feeder_map_are_none():
+    # a 2-cycle off the root, within the step bound and beyond a tree's depth
+    assert island_heads({"a": "r", "b": "c", "c": "b"}, set(), "r") is None
+    assert island_heads({"a": "a"}, set(), "r") is None
+    assert island_heads({"a": "r", "b": "a"}, {"b"}, "r") == {"r": "r", "a": "r", "b": "b"}
+
+
 def _star(root, switches):
     """A root with one line to each leaf; `switches` maps line id to its switch flag."""
     leaves = [f"leaf{k}" for k in range(len(switches))]
@@ -572,6 +630,16 @@ def test_partition_matches_reference(case, fixtures_dir):
     if isinstance(inst, str):
         inst = validate(json.loads((fixtures_dir / inst).read_text()))
     assert _outcome(partition_islands, inst) == _outcome(reference_partition, inst)
+
+
+@pytest.mark.parametrize("case", PARTITION_CASES, ids=list(PARTITION_CASES))
+def test_directly_built_instance_heads_its_own_lines(case, fixtures_dir):
+    inst = PARTITION_CASES[case]
+    if isinstance(inst, str):
+        inst = validate(json.loads((fixtures_dir / inst).read_text()))
+    built = NetworkInstance(nodes=inst.nodes, lines=inst.lines, root=inst.root, crews=inst.crews)
+    assert "_heads" not in vars(built)
+    _assert_heads_and_partition(built, inst)
 
 
 def _tree_file(draw):

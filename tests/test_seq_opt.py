@@ -23,6 +23,8 @@ from conftest import (
     instance_to_json,
     instances,
     reference_island_sequence,
+    reference_partition,
+    reference_precedence,
 )
 
 
@@ -296,6 +298,17 @@ def test_island_sequence_matches_reference_on_extreme_data(inst):
     except OverflowError:
         assume(False)
     assert seq_opt.optimal_island_sequence(inst.islands, inst.precedence) == expected
+
+
+@given(extreme_island_trees())
+@settings(max_examples=200, deadline=None)
+def test_directly_built_trees_partition_as_reference(inst):
+    """An instance built without `validate` heads its islands from its own lines
+    on first use, and partitions and orders them as the references do."""
+    assert "_heads" not in vars(inst)
+    expected = reference_partition(inst)
+    assert partition_islands(inst) == expected and repr(inst.islands) == repr(expected)
+    assert build_precedence_graph(inst, inst.islands) == reference_precedence(inst, expected)
 
 
 def _cascade(n, comb):
