@@ -124,8 +124,7 @@ class NetworkInstance:
         return build_precedence_graph(self, self.islands)
 
 
-@dataclass(frozen=True)
-class Island:
+class Island(NamedTuple):  # a tuple, like Node and Line: each instance builds one per switch
     """A maximal switch-free group of lines, energized as a unit.
 
     `line_ids` and `node_ids` are in id order.  `weight` and `processing`
@@ -239,8 +238,7 @@ def _id(value: object, owner: str, *args: object) -> str:
 
 
 _NODE_FIELDS, _LINE_FIELDS = ("id", "weight"), ("id", "from", "to", "repair_time", "switch")
-_NODE_KEYS, _LINE_KEYS = frozenset(_NODE_FIELDS), frozenset(_LINE_FIELDS)
-_LINE_ITEMS = itemgetter(*_LINE_FIELDS)
+_NODE_ITEMS, _LINE_ITEMS = itemgetter(*_NODE_FIELDS), itemgetter(*_LINE_FIELDS)
 _FLOAT_MAX = sys.float_info.max  # a plain int or float in [0, _FLOAT_MAX] is finite as a float
 new_record = tuple.__new__  # new_record(Node, (id, w)) is Node(id, w) minus its Python __new__
 
@@ -302,8 +300,10 @@ def validate(raw: dict) -> NetworkInstance:
     nodes: list[Node] = []
     seen_nodes: set[str] = set()
     for k, entry in enumerate(raw["nodes"]):
-        plain = type(entry) is dict and entry.keys() == _NODE_KEYS
-        nid, w = (entry["id"], entry["weight"]) if plain else (None, None)
+        try:  # a plain dict of two entries with both fields has no other
+            nid, w = _NODE_ITEMS(entry) if type(entry) is dict and len(entry) == 2 else (None,) * 2
+        except KeyError:
+            nid = w = None
         if not (type(nid) is str and nid not in seen_nodes
                 and type(w) in (int, float) and 0 <= w <= _FLOAT_MAX):
             _fields(entry, _NODE_FIELDS, "node entry {}", k)
@@ -325,8 +325,11 @@ def validate(raw: dict) -> NetworkInstance:
     feeder: dict[str, str] = {}  # `to` -> `from`
     switched: set[str] = set()  # the `to` of each switch line
     for k, entry in enumerate(raw["lines"]):
-        plain = type(entry) is dict and entry.keys() == _LINE_KEYS
-        lid, u, v, p, sw = _LINE_ITEMS(entry) if plain else (None,) * 5
+        try:
+            lid, u, v, p, sw = (_LINE_ITEMS(entry) if type(entry) is dict and len(entry) == 5
+                                else (None,) * 5)
+        except KeyError:
+            lid = u = v = p = sw = None
         if not (type(lid) is str and type(u) is str and type(v) is str
                 and lid not in seen_lines and u in seen_nodes and v in seen_nodes
                 and type(p) in (int, float) and 0 <= p <= _FLOAT_MAX and type(sw) is bool):
@@ -434,24 +437,22 @@ def partition_islands(instance: NetworkInstance) -> IslandSet:
     weights, line_id = instance.node_weights(), itemgetter(0)
     downstream, repair_time = itemgetter(2), itemgetter(3)
     islands = []
-    taken: set[str] = set()
     for node_ids, lines in groups.values():
         line_ids = tuple(map(line_id, lines))
-        if line_ids:
+        if line_ids:  # its smallest line id, unique among islands
             island_id = line_ids[0]
-        else:
-            island_id = instance.root
-            if island_id in {g[1][0].id for g in groups.values() if g[1]}:
-                island_id = f"root({instance.root})"
-        if island_id in taken:
-            raise ValidationError(f"island id collision on {island_id!r}")
-        taken.add(island_id)
+        else:  # the root island, the one island that can own no lines
+            firsts = {g[1][0].id for g in groups.values() if g[1]}
+            island_id = instance.root if instance.root not in firsts else f"root({instance.root})"
+            if island_id in firsts:
+                raise ValidationError(f"island id collision on {island_id!r}")
         # sum() over id-ordered values, not a += loop: from Python 3.12 the two differ;
         # a 0.0 start keeps an island with no lines a float and leaves other sums alone
-        islands.append(Island(island_id, line_ids, tuple(node_ids),
-                              weight=sum(map(weights.__getitem__, map(downstream, lines)), 0.0),
-                              processing=sum(map(repair_time, lines), 0.0)))
-    islands.sort(key=lambda isl: isl.id)
+        islands.append(new_record(Island, (
+            island_id, line_ids, tuple(node_ids),
+            sum(map(weights.__getitem__, map(downstream, lines)), 0.0),  # weight
+            sum(map(repair_time, lines), 0.0))))  # processing
+    islands.sort(key=itemgetter(0))  # by unique id
     return IslandSet(islands=tuple(islands))
 
 

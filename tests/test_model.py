@@ -14,6 +14,7 @@ from gridrepair.model import (
     CycleDetected,
     Disconnected,
     DuplicateId,
+    Island,
     Line,
     NegativeRepairTime,
     NegativeWeight,
@@ -231,11 +232,16 @@ _BUILT = validate({"root": "s", "crews": 1,
      "Line(id='e1', upstream='s', downstream='n1', repair_time=3.0, is_switch=True)"),
     (list_schedule(["e1"], 1, _BUILT.repair_times()).crews[0][0],
      "Assignment(line='e1', start=0.0, completion=3.0)"),
-], ids=["node", "line", "assignment", "validated-node", "validated-line", "scheduled-assignment"])
+    (Island("e1", ("e1",), ("n1",), 2.5, 3.0),
+     "Island(id='e1', line_ids=('e1',), node_ids=('n1',), weight=2.5, processing=3.0)"),
+    (_BUILT.islands.islands[0],
+     "Island(id='e1', line_ids=('e1',), node_ids=('n1',), weight=2.5, processing=3.0)"),
+], ids=["node", "line", "assignment", "validated-node", "validated-line", "scheduled-assignment",
+        "island", "partitioned-island"])
 def test_record_contract(record, text):
     """The records keep the repr, immutability, equality, hash and pickling
     they had as frozen dataclasses, however they were built."""
-    assert type(record) in (Node, Line, Assignment)
+    assert type(record) in (Node, Line, Assignment, Island)
     assert repr(record) == text
     fields = list(type(record).__annotations__)
     with pytest.raises(AttributeError):
@@ -529,6 +535,25 @@ def test_validate_matches_reference(mutation):
     raw = _reference_raw()
     raw = MUTATIONS[mutation](raw) or raw  # a mutation may return a replacement
     expected = _outcome(reference_validate, copy.deepcopy(raw))
+    assert _outcome(validate, raw) == expected
+
+
+# an entry with as many fields as it should have, one of them unknown
+RENAMED = {
+    "node weight renamed": _both(_delete(("nodes", 1, "weight")), _set(("nodes", 1, "wieght"), 1)),
+    "node id renamed": _both(_delete(("nodes", 0, "id")), _set(("nodes", 0, "ID"), "0")),
+    "line switch renamed": _both(_delete(("lines", 1, "switch")),
+                                 _set(("lines", 1, "switched"), True)),
+    "line from renamed": _both(_delete(("lines", 2, "from")), _set(("lines", 2, "From"), "1")),
+}
+
+
+@pytest.mark.parametrize("mutation", RENAMED, ids=list(RENAMED))
+def test_renamed_field_is_reported_as_reference(mutation):
+    raw = _reference_raw()
+    RENAMED[mutation](raw)
+    expected = _outcome(reference_validate, copy.deepcopy(raw))
+    assert expected[0] == "raised" and "unknown field" in expected[2]
     assert _outcome(validate, raw) == expected
 
 
