@@ -124,7 +124,7 @@ class NetworkInstance:
         return build_precedence_graph(self, self.islands)
 
 
-class Island(NamedTuple):  # a tuple, like Node and Line: each instance builds one per switch
+class Island(NamedTuple):  # a tuple, like Node and Line: one per switch line, plus the root's
     """A maximal switch-free group of lines, energized as a unit.
 
     `line_ids` and `node_ids` are in id order.  `weight` and `processing`
@@ -154,10 +154,6 @@ class IslandSet:
     @cached_property
     def island_of_line(self) -> dict[str, str]:
         return {lid: isl.id for isl in self.islands for lid in isl.line_ids}
-
-    @cached_property
-    def island_of_node(self) -> dict[str, str]:
-        return {nid: isl.id for isl in self.islands for nid in isl.node_ids}
 
     @cached_property
     def weights(self) -> dict[str, float]:

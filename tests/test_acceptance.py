@@ -239,8 +239,9 @@ def test_criterion_9_feeder_partition(feeder123):
         failures.append(f"{len(precedence.edges())} precedence edges, expected 6")
     if sorted(precedence.topological_order) != sorted(isl.id for isl in islands.islands):
         failures.append("precedence tree does not span the islands")
-    if precedence.root not in islands.island_of_node.values():
+    island_of_node = {nid: isl.id for isl in islands.islands for nid in isl.node_ids}
+    if precedence.root not in island_of_node.values():
         failures.append("precedence root is not an island")
-    if islands.island_of_node[feeder123.root] != precedence.root:
+    if island_of_node[feeder123.root] != precedence.root:
         failures.append("precedence root does not contain the source")
     _verdict("9 feeder partition (123 nodes, 6 switches, 7 islands)", failures)
