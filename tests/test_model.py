@@ -619,7 +619,7 @@ def test_recorded_heads_match_those_of_the_lines(nodes, switch_probability):
             _assert_heads_and_partition(inst, expected)
 
 
-def test_heads_of_a_looping_feeder_map_are_none():
+def test_island_heads_of_small_feeder_maps():
     # a 2-cycle off the root, within the step bound and beyond a tree's depth
     assert island_heads({"a": "r", "b": "c", "c": "b"}, set(), "r") is None
     assert island_heads({"a": "a"}, set(), "r") is None
