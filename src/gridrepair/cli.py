@@ -183,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (ValueError, OSError) as exc:
-        # ValidationError (SchemaError too), ParseError and TooLarge are ValueErrors
+        # a rejected input (ValidationError), oracle.TooLarge and a bad option are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -19,14 +19,7 @@ from pathlib import Path
 from gridrepair import algos, oracle
 from gridrepair import schedule as sched
 from gridrepair.lp import solve_relaxation
-from gridrepair.model import NetworkInstance, validate
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
+from gridrepair.model import NetworkInstance, ValidationError, validate
 
 
 # The name perfbench/test_checks.py imports; `validate` makes every check.
@@ -38,9 +31,9 @@ def load_instance(path: str | Path) -> NetworkInstance:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+        raise ValidationError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
     except RecursionError:  # an input error too: exit 2, not a traceback
-        raise ValueError(f"{path}: arrays and objects nest too deeply to parse") from None
+        raise ValidationError(f"{path}: arrays and objects nest too deeply to parse") from None
     return validate(obj)
 
 
@@ -104,8 +97,9 @@ def random_raw(params: GenParams) -> dict:
     """A uniform random tree by random-parent attachment, as the instance
     file's JSON object; with crew counts of at least 1 it always validates.
 
-    Node weights are redrawn until at least one non-root weight is
-    positive, so the result is a well-formed instance by construction.
+    Node weights are redrawn until at least one non-root weight is positive
+    (the root's, on a feeder of one node), so the result is a well-formed
+    instance by construction.
     """
     rng = random.Random(params.seed)
     lo, hi = params.nodes
@@ -114,7 +108,7 @@ def random_raw(params: GenParams) -> dict:
     node_ids = [f"n{k:0{width}d}" for k in range(count)]
     while True:
         weights = [rng.randint(*params.weight) for _ in range(count)]
-        if count == 1 or any(w > 0 for w in weights[1:]):
+        if any(w > 0 for w in (weights[1:] if count > 1 else weights)):
             break
     lines = []
     for k in range(1, count):

@@ -47,7 +47,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
+from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, ValidationError
 
 LP_TOLERANCE = 1e-9
 SEPARATION_TOLERANCE = 1e-7
@@ -73,11 +73,6 @@ class Unbounded(LpError):
 
 class IterationLimit(LpError):
     pass
-
-
-class BeyondSolverRange(ValueError):
-    """An LP number HiGHS cannot take (a matrix value of 1e15+, a bound of 1e20+) or would
-    drop (a load-cut coefficient of at most 1e-9): bad input."""
 
 
 def load_rhs(subset_times: Iterable[float], m: int) -> float:
@@ -193,20 +188,21 @@ def _new_highs():
     return highs
 
 
-def _solve_highs(model: LpModel, highs=None) -> LpVertex | None:
-    """Solve on `highs` (or the shared instance) through SciPy's private
+def _solve_highs(model: LpModel) -> LpVertex | None:
+    """Solve on the process's shared HiGHS instance through SciPy's private
     binding; None if it is missing.  `passModel` drops the model and basis it held.
 
     With `_new_highs`, the one user of `_binding()`, the extension module
-    `scipy.optimize._highspy._core` (tested with SciPy 1.17).  It passes the HighsLp `linprog(method="highs-ds")`
-    builds, the matrix of -rows with row bounds [-inf, -rhs] and column
-    bounds [lower, inf], and raises what `_solve_linprog` raises per status.
+    `scipy.optimize._highspy._core` (tested with SciPy 1.17).  It passes the
+    HighsLp `linprog(method="highs-ds")` builds, the matrix of -rows with row
+    bounds [-inf, -rhs] and column bounds [lower, inf], and raises what
+    `_solve_linprog` raises per status.
     The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in
     each column, which is the CSC matrix linprog passes.  The binding's
     `col_cost_` setter takes a NumPy array, so the HighsLp has n zero costs
     HiGHS sized (`addVar`, once per n) and `changeColCost` sets the nonzero ones.
     """
-    highs = _shared_highs() if highs is None else highs
+    highs = _shared_highs()
     if highs is None:
         return None
     hs = _binding()
@@ -419,8 +415,8 @@ def solve_relaxation(
         _limit(weight, 1e15, "island {!r} weight", iid)
     if min(times, default=1.0) <= 1e-9:  # HiGHS drops such a coefficient from every load cut
         lid = next(lids[k] for k, t in zip(columns, times) if t <= 1e-9)
-        raise BeyondSolverRange(f"line {lid!r} repair time {p[lid]!r} is at most HiGHS's "
-                                "small matrix value 1e-09, which it drops from the load cuts")
+        raise ValidationError(f"line {lid!r} repair time {p[lid]!r} is at most HiGHS's "
+                              "small matrix value 1e-09, which it drops from the load cuts")
     model = _base_model(instance, islands, precedence)
     first_cut = len(model.rhs)  # the rows from here on are the cut pool
     # the singleton cuts in one batch; fsum of one term is exact, so each
@@ -484,9 +480,10 @@ def solve_relaxation(
 
 
 def _limit(value: float, limit: float, what: str, *args: object) -> None:
-    """Raise BeyondSolverRange, naming `what.format(*args)`, if `value` reaches `limit`."""
+    """Reject, naming `what.format(*args)`, a `value` that reaches `limit`: HiGHS
+    cannot take a matrix value of 1e15 or more, nor a bound of 1e20 or more."""
     if value >= limit:
-        raise BeyondSolverRange(f"{what.format(*args)} {value!r} reaches HiGHS's limit {limit:g}")
+        raise ValidationError(f"{what.format(*args)} {value!r} reaches HiGHS's limit {limit:g}")
 
 
 def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:

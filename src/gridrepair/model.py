@@ -18,51 +18,9 @@ from typing import NamedTuple
 
 
 class ValidationError(ValueError):
-    """Raised when an instance fails a structural check; names the element."""
-
-
-class SchemaError(ValidationError):
-    """A field is unknown, missing, or not of its JSON type."""
-
-
-class DuplicateId(ValidationError):
-    pass
-
-
-class UnknownRoot(ValidationError):
-    pass
-
-
-class UnknownEndpoint(ValidationError):
-    pass
-
-
-class CycleDetected(ValidationError):
-    pass
-
-
-class Disconnected(ValidationError):
-    pass
-
-
-class NegativeRepairTime(ValidationError):
-    pass
-
-
-class NegativeWeight(ValidationError):
-    pass
-
-
-class AllWeightsZero(ValidationError):
-    pass
-
-
-class InvalidCrewCount(ValidationError):
-    pass
-
-
-class NonFiniteValue(ValidationError):
-    pass
+    """Raised for every rejected input: a file that is not JSON, an instance that
+    fails a check of `validate`, or an LP number HiGHS cannot take.  The message
+    names the offending element and the rule it breaks."""
 
 
 # Named tuples, not dataclasses: a feeder builds thousands of them.  Read their
@@ -204,32 +162,32 @@ class PrecedenceGraph:
 def _fields(entry: object, fields: tuple[str, ...], owner: str, *args: object) -> None:
     """Require `entry` to be an object with exactly `fields`."""
     if not isinstance(entry, dict):
-        raise SchemaError(f"{owner.format(*args)} must be an object")
+        raise ValidationError(f"{owner.format(*args)} must be an object")
     for key in entry:
         if key not in fields:
-            raise SchemaError(f"{owner.format(*args)} has unknown field {key!r}")
+            raise ValidationError(f"{owner.format(*args)} has unknown field {key!r}")
     for key in fields:
         if key not in entry:
-            raise SchemaError(f"{owner.format(*args)} is missing field {key!r}")
+            raise ValidationError(f"{owner.format(*args)} is missing field {key!r}")
 
 
 def _number(value: object, name: str, owner: str, *args: object) -> float:
     """A JSON number as a finite float; booleans and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{owner.format(*args)} has non-numeric {name} {value!r}")
+        raise ValidationError(f"{owner.format(*args)} has non-numeric {name} {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond float range
         number = math.inf
     if not math.isfinite(number):
-        raise NonFiniteValue(f"{owner.format(*args)} has non-finite {name} {number}")
+        raise ValidationError(f"{owner.format(*args)} has non-finite {name} {number}")
     return number
 
 
 def _id(value: object, owner: str, *args: object) -> str:
     """A JSON string id; numbers, arrays and the rest are rejected, not converted."""
     if not isinstance(value, str):
-        raise SchemaError(f"{owner.format(*args)} must be a string, got {value!r}")
+        raise ValidationError(f"{owner.format(*args)} must be a string, got {value!r}")
     return value
 
 
@@ -271,7 +229,7 @@ def validate(raw: dict) -> NetworkInstance:
     switch a boolean), ids are unique, values are finite and non-negative,
     the line set is a spanning tree, and at least one node weight is
     positive; orients every line away from the root.  Nothing is coerced: a failing check
-    raises a ValidationError subclass naming the offending element.
+    raises a ValidationError naming the offending element.
 
     An entry of the common shape (a plain dict with exactly its fields, str
     ids, plain int or float values in range) passes inline checks; any other
@@ -286,12 +244,12 @@ def validate(raw: dict) -> NetworkInstance:
     _fields(raw, ("root", "crews", "nodes", "lines"), "instance")
     crews = raw["crews"]
     if isinstance(crews, bool) or not isinstance(crews, int):
-        raise SchemaError(f"crews must be an integer, got {crews!r}")
+        raise ValidationError(f"crews must be an integer, got {crews!r}")
     if crews < 1:
-        raise InvalidCrewCount(f"crews must be >= 1, got {crews}")
+        raise ValidationError(f"crews must be >= 1, got {crews}")
     for key in ("nodes", "lines"):
         if not isinstance(raw[key], list):
-            raise SchemaError(f"{key} must be an array")
+            raise ValidationError(f"{key} must be an array")
 
     nodes: list[Node] = []
     seen_nodes: set[str] = set()
@@ -305,16 +263,16 @@ def validate(raw: dict) -> NetworkInstance:
             _fields(entry, _NODE_FIELDS, "node entry {}", k)
             nid = _id(entry["id"], "node entry {} id", k)
             if nid in seen_nodes:
-                raise DuplicateId(f"duplicate node id {nid!r}")
+                raise ValidationError(f"duplicate node id {nid!r}")
             w = _number(entry["weight"], "weight", "node {!r}", nid)
             if w < 0:
-                raise NegativeWeight(f"node {nid!r} has negative weight {w}")
+                raise ValidationError(f"node {nid!r} has negative weight {w}")
         seen_nodes.add(nid)
         nodes.append(new_record(Node, (nid, float(w))))
 
     root = _id(raw["root"], "root")
     if root not in seen_nodes:
-        raise UnknownRoot(f"root {root!r} is not a node")
+        raise ValidationError(f"root {root!r} is not a node")
 
     lines: list[Line] = []  # in file order, as the file orients them until proven otherwise
     seen_lines: set[str] = set()
@@ -332,18 +290,18 @@ def validate(raw: dict) -> NetworkInstance:
             _fields(entry, _LINE_FIELDS, "line entry {}", k)
             lid = _id(entry["id"], "line entry {} id", k)
             if lid in seen_lines:
-                raise DuplicateId(f"duplicate line id {lid!r}")
+                raise ValidationError(f"duplicate line id {lid!r}")
             u = _id(entry["from"], "line {!r} 'from'", lid)
             v = _id(entry["to"], "line {!r} 'to'", lid)
             for end in (u, v):
                 if end not in seen_nodes:
-                    raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")
+                    raise ValidationError(f"line {lid!r} endpoint {end!r} is not a node")
             p = _number(entry["repair_time"], "repair time", "line {!r}", lid)
             if p < 0:
-                raise NegativeRepairTime(f"line {lid!r} has negative repair time {p}")
+                raise ValidationError(f"line {lid!r} has negative repair time {p}")
             sw = entry["switch"]
             if not isinstance(sw, bool):
-                raise SchemaError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
+                raise ValidationError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
         seen_lines.add(lid)
         lines.append(new_record(Line, (lid, u, v, float(p), sw)))
         feeder[v] = u
@@ -378,20 +336,20 @@ def validate(raw: dict) -> NetworkInstance:
                 while comp[rv] != rv:
                     comp[rv] = rv = comp[comp[rv]]
                 if ru == rv:
-                    raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
+                    raise ValidationError(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
                 comp[ru] = rv
             # acyclic lines that reach every node number n - 1, so some node is unreached
             missing = sorted(seen_nodes - visited)[0]
-            raise Disconnected(f"node {missing!r} is not connected to the root")
+            raise ValidationError(f"node {missing!r} is not connected to the root")
 
     if all(node.weight == 0 for node in nodes):
-        raise AllWeightsZero("every node weight is zero")
+        raise ValidationError("every node weight is zero")
     # outputs are at most these totals; the margin covers rounding in sums of < 2**30 terms
     total = sum(map(attrgetter("repair_time"), lines))
     weight = sum(node.weight for node in nodes if node.id != root) * total
     for name, value in (("repair time", total), ("weight times total repair time", weight)):
         if not math.isfinite(value * (1 + 2**-20)):
-            raise NonFiniteValue(f"total {name} {value} is not finite within rounding")
+            raise ValidationError(f"total {name} {value} is not finite within rounding")
     lines.sort(key=itemgetter(0))  # by unique id: a str key takes the sort's fast compare
     nodes.sort(key=itemgetter(0))
     instance = NetworkInstance(nodes=tuple(nodes), lines=tuple(lines), root=root, crews=crews)

@@ -9,28 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gridrepair import algos, lp, oracle
-from gridrepair import schedule as sched
-from gridrepair.harness import GenParams, generate_random, load_instance
+from gridrepair import lp, oracle
+from gridrepair.harness import GenParams, bench_instance, generate_random, load_instance
 from gridrepair.lp import LpModel, LpVertex, load_rhs
 from gridrepair.model import (
-    AllWeightsZero,
-    CycleDetected,
-    Disconnected,
-    DuplicateId,
-    InvalidCrewCount,
     Island,
     IslandSet,
     Line,
-    NegativeRepairTime,
-    NegativeWeight,
     NetworkInstance,
     Node,
-    NonFiniteValue,
     PrecedenceGraph,
-    SchemaError,
-    UnknownEndpoint,
-    UnknownRoot,
     ValidationError,
     derive_line_weights,
 )
@@ -88,7 +76,7 @@ def feeder(nodes, switch_probability, seed):
     """A generated feeder of exactly `nodes` nodes, some lines undamaged."""
     return generate_random(GenParams(
         seed=seed, nodes=(nodes, nodes), switch_probability=switch_probability,
-        weight=(1, 10) if nodes == 1 else (0, 10), repair_time=(0, 10)))
+        repair_time=(0, 10)))
 
 
 def instance_to_json(instance):
@@ -135,16 +123,11 @@ def makespan(plan):
 
 def certified_bounds(instance, m):
     """Certify both algorithms' m-crew runs against the brute-force optimum
-    with `oracle.certify_row`, which raises InvariantViolation on a broken
-    guarantee, and return the values of its lower-bound check: the optimum,
-    the single-crew optimum and the unlimited-crew optimum."""
-    optimum = oracle.brute_force_optimal(instance, m).harm
-    convert = algos.convert_single_to_m(instance, crews=m)
-    infinite = sched.infinite_crew_energization(
-        instance.islands, instance.precedence, instance.repair_times())
-    oracle.certify_row("certified", instance, m, algos.lp_list_schedule(instance, crews=m),
-                       convert, infinite, optimum)
-    return optimum, convert.single_crew.harm, infinite[1]
+    as a bench row does (`oracle.certify_row` raises InvariantViolation on a
+    broken guarantee), and return the values of its lower-bound check: the
+    optimum, the single-crew optimum and the unlimited-crew optimum."""
+    row = bench_instance("certified", instance, m)
+    return row.h_opt, row.h_single, row.h_infinite
 
 
 @dataclass(frozen=True)
@@ -222,30 +205,30 @@ def reference_most_violated(completions, times, m, pooled):
 
 def _ref_fields(entry, fields, owner):
     if not isinstance(entry, dict):
-        raise SchemaError(f"{owner} must be an object")
+        raise ValidationError(f"{owner} must be an object")
     for key in entry:
         if key not in fields:
-            raise SchemaError(f"{owner} has unknown field {key!r}")
+            raise ValidationError(f"{owner} has unknown field {key!r}")
     for key in fields:
         if key not in entry:
-            raise SchemaError(f"{owner} is missing field {key!r}")
+            raise ValidationError(f"{owner} is missing field {key!r}")
 
 
 def _ref_number(value, name, owner):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{owner} has non-numeric {name} {value!r}")
+        raise ValidationError(f"{owner} has non-numeric {name} {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise NonFiniteValue(f"{owner} has non-finite {name} {number}")
+        raise ValidationError(f"{owner} has non-finite {name} {number}")
     return number
 
 
 def _ref_id(value, owner):
     if not isinstance(value, str):
-        raise SchemaError(f"{owner} must be a string, got {value!r}")
+        raise ValidationError(f"{owner} must be a string, got {value!r}")
     return value
 
 
@@ -256,47 +239,47 @@ def reference_validate(raw: dict) -> NetworkInstance:
     _ref_fields(raw, ("root", "crews", "nodes", "lines"), "instance")
     crews = raw["crews"]
     if isinstance(crews, bool) or not isinstance(crews, int):
-        raise SchemaError(f"crews must be an integer, got {crews!r}")
+        raise ValidationError(f"crews must be an integer, got {crews!r}")
     if crews < 1:
-        raise InvalidCrewCount(f"crews must be >= 1, got {crews}")
+        raise ValidationError(f"crews must be >= 1, got {crews}")
     for key in ("nodes", "lines"):
         if not isinstance(raw[key], list):
-            raise SchemaError(f"{key} must be an array")
+            raise ValidationError(f"{key} must be an array")
 
     nodes, seen_nodes = [], set()
     for k, entry in enumerate(raw["nodes"]):
         _ref_fields(entry, ("id", "weight"), f"node entry {k}")
         nid = _ref_id(entry["id"], f"node entry {k} id")
         if nid in seen_nodes:
-            raise DuplicateId(f"duplicate node id {nid!r}")
+            raise ValidationError(f"duplicate node id {nid!r}")
         seen_nodes.add(nid)
         w = _ref_number(entry["weight"], "weight", f"node {nid!r}")
         if w < 0:
-            raise NegativeWeight(f"node {nid!r} has negative weight {w}")
+            raise ValidationError(f"node {nid!r} has negative weight {w}")
         nodes.append(Node(nid, w))
 
     root = _ref_id(raw["root"], "root")
     if root not in seen_nodes:
-        raise UnknownRoot(f"root {root!r} is not a node")
+        raise ValidationError(f"root {root!r} is not a node")
 
     raw_lines, seen_lines = [], set()
     for k, entry in enumerate(raw["lines"]):
         _ref_fields(entry, ("id", "from", "to", "repair_time", "switch"), f"line entry {k}")
         lid = _ref_id(entry["id"], f"line entry {k} id")
         if lid in seen_lines:
-            raise DuplicateId(f"duplicate line id {lid!r}")
+            raise ValidationError(f"duplicate line id {lid!r}")
         seen_lines.add(lid)
         u = _ref_id(entry["from"], f"line {lid!r} 'from'")
         v = _ref_id(entry["to"], f"line {lid!r} 'to'")
         for end in (u, v):
             if end not in seen_nodes:
-                raise UnknownEndpoint(f"line {lid!r} endpoint {end!r} is not a node")
+                raise ValidationError(f"line {lid!r} endpoint {end!r} is not a node")
         p = _ref_number(entry["repair_time"], "repair time", f"line {lid!r}")
         if p < 0:
-            raise NegativeRepairTime(f"line {lid!r} has negative repair time {p}")
+            raise ValidationError(f"line {lid!r} has negative repair time {p}")
         sw = entry["switch"]
         if not isinstance(sw, bool):
-            raise SchemaError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
+            raise ValidationError(f"line {lid!r} switch flag must be a boolean, got {sw!r}")
         raw_lines.append((lid, u, v, p, sw))
 
     # only a failed traversal runs the union-find: a cycle is reported before
@@ -322,20 +305,20 @@ def reference_validate(raw: dict) -> NetworkInstance:
             while comp[rv] != rv:
                 comp[rv] = rv = comp[comp[rv]]
             if ru == rv:
-                raise CycleDetected(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
+                raise ValidationError(f"line {lid!r} ({u!r}-{v!r}) closes a cycle")
             comp[ru] = rv
         missing = sorted(seen_nodes - visited)[0]
-        raise Disconnected(f"node {missing!r} is not connected to the root")
+        raise ValidationError(f"node {missing!r} is not connected to the root")
     if all(n.weight == 0 for n in nodes):
-        raise AllWeightsZero("every node weight is zero")
+        raise ValidationError("every node weight is zero")
     # the one check added since: totals that overflow a float with a 2**-20 margin
     total = sum(line[3] for line in raw_lines)
     weight = sum(n.weight for n in nodes if n.id != root)
     if not math.isfinite(total * (1 + 2**-20)):
-        raise NonFiniteValue(f"total repair time {total} is not finite within rounding")
+        raise ValidationError(f"total repair time {total} is not finite within rounding")
     if not math.isfinite(weight * total * (1 + 2**-20)):
-        raise NonFiniteValue(f"total weight times total repair time {weight * total} "
-                             "is not finite within rounding")
+        raise ValidationError(f"total weight times total repair time {weight * total} "
+                              "is not finite within rounding")
 
     lines = []
     for node_id, k in parent_of.items():

@@ -500,16 +500,77 @@ def _path_file(tmp_path, times, weights):
     return str(path)
 
 
-@pytest.mark.parametrize("times, weights, message", [
-    ([1e10] * 3, [1, 1, 1], "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20"),
-    ([1, 1, 1], [1, 1e16, 1], "island 'e2' weight 1e+16 reaches HiGHS's limit 1e+15"),
-], ids=["repair times of 1e10", "an island weight of 1e16"])
-def test_lp_rows_beyond_highs_limits_exit_2(tmp_path, capsys, times, weights, message):
-    out = tmp_path / "out.json"
-    code = main(["schedule", _path_file(tmp_path, times, weights), "--alg", "lp-list",
-                 "--out", str(out)])
-    assert code == EXIT_INVALID and not out.exists()
-    assert message in capsys.readouterr().err
+_DELETE = object()
+
+
+def _malformed(keys=(), value=None, times=(1, 2, 3), weights=(1, 1, 1)) -> str:
+    """The text of `path_raw(times, weights)` with the entry at `keys` set to
+    `value`, or deleted if `value` is `_DELETE`."""
+    raw = path_raw(list(times), list(weights))
+    if keys:
+        *parents, last = keys
+        target = raw
+        for key in parents:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return json.dumps(raw)
+
+
+# one malformed file per rule that rejects an instance, and its whole message
+REJECTED = {
+    "unknown field": (_malformed(("lines", 0, "voltage"), 11.0),
+                      "line entry 0 has unknown field 'voltage'"),
+    "missing field": (_malformed(("nodes", 1, "weight"), _DELETE),
+                      "node entry 1 is missing field 'weight'"),
+    "non-string id": (_malformed(("lines", 1, "id"), 5), "line entry 1 id must be a string, got 5"),
+    "non-numeric value": (_malformed(("nodes", 2, "weight"), "3"),
+                          "node '2' has non-numeric weight '3'"),
+    "non-boolean switch": (_malformed(("lines", 0, "switch"), "no"),
+                           "line 'e1' switch flag must be a boolean, got 'no'"),
+    "duplicate node id": (_malformed(("nodes", 2, "id"), "1"), "duplicate node id '1'"),
+    "duplicate line id": (_malformed(("lines", 1, "id"), "e1"), "duplicate line id 'e1'"),
+    "unknown root": (_malformed(("root",), "9"), "root '9' is not a node"),
+    "unknown endpoint": (_malformed(("lines", 1, "to"), "9"),
+                         "line 'e2' endpoint '9' is not a node"),
+    # node 3 is cut off too: the cycle is reported first
+    "cycle": (_malformed(("lines", 2, "to"), "0"), "line 'e3' ('2'-'0') closes a cycle"),
+    "disconnected node": (_malformed(("lines", 2), _DELETE),
+                          "node '3' is not connected to the root"),
+    "negative repair time": (_malformed(("lines", 0, "repair_time"), -2),
+                             "line 'e1' has negative repair time -2.0"),
+    "negative weight": (_malformed(("nodes", 1, "weight"), -3),
+                        "node '1' has negative weight -3.0"),
+    "all weights zero": (_malformed(("nodes", 0, "weight"), 0, weights=(0, 0, 0)),
+                         "every node weight is zero"),
+    "crews below 1": (_malformed(("crews",), 0), "crews must be >= 1, got 0"),
+    "non-finite value": (_malformed(("lines", 1, "repair_time"), float("nan")),
+                         "line 'e2' has non-finite repair time nan"),
+    "overflowing total": (_malformed(times=(1e308, 1e308, 1)),
+                          "total repair time inf is not finite within rounding"),
+    "JSON syntax error": ('{"root": "0",\n  "crews": }', "Expecting value (line 2, column 12)"),
+    "too-deep nesting": ("[" * 100000, "{path}: arrays and objects nest too deeply to parse"),
+    "repair times of 1e10": (_malformed(times=(1e10,) * 3),
+                             "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20 "
+                             "reaches HiGHS's limit 1e+20"),
+    "an island weight of 1e16": (_malformed(weights=(1, 1e16, 1)),
+                                 "island 'e2' weight 1e+16 reaches HiGHS's limit 1e+15"),
+    "a repair time of 1e-9": (_malformed(times=(1e-9, 1, 1)),
+                              "line 'e1' repair time 1e-09 is at most HiGHS's small matrix value "
+                              "1e-09, which it drops from the load cuts"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED, ids=list(REJECTED))
+def test_each_rejection_rule_exits_2_with_its_message(tmp_path, capsys, case):
+    text, message = REJECTED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["schedule", str(path), "--alg", "lp-list"])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_INVALID, "", f"error: {message.replace('{path}', str(path))}\n")
 
 
 def test_lp_rows_inside_highs_limits_keep_their_output(tmp_path, capsys):

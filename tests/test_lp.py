@@ -30,7 +30,7 @@ from gridrepair.lp import (
     simplex_solve,
     solve_relaxation,
 )
-from gridrepair.model import build_precedence_graph, partition_islands, validate
+from gridrepair.model import ValidationError, build_precedence_graph, partition_islands, validate
 
 from conftest import (
     FIXTURES,
@@ -149,7 +149,9 @@ class TestSimplexSolve:
         highs = _new_highs()
         if highs is None:
             pytest.skip("SciPy's HiGHS binding is not importable")
-        for model in round_models(monkeypatch, name, m):
+        models = round_models(monkeypatch, name, m)
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), highs))
+        for model in models:
             n, k = len(model.variables), len(model.rhs)
             dense = np.zeros((k, n))  # the >= rows, one by one
             for r in range(k):
@@ -159,7 +161,7 @@ class TestSimplexSolve:
             columns = -dense.T
             col, row = np.nonzero(columns)
             start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
-            _solve_highs(model, highs)
+            _solve_highs(model)
             held = highs.getLp().a_matrix_  # the matrix HiGHS holds after passModel
             assert [held.start_, held.index_, held.value_] == [
                 start.tolist(), row.tolist(), columns[col, row].tolist()]
@@ -172,7 +174,8 @@ class TestSimplexSolve:
         a, b = models[0], models[-1]  # the first round and the canonical pass
 
         def solve(model, on):
-            vertex = _solve_highs(model, on)
+            monkeypatch.setattr(lp, "_shared", (os.getpid(), on))
+            vertex = _solve_highs(model)
             return list(vertex.values), vertex.objective, on.getInfo().simplex_iteration_count
 
         fresh = solve(a, _new_highs())
@@ -188,8 +191,10 @@ class TestSimplexSolve:
         ours, theirs = _new_highs(), _new_highs()
         if ours is None:
             pytest.skip("SciPy's HiGHS binding is not importable")
-        for model in round_models(monkeypatch, name, m):
-            assert _solve_highs(model, ours) == reference_solve_highs(model, theirs)
+        models = round_models(monkeypatch, name, m)
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), ours))
+        for model in models:
+            assert _solve_highs(model) == reference_solve_highs(model, theirs)
             assert held_lp(ours) == held_lp(theirs)
 
     @pytest.mark.parametrize("failure", [Infeasible, Unbounded])
@@ -515,7 +520,7 @@ LIMIT_CASES = {
 @pytest.mark.parametrize("case", LIMIT_CASES, ids=list(LIMIT_CASES))
 def test_rows_beyond_highs_limits_are_input_errors(case):
     inst, message = LIMIT_CASES[case]
-    with pytest.raises(lp.BeyondSolverRange) as err:
+    with pytest.raises(ValidationError) as err:
         solve_relaxation(inst, crews=2)
     assert not isinstance(err.value, lp.LpError) and isinstance(err.value, ValueError)
     assert str(err.value).startswith(message) and "reaches HiGHS's limit" in str(err.value)

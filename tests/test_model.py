@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -10,18 +11,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from gridrepair.model import (
-    AllWeightsZero,
-    CycleDetected,
-    Disconnected,
-    DuplicateId,
     Island,
     Line,
-    NegativeRepairTime,
-    NegativeWeight,
     Node,
-    NonFiniteValue,
-    SchemaError,
-    UnknownRoot,
     ValidationError,
     build_precedence_graph,
     NetworkInstance,
@@ -80,31 +72,31 @@ class TestValidate:
         raw["lines"].append(
             {"id": "e3", "from": "2", "to": "0", "repair_time": 1, "switch": False}
         )
-        with pytest.raises(CycleDetected, match="e3"):
+        with pytest.raises(ValidationError, match=r"^line 'e3' \('2'-'0'\) closes a cycle$"):
             validate(raw)
 
     def test_negative_repair_time(self):
         raw = two_island_raw()
         raw["lines"][1]["repair_time"] = -1
-        with pytest.raises(NegativeRepairTime, match="e2"):
+        with pytest.raises(ValidationError, match="^line 'e2' has negative repair time -1.0$"):
             validate(raw)
 
     def test_negative_weight(self):
         raw = two_island_raw()
         raw["nodes"][2]["weight"] = -3
-        with pytest.raises(NegativeWeight, match="'2'"):
+        with pytest.raises(ValidationError, match="^node '2' has negative weight -3.0$"):
             validate(raw)
 
     def test_unknown_root(self):
         raw = two_island_raw()
         raw["root"] = "missing"
-        with pytest.raises(UnknownRoot, match="missing"):
+        with pytest.raises(ValidationError, match="^root 'missing' is not a node$"):
             validate(raw)
 
     def test_duplicate_node_id(self):
         raw = two_island_raw()
         raw["nodes"].append({"id": "1", "weight": 2})
-        with pytest.raises(DuplicateId, match="'1'"):
+        with pytest.raises(ValidationError, match="^duplicate node id '1'$"):
             validate(raw)
 
     def test_duplicate_line_id(self):
@@ -113,7 +105,7 @@ class TestValidate:
         raw["lines"].append(
             {"id": "e1", "from": "2", "to": "3", "repair_time": 1, "switch": False}
         )
-        with pytest.raises(DuplicateId, match="e1"):
+        with pytest.raises(ValidationError, match="^duplicate line id 'e1'$"):
             validate(raw)
 
     def test_disconnected(self):
@@ -122,28 +114,29 @@ class TestValidate:
         raw["lines"].append(
             {"id": "e9", "from": "4", "to": "5", "repair_time": 1, "switch": False}
         )
-        with pytest.raises(Disconnected, match="'4'"):
+        with pytest.raises(ValidationError, match="^node '4' is not connected to the root$"):
             validate(raw)
 
     def test_all_weights_zero(self):
         raw = two_island_raw()
         for node in raw["nodes"]:
             node["weight"] = 0
-        with pytest.raises(AllWeightsZero):
+        with pytest.raises(ValidationError, match="^every node weight is zero$"):
             validate(raw)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_repair_time(self, value):
         raw = two_island_raw()
         raw["lines"][1]["repair_time"] = value
-        with pytest.raises(NonFiniteValue, match="line 'e2'"):
+        message = f"^line 'e2' has non-finite repair time {value}$"
+        with pytest.raises(ValidationError, match=message):
             validate(raw)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_weight(self, value):
         raw = two_island_raw()
         raw["nodes"][2]["weight"] = value
-        with pytest.raises(NonFiniteValue, match="node '2'"):
+        with pytest.raises(ValidationError, match=f"^node '2' has non-finite weight {value}$"):
             validate(raw)
 
     @pytest.mark.parametrize("key", ["root", "crews", "nodes", "lines"])
@@ -160,30 +153,30 @@ class TestValidate:
             validate(raw)
 
     @pytest.mark.parametrize(
-        "entry, key, value, exc, match",
+        "entry, key, value, message",
         [
-            (None, "crews", 2.7, SchemaError, "crews must be an integer, got 2.7"),
-            (None, "crews", True, SchemaError, "crews must be an integer, got True"),
-            (None, "crews", float("nan"), SchemaError, "crews must be an integer, got nan"),
-            (("lines", 1), "switch", "no", SchemaError, "line 'e2' switch .*'no'"),
-            (("nodes", 2), "weight", "3", SchemaError, "node '2' .*weight '3'"),
-            (("nodes", 2), "weight", 10**400, NonFiniteValue, "node '2'"),
-            (("nodes", 1), "id", ["1"], SchemaError, r"node entry 1 id .*\['1'\]"),
-            (("nodes", 1), "id", 1, SchemaError, "node entry 1 id must be a string, got 1"),
-            (None, "root", 0, SchemaError, "root must be a string, got 0"),
-            (("lines", 0), "id", 5, SchemaError, "line entry 0 id must be a string, got 5"),
-            (("lines", 1), "from", ["1"], SchemaError, r"line 'e2' 'from' .*\['1'\]"),
-            (("lines", 1), "to", 2, SchemaError, "line 'e2' 'to' must be a string, got 2"),
+            (None, "crews", 2.7, "crews must be an integer, got 2.7"),
+            (None, "crews", True, "crews must be an integer, got True"),
+            (None, "crews", float("nan"), "crews must be an integer, got nan"),
+            (("lines", 1), "switch", "no", "line 'e2' switch flag must be a boolean, got 'no'"),
+            (("nodes", 2), "weight", "3", "node '2' has non-numeric weight '3'"),
+            (("nodes", 2), "weight", 10**400, "node '2' has non-finite weight inf"),
+            (("nodes", 1), "id", ["1"], "node entry 1 id must be a string, got ['1']"),
+            (("nodes", 1), "id", 1, "node entry 1 id must be a string, got 1"),
+            (None, "root", 0, "root must be a string, got 0"),
+            (("lines", 0), "id", 5, "line entry 0 id must be a string, got 5"),
+            (("lines", 1), "from", ["1"], "line 'e2' 'from' must be a string, got ['1']"),
+            (("lines", 1), "to", 2, "line 'e2' 'to' must be a string, got 2"),
         ],
         ids=["crews-float", "crews-bool", "crews-nan", "switch-str", "weight-str",
              "weight-huge-int", "node-id-array", "node-id-int", "root-int", "line-id-int",
              "from-array", "to-int"],
     )
-    def test_wrong_type_rejected_not_coerced(self, entry, key, value, exc, match):
+    def test_wrong_type_rejected_not_coerced(self, entry, key, value, message):
         raw = two_island_raw()
         target = raw if entry is None else raw[entry[0]][entry[1]]
         target[key] = value
-        with pytest.raises(exc, match=match):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             validate(raw)
 
     def test_zero_repair_time_admitted(self):
