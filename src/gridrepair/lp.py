@@ -16,6 +16,10 @@ candidates are the prefixes of the solution sorted by completion and by
 midpoint (C - p/2).  Midpoint prefixes are exact maximizers of the
 violation whenever any subset is violated, which a threshold argument
 shows and the test suite re-checks against full subset enumeration.
+With at most m lines of positive time the loop solves nothing: C = p,
+E = E-infinity is the least point the base rows allow, and it meets every cut,
+as (sum_A p)^2 <= |A| sum_A p^2 <= m sum_A p^2 (Cauchy-Schwarz) gives f(A) <=
+sum_A p^2, its left side there; so it is the optimum and the canonical point.
 Separation scores all prefixes at once from running sums and re-scores
 exactly (fsum) only those whose score plus its rounding-error bound,
 4(k+8) 2^-53 times the sum of the magnitudes on a prefix of k lines, can
@@ -47,6 +51,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
+from gridrepair import schedule as sched
 from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, ValidationError
 
 LP_TOLERANCE = 1e-9
@@ -398,7 +403,9 @@ def solve_relaxation(
     final pass re-minimizes sum(C) + sum(E) at the optimal objective so
     the reported point is the same deterministic vertex regardless of
     which optimal face the simplex lands on; separation is re-checked on
-    that point too.
+    that point too.  With at most m damaged lines it returns that point
+    unsolved, in one round: C = p, E = E-infinity is the least point of the
+    base rows, and Cauchy-Schwarz keeps every cut (see the module docstring).
     """
     islands = instance.islands if islands is None else islands
     precedence = instance.precedence if precedence is None else precedence
@@ -431,8 +438,12 @@ def solve_relaxation(
 
     cut_limit = 10 * max(1, len(p)) ** 2
     history: list[float] = []
+    x = None  # the canonical optimal point, once found
+    if len(times) <= m and _most_violated(times, times, m, pooled) is None:
+        energization, harm = sched.infinite_crew_energization(islands, precedence, p)
+        x, history = [p[lid] for lid in lids] + [energization[i] for i in islands.weights], [harm]
 
-    while True:
+    while x is None:
         vertex = simplex_solve(model)
         history.append(vertex.objective)
         x = vertex.values
@@ -453,30 +464,30 @@ def solve_relaxation(
                 raise IterationLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})"
                 )
-            continue
+            x = None
 
-        completion = dict(zip(lids, x[:n]))
-        midpoints = {lid: completion[lid] - p[lid] / 2.0 for lid in lids}
-        cuts = [Cut(frozenset(lids[j] for j in model.index[model.start[k]:model.start[k + 1]]),
-                    model.rhs[k]) for k in range(first_cut, len(model.rhs))]
-        # the midpoint form of each cut, sum_A p_j M_j >= (sum_A p_j)^2 / (2m),
-        # is algebraically the cut itself and must hold at any feasible point
-        for cut in cuts:
-            lhs = math.fsum(p[j] * midpoints[j] for j in cut.lines)
-            square = cut.rhs - math.fsum(p[j] * p[j] for j in cut.lines) / 2.0
-            if lhs < square - 1e-6 * max(1.0, abs(square)):
-                raise LpError(
-                    f"midpoint form violated on {sorted(cut.lines)}: {lhs} < {square}"
-                )
-        return LpSolution(
-            completion=completion,
-            energization=dict(zip(islands.weights, x[n:])),
-            midpoints=midpoints,
-            objective=vertex.objective,
-            cuts=cuts,
-            objective_history=history,
-            model=model,
-        )
+    completion = dict(zip(lids, x[:n]))
+    midpoints = {lid: completion[lid] - p[lid] / 2.0 for lid in lids}
+    cuts = [Cut(frozenset(lids[j] for j in model.index[model.start[k]:model.start[k + 1]]),
+                model.rhs[k]) for k in range(first_cut, len(model.rhs))]
+    # the midpoint form of each cut, sum_A p_j M_j >= (sum_A p_j)^2 / (2m),
+    # is algebraically the cut itself and must hold at any feasible point
+    for cut in cuts:
+        lhs = math.fsum(p[j] * midpoints[j] for j in cut.lines)
+        square = cut.rhs - math.fsum(p[j] * p[j] for j in cut.lines) / 2.0
+        if lhs < square - 1e-6 * max(1.0, abs(square)):
+            raise LpError(
+                f"midpoint form violated on {sorted(cut.lines)}: {lhs} < {square}"
+            )
+    return LpSolution(
+        completion=completion,
+        energization=dict(zip(islands.weights, x[n:])),
+        midpoints=midpoints,
+        objective=history[-1],
+        cuts=cuts,
+        objective_history=history,
+        model=model,
+    )
 
 
 def _limit(value: float, limit: float, what: str, *args: object) -> None:

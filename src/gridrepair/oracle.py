@@ -18,9 +18,11 @@ So the prefixes of length c are not grown line by line; each c-line set
 is one start state standing for its c! orderings, and the remaining
 (n - c)! suffixes are grown from it.  The simulation is vectorized across
 all prefixes of a level at once, independently of the scalar simulator in
-`schedule`.  `certify_row` re-checks every proven guarantee on a bench
-row: the algorithms' bounds and, with the optimum, the two lower bounds
-on it.
+`schedule`.  With n <= m the one start state puts every line on its own
+crew, so the optimum is the unlimited-crew harm and the first list the
+lines in id order: nothing is simulated and NumPy stays unloaded.
+`certify_row` re-checks every proven guarantee on a bench row: the
+algorithms' bounds and, with the optimum, the two lower bounds on it.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     if n > MAX_BRUTE_FORCE_LINES:
         raise TooLarge(n, MAX_BRUTE_FORCE_LINES)
 
-    if n == 0:
-        return OracleResult(harm=0.0, priority_list=tuple(zero_lines), enumerated=1)
+    if n <= m:  # one start state, every line on its own crew
+        harm = sched.infinite_crew_energization(islands, precedence, repair)[1]
+        return OracleResult(harm, (*zero_lines, *damaged), enumerated=math.factorial(n))
     import numpy as np  # here, so that importing the oracle does not load NumPy
 
     ids = list(islands.weights)  # in id order

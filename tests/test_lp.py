@@ -15,7 +15,7 @@ from hypothesis import given, settings
 import numpy as np
 
 from gridrepair import lp, oracle
-from gridrepair.harness import GenParams, generate_random, load_instance
+from gridrepair.harness import GenParams, generate_random, load_instance, random_raw
 from gridrepair.lp import (
     Cut,
     Infeasible,
@@ -70,7 +70,10 @@ def case_instance(name):
 
 def round_models(monkeypatch, name, m):
     """Every model `solve_relaxation` solves on a fixture or a generated
-    50-line feeder: its rounds, then its canonical pass."""
+    50-line feeder: its rounds, then its canonical pass.  With a crew per
+    damaged line it solves none, so these are the two models it solved
+    before it returned the unlimited-crew point unsolved: its base and
+    singleton rows, then their canonical pass."""
     inst = case_instance(name)
     models = []
 
@@ -79,7 +82,9 @@ def round_models(monkeypatch, name, m):
         return simplex_solve(model)
 
     monkeypatch.setattr(lp, "simplex_solve", record)
-    solve_relaxation(inst, crews=m)
+    sol = solve_relaxation(inst, crews=m)
+    if not models:
+        lp._canonical_pass(sol.model, record(sol.model).objective)
     monkeypatch.undo()
     return models
 
@@ -304,7 +309,7 @@ class TestBinding:
                 models.append(copy.deepcopy(model))
                 return solve(model)
             solve, lp.simplex_solve = lp.simplex_solve, record
-            harness.bench_instance("fork", harness.load_instance({fixtures["fork"]!r}), 3)
+            harness.bench_instance("fork", harness.load_instance({fixtures["fork"]!r}), 2)
             lp.simplex_solve = solve
             assert len(models) >= 2
             assert "scipy.optimize" not in sys.modules
@@ -315,6 +320,22 @@ class TestBinding:
             assert _core is core and lp._binding() is core
             for model in models:
                 assert lp._solve_linprog(model) == lp._solve_highs(model)
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_crew_per_damaged_line_loads_neither_binding_nor_numpy(self, tmp_path):
+        proc = run_fresh(f"""
+            import sys
+            from gridrepair import cli
+            two_island, fork = {str(FIXTURES / "two_island.json")!r}, {str(FIXTURES / "fork.json")!r}
+            out = {str(tmp_path / "out.json")!r}
+            for command in (["schedule", two_island, "--alg", "lp-list"], ["oracle", two_island]):
+                assert cli.main([*command, "--crews", "2", "--out", out]) == 0
+            assert "scipy.optimize._highspy._core" not in sys.modules
+            assert "numpy" not in sys.modules
+            # fork has three damaged lines: two crews still solve
+            assert cli.main(["schedule", fork, "--alg", "lp-list", "--crews", "2", "--out", out]) == 0
+            assert "scipy.optimize._highspy._core" in sys.modules
         """)
         assert proc.returncode == 0, proc.stderr
 
@@ -496,6 +517,83 @@ class TestSolveRelaxation:
             sol = solve_relaxation(inst, crews=m)
             for earlier, later in zip(sol.objective_history, sol.objective_history[1:]):
                 assert later >= earlier - 1e-9
+
+
+def damaged_lines(inst):
+    return sum(1 for t in inst.repair_times().values() if t > 0)
+
+
+def assert_is_the_highs_answer(inst, m):
+    """With a crew per damaged line, `solve_relaxation` returns what its loop
+    returned when it solved: one round on the base and singleton rows, at
+    whose HiGHS vertex no cut is violated, then the canonical pass."""
+    sol = solve_relaxation(inst, crews=m)
+    vertex = simplex_solve(sol.model)
+    x = lp._canonical_pass(sol.model, vertex.objective).values
+    assert x == [*sol.completion.values(), *sol.energization.values()]
+    assert repr(vertex.objective) == repr(sol.objective)
+    p = inst.repair_times()
+    lines = [k for k, lid in enumerate(sorted(p)) if p[lid] > 0]
+    times, singletons = [p[lid] for lid in sorted(p) if p[lid] > 0], {(i,) for i in range(len(lines))}
+    for point in (vertex.values, x):  # the loop's own rule, on both points it checked
+        assert _most_violated([point[k] for k in lines], times, m, singletons) is None
+    assert sol.iterations == 1
+    assert [cut.lines for cut in sol.cuts] == [frozenset((lid,)) for lid in sorted(p) if p[lid] > 0]
+
+
+# every fixture with a crew per damaged line, and with one or two to spare
+SPARE_CREW_CASES = [(f.name, max(1, damaged_lines(load_instance(f))) + spare)
+                    for f in sorted(FIXTURES.glob("*.json")) for spare in (0, 1, 2)]
+
+
+class TestSpareCrews:
+    """With at most m damaged lines the unlimited-crew point solves the
+    relaxation, and `solve_relaxation` returns it without a HiGHS solve."""
+
+    @pytest.mark.parametrize("name, m", SPARE_CREW_CASES)
+    def test_fixtures_make_no_solve_and_match_highs(self, monkeypatch, name, m):
+        inst = case_instance(name)
+        calls = []
+        monkeypatch.setattr(lp, "simplex_solve", calls.append)
+        solve_relaxation(inst, crews=m)
+        monkeypatch.undo()
+        assert calls == []
+        assert_is_the_highs_answer(inst, m)
+
+    def test_bench_corpus_matches_highs(self):
+        """The corpus `gridrepair bench --seed 0 --count 500` draws, at m = 2, 3."""
+        cases = 0
+        for seed in range(500):
+            inst = generate_random(GenParams(seed=seed))
+            for m in (2, 3):
+                if damaged_lines(inst) <= m:
+                    assert_is_the_highs_answer(inst, m)
+                    cases += 1
+        assert cases > 300
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_decimal_and_wide_float_data_match_highs(self, data):
+        """Feeders of up to 9 lines with decimal repair times, or times of
+        1e-6 to 1e12, node weights up to 1e13 and n to n + 2 crews."""
+        nodes = data.draw(st.integers(2, 10))
+        raw = random_raw(GenParams(seed=data.draw(st.integers(0, 2**31 - 1)), nodes=(nodes, nodes),
+                                   switch_probability=data.draw(st.sampled_from([0.0, 0.3, 1.0]))))
+        decimal = st.integers(1, 10**4).map(lambda k: k / 100)
+        wide = st.builds(lambda mantissa, e: mantissa * 10.0**e, st.floats(1, 10), st.integers(-6, 11))
+        times = data.draw(st.sampled_from([decimal, wide]))
+        for line in raw["lines"]:  # about one line in five undamaged
+            line["repair_time"] = data.draw(times) if data.draw(st.integers(0, 4)) else 0
+        for node in raw["nodes"]:
+            node["weight"] = data.draw(st.one_of(st.integers(0, 10), st.floats(0, 1e13)))
+        raw["nodes"][-1]["weight"] += 1  # some non-root weight is positive
+        inst = validate(raw)
+        m = max(1, damaged_lines(inst)) + data.draw(st.integers(0, 2))
+        try:
+            solve_relaxation(inst, crews=m)
+        except ValidationError:  # a HiGHS range rule: checked before any solve, as before
+            return
+        assert_is_the_highs_answer(inst, m)
 
 
 def _path(times, weights):

@@ -1,12 +1,13 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gridrepair import algos, oracle, seq_opt
+from gridrepair import algos, lp, oracle, seq_opt
 from gridrepair import schedule as sched
 from gridrepair.harness import GenParams, generate_random, random_raw
 from gridrepair.model import build_precedence_graph, partition_islands, validate
@@ -314,3 +315,23 @@ def test_single_crew_brute_force_matches_sequencer(inst):
 def test_bound_checks_never_fire_on_valid_instances(inst, m):
     optimum, single, infinite = certified_bounds(inst, m)
     assert oracle._lower_bound_failures(optimum, single, infinite, m) == []
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(10, 300), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_spare_crews_certify_at_every_size(seed, lines, switch_probability, spare):
+    """A certificate that needs no oracle: with a crew per damaged line the
+    LP, the lp-list harm and the unlimited-crew optimum are one number at any
+    size, and every bound `certify_row` checks without an optimum holds.
+    No HiGHS solve runs."""
+    inst = generate_random(GenParams(seed=seed, nodes=(lines + 1, lines + 1),
+                                     switch_probability=switch_probability))
+    repair = inst.repair_times()
+    m = max(1, sum(1 for t in repair.values() if t > 0)) + spare
+    with mock.patch.object(lp, "simplex_solve", side_effect=AssertionError("a HiGHS solve ran")):
+        alg1 = algos.lp_list_schedule(inst, crews=m)
+    alg2 = algos.convert_single_to_m(inst, crews=m)
+    infinite = sched.infinite_crew_energization(inst.islands, inst.precedence, repair)
+    assert repr(alg1.lp.objective) == repr(alg1.harm) == repr(infinite[1])
+    oracle.certify_row("spare-crews", inst, m, alg1, alg2, infinite, h_opt=None)
