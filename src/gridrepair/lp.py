@@ -403,9 +403,9 @@ def solve_relaxation(
     final pass re-minimizes sum(C) + sum(E) at the optimal objective so
     the reported point is the same deterministic vertex regardless of
     which optimal face the simplex lands on; separation is re-checked on
-    that point too.  With at most m damaged lines it returns that point
-    unsolved, in one round: C = p, E = E-infinity is the least point of the
-    base rows, and Cauchy-Schwarz keeps every cut (see the module docstring).
+    that point too.  With at most m damaged lines it returns, in one round
+    and with no solve, C = p, E = E-infinity: the least point of the base
+    rows, which Cauchy-Schwarz keeps inside every cut (module docstring).
     """
     islands = instance.islands if islands is None else islands
     precedence = instance.precedence if precedence is None else precedence

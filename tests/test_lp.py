@@ -533,12 +533,13 @@ def assert_is_the_highs_answer(inst, m):
     assert x == [*sol.completion.values(), *sol.energization.values()]
     assert repr(vertex.objective) == repr(sol.objective)
     p = inst.repair_times()
-    lines = [k for k, lid in enumerate(sorted(p)) if p[lid] > 0]
-    times, singletons = [p[lid] for lid in sorted(p) if p[lid] > 0], {(i,) for i in range(len(lines))}
+    ids = sorted(p)
+    damaged = [k for k, lid in enumerate(ids) if p[lid] > 0]  # their C columns
+    times, singletons = [p[ids[k]] for k in damaged], {(i,) for i in range(len(damaged))}
     for point in (vertex.values, x):  # the loop's own rule, on both points it checked
-        assert _most_violated([point[k] for k in lines], times, m, singletons) is None
+        assert _most_violated([point[k] for k in damaged], times, m, singletons) is None
     assert sol.iterations == 1
-    assert [cut.lines for cut in sol.cuts] == [frozenset((lid,)) for lid in sorted(p) if p[lid] > 0]
+    assert [cut.lines for cut in sol.cuts] == [frozenset((ids[k],)) for k in damaged]
 
 
 # every fixture with a crew per damaged line, and with one or two to spare
