@@ -8,11 +8,12 @@ checkout of the parent commit's `src` and this one's.  The corpus is the
 one `gridrepair bench --seed 0 --count K --max-lines L` draws
 (`harness.generate_random`, seeds 0 to K - 1), at m = 2 and 3.  Each SRC
 runs in a fresh interpreter with PYTHONPATH=SRC, which calls
-`solve_relaxation` on every (instance, m) once untimed, then once timed,
-and builds the lp-list schedule from the timed call's relaxation.  One
-JSON object is printed: per SRC, in the order given, the median time in
-microseconds over the calls with at most m damaged lines, over the
-others, and over all.
+`solve_relaxation` on every (instance, m) once untimed, counting its
+`lp.simplex_solve` calls, then once timed, and builds the lp-list schedule
+from the timed call's relaxation.  One JSON object is printed: per SRC, in
+the order given, the median time in microseconds and the total number of
+HiGHS solves (rounds and canonical passes) over the calls with at most m
+damaged lines, over the others, and over all.
 `same_answers` says whether every SRC gave the same completion and
 energization maps, objective `repr`, round count, cut count and lp-list
 JSON for each (instance, m), or the same error; the exit status is 1 if
@@ -36,7 +37,7 @@ from pathlib import Path
 CREWS = (2, 3)
 
 # Run in a fresh interpreter with PYTHONPATH=SRC: argv is count, max-lines and
-# the crew counts; prints [seed, n, m, seconds, answer] per call.
+# the crew counts; prints [seed, n, m, solves, seconds, answer] per call.
 WORKER = """
 import json, sys, time
 from gridrepair import algos, harness, lp
@@ -61,9 +62,19 @@ def answer(instance, m):
         repr(sol.completion), repr(sol.energization), repr(sol.objective),
         sol.iterations, len(sol.cuts), harness.result_to_text(plan)])
 
+solve, solves = lp.simplex_solve, []
+
+def counted(model):
+    solves[-1] += 1
+    return solve(model)
+
+lp.simplex_solve = counted  # looked up by the loop at each call, so every solve is counted
 for _, _, m, instance in calls:
+    solves.append(0)
     answer(instance, m)
-print(json.dumps([[seed, n, m, *answer(instance, m)] for seed, n, m, instance in calls]))
+lp.simplex_solve = solve
+print(json.dumps([[seed, n, m, count, *answer(instance, m)]
+                  for (seed, n, m, instance), count in zip(calls, solves)]))
 """
 
 
@@ -88,17 +99,19 @@ def main() -> int:
     result = {"count": args.count, "max_lines": args.max_lines, "crews": list(CREWS),
               "python": sys.version.split()[0], "trees": []}
     for src, rows in zip(args.src, runs):
-        medians = {}
+        medians, solves = {}, {}
         for label, keep in (("n<=m", lambda n, m: n <= m), ("n>m", lambda n, m: n > m),
                             ("all", lambda n, m: True)):
-            times = [seconds for _, n, m, seconds, _ in rows if keep(n, m)]
+            kept = [row for row in rows if keep(row[1], row[2])]
+            times = [seconds for _, _, _, _, seconds, _ in kept]
             medians[label] = {"calls": len(times),
                               "us": round(statistics.median(times) * 1e6, 1) if times else None}
-        result["trees"].append({"src": src, "median_us": medians})
-    differ = [k for k, calls in enumerate(zip(*runs)) if len({call[4] for call in calls}) > 1]
+            solves[label] = sum(count for _, _, _, count, _, _ in kept)
+        result["trees"].append({"src": src, "median_us": medians, "highs_solves": solves})
+    differ = [k for k, calls in enumerate(zip(*runs)) if len({call[5] for call in calls}) > 1]
     result["same_answers"] = not differ
     if differ:
-        seed, _, m, _, _ = runs[0][differ[0]]
+        seed, _, m, _, _, _ = runs[0][differ[0]]
         result["first_difference"] = {"seed": seed, "m": m, "differing_calls": len(differ)}
     print(json.dumps(result, indent=1))
     return 1 if differ else 0

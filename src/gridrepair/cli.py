@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on parse/validation errors, 3 on a violated
-guarantee or a broken internal invariant (an implementation bug, not a
-bad instance).
+Exit codes: 0 on success, 2 on a rejected input or option (`ValidationError`,
+`oracle.TooLarge`, `OSError`), 3 on a violated guarantee, a broken invariant or
+any other `ValueError`: an implementation bug, not a bad instance.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from gridrepair import algos, harness, oracle
 from gridrepair.lp import LpError, format_model
-from gridrepair.schedule import ListNotPermutation
+from gridrepair.model import ValidationError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -103,9 +103,9 @@ def _cmd_islands(args) -> int:
 
 def _cmd_schedule(args) -> int:
     if args.dump_lp is not None and args.alg != algos.LP_LIST:
-        raise ValueError(f"--dump-lp needs --alg {algos.LP_LIST}, got --alg {args.alg}")
+        raise ValidationError(f"--dump-lp needs --alg {algos.LP_LIST}, got --alg {args.alg}")
     if args.crews is not None and args.crews < 1:  # single-optimal reads no crew count
-        raise ValueError(f"--crews must be at least 1, got {args.crews}")
+        raise ValidationError(f"--crews must be at least 1, got {args.crews}")
     instance = harness.load_instance(args.instance)
     if args.alg == algos.LP_LIST:
         result = algos.lp_list_schedule(instance, crews=args.crews)
@@ -123,7 +123,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.crews is not None and args.crews < 1:
-        raise ValueError(f"--crews must be at least 1, got {args.crews}")
+        raise ValidationError(f"--crews must be at least 1, got {args.crews}")
     instance = harness.load_instance(args.instance)
     m = instance.crews if args.crews is None else args.crews
     result = oracle.brute_force_optimal(instance, m)
@@ -137,7 +137,7 @@ def _cmd_bench(args) -> int:
     except ValueError:
         crews = ()
     if not crews:
-        raise ValueError(f"--crews takes comma-separated crew counts, got {args.crews!r}")
+        raise ValidationError(f"--crews takes comma-separated crew counts, got {args.crews!r}")
     for option, value, wanted, ok in (
         ("--crews", min(crews), "at least 1", min(crews) >= 1),
         ("--count", args.count, "at least 1", args.count >= 1),
@@ -147,10 +147,10 @@ def _cmd_bench(args) -> int:
          0.0 <= args.switch_probability <= 1.0),
     ):
         if not ok:
-            raise ValueError(f"{option} must be {wanted}, got {value!r}")
+            raise ValidationError(f"{option} must be {wanted}, got {value!r}")
     repeated = next((m for k, m in enumerate(crews) if m in crews[:k]), None)
     if repeated is not None:  # run_bench would run and write each of its rows twice
-        raise ValueError(
+        raise ValidationError(
             f"--crews lists crew count {repeated} more than once, got {args.crews!r}")
     params = harness.GenParams(
         seed=args.seed,
@@ -179,13 +179,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (oracle.InvariantViolation, LpError, ListNotPermutation) as exc:
-        print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except (ValueError, OSError) as exc:
-        # a rejected input (ValidationError), oracle.TooLarge and a bad option are ValueErrors
+    except (ValidationError, oracle.TooLarge, OSError) as exc:  # a rejected input or option
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    # any other ValueError, schedule.ListNotPermutation among them, is a bug too
+    except (oracle.InvariantViolation, LpError, ValueError) as exc:
+        print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

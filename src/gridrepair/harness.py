@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from gridrepair import algos, oracle
-from gridrepair import schedule as sched
 from gridrepair.lp import solve_relaxation
 from gridrepair.model import NetworkInstance, ValidationError, validate
 
@@ -27,11 +26,12 @@ instance_from_json = validate
 
 
 def load_instance(path: str | Path) -> NetworkInstance:
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
+    except ValueError as exc:  # not UTF-8, or an integer of over 4300 digits: bad input too
+        raise ValidationError(str(exc)) from exc
     except RecursionError:  # an input error too: exit 2, not a traceback
         raise ValidationError(f"{path}: arrays and objects nest too deeply to parse") from None
     return validate(obj)
@@ -190,16 +190,13 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
     alg2 = algos.convert_single_to_m(instance, crews=m)
     t_alg2 = time.perf_counter() - t0
 
-    # (energization, harm) with a crew per line: only the certificate and h_infinite read it
-    infinite = sched.infinite_crew_energization(instance.islands, instance.precedence, repair)
-
     t0 = time.perf_counter()
     try:
         h_opt, t_oracle = oracle.brute_force_optimal(instance, m).harm, time.perf_counter() - t0
     except oracle.TooLarge:  # beyond the oracle's reach: no optimum to compare with
         h_opt, t_oracle = None, 0.0
 
-    oracle.certify_row(name, instance, m, alg1, alg2, infinite, h_opt)
+    oracle.certify_row(name, instance, m, alg1, alg2, h_opt)
 
     return BenchRow(
         instance=name,
@@ -210,7 +207,7 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
         h_alg1=alg1.harm,
         h_alg2=alg2.harm,
         h_single=alg2.single_crew.harm,
-        h_infinite=infinite[1],
+        h_infinite=instance.infinite_crew_energization[1],
         h_opt=h_opt,
         ratio_alg1=None if h_opt in (None, 0) else alg1.harm / h_opt,
         ratio_alg2=None if h_opt in (None, 0) else alg2.harm / h_opt,

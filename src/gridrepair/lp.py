@@ -16,10 +16,12 @@ candidates are the prefixes of the solution sorted by completion and by
 midpoint (C - p/2).  Midpoint prefixes are exact maximizers of the
 violation whenever any subset is violated, which a threshold argument
 shows and the test suite re-checks against full subset enumeration.
-With at most m lines of positive time the loop solves nothing: C = p,
-E = E-infinity is the least point the base rows allow, and it meets every cut,
-as (sum_A p)^2 <= |A| sum_A p^2 <= m sum_A p^2 (Cauchy-Schwarz) gives f(A) <=
-sum_A p^2, its left side there; so it is the optimum and the canonical point.
+Round 1 is not solved: every point of the base and singleton rows (which
+C = p meets, as p/2m + p/2 <= p) dominates C = p, E = E-infinity, so with
+weights >= 0 it is their optimum and canonical point, the vertex HiGHS
+returns there bit for bit (tests/test_lp.py::TestSpareCrews pins that).
+With at most m lines of positive time it meets every cut: (sum_A p)^2 <=
+|A| sum_A p^2 <= m sum_A p^2 gives f(A) <= sum_A p^2, the left side there.
 Separation scores all prefixes at once from running sums and re-scores
 exactly (fsum) only those whose score plus its rounding-error bound,
 4(k+8) 2^-53 times the sum of the magnitudes on a prefix of k lines, can
@@ -357,7 +359,7 @@ class LpSolution:
     midpoints: dict[str, float]  # C - p/2
     objective: float
     cuts: list[Cut]
-    objective_history: list[float]  # one objective per cutting-plane round
+    objective_history: list[float]  # one per round; the first, w . E-infinity, has no solve
     model: LpModel
 
     @property
@@ -403,10 +405,11 @@ def solve_relaxation(
     final pass re-minimizes sum(C) + sum(E) at the optimal objective so
     the reported point is the same deterministic vertex regardless of
     which optimal face the simplex lands on; separation is re-checked on
-    that point too.  With at most m damaged lines it returns, in one round
-    and with no solve, C = p, E = E-infinity: the least point of the base
-    rows, which Cauchy-Schwarz keeps inside every cut (module docstring).
+    that point too.  Round 1 is C = p, E = E-infinity, unsolved: the least
+    point, optimum and canonical point of the base and singleton rows, and
+    with at most m damaged lines the answer (module docstring).
     """
+    own = islands is None and precedence is None  # the instance's, which keeps E-infinity
     islands = instance.islands if islands is None else islands
     precedence = instance.precedence if precedence is None else precedence
     m = instance.crews if crews is None else crews
@@ -437,13 +440,21 @@ def solve_relaxation(
     pooled = {(i,) for i in range(len(columns))}  # the pool's subsets, by position in `columns`
 
     cut_limit = 10 * max(1, len(p)) ** 2
-    history: list[float] = []
-    x = None  # the canonical optimal point, once found
-    if len(times) <= m and _most_violated(times, times, m, pooled) is None:
-        energization, harm = sched.infinite_crew_energization(islands, precedence, p)
-        x, history = [p[lid] for lid in lids] + [energization[i] for i in islands.weights], [harm]
-
-    while x is None:
+    # round 1, the least point: canonical as it stands, and C is `times` on the damaged lines
+    energization, harm = (instance.infinite_crew_energization if own
+                          else sched.infinite_crew_energization(islands, precedence, p))
+    x, history = [p[lid] for lid in lids] + [energization[i] for i in islands.weights], [harm]
+    c = times
+    subset = _most_violated(c, times, m, pooled)
+    while subset is not None:
+        rhs = load_rhs((times[i] for i in subset), m)
+        _limit(rhs, 1e20, "right-hand side of the load cut on {}",
+               [lids[columns[i]] for i in subset])
+        model.add_row([columns[i] for i in subset], [times[i] for i in subset], rhs)
+        pooled.add(subset)
+        if len(pooled) > cut_limit:
+            violation = _violation(subset, c, times, m)
+            raise IterationLimit(f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
         vertex = simplex_solve(model)
         history.append(vertex.objective)
         x = vertex.values
@@ -453,18 +464,6 @@ def solve_relaxation(
             x = _canonical_pass(model, vertex.objective).values
             c = [x[k] for k in columns]
             subset = _most_violated(c, times, m, pooled)
-        if subset is not None:
-            rhs = load_rhs((times[i] for i in subset), m)
-            _limit(rhs, 1e20, "right-hand side of the load cut on {}",
-                   [lids[columns[i]] for i in subset])
-            model.add_row([columns[i] for i in subset], [times[i] for i in subset], rhs)
-            pooled.add(subset)
-            if len(pooled) > cut_limit:
-                violation = _violation(subset, c, times, m)
-                raise IterationLimit(
-                    f"cut pool exceeded {cut_limit} (last violation {violation:.3e})"
-                )
-            x = None
 
     completion = dict(zip(lids, x[:n]))
     midpoints = {lid: completion[lid] - p[lid] / 2.0 for lid in lids}

@@ -45,10 +45,9 @@ class NetworkInstance:
     """A validated damaged feeder: a spanning tree of lines over the nodes.
 
     Nodes and lines are in id order, lines oriented away from the root.
-    Undamaged lines are admitted with repair_time 0.  The repair-time table,
-    the island partition and its precedence tree are derived on first use
-    and kept with the instance; every reader shares them, so none may change
-    them.
+    Undamaged lines are admitted with repair_time 0.  The repair-time table, the
+    island partition, its precedence tree and the unlimited-crew energization are
+    derived on first use and kept with the instance; no reader may change them.
     """
 
     nodes: tuple[Node, ...]
@@ -80,6 +79,12 @@ class NetworkInstance:
     @cached_property
     def precedence(self) -> PrecedenceGraph:
         return build_precedence_graph(self, self.islands)
+
+    @cached_property
+    def infinite_crew_energization(self) -> tuple[dict[str, float], float]:
+        """`schedule.infinite_crew_energization` of the instance's own islands."""
+        from gridrepair import schedule as sched  # which imports this module
+        return sched.infinite_crew_energization(self.islands, self.precedence, self._repair_times)
 
 
 class Island(NamedTuple):  # a tuple, like Node and Line: one per switch line, plus the root's

@@ -73,7 +73,7 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
         raise TooLarge(n, MAX_BRUTE_FORCE_LINES)
 
     if n <= m:  # one start state, every line on its own crew
-        harm = sched.infinite_crew_energization(islands, precedence, repair)[1]
+        harm = instance.infinite_crew_energization[1]
         return OracleResult(harm, (*zero_lines, *damaged), enumerated=math.factorial(n))
     import numpy as np  # here, so that importing the oracle does not load NumPy
 
@@ -164,14 +164,12 @@ def certify_row(
     m: int,
     alg1: AlgoResult,
     alg2: AlgoResult,
-    infinite: tuple[dict[str, float], float],
     h_opt: float | None,
 ) -> None:
     """Re-check every guarantee on one bench row.
 
-    `alg1` is the midpoint list schedule, `alg2` the conversion, `infinite`
-    the unlimited-crew energization and harm; `h_opt` is the brute-force
-    optimum, or None beyond the enumeration guard.
+    `alg1` is the midpoint list schedule, `alg2` the conversion; `h_opt` is
+    the brute-force optimum, or None beyond the enumeration guard.
     Raises InvariantViolation with a message starting "<name> (m=<m>): ",
     which the bench parses to write the instance out for replay.
     """
@@ -195,7 +193,7 @@ def certify_row(
             failures.append(f"2x energization bound broken for island {iid}")
 
     # per-island conversion bound
-    single, (infinite_e, infinite_harm) = alg2.single_crew, infinite
+    single, (infinite_e, infinite_harm) = alg2.single_crew, instance.infinite_crew_energization
     for iid, e in alg2.energization.items():
         bound = single.energization[iid] / m + (m - 1) / m * infinite_e[iid]
         if e > bound + 1e-9:

@@ -388,6 +388,40 @@ def test_list_not_permutation_exits_3(fixtures_dir, capsys, monkeypatch):
     assert "ListNotPermutation" in capsys.readouterr().err
 
 
+def test_bare_value_error_is_a_bug_not_an_input_error(fixtures_dir, capsys, monkeypatch):
+    """Exit 2 is kept for rejected input; a plain ValueError from inside a
+    layer, here `max()` of an empty sequence, is a bug and exits 3."""
+    from gridrepair import algos, cli
+
+    def broken(*args, **kwargs):
+        return max([])
+
+    monkeypatch.setattr(algos, "convert_single_to_m", broken)
+    code = main(["schedule", str(fixtures_dir / "fork.json"), "--alg", "convert"])
+    assert (code, *capsys.readouterr()) == (
+        cli.EXIT_VIOLATION, "", "violation: ValueError: max() arg is an empty sequence\n")
+
+
+# files json.loads fails on with a ValueError other than a JSON syntax error
+UNREADABLE = {
+    "not UTF-8": (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                               "invalid start byte"),
+    "an integer of 5000 digits": (b'{"crews": ' + b"1" * 5000 + b"}",
+                                  "Exceeds the limit (4300 digits) for integer string "
+                                  "conversion: value has 5000 digits; use "
+                                  "sys.set_int_max_str_digits() to increase the limit"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE, ids=list(UNREADABLE))
+def test_unreadable_file_is_an_input_error(tmp_path, capsys, case):
+    data, message = UNREADABLE[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert (main(["validate", str(path)]), *capsys.readouterr()) == (
+        EXIT_INVALID, "", f"error: {message}\n")
+
+
 def test_scipy_loaded_only_to_solve_an_lp(fixtures_dir, tmp_path):
     import gridrepair
 

@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 import numpy as np
 
 from gridrepair import lp, oracle
+from gridrepair import schedule as sched
 from gridrepair.harness import GenParams, generate_random, load_instance, random_raw
 from gridrepair.lp import (
     Cut,
@@ -68,12 +71,21 @@ def case_instance(name):
     return load_instance(FIXTURES / name)
 
 
+def first_rows(model, rounds):
+    """The base and singleton rows of the final `model` of a relaxation of
+    `rounds` rounds: each round after the first added one load cut."""
+    k = len(model.rhs) - (rounds - 1)
+    return replace(model, start=model.start[:k + 1], index=model.index[:model.start[k]],
+                   value=model.value[:model.start[k]], rhs=model.rhs[:k])
+
+
 def round_models(monkeypatch, name, m):
-    """Every model `solve_relaxation` solves on a fixture or a generated
-    50-line feeder: its rounds, then its canonical pass.  With a crew per
-    damaged line it solves none, so these are the two models it solved
-    before it returned the unlimited-crew point unsolved: its base and
-    singleton rows, then their canonical pass."""
+    """Every model `solve_relaxation` solved on a fixture or a generated
+    50-line feeder before round 1 became the base rows' least point: the base
+    and singleton rows, which it no longer solves and which are recorded here
+    explicitly, then the models it solves, its later rounds and its canonical
+    pass.  Where it solves none, the second model is the canonical pass of the
+    base and singleton rows, as it was."""
     inst = case_instance(name)
     models = []
 
@@ -83,8 +95,11 @@ def round_models(monkeypatch, name, m):
 
     monkeypatch.setattr(lp, "simplex_solve", record)
     sol = solve_relaxation(inst, crews=m)
-    if not models:
-        lp._canonical_pass(sol.model, record(sol.model).objective)
+    base = first_rows(sol.model, sol.iterations)
+    if models:
+        models.insert(0, base)
+    else:
+        lp._canonical_pass(base, record(base).objective)
     monkeypatch.undo()
     return models
 
@@ -524,22 +539,47 @@ def damaged_lines(inst):
 
 
 def assert_is_the_highs_answer(inst, m):
-    """With a crew per damaged line, `solve_relaxation` returns what its loop
-    returned when it solved: one round on the base and singleton rows, at
-    whose HiGHS vertex no cut is violated, then the canonical pass."""
-    sol = solve_relaxation(inst, crews=m)
-    vertex = simplex_solve(sol.model)
-    x = lp._canonical_pass(sol.model, vertex.objective).values
-    assert x == [*sol.completion.values(), *sol.energization.values()]
-    assert repr(vertex.objective) == repr(sol.objective)
+    """`solve_relaxation` takes as round 1, unsolved, the least point of the
+    base and singleton rows, C = p and E = E-infinity.  Checks that HiGHS's
+    cold solve of those rows returns that point exactly, that no solve it
+    makes gets a model without a load cut beyond the singletons, and, where
+    the least point meets every cut, that the answer is what the loop
+    returned when it solved round 1: HiGHS's objective there and the
+    canonical pass's point, in one round on the singleton cuts alone."""
     p = inst.repair_times()
     ids = sorted(p)
     damaged = [k for k, lid in enumerate(ids) if p[lid] > 0]  # their C columns
     times, singletons = [p[ids[k]] for k in damaged], {(i,) for i in range(len(damaged))}
-    for point in (vertex.values, x):  # the loop's own rule, on both points it checked
-        assert _most_violated([point[k] for k in damaged], times, m, singletons) is None
-    assert sol.iterations == 1
-    assert [cut.lines for cut in sol.cuts] == [frozenset((ids[k],)) for k in damaged]
+    base = lp._base_model(inst, inst.islands, inst.precedence)  # built as the loop builds it
+    for k, t in zip(damaged, times):
+        base.add_row([k], [t], load_rhs([t], m))
+    energization, _ = sched.infinite_crew_energization(inst.islands, inst.precedence, p)
+    least = [p[lid] for lid in ids] + [energization[iid] for iid in inst.islands.weights]
+    vertex = simplex_solve(base)
+    assert vertex.values == least
+    assert repr(vertex.values) == repr(least)  # no -0.0 where the least point has 0.0
+
+    solved = []
+
+    def record(model):
+        solved.append(copy.deepcopy(model))
+        return simplex_solve(model)
+
+    with mock.patch.object(lp, "simplex_solve", record):
+        sol = solve_relaxation(inst, crews=m)
+    for model in solved:  # a cut on two or more lines: the base rows each hold an E column
+        rows = [model.index[model.start[k]:model.start[k + 1]] for k in range(len(model.rhs))]
+        assert any(len(row) > 1 and max(row) < len(ids) for row in rows)
+    assert first_rows(sol.model, sol.iterations) == base
+    if _most_violated(times, times, m, singletons) is None:
+        # equal as numbers: the canonical pass may give -0.0 where the least point has 0.0
+        x = lp._canonical_pass(base, vertex.objective).values
+        assert x == least == [*sol.completion.values(), *sol.energization.values()]
+        assert repr(vertex.objective) == repr(sol.objective)
+        assert solved == [] and sol.iterations == 1
+        assert [cut.lines for cut in sol.cuts] == [frozenset((ids[k],)) for k in damaged]
+    else:
+        assert solved and sol.iterations >= 2
 
 
 # every fixture with a crew per damaged line, and with one or two to spare
@@ -548,8 +588,9 @@ SPARE_CREW_CASES = [(f.name, max(1, damaged_lines(load_instance(f))) + spare)
 
 
 class TestSpareCrews:
-    """With at most m damaged lines the unlimited-crew point solves the
-    relaxation, and `solve_relaxation` returns it without a HiGHS solve."""
+    """Round 1 of the relaxation is the least point of the base and singleton
+    rows, taken with no HiGHS solve; it is what HiGHS returns there.  With at
+    most m damaged lines it is the answer, and no solve runs at all."""
 
     @pytest.mark.parametrize("name, m", SPARE_CREW_CASES)
     def test_fixtures_make_no_solve_and_match_highs(self, monkeypatch, name, m):
@@ -561,22 +602,27 @@ class TestSpareCrews:
         assert calls == []
         assert_is_the_highs_answer(inst, m)
 
+    @pytest.mark.parametrize("name", [f.name for f in sorted(FIXTURES.glob("*.json"))])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_fixtures_at_one_to_five_crews_match_highs(self, name, m):
+        assert_is_the_highs_answer(case_instance(name), m)
+
     def test_bench_corpus_matches_highs(self):
         """The corpus `gridrepair bench --seed 0 --count 500` draws, at m = 2, 3."""
-        cases = 0
+        spare = 0
         for seed in range(500):
             inst = generate_random(GenParams(seed=seed))
             for m in (2, 3):
-                if damaged_lines(inst) <= m:
-                    assert_is_the_highs_answer(inst, m)
-                    cases += 1
-        assert cases > 300
+                assert_is_the_highs_answer(inst, m)
+                spare += damaged_lines(inst) <= m
+        assert 300 < spare < 700  # both kinds of case are covered
 
     @given(st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_decimal_and_wide_float_data_match_highs(self, data):
         """Feeders of up to 9 lines with decimal repair times, or times of
-        1e-6 to 1e12, node weights up to 1e13 and n to n + 2 crews."""
+        1e-6 to 1e12, node weights up to 1e13, often zero, so that whole
+        islands weigh nothing, and 1 to n + 2 crews."""
         nodes = data.draw(st.integers(2, 10))
         raw = random_raw(GenParams(seed=data.draw(st.integers(0, 2**31 - 1)), nodes=(nodes, nodes),
                                    switch_probability=data.draw(st.sampled_from([0.0, 0.3, 1.0]))))
@@ -586,10 +632,10 @@ class TestSpareCrews:
         for line in raw["lines"]:  # about one line in five undamaged
             line["repair_time"] = data.draw(times) if data.draw(st.integers(0, 4)) else 0
         for node in raw["nodes"]:
-            node["weight"] = data.draw(st.one_of(st.integers(0, 10), st.floats(0, 1e13)))
+            node["weight"] = data.draw(st.one_of(st.just(0), st.integers(0, 10), st.floats(0, 1e13)))
         raw["nodes"][-1]["weight"] += 1  # some non-root weight is positive
         inst = validate(raw)
-        m = max(1, damaged_lines(inst)) + data.draw(st.integers(0, 2))
+        m = data.draw(st.integers(1, max(1, damaged_lines(inst)) + 2))
         try:
             solve_relaxation(inst, crews=m)
         except ValidationError:  # a HiGHS range rule: checked before any solve, as before

@@ -245,12 +245,10 @@ class TestCheckBounds:
         assert len(oracle._lower_bound_failures(15.5, 32, 22, 2)) == 2
         alg1 = algos.lp_list_schedule(two_island, crews=2)
         alg2 = algos.convert_single_to_m(two_island, crews=2)
-        infinite = sched.infinite_crew_energization(
-            two_island.islands, two_island.precedence, two_island.repair_times())
         with pytest.raises(oracle.InvariantViolation,
                            match="below single-crew bound 32.0/2; m-crew optimum 15.5 below "
                                  "unlimited-crew bound 22"):
-            oracle.certify_row("two_island", two_island, 2, alg1, alg2, infinite, 15.5)
+            oracle.certify_row("two_island", two_island, 2, alg1, alg2, 15.5)
 
 
 class TestExhaustiveSeparation:
@@ -334,4 +332,4 @@ def test_spare_crews_certify_at_every_size(seed, lines, switch_probability, spar
     alg2 = algos.convert_single_to_m(inst, crews=m)
     infinite = sched.infinite_crew_energization(inst.islands, inst.precedence, repair)
     assert repr(alg1.lp.objective) == repr(alg1.harm) == repr(infinite[1])
-    oracle.certify_row("spare-crews", inst, m, alg1, alg2, infinite, h_opt=None)
+    oracle.certify_row("spare-crews", inst, m, alg1, alg2, h_opt=None)
