@@ -129,9 +129,6 @@ def generate_random(params: GenParams) -> NetworkInstance:
     return validate(random_raw(params))
 
 
-TIMING_COLUMNS = ("t_lp", "t_alg1", "t_alg2", "t_oracle")
-
-
 @dataclass(frozen=True)
 class BenchRow:
     instance: str

@@ -25,6 +25,8 @@ from gridrepair.model import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MAX_SUBSET_LINES = 12
+# the bench CSV columns that hold wall times; every other column is deterministic
+TIMING_COLUMNS = ("t_lp", "t_alg1", "t_alg2", "t_oracle")
 
 
 @pytest.fixture(scope="session")

@@ -655,3 +655,51 @@ def test_totals_that_overflow_a_float_exit_2(tmp_path, capsys, command, times, w
     captured = capsys.readouterr()
     assert code == EXIT_INVALID and captured.out == ""
     assert total in captured.err and "is not finite within rounding" in captured.err
+
+
+def _feeder_file(tmp_path, lines, weights):
+    """An instance file rooted at node "0": `lines` holds (id, from, to, repair
+    time, switch) per line, `weights` each node weight that is not zero."""
+    nodes = sorted({"0"} | {end for _, u, v, _, _ in lines for end in (u, v)})
+    path = tmp_path / "feeder.json"
+    path.write_text(json.dumps({
+        "root": "0", "crews": 1,
+        "nodes": [{"id": nid, "weight": weights.get(nid, 0)} for nid in nodes],
+        "lines": [{"id": lid, "from": u, "to": v, "repair_time": p, "switch": sw}
+                  for lid, u, v, p, sw in lines]}))
+    return str(path)
+
+
+# ROADMAP item 7: valid instances on which lp-list still exits 3 at one crew,
+# HiGHS ending the relaxation with the status in the id
+LP_EXIT_3_FEEDERS = {
+    "mixed-magnitude path, status Unknown": (
+        [(f"e{k}", str(k - 1), str(k), p, k in (1, 3, 4))
+         for k, p in enumerate((1e-6, 1e-6, 1e-6, 100, 1e-6, 1), 1)],
+        {"0": 1, "1": 1000, "2": 5, "3": 10, "4": 1, "6": 5}),
+    "times of 1e-4 to 1e10, status Unbounded": (
+        [("l1", "0", "1", 1.5016074485926843e-4, False),
+         ("l2", "1", "2", 956074253.5068634, False),
+         ("l3", "0", "3", 8040398359.144447, False),
+         ("l4", "1", "4", 1.1754864689604069e-3, False),
+         ("l5", "3", "5", 212421.37892140413, False),
+         ("l6", "0", "6", 1.6621405051973843, False)],
+        {"2": 2935.080534862229, "3": 2745.594935390708, "5": 2823.3054736214203, "6": 1}),
+    "one island weighing 6.8e12, status Not Set": (
+        [("l1", "0", "1", 0.02, False), ("l2", "0", "2", 0, False), ("l3", "1", "3", 0, False),
+         ("l4", "1", "4", 0, False), ("l5", "0", "5", 0, False), ("l6", "4", "6", 0.04, False),
+         ("l7", "2", "7", 8.24, False), ("l8", "3", "8", 16.41, False),
+         ("l9", "8", "9", 0, False)],
+        {"9": 6809641621586.625}),
+}
+
+
+@pytest.mark.parametrize("alg", [
+    pytest.param("lp-list", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 7: lp-list exits 3")),
+    "convert"])
+@pytest.mark.parametrize("lines, weights", LP_EXIT_3_FEEDERS.values(), ids=LP_EXIT_3_FEEDERS)
+def test_valid_feeders_never_exit_3(tmp_path, capsys, lines, weights, alg):
+    code = main(["schedule", _feeder_file(tmp_path, lines, weights), "--alg", alg,
+                 "--crews", "1"])
+    assert code in (EXIT_OK, EXIT_INVALID), capsys.readouterr().err

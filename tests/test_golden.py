@@ -36,14 +36,9 @@ import pytest
 
 from gridrepair import algos
 from gridrepair.cli import EXIT_OK, main
-from gridrepair.harness import (
-    TIMING_COLUMNS,
-    GenParams,
-    generate_random,
-    load_instance,
-)
+from gridrepair.harness import GenParams, generate_random, load_instance
 
-from conftest import save_instance
+from conftest import TIMING_COLUMNS, save_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"

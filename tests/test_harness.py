@@ -20,7 +20,7 @@ from gridrepair.harness import (
 )
 from gridrepair.model import ValidationError, partition_islands, validate
 
-from conftest import instance_to_json, save_instance
+from conftest import TIMING_COLUMNS, instance_to_json, save_instance
 
 
 @pytest.mark.parametrize("name", ["fork.json", "two_island.json", "graham_m3.json",
@@ -173,7 +173,7 @@ class TestBench:
         def strip(rows):
             keep = [
                 k for k, col in enumerate(harness.BENCH_COLUMNS)
-                if col not in harness.TIMING_COLUMNS
+                if col not in TIMING_COLUMNS
             ]
             parsed = list(csv.reader(io.StringIO(rows_to_csv(rows))))
             return [[line[k] for k in keep] for line in parsed]
