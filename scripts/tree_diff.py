@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Answers and per-call times of three layers, compared across `src` trees.
+"""Answers and per-call times of four layers, compared across `src` trees.
 
     python scripts/tree_diff.py [--count K] [--max-lines L] [--repeat R] SRC [SRC ...]
 
@@ -8,7 +8,7 @@ checkout of the parent commit's `src` and this one's.  Each repetition runs
 every SRC in a fresh interpreter with PYTHONPATH=SRC, from an empty
 directory; the order rotates on each repetition, so no side always runs
 first.  The interpreter runs three layers, each once untimed, then once
-timed:
+timed, and the CLI commands of a fourth each run in a process of their own:
 
 * `relaxation`: on the corpus `gridrepair bench --seed 0 --count K
   --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), at
@@ -25,7 +25,14 @@ timed:
   probability 1/2).  Only the first form skips the orienting traversal.
   Timed: `harness.load_instance`, then `instance.islands`, then
   `harness.result_to_text` of the `convert` schedule (the schedule itself
-  is not timed).
+  is not timed);
+* `cli`: `validate`, `schedule --alg convert` and `--alg lp-list --dump-lp`
+  on each bundled fixture, `islands` and `schedule --alg single-optimal` on
+  feeder123.json, `oracle` on fork.json and `bench --count 20`.  Each runs
+  `gridrepair.cli` as `python -m` does, then reports its exit code, whether
+  it loaded numpy and scipy.optimize, and its own peak RSS: `VmHWM`, or
+  `ru_maxrss` where /proc is missing (not `wait4`'s, which a child inherits
+  from its launcher).  Timed: the whole process.
 
 One JSON object is printed, each figure listed per SRC in the order given:
 the median over a group of calls of each call's best time, in microseconds
@@ -33,44 +40,52 @@ for the relaxation (per calls with at most m damaged lines, the others and
 all, with the total count of HiGHS solves) and for the oracle (per damaged-
 line count n and m), and in milliseconds per feeder size and form for load
 plus JSON writing (`load_write`), the islands alone (`islands`) and load
-plus islands (`load_islands`).  `same_answers` says whether every run of
-every SRC gave the same answer for each call: completion and energization
-maps, objective `repr`, round count, cut count and lp-list JSON, or the
-same error; the `oracle` JSON; the schedule JSON and `gridrepair islands`
-JSON of each file.  If not, `first_difference` names the layer and the
-first differing call or file, and the exit status is 1.  Each SRC is
-byte-compiled first, so no side pays for compiling its sources.  Standard
-library only, apart from the package under test.
+plus islands (`load_islands`), and per command the best wall time in s,
+the largest peak RSS in MB and the modules loaded.  `same_answers` says
+whether every run of every SRC gave the same answer for each call:
+completion and energization maps, objective `repr`, round count, cut count
+and lp-list JSON, or the same error; the `oracle` JSON; the schedule JSON
+and `gridrepair islands` JSON of each file; each command's exit code,
+stdout, stderr, `--dump-lp` text and bench CSV without its `t_*` columns.
+If not, `first_difference` names the layer and the first differing call,
+file or command, and the exit status is 1; a worker or command that ends
+without its report exits 2, naming the SRC.  Each SRC is byte-compiled
+first, so no side pays for compiling its sources.  Standard library only,
+apart from the package under test.
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import csv
 import json
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 CREWS = (2, 3)
-LAYERS = ("relaxation", "oracle", "load")
+LAYERS = ("relaxation", "oracle", "load", "cli")
 SIZES = (100, 250, 500, 1000, 2000)
 FEEDERS = 5
 FORMS = ("oriented", "half-reversed", "shuffled")
 LOAD_TIMES = ("load_write", "islands", "load_islands")
 
-# Run in a fresh interpreter with PYTHONPATH=SRC: argv is one JSON object of
-# count, max_lines, crews and files; prints [seed, n, m] per call, the HiGHS
-# solves per call and, per layer, [times, answer] per call or file.
+# Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
+# JSON object of count, max_lines, crews and files; reports [seed, n, m] and
+# the HiGHS solves per call and, per layer, [times, answer] per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
 
-config = json.loads(sys.argv[1])
+config = json.loads(sys.argv[2])
 calls = []
 for seed in range(config["count"]):
     instance = harness.generate_random(harness.GenParams(
@@ -130,8 +145,35 @@ out["oracle"] = [optimum(instance, m) for _, _, m, instance in calls]
 for path in config["files"]:
     load(path)
 out["load"] = [load(path) for path in config["files"]]
-print(json.dumps(out))
+with open(sys.argv[1], "w") as report:
+    json.dump(out, report)
 """
+
+# Run in a fresh process per command with PYTHONPATH=SRC: argv is the report
+# file, then the command's; file descriptors 1 and 2 stay the CLI's.
+RUNNER = """
+import json, runpy, sys
+report, sys.argv, code = sys.argv[1], ["gridrepair", *sys.argv[2:]], 0
+try:
+    runpy.run_module("gridrepair.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+try:
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:  # ru_maxrss is in KiB, on macOS in bytes
+    from resource import RUSAGE_SELF, getrusage
+    kib = getrusage(RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+with open(report, "w") as out:
+    json.dump([code, [m for m in ("numpy", "scipy.optimize") if m in sys.modules],
+               round(kib / 1024, 1)], out)
+"""
+FIXTURES = ("feeder123.json", "fork.json", "graham_m3.json", "two_island.json")
+COMMANDS = [argv for name in FIXTURES for argv in (
+    ["validate", name], ["schedule", name, "--alg", "convert"],
+    ["schedule", name, "--alg", "lp-list", "--dump-lp", "model.txt"])] + [
+    ["islands", "feeder123.json"], ["schedule", "feeder123.json", "--alg", "single-optimal"],
+    ["oracle", "fork.json"], ["bench", "--count", "20", "--out", "bench.csv"]]
 
 
 def feeder(rng: random.Random, lines: int) -> dict:
@@ -173,11 +215,34 @@ def write_corpus(folder: Path) -> dict[str, tuple[int, str]]:
     return files
 
 
-def run_once(src: str, config: dict, cwd: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    proc = subprocess.run([sys.executable, "-c", WORKER, json.dumps(config)],
-                          env=env, cwd=cwd, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout)
+def launch(src: str, script: str, args: list[str], cwd: str, what: str) -> tuple:
+    """Wall seconds, the process and the JSON report of `script` run in a fresh
+    interpreter with PYTHONPATH=SRC; exits 2 if it ends without its report."""
+    env, report = dict(os.environ, PYTHONPATH=str(Path(src).resolve())), Path(cwd, "report")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script, report.name, *args],
+                          env=env, cwd=cwd, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if proc.returncode:  # the report is the script's last act, so there is none
+        sys.stderr.write(f"{proc.stderr}error: {src}: {what} failed with exit {proc.returncode}\n")
+        sys.exit(2)
+    out = json.loads(report.read_text())
+    report.unlink()
+    return seconds, proc, out
+
+
+def run_command(src: str, argv: list[str], cwd: str) -> tuple[list, str, float, list]:
+    """[wall seconds], the answer, peak RSS in MB and the modules loaded of one cold run."""
+    seconds, proc, (code, loaded, peak) = launch(src, RUNNER, argv, cwd, " ".join(argv))
+    paths = [Path(cwd, name) for name in ("model.txt", "bench.csv")]
+    texts = {path.name: path.read_text() for path in paths if path.exists()}
+    for path in paths:
+        path.unlink(missing_ok=True)
+    if "bench.csv" in texts:  # without its wall-time columns
+        rows = list(csv.reader(texts["bench.csv"].splitlines()))
+        texts["bench.csv"] = [[cell for cell, column in zip(row, rows[0])
+                               if not column.startswith("t_")] for row in rows]
+    return [seconds], json.dumps([code, proc.stdout, proc.stderr, texts]), peak, loaded
 
 
 def main() -> int:
@@ -187,27 +252,33 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=5, metavar="R")
     parser.add_argument("src", nargs="+")
     args = parser.parse_args()
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
+    for option in ("count", "max_lines", "repeat"):
+        if getattr(args, option) < 1:
+            parser.error(f"--{option.replace('_', '-')} must be at least 1")
     for src in set(args.src):
         compileall.compile_dir(src, quiet=1)
     trees = list(range(len(args.src)))
     best: dict[tuple[str, int, int], list[float]] = {}  # (layer, tree, call) -> best seconds
     answers: dict[tuple[str, int], set[str]] = {}  # (layer, call) -> every answer given
     solves: dict[int, list[int]] = {}  # tree -> HiGHS solves per call
+    cold: dict[tuple[int, int], tuple] = {}  # (tree, command) -> largest peak RSS, modules
     with tempfile.TemporaryDirectory() as cwd:  # so that no `gridrepair` is found beside it
         files = write_corpus(Path(cwd))
+        shutil.copytree(ROOT / "fixtures", cwd, dirs_exist_ok=True)
         config = {"count": args.count, "max_lines": args.max_lines, "crews": CREWS,
                   "files": list(files)}
         for k in range(args.repeat):
             for tree in trees[k % len(trees):] + trees[:k % len(trees)]:
-                out = run_once(args.src[tree], config, cwd)
+                out = launch(args.src[tree], WORKER, [json.dumps(config)], cwd, "the worker")[2]
+                out["cli"] = [run_command(args.src[tree], argv, cwd) for argv in COMMANDS]
                 solves[tree], calls = out["solves"], out["calls"]
                 for layer in LAYERS:
-                    for j, (seconds, answer) in enumerate(out[layer]):
+                    for j, (seconds, answer, *_) in enumerate(out[layer]):
                         key = (layer, tree, j)
                         best[key] = [min(pair) for pair in zip(best.get(key, seconds), seconds)]
                         answers.setdefault((layer, j), set()).add(answer)
+                for j, (_, _, peak, loaded) in enumerate(out["cli"]):
+                    cold[tree, j] = max(cold.get((tree, j), (0.0,))[0], peak), loaded
 
     def medians(layer: str, group: list[int], scale: float, digits: int, part: int = 0) -> list:
         return [round(statistics.median(best[layer, tree, j][part] for j in group) * scale, digits)
@@ -216,7 +287,11 @@ def main() -> int:
     result = {"count": args.count, "max_lines": args.max_lines, "repeat": args.repeat,
               "crews": list(CREWS), "feeders_per_size": FEEDERS,
               "python": sys.version.split()[0], "src": args.src,
-              "relaxation": {}, "oracle_median_best_us": {}, "load_median_best_ms": {}}
+              "relaxation": {}, "oracle_median_best_us": {}, "load_median_best_ms": {},
+              "cli": {" ".join(argv): {"best_s": medians("cli", [j], 1, 4),
+                                       "peak_rss_mb": [cold[tree, j][0] for tree in trees],
+                                       "loaded": [cold[tree, j][1] for tree in trees]}
+                      for j, argv in enumerate(COMMANDS)}}
     for label, keep in (("n<=m", lambda n, m: n <= m), ("n>m", lambda n, m: n > m),
                         ("all", lambda n, m: True)):
         group = [j for j, (_, n, m) in enumerate(calls) if keep(n, m)]
@@ -239,6 +314,7 @@ def main() -> int:
     if differ:
         layer, j = differ[0]
         call = ({"file": Path(paths[j]).name} if layer == "load"
+                else {"command": " ".join(COMMANDS[j])} if layer == "cli"
                 else {"seed": calls[j][0], "m": calls[j][2]})
         result["first_difference"] = {"layer": layer, **call, "differing_calls": len(differ)}
     print(json.dumps(result, indent=1))

@@ -1,6 +1,10 @@
 import heapq
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +28,7 @@ from gridrepair.model import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = str(Path(lp.__file__).resolve().parent.parent)
 MAX_SUBSET_LINES = 12
 # the bench CSV columns that hold wall times; every other column is deterministic
 TIMING_COLUMNS = ("t_lp", "t_alg1", "t_alg2", "t_oracle")
@@ -52,6 +57,13 @@ def feeder123():
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports gridrepair from this tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @st.composite

@@ -2,13 +2,12 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from gridrepair.cli import EXIT_INVALID, EXIT_OK, main
 
-from conftest import path_raw
+from conftest import SRC, path_raw, run_fresh
 
 
 def test_validate_ok(fixtures_dir, capsys):
@@ -423,98 +422,71 @@ def test_unreadable_file_is_an_input_error(tmp_path, capsys, case):
 
 
 def test_scipy_loaded_only_to_solve_an_lp(fixtures_dir, tmp_path):
-    import gridrepair
-
-    src = str(Path(gridrepair.__file__).resolve().parent.parent)
-    script = (
-        "import sys\n"
-        "from gridrepair import cli\n"
-        f"code = cli.main(['schedule', {str(fixtures_dir / 'feeder123.json')!r}, "
-        f"'--alg', 'convert', '--out', {str(tmp_path / 'out.json')!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh(f"""
+        import sys
+        from gridrepair import cli
+        code = cli.main(['schedule', {str(fixtures_dir / 'feeder123.json')!r},
+                         '--alg', 'convert', '--out', {str(tmp_path / 'out.json')!r}])
+        assert code == 0, code
+        assert 'scipy' not in sys.modules, 'scipy was imported'
+    """)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_numpy_loaded_only_by_the_oracle(fixtures_dir, tmp_path):
-    import gridrepair
-
-    src = str(Path(gridrepair.__file__).resolve().parent.parent)
     fixture, out = str(fixtures_dir / "feeder123.json"), str(tmp_path / "out.json")
     lp_list = ["schedule", fixture, "--alg", "lp-list", "--out", out]
-    script = (
-        "import sys\n"
-        "from gridrepair import cli, lp, oracle\n"
-        f"for argv in (['validate', {fixture!r}], ['islands', {fixture!r}],\n"
-        f"             ['schedule', {fixture!r}, '--alg', 'convert', '--crews', '3',\n"
-        f"              '--out', {out!r}],\n"
-        f"             {lp_list!r}, {[*lp_list, '--dump-lp', str(tmp_path / 'model.txt')]!r}):\n"
-        "    assert cli.main(argv) == 0, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
-        f"assert cli.main(['oracle', {str(fixtures_dir / 'fork.json')!r}, '--out', {out!r}]) == 0\n"
-        "assert 'numpy' in sys.modules\n"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh(f"""
+        import sys
+        from gridrepair import cli, lp, oracle
+        for argv in (['validate', {fixture!r}], ['islands', {fixture!r}],
+                     ['schedule', {fixture!r}, '--alg', 'convert', '--crews', '3',
+                      '--out', {out!r}],
+                     {lp_list!r}, {[*lp_list, '--dump-lp', str(tmp_path / 'model.txt')]!r}):
+            assert cli.main(argv) == 0, argv
+            assert 'numpy' not in sys.modules, argv
+        assert cli.main(['oracle', {str(fixtures_dir / 'fork.json')!r}, '--out', {out!r}]) == 0
+        assert 'numpy' in sys.modules
+    """)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_lp_list_stdout_is_the_result_alone(fixtures_dir, tmp_path):
     """A fresh lp-list run prints its result JSON and nothing else: HiGHS
     writes to the process's stdout, so a banner would land there."""
-    import gridrepair
-
-    src = str(Path(gridrepair.__file__).resolve().parent.parent)
     argv = ["schedule", str(fixtures_dir / "feeder123.json"), "--alg", "lp-list", "--crews", "3"]
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     proc = subprocess.run([sys.executable, "-m", "gridrepair.cli", *argv,
                            "--dump-lp", str(tmp_path / "model.txt")],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == out.read_text() and not proc.stderr
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    import gridrepair
-
-    src = str(Path(gridrepair.__file__).resolve().parent.parent)
-    script = (
-        "import sys\n"
-        "import gridrepair.cli\n"
-        "assert 'concurrent.futures.process' not in sys.modules\n"
-        "assert 'multiprocessing' not in sys.modules\n"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh("""
+        import sys
+        import gridrepair.cli
+        assert 'concurrent.futures.process' not in sys.modules
+        assert 'multiprocessing' not in sys.modules
+    """)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_convert_leaves_fractions_and_decimal_unloaded(fixtures_dir, tmp_path):
     """The ratio merge runs on ints: neither importing the CLI nor a convert
     run loads `fractions` (or `decimal`, which it imports)."""
-    import gridrepair
-
-    src = str(Path(gridrepair.__file__).resolve().parent.parent)
-    script = (
-        "import sys\n"
-        "from gridrepair import cli\n"
-        "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
-        f"code = cli.main(['schedule', {str(fixtures_dir / 'feeder123.json')!r}, "
-        f"'--alg', 'convert', '--out', {str(tmp_path / 'out.json')!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'fractions' not in sys.modules, 'fractions was imported'\n"
-        "assert 'decimal' not in sys.modules, 'decimal was imported'\n"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh(f"""
+        import sys
+        from gridrepair import cli
+        assert 'fractions' not in sys.modules and 'decimal' not in sys.modules
+        code = cli.main(['schedule', {str(fixtures_dir / 'feeder123.json')!r},
+                         '--alg', 'convert', '--out', {str(tmp_path / 'out.json')!r}])
+        assert code == 0, code
+        assert 'fractions' not in sys.modules, 'fractions was imported'
+        assert 'decimal' not in sys.modules, 'decimal was imported'
+    """)
     assert proc.returncode == 0, proc.stderr
 
 

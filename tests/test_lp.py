@@ -3,11 +3,9 @@ import heapq
 import itertools
 import os
 import random
-import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -42,9 +40,8 @@ from conftest import (
     path_raw,
     reference_most_violated,
     reference_solve_highs,
+    run_fresh,
 )
-
-SRC = str(Path(lp.__file__).resolve().parent.parent)
 
 
 ROUND_CASES = [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 2, 3)] + [
@@ -250,13 +247,6 @@ def held_lp(highs) -> tuple:
     return (held.num_col_, held.num_row_, held.sense_, held.offset_, matrix.format_,
             list(matrix.start_), list(matrix.index_),
             [[float(v).hex() for v in vector] for vector in vectors])
-
-
-def run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run `script` in a fresh interpreter that imports gridrepair from this tree."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 def test_model_needs_no_numpy():

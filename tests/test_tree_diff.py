@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # appended to the copy's harness.py: every oracle JSON gains a key
@@ -17,17 +19,47 @@ def oracle_to_json(result, crews):
 """
 
 
-def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
+def tree_diff(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "tree_diff.py"), *args],
+                          capture_output=True, text=True)
+
+
+def patched_src(tmp_path: Path, module: str) -> Path:
+    """A copy of `src` whose `gridrepair/<module>` the caller then patches."""
     copy = tmp_path / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(copy / "gridrepair" / "harness.py", "a") as harness:
-        harness.write(ORACLE_PATCH)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "tree_diff.py"), "--count", "3", "--repeat", "1",
-         str(ROOT / "src"), str(copy)],
-        stdout=subprocess.PIPE, text=True)
+    return copy / "gridrepair" / module
+
+
+def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
+    harness = patched_src(tmp_path, "harness.py")
+    with open(harness, "a") as out:
+        out.write(ORACLE_PATCH)
+    proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
     result = json.loads(proc.stdout)
     assert proc.returncode == 1 and result["same_answers"] is False
-    # the relaxation layer runs first and agrees; only the 3 seeds x 2 crew counts differ
+    # the relaxation layer runs first and agrees; only the 3 seeds x 2 crew counts
+    # differ, and the cli layer's `oracle fork.json`
     assert result["first_difference"] == {
-        "layer": "oracle", "seed": 0, "m": 2, "differing_calls": 6}
+        "layer": "oracle", "seed": 0, "m": 2, "differing_calls": 7}
+
+
+def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
+    cli = patched_src(tmp_path, "cli.py")
+    text, line = cli.read_text(), 'f"OK: {len(instance.nodes)} nodes, '
+    assert text.count(line) == 1  # the start of `validate`'s success line
+    cli.write_text(text.replace(line, line.replace("OK", "ok")))
+    proc = tree_diff("--count", "1", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
+    result = json.loads(proc.stdout)
+    assert proc.returncode == 1 and result["same_answers"] is False
+    # the relaxation, oracle and load layers agree; only the four `validate` commands differ
+    assert result["first_difference"] == {
+        "layer": "cli", "command": "validate feeder123.json", "differing_calls": 4}
+    assert result["cli"]["validate feeder123.json"]["loaded"] == [[], []]
+
+
+@pytest.mark.parametrize("option", ["--count", "--max-lines", "--repeat"])
+def test_tree_diff_rejects_an_option_below_one(option):
+    proc = tree_diff(option, "0", str(ROOT / "src"))
+    assert proc.returncode == 2 and not proc.stdout
+    assert f"error: {option} must be at least 1" in proc.stderr
