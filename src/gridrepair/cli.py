@@ -110,7 +110,7 @@ def _cmd_schedule(args) -> int:
     if args.alg == algos.LP_LIST:
         result = algos.lp_list_schedule(instance, crews=args.crews)
         if args.dump_lp is not None:
-            args.dump_lp.write_text(format_model(result.lp.model))
+            args.dump_lp.write_text(format_model(result.lp.model, result.lp.cuts))
     elif args.alg == algos.CONVERT:
         result = algos.convert_single_to_m(
             instance, crews=args.crews, within_island_order=args.within_island_order

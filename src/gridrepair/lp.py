@@ -1,27 +1,39 @@
 """LP relaxation of the m-crew repair problem, solved by cutting planes.
 
-Variables are per-line completion times C and per-island energization
-times E, in that column order.  The model, in plain Python lists, is the
-one record of the relaxation: an objective, lower bounds and, for the `>=`
-rows, a row-wise sparse matrix in lists that only grow, one row per
-constraint.  Besides the base rows (E above every member completion and
-above the parent island's E; C is bounded below by its repair time),
-feasible completion vectors obey one load inequality per line subset A:
+The paper's LP has a completion time C per line and an energization time E
+per island, E above its lines' C and its parent island's E, C_j >= p_j, and
+one load inequality per line subset A:
 
     sum_{j in A} p_j C_j >= f(A) = (sum_A p_j)^2 / (2m) + sum_A p_j^2 / 2
 
-The exponentially many subset rows are generated on demand, one row per
-cut, and these rows, the ones on C columns alone, are the cut pool.  The
-candidates are the prefixes of the solution sorted by completion and by
-midpoint (C - p/2).  Midpoint prefixes are exact maximizers of the
-violation whenever any subset is violated, which a threshold argument
-shows and the test suite re-checks against full subset enumeration.
-Round 1 is not solved: every point of the base and singleton rows (which
-C = p meets, as p/2m + p/2 <= p) dominates C = p, E = E-infinity, so with
-weights >= 0 it is their optimum and canonical point, the vertex HiGHS
-returns there bit for bit (tests/test_lp.py::TestSpareCrews pins that).
-With at most m lines of positive time it meets every cut: (sum_A p)^2 <=
-|A| sum_A p^2 <= m sum_A p^2 gives f(A) <= sum_A p^2, the left side there.
+As every p_j >= 0, setting C_j to its island's E keeps a feasible point
+feasible at the same objective, so the island-space model solved here has
+the same optimum: one column E per island, in id order, weighted by the
+island's weight and bounded below by its largest repair time (which implies
+every singleton cut); a row E_child - E_parent >= 0 per switch; and a cut on
+A as the row sum_i p(A & island i) E_i >= f(A), divided by min(1, p(A)) so
+that HiGHS's absolute tolerance is no looser on a row of tiny times than on
+a bound.  A line's completion is its island's E (0 for a line of zero time):
+an optimal point of the paper's LP, all that the midpoint argument of Hall,
+Schulz, Shmoys & Wein (1997) needs for each line to finish by twice it.  The
+model, in plain Python lists, is the one record of the relaxation: an
+objective, lower bounds and `>=` rows as a row-wise sparse matrix in lists
+that only grow.
+
+Cut rows are generated on demand, one per round.  The candidates are the
+prefixes of the lines of positive time sorted by completion and by midpoint
+(C - p/2).  Midpoint prefixes are exact maximizers of the violation
+whenever any subset is violated, which a threshold argument shows and the
+test suite re-checks against full subset enumeration.  A prefix is violated
+when its violation exceeds SEPARATION_TOLERANCE times f(A), so times of any
+magnitude converge alike, and the violation HiGHS would take as met on its
+row.  Round 1 is not solved: E-infinity, the least point of the bounds and
+precedence rows, is their optimum for weights >= 0 and the vertex HiGHS
+returns there bit for bit (tests/test_lp.py::TestSpareCrews).  With at most
+m lines of positive time it meets every cut: (sum_A p)^2 <= m sum_A p^2
+gives f(A) <= sum_A p^2, at most the left side.  Once no prefix is violated,
+a canonical pass re-minimizes sum(E) with the objective capped at its
+optimum, so the point does not depend on the vertex HiGHS lands on.
 Separation scores all prefixes at once from running sums and re-scores
 exactly (fsum) only those whose score plus its rounding-error bound,
 4(k+8) 2^-53 times the sum of the magnitudes on a prefix of k lines, can
@@ -30,16 +42,15 @@ prefix-by-prefix fsum scan picks.
 
 The loop runs on integer column indices and plain Python floats.  One
 HiGHS instance per process, its options set once, solves every model, and
-each round passes it the whole model afresh, the row-wise lists as they
-stand: a cold solve that keeps no basis.  It goes straight to HiGHS
-through SciPy's private binding (`scipy.optimize._highspy._core`, tested
-with SciPy 1.17) with the matrix, bounds and options that
-`linprog(method="highs-ds")` would pass, and falls back to `linprog` where
-that binding cannot be loaded; both give the same vertex bit for bit.
-The binding is loaded from its file, without the half second of importing
-`scipy.optimize`, and only by the functions that solve.  Only the `linprog`
-fallback loads NumPy: the binding imports it only to convert an array, and
-the direct solve passes the binding lists and reads back only lists.
+each round passes it the whole model afresh: a cold solve that keeps no
+basis.  It goes straight to HiGHS through SciPy's private binding
+(`scipy.optimize._highspy._core`, tested with SciPy 1.17) with the matrix,
+bounds and options that `linprog(method="highs-ds")` would pass, and falls
+back to `linprog` where that binding cannot be loaded; both give the same
+vertex bit for bit.  The binding is loaded from its file, without the half
+second of importing `scipy.optimize`, and only by the functions that solve.
+Only the `linprog` fallback loads NumPy: the direct solve passes the
+binding lists and reads back only lists.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ from gridrepair import schedule as sched
 from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, ValidationError
 
 LP_TOLERANCE = 1e-9
-SEPARATION_TOLERANCE = 1e-7
+SEPARATION_TOLERANCE = 1e-10  # relative to the right-hand side of the prefix's cut
 _CORE = "scipy.optimize._highspy._core"  # the binding's module name
 
 _HIGHS_OPTIONS = {
@@ -102,8 +113,7 @@ class LpModel:
 
     The rows are held row-wise in the `<=` form HiGHS is given, negated: row k
     has the columns index[start[k]:start[k + 1]] with the coefficients minus
-    value[start[k]:start[k + 1]].  `variables` names the columns, C[line id]
-    then E[island id]; `format_model` names each row from them.
+    value[start[k]:start[k + 1]].  `variables` names the columns, E[island id].
     """
 
     variables: list[str]
@@ -278,6 +288,11 @@ def _solve_linprog(model: LpModel) -> LpVertex:
     return LpVertex(values=res.x.tolist(), objective=float(res.fun))
 
 
+def _row_scale(subset_times: Iterable[float]) -> float:
+    """The divisor of a cut's row: its total time, if below 1 (module docstring)."""
+    return min(1.0, math.fsum(subset_times))
+
+
 def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m: int) -> float:
     return load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
 
@@ -287,9 +302,9 @@ def separate(c: Mapping[str, float], p: Mapping[str, float], m: int) -> Cut | No
 
     Candidates are the prefixes of the midpoint order and the completion
     order; zero-time lines are left out, as they contribute nothing to
-    either side.  When any subset is violated the returned prefix attains
-    the exact maximum violation over all 2^n - 1 subsets.  Ties in
-    violation go to the smaller sorted id list.
+    either side.  The most violated of all 2^n - 1 subsets is such a prefix;
+    the one returned is the most violated prefix that counts as violated
+    (module docstring).  Ties in violation go to the smaller sorted id list.
     """
     lines = [j for j in sorted(p) if p[j] > 0]
     completions, times = ([float(x[j]) for j in lines] for x in (c, p))
@@ -332,17 +347,21 @@ def _most_violated(completions: list[float], times: list[float], m: int,
             w += ptc
             a += abs(ptc)
             load = s * s / (2.0 * m) + q / 2.0
-            upper = load - w + 4.0 * (k + 8) * 2.0**-53 * (load + a)
-            if upper > SEPARATION_TOLERANCE:
-                candidates.append((upper, order, k))
+            slack = 4.0 * (k + 8) * 2.0**-53 * (load + a)
+            # the exact right-hand side is at least load - slack
+            if load - w + slack > SEPARATION_TOLERANCE * (load - slack):
+                candidates.append((load - w + slack, order, k))
     candidates.sort(key=lambda candidate: candidate[0], reverse=True)
     best: tuple[float, tuple[int, ...]] | None = None  # (-violation, sorted positions)
     for bound, order, size in candidates:
         if best is not None and bound < -best[0]:
             break
         subset = order[:size]
-        violation = _violation(subset, completions, times, m)
-        if violation <= SEPARATION_TOLERANCE:
+        rhs = load_rhs((times[i] for i in subset), m)
+        violation = rhs - math.fsum(times[i] * completions[i] for i in subset)
+        # HiGHS takes a row violated by at most LP_TOLERANCE as met
+        solver = LP_TOLERANCE * _row_scale(times[i] for i in subset)
+        if violation <= max(SEPARATION_TOLERANCE * rhs, solver):
             continue
         key = (-violation, tuple(sorted(subset)))
         if (best is None or key < best) and key[1] not in pooled:
@@ -352,9 +371,10 @@ def _most_violated(completions: list[float], times: list[float], m: int,
 
 @dataclass
 class LpSolution:
-    """Optimal point of the relaxation; `cuts` are its model's load-cut rows."""
+    """Optimal point of the relaxation; `cuts` are its model's load-cut rows,
+    the last len(cuts) rows, in row order."""
 
-    completion: dict[str, float]
+    completion: dict[str, float]  # the E of each line's island; 0 for a line of zero time
     energization: dict[str, float]
     midpoints: dict[str, float]  # C - p/2
     objective: float
@@ -370,22 +390,19 @@ class LpSolution:
 def _base_model(
     instance: NetworkInstance, islands: IslandSet, precedence: PrecedenceGraph
 ) -> LpModel:
-    """Columns C by line id then E by island id; island-cover and precedence rows."""
+    """Columns E by island id, each bounded below by its island's largest repair
+    time; one precedence row per switch."""
     p, weights = instance.repair_times(), islands.weights
-    lids, iids = sorted(p), list(weights)  # islands are in id order
-    line_col = {lid: k for k, lid in enumerate(lids)}
-    island_col = {iid: len(lids) + k for k, iid in enumerate(iids)}
+    column = {iid: k for k, iid in enumerate(weights)}  # islands are in id order
     model = LpModel(
-        variables=[f"C[{lid}]" for lid in lids] + [f"E[{iid}]" for iid in iids],
-        objective=[0.0] * len(lids) + [float(weights[iid]) for iid in iids],
-        lower=[float(p[lid]) for lid in lids] + [0.0] * len(iids),
+        variables=[f"E[{iid}]" for iid in weights],
+        objective=[float(w) for w in weights.values()],
+        lower=[max((float(p[lid]) for lid in isl.line_ids), default=0.0)
+               for isl in islands.islands],
     )
-    pairs = []  # (column +1, column -1) per row: island over line, child over parent
-    for isl in islands.islands:
-        for lid in isl.line_ids:
-            pairs += (island_col[isl.id], line_col[lid])
+    pairs = []  # (column +1, column -1) per row: child over parent
     for parent, child in precedence.edges():
-        pairs += (island_col[child], island_col[parent])
+        pairs += (column[child], column[parent])
     model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
     model.value = [-1.0, 1.0] * (len(pairs) // 2)  # negated, as the model holds its rows
     model.rhs = [0.0] * (len(pairs) // 2)
@@ -398,16 +415,11 @@ def solve_relaxation(
     precedence: PrecedenceGraph | None = None,
     crews: int | None = None,
 ) -> LpSolution:
-    """Cutting-plane solve of the relaxation.
+    """Cutting-plane solve of the island-space relaxation (module docstring).
 
-    Starts from the base rows plus all singleton cuts, then alternates
-    solving and separating until no subset inequality is violated.  A
-    final pass re-minimizes sum(C) + sum(E) at the optimal objective so
-    the reported point is the same deterministic vertex regardless of
-    which optimal face the simplex lands on; separation is re-checked on
-    that point too.  Round 1 is C = p, E = E-infinity, unsolved: the least
-    point, optimum and canonical point of the base and singleton rows, and
-    with at most m damaged lines the answer (module docstring).
+    Round 1, unsolved, is E = E-infinity; each later round adds the most
+    violated cut and solves the model cold.  Separation is re-checked on the
+    canonical pass's point too.
     """
     own = islands is None and precedence is None  # the instance's, which keeps E-infinity
     islands = instance.islands if islands is None else islands
@@ -416,41 +428,41 @@ def solve_relaxation(
     if m < 1:
         raise ValueError(f"crew count must be >= 1, got {m}")
     p = instance.repair_times()
-    lids, n = sorted(p), len(p)
-    # lines with p > 0, by position: their C columns and times
-    columns = [k for k, lid in enumerate(lids) if p[lid] > 0]
-    times = [p[lids[k]] for k in columns]
+    lids, iids = sorted(p), list(islands.weights)
+    of_line = islands.island_of_line
+    column = {iid: k for k, iid in enumerate(iids)}
+    # the lines with p > 0 in id order, their times and their islands' columns
+    lines = [lid for lid in lids if p[lid] > 0]
+    times = [p[lid] for lid in lines]
+    columns = [column[of_line[lid]] for lid in lines]
 
     for iid, weight in islands.weights.items():  # each a coefficient of the objective cap
         _limit(weight, 1e15, "island {!r} weight", iid)
-    if min(times, default=1.0) <= 1e-9:  # HiGHS drops such a coefficient from every load cut
-        lid = next(lids[k] for k, t in zip(columns, times) if t <= 1e-9)
-        raise ValidationError(f"line {lid!r} repair time {p[lid]!r} is at most HiGHS's "
-                              "small matrix value 1e-09, which it drops from the load cuts")
+    for lid, t in zip(lines, times):
+        if t <= 1e-9:  # HiGHS drops it where it is an island's one term in a cut of total >= 1
+            raise ValidationError(f"line {lid!r} repair time {t!r} is at most HiGHS's "
+                                  "small matrix value 1e-09, which it drops from the load cuts")
+        _limit(t, 1e20, "line {!r} repair time", lid)  # its island E's lower bound
     model = _base_model(instance, islands, precedence)
-    first_cut = len(model.rhs)  # the rows from here on are the cut pool
-    # the singleton cuts in one batch; fsum of one term is exact, so each
-    # rhs is load_rhs([t], m) bit for bit
-    model.start += range(len(model.index) + 1, len(model.index) + len(columns) + 1)
-    model.index += columns
-    model.value += [-t for t in times]
-    model.rhs += [t * t / (2.0 * m) + t * t / 2.0 for t in times]
-    for k, rhs in zip(columns, model.rhs[first_cut:]):  # a time of 1e15 or more crosses 1e20 here
-        _limit(rhs, 1e20, "right-hand side of the load cut on {}", [lids[k]])
-    pooled = {(i,) for i in range(len(columns))}  # the pool's subsets, by position in `columns`
 
+    cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
     cut_limit = 10 * max(1, len(p)) ** 2
-    # round 1, the least point: canonical as it stands, and C is `times` on the damaged lines
+    # round 1, the least point: canonical as it stands
     energization, harm = (instance.infinite_crew_energization if own
                           else sched.infinite_crew_energization(islands, precedence, p))
-    x, history = [p[lid] for lid in lids] + [energization[i] for i in islands.weights], [harm]
-    c = times
+    x, history = [energization[iid] for iid in iids], [harm]
+    c = [x[k] for k in columns]
     subset = _most_violated(c, times, m, pooled)
     while subset is not None:
-        rhs = load_rhs((times[i] for i in subset), m)
-        _limit(rhs, 1e20, "right-hand side of the load cut on {}",
-               [lids[columns[i]] for i in subset])
-        model.add_row([columns[i] for i in subset], [times[i] for i in subset], rhs)
+        cut = Cut(frozenset(lines[i] for i in subset), load_rhs((times[i] for i in subset), m))
+        _limit(cut.rhs, 1e20, "right-hand side of the load cut on {}", sorted(cut.lines))
+        coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
+        for i in subset:  # p(A & island) per island column
+            coefficients[columns[i]] += times[i]
+        scale = _row_scale(coefficients.values())
+        model.add_row(list(coefficients), [v / scale for v in coefficients.values()],
+                      cut.rhs / scale)
+        cuts.append(cut)
         pooled.add(subset)
         if len(pooled) > cut_limit:
             violation = _violation(subset, c, times, m)
@@ -465,23 +477,12 @@ def solve_relaxation(
             c = [x[k] for k in columns]
             subset = _most_violated(c, times, m, pooled)
 
-    completion = dict(zip(lids, x[:n]))
-    midpoints = {lid: completion[lid] - p[lid] / 2.0 for lid in lids}
-    cuts = [Cut(frozenset(lids[j] for j in model.index[model.start[k]:model.start[k + 1]]),
-                model.rhs[k]) for k in range(first_cut, len(model.rhs))]
-    # the midpoint form of each cut, sum_A p_j M_j >= (sum_A p_j)^2 / (2m),
-    # is algebraically the cut itself and must hold at any feasible point
-    for cut in cuts:
-        lhs = math.fsum(p[j] * midpoints[j] for j in cut.lines)
-        square = cut.rhs - math.fsum(p[j] * p[j] for j in cut.lines) / 2.0
-        if lhs < square - 1e-6 * max(1.0, abs(square)):
-            raise LpError(
-                f"midpoint form violated on {sorted(cut.lines)}: {lhs} < {square}"
-            )
+    energization = dict(zip(iids, x))
+    completion = {lid: energization[of_line[lid]] if p[lid] > 0 else 0.0 for lid in lids}
     return LpSolution(
         completion=completion,
-        energization=dict(zip(islands.weights, x[n:])),
-        midpoints=midpoints,
+        energization=energization,
+        midpoints={lid: completion[lid] - p[lid] / 2.0 for lid in lids},
         objective=history[-1],
         cuts=cuts,
         objective_history=history,
@@ -497,7 +498,7 @@ def _limit(value: float, limit: float, what: str, *args: object) -> None:
 
 
 def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
-    """Re-minimize sum of all variables with the objective capped at its optimum."""
+    """Re-minimize sum(E) with the objective capped at its optimum."""
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
     weighted = [k for k, w in enumerate(model.objective) if w]
     # the cap row -objective >= -cap goes on copies: the loop's model must not get it
@@ -511,12 +512,13 @@ def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
         raise
 
 
-def format_model(model: LpModel) -> str:
+def format_model(model: LpModel, cuts: Sequence[Cut]) -> str:
     """Plain-text rendering of the final model for audit.
 
-    Each row is named from its columns (E then C: an island covers a line;
-    E then E: a child island after its parent; C alone: a load cut), its ids
-    JSON-quoted if any holds a quote or the label's separator, to read back.
+    The rows before the last len(cuts) are precedence rows, named from
+    their columns (a child island after its parent); the rest are the load
+    cuts, each named from its cut's lines.  Ids are JSON-quoted if any holds
+    a quote or the label's separator, to read back.
     """
 
     def terms(columns: list[int], values: Iterable[float]) -> str:
@@ -533,19 +535,15 @@ def format_model(model: LpModel) -> str:
            "subject to"]
     for v, lo in zip(model.variables, model.lower):
         out.append(f"  {v} >= {lo:g}")
+    first_cut = len(model.rhs) - len(cuts)
     for k, rhs in enumerate(model.rhs):
         row = slice(model.start[k], model.start[k + 1])
         columns, values = model.index[row], [-v for v in model.value[row]]
-        names = [model.variables[j] for j in columns]
-        kinds, ids = [name[:2] for name in names], [name[2:-1] for name in names]
-        if kinds == ["E[", "C["]:
-            label = "island {} covers {}".format(*quoted(ids, " covers "))
-        elif kinds == ["E[", "E["]:
+        if k < first_cut:
+            ids = [model.variables[j][2:-1] for j in columns]  # E[child], E[parent]
             label = "{} after {}".format(*quoted(ids, " after "))
-        elif set(kinds) == {"C["}:
-            label = f"load cut on {{{', '.join(quoted(sorted(ids), ', ', '{', '}'))}}}"
         else:
-            label = ""
-        line = f"  {terms(columns, values).replace('+ -', '- ')} >= {rhs:g}"
-        out.append(line + (f"    # {label}" if label else ""))
+            ids = quoted(sorted(cuts[k - first_cut].lines), ", ", "{", "}")
+            label = f"load cut on {{{', '.join(ids)}}}"
+        out.append(f"  {terms(columns, values).replace('+ -', '- ')} >= {rhs:g}    # {label}")
     return "\n".join(out) + "\n"

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import json
 import math
 import os
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gridrepair import lp, oracle
+from gridrepair import lp, oracle, schedule
 from gridrepair.harness import GenParams, bench_instance, generate_random, load_instance
-from gridrepair.lp import LpModel, LpVertex, load_rhs
+from gridrepair.lp import LpModel, LpSolution, LpVertex, load_rhs
 from gridrepair.model import (
     Island,
     IslandSet,
@@ -30,6 +31,7 @@ from gridrepair.model import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = str(Path(lp.__file__).resolve().parent.parent)
 MAX_SUBSET_LINES = 12
+MAX_ALL_SUBSET_LINES = 10
 # the bench CSV columns that hold wall times; every other column is deterministic
 TIMING_COLUMNS = ("t_lp", "t_alg1", "t_alg2", "t_oracle")
 
@@ -180,8 +182,10 @@ def exhaustive_separation(
 def reference_most_violated(completions, times, m, pooled):
     """`lp._most_violated` as first vectorized: both orders' prefixes scored
     at once from NumPy prefix sums, with the same rounding-error bound, and
-    candidates re-scored exactly (fsum) from the highest bound down."""
-    from gridrepair.lp import SEPARATION_TOLERANCE, _violation
+    candidates re-scored exactly (fsum) from the highest bound down.  A
+    prefix is violated by more than SEPARATION_TOLERANCE times its
+    right-hand side and more than HiGHS's tolerance on its row."""
+    from gridrepair.lp import LP_TOLERANCE, SEPARATION_TOLERANCE, _row_scale, _violation
 
     completions, times = np.asarray(completions, dtype=float), np.asarray(times, dtype=float)
     # one row per order; stable sorts break ties by position, that is by id
@@ -191,8 +195,9 @@ def reference_most_violated(completions, times, m, pooled):
     ptc = pt * completions[orders]
     load = np.cumsum(pt, axis=1) ** 2 / (2.0 * m) + np.cumsum(pt * pt, axis=1) / 2.0
     slack = 4.0 * (np.arange(1, len(times) + 1) + 8) * 2.0**-53
-    upper = load - np.cumsum(ptc, axis=1) + slack * (load + np.cumsum(np.abs(ptc), axis=1))
-    row, last = np.nonzero(upper > SEPARATION_TOLERANCE)
+    slack = slack * (load + np.cumsum(np.abs(ptc), axis=1))
+    upper = load - np.cumsum(ptc, axis=1) + slack
+    row, last = np.nonzero(upper > SEPARATION_TOLERANCE * (load - slack))
     bounds = upper[row, last]
     rank = np.argsort(-bounds, kind="stable")
     candidates = zip(bounds[rank].tolist(), row[rank].tolist(), (last[rank] + 1).tolist())
@@ -203,7 +208,9 @@ def reference_most_violated(completions, times, m, pooled):
             break
         subset = orders[which][:size]
         violation = _violation(subset, c, p, m)
-        if violation <= SEPARATION_TOLERANCE:
+        rhs = load_rhs((p[i] for i in subset), m)
+        solver = LP_TOLERANCE * _row_scale(p[i] for i in subset)
+        if violation <= max(SEPARATION_TOLERANCE * rhs, solver):
             continue
         key = (-violation, tuple(sorted(subset)))
         if (best is None or key < best) and key[1] not in pooled:
@@ -479,3 +486,156 @@ def reference_solve_highs(model: LpModel, highs=None) -> LpVertex | None:
             and not math.isnan(fun)):
         raise lp.LpError("the optimal point HiGHS returned violates the constraints")
     return LpVertex(values=x, objective=fun)
+
+
+def full_space_base_model(
+    instance: NetworkInstance, islands: IslandSet, precedence: PrecedenceGraph
+) -> LpModel:
+    """The full-space relaxation's base rows, as `lp` built them before it
+    moved to island space: columns C by line id then E by island id, one row
+    per island over each of its lines and one per child island over its
+    parent."""
+    p, weights = instance.repair_times(), islands.weights
+    lids, iids = sorted(p), list(weights)  # islands are in id order
+    line_col = {lid: k for k, lid in enumerate(lids)}
+    island_col = {iid: len(lids) + k for k, iid in enumerate(iids)}
+    model = LpModel(
+        variables=[f"C[{lid}]" for lid in lids] + [f"E[{iid}]" for iid in iids],
+        objective=[0.0] * len(lids) + [float(weights[iid]) for iid in iids],
+        lower=[float(p[lid]) for lid in lids] + [0.0] * len(iids),
+    )
+    pairs = []  # (column +1, column -1) per row: island over line, child over parent
+    for isl in islands.islands:
+        for lid in isl.line_ids:
+            pairs += (island_col[isl.id], line_col[lid])
+    for parent, child in precedence.edges():
+        pairs += (island_col[child], island_col[parent])
+    model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
+    model.value = [-1.0, 1.0] * (len(pairs) // 2)  # negated, as the model holds its rows
+    model.rhs = [0.0] * (len(pairs) // 2)
+    return model
+
+
+def reference_full_space_relaxation(
+    instance: NetworkInstance,
+    islands: IslandSet | None = None,
+    precedence: PrecedenceGraph | None = None,
+    crews: int | None = None,
+) -> LpSolution:
+    """`lp.solve_relaxation` as it was in full space, kept verbatim as the
+    differential reference of the island-space loop: the same optimum, on
+    n + k columns and the n singleton rows.  The separation and the canonical
+    pass are `lp`'s own.
+
+    Cutting-plane solve of the relaxation.
+
+    Starts from the base rows plus all singleton cuts, then alternates
+    solving and separating until no subset inequality is violated.  A
+    final pass re-minimizes sum(C) + sum(E) at the optimal objective so
+    the reported point is the same deterministic vertex regardless of
+    which optimal face the simplex lands on; separation is re-checked on
+    that point too.  Round 1 is C = p, E = E-infinity, unsolved: the least
+    point, optimum and canonical point of the base and singleton rows, and
+    with at most m damaged lines the answer (the `lp` module docstring).
+    """
+    own = islands is None and precedence is None  # the instance's, which keeps E-infinity
+    islands = instance.islands if islands is None else islands
+    precedence = instance.precedence if precedence is None else precedence
+    m = instance.crews if crews is None else crews
+    if m < 1:
+        raise ValueError(f"crew count must be >= 1, got {m}")
+    p = instance.repair_times()
+    lids, n = sorted(p), len(p)
+    # lines with p > 0, by position: their C columns and times
+    columns = [k for k, lid in enumerate(lids) if p[lid] > 0]
+    times = [p[lids[k]] for k in columns]
+
+    for iid, weight in islands.weights.items():  # each a coefficient of the objective cap
+        lp._limit(weight, 1e15, "island {!r} weight", iid)
+    if min(times, default=1.0) <= 1e-9:  # HiGHS drops such a coefficient from every load cut
+        lid = next(lids[k] for k, t in zip(columns, times) if t <= 1e-9)
+        raise ValidationError(f"line {lid!r} repair time {p[lid]!r} is at most HiGHS's "
+                              "small matrix value 1e-09, which it drops from the load cuts")
+    model = full_space_base_model(instance, islands, precedence)
+    first_cut = len(model.rhs)  # the rows from here on are the cut pool
+    # the singleton cuts in one batch; fsum of one term is exact, so each
+    # rhs is lp.load_rhs([t], m) bit for bit
+    model.start += range(len(model.index) + 1, len(model.index) + len(columns) + 1)
+    model.index += columns
+    model.value += [-t for t in times]
+    model.rhs += [t * t / (2.0 * m) + t * t / 2.0 for t in times]
+    for k, rhs in zip(columns, model.rhs[first_cut:]):  # a time of 1e15 or more crosses 1e20 here
+        lp._limit(rhs, 1e20, "right-hand side of the load cut on {}", [lids[k]])
+    pooled = {(i,) for i in range(len(columns))}  # the pool's subsets, by position in `columns`
+
+    cut_limit = 10 * max(1, len(p)) ** 2
+    # round 1, the least point: canonical as it stands, and C is `times` on the damaged lines
+    energization, harm = (instance.infinite_crew_energization if own
+                          else schedule.infinite_crew_energization(islands, precedence, p))
+    x, history = [p[lid] for lid in lids] + [energization[i] for i in islands.weights], [harm]
+    c = times
+    subset = lp._most_violated(c, times, m, pooled)
+    while subset is not None:
+        rhs = lp.load_rhs((times[i] for i in subset), m)
+        lp._limit(rhs, 1e20, "right-hand side of the load cut on {}",
+                  [lids[columns[i]] for i in subset])
+        model.add_row([columns[i] for i in subset], [times[i] for i in subset], rhs)
+        pooled.add(subset)
+        if len(pooled) > cut_limit:
+            violation = lp._violation(subset, c, times, m)
+            raise lp.IterationLimit(
+                f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
+        vertex = lp.simplex_solve(model)
+        history.append(vertex.objective)
+        x = vertex.values
+        c = [x[k] for k in columns]
+        subset = lp._most_violated(c, times, m, pooled)
+        if subset is None:
+            x = lp._canonical_pass(model, vertex.objective).values
+            c = [x[k] for k in columns]
+            subset = lp._most_violated(c, times, m, pooled)
+
+    completion = dict(zip(lids, x[:n]))
+    midpoints = {lid: completion[lid] - p[lid] / 2.0 for lid in lids}
+    cuts = [lp.Cut(frozenset(lids[j] for j in model.index[model.start[k]:model.start[k + 1]]),
+                model.rhs[k]) for k in range(first_cut, len(model.rhs))]
+    # the midpoint form of each cut, sum_A p_j M_j >= (sum_A p_j)^2 / (2m),
+    # is algebraically the cut itself and must hold at any feasible point
+    for cut in cuts:
+        lhs = math.fsum(p[j] * midpoints[j] for j in cut.lines)
+        square = cut.rhs - math.fsum(p[j] * p[j] for j in cut.lines) / 2.0
+        if lhs < square - 1e-6 * max(1.0, abs(square)):
+            raise lp.LpError(
+                f"midpoint form violated on {sorted(cut.lines)}: {lhs} < {square}"
+            )
+    return LpSolution(
+        completion=completion,
+        energization=dict(zip(islands.weights, x[n:])),
+        midpoints=midpoints,
+        objective=history[-1],
+        cuts=cuts,
+        objective_history=history,
+        model=model,
+    )
+
+
+def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:
+    """The relaxation's optimum with every one of its 2^n - 1 load cuts a row
+    of the full-space model, solved once by `lp._solve_linprog`: the LP the
+    cutting planes close in on, with no separation at all.  Each cut row is
+    divided by min(1, p(A)), as `lp` divides its own, so that HiGHS's
+    absolute feasibility tolerance is no looser on a cut of tiny times than
+    on a bound.  At most 10 damaged lines."""
+    p = instance.repair_times()
+    lines = [lid for lid in sorted(p) if p[lid] > 0]
+    if len(lines) > MAX_ALL_SUBSET_LINES:
+        raise oracle.TooLarge(len(lines), MAX_ALL_SUBSET_LINES)
+    model = full_space_base_model(instance, instance.islands, instance.precedence)
+    column = {lid: k for k, lid in enumerate(sorted(p))}
+    for size in range(1, len(lines) + 1):
+        for subset in itertools.combinations(lines, size):
+            times = [p[lid] for lid in subset]
+            scale = min(1.0, math.fsum(times))
+            model.add_row([column[lid] for lid in subset], [t / scale for t in times],
+                          load_rhs(times, m) / scale)
+    return lp._solve_linprog(model).objective

@@ -13,8 +13,9 @@ from conftest import instances
 
 class TestLpListSchedule:
     def test_two_island(self, two_island):
+        # both lines complete at E = 2 in the relaxation: e1, midpoint 1, goes first
         result = algos.lp_list_schedule(two_island, crews=2)
-        assert result.schedule.priority == ("e2", "e1")
+        assert result.schedule.priority == ("e1", "e2")
         assert result.harm == 22
 
     def test_single_line(self):

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from gridrepair import algos
 from gridrepair.cli import EXIT_INVALID, EXIT_OK, main
+from gridrepair.harness import load_instance
 
 from conftest import SRC, path_raw, run_fresh
 
@@ -115,7 +117,7 @@ def test_schedule_dump_lp(fixtures_dir, tmp_path, capsys):
     text = dump.read_text()
     assert "minimize" in text
     assert "load cut" in text
-    assert "C[a]" in text and "E[b]" in text
+    assert "E[a]" in text and "E[b]" in text and "C[" not in text
 
 
 # Ids with brackets and ", ", starting with C or E, and a switch out of the
@@ -137,25 +139,13 @@ AWKWARD_DUMP = """\
 minimize
   10*E[C[s]] + 1*E[E]y[, C]
 subject to
-  C[C[s]] >= 2
-  C[E, x]] >= 3
-  C[E[z], C[w]] >= 4
-  C[E]y[, C] >= 1
-  E[C[s]] >= 0
+  E[C[s]] >= 4
   E[E[0]] >= 0
-  E[E]y[, C] >= 0
-  -1*C[C[s]] + 1*E[C[s]] >= 0    # island C[s] covers C[s]
-  -1*C[E, x]] + 1*E[C[s]] >= 0    # island C[s] covers E, x]
-  -1*C[E[z], C[w]] + 1*E[C[s]] >= 0    # island C[s] covers E[z], C[w]
-  -1*C[E]y[, C] + 1*E[E]y[, C] >= 0    # island E]y[, C covers E]y[, C
+  E[E]y[, C] >= 1
   -1*E[C[s]] + 1*E[E]y[, C] >= 0    # E]y[, C after C[s]
   1*E[C[s]] - 1*E[E[0]] >= 0    # C[s] after E[0]
-  2*C[C[s]] >= 4    # load cut on {C[s]}
-  3*C[E, x]] >= 9    # load cut on {"E, x]"}
-  4*C[E[z], C[w]] >= 16    # load cut on {"E[z], C[w]"}
-  1*C[E]y[, C] >= 1    # load cut on {"E]y[, C"}
-  2*C[C[s]] + 3*C[E, x]] + 4*C[E[z], C[w]] + 1*C[E]y[, C] >= 65    # load cut on {"C[s]", "E, x]", "E[z], C[w]", "E]y[, C"}
-  2*C[C[s]] + 3*C[E, x]] + 4*C[E[z], C[w]] >= 55    # load cut on {"C[s]", "E, x]", "E[z], C[w]"}
+  9*E[C[s]] + 1*E[E]y[, C] >= 65    # load cut on {"C[s]", "E, x]", "E[z], C[w]", "E]y[, C"}
+  9*E[C[s]] >= 55    # load cut on {"C[s]", "E, x]", "E[z], C[w]"}
 """
 
 
@@ -177,12 +167,12 @@ def _load_cut_ids(label: str) -> list[str]:
 def test_dump_lp_load_cut_labels_read_back(fixtures_dir, raw):
     """Each load-cut label names exactly its cut's lines, awkward ids or not."""
     from gridrepair import lp
-    from gridrepair.harness import load_instance
     from gridrepair.model import validate
 
     inst = validate(AWKWARD) if raw == "awkward" else load_instance(fixtures_dir / "fork.json")
     sol = lp.solve_relaxation(inst)
-    labels = [line.split("    # ", 1)[1] for line in lp.format_model(sol.model).splitlines()
+    labels = [line.split("    # ", 1)[1]
+              for line in lp.format_model(sol.model, sol.cuts).splitlines()
               if "# load cut on {" in line]
     assert [frozenset(_load_cut_ids(label)) for label in labels] == [c.lines for c in sol.cuts]
     assert any('"' in label for label in labels) == (raw == "awkward")
@@ -201,18 +191,12 @@ SEPARATOR_DUMP = """\
 minimize
   1*E[x after y] + 2*E[y]
 subject to
-  C[x after y] >= 1
-  C[y] >= 2
   E[r] >= 0
-  E[x after y] >= 0
-  E[y] >= 0
-  -1*C[x after y] + 1*E[x after y] >= 0    # island x after y covers x after y
-  -1*C[y] + 1*E[y] >= 0    # island y covers y
+  E[x after y] >= 1
+  E[y] >= 2
   -1*E[r] + 1*E[x after y] >= 0    # "x after y" after "r"
   -1*E[x after y] + 1*E[y] >= 0    # "y" after "x after y"
-  1*C[x after y] >= 1    # load cut on {x after y}
-  2*C[y] >= 4    # load cut on {y}
-  1*C[x after y] + 2*C[y] >= 7    # load cut on {x after y, y}
+  1*E[x after y] + 2*E[y] >= 7    # load cut on {x after y, y}
 """
 
 
@@ -225,9 +209,8 @@ def test_dump_lp_quotes_ids_holding_a_label_separator(tmp_path):
     path.write_text(json.dumps(_separator_instance("x covers y")))
     assert main(["schedule", str(path), "--alg", "lp-list", "--dump-lp", str(dump),
                  "--out", str(tmp_path / "out.json")]) == EXIT_OK
-    text = dump.read_text()
-    assert '# island "x covers y" covers "x covers y"\n' in text
-    assert "# island y covers y\n" in text and "# x covers y after r\n" in text
+    text = dump.read_text()  # " covers " is no label's separator
+    assert "# x covers y after r\n" in text and "# load cut on {x covers y, y}\n" in text
 
 
 @pytest.mark.parametrize("alg", ["convert", "single-optimal"])
@@ -642,8 +625,8 @@ def _feeder_file(tmp_path, lines, weights):
     return str(path)
 
 
-# ROADMAP item 7: valid instances on which lp-list still exits 3 at one crew,
-# HiGHS ending the relaxation with the status in the id
+# ROADMAP item 7: valid instances on which lp-list exited 3 at one crew while
+# the relaxation was solved in full space, HiGHS ending it with the status in the id
 LP_EXIT_3_FEEDERS = {
     "mixed-magnitude path, status Unknown": (
         [(f"e{k}", str(k - 1), str(k), p, k in (1, 3, 4))
@@ -666,12 +649,20 @@ LP_EXIT_3_FEEDERS = {
 }
 
 
-@pytest.mark.parametrize("alg", [
-    pytest.param("lp-list", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 7: lp-list exits 3")),
-    "convert"])
+@pytest.mark.parametrize("alg", ["lp-list", "convert"])
 @pytest.mark.parametrize("lines, weights", LP_EXIT_3_FEEDERS.values(), ids=LP_EXIT_3_FEEDERS)
 def test_valid_feeders_never_exit_3(tmp_path, capsys, lines, weights, alg):
     code = main(["schedule", _feeder_file(tmp_path, lines, weights), "--alg", alg,
                  "--crews", "1"])
     assert code in (EXIT_OK, EXIT_INVALID), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, weights", LP_EXIT_3_FEEDERS.values(), ids=LP_EXIT_3_FEEDERS)
+def test_former_exit_3_feeders_schedule_within_twice_the_lp(tmp_path, capsys, lines, weights):
+    """The island-space relaxation solves all three: lp-list exits 0, and its
+    harm is at most twice the LP bound."""
+    path = _feeder_file(tmp_path, lines, weights)
+    assert main(["schedule", path, "--alg", "lp-list", "--crews", "1"]) == EXIT_OK
+    harm = json.loads(capsys.readouterr().out)["harm"]
+    result = algos.lp_list_schedule(load_instance(path), crews=1)
+    assert harm == result.harm <= 2.0 * result.lp.objective

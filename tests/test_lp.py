@@ -1,6 +1,6 @@
 import copy
 import heapq
-import itertools
+import math
 import os
 import random
 import sys
@@ -35,9 +35,11 @@ from gridrepair.model import ValidationError, build_precedence_graph, partition_
 
 from conftest import (
     FIXTURES,
+    all_subset_relaxation,
     exhaustive_separation,
     instances,
     path_raw,
+    reference_full_space_relaxation,
     reference_most_violated,
     reference_solve_highs,
     run_fresh,
@@ -69,20 +71,19 @@ def case_instance(name):
 
 
 def first_rows(model, rounds):
-    """The base and singleton rows of the final `model` of a relaxation of
-    `rounds` rounds: each round after the first added one load cut."""
+    """The base rows of the final `model` of a relaxation of `rounds` rounds:
+    each round after the first added one load cut."""
     k = len(model.rhs) - (rounds - 1)
     return replace(model, start=model.start[:k + 1], index=model.index[:model.start[k]],
                    value=model.value[:model.start[k]], rhs=model.rhs[:k])
 
 
 def round_models(monkeypatch, name, m):
-    """Every model `solve_relaxation` solved on a fixture or a generated
-    50-line feeder before round 1 became the base rows' least point: the base
-    and singleton rows, which it no longer solves and which are recorded here
-    explicitly, then the models it solves, its later rounds and its canonical
-    pass.  Where it solves none, the second model is the canonical pass of the
-    base and singleton rows, as it was."""
+    """Every model `solve_relaxation` would solve on a fixture or a generated
+    50-line feeder if round 1 were solved: the base rows, which it does not
+    solve and which are recorded here explicitly, then the models it solves,
+    its later rounds and its canonical pass.  Where it solves none, the second
+    model is the canonical pass of the base rows."""
     inst = case_instance(name)
     models = []
 
@@ -115,15 +116,16 @@ class TestSimplexSolve:
         assert list(vertex.values) == pytest.approx([2.0, 2.0])
 
     def test_two_island_base_model(self, two_island):
-        # base rows only, no load cuts: all lower bounds tight
+        # base rows only, no load cuts: E[e1] at its bound, E[e2] at its parent's
         islands = partition_islands(two_island)
         prec = build_precedence_graph(two_island, islands)
         from gridrepair.lp import _base_model
 
         model = _base_model(two_island, islands, prec)
-        assert model.variables == ["C[e1]", "C[e2]", "E[e1]", "E[e2]"]
+        assert model.variables == ["E[e1]", "E[e2]"]
+        assert model.lower == [2.0, 1.0]
         vertex = simplex_solve(model)
-        assert list(vertex.values) == pytest.approx([2.0, 1.0, 2.0, 2.0])
+        assert list(vertex.values) == pytest.approx([2.0, 2.0])
         assert vertex.objective == pytest.approx(22.0)
 
     def test_unbounded_raises(self):
@@ -257,7 +259,7 @@ def test_model_needs_no_numpy():
         inst = harness.load_instance({str(FIXTURES / "feeder123.json")!r})
         model = lp._base_model(inst, inst.islands, inst.precedence)
         model.add_row([0, 1], [2.0, 3.0], 4.0)
-        assert "load cut on" in lp.format_model(model)
+        assert "load cut on {{x}}" in lp.format_model(model, [lp.Cut(frozenset("x"), 4.0)])
         assert "numpy" not in sys.modules
     """)
     assert proc.returncode == 0, proc.stderr
@@ -271,7 +273,7 @@ def test_cached_zero_cost_lp_keeps_no_rows():
     sol = solve_relaxation(inst)
     cached = lp._zero_cost_lps[len(sol.model.variables)]
     matrix = cached.a_matrix_
-    assert len(sol.model.rhs) > 400 and len(cached.col_lower_) == len(sol.model.variables)
+    assert len(sol.model.rhs) > 40 and len(cached.col_lower_) == len(sol.model.variables)
     assert cached.num_row_ == matrix.num_row_ == 0
     assert list(matrix.start_) == [0] and len(matrix.index_) == len(matrix.value_) == 0
     assert len(cached.row_lower_) == len(cached.row_upper_) == 0
@@ -450,6 +452,30 @@ class TestSeparate:
         assert _most_violated(c, p, 1, set()) == (0,)
         assert _most_violated(c, p, 1, {(0,)}) is None
 
+    def test_tolerance_is_relative_to_the_cut(self):
+        # times of 1e-4: the pair's cut, rhs 3e-8, is violated by 2e-9, a fifteenth of it
+        p = {"a": 1e-4, "b": 1e-4}
+        assert separate({"a": 1.4e-4, "b": 1.4e-4}, p, 1).lines == frozenset({"a", "b"})
+        # times of 1e6: rhs 3e12, violated by about 2e-3, a share of 7e-16
+        p = {"a": 1e6, "b": 1e6}
+        assert separate({"a": 1.5e6 - 1e-9, "b": 1.5e6 - 1e-9}, p, 1) is None
+        assert separate({"a": 1.5e6 - 1e-3, "b": 1.5e6 - 1e-3}, p, 1).lines == frozenset(p)
+
+    def test_a_cut_highs_takes_as_met_is_not_separated(self):
+        """The pair's cut asks E >= 0.1583003476..., 8.6e-10 above E's bound,
+        the longer time: HiGHS takes the row as met at the bound, within its
+        1e-9 tolerance, and its canonical pass, capped at that objective, then
+        found the model infeasible."""
+        p = {"a": 0.15830034683570984, "b": 1.1672414395576811e-05}
+        inst = validate({
+            "root": "0", "crews": 1,
+            "nodes": [{"id": v, "weight": w} for v, w in (("0", 0), ("1", 15), ("2", 0))],
+            "lines": [{"id": lid, "from": u, "to": v, "repair_time": p[lid], "switch": False}
+                      for lid, u, v in (("a", "0", "1"), ("b", "1", "2"))]})
+        assert separate(dict.fromkeys(p, p["a"]), p, 1) is None
+        sol = solve_relaxation(inst)
+        assert (sol.energization, sol.iterations) == ({"a": p["a"]}, 1)
+
     def test_equal_violation_takes_smaller_sorted_ids(self):
         # {b} and {a, b} are both violated by exactly 1.0
         p = {"a": 1.0, "b": 1.0}
@@ -460,9 +486,10 @@ class TestSeparate:
 
 class TestSolveRelaxation:
     def test_two_island(self, two_island):
+        # each line's completion is its island's E: e2's island waits for e1's
         sol = solve_relaxation(two_island, crews=2)
         assert sol.objective == pytest.approx(22.0)
-        assert sol.completion == pytest.approx({"e1": 2.0, "e2": 1.0})
+        assert sol.completion == pytest.approx({"e1": 2.0, "e2": 2.0})
         assert sol.energization == pytest.approx({"e1": 2.0, "e2": 2.0})
 
     def test_single_line(self):
@@ -481,21 +508,9 @@ class TestSolveRelaxation:
         assert sol.objective == pytest.approx(1.0)
 
     def test_fork_against_full_cut_enumeration(self, fork):
-        # independent oracle: the same LP with every subset cut added up front
-        islands = partition_islands(fork)
-        prec = build_precedence_graph(fork, islands)
-        from gridrepair.lp import _base_model
-
-        p = fork.repair_times()
-        model = _base_model(fork, islands, prec)
-        for r in range(1, 4):
-            for subset in itertools.combinations(sorted(p), r):
-                columns = [model.variables.index(f"C[{lid}]") for lid in subset]
-                model.add_row(columns, [p[lid] for lid in subset],
-                              load_rhs([p[lid] for lid in subset], 2))
-        full = simplex_solve(model)
+        # independent oracle: the full-space LP with every subset cut added up front
         sol = solve_relaxation(fork, crews=2)
-        assert sol.objective == pytest.approx(full.objective, abs=1e-9)
+        assert sol.objective == pytest.approx(all_subset_relaxation(fork, 2), abs=1e-9)
         assert sol.objective == pytest.approx(20.0)
         assert sol.completion == pytest.approx({"a": 1.0, "b": 2.0, "c": 11.0 / 3.0})
 
@@ -507,15 +522,21 @@ class TestSolveRelaxation:
 
     @pytest.mark.parametrize("name, m", POOL_CASES)
     def test_cut_pool_is_the_singletons_then_one_cut_per_round(self, name, m):
+        """The singleton cuts are the columns' lower bounds, E of an island at
+        least each of its repair times, and each round after the first adds
+        one cut, the last rows of the model, aggregated per island."""
         inst = case_instance(name)
-        p = inst.repair_times()
-        positive = [lid for lid in sorted(p) if p[lid] > 0]
+        p, of_line = inst.repair_times(), inst.islands.island_of_line
         sol = solve_relaxation(inst, crews=m)
-        assert len(sol.cuts) == len(positive) + sol.iterations - 1
-        assert [cut.lines for cut in sol.cuts[:len(positive)]] == [
-            frozenset((lid,)) for lid in positive]
-        for cut in sol.cuts:
+        lower = dict(zip(sol.model.variables, sol.model.lower))
+        assert all(lower[f"E[{of_line[lid]}]"] >= t for lid, t in p.items())
+        assert len(sol.cuts) == sol.iterations - 1
+        first_cut = len(sol.model.rhs) - len(sol.cuts)
+        for k, cut in enumerate(sol.cuts, first_cut):
             assert cut.rhs == load_rhs([p[j] for j in cut.lines], m)
+            islands = sorted({of_line[j] for j in cut.lines})
+            columns = sol.model.index[sol.model.start[k]:sol.model.start[k + 1]]
+            assert [sol.model.variables[j] for j in columns] == [f"E[{i}]" for i in islands]
 
     def test_objective_history_monotone(self, fork, feeder123):
         for inst, m in ((fork, 2), (feeder123, 3)):
@@ -524,30 +545,103 @@ class TestSolveRelaxation:
                 assert later >= earlier - 1e-9
 
 
+FIXTURE_NAMES = [f.name for f in sorted(FIXTURES.glob("*.json"))]
+
+
+def assert_matches_the_full_space_loop(inst, m):
+    """The island-space objective equals the full-space loop's at rel 1e-9."""
+    want = reference_full_space_relaxation(inst, crews=m).objective
+    assert solve_relaxation(inst, crews=m).objective == pytest.approx(want, rel=1e-9, abs=0)
+
+
+class TestIslandSpace:
+    """The island-space relaxation has the optimum of the paper's full-space
+    LP: against the full-space cutting-plane loop (tests/conftest.py) on the
+    fixtures, the bench corpus and generated feeders, and against the LP with
+    every subset cut up front on a sweep of mixed-magnitude times."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_fixtures_match_the_full_space_loop(self, name, m):
+        assert_matches_the_full_space_loop(case_instance(name), m)
+
+    def test_bench_corpus_matches_the_full_space_loop(self):
+        """The corpus `gridrepair bench --seed 0 --count 200` draws, at m = 2, 3."""
+        for seed in range(200):
+            inst = generate_random(GenParams(seed=seed))
+            for m in (2, 3):
+                assert_matches_the_full_space_loop(inst, m)
+
+    @pytest.mark.parametrize("lines", [25, 50, 100, 200])
+    @pytest.mark.parametrize("repair_time", [(1, 10), (0, 10)], ids=["damaged", "some-undamaged"])
+    def test_generated_feeders_match_the_full_space_loop(self, lines, repair_time):
+        inst = generate_random(GenParams(seed=7, nodes=(lines + 1, lines + 1),
+                                         switch_probability=0.1, repair_time=repair_time,
+                                         crews=(3,)))
+        assert_matches_the_full_space_loop(inst, 3)
+
+    def test_every_subset_cut_up_front_on_mixed_magnitudes(self):
+        """Up to 10 damaged lines, times integer, mixed 1e-6 to 100, all near
+        1e-4, or log-uniform over 1e-6 to 1e6, about one line in seven
+        undamaged, and 1 to 4 crews.  The objective is exact up to HiGHS's
+        feasibility tolerance, LP_TOLERANCE per unit of objective and of
+        island weight.  An absolute separation tolerance of 1e-7 fails here
+        on the small times, and so do cut rows that are not scaled.  A sweep
+        call that raises LpError (ROADMAP item 7) must fail the full-space
+        loop too."""
+        kinds = {
+            "integer": lambda rng: rng.randint(1, 10),
+            "mixed": lambda rng: rng.choice([1, 2, 100, 1e-6, 1e-4]),
+            "tiny": lambda rng: 10 ** rng.uniform(-5, -3),
+            "wide": lambda rng: 10 ** rng.uniform(-6, 6),
+        }
+        solved = 0
+        for seed in range(800):
+            rng = random.Random(seed)
+            nodes = rng.randint(2, 11)
+            raw = random_raw(GenParams(seed=seed, nodes=(nodes, nodes),
+                                       switch_probability=rng.choice([0.0, 0.3, 1.0])))
+            draw = list(kinds.values())[seed % len(kinds)]
+            for line in raw["lines"]:
+                line["repair_time"] = 0 if rng.random() < 0.15 else draw(rng)
+            for node in raw["nodes"]:
+                node["weight"] = rng.choice([0, 1, rng.randint(0, 10), rng.uniform(0, 1e4)])
+            raw["nodes"][-1]["weight"] += 1  # some non-root weight is positive
+            inst, m = validate(raw), rng.randint(1, 4)
+            try:
+                got = solve_relaxation(inst, crews=m).objective
+            except lp.LpError:
+                with pytest.raises(lp.LpError):
+                    reference_full_space_relaxation(inst, crews=m)
+                continue
+            want = all_subset_relaxation(inst, m)
+            weight = sum(inst.islands.weights.values())
+            assert abs(got - want) <= lp.LP_TOLERANCE * (abs(want) + weight), (seed, got, want)
+            solved += 1
+        assert solved > 790
+
+
 def damaged_lines(inst):
     return sum(1 for t in inst.repair_times().values() if t > 0)
 
 
 def assert_is_the_highs_answer(inst, m):
     """`solve_relaxation` takes as round 1, unsolved, the least point of the
-    base and singleton rows, C = p and E = E-infinity.  Checks that HiGHS's
-    cold solve of those rows returns that point exactly, that no solve it
-    makes gets a model without a load cut beyond the singletons, and, where
-    the least point meets every cut, that the answer is what the loop
-    returned when it solved round 1: HiGHS's objective there and the
-    canonical pass's point, in one round on the singleton cuts alone."""
-    p = inst.repair_times()
-    ids = sorted(p)
-    damaged = [k for k, lid in enumerate(ids) if p[lid] > 0]  # their C columns
-    times, singletons = [p[ids[k]] for k in damaged], {(i,) for i in range(len(damaged))}
+    base rows, E = E-infinity.  Checks that HiGHS's cold solve of those rows
+    returns that point exactly, that every solve it makes gets a model with a
+    load cut, and, where the least point meets every cut, that the answer is
+    what the loop would return if it solved round 1: HiGHS's objective there
+    and the canonical pass's point, in one round with no cut."""
+    p, of_line = inst.repair_times(), inst.islands.island_of_line
+    lines = [lid for lid in sorted(p) if p[lid] > 0]
     base = lp._base_model(inst, inst.islands, inst.precedence)  # built as the loop builds it
-    for k, t in zip(damaged, times):
-        base.add_row([k], [t], load_rhs([t], m))
     energization, _ = sched.infinite_crew_energization(inst.islands, inst.precedence, p)
-    least = [p[lid] for lid in ids] + [energization[iid] for iid in inst.islands.weights]
+    least = [energization[iid] for iid in inst.islands.weights]
     vertex = simplex_solve(base)
+    # equal as numbers: HiGHS may give -0.0 for a column of lower bound 0.0,
+    # where the least point, the one reported, has 0.0
     assert vertex.values == least
-    assert repr(vertex.values) == repr(least)  # no -0.0 where the least point has 0.0
+    assert all(math.copysign(1.0, e) == 1.0 for e in least)
 
     solved = []
 
@@ -558,22 +652,23 @@ def assert_is_the_highs_answer(inst, m):
     with mock.patch.object(lp, "simplex_solve", record):
         try:
             sol = solve_relaxation(inst, crews=m)
-        except lp.LpError:  # HiGHS failing on a later round (ROADMAP item 7), as at the parent
+        except lp.LpError:  # HiGHS failing on a later round (ROADMAP item 7)
             sol = None
-    for model in solved:  # a cut on two or more lines: the base rows each hold an E column
-        rows = [model.index[model.start[k]:model.start[k + 1]] for k in range(len(model.rhs))]
-        assert any(len(row) > 1 and max(row) < len(ids) for row in rows)
+    for model in solved:  # a load cut beyond the precedence rows
+        assert len(model.rhs) > len(base.rhs)
     if sol is None:
         assert solved  # the failure came from a solve, never from the unsolved round 1
         return
     assert first_rows(sol.model, sol.iterations) == base
-    if _most_violated(times, times, m, singletons) is None:
+    completions = [energization[of_line[lid]] for lid in lines]
+    if _most_violated(completions, [p[lid] for lid in lines], m, ()) is None:
         # equal as numbers: the canonical pass may give -0.0 where the least point has 0.0
         x = lp._canonical_pass(base, vertex.objective).values
-        assert x == least == [*sol.completion.values(), *sol.energization.values()]
+        assert x == least == list(sol.energization.values())
+        assert sol.completion == {lid: energization[of_line[lid]] if p[lid] > 0 else 0.0
+                                  for lid in sorted(p)}
         assert repr(vertex.objective) == repr(sol.objective)
-        assert solved == [] and sol.iterations == 1
-        assert [cut.lines for cut in sol.cuts] == [frozenset((ids[k],)) for k in damaged]
+        assert solved == [] and sol.iterations == 1 and sol.cuts == []
     else:
         assert solved and sol.iterations >= 2
 
@@ -584,9 +679,9 @@ SPARE_CREW_CASES = [(f.name, max(1, damaged_lines(load_instance(f))) + spare)
 
 
 class TestSpareCrews:
-    """Round 1 of the relaxation is the least point of the base and singleton
-    rows, taken with no HiGHS solve; it is what HiGHS returns there.  With at
-    most m damaged lines it is the answer, and no solve runs at all."""
+    """Round 1 of the relaxation is the least point of the base rows, taken
+    with no HiGHS solve; it is what HiGHS returns there.  With at most m
+    damaged lines it is the answer, and no solve runs at all."""
 
     @pytest.mark.parametrize("name, m", SPARE_CREW_CASES)
     def test_fixtures_make_no_solve_and_match_highs(self, monkeypatch, name, m):
@@ -598,7 +693,7 @@ class TestSpareCrews:
         assert calls == []
         assert_is_the_highs_answer(inst, m)
 
-    @pytest.mark.parametrize("name", [f.name for f in sorted(FIXTURES.glob("*.json"))])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_fixtures_at_one_to_five_crews_match_highs(self, name, m):
         assert_is_the_highs_answer(case_instance(name), m)
@@ -646,12 +741,14 @@ def _path(times, weights):
     return validate(path_raw(times, weights))
 
 
-# HiGHS rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as infinite
+# HiGHS rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as
+# infinite.  A cut's coefficient, a sum of its times, reaches 1e15 only where its
+# right-hand side already reaches 1e20 (m at most the line count).
 LIMIT_CASES = {
     "a cut's right-hand side": (_path([1e10] * 3, [1, 1, 1]),
                                 "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20"),
-    "a repair time of 1e15": (_path([1e15, 1, 1], [1, 1, 1]),
-                              "right-hand side of the load cut on ['e1'] 7.500000000000001e+29"),
+    "a repair time of 1e20, an island's lower bound": (
+        _path([1e20, 1, 1], [1, 1, 1]), "line 'e1' repair time 1e+20 "),
     "an island weight, a coefficient of the objective cap": (
         _path([1, 1, 1], [1, 1e16, 1]), "island 'e2' weight 1e+16 "),
     "an island weight of exactly 1e15": (_path([1, 1, 1], [1, 1e15 - 1, 1]),
@@ -670,6 +767,35 @@ def test_rows_beyond_highs_limits_are_input_errors(case):
     assert str(err.value).startswith(message) and "reaches HiGHS's limit" in str(err.value)
 
 
+def _far_line(time):
+    """Three lines of time 1 in the root island and, behind a switch, a line of
+    `time` alone in its island: the one violated cut, on the three, leaves it out."""
+    return validate({
+        "root": "r", "crews": 2, "nodes": [{"id": v, "weight": 1} for v in "rabcd"],
+        "lines": [{"id": f"l{k}", "from": u, "to": v, "repair_time": 1, "switch": False}
+                  for k, (u, v) in enumerate(("ra", "ab", "bc"), 1)]
+        + [{"id": "l4", "from": "r", "to": "d", "repair_time": time, "switch": True}]})
+
+
+def test_a_repair_time_of_1e20_needs_its_rule(monkeypatch):
+    """No cut holds the far line, so only its island's lower bound meets HiGHS,
+    which takes 1e20 as infinite: without the rule the solve fails."""
+    assert solve_relaxation(_far_line(9.9e19)).energization == {"l1": 1.25, "l4": 9.9e19}
+    with pytest.raises(ValidationError, match="line 'l4' repair time 1e[+]20 reaches"):
+        solve_relaxation(_far_line(1e20))
+    monkeypatch.setattr(lp, "_limit", lambda *args: None)
+    with pytest.raises(Infeasible):
+        solve_relaxation(_far_line(1e20))
+
+
+def test_a_repair_time_of_1e15_now_solves():
+    """Rejected while each singleton cut was a row, whose right-hand side
+    7.5e29 crossed 1e20; the island model holds it as a lower bound."""
+    sol = solve_relaxation(_path([1e15, 1, 1], [1, 1, 1]), crews=2)
+    assert (sol.completion, sol.energization, sol.iterations) == (
+        dict.fromkeys(["e1", "e2", "e3"], 1e15), dict.fromkeys(["e1", "e2"], 1e15), 1)
+
+
 def test_rows_just_inside_highs_limits_solve():
     # a largest cut rhs of 3.75e18, and a weight just below 1e15: the points
     # pinned are those solve_relaxation gave before it checked HiGHS's limits
@@ -685,7 +811,7 @@ def test_rows_just_inside_highs_limits_solve():
 class TestMidpoints:
     def test_two_island(self, two_island):
         sol = solve_relaxation(two_island, crews=2)
-        assert sol.midpoints == pytest.approx({"e1": 1.0, "e2": 0.5})
+        assert sol.midpoints == pytest.approx({"e1": 1.0, "e2": 1.5})
 
     def test_fork(self, fork):
         sol = solve_relaxation(fork, crews=2)
@@ -738,10 +864,10 @@ def test_separation_verdict_matches_enumeration(seed, n, m):
     truth = exhaustive_separation(c, p, m)
     cut = separate(c, p, m)
     if cut is None:
-        assert truth.violation <= 1e-7
+        assert truth.violation <= separation_threshold(truth.subset, p, m)
     else:
         violation = cut.rhs - sum(p[j] * c[j] for j in cut.lines)
-        assert violation > 1e-7
+        assert violation > separation_threshold(cut.lines, p, m)
         assert violation == pytest.approx(truth.violation, abs=1e-9)
 
 
@@ -754,6 +880,13 @@ def test_solution_satisfies_every_subset_inequality(inst, m):
         return
     worst = exhaustive_separation(sol.completion, p, m)
     assert worst.violation <= 1e-6
+
+
+def separation_threshold(subset, p, m):
+    """The violation a cut on `subset` must exceed to be separated: a share
+    SEPARATION_TOLERANCE of its right-hand side, and HiGHS's tolerance on its row."""
+    return max(lp.SEPARATION_TOLERANCE * load_rhs([p[j] for j in subset], m),
+               lp.LP_TOLERANCE * lp._row_scale(p[j] for j in subset))
 
 
 def prefix_orders(c, p):
@@ -773,7 +906,8 @@ def reference_separate(c, p, m, pooled=frozenset()):
     for order in prefix_orders(c, p):
         for k in range(1, len(order) + 1):
             violation = _violation(order[:k], c, p, m)
-            if violation <= 1e-7 or (best and -violation > best[0]):
+            if violation <= separation_threshold(order[:k], p, m) or (
+                    best and -violation > best[0]):
                 continue
             key = (-violation, sorted(order[:k]))
             if (best is None or key < best) and frozenset(key[1]) not in pooled:
