@@ -21,24 +21,28 @@ objective, lower bounds and `>=` rows as a row-wise sparse matrix in lists
 that only grow.
 
 Cut rows are generated on demand, one per round.  The candidates are the
-prefixes of the lines of positive time sorted by completion and by midpoint
-(C - p/2).  Midpoint prefixes are exact maximizers of the violation
-whenever any subset is violated, which a threshold argument shows and the
-test suite re-checks against full subset enumeration.  A prefix is violated
-when its violation exceeds SEPARATION_TOLERANCE times f(A), so times of any
-magnitude converge alike, and the violation HiGHS would take as met on its
-row.  Round 1 is not solved: E-infinity, the least point of the bounds and
-precedence rows, is their optimum for weights >= 0 and the vertex HiGHS
-returns there bit for bit (tests/test_lp.py::TestSpareCrews).  With at most
-m lines of positive time it meets every cut: (sum_A p)^2 <= m sum_A p^2
-gives f(A) <= sum_A p^2, at most the left side.  Once no prefix is violated,
-a canonical pass re-minimizes sum(E) with the objective capped at its
-optimum, so the point does not depend on the vertex HiGHS lands on.
-Separation scores all prefixes at once from running sums and re-scores
-exactly (fsum) only those whose score plus its rounding-error bound,
-4(k+8) 2^-53 times the sum of the magnitudes on a prefix of k lines, can
-still beat the best exact violation, so it picks the cut the
-prefix-by-prefix fsum scan picks.
+prefixes of the midpoint order: the lines of positive time sorted by
+M = C - p/2.  Adding a line j outside A changes the violation
+f(A) - sum_A p_j C_j by p_j ((p(A) + p_j/2)/m - M_j), so every j in a most
+violated A and every i outside it have M_j <= (p(A) - p_j/2)/m < p(A)/m <
+(p(A) + p_i/2)/m <= M_i: each maximizer over all 2^n - 1 subsets is a
+strict M-threshold set, a prefix of that order (Queyranne 1993; Hall,
+Schulz, Shmoys & Wein 1997), which the test suite re-checks in exact
+arithmetic.  A prefix is violated when its violation exceeds
+SEPARATION_TOLERANCE times f(A), so times of any magnitude converge alike,
+and the violation HiGHS would take as met on its row.  Round 1 is not
+solved: E-infinity, the least point of the bounds and precedence rows, is
+their optimum for weights >= 0 and the vertex HiGHS returns there bit for
+bit (tests/test_lp.py::TestSpareCrews).  With at most m lines of positive
+time it meets every cut: (sum_A p)^2 <= m sum_A p^2 gives f(A) <=
+sum_A p^2, at most the left side.  Once no prefix is violated, a canonical
+pass re-minimizes sum(E) with the objective capped at its optimum, so the
+point does not depend on the vertex HiGHS lands on.  Separation scores all
+prefixes in one pass of running sums and re-scores exactly (fsum), once
+each, only those whose score plus its rounding-error bound, 4(k+8) 2^-53
+times the sum of the magnitudes on a prefix of k lines, can still beat the
+best exact violation, so it picks the cut the prefix-by-prefix fsum scan
+picks.
 
 The loop runs on integer column indices and plain Python floats.  One
 HiGHS instance per process, its options set once, solves every model, and
@@ -288,11 +292,6 @@ def _solve_linprog(model: LpModel) -> LpVertex:
     return LpVertex(values=res.x.tolist(), objective=float(res.fun))
 
 
-def _row_scale(subset_times: Iterable[float]) -> float:
-    """The divisor of a cut's row: its total time, if below 1 (module docstring)."""
-    return min(1.0, math.fsum(subset_times))
-
-
 def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m: int) -> float:
     return load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
 
@@ -300,73 +299,74 @@ def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m
 def separate(c: Mapping[str, float], p: Mapping[str, float], m: int) -> Cut | None:
     """Most violated load inequality at the point C, or None if all hold.
 
-    Candidates are the prefixes of the midpoint order and the completion
-    order; zero-time lines are left out, as they contribute nothing to
-    either side.  The most violated of all 2^n - 1 subsets is such a prefix;
-    the one returned is the most violated prefix that counts as violated
-    (module docstring).  Ties in violation go to the smaller sorted id list.
+    Candidates are the prefixes of the midpoint order; zero-time lines are
+    left out, as they contribute nothing to either side.  The most violated
+    of all 2^n - 1 subsets is such a prefix; the one returned is the most
+    violated prefix that counts as violated (module docstring).  Ties in
+    violation go to the smaller sorted id list.
     """
     lines = [j for j in sorted(p) if p[j] > 0]
     completions, times = ([float(x[j]) for j in lines] for x in (c, p))
-    subset = _most_violated(completions, times, m, ())
-    if subset is None:
-        return None
-    ids = [lines[i] for i in subset]
-    return Cut(frozenset(ids), load_rhs((p[j] for j in ids), m))
+    found = _most_violated(completions, times, m, ())
+    return None if found is None else Cut(frozenset(lines[i] for i in found[0]), found[1])
 
 
 def _most_violated(completions: list[float], times: list[float], m: int,
-                   pooled: Collection[tuple[int, ...]]) -> tuple[int, ...] | None:
+                   pooled: Collection[tuple[int, ...]]
+                   ) -> tuple[tuple[int, ...], float, float] | None:
     """`separate` on the positive `times` of the lines in id order and their
-    `completions`: the sorted positions of the cut, or None.  Subsets in
+    `completions`: the cut's sorted positions, its right-hand side and its
+    row's divisor min(1, p(A)) (module docstring), or None.  Subsets in
     `pooled`, by sorted position, are skipped: a pooled cut's residual
     violation is solver noise.
 
-    Every prefix is scored from running sums S = sum p, Q = sum p^2 and
-    W = sum p*C as S^2/2m + Q/2 - W.  On a prefix of k lines this score is
-    within 4(k+8) 2^-53 (S^2/2m + Q/2 + sum |p*C|) of the exact (fsum)
-    violation: k-1 roundings in each running sum, a few more in the
-    products and in the exact value's own formula.
-    Candidates are re-scored exactly from the highest upper bound down,
-    until a bound falls below the best exact violation found, and the rule
-    of `separate` is applied to the exact values.  The bound is rigorous, so
-    the cut is the least key over all violated unpooled prefixes, whatever
-    the order the candidates come in.
+    Every prefix of the midpoint order is scored from running sums
+    S = sum p, Q = sum p^2 and W = sum p*C as S^2/2m + Q/2 - W.  On a prefix
+    of k lines this score is within 4(k+8) 2^-53 (S^2/2m + Q/2 + sum |p*C|)
+    of the exact (fsum) violation: k-1 roundings in each running sum, a few
+    more in the products and in the exact value's own formula.  Candidates
+    are re-scored exactly from the highest upper bound down, until a bound
+    falls below the best exact violation found, and the rule of `separate`
+    is applied to the exact values.  The bound is rigorous, so the cut is
+    the least key over all violated unpooled prefixes, whatever the order
+    the candidates come in.
     """
-    candidates = []  # (upper bound, order, prefix length)
-    positions = range(len(times))
-    # stable sorts break ties by position, that is by id
-    for order in (sorted(positions, key=lambda i: completions[i] - times[i] / 2.0),
-                  sorted(positions, key=completions.__getitem__)):
-        s = q = w = a = 0.0
-        for k, i in enumerate(order, 1):
-            pt = times[i]
-            ptc = pt * completions[i]
-            s += pt
-            q += pt * pt
-            w += ptc
-            a += abs(ptc)
-            load = s * s / (2.0 * m) + q / 2.0
-            slack = 4.0 * (k + 8) * 2.0**-53 * (load + a)
-            # the exact right-hand side is at least load - slack
-            if load - w + slack > SEPARATION_TOLERANCE * (load - slack):
-                candidates.append((load - w + slack, order, k))
-    candidates.sort(key=lambda candidate: candidate[0], reverse=True)
-    best: tuple[float, tuple[int, ...]] | None = None  # (-violation, sorted positions)
-    for bound, order, size in candidates:
+    midpoints = [c - t / 2.0 for c, t in zip(completions, times)]
+    order = sorted(range(len(times)), key=midpoints.__getitem__)  # stable: ties go by id
+    candidates = []  # (upper bound, prefix length)
+    two_m, ulps = 2.0 * m, 4.0 * 2.0**-53
+    s = q = w = a = 0.0
+    for k, i in enumerate(order, 1):
+        pt = times[i]
+        ptc = pt * completions[i]
+        s += pt
+        q += pt * pt
+        w += ptc
+        a += abs(ptc)
+        load = s * s / two_m + q / 2.0
+        slack = (k + 8) * ulps * (load + a)
+        bound = load - w + slack
+        # the exact right-hand side is at least load - slack
+        if bound > SEPARATION_TOLERANCE * (load - slack):
+            candidates.append((bound, k))
+    candidates.sort(reverse=True)
+    best = None  # (-violation, sorted positions, right-hand side, row divisor)
+    for bound, size in candidates:
         if best is not None and bound < -best[0]:
             break
         subset = order[:size]
-        rhs = load_rhs((times[i] for i in subset), m)
-        violation = rhs - math.fsum(times[i] * completions[i] for i in subset)
+        t = [times[i] for i in subset]
+        total = math.fsum(t)  # load_rhs, and the divisor, on the same sums
+        rhs = total * total / two_m + math.fsum([x * x for x in t]) / 2.0
+        violation = rhs - math.fsum([x * completions[i] for x, i in zip(t, subset)])
+        scale = min(1.0, total)
         # HiGHS takes a row violated by at most LP_TOLERANCE as met
-        solver = LP_TOLERANCE * _row_scale(times[i] for i in subset)
-        if violation <= max(SEPARATION_TOLERANCE * rhs, solver):
+        if violation <= max(SEPARATION_TOLERANCE * rhs, LP_TOLERANCE * scale):
             continue
         key = (-violation, tuple(sorted(subset)))
-        if (best is None or key < best) and key[1] not in pooled:
-            best = key
-    return None if best is None else best[1]
+        if (best is None or key < best[:2]) and key[1] not in pooled:
+            best = (*key, rhs, scale)
+    return None if best is None else best[1:]
 
 
 @dataclass
@@ -452,16 +452,15 @@ def solve_relaxation(
                           else sched.infinite_crew_energization(islands, precedence, p))
     x, history = [energization[iid] for iid in iids], [harm]
     c = [x[k] for k in columns]
-    subset = _most_violated(c, times, m, pooled)
-    while subset is not None:
-        cut = Cut(frozenset(lines[i] for i in subset), load_rhs((times[i] for i in subset), m))
-        _limit(cut.rhs, 1e20, "right-hand side of the load cut on {}", sorted(cut.lines))
+    found = _most_violated(c, times, m, pooled)
+    while found is not None:
+        subset, rhs, scale = found
+        cut = Cut(frozenset(lines[i] for i in subset), rhs)
+        _limit(rhs, 1e20, "right-hand side of the load cut on {}", sorted(cut.lines))
         coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
         for i in subset:  # p(A & island) per island column
             coefficients[columns[i]] += times[i]
-        scale = _row_scale(coefficients.values())
-        model.add_row(list(coefficients), [v / scale for v in coefficients.values()],
-                      cut.rhs / scale)
+        model.add_row(list(coefficients), [v / scale for v in coefficients.values()], rhs / scale)
         cuts.append(cut)
         pooled.add(subset)
         if len(pooled) > cut_limit:
@@ -471,11 +470,11 @@ def solve_relaxation(
         history.append(vertex.objective)
         x = vertex.values
         c = [x[k] for k in columns]
-        subset = _most_violated(c, times, m, pooled)
-        if subset is None:
+        found = _most_violated(c, times, m, pooled)
+        if found is None:
             x = _canonical_pass(model, vertex.objective).values
             c = [x[k] for k in columns]
-            subset = _most_violated(c, times, m, pooled)
+            found = _most_violated(c, times, m, pooled)
 
     energization = dict(zip(iids, x))
     completion = {lid: energization[of_line[lid]] if p[lid] > 0 else 0.0 for lid in lids}

@@ -179,17 +179,22 @@ def exhaustive_separation(
     return SeparationResult(subset=subset, violation=value)
 
 
-def reference_most_violated(completions, times, m, pooled):
-    """`lp._most_violated` as first vectorized: both orders' prefixes scored
-    at once from NumPy prefix sums, with the same rounding-error bound, and
-    candidates re-scored exactly (fsum) from the highest bound down.  A
-    prefix is violated by more than SEPARATION_TOLERANCE times its
-    right-hand side and more than HiGHS's tolerance on its row."""
-    from gridrepair.lp import LP_TOLERANCE, SEPARATION_TOLERANCE, _row_scale, _violation
+def row_scale(subset_times):
+    """The divisor of a cut's row: its total time, if below 1 (the `lp` module docstring)."""
+    return min(1.0, math.fsum(subset_times))
 
-    completions, times = np.asarray(completions, dtype=float), np.asarray(times, dtype=float)
+
+def _prefix_most_violated(completions, times, m, pooled, keys):
+    """The prefixes of the orders sorted by each of `keys` scored at once from
+    NumPy prefix sums, with `lp`'s rounding-error bound, and candidates
+    re-scored exactly (fsum) from the highest bound down; the shape of
+    `lp._most_violated`'s answer, its right-hand side and divisor from
+    `load_rhs` and `row_scale`.  A prefix is violated by more than
+    SEPARATION_TOLERANCE times its right-hand side and more than HiGHS's
+    tolerance on its row."""
+    from gridrepair.lp import LP_TOLERANCE, SEPARATION_TOLERANCE, _violation
+
     # one row per order; stable sorts break ties by position, that is by id
-    keys = (completions - times / 2.0, completions)
     orders = np.array([np.argsort(key, kind="stable") for key in keys])
     pt = times[orders]
     ptc = pt * completions[orders]
@@ -209,13 +214,33 @@ def reference_most_violated(completions, times, m, pooled):
         subset = orders[which][:size]
         violation = _violation(subset, c, p, m)
         rhs = load_rhs((p[i] for i in subset), m)
-        solver = LP_TOLERANCE * _row_scale(p[i] for i in subset)
+        solver = LP_TOLERANCE * row_scale(p[i] for i in subset)
         if violation <= max(SEPARATION_TOLERANCE * rhs, solver):
             continue
         key = (-violation, tuple(sorted(subset)))
         if (best is None or key < best) and key[1] not in pooled:
             best = key
-    return None if best is None else best[1]
+    if best is None:
+        return None
+    subset = best[1]
+    return subset, load_rhs((p[i] for i in subset), m), row_scale(p[i] for i in subset)
+
+
+def reference_most_violated(completions, times, m, pooled):
+    """`lp._most_violated` in NumPy: the prefixes of the midpoint order alone."""
+    completions, times = np.asarray(completions, dtype=float), np.asarray(times, dtype=float)
+    return _prefix_most_violated(completions, times, m, pooled, [completions - times / 2.0])
+
+
+def two_order_most_violated(completions, times, m, pooled):
+    """The rule `lp._most_violated` had until it dropped the completion order:
+    the prefixes of the midpoint order and of the completion order.  The
+    most violated subset is a midpoint prefix (the `lp` module docstring), so
+    the two rules differ only where the maximum is pooled, and in float
+    noise on huge magnitudes."""
+    completions, times = np.asarray(completions, dtype=float), np.asarray(times, dtype=float)
+    return _prefix_most_violated(completions, times, m, pooled,
+                                 [completions - times / 2.0, completions])
 
 
 # Reference implementations: the straightforward forms of `model.validate`,
@@ -524,8 +549,9 @@ def reference_full_space_relaxation(
 ) -> LpSolution:
     """`lp.solve_relaxation` as it was in full space, kept verbatim as the
     differential reference of the island-space loop: the same optimum, on
-    n + k columns and the n singleton rows.  The separation and the canonical
-    pass are `lp`'s own.
+    n + k columns and the n singleton rows.  The separation is the two-order
+    rule of that time (`two_order_most_violated`); the canonical pass is
+    `lp`'s own.
 
     Cutting-plane solve of the relaxation.
 
@@ -574,8 +600,9 @@ def reference_full_space_relaxation(
                           else schedule.infinite_crew_energization(islands, precedence, p))
     x, history = [p[lid] for lid in lids] + [energization[i] for i in islands.weights], [harm]
     c = times
-    subset = lp._most_violated(c, times, m, pooled)
-    while subset is not None:
+    found = two_order_most_violated(c, times, m, pooled)
+    while found is not None:
+        subset = found[0]
         rhs = lp.load_rhs((times[i] for i in subset), m)
         lp._limit(rhs, 1e20, "right-hand side of the load cut on {}",
                   [lids[columns[i]] for i in subset])
@@ -589,11 +616,11 @@ def reference_full_space_relaxation(
         history.append(vertex.objective)
         x = vertex.values
         c = [x[k] for k in columns]
-        subset = lp._most_violated(c, times, m, pooled)
-        if subset is None:
+        found = two_order_most_violated(c, times, m, pooled)
+        if found is None:
             x = lp._canonical_pass(model, vertex.objective).values
             c = [x[k] for k in columns]
-            subset = lp._most_violated(c, times, m, pooled)
+            found = two_order_most_violated(c, times, m, pooled)
 
     completion = dict(zip(lids, x[:n]))
     midpoints = {lid: completion[lid] - p[lid] / 2.0 for lid in lids}

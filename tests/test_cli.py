@@ -649,9 +649,34 @@ LP_EXIT_3_FEEDERS = {
 }
 
 
+# ROADMAP item 7: valid instances on which lp-list still exits 3 at one crew
+# with the island-space relaxation, HiGHS ending it with the status in the id
+LP_EXIT_3_OPEN = {
+    "every line a switch, one time of 7.2e8, status Unbounded": (
+        [("l1", "0", "1", 100, True), ("l2", "0", "2", 0, True), ("l3", "1", "3", 0, True),
+         ("l4", "2", "4", 2, True), ("l5", "2", "5", 0, True), ("l6", "5", "6", 100, True),
+         ("l7", "4", "7", 722749950.6016811, True), ("l8", "5", "8", 2, True),
+         ("l9", "7", "9", 0, True)],
+        {"0": 264.5023435515692, "1": 6725.383675079929, "2": 2251.6047330169185, "3": 1,
+         "5": 1, "6": 1, "9": 2}),
+}
+
+
 @pytest.mark.parametrize("alg", ["lp-list", "convert"])
 @pytest.mark.parametrize("lines, weights", LP_EXIT_3_FEEDERS.values(), ids=LP_EXIT_3_FEEDERS)
 def test_valid_feeders_never_exit_3(tmp_path, capsys, lines, weights, alg):
+    code = main(["schedule", _feeder_file(tmp_path, lines, weights), "--alg", alg,
+                 "--crews", "1"])
+    assert code in (EXIT_OK, EXIT_INVALID), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg", [
+    pytest.param("lp-list", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 7: HiGHS ends the relaxation non-optimal")),
+    "convert"])
+@pytest.mark.parametrize("lines, weights", LP_EXIT_3_OPEN.values(), ids=LP_EXIT_3_OPEN)
+def test_open_feeders_never_exit_3(tmp_path, capsys, lines, weights, alg):
     code = main(["schedule", _feeder_file(tmp_path, lines, weights), "--alg", alg,
                  "--crews", "1"])
     assert code in (EXIT_OK, EXIT_INVALID), capsys.readouterr().err

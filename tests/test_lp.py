@@ -6,6 +6,7 @@ import random
 import sys
 import textwrap
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -42,7 +43,9 @@ from conftest import (
     reference_full_space_relaxation,
     reference_most_violated,
     reference_solve_highs,
+    row_scale,
     run_fresh,
+    two_order_most_violated,
 )
 
 
@@ -441,15 +444,15 @@ class TestSeparate:
     def test_pooled_most_violated_yields_next(self):
         # prefixes {0} (violation 0.9) and {0, 1} (violation 2.4), by position
         c, p = [0.1, 0.5], [1.0, 1.0]
-        assert _most_violated(c, p, 1, set()) == (0, 1)
-        subset = _most_violated(c, p, 1, {(0, 1)})
+        assert _most_violated(c, p, 1, set()) == ((0, 1), load_rhs(p, 1), 1.0)
+        subset, rhs, scale = _most_violated(c, p, 1, {(0, 1)})
         assert subset == (0,)
-        assert load_rhs([p[i] for i in subset], 1) == pytest.approx(1.0)
+        assert rhs == load_rhs([p[i] for i in subset], 1) == pytest.approx(1.0)
 
     def test_pooled_only_violated_yields_none(self):
         # {0} is violated by 0.9; {0, 1} holds with slack 2.1
         c, p = [0.1, 5.0], [1.0, 1.0]
-        assert _most_violated(c, p, 1, set()) == (0,)
+        assert _most_violated(c, p, 1, set())[0] == (0,)
         assert _most_violated(c, p, 1, {(0,)}) is None
 
     def test_tolerance_is_relative_to_the_cut(self):
@@ -886,11 +889,13 @@ def separation_threshold(subset, p, m):
     """The violation a cut on `subset` must exceed to be separated: a share
     SEPARATION_TOLERANCE of its right-hand side, and HiGHS's tolerance on its row."""
     return max(lp.SEPARATION_TOLERANCE * load_rhs([p[j] for j in subset], m),
-               lp.LP_TOLERANCE * lp._row_scale(p[j] for j in subset))
+               lp.LP_TOLERANCE * row_scale(p[j] for j in subset))
 
 
 def prefix_orders(c, p):
-    """The midpoint and completion orders of the lines with positive time."""
+    """The midpoint and completion orders of the lines with positive time.
+    Separation scores the first alone; the pooled sets of the tests are drawn
+    from both, so that a pooled subset need not be a midpoint prefix."""
     lines = [j for j in sorted(p) if p[j] > 0]
     return (
         sorted(lines, key=lambda j: (c[j] - p[j] / 2.0, j)),
@@ -899,19 +904,20 @@ def prefix_orders(c, p):
 
 
 def reference_separate(c, p, m, pooled=frozenset()):
-    """The prefix-by-prefix fsum separation that `separate` must reproduce."""
+    """The prefix-by-prefix fsum separation over the midpoint order that
+    `separate` must reproduce."""
     from gridrepair.lp import _violation
 
     best = None  # (-violation, sorted ids)
-    for order in prefix_orders(c, p):
-        for k in range(1, len(order) + 1):
-            violation = _violation(order[:k], c, p, m)
-            if violation <= separation_threshold(order[:k], p, m) or (
-                    best and -violation > best[0]):
-                continue
-            key = (-violation, sorted(order[:k]))
-            if (best is None or key < best) and frozenset(key[1]) not in pooled:
-                best = key
+    order = prefix_orders(c, p)[0]
+    for k in range(1, len(order) + 1):
+        violation = _violation(order[:k], c, p, m)
+        if violation <= separation_threshold(order[:k], p, m) or (
+                best and -violation > best[0]):
+            continue
+        key = (-violation, sorted(order[:k]))
+        if (best is None or key < best) and frozenset(key[1]) not in pooled:
+            best = key
     return None if best is None else Cut(frozenset(best[1]), load_rhs([p[j] for j in best[1]], m))
 
 
@@ -921,12 +927,9 @@ def separate_pooled(c, p, m, pooled):
     lines = [j for j in sorted(p) if p[j] > 0]
     index = {j: k for k, j in enumerate(lines)}
     positions = {tuple(sorted(index[j] for j in s)) for s in pooled if s.issubset(index)}
-    subset = _most_violated([float(c[j]) for j in lines], [float(p[j]) for j in lines], m,
-                            positions)
-    if subset is None:
-        return None
-    ids = [lines[i] for i in subset]
-    return Cut(frozenset(ids), load_rhs([p[j] for j in ids], m))
+    found = _most_violated([float(c[j]) for j in lines], [float(p[j]) for j in lines], m,
+                           positions)
+    return None if found is None else Cut(frozenset(lines[i] for i in found[0]), found[1])
 
 
 def separation_point(rng, n, m):
@@ -950,13 +953,28 @@ def separation_point(rng, n, m):
     return c, p
 
 
-@pytest.mark.parametrize("n_max,points", [(12, 300), (200, 20), (2000, 1)])
-def test_separate_matches_reference(n_max, points):
+SEPARATION_POINTS = [(12, 300), (200, 20), (2000, 1)]
+
+
+def separation_points(n_max, points):
+    """The points of `test_separate_matches_reference`: C, p, m and a sample of
+    up to 5 prefixes of the two orders to pool (None for a single point)."""
     rng = random.Random(n_max)
     for _ in range(points):
         n = n_max if points == 1 else rng.randint(1, n_max)
         m = rng.choice([1, 2, 3])
         c, p = separation_point(rng, n, m)
+        sample = None
+        if points > 1:
+            orders = prefix_orders(c, p)
+            prefixes = [frozenset(o[:k]) for o in orders for k in range(1, len(o) + 1)]
+            sample = set(rng.sample(prefixes, min(len(prefixes), 5)))
+        yield c, p, m, sample
+
+
+@pytest.mark.parametrize("n_max,points", SEPARATION_POINTS)
+def test_separate_matches_reference(n_max, points):
+    for c, p, m, sample in separation_points(n_max, points):
         first = reference_separate(c, p, m)
         cases = [(frozenset(), first)]
         if first is not None:  # pool the maximum, then the runner-up too
@@ -965,11 +983,8 @@ def test_separate_matches_reference(n_max, points):
             if second is not None and points > 1:
                 pooled = {first.lines, second.lines}
                 cases.append((pooled, reference_separate(c, p, m, pooled)))
-        if points > 1:
-            orders = prefix_orders(c, p)
-            prefixes = [frozenset(o[:k]) for o in orders for k in range(1, len(o) + 1)]
-            pooled = set(rng.sample(prefixes, min(len(prefixes), 5)))
-            cases.append((pooled, reference_separate(c, p, m, pooled)))
+        if sample is not None:
+            cases.append((sample, reference_separate(c, p, m, sample)))
         for pooled, want in cases:
             got = separate_pooled(c, p, m, pooled) if pooled else separate(c, p, m)
             assert (got is None) == (want is None)
@@ -1019,22 +1034,34 @@ def prefixes(completions, times):
     return sorted({tuple(sorted(o[:k])) for o in orders for k in range(1, len(o) + 1)})
 
 
-@pytest.mark.parametrize("n, points", [(n, 160) for n in range(1, 9)] + [(60, 40), (400, 8)])
-def test_most_violated_matches_reference(n, points):
-    """The plain-Python separation core returns the subset the NumPy form
-    returns: with nothing, the best cuts, a sample or every prefix pooled."""
+DIFFERENTIAL_POINTS = [(n, 160) for n in range(1, 9)] + [(60, 40), (400, 8)]
+
+
+def differential_points(n, points):
+    """The points of `test_most_violated_matches_reference`: completions,
+    times, m, every prefix of the two orders and a sample of 5 of them."""
     rng = random.Random(n)
-    unviolated = ties = 0
     for k in range(points):
         m = rng.choice([1, 2, 3])
         c, p = differential_point(rng, n, m, POINT_KINDS[k % len(POINT_KINDS)])
         every = prefixes(c, p)
+        yield c, p, m, every, set(rng.sample(every, min(len(every), 5)))
+
+
+@pytest.mark.parametrize("n, points", DIFFERENTIAL_POINTS)
+def test_most_violated_matches_reference(n, points):
+    """The plain-Python separation core returns the cut the NumPy form
+    returns, its right-hand side and row divisor bit for bit: with nothing,
+    the best cuts, a sample or every prefix pooled."""
+    unviolated = ties = 0
+    for c, p, m, every, sample in differential_points(n, points):
         first = reference_most_violated(c, p, m, set())
-        cases = [set(), set(rng.sample(every, min(len(every), 5))), set(every)]
+        cases = [set(), sample, set(every)]
         if first is None:
             unviolated += 1
         else:  # pool the maximum, then the runner-up too
-            cases += [{first}, {first, reference_most_violated(c, p, m, {first})}]
+            second = reference_most_violated(c, p, m, {first[0]})
+            cases += [{first[0]}, {first[0]} | ({second[0]} if second else set())]
             if n <= 8:  # an exact tie in violation, broken by the sorted positions
                 violations = [lp._violation(s, c, p, m) for s in every]
                 ties += violations.count(max(violations)) > 1
@@ -1042,3 +1069,49 @@ def test_most_violated_matches_reference(n, points):
             assert _most_violated(c, p, m, pooled) == reference_most_violated(c, p, m, pooled)
         assert _most_violated(c, p, m, set(every)) is None
     assert unviolated and (ties or n == 1 or n > 8)
+
+
+def test_the_completion_order_adds_no_cut():
+    """The two-order rule that separation used to apply picks the midpoint
+    rule's cut on every unpooled call of the two differential tests' points.
+    With the maximum pooled it may pick another prefix of the completion
+    order, violated by no more than the pooled maximum."""
+    for n, points in DIFFERENTIAL_POINTS:
+        for c, p, m, _, _ in differential_points(n, points):
+            first = reference_most_violated(c, p, m, set())
+            assert two_order_most_violated(c, p, m, set()) == first
+            if first is not None:
+                other = two_order_most_violated(c, p, m, {first[0]})
+                if other != reference_most_violated(c, p, m, {first[0]}):
+                    assert lp._violation(other[0], c, p, m) <= lp._violation(first[0], c, p, m)
+    for n_max, points in SEPARATION_POINTS:
+        for c, p, m, _ in separation_points(n_max, points):
+            lines = [j for j in sorted(p) if p[j] > 0]
+            completions, times = [float(c[j]) for j in lines], [float(p[j]) for j in lines]
+            assert (two_order_most_violated(completions, times, m, set())
+                    == reference_most_violated(completions, times, m, set()))
+
+
+@given(st.lists(st.tuples(st.fractions(Fraction(1, 8), 20, max_denominator=8),
+                          st.fractions(-20, 60, max_denominator=8)), min_size=1, max_size=8),
+       st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_every_most_violated_subset_is_a_strict_midpoint_threshold_set(lines, m):
+    """The lemma of the `lp` module docstring, in exact arithmetic: of all
+    2^n subsets, the empty one at violation 0, every non-empty maximizer of
+    f(A) - sum_A p_j C_j holds exactly the lines whose midpoint M = C - p/2
+    lies below some threshold, so it is a prefix of the midpoint order."""
+    n = len(lines)
+    mid = [c - t / 2 for t, c in lines]
+    violation = {}
+    for mask in range(1, 2**n):
+        subset = [lines[j] for j in range(n) if mask >> j & 1]
+        total = sum(t for t, _ in subset)
+        violation[mask] = (total * total / (2 * m) + sum(t * t for t, _ in subset) / 2
+                           - sum(t * c for t, c in subset))
+    best = max(0, *violation.values())
+    for mask, value in violation.items():
+        if value == best:
+            inside = [mid[j] for j in range(n) if mask >> j & 1]
+            outside = [mid[j] for j in range(n) if not mask >> j & 1]
+            assert not outside or max(inside) < min(outside)

@@ -42,6 +42,10 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
     # differ, and the cli layer's `oracle fork.json`
     assert result["first_difference"] == {
         "layer": "oracle", "seed": 0, "m": 2, "differing_calls": 7}
+    # each relaxation separates once at its first point, then once after each HiGHS solve
+    for group in result["relaxation"].values():
+        assert group["separation_calls"] == [group["calls"] + n for n in group["highs_solves"]]
+        assert [seconds > 0 for seconds in group["separation_s"]] == [group["calls"] > 0] * 2
 
 
 def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
