@@ -13,9 +13,10 @@ timed, and the CLI commands of a fourth each run in a process of their own:
 * `relaxation`: on the corpus `gridrepair bench --seed 0 --count K
   --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), at
   m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls
-  (rounds and canonical passes) and its separation calls
-  (`lp._most_violated`), with their seconds, on the untimed pass, then the
-  lp-list schedule built from it (not timed);
+  (rounds and canonical passes), whether it ran its loop again with HiGHS
+  presolve on (`lp._set_presolve(True)`; never in a tree without it) and
+  its separation calls (`lp._most_violated`), with their seconds, on the
+  untimed pass, then the lp-list schedule built from it (not timed);
 * `oracle`: `oracle.brute_force_optimal` on the same (instance, m);
 * `load`: for each size of 100 to 2000 lines, five random radial feeders
   (node k hangs off a uniformly drawn earlier node, 10 % switches, repair
@@ -38,8 +39,9 @@ timed, and the CLI commands of a fourth each run in a process of their own:
 One JSON object is printed, each figure listed per SRC in the order given:
 the median over a group of calls of each call's best time, in microseconds
 for the relaxation (per calls with at most m damaged lines, the others and
-all, with the total count of HiGHS solves and of separation calls, and the
-separation's seconds: the sum over the calls of each call's best) and for
+all, with the total count of HiGHS solves, of calls that took the
+presolve-on rerun and of separation calls, and the separation's seconds:
+the sum over the calls of each call's best) and for
 the oracle (per damaged-
 line count n and m), and in milliseconds per feeder size and form for load
 plus JSON writing (`load_write`), the islands alone (`islands`) and load
@@ -83,8 +85,8 @@ LOAD_TIMES = ("load_write", "islands", "load_islands")
 
 # Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
 # JSON object of count, max_lines, crews and files; reports [seed, n, m] and
-# [HiGHS solves, separation calls, separation seconds] per call and, per
-# layer, [times, answer] per call or file.
+# [HiGHS solves, separation calls, separation seconds, presolve-on reruns]
+# per call and, per layer, [times, answer] per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
@@ -143,12 +145,22 @@ def timed(*args):
     counts[-1][1] += 1
     return found
 
+set_presolve = getattr(lp, "_set_presolve", None)  # None in trees that solve with presolve on
+
+def rerun(on):
+    counts[-1][3] += on
+    set_presolve(on)
+
 # looked up by the loop at each call, so every solve and separation is counted
 lp.simplex_solve, lp._most_violated = counted, timed
+if set_presolve:
+    lp._set_presolve = rerun
 for _, _, m, instance in calls:
-    counts.append([0, 0, 0.0])
+    counts.append([0, 0, 0.0, 0])
     relaxation(instance, m)
 lp.simplex_solve, lp._most_violated = solve, separate
+if set_presolve:
+    lp._set_presolve = set_presolve
 out = {"calls": [call[:3] for call in calls], "counts": counts,
        "relaxation": [relaxation(instance, m) for _, _, m, instance in calls]}
 for _, _, m, instance in calls:
@@ -272,7 +284,7 @@ def main() -> int:
     trees = list(range(len(args.src)))
     best: dict[tuple[str, int, int], list[float]] = {}  # (layer, tree, call) -> best seconds
     answers: dict[tuple[str, int], set[str]] = {}  # (layer, call) -> every answer given
-    counts: dict[int, list[list]] = {}  # tree -> [solves, separations, seconds] per call
+    counts: dict[int, list[list]] = {}  # tree -> [solves, separations, seconds, reruns] per call
     cold: dict[tuple[int, int], tuple] = {}  # (tree, command) -> largest peak RSS, modules
     with tempfile.TemporaryDirectory() as cwd:  # so that no `gridrepair` is found beside it
         files = write_corpus(Path(cwd))
@@ -284,7 +296,7 @@ def main() -> int:
                 out = launch(args.src[tree], WORKER, [json.dumps(config)], cwd, "the worker")[2]
                 out["cli"] = [run_command(args.src[tree], argv, cwd) for argv in COMMANDS]
                 counts[tree], calls = out["counts"], out["calls"]
-                for j, (*_, seconds) in enumerate(counts[tree]):
+                for j, (_, _, seconds, _) in enumerate(counts[tree]):
                     key = ("separation", tree, j)
                     best[key] = [min(best.get(key, [seconds])[0], seconds)]
                 for layer in LAYERS:
@@ -313,6 +325,7 @@ def main() -> int:
         result["relaxation"][label] = {
             "calls": len(group), "median_best_us": medians("relaxation", group, 1e6, 1),
             "highs_solves": [sum(counts[tree][j][0] for j in group) for tree in trees],
+            "presolve_fallbacks": [sum(counts[tree][j][3] for j in group) for tree in trees],
             "separation_calls": [sum(counts[tree][j][1] for j in group) for tree in trees],
             "separation_s": [round(sum(best["separation", tree, j][0] for j in group), 6)
                              for tree in trees]}

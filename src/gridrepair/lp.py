@@ -45,16 +45,20 @@ best exact violation, so it picks the cut the prefix-by-prefix fsum scan
 picks.
 
 The loop runs on integer column indices and plain Python floats.  One
-HiGHS instance per process, its options set once, solves every model, and
-each round passes it the whole model afresh: a cold solve that keeps no
-basis.  It goes straight to HiGHS through SciPy's private binding
-(`scipy.optimize._highspy._core`, tested with SciPy 1.17) with the matrix,
-bounds and options that `linprog(method="highs-ds")` would pass, and falls
-back to `linprog` where that binding cannot be loaded; both give the same
-vertex bit for bit.  The binding is loaded from its file, without the half
-second of importing `scipy.optimize`, and only by the functions that solve.
-Only the `linprog` fallback loads NumPy: the direct solve passes the
-binding lists and reads back only lists.
+HiGHS instance per process solves every model, and each round passes it
+the whole model afresh: a cold solve that keeps no basis.  Presolve is
+off: on models of a few columns and rows it is most of a solve.  A loop
+that fails with presolve off is run again from round 1 with presolve on,
+HiGHS's default, so that no input fails that the presolve-on loop
+solves; presolve is off again after that run, whatever its end.  The
+solve goes straight to HiGHS through SciPy's private binding
+(`scipy.optimize._highspy._core`, tested with SciPy 1.17) with the
+matrix, bounds and options that `linprog(method="highs-ds")` would pass,
+and falls back to `linprog` where that binding cannot be loaded; both
+give the same vertex bit for bit.  The binding is loaded from its file,
+without the half second of importing `scipy.optimize`, and only by the
+functions that solve.  Only the `linprog` fallback loads NumPy: the
+direct solve passes the binding lists and reads back only lists.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": LP_TOLERANCE,
     "dual_feasibility_tolerance": LP_TOLERANCE,
 }
+_presolve = False  # HiGHS presolve: on only while `solve_relaxation` reruns a failed loop
 
 
 class LpError(Exception):
@@ -144,10 +149,11 @@ def simplex_solve(model: LpModel) -> LpVertex:
     """Solve the model to an optimal basic solution.
 
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
-    anti-cycling safeguards) at 1e-9 feasibility tolerances.  HiGHS gets
-    the model directly on the process's shared instance where SciPy's
-    binding allows it, else through `linprog`.  Both give the same vertex
-    bit for bit.
+    anti-cycling safeguards) at 1e-9 feasibility tolerances, with presolve
+    off unless `_set_presolve` turned it on.  HiGHS gets the model directly
+    on the process's shared instance where SciPy's binding allows it, else
+    through `linprog` with the same options.  Both give the same vertex bit
+    for bit.
     """
     vertex = _solve_highs(model)
     return _solve_linprog(model) if vertex is None else vertex
@@ -190,15 +196,16 @@ def _binding():
 
 
 def _new_highs():
-    """A HiGHS instance with the options `linprog(method="highs-ds")` sets
-    (presolve, dual simplex, the two 1e-9 tolerances, output off); None
-    where `_binding` finds no extension module."""
+    """A HiGHS instance with the options `_solve_linprog` gives
+    `linprog(method="highs-ds")` (presolve off, dual simplex, the two 1e-9
+    tolerances, output off); None where `_binding` finds no extension module.
+    On models of a few columns and rows presolve is most of a solve."""
     hs = _binding()
     if hs is None:
         return None
     highs = hs._Highs()
     for option, value in (
-        ("presolve", "on"), ("solver", "simplex"),
+        ("presolve", "off"), ("solver", "simplex"),
         ("simplex_strategy", hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
         ("highs_debug_level", hs.HighsDebugLevel.kHighsDebugLevelNone),
         *_HIGHS_OPTIONS.items(),
@@ -209,6 +216,16 @@ def _new_highs():
     return highs
 
 
+def _set_presolve(on: bool) -> None:
+    """Turn HiGHS presolve on or off for every later solve: on the shared
+    instance and in `_solve_linprog`'s options."""
+    global _presolve
+    _presolve = on
+    highs, value = _shared_highs(), "on" if on else "off"
+    if highs is not None and highs.setOptionValue("presolve", value) != _binding().HighsStatus.kOk:
+        raise LpError(f"HiGHS rejected option presolve={value!r}")
+
+
 def _solve_highs(model: LpModel) -> LpVertex | None:
     """Solve on the process's shared HiGHS instance through SciPy's private
     binding; None if it is missing.  `passModel` drops the model and basis it held.
@@ -216,8 +233,9 @@ def _solve_highs(model: LpModel) -> LpVertex | None:
     With `_new_highs`, the one user of `_binding()`, the extension module
     `scipy.optimize._highspy._core` (tested with SciPy 1.17).  It passes the
     HighsLp `linprog(method="highs-ds")` builds, the matrix of -rows with row
-    bounds [-inf, -rhs] and column bounds [lower, inf], and raises what
-    `_solve_linprog` raises per status.
+    bounds [-inf, -rhs] and column bounds [lower, inf], solves it with the
+    options `_solve_linprog` gives (presolve off but in `solve_relaxation`'s
+    rerun), and raises what `_solve_linprog` raises per status.
     The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in
     each column, which is the CSC matrix linprog passes.  The binding's
     `col_cost_` setter takes a NumPy array, so the HighsLp has n zero costs
@@ -285,7 +303,7 @@ def _solve_linprog(model: LpModel) -> LpVertex:
         b_ub=-np.array(model.rhs) if model.rhs else None,
         bounds=[(lo, None) for lo in model.lower],
         method="highs-ds",
-        options=_HIGHS_OPTIONS,
+        options={**_HIGHS_OPTIONS, "presolve": _presolve},
     )
     if res.status != 0:
         raise {1: IterationLimit, 2: Infeasible, 3: Unbounded}.get(res.status, LpError)(res.message)
@@ -419,7 +437,9 @@ def solve_relaxation(
 
     Round 1, unsolved, is E = E-infinity; each later round adds the most
     violated cut and solves the model cold.  Separation is re-checked on the
-    canonical pass's point too.
+    canonical pass's point too.  Every solve runs with HiGHS presolve off; if
+    the loop raises LpError, it runs once more from round 1 with presolve
+    on, and that run's answer or error is the call's.
     """
     own = islands is None and precedence is None  # the instance's, which keeps E-infinity
     islands = instance.islands if islands is None else islands
@@ -443,38 +463,52 @@ def solve_relaxation(
             raise ValidationError(f"line {lid!r} repair time {t!r} is at most HiGHS's "
                                   "small matrix value 1e-09, which it drops from the load cuts")
         _limit(t, 1e20, "line {!r} repair time", lid)  # its island E's lower bound
-    model = _base_model(instance, islands, precedence)
-
-    cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
-    cut_limit = 10 * max(1, len(p)) ** 2
     # round 1, the least point: canonical as it stands
     energization, harm = (instance.infinite_crew_energization if own
                           else sched.infinite_crew_energization(islands, precedence, p))
-    x, history = [energization[iid] for iid in iids], [harm]
-    c = [x[k] for k in columns]
-    found = _most_violated(c, times, m, pooled)
-    while found is not None:
-        subset, rhs, scale = found
-        cut = Cut(frozenset(lines[i] for i in subset), rhs)
-        _limit(rhs, 1e20, "right-hand side of the load cut on {}", sorted(cut.lines))
-        coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
-        for i in subset:  # p(A & island) per island column
-            coefficients[columns[i]] += times[i]
-        model.add_row(list(coefficients), [v / scale for v in coefficients.values()], rhs / scale)
-        cuts.append(cut)
-        pooled.add(subset)
-        if len(pooled) > cut_limit:
-            violation = _violation(subset, c, times, m)
-            raise IterationLimit(f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
-        vertex = simplex_solve(model)
-        history.append(vertex.objective)
-        x = vertex.values
+    least = [energization[iid] for iid in iids]
+    cut_limit = 10 * max(1, len(p)) ** 2
+
+    def cutting_planes() -> tuple[LpModel, list[float], list[float], list[Cut]]:
+        model = _base_model(instance, islands, precedence)
+        cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
+        x, history = least, [harm]
         c = [x[k] for k in columns]
         found = _most_violated(c, times, m, pooled)
-        if found is None:
-            x = _canonical_pass(model, vertex.objective).values
+        while found is not None:
+            subset, rhs, scale = found
+            cut = Cut(frozenset(lines[i] for i in subset), rhs)
+            _limit(rhs, 1e20, "right-hand side of the load cut on {}", sorted(cut.lines))
+            coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
+            for i in subset:  # p(A & island) per island column
+                coefficients[columns[i]] += times[i]
+            model.add_row(list(coefficients), [v / scale for v in coefficients.values()],
+                          rhs / scale)
+            cuts.append(cut)
+            pooled.add(subset)
+            if len(pooled) > cut_limit:
+                violation = _violation(subset, c, times, m)
+                raise IterationLimit(
+                    f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
+            vertex = simplex_solve(model)
+            history.append(vertex.objective)
+            x = vertex.values
             c = [x[k] for k in columns]
             found = _most_violated(c, times, m, pooled)
+            if found is None:
+                x = _canonical_pass(model, vertex.objective).values
+                c = [x[k] for k in columns]
+                found = _most_violated(c, times, m, pooled)
+        return model, x, history, cuts
+
+    try:
+        model, x, history, cuts = cutting_planes()
+    except LpError:
+        _set_presolve(True)
+        try:
+            model, x, history, cuts = cutting_planes()
+        finally:
+            _set_presolve(False)
 
     energization = dict(zip(iids, x))
     completion = {lid: energization[of_line[lid]] if p[lid] > 0 else 0.0 for lid in lids}

@@ -648,11 +648,17 @@ def reference_full_space_relaxation(
 
 def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:
     """The relaxation's optimum with every one of its 2^n - 1 load cuts a row
-    of the full-space model, solved once by `lp._solve_linprog`: the LP the
-    cutting planes close in on, with no separation at all.  Each cut row is
-    divided by min(1, p(A)), as `lp` divides its own, so that HiGHS's
-    absolute feasibility tolerance is no looser on a cut of tiny times than
-    on a bound.  At most 10 damaged lines."""
+    of the full-space model, solved once by `linprog`'s dual simplex with
+    presolve on: the LP the cutting planes close in on, with no separation
+    at all.  Each cut row is divided by min(1, p(A)), as `lp` divides its
+    own, so that HiGHS's absolute feasibility tolerance is no looser on a
+    cut of tiny times than on a bound.  At most 10 damaged lines.
+
+    Presolve stays on here although `lp` solves with it off: on seed 75 of
+    `test_every_subset_cut_up_front_on_mixed_magnitudes` the presolve-off
+    dual simplex ends this LP at 838888.4279137279, where the presolve-on
+    dual simplex and HiGHS's interior point method (presolve on or off) give
+    838888.4231531104 and the island loop 838888.4231578679."""
     p = instance.repair_times()
     lines = [lid for lid in sorted(p) if p[lid] > 0]
     if len(lines) > MAX_ALL_SUBSET_LINES:
@@ -665,4 +671,13 @@ def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:
             scale = min(1.0, math.fsum(times))
             model.add_row([column[lid] for lid in subset], [t / scale for t in times],
                           load_rhs(times, m) / scale)
-    return lp._solve_linprog(model).objective
+    from scipy.optimize import linprog
+
+    dense = np.zeros((len(model.rhs), len(model.variables)))  # the `<=` rows
+    dense[np.repeat(np.arange(len(model.rhs)), np.diff(model.start)), model.index] = model.value
+    res = linprog(model.objective, A_ub=dense if model.rhs else None,
+                  b_ub=-np.array(model.rhs) if model.rhs else None,
+                  bounds=[(lo, None) for lo in model.lower], method="highs-ds",
+                  options={**lp._HIGHS_OPTIONS, "presolve": True})
+    assert res.status == 0, res.message
+    return float(res.fun)

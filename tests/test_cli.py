@@ -659,6 +659,16 @@ LP_EXIT_3_OPEN = {
          ("l9", "7", "9", 0, True)],
         {"0": 264.5023435515692, "1": 6725.383675079929, "2": 2251.6047330169185, "3": 1,
          "5": 1, "6": 1, "9": 2}),
+    # fails with HiGHS presolve on and with it off; two crews solve it
+    "times of 1.8e-4 to 5.8e9, status Infeasible": (
+        [("l1", "0", "1", 2, True), ("l2", "1", "2", 1, True), ("l3", "0", "3", 2, False),
+         ("l4", "0", "4", 0, True), ("l5", "2", "5", 0.00017697142471849613, False),
+         ("l6", "0", "6", 5822861169.170683, False), ("l7", "2", "7", 100, True),
+         ("l8", "5", "8", 10.475179534316196, False), ("l9", "8", "9", 2, True),
+         ("l10", "7", "10", 25754687.893439732, False)],
+        {"0": 9241.901032831269, "2": 1, "4": 1, "5": 2720.610078914719,
+         "6": 3122.1210092026254, "7": 8764.5630745464, "8": 3165.768242965764,
+         "9": 7980.423371392228, "10": 1462.5341009453941}),
 }
 
 

@@ -282,6 +282,121 @@ def test_cached_zero_cost_lp_keeps_no_rows():
     assert len(cached.row_lower_) == len(cached.row_upper_) == 0
 
 
+def presolve(highs) -> str:
+    status, value = highs.getOptionValue("presolve")
+    return value
+
+
+def answer(sol) -> tuple:
+    """Every field of an `LpSolution`, floats by `repr`, so -0.0 differs from 0.0."""
+    return (repr(sol.completion), repr(sol.energization), repr(sol.midpoints),
+            repr(sol.objective), repr(sol.objective_history), sol.cuts, repr(sol.model))
+
+
+class TestPresolveFallback:
+    """`solve_relaxation` solves with HiGHS presolve off; a loop that fails is
+    run again from round 1 with presolve on, HiGHS's default, and the option
+    is off again after that run, whatever its end."""
+
+    CASES = [("fork.json", 2), ("feeder123.json", 3), ("golden-5", 3), ("golden-6", 3)]
+    MOVED = {"golden-5", "golden-6"}  # presolve moves their answer, so the two loops differ
+
+    @staticmethod
+    def relax(monkeypatch, highs, inst, m, fail_at=None):
+        """`solve_relaxation` on `highs` as the shared instance, and the presolve
+        setting each of its solves saw; solve number `fail_at` raises."""
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), highs))
+        seen = []
+
+        def record(model):
+            seen.append(presolve(highs))
+            if len(seen) == fail_at:
+                raise lp.Infeasible("stand-in for HiGHS failing with presolve off")
+            return simplex_solve(model)
+
+        monkeypatch.setattr(lp, "simplex_solve", record)
+        sol = solve_relaxation(inst, crews=m)
+        monkeypatch.undo()
+        return sol, seen
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    @pytest.mark.parametrize("name, m", CASES)
+    def test_a_failed_loop_gives_the_presolve_on_answer(self, monkeypatch, name, m, at):
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        inst = case_instance(name)
+        # the presolve-on loop: nothing fails, so nothing reruns
+        on = _new_highs()
+        assert on.setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
+        want, on_seen = self.relax(monkeypatch, on, inst, m)
+        off, off_seen = self.relax(monkeypatch, _new_highs(), inst, m)
+        assert on_seen == ["on"] * len(on_seen) and off_seen == ["off"] * len(off_seen)
+        assert (answer(off) != answer(want)) == (name in self.MOVED)
+
+        failed, used = 1 if at == "first" else len(off_seen), _new_highs()
+        got, seen = self.relax(monkeypatch, used, inst, m, fail_at=failed)
+        assert seen == off_seen[:failed] + on_seen
+        assert answer(got) == answer(want)
+        assert presolve(used) == "off" and lp._presolve is False
+        assert answer(self.relax(monkeypatch, used, inst, m)[0]) == answer(off)
+
+    @pytest.mark.parametrize("failure", [Infeasible, lp.IterationLimit])
+    def test_presolve_is_off_after_the_rerun_fails_too(self, monkeypatch, feeder123, failure):
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
+        seen = []
+
+        def fail(model):
+            seen.append(presolve(lp._shared_highs()))
+            raise failure(f"stand-in for a failure with presolve {seen[-1]}")
+
+        monkeypatch.setattr(lp, "simplex_solve", fail)
+        with pytest.raises(failure, match="with presolve on"):
+            solve_relaxation(feeder123, crews=3)
+        assert seen == ["off", "on"]
+        assert presolve(lp._shared_highs()) == "off" and lp._presolve is False
+
+    def test_the_linprog_fallback_reruns_with_presolve_on(self, monkeypatch):
+        """Where the binding is missing, `linprog` gets the presolve setting."""
+        inst = case_instance("golden-5")
+        monkeypatch.setattr(lp, "_solve_highs", lambda model: None)
+        monkeypatch.setattr(lp, "_presolve", True)
+        want = solve_relaxation(inst, crews=3)  # the presolve-on loop through linprog
+        monkeypatch.setattr(lp, "_presolve", False)
+        off = solve_relaxation(inst, crews=3)
+        assert answer(off) != answer(want)
+        seen = []
+
+        def fail_once(model):
+            seen.append(lp._presolve)
+            if len(seen) == 1:
+                raise lp.Unbounded("stand-in for HiGHS failing with presolve off")
+            return simplex_solve(model)
+
+        monkeypatch.setattr(lp, "simplex_solve", fail_once)
+        assert answer(solve_relaxation(inst, crews=3)) == answer(want)
+        assert seen[:2] == [False, True] and lp._presolve is False
+
+    def test_a_rerun_loads_no_numpy(self, tmp_path):
+        proc = run_fresh(f"""
+            import sys
+            from gridrepair import cli, lp
+            solve, failed = lp.simplex_solve, []
+            def fail_once(model):
+                if not failed:
+                    failed.append(model)
+                    raise lp.LpError("stand-in for HiGHS failing with presolve off")
+                return solve(model)
+            lp.simplex_solve = fail_once
+            assert cli.main(["schedule", {str(FIXTURES / "feeder123.json")!r}, "--alg",
+                             "lp-list", "--crews", "3", "--out", {str(tmp_path / "o.json")!r}]) == 0
+            assert failed and lp._shared_highs().getOptionValue("presolve")[1] == "off"
+            assert "numpy" not in sys.modules
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+
 FALLBACK_SOLVES = textwrap.dedent(f"""
     import copy, sys
     from gridrepair import harness, lp
@@ -801,14 +916,15 @@ def test_a_repair_time_of_1e15_now_solves():
 
 def test_rows_just_inside_highs_limits_solve():
     # a largest cut rhs of 3.75e18, and a weight just below 1e15: the points
-    # pinned are those solve_relaxation gave before it checked HiGHS's limits
+    # pinned are those solve_relaxation gave before it checked HiGHS's limits,
+    # but for e1 of the second, 1 ulp above its presolve-on value 1.2499999974999996
     sol = solve_relaxation(_path([1e9] * 3, [1, 1, 1]), crews=2)
     assert (sol.completion, sol.energization) == (
         {"e1": 1e9, "e2": 1.375e9, "e3": 1.375e9}, {"e1": 1e9, "e2": 1.375e9})
     sol = solve_relaxation(_path([1, 1, 1], [1, 1e15 - 2, 1]), crews=2)
     assert (sol.completion, sol.energization) == (
-        {"e1": 1.2499999974999996, "e2": 1.25000000125, "e3": 1.25000000125},
-        {"e1": 1.2499999974999996, "e2": 1.25000000125})
+        {"e1": 1.2499999974999998, "e2": 1.25000000125, "e3": 1.25000000125},
+        {"e1": 1.2499999974999998, "e2": 1.25000000125})
 
 
 class TestMidpoints:

@@ -46,6 +46,7 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
     for group in result["relaxation"].values():
         assert group["separation_calls"] == [group["calls"] + n for n in group["highs_solves"]]
         assert [seconds > 0 for seconds in group["separation_s"]] == [group["calls"] > 0] * 2
+        assert group["presolve_fallbacks"] == [0, 0]
 
 
 def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
@@ -67,3 +68,30 @@ def test_tree_diff_rejects_an_option_below_one(option):
     proc = tree_diff(option, "0", str(ROOT / "src"))
     assert proc.returncode == 2 and not proc.stdout
     assert f"error: {option} must be at least 1" in proc.stderr
+
+
+# appended to the copy's lp.py: every solve with presolve off fails
+PRESOLVE_OFF_FAILS = """
+
+_unpatched_simplex_solve = simplex_solve
+
+
+def simplex_solve(model):
+    if not _presolve:
+        raise Infeasible("stand-in for HiGHS failing with presolve off")
+    return _unpatched_simplex_solve(model)
+"""
+
+
+def test_tree_diff_counts_the_presolve_on_reruns(tmp_path):
+    lp = patched_src(tmp_path, "lp.py")
+    with open(lp, "a") as out:
+        out.write(PRESOLVE_OFF_FAILS)
+    proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
+    assert proc.returncode in (0, 1), proc.stderr
+    relaxation = json.loads(proc.stdout)["relaxation"]
+    # a call reruns once its first solve fails; with n <= m none solves
+    assert relaxation["n<=m"]["presolve_fallbacks"] == [0, 0]
+    group = relaxation["n>m"]
+    assert group["presolve_fallbacks"][0] == 0 < group["presolve_fallbacks"][1] <= group["calls"]
+    assert group["highs_solves"][1] == group["highs_solves"][0] + group["presolve_fallbacks"][1]
