@@ -14,7 +14,8 @@ timed, and the CLI commands of a fourth each run in a process of their own:
   --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), at
   m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls
   (rounds and canonical passes), whether it ran its loop again with HiGHS
-  presolve on (`lp._set_presolve(True)`; never in a tree without it) and
+  presolve on after a failed solve or a last vertex off its optimum
+  (`lp._set_presolve(True)`; never in a tree without it) and
   its separation calls (`lp._most_violated`), with their seconds, on the
   untimed pass, then the lp-list schedule built from it (not timed);
 * `oracle`: `oracle.brute_force_optimal` on the same (instance, m);

@@ -47,15 +47,20 @@ picks.
 The loop runs on integer column indices and plain Python floats.  One
 HiGHS instance per process solves every model, and each round passes it
 the whole model afresh: a cold solve that keeps no basis.  Presolve is
-off: on models of a few columns and rows it is most of a solve.  A loop
-that fails with presolve off is run again from round 1 with presolve on,
-HiGHS's default, so that no input fails that the presolve-on loop
-solves; presolve is off again after that run, whatever its end.  The
-solve goes straight to HiGHS through SciPy's private binding
-(`scipy.optimize._highspy._core`, tested with SciPy 1.17) with the
-matrix, bounds and options that `linprog(method="highs-ds")` would pass,
-and falls back to `linprog` where that binding cannot be loaded; both
-give the same vertex bit for bit.  The binding is loaded from its file,
+off: on models of a few columns and rows it is most of a solve.  The loop
+is run again from round 1 with presolve on, HiGHS's default, when a solve
+fails with presolve off, and when its last vertex is not optimal: with
+presolve off, on times that span about seven orders of magnitude or more,
+HiGHS can return the duals of an optimal basis with primal values that
+miss it, a row it holds tight left slack, and an objective above the
+model's optimum by the complementary-slackness gap (`_slackness_gap`).
+The rerun is the presolve-on loop bit for bit, and presolve is off again
+after it, whatever its end.  The solve goes straight to HiGHS through
+SciPy's private binding (`scipy.optimize._highspy._core`, tested with
+SciPy 1.17) with the matrix, bounds and options that
+`linprog(method="highs-ds")` would pass, and falls back to `linprog`
+where that binding cannot be loaded; both give the same vertex and duals
+bit for bit.  The binding is loaded from its file,
 without the half second of importing `scipy.optimize`, and only by the
 functions that solve.  Only the `linprog` fallback loads NumPy: the
 direct solve passes the binding lists and reads back only lists.
@@ -77,13 +82,14 @@ from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, Valida
 
 LP_TOLERANCE = 1e-9
 SEPARATION_TOLERANCE = 1e-10  # relative to the right-hand side of the prefix's cut
+SLACKNESS_TOLERANCE = 1e-13  # relative to the objective; see `_slackness_gap`
 _CORE = "scipy.optimize._highspy._core"  # the binding's module name
 
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": LP_TOLERANCE,
     "dual_feasibility_tolerance": LP_TOLERANCE,
 }
-_presolve = False  # HiGHS presolve: on only while `solve_relaxation` reruns a failed loop
+_presolve = False  # HiGHS presolve: on only while `solve_relaxation` reruns its loop
 
 
 class LpError(Exception):
@@ -100,6 +106,10 @@ class Unbounded(LpError):
 
 class IterationLimit(LpError):
     pass
+
+
+class CutPoolLimit(IterationLimit):
+    """Separation went on finding cuts past the pool's 10 n^2 subsets."""
 
 
 def load_rhs(subset_times: Iterable[float], m: int) -> float:
@@ -143,6 +153,8 @@ class LpModel:
 class LpVertex(NamedTuple):
     values: list[float]  # one entry per model variable, in column order
     objective: float
+    row_duals: Sequence[float] = ()  # one per row, HiGHS's sign; nonzero only on a tight row
+    reduced_costs: Sequence[float] = ()  # one per column; nonzero only at its lower bound
 
 
 def simplex_solve(model: LpModel) -> LpVertex:
@@ -287,7 +299,8 @@ def _solve_highs(model: LpModel) -> LpVertex | None:
             and all(v <= up + tol for v, up in zip(solution.row_value, upper))
             and not math.isnan(fun)):
         raise LpError("the optimal point HiGHS returned violates the constraints")
-    return LpVertex(values=x, objective=fun)
+    return LpVertex(values=x, objective=fun, row_duals=solution.row_dual,
+                    reduced_costs=solution.col_dual)
 
 
 def _solve_linprog(model: LpModel) -> LpVertex:
@@ -307,7 +320,28 @@ def _solve_linprog(model: LpModel) -> LpVertex:
     )
     if res.status != 0:
         raise {1: IterationLimit, 2: Infeasible, 3: Unbounded}.get(res.status, LpError)(res.message)
-    return LpVertex(values=res.x.tolist(), objective=float(res.fun))
+    return LpVertex(values=res.x.tolist(), objective=float(res.fun),
+                    row_duals=res.ineqlin.marginals.tolist(),
+                    reduced_costs=res.lower.marginals.tolist())
+
+
+def _slackness_gap(model: LpModel, vertex: LpVertex) -> float:
+    """The complementary-slackness gap of the vertex: |dual| times slack
+    summed over the rows, plus |reduced cost| times the distance from the
+    lower bound summed over the columns; 0 for a vertex without duals.
+
+    At an optimal vertex every product is zero but for rounding.  Where
+    HiGHS holds a row tight in its duals but leaves it slack in its values,
+    the gap is how far the objective lies above the model's optimum.  The
+    presolve-on loop's last vertices read at most 7e-14 of their objective
+    on a sweep of 53136 mixed-magnitude solved calls, hence
+    SLACKNESS_TOLERANCE."""
+    x, start, index, value = vertex.values, model.start, model.index, model.value
+    terms = [abs(y) * (math.fsum([-value[i] * x[index[i]] for i in range(start[k], start[k + 1])])
+                       - model.rhs[k])
+             for k, y in enumerate(vertex.row_duals) if y]
+    terms += [abs(d) * (v - lo) for d, v, lo in zip(vertex.reduced_costs, x, model.lower) if d]
+    return math.fsum(terms)
 
 
 def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m: int) -> float:
@@ -438,8 +472,10 @@ def solve_relaxation(
     Round 1, unsolved, is E = E-infinity; each later round adds the most
     violated cut and solves the model cold.  Separation is re-checked on the
     canonical pass's point too.  Every solve runs with HiGHS presolve off; if
-    the loop raises LpError, it runs once more from round 1 with presolve
-    on, and that run's answer or error is the call's.
+    a solve fails (LpError, but for the cut pool's CutPoolLimit) or the last
+    vertex's `_slackness_gap` exceeds SLACKNESS_TOLERANCE of its objective,
+    the loop runs once more from round 1 with presolve on, and that run's
+    answer or error is the call's.
     """
     own = islands is None and precedence is None  # the instance's, which keeps E-infinity
     islands = instance.islands if islands is None else islands
@@ -469,9 +505,10 @@ def solve_relaxation(
     least = [energization[iid] for iid in iids]
     cut_limit = 10 * max(1, len(p)) ** 2
 
-    def cutting_planes() -> tuple[LpModel, list[float], list[float], list[Cut]]:
+    def cutting_planes() -> tuple[LpModel, LpVertex, list[float], list[float], list[Cut]]:
         model = _base_model(instance, islands, precedence)
         cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
+        vertex = LpVertex(values=least, objective=harm)  # round 1, unsolved: no duals
         x, history = least, [harm]
         c = [x[k] for k in columns]
         found = _most_violated(c, times, m, pooled)
@@ -488,7 +525,7 @@ def solve_relaxation(
             pooled.add(subset)
             if len(pooled) > cut_limit:
                 violation = _violation(subset, c, times, m)
-                raise IterationLimit(
+                raise CutPoolLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
             vertex = simplex_solve(model)
             history.append(vertex.objective)
@@ -499,14 +536,20 @@ def solve_relaxation(
                 x = _canonical_pass(model, vertex.objective).values
                 c = [x[k] for k in columns]
                 found = _most_violated(c, times, m, pooled)
-        return model, x, history, cuts
+        return model, vertex, x, history, cuts
 
     try:
-        model, x, history, cuts = cutting_planes()
-    except LpError:
+        model, vertex, x, history, cuts = cutting_planes()
+        rerun = (_slackness_gap(model, vertex)
+                 > SLACKNESS_TOLERANCE * max(1.0, abs(vertex.objective)))
+    except CutPoolLimit:
+        raise
+    except LpError:  # a solve failed
+        rerun = True
+    if rerun:
         _set_presolve(True)
         try:
-            model, x, history, cuts = cutting_planes()
+            model, vertex, x, history, cuts = cutting_planes()
         finally:
             _set_presolve(False)
 

@@ -474,7 +474,8 @@ def reference_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -
 def reference_solve_highs(model: LpModel, highs=None) -> LpVertex | None:
     """`lp._solve_highs` as first written: every field of the HighsLp, the
     cost vector too, set from Python lists before one `passModel`.  Setting
-    `col_cost_` loads NumPy, since SciPy's binding types it as an array."""
+    `col_cost_` loads NumPy, since SciPy's binding types it as an array.  The
+    vertex carries HiGHS's duals, as `lp`'s does."""
     highs = lp._shared_highs() if highs is None else highs
     if highs is None:
         return None
@@ -510,7 +511,8 @@ def reference_solve_highs(model: LpModel, highs=None) -> LpVertex | None:
             and all(v <= up + tol for v, up in zip(solution.row_value, upper))
             and not math.isnan(fun)):
         raise lp.LpError("the optimal point HiGHS returned violates the constraints")
-    return LpVertex(values=x, objective=fun)
+    return LpVertex(values=x, objective=fun, row_duals=solution.row_dual,
+                    reduced_costs=solution.col_dual)
 
 
 def full_space_base_model(
@@ -541,7 +543,7 @@ def full_space_base_model(
     return model
 
 
-def reference_full_space_relaxation(
+def _full_space_relaxation(
     instance: NetworkInstance,
     islands: IslandSet | None = None,
     precedence: PrecedenceGraph | None = None,
@@ -644,6 +646,23 @@ def reference_full_space_relaxation(
         objective_history=history,
         model=model,
     )
+
+
+def reference_full_space_relaxation(
+    instance: NetworkInstance,
+    islands: IslandSet | None = None,
+    precedence: PrecedenceGraph | None = None,
+    crews: int | None = None,
+) -> LpSolution:
+    """`_full_space_relaxation` with HiGHS presolve on, as every solve was
+    when it was written, so the reference does not move with the
+    presolve-off solve of `lp.solve_relaxation`.  Presolve is off again
+    after it, whatever its end."""
+    lp._set_presolve(True)
+    try:
+        return _full_space_relaxation(instance, islands, precedence, crews)
+    finally:
+        lp._set_presolve(False)
 
 
 def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:

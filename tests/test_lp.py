@@ -17,7 +17,8 @@ import numpy as np
 
 from gridrepair import lp, oracle
 from gridrepair import schedule as sched
-from gridrepair.harness import GenParams, generate_random, load_instance, random_raw
+from gridrepair.harness import (GenParams, bench_instance, generate_random, load_instance,
+                               random_raw)
 from gridrepair.lp import (
     Cut,
     Infeasible,
@@ -165,6 +166,9 @@ class TestSimplexSolve:
             direct, reference = _solve_highs(model), _solve_linprog(model)
             assert list(direct.values) == list(reference.values)
             assert direct.objective == reference.objective
+            # the same duals, so both paths judge a vertex by the same slackness gap
+            assert list(direct.row_duals) == list(reference.row_duals)
+            assert list(direct.reduced_costs) == list(reference.reduced_costs)
 
     @pytest.mark.parametrize("name, m", ROUND_CASES)
     def test_sparse_rows_give_the_dense_path_matrix(self, monkeypatch, name, m):
@@ -282,6 +286,23 @@ def test_cached_zero_cost_lp_keeps_no_rows():
     assert len(cached.row_lower_) == len(cached.row_upper_) == 0
 
 
+def mixed_magnitude_feeder(seed):
+    """Feeder `seed` of a sweep of 2-20 nodes, switch probability 0.5, each
+    repair time 0, one of 1, 2 and 100, log-uniform over 1e-6 to 1e12 or
+    uniform to 1e12, and each node weight 0, 1 or uniform to 1e4."""
+    rng = random.Random(seed)
+    nodes = rng.randint(2, 20)
+    raw = random_raw(GenParams(seed=seed, nodes=(nodes, nodes), switch_probability=0.5))
+    for line in raw["lines"]:
+        kind = rng.randrange(4)
+        line["repair_time"] = (0 if kind == 0 else rng.choice([1, 2, 100]) if kind == 1
+                               else 10 ** rng.uniform(-6, 12) if kind == 2
+                               else rng.uniform(0, 1e12))
+    for node in raw["nodes"]:
+        node["weight"] = rng.choice([0, 1, rng.uniform(0, 1e4)])
+    return validate(raw)
+
+
 def presolve(highs) -> str:
     status, value = highs.getOptionValue("presolve")
     return value
@@ -377,6 +398,87 @@ class TestPresolveFallback:
         monkeypatch.setattr(lp, "simplex_solve", fail_once)
         assert answer(solve_relaxation(inst, crews=3)) == answer(want)
         assert seen[:2] == [False, True] and lp._presolve is False
+
+    @pytest.mark.parametrize("name, m", CASES)
+    def test_a_vertex_off_its_optimum_reruns(self, monkeypatch, name, m):
+        """Every presolve-off vertex is moved up by 1 in each column, off every
+        bound and tight row its duals name: the loop ends on a positive
+        slackness gap and runs again with presolve on."""
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        inst = case_instance(name)
+        on = _new_highs()
+        assert on.setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
+        want, on_seen = self.relax(monkeypatch, on, inst, m)
+        assert len(on_seen) >= 2  # a solved round and the canonical pass
+
+        def shifted(model):
+            vertex = simplex_solve(model)
+            if lp._presolve:
+                return vertex
+            moved = [v + 1.0 for v in vertex.values]
+            objective = math.fsum(w * v for w, v in zip(model.objective, moved))
+            return vertex._replace(values=moved, objective=objective)
+
+        used, gaps = _new_highs(), []
+        gap = lp._slackness_gap
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), used))
+        monkeypatch.setattr(lp, "simplex_solve", shifted)
+        monkeypatch.setattr(lp, "_slackness_gap", lambda *a: gaps.append(gap(*a)) or gaps[-1])
+        got = solve_relaxation(inst, crews=m)
+        monkeypatch.undo()
+        assert len(gaps) == 1 and gaps[0] > 0.5  # a unit move per unit of weight, about
+        assert answer(got) == answer(want)
+        assert presolve(used) == "off" and lp._presolve is False
+
+    def test_the_cut_pool_limit_does_not_rerun(self, monkeypatch, fork):
+        """A loop that outgrows its cut pool fails at once, with presolve off:
+        a rerun would not stop it sooner."""
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
+        sizes, seen = iter(range(1, 10**6)), []
+
+        def endless(completions, times, m, pooled):
+            return (0,) * next(sizes), 0.0, 1.0  # a new subset each round, always met
+
+        def record(model):
+            seen.append(presolve(lp._shared_highs()))
+            return simplex_solve(model)
+
+        monkeypatch.setattr(lp, "_most_violated", endless)
+        monkeypatch.setattr(lp, "simplex_solve", record)
+        with pytest.raises(lp.CutPoolLimit, match="cut pool exceeded"):
+            solve_relaxation(fork, crews=2)
+        assert seen == ["off"] * (10 * len(fork.repair_times()) ** 2)
+        assert presolve(lp._shared_highs()) == "off" and lp._presolve is False
+
+    @pytest.mark.parametrize("seed", [4034, 5134, 9185, 13155])
+    def test_mixed_magnitude_feeders_end_at_the_optimum(self, monkeypatch, seed):
+        """Feeders of a mixed-magnitude sweep where, at m = 1, the presolve-off
+        loop ends above its model's optimum, and on 4034, 9185 and 13155
+        above the brute-force optimum: HiGHS holds a row tight that its
+        primal values leave slack.  The loop reruns with presolve on, and its
+        answer passes every certificate of `bench_instance`."""
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        inst = mixed_magnitude_feeder(seed)
+        got = solve_relaxation(inst, crews=1)
+        lp._set_presolve(True)
+        try:
+            want = solve_relaxation(inst, crews=1)
+        finally:
+            lp._set_presolve(False)
+        assert answer(got) == answer(want)
+        monkeypatch.setattr(lp, "SLACKNESS_TOLERANCE", math.inf)  # no rerun
+        assert solve_relaxation(inst, crews=1).objective > got.objective
+        monkeypatch.undo()
+
+        assert got.objective <= oracle.brute_force_optimal(inst, 1).harm + 1e-6
+        optimum = all_subset_relaxation(inst, 1)
+        weight = sum(inst.islands.weights.values())
+        assert got.objective <= optimum + lp.LP_TOLERANCE * (abs(optimum) + weight)
+        bench_instance(f"mixed-{seed}", inst, 1)  # raises if a certificate fails
 
     def test_a_rerun_loads_no_numpy(self, tmp_path):
         proc = run_fresh(f"""
