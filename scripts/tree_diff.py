@@ -15,7 +15,9 @@ timed, and the CLI commands of a fourth each run in a process of their own:
   m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls
   (rounds and canonical passes), whether it ran its loop again with HiGHS
   presolve on after a failed solve or a last vertex off its optimum
-  (`lp._set_presolve(True)`; never in a tree without it) and
+  (`lp._set_presolve(True)`; never in a tree without it), the cut rows that
+  round 1 seeded beside its own cut (the cuts beyond one per solved round;
+  0 in a tree that adds one cut per round) and
   its separation calls (`lp._most_violated`), with their seconds, on the
   untimed pass, then the lp-list schedule built from it (not timed);
 * `oracle`: `oracle.brute_force_optimal` on the same (instance, m);
@@ -41,7 +43,8 @@ One JSON object is printed, each figure listed per SRC in the order given:
 the median over a group of calls of each call's best time, in microseconds
 for the relaxation (per calls with at most m damaged lines, the others and
 all, with the total count of HiGHS solves, of calls that took the
-presolve-on rerun and of separation calls, and the separation's seconds:
+presolve-on rerun, of seeded cut rows and of separation calls, and the
+separation's seconds:
 the sum over the calls of each call's best) and for
 the oracle (per damaged-
 line count n and m), and in milliseconds per feeder size and form for load
@@ -86,8 +89,8 @@ LOAD_TIMES = ("load_write", "islands", "load_islands")
 
 # Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
 # JSON object of count, max_lines, crews and files; reports [seed, n, m] and
-# [HiGHS solves, separation calls, separation seconds, presolve-on reruns]
-# per call and, per layer, [times, answer] per call or file.
+# [HiGHS solves, separation calls, separation seconds, presolve-on reruns,
+# seeded cut rows] per call and, per layer, [times, answer] per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
@@ -157,8 +160,11 @@ lp.simplex_solve, lp._most_violated = counted, timed
 if set_presolve:
     lp._set_presolve = rerun
 for _, _, m, instance in calls:
-    counts.append([0, 0, 0.0, 0])
-    relaxation(instance, m)
+    counts.append([0, 0, 0.0, 0, 0])
+    _, answer = relaxation(instance, m)
+    if answer.startswith("["):  # not an error: the cuts beyond one per solved round
+        rounds, cuts = json.loads(answer)[3:5]
+        counts[-1][4] = cuts - (rounds - 1)
 lp.simplex_solve, lp._most_violated = solve, separate
 if set_presolve:
     lp._set_presolve = set_presolve
@@ -285,7 +291,7 @@ def main() -> int:
     trees = list(range(len(args.src)))
     best: dict[tuple[str, int, int], list[float]] = {}  # (layer, tree, call) -> best seconds
     answers: dict[tuple[str, int], set[str]] = {}  # (layer, call) -> every answer given
-    counts: dict[int, list[list]] = {}  # tree -> [solves, separations, seconds, reruns] per call
+    counts: dict[int, list[list]] = {}  # tree -> [solves, separations, seconds, reruns, seeded]
     cold: dict[tuple[int, int], tuple] = {}  # (tree, command) -> largest peak RSS, modules
     with tempfile.TemporaryDirectory() as cwd:  # so that no `gridrepair` is found beside it
         files = write_corpus(Path(cwd))
@@ -297,7 +303,7 @@ def main() -> int:
                 out = launch(args.src[tree], WORKER, [json.dumps(config)], cwd, "the worker")[2]
                 out["cli"] = [run_command(args.src[tree], argv, cwd) for argv in COMMANDS]
                 counts[tree], calls = out["counts"], out["calls"]
-                for j, (_, _, seconds, _) in enumerate(counts[tree]):
+                for j, (_, _, seconds, *_) in enumerate(counts[tree]):
                     key = ("separation", tree, j)
                     best[key] = [min(best.get(key, [seconds])[0], seconds)]
                 for layer in LAYERS:
@@ -327,6 +333,7 @@ def main() -> int:
             "calls": len(group), "median_best_us": medians("relaxation", group, 1e6, 1),
             "highs_solves": [sum(counts[tree][j][0] for j in group) for tree in trees],
             "presolve_fallbacks": [sum(counts[tree][j][3] for j in group) for tree in trees],
+            "seeded_cuts": [sum(counts[tree][j][4] for j in group) for tree in trees],
             "separation_calls": [sum(counts[tree][j][1] for j in group) for tree in trees],
             "separation_s": [round(sum(best["separation", tree, j][0] for j in group), 6)
                              for tree in trees]}

@@ -37,6 +37,7 @@ from gridrepair.algos import AlgoResult
 from gridrepair.model import NetworkInstance
 
 MAX_BRUTE_FORCE_LINES = 9
+ULPS = 2.0**-50  # the relative slack `certify_row` allows a bound, about 4 ulps
 
 
 class TooLarge(ValueError):
@@ -192,17 +193,22 @@ def certify_row(
         if e > 2.0 * alg1.lp.energization[iid] + tol:
             failures.append(f"2x energization bound broken for island {iid}")
 
+    def above(value: float, bound: float, slack: float) -> bool:
+        # a few ulps of the bound on top of the absolute slack: both sides are
+        # rounded sums and products, which miss by one rounding from about 1e11
+        return value > bound + slack + ULPS * abs(bound)
+
     # per-island conversion bound
     single, (infinite_e, infinite_harm) = alg2.single_crew, instance.infinite_crew_energization
     for iid, e in alg2.energization.items():
         bound = single.energization[iid] / m + (m - 1) / m * infinite_e[iid]
-        if e > bound + 1e-9:
+        if above(e, bound, 1e-9):
             failures.append(f"conversion bound broken for island {iid}")
 
     if h_opt is not None:
-        if alg1.harm > 2.0 * h_opt + tol:
+        if above(alg1.harm, 2.0 * h_opt, tol):
             failures.append("2x harm guarantee broken")
-        if alg2.harm > (2.0 - 1.0 / m) * h_opt + tol:
+        if above(alg2.harm, (2.0 - 1.0 / m) * h_opt, tol):
             failures.append("(2 - 1/m) harm guarantee broken")
         if alg1.lp.objective > h_opt + tol:
             failures.append("relaxation exceeds the optimum")

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import strategies as st
 
 from gridrepair import lp, oracle, schedule
-from gridrepair.harness import GenParams, bench_instance, generate_random, load_instance
+from gridrepair.harness import (GenParams, bench_instance, generate_random, load_instance,
+                                random_raw)
 from gridrepair.lp import LpModel, LpSolution, LpVertex, load_rhs
 from gridrepair.model import (
     Island,
@@ -26,6 +28,7 @@ from gridrepair.model import (
     PrecedenceGraph,
     ValidationError,
     derive_line_weights,
+    validate,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -125,6 +128,23 @@ def generate_corpus(params, count):
     one from params.seed, as `gridrepair bench` draws them."""
     seeds = range(params.seed, params.seed + count)
     return [(f"gen-{seed}", generate_random(replace(params, seed=seed))) for seed in seeds]
+
+
+def mixed_magnitude_feeder(seed):
+    """Feeder `seed` of a sweep of 2-20 nodes, switch probability 0.5, each
+    repair time 0, one of 1, 2 and 100, log-uniform over 1e-6 to 1e12 or
+    uniform to 1e12, and each node weight 0, 1 or uniform to 1e4."""
+    rng = random.Random(seed)
+    nodes = rng.randint(2, 20)
+    raw = random_raw(GenParams(seed=seed, nodes=(nodes, nodes), switch_probability=0.5))
+    for line in raw["lines"]:
+        kind = rng.randrange(4)
+        line["repair_time"] = (0 if kind == 0 else rng.choice([1, 2, 100]) if kind == 1
+                               else 10 ** rng.uniform(-6, 12) if kind == 2
+                               else rng.uniform(0, 1e12))
+    for node in raw["nodes"]:
+        node["weight"] = rng.choice([0, 1, rng.uniform(0, 1e4)])
+    return validate(raw)
 
 
 def save_instance(path, instance):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import numpy as np
 
-from gridrepair import lp, oracle
+from gridrepair import lp, oracle, seq_opt
 from gridrepair import schedule as sched
 from gridrepair.harness import (GenParams, bench_instance, generate_random, load_instance,
                                random_raw)
@@ -40,6 +40,7 @@ from conftest import (
     all_subset_relaxation,
     exhaustive_separation,
     instances,
+    mixed_magnitude_feeder,
     path_raw,
     reference_full_space_relaxation,
     reference_most_violated,
@@ -62,8 +63,11 @@ POOL_CASES = [(f.name, m) for f in sorted(FIXTURES.glob("*.json")) for m in (1, 
 
 
 def case_instance(name):
-    """A fixture, a generated 50-line feeder (`gen-<seed>`) or one of the
-    generated 60-line feeders `tests/golden.json` pins (`golden-<seed>`)."""
+    """A fixture, a generated 50-line feeder (`gen-<seed>`), one of the
+    generated 60-line feeders `tests/golden.json` pins (`golden-<seed>`) or
+    the generated feeder of ROADMAP.md's tables (`lines-<n>`)."""
+    if name.startswith("lines-"):
+        return generated_feeder(int(name[6:]))
     if name.startswith("gen-"):
         return generate_random(GenParams(seed=int(name[4:]), nodes=(51, 51),
                                          switch_probability=0.1, repair_time=(1, 10)))
@@ -74,12 +78,43 @@ def case_instance(name):
     return load_instance(FIXTURES / name)
 
 
-def first_rows(model, rounds):
-    """The base rows of the final `model` of a relaxation of `rounds` rounds:
-    each round after the first added one load cut."""
-    k = len(model.rhs) - (rounds - 1)
+def generated_feeder(lines):
+    """`GenParams(seed=7)` with `lines` lines, 10 % switches, times 1 to 10, m = 3."""
+    return generate_random(GenParams(seed=7, nodes=(lines + 1, lines + 1), switch_probability=0.1,
+                                     repair_time=(1, 10), crews=(3,)))
+
+
+def first_rows(sol):
+    """The base rows of a relaxation's final model: all but its last
+    len(sol.cuts) rows, the load cuts."""
+    model, k = sol.model, len(sol.model.rhs) - len(sol.cuts)
     return replace(model, start=model.start[:k + 1], index=model.index[:model.start[k]],
                    value=model.value[:model.start[k]], rhs=model.rhs[:k])
+
+
+def seeded_prefixes(inst, m):
+    """The line sets of the load cuts `solve_relaxation` may seed beside
+    round 1's cut, from their definition: each prefix of the optimal
+    single-crew island order that ends at an island boundary, over the lines
+    of positive time, and is violated at E-infinity by more than
+    SEPARATION_TOLERANCE of its right-hand side and LP_TOLERANCE of its row
+    divisor min(1, p(A)); in order, each set once."""
+    p, islands = inst.repair_times(), inst.islands
+    energization, _ = sched.infinite_crew_energization(islands, inst.precedence, p)
+    line_ids = {isl.id: isl.line_ids for isl in islands.islands}
+    found, prefix = [], []
+    for iid in seq_opt.optimal_island_sequence(islands, inst.precedence):
+        added = [lid for lid in line_ids[iid] if p[lid] > 0]
+        if not added:
+            continue
+        prefix += added
+        rhs = load_rhs([p[lid] for lid in prefix], m)
+        violation = rhs - math.fsum(p[lid] * energization[islands.island_of_line[lid]]
+                                    for lid in prefix)
+        scale = min(1.0, math.fsum(p[lid] for lid in prefix))
+        if violation > max(lp.SEPARATION_TOLERANCE * rhs, lp.LP_TOLERANCE * scale):
+            found.append(frozenset(prefix))
+    return found
 
 
 def round_models(monkeypatch, name, m):
@@ -97,7 +132,7 @@ def round_models(monkeypatch, name, m):
 
     monkeypatch.setattr(lp, "simplex_solve", record)
     sol = solve_relaxation(inst, crews=m)
-    base = first_rows(sol.model, sol.iterations)
+    base = first_rows(sol)
     if models:
         models.insert(0, base)
     else:
@@ -286,23 +321,6 @@ def test_cached_zero_cost_lp_keeps_no_rows():
     assert len(cached.row_lower_) == len(cached.row_upper_) == 0
 
 
-def mixed_magnitude_feeder(seed):
-    """Feeder `seed` of a sweep of 2-20 nodes, switch probability 0.5, each
-    repair time 0, one of 1, 2 and 100, log-uniform over 1e-6 to 1e12 or
-    uniform to 1e12, and each node weight 0, 1 or uniform to 1e4."""
-    rng = random.Random(seed)
-    nodes = rng.randint(2, 20)
-    raw = random_raw(GenParams(seed=seed, nodes=(nodes, nodes), switch_probability=0.5))
-    for line in raw["lines"]:
-        kind = rng.randrange(4)
-        line["repair_time"] = (0 if kind == 0 else rng.choice([1, 2, 100]) if kind == 1
-                               else 10 ** rng.uniform(-6, 12) if kind == 2
-                               else rng.uniform(0, 1e12))
-    for node in raw["nodes"]:
-        node["weight"] = rng.choice([0, 1, rng.uniform(0, 1e4)])
-    return validate(raw)
-
-
 def presolve(highs) -> str:
     status, value = highs.getOptionValue("presolve")
     return value
@@ -320,7 +338,8 @@ class TestPresolveFallback:
     is off again after that run, whatever its end."""
 
     CASES = [("fork.json", 2), ("feeder123.json", 3), ("golden-5", 3), ("golden-6", 3)]
-    MOVED = {"golden-5", "golden-6"}  # presolve moves their answer, so the two loops differ
+    # presolve moves their answer, so the two loops differ
+    MOVED = {"feeder123.json", "golden-5", "golden-6"}
 
     @staticmethod
     def relax(monkeypatch, highs, inst, m, fail_at=None):
@@ -433,7 +452,8 @@ class TestPresolveFallback:
 
     def test_the_cut_pool_limit_does_not_rerun(self, monkeypatch, fork):
         """A loop that outgrows its cut pool fails at once, with presolve off:
-        a rerun would not stop it sooner."""
+        a rerun would not stop it sooner.  Round 1's seeds count against the
+        pool, so the loop makes that many solves fewer."""
         if _new_highs() is None:
             pytest.skip("SciPy's HiGHS binding is not importable")
         monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
@@ -450,7 +470,8 @@ class TestPresolveFallback:
         monkeypatch.setattr(lp, "simplex_solve", record)
         with pytest.raises(lp.CutPoolLimit, match="cut pool exceeded"):
             solve_relaxation(fork, crews=2)
-        assert seen == ["off"] * (10 * len(fork.repair_times()) ** 2)
+        seeds = seeded_prefixes(fork, 2)
+        assert seeds and seen == ["off"] * (10 * len(fork.repair_times()) ** 2 - len(seeds))
         assert presolve(lp._shared_highs()) == "off" and lp._presolve is False
 
     @pytest.mark.parametrize("seed", [4034, 5134, 9185, 13155])
@@ -740,23 +761,45 @@ class TestSolveRelaxation:
         triple = load_rhs([1.0, 2.0, 3.0], 2)
         assert triple == pytest.approx(16.0)
 
-    @pytest.mark.parametrize("name, m", POOL_CASES)
+    @pytest.mark.parametrize("name, m", POOL_CASES + [("lines-200", 3), ("lines-400", 3)])
     def test_cut_pool_is_the_singletons_then_one_cut_per_round(self, name, m):
         """The singleton cuts are the columns' lower bounds, E of an island at
-        least each of its repair times, and each round after the first adds
-        one cut, the last rows of the model, aggregated per island."""
+        least each of its repair times.  Round 1 adds its cut, the most
+        violated at E-infinity, and beside it each island-boundary prefix of
+        the optimal single-crew island order that is violated there and not
+        yet pooled; each later round adds one cut.  The cuts are the last
+        rows of the model, in that order, each aggregated per island."""
         inst = case_instance(name)
         p, of_line = inst.repair_times(), inst.islands.island_of_line
         sol = solve_relaxation(inst, crews=m)
         lower = dict(zip(sol.model.variables, sol.model.lower))
         assert all(lower[f"E[{of_line[lid]}]"] >= t for lid, t in p.items())
-        assert len(sol.cuts) == sol.iterations - 1
+        least, _ = sched.infinite_crew_energization(inst.islands, inst.precedence, p)
+        first = separate({lid: least[of_line[lid]] for lid in p}, p, m)
+        seeds = [s for s in seeded_prefixes(inst, m) if first is None or s != first.lines]
+        if first is None:
+            assert sol.cuts == [] and sol.iterations == 1
+        else:
+            assert sol.cuts[0] == first
+            assert [cut.lines for cut in sol.cuts[1:1 + len(seeds)]] == seeds
+            assert len(sol.cuts) == len(seeds) + sol.iterations - 1
+        # the generated feeders go on past round 1's seeds; the fixtures rarely do
+        assert not name.startswith("lines-") or sol.iterations > 3
         first_cut = len(sol.model.rhs) - len(sol.cuts)
         for k, cut in enumerate(sol.cuts, first_cut):
             assert cut.rhs == load_rhs([p[j] for j in cut.lines], m)
             islands = sorted({of_line[j] for j in cut.lines})
             columns = sol.model.index[sol.model.start[k]:sol.model.start[k + 1]]
             assert [sol.model.variables[j] for j in columns] == [f"E[{i}]" for i in islands]
+
+    def test_seeds_leave_a_200_line_feeder_few_solves(self, monkeypatch):
+        """With one cut per round the 200-line generated feeder took 25 HiGHS
+        solves; round 1's seeds leave it 4, rounds and canonical pass."""
+        solves = []
+        solve = lp.simplex_solve
+        monkeypatch.setattr(lp, "simplex_solve", lambda model: solves.append(model) or solve(model))
+        sol = solve_relaxation(case_instance("lines-200"), crews=3)
+        assert len(solves) <= 6 and len(sol.cuts) > sol.iterations + 10
 
     def test_objective_history_monotone(self, fork, feeder123):
         for inst, m in ((fork, 2), (feeder123, 3)):
@@ -879,7 +922,7 @@ def assert_is_the_highs_answer(inst, m):
     if sol is None:
         assert solved  # the failure came from a solve, never from the unsolved round 1
         return
-    assert first_rows(sol.model, sol.iterations) == base
+    assert first_rows(sol) == base
     completions = [energization[of_line[lid]] for lid in lines]
     if _most_violated(completions, [p[lid] for lid in lines], m, ()) is None:
         # equal as numbers: the canonical pass may give -0.0 where the least point has 0.0

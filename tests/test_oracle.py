@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -12,7 +13,7 @@ from gridrepair import schedule as sched
 from gridrepair.harness import GenParams, generate_random, random_raw
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import certified_bounds, exhaustive_separation, instances
+from conftest import certified_bounds, exhaustive_separation, instances, mixed_magnitude_feeder
 
 
 def reference_brute_force(instance, m):
@@ -249,6 +250,28 @@ class TestCheckBounds:
                            match="below single-crew bound 32.0/2; m-crew optimum 15.5 below "
                                  "unlimited-crew bound 22"):
             oracle.certify_row("two_island", two_island, 2, alg1, alg2, 15.5)
+
+
+@pytest.mark.parametrize("seed, m, bound", [(10005, 3, "conversion bound"),
+                                             (722, 1, "(2 - 1/m) harm guarantee")])
+def test_a_bound_missed_by_one_rounding_is_met(seed, m, bound):
+    """Rows of the mixed-magnitude sweep whose energizations reach about 1e12
+    (feeder 10005: island l18 at 828011933311.7555 against its conversion
+    bound 828011933311.7554) and 1e16 (feeder 722: the conversion harm
+    7557835430169086.0 against the optimum 7557835430169085.0).  Both miss
+    by one rounding, which an absolute slack does not cover at that size."""
+    inst = mixed_magnitude_feeder(seed)
+    alg1 = algos.lp_list_schedule(inst, crews=m)
+    alg2 = algos.convert_single_to_m(inst, crews=m)
+    try:
+        h_opt = oracle.brute_force_optimal(inst, m).harm
+    except oracle.TooLarge:  # the conversion bound needs no optimum
+        h_opt = None
+    oracle.certify_row(f"mixed-{seed}", inst, m, alg1, alg2, h_opt)
+    message = rf"^mixed-{seed} \(m={m}\): {re.escape(bound)} broken"
+    with mock.patch.object(oracle, "ULPS", 0.0), pytest.raises(oracle.InvariantViolation,
+                                                               match=message):
+        oracle.certify_row(f"mixed-{seed}", inst, m, alg1, alg2, h_opt)
 
 
 class TestExhaustiveSeparation:

@@ -47,6 +47,9 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
         assert group["separation_calls"] == [group["calls"] + n for n in group["highs_solves"]]
         assert [seconds > 0 for seconds in group["separation_s"]] == [group["calls"] > 0] * 2
         assert group["presolve_fallbacks"] == [0, 0]
+        # round 1 seeds cuts only where it finds one, so never with a crew per line
+        seeded, spare = group["seeded_cuts"], group is result["relaxation"]["n<=m"]
+        assert seeded[0] == seeded[1] and (seeded[0] == 0) == spare
 
 
 def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
