@@ -38,11 +38,12 @@ time it meets every cut: (sum_A p)^2 <= m sum_A p^2 gives f(A) <=
 sum_A p^2, at most the left side.  Where round 1 does find a cut, it is
 seeded: beside that cut go, before the first solve, the cuts on the
 prefixes of the optimal single-crew island order (`seq_opt`) that end at an
-island boundary and that E-infinity violates by the same rule.  For one
-machine the vertex of a sequence is tight exactly on its prefix sets
-(Queyranne 1993), so these name most of the final cuts at once; on the
-lp-feeders benchmark they cut the solves per relaxation from 5.3 to 2.3.
-Every later round adds one cut.  Once no prefix is violated, a canonical
+island boundary and that E-infinity violates by the same rule, but for a
+right-hand side of 1e20 or more, which HiGHS cannot take.  For one machine
+the vertex of a sequence is tight exactly on its prefix sets (Queyranne
+1993), so these name most of the final cuts at once; on the lp-feeders
+benchmark they cut the solves per relaxation from 5.3 to 2.3.  Every later
+round adds one cut.  Once no prefix is violated, a canonical
 pass re-minimizes sum(E) with the objective capped at its optimum, so the
 point does not depend on the vertex HiGHS lands on.  Separation scores all
 prefixes in one pass of running sums and re-scores exactly (fsum), once
@@ -54,16 +55,21 @@ picks.
 The loop runs on integer column indices and plain Python floats.  One
 HiGHS instance per process solves every model, and each round passes it
 the whole model afresh: a cold solve that keeps no basis.  Presolve is
-off: on models of a few columns and rows it is most of a solve.  The loop
-is run again from round 1 with presolve on, HiGHS's default, when a solve
-fails with presolve off, and when its last vertex is not optimal: with
-presolve off, on times that span about seven orders of magnitude or more,
-HiGHS can return the duals of an optimal basis with primal values that
-miss it, a row it holds tight left slack, and an objective above the
-model's optimum by the complementary-slackness gap (`_slackness_gap`).
-The rerun is the presolve-on loop bit for bit, and presolve is off again
-after it, whatever its end.  The solve goes straight to HiGHS through
-SciPy's private binding (`scipy.optimize._highspy._core`, tested with
+off: on models of a few columns and rows it is most of a solve.  A loop
+is run again from round 1 when a solve fails, and when its last vertex is
+not optimal: with presolve off, on times that span about seven orders of
+magnitude or more, HiGHS can return the duals of an optimal basis with
+primal values that miss it, a row it holds tight left slack, and an
+objective above the model's optimum by the complementary-slackness gap
+(`_slackness_gap`).  It is also run again when its objective exceeds the
+harm of a schedule, the conversion bound of the list schedule in the
+single-crew order (`_conversion_harm`), which no relaxation can: on such
+times a seeded model can end there with no gap.  A seeded loop runs again
+without seeds, one cut per round, with presolve off, and that loop runs
+again with presolve on, HiGHS's default: the loops as they ran before
+round 1 was seeded, bit for bit.  Presolve is off again after the last
+run, whatever its end.  The solve goes straight to HiGHS through SciPy's
+private binding (`scipy.optimize._highspy._core`, tested with
 SciPy 1.17) with the matrix, bounds and options that
 `linprog(method="highs-ds")` would pass, and falls back to `linprog`
 where that binding cannot be loaded; both give the same vertex and duals
@@ -493,10 +499,13 @@ def solve_relaxation(
     the seeds of `_single_crew_prefixes` it violates, each later round adds
     the most violated cut, and each round's model is solved cold.
     Separation is re-checked on the canonical pass's point too.  Every solve
-    runs with HiGHS presolve off; if a solve fails (LpError, but for the cut
-    pool's CutPoolLimit) or the last vertex's `_slackness_gap` exceeds
-    SLACKNESS_TOLERANCE of its objective, the loop runs once more from
-    round 1 with presolve on, and that run's answer or error is the call's.
+    runs with HiGHS presolve off.  A loop is not taken if a solve fails
+    (LpError, but for the cut pool's CutPoolLimit, which is raised), its last
+    vertex's `_slackness_gap` exceeds SLACKNESS_TOLERANCE of its objective or
+    the objective exceeds `_conversion_harm`; then the loop runs again from
+    round 1 without seeds, one cut per round, first with presolve off (where
+    the first loop had seeds) and then with presolve on, and that last run's
+    answer or error is the call's.
     """
     own = islands is None and precedence is None  # the instance's, which keeps E-infinity
     islands = instance.islands if islands is None else islands
@@ -525,8 +534,19 @@ def solve_relaxation(
                           else sched.infinite_crew_energization(islands, precedence, p))
     least = [energization[iid] for iid in iids]
     cut_limit = 10 * max(1, len(p)) ** 2
+    at_least = [least[k] for k in columns]
+    first = _most_violated(at_least, times, m, ())  # round 1's cut: E-infinity is unsolved
+    order = [] if first is None else seq_opt.optimal_island_sequence(islands, precedence)
+    # its seeds: a right-hand side of 1e20 or more would be rejected, so such a seed is left out
+    seeds = [(prefix, *exact[1:]) for prefix in _single_crew_prefixes(order, lines, of_line)
+             if prefix != first[0] and (exact := _exact_cut(prefix, at_least, times, m))
+             and exact[1] < 1e20]
+    # no relaxation is above the harm of a schedule: that of the list schedule in `order`
+    ceiling = (_conversion_harm(order, islands, energization, m) * (1.0 + 1e-12) if order
+               else math.inf)
 
-    def cutting_planes() -> tuple[LpModel, LpVertex, list[float], list[float], list[Cut]]:
+    def cutting_planes(seeded: Sequence[tuple[tuple[int, ...], float, float]]
+                       ) -> tuple[LpModel, LpVertex, list[float], list[float], list[Cut]]:
         model = _base_model(instance, islands, precedence)
         cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
 
@@ -542,21 +562,12 @@ def solve_relaxation(
             pooled.add(subset)
 
         vertex = LpVertex(values=least, objective=harm)  # round 1, unsolved: no duals
-        x, history = least, [harm]
-        c = [x[k] for k in columns]
-        found = _most_violated(c, times, m, pooled)
-        seeds = () if found is None else _single_crew_prefixes(
-            seq_opt.optimal_island_sequence(islands, precedence), lines, of_line)
+        x, history, c, found = least, [harm], at_least, first
+        for cut in () if found is None else (found, *seeded):  # round 1's cut, then its seeds
+            add_cut(*cut)
         while found is not None:
-            subset = found[0]
-            add_cut(*found)
-            for prefix in seeds:  # round 1 only: those violated at E-infinity join its cut
-                exact = None if prefix in pooled else _exact_cut(prefix, c, times, m)
-                if exact is not None:
-                    add_cut(prefix, *exact[1:])
-            seeds = ()
             if len(pooled) > cut_limit:
-                violation = _violation(subset, c, times, m)
+                violation = _violation(found[0], c, times, m)
                 raise CutPoolLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
             vertex = simplex_solve(model)
@@ -568,20 +579,26 @@ def solve_relaxation(
                 x = _canonical_pass(model, vertex.objective).values
                 c = [x[k] for k in columns]
                 found = _most_violated(c, times, m, pooled)
+            if found is not None:
+                add_cut(*found)
         return model, vertex, x, history, cuts
 
-    try:
-        model, vertex, x, history, cuts = cutting_planes()
-        rerun = (_slackness_gap(model, vertex)
-                 > SLACKNESS_TOLERANCE * max(1.0, abs(vertex.objective)))
-    except CutPoolLimit:
-        raise
-    except LpError:  # a solve failed
-        rerun = True
-    if rerun:
+    # the seeded loop, then the loop of one cut per round with presolve off: the
+    # first that solves, leaves no gap and stays under the ceiling gives the answer
+    for pool in ([seeds] if seeds else []) + [()]:
+        try:
+            model, vertex, x, history, cuts = cutting_planes(pool)
+        except CutPoolLimit:
+            raise
+        except LpError:  # a solve failed
+            continue
+        if (_slackness_gap(model, vertex) <= SLACKNESS_TOLERANCE * max(1.0, abs(vertex.objective))
+                and history[-1] <= ceiling):
+            break
+    else:  # else the loop of one cut per round with presolve on, whatever its end
         _set_presolve(True)
         try:
-            model, vertex, x, history, cuts = cutting_planes()
+            model, vertex, x, history, cuts = cutting_planes(())
         finally:
             _set_presolve(False)
 
@@ -614,6 +631,21 @@ def _single_crew_prefixes(island_order: Iterable[str], lines: list[str],
         if iid in members:
             prefix = sorted(prefix + members[iid])
             yield tuple(prefix)
+
+
+def _conversion_harm(island_order: Sequence[str], islands: IslandSet,
+                     infinite: Mapping[str, float], m: int) -> float:
+    """Harm of the bound sum_i w_i (E1_i / m + (m - 1) / m E-infinity_i), with
+    E1 the single-crew energization along `island_order`, a linear extension
+    of the precedence: each island energizes by then in the list schedule on
+    m crews in that order (the conversion bound), so the optimum is no
+    higher."""
+    weights, done, terms = islands.weights, 0.0, []
+    processing = {isl.id: isl.processing for isl in islands.islands}
+    for iid in island_order:
+        done += processing[iid]
+        terms.append(weights[iid] * (done / m + (m - 1) / m * infinite[iid]))
+    return math.fsum(terms)
 
 
 def _limit(value: float, limit: float, what: str, *args: object) -> None:

@@ -147,6 +147,24 @@ def mixed_magnitude_feeder(seed):
     return validate(raw)
 
 
+def small_mixed_magnitude_feeder(seed):
+    """Feeder `seed` of ROADMAP item 7's sweep: 2-10 nodes, switch
+    probability 0, 0.3 or 1, each repair time 0, one of 1, 2 and 100 or
+    log-uniform over 1e-6 to 1e12, and each node weight 0, 1 or uniform to
+    1e4."""
+    rng = random.Random(seed)
+    nodes = rng.randint(2, 10)
+    raw = random_raw(GenParams(seed=seed, nodes=(nodes, nodes),
+                               switch_probability=rng.choice([0.0, 0.3, 1.0])))
+    for line in raw["lines"]:
+        kind = rng.randrange(3)
+        line["repair_time"] = (0 if kind == 0 else rng.choice([1, 2, 100]) if kind == 1
+                               else 10 ** rng.uniform(-6, 12))
+    for node in raw["nodes"]:
+        node["weight"] = rng.choice([0, 1, rng.uniform(0, 1e4)])
+    return validate(raw)
+
+
 def save_instance(path, instance):
     """Write `instance` as an indented instance file that `load_instance` reads back."""
     Path(path).write_text(json.dumps(instance_to_json(instance), indent=2) + "\n")

@@ -41,6 +41,7 @@ from conftest import (
     exhaustive_separation,
     instances,
     mixed_magnitude_feeder,
+    small_mixed_magnitude_feeder,
     path_raw,
     reference_full_space_relaxation,
     reference_most_violated,
@@ -332,25 +333,39 @@ def answer(sol) -> tuple:
             repr(sol.objective), repr(sol.objective_history), sol.cuts, repr(sol.model))
 
 
+def unseeded(monkeypatch):
+    """Make `solve_relaxation` add one cut per round in every loop, as its
+    reruns do: round 1 gets no seeds."""
+    monkeypatch.setattr(lp, "_single_crew_prefixes", lambda *args: ())
+
+
+def seeded(sol) -> bool:
+    """Whether round 1 of the relaxation `sol` seeded a cut beside its own."""
+    return len(sol.cuts) > sol.iterations - 1
+
+
 class TestPresolveFallback:
-    """`solve_relaxation` solves with HiGHS presolve off; a loop that fails is
-    run again from round 1 with presolve on, HiGHS's default, and the option
-    is off again after that run, whatever its end."""
+    """`solve_relaxation` solves with HiGHS presolve off; a seeded loop that
+    fails is run again from round 1 without seeds, one cut per round, and an
+    unseeded loop that fails is run again with presolve on, HiGHS's default.
+    The option is off again after that run, whatever its end."""
 
     CASES = [("fork.json", 2), ("feeder123.json", 3), ("golden-5", 3), ("golden-6", 3)]
-    # presolve moves their answer, so the two loops differ
-    MOVED = {"feeder123.json", "golden-5", "golden-6"}
+    # presolve moves their answer, so the two unseeded loops differ
+    MOVED = {"golden-5", "golden-6"}
 
     @staticmethod
-    def relax(monkeypatch, highs, inst, m, fail_at=None):
+    def relax(monkeypatch, highs, inst, m, fail_at=(), seeds=True):
         """`solve_relaxation` on `highs` as the shared instance, and the presolve
-        setting each of its solves saw; solve number `fail_at` raises."""
+        setting each of its solves saw; the solves numbered in `fail_at` raise."""
         monkeypatch.setattr(lp, "_shared", (os.getpid(), highs))
+        if not seeds:
+            unseeded(monkeypatch)
         seen = []
 
         def record(model):
             seen.append(presolve(highs))
-            if len(seen) == fail_at:
+            if len(seen) in fail_at:
                 raise lp.Infeasible("stand-in for HiGHS failing with presolve off")
             return simplex_solve(model)
 
@@ -365,20 +380,43 @@ class TestPresolveFallback:
         if _new_highs() is None:
             pytest.skip("SciPy's HiGHS binding is not importable")
         inst = case_instance(name)
-        # the presolve-on loop: nothing fails, so nothing reruns
+        # the unseeded presolve-on loop: nothing fails, so nothing reruns
         on = _new_highs()
         assert on.setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
-        want, on_seen = self.relax(monkeypatch, on, inst, m)
-        off, off_seen = self.relax(monkeypatch, _new_highs(), inst, m)
+        want, on_seen = self.relax(monkeypatch, on, inst, m, seeds=False)
+        off, off_seen = self.relax(monkeypatch, _new_highs(), inst, m, seeds=False)
         assert on_seen == ["on"] * len(on_seen) and off_seen == ["off"] * len(off_seen)
         assert (answer(off) != answer(want)) == (name in self.MOVED)
 
-        failed, used = 1 if at == "first" else len(off_seen), _new_highs()
-        got, seen = self.relax(monkeypatch, used, inst, m, fail_at=failed)
-        assert seen == off_seen[:failed] + on_seen
+        first, first_seen = self.relax(monkeypatch, _new_highs(), inst, m)
+        assert first_seen == ["off"] * len(first_seen)
+        # each presolve-off loop, seeded where it has seeds, fails at its first or last solve
+        loops = [first_seen, off_seen] if seeded(first) else [off_seen]
+        failed = [1 if at == "first" else len(loop) for loop in loops]
+        used = _new_highs()
+        got, seen = self.relax(monkeypatch, used, inst, m,
+                               fail_at={sum(failed[:k + 1]) for k in range(len(loops))})
+        assert seen == [s for loop, k in zip(loops, failed) for s in loop[:k]] + on_seen
         assert answer(got) == answer(want)
         assert presolve(used) == "off" and lp._presolve is False
-        assert answer(self.relax(monkeypatch, used, inst, m)[0]) == answer(off)
+        assert answer(self.relax(monkeypatch, used, inst, m)[0]) == answer(first)
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    @pytest.mark.parametrize("name, m", CASES[1:])
+    def test_a_failed_seeded_loop_gives_the_unseeded_answer(self, monkeypatch, name, m, at):
+        """Where round 1 seeds cuts and the seeded loop fails, the loop of one
+        cut per round runs with presolve off, and its answer is the call's."""
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        inst = case_instance(name)
+        want, off_seen = self.relax(monkeypatch, _new_highs(), inst, m, seeds=False)
+        first, first_seen = self.relax(monkeypatch, _new_highs(), inst, m)
+        assert seeded(first) and answer(first) != answer(want)
+        failed, used = 1 if at == "first" else len(first_seen), _new_highs()
+        got, seen = self.relax(monkeypatch, used, inst, m, fail_at={failed})
+        assert seen == first_seen[:failed] + off_seen == ["off"] * len(seen)
+        assert answer(got) == answer(want)
+        assert presolve(used) == "off" and lp._presolve is False
 
     @pytest.mark.parametrize("failure", [Infeasible, lp.IterationLimit])
     def test_presolve_is_off_after_the_rerun_fails_too(self, monkeypatch, feeder123, failure):
@@ -394,42 +432,45 @@ class TestPresolveFallback:
         monkeypatch.setattr(lp, "simplex_solve", fail)
         with pytest.raises(failure, match="with presolve on"):
             solve_relaxation(feeder123, crews=3)
-        assert seen == ["off", "on"]
+        assert seen == ["off", "off", "on"]  # seeded, then one cut per round
         assert presolve(lp._shared_highs()) == "off" and lp._presolve is False
 
     def test_the_linprog_fallback_reruns_with_presolve_on(self, monkeypatch):
         """Where the binding is missing, `linprog` gets the presolve setting."""
         inst = case_instance("golden-5")
         monkeypatch.setattr(lp, "_solve_highs", lambda model: None)
-        monkeypatch.setattr(lp, "_presolve", True)
-        want = solve_relaxation(inst, crews=3)  # the presolve-on loop through linprog
-        monkeypatch.setattr(lp, "_presolve", False)
-        off = solve_relaxation(inst, crews=3)
-        assert answer(off) != answer(want)
+        with monkeypatch.context() as patch:
+            unseeded(patch)
+            patch.setattr(lp, "_presolve", True)
+            want = solve_relaxation(inst, crews=3)  # the unseeded presolve-on loop, in linprog
+            patch.setattr(lp, "_presolve", False)
+            assert answer(solve_relaxation(inst, crews=3)) != answer(want)
         seen = []
 
-        def fail_once(model):
+        def fail_off(model):
             seen.append(lp._presolve)
-            if len(seen) == 1:
+            if not lp._presolve:
                 raise lp.Unbounded("stand-in for HiGHS failing with presolve off")
             return simplex_solve(model)
 
-        monkeypatch.setattr(lp, "simplex_solve", fail_once)
+        monkeypatch.setattr(lp, "simplex_solve", fail_off)
         assert answer(solve_relaxation(inst, crews=3)) == answer(want)
-        assert seen[:2] == [False, True] and lp._presolve is False
+        assert seen[:3] == [False, False, True] and lp._presolve is False
 
     @pytest.mark.parametrize("name, m", CASES)
     def test_a_vertex_off_its_optimum_reruns(self, monkeypatch, name, m):
         """Every presolve-off vertex is moved up by 1 in each column, off every
-        bound and tight row its duals name: the loop ends on a positive
-        slackness gap and runs again with presolve on."""
+        bound and tight row its duals name: each presolve-off loop, seeded
+        and then unseeded, ends on a positive slackness gap, and the loop
+        runs again with presolve on."""
         if _new_highs() is None:
             pytest.skip("SciPy's HiGHS binding is not importable")
         inst = case_instance(name)
         on = _new_highs()
         assert on.setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
-        want, on_seen = self.relax(monkeypatch, on, inst, m)
+        want, on_seen = self.relax(monkeypatch, on, inst, m, seeds=False)
         assert len(on_seen) >= 2  # a solved round and the canonical pass
+        loops = 2 if seeded(self.relax(monkeypatch, _new_highs(), inst, m)[0]) else 1
 
         def shifted(model):
             vertex = simplex_solve(model)
@@ -446,7 +487,7 @@ class TestPresolveFallback:
         monkeypatch.setattr(lp, "_slackness_gap", lambda *a: gaps.append(gap(*a)) or gaps[-1])
         got = solve_relaxation(inst, crews=m)
         monkeypatch.undo()
-        assert len(gaps) == 1 and gaps[0] > 0.5  # a unit move per unit of weight, about
+        assert len(gaps) == loops and min(gaps) > 0.5  # a unit move per unit of weight, about
         assert answer(got) == answer(want)
         assert presolve(used) == "off" and lp._presolve is False
 
@@ -485,13 +526,16 @@ class TestPresolveFallback:
             pytest.skip("SciPy's HiGHS binding is not importable")
         inst = mixed_magnitude_feeder(seed)
         got = solve_relaxation(inst, crews=1)
-        lp._set_presolve(True)
-        try:
-            want = solve_relaxation(inst, crews=1)
-        finally:
-            lp._set_presolve(False)
+        with monkeypatch.context() as patch:
+            unseeded(patch)
+            lp._set_presolve(True)
+            try:
+                want = solve_relaxation(inst, crews=1)
+            finally:
+                lp._set_presolve(False)
         assert answer(got) == answer(want)
         monkeypatch.setattr(lp, "SLACKNESS_TOLERANCE", math.inf)  # no rerun
+        monkeypatch.setattr(lp, "_conversion_harm", lambda *args: math.inf)
         assert solve_relaxation(inst, crews=1).objective > got.objective
         monkeypatch.undo()
 
@@ -500,6 +544,62 @@ class TestPresolveFallback:
         weight = sum(inst.islands.weights.values())
         assert got.objective <= optimum + lp.LP_TOLERANCE * (abs(optimum) + weight)
         bench_instance(f"mixed-{seed}", inst, 1)  # raises if a certificate fails
+
+    def test_both_presolve_off_loops_fail_on_a_small_feeder(self, monkeypatch):
+        """Feeder 75 of ROADMAP item 7's sweep, at m = 1: the seeded loop and
+        the loop of one cut per round fail with presolve off, and that loop
+        with presolve on solves it, as it did before round 1 was seeded."""
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        inst, seen = small_mixed_magnitude_feeder(75), []
+        solve = lp.simplex_solve
+        with monkeypatch.context() as patch:  # each solve's presolve setting and row count
+            patch.setattr(lp, "simplex_solve",
+                          lambda model: seen.append((lp._presolve, len(model.rhs))) or solve(model))
+            got = solve_relaxation(inst, crews=1)
+        # a loop starts afresh where the row count drops or presolve turns on:
+        # seeded, unseeded, then presolve on
+        starts = [k for k in range(len(seen))
+                  if k == 0 or seen[k][1] < seen[k - 1][1] or seen[k][0] != seen[k - 1][0]]
+        assert [seen[k][0] for k in starts] == [False, False, True]
+        with monkeypatch.context() as patch:
+            unseeded(patch)
+            lp._set_presolve(True)
+            try:
+                want = solve_relaxation(inst, crews=1)
+            finally:
+                lp._set_presolve(False)
+        assert answer(got) == answer(want)
+        assert got.objective <= oracle.brute_force_optimal(inst, 1).harm + 1e-6
+
+    @pytest.mark.parametrize("seed, fails", [(3586, True), (5886, False)])
+    def test_no_relaxation_above_the_optimum(self, monkeypatch, seed, fails):
+        """Feeders of ROADMAP item 7's sweep, at m = 1, on which the unseeded
+        loop fails with presolve on and off.  On 3586 the seeded loop ends
+        2.0 above the optimum, which the conversion bound, the single-crew
+        optimum at m = 1, catches: it reruns unseeded and fails like that
+        loop.  On 5886 it solves, below the optimum."""
+        if _new_highs() is None:
+            pytest.skip("SciPy's HiGHS binding is not importable")
+        inst = small_mixed_magnitude_feeder(seed)
+        optimum = oracle.brute_force_optimal(inst, 1).harm
+        with monkeypatch.context() as patch:
+            unseeded(patch)
+            lp._set_presolve(True)
+            try:
+                with pytest.raises(lp.LpError):
+                    solve_relaxation(inst, crews=1)
+            finally:
+                lp._set_presolve(False)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_conversion_harm", lambda *args: math.inf)  # no ceiling
+            unchecked = solve_relaxation(inst, crews=1).objective
+        if fails:
+            assert unchecked > optimum + 1e-6
+            with pytest.raises(lp.LpError):
+                solve_relaxation(inst, crews=1)
+        else:
+            assert solve_relaxation(inst, crews=1).objective == unchecked <= optimum + 1e-6
 
     def test_a_rerun_loads_no_numpy(self, tmp_path):
         proc = run_fresh(f"""

@@ -25,7 +25,8 @@ def tree_diff(*args: str) -> subprocess.CompletedProcess:
 
 
 def patched_src(tmp_path: Path, module: str) -> Path:
-    """A copy of `src` whose `gridrepair/<module>` the caller then patches."""
+    """A copy of `src` in `tmp_path` whose `gridrepair/<module>` the caller
+    then patches."""
     copy = tmp_path / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
     return copy / "gridrepair" / module
@@ -73,6 +74,14 @@ def test_tree_diff_rejects_an_option_below_one(option):
     assert f"error: {option} must be at least 1" in proc.stderr
 
 
+# appended to a copy's lp.py: round 1 seeds no cut, so every loop adds one cut per round
+NO_SEEDS = """
+
+
+def _single_crew_prefixes(island_order, lines, of_line):
+    return ()
+"""
+
 # appended to the copy's lp.py: every solve with presolve off fails
 PRESOLVE_OFF_FAILS = """
 
@@ -87,12 +96,16 @@ def simplex_solve(model):
 
 
 def test_tree_diff_counts_the_presolve_on_reruns(tmp_path):
-    lp = patched_src(tmp_path, "lp.py")
-    with open(lp, "a") as out:
-        out.write(PRESOLVE_OFF_FAILS)
-    proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
+    """Both trees seed no cuts, so a loop that fails reruns with presolve on
+    at once, in the same rounds as the other tree's presolve-off loop."""
+    trees = [tmp_path / "unseeded", tmp_path / "fails"]
+    for tree, patch in zip(trees, [NO_SEEDS, NO_SEEDS + PRESOLVE_OFF_FAILS]):
+        with open(patched_src(tree, "lp.py"), "a") as out:
+            out.write(patch)
+    proc = tree_diff("--count", "3", "--repeat", "1", *(str(tree / "src") for tree in trees))
     assert proc.returncode in (0, 1), proc.stderr
     relaxation = json.loads(proc.stdout)["relaxation"]
+    assert all(group["seeded_cuts"] == [0, 0] for group in relaxation.values())
     # a call reruns once its first solve fails; with n <= m none solves
     assert relaxation["n<=m"]["presolve_fallbacks"] == [0, 0]
     group = relaxation["n>m"]
