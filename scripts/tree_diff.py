@@ -13,13 +13,14 @@ timed, and the CLI commands of a fourth each run in a process of their own:
 * `relaxation`: on the corpus `gridrepair bench --seed 0 --count K
   --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), at
   m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls
-  (rounds and canonical passes), whether it ran its loop again with HiGHS
+  (rounds and canonical passes), its canonical passes (`lp._canonical_pass`,
+  which a unique optimum skips), whether it ran its loop again with HiGHS
   presolve on after a failed solve or a last vertex off its optimum
   (`lp._set_presolve(True)`; never in a tree without it), the cut rows that
   round 1 seeded beside its own cut (the cuts beyond one per solved round;
-  0 in a tree that adds one cut per round) and
-  its separation calls (`lp._most_violated`), with their seconds, on the
-  untimed pass, then the lp-list schedule built from it (not timed);
+  0 in a tree that adds one cut per round) and its separation calls
+  (`lp._most_violated`), with their seconds, on the untimed pass, then the
+  lp-list schedule built from it (not timed);
 * `oracle`: `oracle.brute_force_optimal` on the same (instance, m);
 * `load`: for each size of 100 to 2000 lines, five random radial feeders
   (node k hangs off a uniformly drawn earlier node, 10 % switches, repair
@@ -42,9 +43,9 @@ timed, and the CLI commands of a fourth each run in a process of their own:
 One JSON object is printed, each figure listed per SRC in the order given:
 the median over a group of calls of each call's best time, in microseconds
 for the relaxation (per calls with at most m damaged lines, the others and
-all, with the total count of HiGHS solves, of calls that took the
-presolve-on rerun, of seeded cut rows and of separation calls, and the
-separation's seconds:
+all, with the total count of HiGHS solves, of canonical passes, of calls
+that took the presolve-on rerun, of seeded cut rows and of separation
+calls, and the separation's seconds:
 the sum over the calls of each call's best) and for
 the oracle (per damaged-
 line count n and m), and in milliseconds per feeder size and form for load
@@ -90,7 +91,8 @@ LOAD_TIMES = ("load_write", "islands", "load_islands")
 # Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
 # JSON object of count, max_lines, crews and files; reports [seed, n, m] and
 # [HiGHS solves, separation calls, separation seconds, presolve-on reruns,
-# seeded cut rows] per call and, per layer, [times, answer] per call or file.
+# seeded cut rows, canonical passes] per call and, per layer, [times, answer]
+# per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
@@ -136,11 +138,15 @@ def load(path):
     return ([loaded - start + written, split - loaded, split - start],
             text + islands.getvalue())
 
-solve, separate, counts = lp.simplex_solve, lp._most_violated, []
+solve, separate, canonical, counts = lp.simplex_solve, lp._most_violated, lp._canonical_pass, []
 
 def counted(model):
     counts[-1][0] += 1
     return solve(model)
+
+def passed(*args):
+    counts[-1][5] += 1
+    return canonical(*args)
 
 def timed(*args):
     start = time.perf_counter()
@@ -156,16 +162,16 @@ def rerun(on):
     set_presolve(on)
 
 # looked up by the loop at each call, so every solve and separation is counted
-lp.simplex_solve, lp._most_violated = counted, timed
+lp.simplex_solve, lp._most_violated, lp._canonical_pass = counted, timed, passed
 if set_presolve:
     lp._set_presolve = rerun
 for _, _, m, instance in calls:
-    counts.append([0, 0, 0.0, 0, 0])
+    counts.append([0, 0, 0.0, 0, 0, 0])
     _, answer = relaxation(instance, m)
     if answer.startswith("["):  # not an error: the cuts beyond one per solved round
         rounds, cuts = json.loads(answer)[3:5]
         counts[-1][4] = cuts - (rounds - 1)
-lp.simplex_solve, lp._most_violated = solve, separate
+lp.simplex_solve, lp._most_violated, lp._canonical_pass = solve, separate, canonical
 if set_presolve:
     lp._set_presolve = set_presolve
 out = {"calls": [call[:3] for call in calls], "counts": counts,
@@ -291,7 +297,7 @@ def main() -> int:
     trees = list(range(len(args.src)))
     best: dict[tuple[str, int, int], list[float]] = {}  # (layer, tree, call) -> best seconds
     answers: dict[tuple[str, int], set[str]] = {}  # (layer, call) -> every answer given
-    counts: dict[int, list[list]] = {}  # tree -> [solves, separations, seconds, reruns, seeded]
+    counts: dict[int, list[list]] = {}  # tree -> per call [solves, separations, seconds, ...]
     cold: dict[tuple[int, int], tuple] = {}  # (tree, command) -> largest peak RSS, modules
     with tempfile.TemporaryDirectory() as cwd:  # so that no `gridrepair` is found beside it
         files = write_corpus(Path(cwd))
@@ -332,6 +338,7 @@ def main() -> int:
         result["relaxation"][label] = {
             "calls": len(group), "median_best_us": medians("relaxation", group, 1e6, 1),
             "highs_solves": [sum(counts[tree][j][0] for j in group) for tree in trees],
+            "canonical_passes": [sum(counts[tree][j][5] for j in group) for tree in trees],
             "presolve_fallbacks": [sum(counts[tree][j][3] for j in group) for tree in trees],
             "seeded_cuts": [sum(counts[tree][j][4] for j in group) for tree in trees],
             "separation_calls": [sum(counts[tree][j][1] for j in group) for tree in trees],

@@ -43,9 +43,14 @@ right-hand side of 1e20 or more, which HiGHS cannot take.  For one machine
 the vertex of a sequence is tight exactly on its prefix sets (Queyranne
 1993), so these name most of the final cuts at once; on the lp-feeders
 benchmark they cut the solves per relaxation from 5.3 to 2.3.  Every later
-round adds one cut.  Once no prefix is violated, a canonical
-pass re-minimizes sum(E) with the objective capped at its optimum, so the
-point does not depend on the vertex HiGHS lands on.  Separation scores all
+round adds one cut.  Once no prefix is violated, the vertex is the answer
+where it is the model's one optimal point: where it is dual-nondegenerate,
+with a row dual or reduced cost beyond LP_TOLERANCE on each of its n
+nonbasic variables (`_unique_optimum`; Bertsimas & Tsitsiklis 1997, 3.2).
+Elsewhere, at a degenerate optimum such as an island of weight 0 whose E is
+free, a canonical pass re-minimizes sum(E) with the objective capped at its
+optimum, so the point does not depend on the vertex HiGHS lands on, and
+separation is re-checked at that point.  Separation scores all
 prefixes in one pass of running sums and re-scores exactly (fsum), once
 each, only those whose score plus its rounding-error bound, 4(k+8) 2^-53
 times the sum of the magnitudes on a prefix of k lines, can still beat the
@@ -497,8 +502,9 @@ def solve_relaxation(
 
     Round 1, unsolved, is E = E-infinity; its most violated cut goes in with
     the seeds of `_single_crew_prefixes` it violates, each later round adds
-    the most violated cut, and each round's model is solved cold.
-    Separation is re-checked on the canonical pass's point too.  Every solve
+    the most violated cut, and each round's model is solved cold.  The last
+    vertex is the answer where `_unique_optimum` holds; else the canonical
+    pass's point is, and separation is re-checked on it.  Every solve
     runs with HiGHS presolve off.  A loop is not taken if a solve fails
     (LpError, but for the cut pool's CutPoolLimit, which is raised), its last
     vertex's `_slackness_gap` exceeds SLACKNESS_TOLERANCE of its objective or
@@ -551,8 +557,9 @@ def solve_relaxation(
         cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
 
         def add_cut(subset: tuple[int, ...], rhs: float, scale: float) -> None:
-            cut = Cut(frozenset(lines[i] for i in subset), rhs)
-            _limit(rhs, 1e20, "right-hand side of the load cut on {}", sorted(cut.lines))
+            cut = Cut(frozenset(map(lines.__getitem__, subset)), rhs)
+            if rhs >= 1e20:
+                _limit(rhs, 1e20, "right-hand side of the load cut on {}", sorted(cut.lines))
             coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
             for i in subset:  # p(A & island) per island column
                 coefficients[columns[i]] += times[i]
@@ -575,7 +582,7 @@ def solve_relaxation(
             x = vertex.values
             c = [x[k] for k in columns]
             found = _most_violated(c, times, m, pooled)
-            if found is None:
+            if found is None and not _unique_optimum(vertex, len(model.variables)):
                 x = _canonical_pass(model, vertex.objective).values
                 c = [x[k] for k in columns]
                 found = _most_violated(c, times, m, pooled)
@@ -653,6 +660,14 @@ def _limit(value: float, limit: float, what: str, *args: object) -> None:
     cannot take a matrix value of 1e15 or more, nor a bound of 1e20 or more."""
     if value >= limit:
         raise ValidationError(f"{what.format(*args)} {value!r} reaches HiGHS's limit {limit:g}")
+
+
+def _unique_optimum(vertex: LpVertex, columns: int) -> bool:
+    """Whether the vertex is dual-nondegenerate: exactly `columns` of its row
+    duals and reduced costs, one per nonbasic variable, exceed LP_TOLERANCE,
+    HiGHS's dual feasibility tolerance, in magnitude.  Then no other point is
+    optimal (Bertsimas & Tsitsiklis 1997, section 3.2)."""
+    return sum(abs(d) > LP_TOLERANCE for d in (*vertex.row_duals, *vertex.reduced_costs)) == columns
 
 
 def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:

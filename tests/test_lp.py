@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import numpy as np
 
-from gridrepair import lp, oracle, seq_opt
+from gridrepair import algos, lp, oracle, seq_opt
 from gridrepair import schedule as sched
 from gridrepair.harness import (GenParams, bench_instance, generate_random, load_instance,
                                random_raw)
@@ -351,8 +351,9 @@ class TestPresolveFallback:
     The option is off again after that run, whatever its end."""
 
     CASES = [("fork.json", 2), ("feeder123.json", 3), ("golden-5", 3), ("golden-6", 3)]
-    # presolve moves their answer, so the two unseeded loops differ
-    MOVED = {"golden-5", "golden-6"}
+    # presolve moves its answer, so the two unseeded loops differ; on golden-5
+    # they differed only after the canonical pass, which its unique optimum skips
+    MOVED = {"golden-6"}
 
     @staticmethod
     def relax(monkeypatch, highs, inst, m, fail_at=(), seeds=True):
@@ -437,7 +438,7 @@ class TestPresolveFallback:
 
     def test_the_linprog_fallback_reruns_with_presolve_on(self, monkeypatch):
         """Where the binding is missing, `linprog` gets the presolve setting."""
-        inst = case_instance("golden-5")
+        inst = case_instance("golden-6")
         monkeypatch.setattr(lp, "_solve_highs", lambda model: None)
         with monkeypatch.context() as patch:
             unseeded(patch)
@@ -908,6 +909,103 @@ class TestSolveRelaxation:
                 assert later >= earlier - 1e-9
 
 
+def pass_skipped(monkeypatch, inst, m):
+    """`solve_relaxation`'s answer, and whether its last loop ended on a
+    vertex that `_unique_optimum` took as the one optimal point (None where
+    it made no solve)."""
+    unique, seen = lp._unique_optimum, []
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_unique_optimum", lambda *args: seen.append(unique(*args)) or seen[-1])
+        sol = solve_relaxation(inst, crews=m)
+    return sol, (seen[-1] if seen else None)
+
+
+class TestUniqueOptimum:
+    """Once no prefix is violated, a dual-nondegenerate vertex is the model's
+    one optimal point and the answer; elsewhere the canonical pass runs."""
+
+    def test_a_unique_optimum_skips_the_pass(self, monkeypatch, feeder123):
+        """One HiGHS solve fewer than with the pass run at every optimum, and
+        the answer is the loop's last vertex bit for bit."""
+        solve, vertices = lp.simplex_solve, []
+        monkeypatch.setattr(lp, "simplex_solve",
+                            lambda model: vertices.append(solve(model)) or vertices[-1])
+        sol, skipped = pass_skipped(monkeypatch, feeder123, 3)
+        assert skipped
+        assert [v.hex() for v in sol.energization.values()] == [
+            v.hex() for v in vertices[-1].values]
+        assert repr(sol.objective) == repr(vertices[-1].objective)
+        solves = len(vertices)
+        monkeypatch.setattr(lp, "_unique_optimum", lambda *args: False)
+        forced = solve_relaxation(feeder123, crews=3)
+        assert len(vertices) - solves == solves + 1
+        assert repr(forced.objective) == repr(sol.objective)
+
+    def test_a_zero_weight_island_keeps_the_pass(self, monkeypatch):
+        """The last island weighs 0, so its E is free above 1.75 at the
+        optimum E = (1, 1, 1.75): the vertex is degenerate, and the answer
+        has the least sum(E), 3.75, even where the loop's vertex puts that E
+        higher.  (The pass may trade along the load cut on all three within
+        its cap's slack.)"""
+        inst, m = _path([1, 1, 1], [1, 1, 0], switches=(2, 3)), 2
+        canonical, passes = lp._canonical_pass, []
+        monkeypatch.setattr(lp, "_canonical_pass",
+                            lambda *args: passes.append(args) or canonical(*args))
+
+        def least(sol):
+            return (math.fsum(sol.energization.values()) == pytest.approx(3.75, rel=1e-12)
+                    and sol.energization["e3"] == pytest.approx(1.75, rel=1e-8))
+
+        sol, skipped = pass_skipped(monkeypatch, inst, m)
+        assert skipped is False and len(passes) == 1 and least(sol)
+        assert sol.objective == pytest.approx(2.0, rel=1e-12)
+        solve = lp.simplex_solve
+
+        def raised(model):  # the loop's vertices, E[e3] 1 higher; the pass's, as solved
+            vertex = solve(model)
+            if model.objective[-1]:
+                return vertex
+            return vertex._replace(values=[*vertex.values[:-1], vertex.values[-1] + 1.0])
+
+        monkeypatch.setattr(lp, "simplex_solve", raised)
+        assert least(solve_relaxation(inst, crews=m)) and len(passes) == 2
+
+    def test_an_exact_midpoint_tie_goes_by_depth_then_id(self, monkeypatch):
+        """At m = 1 line b, in the root island, and line a, behind a switch,
+        both of time 2, share E = 3 at the unique optimum (the heavier island
+        waits for the other): their midpoints tie exactly, and b, upstream,
+        goes first although a has the smaller id."""
+        inst = validate({
+            "root": "0", "crews": 1,
+            "nodes": [{"id": "0", "weight": 0}, {"id": "1", "weight": 1},
+                      {"id": "2", "weight": 2}],
+            "lines": [{"id": "b", "from": "0", "to": "1", "repair_time": 2, "switch": False},
+                      {"id": "a", "from": "1", "to": "2", "repair_time": 2, "switch": True}]})
+        monkeypatch.setattr(lp, "_canonical_pass", None)  # a pass would raise TypeError
+        result = algos.lp_list_schedule(inst, crews=1)
+        assert result.lp.midpoints == {"a": 2.0, "b": 2.0}
+        assert result.schedule.priority == ("b", "a")
+
+    def test_the_pass_barely_moves_a_unique_optimum(self, monkeypatch):
+        """Wherever the pass is skipped on the fixtures at m = 1..5 and the
+        corpus `gridrepair bench --seed 0 --count 200` draws at m = 2, 3, the
+        pass, run on the final model, moves sum(E) by at most 1e-5 relative:
+        the slack of its objective cap."""
+        calls = [(case_instance(name), m) for name in FIXTURE_NAMES for m in range(1, 6)]
+        calls += [(generate_random(GenParams(seed=seed)), m)
+                  for seed in range(200) for m in (2, 3)]
+        skips = solved = 0
+        for inst, m in calls:
+            sol, skipped = pass_skipped(monkeypatch, inst, m)
+            solved += skipped is not None
+            if skipped:
+                skips += 1
+                total = math.fsum(sol.energization.values())
+                moved = math.fsum(lp._canonical_pass(sol.model, sol.objective).values)
+                assert abs(moved - total) <= 1e-5 * total, (inst, m)
+        assert skips > solved / 2
+
+
 FIXTURE_NAMES = [f.name for f in sorted(FIXTURES.glob("*.json"))]
 
 
@@ -1100,8 +1198,12 @@ class TestSpareCrews:
         assert_is_the_highs_answer(inst, m)
 
 
-def _path(times, weights):
-    return validate(path_raw(times, weights))
+def _path(times, weights, switches=(2,)):
+    """`path_raw`'s feeder with a switch on each line e<k> for k in `switches`."""
+    raw = path_raw(times, weights)
+    for k, line in enumerate(raw["lines"], 1):
+        line["switch"] = k in switches
+    return validate(raw)
 
 
 # HiGHS rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as
@@ -1116,7 +1218,8 @@ LIMIT_CASES = {
         _path([1, 1, 1], [1, 1e16, 1]), "island 'e2' weight 1e+16 "),
     "an island weight of exactly 1e15": (_path([1, 1, 1], [1, 1e15 - 1, 1]),
                                          "island 'e2' weight 1000000000000000.0"),
-    "the objective cap": (_path([1e6] * 3, [1, 1e14, 1]),
+    # the last island weighs 0, so its E is free at the optimum and the pass runs
+    "the objective cap": (_path([1e6] * 4, [1, 1, 1e14, 0], switches=(2, 4)),
                           "objective cap of the canonical pass 1.250000001250025e+20"),
 }
 
@@ -1160,16 +1263,26 @@ def test_a_repair_time_of_1e15_now_solves():
 
 
 def test_rows_just_inside_highs_limits_solve():
-    # a largest cut rhs of 3.75e18, and a weight just below 1e15: the points
-    # pinned are those solve_relaxation gave before it checked HiGHS's limits,
-    # but for e1 of the second, 1 ulp above its presolve-on value 1.2499999974999996
+    # a largest cut rhs of 3.75e18, and a weight just below 1e15: the first point
+    # pinned is the one solve_relaxation gave before it checked HiGHS's limits;
+    # the second is its unique optimum, where the canonical pass, which it no
+    # longer runs, moved both E by the slack of its objective cap
     sol = solve_relaxation(_path([1e9] * 3, [1, 1, 1]), crews=2)
     assert (sol.completion, sol.energization) == (
         {"e1": 1e9, "e2": 1.375e9, "e3": 1.375e9}, {"e1": 1e9, "e2": 1.375e9})
     sol = solve_relaxation(_path([1, 1, 1], [1, 1e15 - 2, 1]), crews=2)
     assert (sol.completion, sol.energization) == (
-        {"e1": 1.2499999974999998, "e2": 1.25000000125, "e3": 1.25000000125},
-        {"e1": 1.2499999974999998, "e2": 1.25000000125})
+        dict.fromkeys(["e1", "e2", "e3"], 1.25), dict.fromkeys(["e1", "e2"], 1.25))
+
+
+def test_a_unique_optimum_needs_no_objective_cap(monkeypatch):
+    """The former objective-cap case: its objective 1.25e20 made a cap HiGHS
+    cannot take, but the loop's last vertex is its unique optimum, so no
+    canonical pass runs and it solves."""
+    monkeypatch.setattr(lp, "_canonical_pass", None)  # a pass would raise TypeError
+    sol = solve_relaxation(_path([1e6] * 3, [1, 1e14, 1]), crews=2)
+    assert sol.energization == dict.fromkeys(["e1", "e2"], 1.25e6)
+    assert sol.objective == pytest.approx(1.25e20, rel=1e-12)
 
 
 class TestMidpoints:
