@@ -47,8 +47,8 @@ all, with the total count of HiGHS solves, of canonical passes, of calls
 that took the presolve-on rerun, of seeded cut rows and of separation
 calls, and the separation's seconds:
 the sum over the calls of each call's best) and for
-the oracle (per damaged-
-line count n and m), and in milliseconds per feeder size and form for load
+the oracle (per damaged-line count n and m, with the largest best time
+of the group beside the median as `max_us`), and in milliseconds per feeder size and form for load
 plus JSON writing (`load_write`), the islands alone (`islands`) and load
 plus islands (`load_islands`), and per command the best wall time in s,
 the largest peak RSS in MB and the modules loaded.  `same_answers` says
@@ -348,7 +348,9 @@ def main() -> int:
         for m in CREWS:
             group = [j for j, call in enumerate(calls) if call[1:] == [n, m]]
             result["oracle_median_best_us"][f"n={n} m={m}"] = {
-                "instances": len(group), "us": medians("oracle", group, 1e6, 1)}
+                "instances": len(group), "us": medians("oracle", group, 1e6, 1),
+                "max_us": [round(max(best["oracle", tree, j][0] for j in group) * 1e6, 1)
+                           if group else None for tree in trees]}
     paths = list(files)
     for size in SIZES:
         for form in FORMS:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import re
 import tracemalloc
@@ -38,7 +40,7 @@ def reference_brute_force(instance, m):
             enumerated=1,
         )
 
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms = _permutations(n)
     completions = _simulate_all(perms, np.array([repair[j] for j in damaged]), m)
 
     col = {lid: k for k, lid in enumerate(damaged)}
@@ -56,6 +58,12 @@ def reference_brute_force(instance, m):
     return oracle.OracleResult(
         harm=float(harms[best]), priority_list=best_list, enumerated=len(perms)
     )
+
+
+@functools.cache
+def _permutations(n):
+    """Every permutation of range(n), in lexicographic order, one per row."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
 def _simulate_all(perms, p, m):
@@ -115,6 +123,75 @@ DIFFERENTIAL_CASES = [
 ]
 
 
+def _zero_weights(seed, lines):
+    """A generated feeder whose odd-numbered nodes weigh 0, so that some
+    islands weigh 0 and others do not."""
+    raw = random_raw(GenParams(seed=seed, nodes=(lines + 1, lines + 1),
+                               switch_probability=0.5, repair_time=(1, 10)))
+    for k, node in enumerate(raw["nodes"]):
+        node["weight"] = 0 if k % 2 else node["weight"] + 1
+    return validate(raw)
+
+
+DEEP_TIMES, DEEP_WEIGHTS = [2, 5, 1, 4, 3, 2, 6, 1, 3], [1, 0, 3, 1, 2, 5, 1, 4, 2]
+
+# instances of 8 and 9 damaged lines, where the branch-and-bound pruning engages
+# (at m = 1, 2 with 8 lines and m <= 4 with 9); each case at both sizes
+PRUNED_CASES = [
+    pytest.param(case(lines), id=f"{name}-{lines}")
+    for lines in (8, 9)
+    for name, case in [
+        # many lists tie: a bound that dropped a tie would lose the smallest list
+        ("equal-times", lambda lines: _generated(8, lines, (3, 3), 0.5)),
+        ("zero-weight-islands", lambda lines: _zero_weights(20 + lines, lines)),
+        ("single-island", lambda lines: _generated(10, lines, (1, 10), 0.0)),
+        ("deep-chain", lambda lines: _chain(DEEP_TIMES[:lines], DEEP_WEIGHTS[:lines],
+                                            [True] * lines)),
+        # the conversion's harm, the incumbent, is the optimum at m = 2 (and at m = 1)
+        ("incumbent-optimal", lambda lines: _generated({8: 200, 9: 223}[lines], lines,
+                                                       (1, 10), 0.4)),
+    ]
+]
+
+
+@pytest.mark.parametrize("inst", PRUNED_CASES)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pruned_sizes_match_reference_brute_force(inst, m):
+    assert sum(1 for p in inst.repair_times().values() if p > 0) in (8, 9)
+    assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m)
+
+
+def test_pruned_cases_are_what_they_say():
+    cases = {case.id: case.values[0] for case in PRUNED_CASES}
+    for lines in (8, 9):
+        weights = cases[f"zero-weight-islands-{lines}"].islands.weights.values()
+        assert 0 in weights and max(weights) > 0
+        assert len(cases[f"single-island-{lines}"].islands.islands) == 1
+        assert len(cases[f"deep-chain-{lines}"].precedence.topological_order) == lines + 1
+        best = cases[f"incumbent-optimal-{lines}"]
+        assert algos.convert_single_to_m(best, 2).harm == reference_brute_force(best, 2).harm
+
+
+def _bound_checks(inst, m):
+    """How many prefix levels the oracle's bound checked: its `energize`
+    calls beyond the final scoring and the incumbent's."""
+    with mock.patch.object(sched, "energize", wraps=sched.energize) as energize:
+        oracle.brute_force_optimal(inst, m)
+    return max(0, energize.call_count - 2)
+
+
+@pytest.mark.parametrize("case, m, checks", [
+    ("deep-chain-9", 2, 3),  # each check drops at least a quarter, so all three run
+    ("incumbent-optimal-8", 2, 3),
+    ("single-island-9", 2, 1),  # one island: ties keep nearly all, so pruning stops
+    ("equal-times-8", 1, 1),
+    ("deep-chain-8", 3, 0),  # 8!/3! = 6720 lists: too few to prune
+])
+def test_bound_checks_where_it_pays(case, m, checks):
+    inst = next(case_.values[0] for case_ in PRUNED_CASES if case_.id == case)
+    assert _bound_checks(inst, m) == checks
+
+
 @pytest.mark.parametrize("inst", DIFFERENTIAL_CASES)
 def test_matches_reference_brute_force(inst):
     n = sum(1 for p in inst.repair_times().values() if p > 0)
@@ -128,9 +205,10 @@ REPAIR_TIMES = (0, 0.1, 0.2, 1 / 3, 0.7, 1, 2, 2.5)
 
 
 @st.composite
-def tied_instances(draw):
-    """Generated feeders of at most 7 lines with repair times from REPAIR_TIMES."""
-    nodes = draw(st.integers(min_value=2, max_value=8))
+def tied_instances(draw, nodes=(2, 8)):
+    """Generated feeders of nodes[0] - 1 to nodes[1] - 1 lines with repair
+    times from REPAIR_TIMES."""
+    nodes = draw(st.integers(*nodes))
     raw = random_raw(GenParams(
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)), nodes=(nodes, nodes),
         switch_probability=draw(st.sampled_from([0.0, 0.4, 1.0]))))
@@ -142,6 +220,14 @@ def tied_instances(draw):
 @given(tied_instances(), st.integers(min_value=1, max_value=5))
 @settings(max_examples=60, deadline=None)
 def test_matches_reference_on_tied_zero_and_fractional_times(inst, m):
+    assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m)
+
+
+@given(tied_instances(nodes=(9, 10)), st.integers(min_value=1, max_value=4))
+@settings(max_examples=15, deadline=None)
+def test_matches_reference_on_tied_times_where_pruning_engages(inst, m):
+    """8 and 9 lines, where the bound prunes at m <= 2 and m <= 4; ties and
+    zero times are where a bound that cut too much would show."""
     assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m)
 
 
@@ -250,6 +336,22 @@ class TestCheckBounds:
                            match="below single-crew bound 32.0/2; m-crew optimum 15.5 below "
                                  "unlimited-crew bound 22"):
             oracle.certify_row("two_island", two_island, 2, alg1, alg2, 15.5)
+
+
+@pytest.mark.parametrize("alg", ["alg1", "alg2"])
+def test_a_harm_below_the_unlimited_crew_bound_fails_beyond_the_guard(alg):
+    """Every harm is checked against E-infinity and E1/m, also on rows the
+    oracle cannot solve (here 40 lines, so `h_opt` is None)."""
+    inst = _generated(5, 40, (1, 10), 0.3)
+    results = {"alg1": algos.lp_list_schedule(inst, crews=3),
+               "alg2": algos.convert_single_to_m(inst, crews=3)}
+    oracle.certify_row("forty", inst, 3, results["alg1"], results["alg2"], h_opt=None)
+    infinite = inst.infinite_crew_energization[1]
+    results[alg] = dataclasses.replace(results[alg], harm=infinite - 1)
+    what = {"alg1": "lp-list harm", "alg2": "conversion harm"}[alg]
+    with pytest.raises(oracle.InvariantViolation,
+                       match=rf"^forty \(m=3\): .*{what} {infinite - 1} below unlimited-crew bound"):
+        oracle.certify_row("forty", inst, 3, results["alg1"], results["alg2"], h_opt=None)
 
 
 @pytest.mark.parametrize("seed, m, bound", [(10005, 3, "conversion bound"),

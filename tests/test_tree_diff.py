@@ -43,6 +43,9 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
     # differ, and the cli layer's `oracle fork.json`
     assert result["first_difference"] == {
         "layer": "oracle", "seed": 0, "m": 2, "differing_calls": 7}
+    # each oracle group reports its largest best time beside its median
+    for group in result["oracle_median_best_us"].values():
+        assert all(top >= mid > 0 for top, mid in zip(group["max_us"], group["us"]))
     # each relaxation separates once at its first point, then once after each HiGHS solve
     for group in result["relaxation"].values():
         assert group["separation_calls"] == [group["calls"] + n for n in group["highs_solves"]]
