@@ -74,14 +74,14 @@ without seeds, one cut per round, with presolve off, and that loop runs
 again with presolve on, HiGHS's default: the loops as they ran before
 round 1 was seeded, bit for bit.  Presolve is off again after the last
 run, whatever its end.  The solve goes straight to HiGHS through SciPy's
-private binding (`scipy.optimize._highspy._core`, tested with
-SciPy 1.17) with the matrix, bounds and options that
-`linprog(method="highs-ds")` would pass, and falls back to `linprog`
-where that binding cannot be loaded; both give the same vertex and duals
-bit for bit.  The binding is loaded from its file,
-without the half second of importing `scipy.optimize`, and only by the
-functions that solve.  Only the `linprog` fallback loads NumPy: the
-direct solve passes the binding lists and reads back only lists.
+private binding (`scipy.optimize._highspy._core`, SciPy 1.15 or later,
+tested with 1.17) with the matrix, bounds and options that SciPy's public
+`highs-ds` method would pass, and gives its vertex and duals bit for bit
+(the tests' reference solve checks this).  The binding is loaded from its
+file, without the half second of importing `scipy.optimize`, and only by
+the functions that solve; where that fails it is imported the standard
+way, and a SciPy without it raises ImportError.  The solve loads no NumPy:
+it passes the binding lists and reads back only lists.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": LP_TOLERANCE,
     "dual_feasibility_tolerance": LP_TOLERANCE,
 }
-_presolve = False  # HiGHS presolve: on only while `solve_relaxation` reruns its loop
 
 
 class LpError(Exception):
@@ -176,20 +175,6 @@ class LpVertex(NamedTuple):
     reduced_costs: Sequence[float] = ()  # one per column; nonzero only at its lower bound
 
 
-def simplex_solve(model: LpModel) -> LpVertex:
-    """Solve the model to an optimal basic solution.
-
-    Backed by the HiGHS dual simplex (deterministic pivoting with its own
-    anti-cycling safeguards) at 1e-9 feasibility tolerances, with presolve
-    off unless `_set_presolve` turned it on.  HiGHS gets the model directly
-    on the process's shared instance where SciPy's binding allows it, else
-    through `linprog` with the same options.  Both give the same vertex bit
-    for bit.
-    """
-    vertex = _solve_highs(model)
-    return _solve_linprog(model) if vertex is None else vertex
-
-
 _shared: tuple[int, object] | None = None  # (pid, the instance of `_shared_highs`)
 _zero_cost_lps: dict[int, object] = {}  # column count -> a HighsLp of that many zero costs
 
@@ -206,7 +191,8 @@ def _shared_highs():
 def _binding():
     """SciPy's HiGHS extension module, loaded from its file beside the `scipy`
     package (which `find_spec` finds without importing) and kept in `sys.modules`,
-    so `scipy.optimize` reuses it; None where the file is missing or fails to import."""
+    so `scipy.optimize` reuses it.  Where the file is missing or fails to
+    import, the module is imported the standard way, through `scipy.optimize`."""
     if _CORE in sys.modules:
         return sys.modules[_CORE]
     scipy = importlib.util.find_spec("scipy")
@@ -214,26 +200,28 @@ def _binding():
              for folder in ((scipy.submodule_search_locations or ()) if scipy else ())
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next(filter(os.path.isfile, paths), None)
-    if path is None:
-        return None
-    loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
+        try:
+            core = importlib.util.module_from_spec(importlib.util.spec_from_loader(_CORE, loader))
+            loader.exec_module(core)  # module_from_spec alone leaves it uninitialised
+        except ImportError:
+            pass
+        else:
+            sys.modules[_CORE] = core
+            return core
     try:
-        core = importlib.util.module_from_spec(importlib.util.spec_from_loader(_CORE, loader))
-        loader.exec_module(core)  # module_from_spec alone leaves it uninitialised
-    except ImportError:
-        return None
-    sys.modules[_CORE] = core
-    return core
+        return importlib.import_module(_CORE)
+    except ImportError as error:  # where SciPy lacks a parent package, only that is named
+        raise ImportError(f"cannot import SciPy's HiGHS binding {_CORE}: {error}") from error
 
 
 def _new_highs():
-    """A HiGHS instance with the options `_solve_linprog` gives
-    `linprog(method="highs-ds")` (presolve off, dual simplex, the two 1e-9
-    tolerances, output off); None where `_binding` finds no extension module.
-    On models of a few columns and rows presolve is most of a solve."""
+    """A HiGHS instance with the options the tests' reference solve gives
+    SciPy's `highs-ds` method (presolve off, dual simplex, the two 1e-9
+    tolerances, output off).  On models of a few columns and rows presolve
+    is most of a solve."""
     hs = _binding()
-    if hs is None:
-        return None
     highs = hs._Highs()
     for option, value in (
         ("presolve", "off"), ("solver", "simplex"),
@@ -248,35 +236,27 @@ def _new_highs():
 
 
 def _set_presolve(on: bool) -> None:
-    """Turn HiGHS presolve on or off for every later solve: on the shared
-    instance and in `_solve_linprog`'s options."""
-    global _presolve
-    _presolve = on
-    highs, value = _shared_highs(), "on" if on else "off"
-    if highs is not None and highs.setOptionValue("presolve", value) != _binding().HighsStatus.kOk:
+    """Turn HiGHS presolve on or off for every later solve on the shared instance."""
+    value = "on" if on else "off"
+    if _shared_highs().setOptionValue("presolve", value) != _binding().HighsStatus.kOk:
         raise LpError(f"HiGHS rejected option presolve={value!r}")
 
 
-def _solve_highs(model: LpModel) -> LpVertex | None:
-    """Solve on the process's shared HiGHS instance through SciPy's private
-    binding; None if it is missing.  `passModel` drops the model and basis it held.
+def simplex_solve(model: LpModel) -> LpVertex:
+    """Solve the model to an optimal basic solution.
 
-    With `_new_highs`, the one user of `_binding()`, the extension module
-    `scipy.optimize._highspy._core` (tested with SciPy 1.17).  It passes the
-    HighsLp `linprog(method="highs-ds")` builds, the matrix of -rows with row
-    bounds [-inf, -rhs] and column bounds [lower, inf], solves it with the
-    options `_solve_linprog` gives (presolve off but in `solve_relaxation`'s
-    rerun), and raises what `_solve_linprog` raises per status.
-    The matrix goes row-wise; HiGHS stores it column-wise, rows ascending in
-    each column, which is the CSC matrix linprog passes.  The binding's
-    `col_cost_` setter takes a NumPy array, so the HighsLp has n zero costs
-    HiGHS sized (`addVar`, once per n) and `changeColCost` sets the nonzero ones.
+    Backed by the HiGHS dual simplex (deterministic pivoting with its own
+    anti-cycling safeguards) at 1e-9 feasibility tolerances, with presolve
+    off unless `_set_presolve` turned it on, on the process's shared
+    instance; `passModel` drops the model and basis it held.  HiGHS gets
+    the HighsLp SciPy's `highs-ds` method builds: the -rows with row bounds
+    [-inf, -rhs], passed row-wise (HiGHS stores them column-wise, rows
+    ascending in each column: the CSC matrix SciPy passes), and column
+    bounds [lower, inf].  The binding's `col_cost_` setter takes a NumPy
+    array, so the HighsLp has n zero costs HiGHS sized (`addVar`, once per
+    n) and `changeColCost` sets the nonzero ones.
     """
-    highs = _shared_highs()
-    if highs is None:
-        return None
-    hs = _binding()
-
+    highs, hs = _shared_highs(), _binding()
     n, k = len(model.variables), len(model.rhs)
     lower, upper = model.lower, [-rhs for rhs in model.rhs]
     lp = _zero_cost_lps.get(n)  # filled with lists: the binding converts them faster than arrays
@@ -312,7 +292,7 @@ def _solve_highs(model: LpModel) -> LpVertex | None:
         raise failure(f"HiGHS model status {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     x, fun = solution.col_value, highs.getObjectiveValue()
-    # linprog's own check of the returned point, at its tolerance; NaN fails it
+    # SciPy's own check of the returned point, at its tolerance; NaN fails it
     tol = math.sqrt(LP_TOLERANCE) * 10
     if not (all(v >= lo - tol for v, lo in zip(x, lower))
             and all(v <= up + tol for v, up in zip(solution.row_value, upper))
@@ -320,28 +300,6 @@ def _solve_highs(model: LpModel) -> LpVertex | None:
         raise LpError("the optimal point HiGHS returned violates the constraints")
     return LpVertex(values=x, objective=fun, row_duals=solution.row_dual,
                     reduced_costs=solution.col_dual)
-
-
-def _solve_linprog(model: LpModel) -> LpVertex:
-    """The same solve through public `linprog`: the fallback, and the tests' reference."""
-    import numpy as np
-    from scipy.optimize import linprog
-
-    dense = np.zeros((len(model.rhs), len(model.variables)))  # the `<=` rows
-    dense[np.repeat(np.arange(len(model.rhs)), np.diff(model.start)), model.index] = model.value
-    res = linprog(
-        model.objective,
-        A_ub=dense if model.rhs else None,
-        b_ub=-np.array(model.rhs) if model.rhs else None,
-        bounds=[(lo, None) for lo in model.lower],
-        method="highs-ds",
-        options={**_HIGHS_OPTIONS, "presolve": _presolve},
-    )
-    if res.status != 0:
-        raise {1: IterationLimit, 2: Infeasible, 3: Unbounded}.get(res.status, LpError)(res.message)
-    return LpVertex(values=res.x.tolist(), objective=float(res.fun),
-                    row_duals=res.ineqlin.marginals.tolist(),
-                    reduced_costs=res.lower.marginals.tolist())
 
 
 def _slackness_gap(model: LpModel, vertex: LpVertex) -> float:

@@ -509,14 +509,37 @@ def reference_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -
     return list(jobs[precedence.root][0])
 
 
-def reference_solve_highs(model: LpModel, highs=None) -> LpVertex | None:
-    """`lp._solve_highs` as first written: every field of the HighsLp, the
+def reference_solve_linprog(model: LpModel, presolve: bool) -> LpVertex:
+    """`lp.simplex_solve` through SciPy's public `linprog(method="highs-ds")`,
+    with the same HiGHS options and presolve on or off: the dense `<=` rows,
+    their right-hand sides negated, and columns bounded below.  Each failed
+    status raises the `lp` error it stands for."""
+    from scipy.optimize import linprog
+
+    dense = np.zeros((len(model.rhs), len(model.variables)))  # the `<=` rows
+    dense[np.repeat(np.arange(len(model.rhs)), np.diff(model.start)), model.index] = model.value
+    res = linprog(
+        model.objective,
+        A_ub=dense if model.rhs else None,
+        b_ub=-np.array(model.rhs) if model.rhs else None,
+        bounds=[(lo, None) for lo in model.lower],
+        method="highs-ds",
+        options={**lp._HIGHS_OPTIONS, "presolve": presolve},
+    )
+    if res.status != 0:
+        failure = {1: lp.IterationLimit, 2: lp.Infeasible, 3: lp.Unbounded}
+        raise failure.get(res.status, lp.LpError)(res.message)
+    return LpVertex(values=res.x.tolist(), objective=float(res.fun),
+                    row_duals=res.ineqlin.marginals.tolist(),
+                    reduced_costs=res.lower.marginals.tolist())
+
+
+def reference_solve_highs(model: LpModel, highs=None) -> LpVertex:
+    """`lp.simplex_solve` as first written: every field of the HighsLp, the
     cost vector too, set from Python lists before one `passModel`.  Setting
     `col_cost_` loads NumPy, since SciPy's binding types it as an array.  The
     vertex carries HiGHS's duals, as `lp`'s does."""
     highs = lp._shared_highs() if highs is None else highs
-    if highs is None:
-        return None
     hs = lp._binding()
 
     n, k = len(model.variables), len(model.rhs)
@@ -705,7 +728,7 @@ def reference_full_space_relaxation(
 
 def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:
     """The relaxation's optimum with every one of its 2^n - 1 load cuts a row
-    of the full-space model, solved once by `linprog`'s dual simplex with
+    of the full-space model, solved once by `reference_solve_linprog` with
     presolve on: the LP the cutting planes close in on, with no separation
     at all.  Each cut row is divided by min(1, p(A)), as `lp` divides its
     own, so that HiGHS's absolute feasibility tolerance is no looser on a
@@ -728,13 +751,4 @@ def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:
             scale = min(1.0, math.fsum(times))
             model.add_row([column[lid] for lid in subset], [t / scale for t in times],
                           load_rhs(times, m) / scale)
-    from scipy.optimize import linprog
-
-    dense = np.zeros((len(model.rhs), len(model.variables)))  # the `<=` rows
-    dense[np.repeat(np.arange(len(model.rhs)), np.diff(model.start)), model.index] = model.value
-    res = linprog(model.objective, A_ub=dense if model.rhs else None,
-                  b_ub=-np.array(model.rhs) if model.rhs else None,
-                  bounds=[(lo, None) for lo in model.lower], method="highs-ds",
-                  options={**lp._HIGHS_OPTIONS, "presolve": True})
-    assert res.status == 0, res.message
-    return float(res.fun)
+    return reference_solve_linprog(model, True).objective

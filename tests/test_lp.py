@@ -1,4 +1,5 @@
 import copy
+import functools
 import heapq
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -26,8 +28,6 @@ from gridrepair.lp import (
     Unbounded,
     _most_violated,
     _new_highs,
-    _solve_highs,
-    _solve_linprog,
     load_rhs,
     separate,
     simplex_solve,
@@ -46,6 +46,7 @@ from conftest import (
     reference_full_space_relaxation,
     reference_most_violated,
     reference_solve_highs,
+    reference_solve_linprog,
     row_scale,
     run_fresh,
     two_order_most_violated,
@@ -172,7 +173,7 @@ class TestSimplexSolve:
         from gridrepair.lp import Unbounded
 
         model = LpModel(variables=["x"], objective=[-1.0], lower=[0.0])
-        for solve in (simplex_solve, _solve_linprog):
+        for solve in (simplex_solve, lambda model: reference_solve_linprog(model, False)):
             with pytest.raises(Unbounded):
                 solve(model)
 
@@ -181,25 +182,21 @@ class TestSimplexSolve:
 
         model = LpModel(variables=["x"], objective=[1.0], lower=[0.0])
         model.add_row([0], [-1.0], 1.0)  # x <= -1
-        for solve in (simplex_solve, _solve_linprog):
+        for solve in (simplex_solve, lambda model: reference_solve_linprog(model, False)):
             with pytest.raises(Infeasible):
                 solve(model)
 
-    def test_direct_path_runs_on_the_tested_scipy(self):
-        # the benchmark must measure HiGHS called directly, not the fallback
-        import scipy
-
-        if not scipy.__version__.startswith("1.17."):
-            pytest.skip(f"direct HiGHS path is tested with SciPy 1.17, not {scipy.__version__}")
-        model = LpModel(variables=["x"], objective=[1.0], lower=[1.0])
-        assert _solve_highs(model) is not None
-
-    @pytest.mark.parametrize("name, m", ROUND_CASES)
-    def test_direct_path_matches_linprog_on_every_round(self, monkeypatch, name, m):
+    @pytest.mark.parametrize("name, m, presolve", [
+        pytest.param(name, m, on, id=f"{name}-{m}" + ("-presolve-on" if on else ""))
+        for on in (False, True) for name, m in ROUND_CASES])
+    def test_direct_path_matches_linprog_on_every_round(self, monkeypatch, name, m, presolve):
+        """Presolve on is the setting of `solve_relaxation`'s last rerun."""
         models = round_models(monkeypatch, name, m)
         assert len(models) >= 2  # the cutting-plane rounds and the canonical pass
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
+        lp._set_presolve(presolve)  # on that instance alone
         for model in models:
-            direct, reference = _solve_highs(model), _solve_linprog(model)
+            direct, reference = simplex_solve(model), reference_solve_linprog(model, presolve)
             assert list(direct.values) == list(reference.values)
             assert direct.objective == reference.objective
             # the same duals, so both paths judge a vertex by the same slackness gap
@@ -209,8 +206,6 @@ class TestSimplexSolve:
     @pytest.mark.parametrize("name, m", ROUND_CASES)
     def test_sparse_rows_give_the_dense_path_matrix(self, monkeypatch, name, m):
         highs = _new_highs()
-        if highs is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         models = round_models(monkeypatch, name, m)
         monkeypatch.setattr(lp, "_shared", (os.getpid(), highs))
         for model in models:
@@ -223,21 +218,19 @@ class TestSimplexSolve:
             columns = -dense.T
             col, row = np.nonzero(columns)
             start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
-            _solve_highs(model)
+            simplex_solve(model)
             held = highs.getLp().a_matrix_  # the matrix HiGHS holds after passModel
             assert [held.start_, held.index_, held.value_] == [
                 start.tolist(), row.tolist(), columns[col, row].tolist()]
 
     def test_reused_instance_solves_cold(self, monkeypatch):
         highs = _new_highs()
-        if highs is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         models = round_models(monkeypatch, "feeder123.json", 3)
         a, b = models[0], models[-1]  # the first round and the canonical pass
 
         def solve(model, on):
             monkeypatch.setattr(lp, "_shared", (os.getpid(), on))
-            vertex = _solve_highs(model)
+            vertex = simplex_solve(model)
             return list(vertex.values), vertex.objective, on.getInfo().simplex_iteration_count
 
         fresh = solve(a, _new_highs())
@@ -251,19 +244,14 @@ class TestSimplexSolve:
         """The solve, and the LP HiGHS holds after it, equal those of the pass
         that sets `col_cost_` from Python, on every round and canonical pass."""
         ours, theirs = _new_highs(), _new_highs()
-        if ours is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         models = round_models(monkeypatch, name, m)
         monkeypatch.setattr(lp, "_shared", (os.getpid(), ours))
         for model in models:
-            assert _solve_highs(model) == reference_solve_highs(model, theirs)
+            assert simplex_solve(model) == reference_solve_highs(model, theirs)
             assert held_lp(ours) == held_lp(theirs)
 
     @pytest.mark.parametrize("failure", [Infeasible, Unbounded])
     def test_shared_instance_after_a_failed_solve(self, monkeypatch, feeder123, failure):
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
-
         def relax():
             sol = solve_relaxation(feeder123, crews=3)
             return (sol.completion, sol.energization, sol.objective, sol.objective_history,
@@ -378,8 +366,6 @@ class TestPresolveFallback:
     @pytest.mark.parametrize("at", ["first", "last"])
     @pytest.mark.parametrize("name, m", CASES)
     def test_a_failed_loop_gives_the_presolve_on_answer(self, monkeypatch, name, m, at):
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         inst = case_instance(name)
         # the unseeded presolve-on loop: nothing fails, so nothing reruns
         on = _new_highs()
@@ -399,7 +385,7 @@ class TestPresolveFallback:
                                fail_at={sum(failed[:k + 1]) for k in range(len(loops))})
         assert seen == [s for loop, k in zip(loops, failed) for s in loop[:k]] + on_seen
         assert answer(got) == answer(want)
-        assert presolve(used) == "off" and lp._presolve is False
+        assert presolve(used) == "off"
         assert answer(self.relax(monkeypatch, used, inst, m)[0]) == answer(first)
 
     @pytest.mark.parametrize("at", ["first", "last"])
@@ -407,8 +393,6 @@ class TestPresolveFallback:
     def test_a_failed_seeded_loop_gives_the_unseeded_answer(self, monkeypatch, name, m, at):
         """Where round 1 seeds cuts and the seeded loop fails, the loop of one
         cut per round runs with presolve off, and its answer is the call's."""
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         inst = case_instance(name)
         want, off_seen = self.relax(monkeypatch, _new_highs(), inst, m, seeds=False)
         first, first_seen = self.relax(monkeypatch, _new_highs(), inst, m)
@@ -417,12 +401,10 @@ class TestPresolveFallback:
         got, seen = self.relax(monkeypatch, used, inst, m, fail_at={failed})
         assert seen == first_seen[:failed] + off_seen == ["off"] * len(seen)
         assert answer(got) == answer(want)
-        assert presolve(used) == "off" and lp._presolve is False
+        assert presolve(used) == "off"
 
     @pytest.mark.parametrize("failure", [Infeasible, lp.IterationLimit])
     def test_presolve_is_off_after_the_rerun_fails_too(self, monkeypatch, feeder123, failure):
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
         seen = []
 
@@ -434,29 +416,7 @@ class TestPresolveFallback:
         with pytest.raises(failure, match="with presolve on"):
             solve_relaxation(feeder123, crews=3)
         assert seen == ["off", "off", "on"]  # seeded, then one cut per round
-        assert presolve(lp._shared_highs()) == "off" and lp._presolve is False
-
-    def test_the_linprog_fallback_reruns_with_presolve_on(self, monkeypatch):
-        """Where the binding is missing, `linprog` gets the presolve setting."""
-        inst = case_instance("golden-6")
-        monkeypatch.setattr(lp, "_solve_highs", lambda model: None)
-        with monkeypatch.context() as patch:
-            unseeded(patch)
-            patch.setattr(lp, "_presolve", True)
-            want = solve_relaxation(inst, crews=3)  # the unseeded presolve-on loop, in linprog
-            patch.setattr(lp, "_presolve", False)
-            assert answer(solve_relaxation(inst, crews=3)) != answer(want)
-        seen = []
-
-        def fail_off(model):
-            seen.append(lp._presolve)
-            if not lp._presolve:
-                raise lp.Unbounded("stand-in for HiGHS failing with presolve off")
-            return simplex_solve(model)
-
-        monkeypatch.setattr(lp, "simplex_solve", fail_off)
-        assert answer(solve_relaxation(inst, crews=3)) == answer(want)
-        assert seen[:3] == [False, False, True] and lp._presolve is False
+        assert presolve(lp._shared_highs()) == "off"
 
     @pytest.mark.parametrize("name, m", CASES)
     def test_a_vertex_off_its_optimum_reruns(self, monkeypatch, name, m):
@@ -464,8 +424,6 @@ class TestPresolveFallback:
         bound and tight row its duals name: each presolve-off loop, seeded
         and then unseeded, ends on a positive slackness gap, and the loop
         runs again with presolve on."""
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         inst = case_instance(name)
         on = _new_highs()
         assert on.setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
@@ -475,7 +433,7 @@ class TestPresolveFallback:
 
         def shifted(model):
             vertex = simplex_solve(model)
-            if lp._presolve:
+            if presolve(used) == "on":
                 return vertex
             moved = [v + 1.0 for v in vertex.values]
             objective = math.fsum(w * v for w, v in zip(model.objective, moved))
@@ -490,14 +448,12 @@ class TestPresolveFallback:
         monkeypatch.undo()
         assert len(gaps) == loops and min(gaps) > 0.5  # a unit move per unit of weight, about
         assert answer(got) == answer(want)
-        assert presolve(used) == "off" and lp._presolve is False
+        assert presolve(used) == "off"
 
     def test_the_cut_pool_limit_does_not_rerun(self, monkeypatch, fork):
         """A loop that outgrows its cut pool fails at once, with presolve off:
         a rerun would not stop it sooner.  Round 1's seeds count against the
         pool, so the loop makes that many solves fewer."""
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
         sizes, seen = iter(range(1, 10**6)), []
 
@@ -514,7 +470,7 @@ class TestPresolveFallback:
             solve_relaxation(fork, crews=2)
         seeds = seeded_prefixes(fork, 2)
         assert seeds and seen == ["off"] * (10 * len(fork.repair_times()) ** 2 - len(seeds))
-        assert presolve(lp._shared_highs()) == "off" and lp._presolve is False
+        assert presolve(lp._shared_highs()) == "off"
 
     @pytest.mark.parametrize("seed", [4034, 5134, 9185, 13155])
     def test_mixed_magnitude_feeders_end_at_the_optimum(self, monkeypatch, seed):
@@ -523,8 +479,6 @@ class TestPresolveFallback:
         above the brute-force optimum: HiGHS holds a row tight that its
         primal values leave slack.  The loop reruns with presolve on, and its
         answer passes every certificate of `bench_instance`."""
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         inst = mixed_magnitude_feeder(seed)
         got = solve_relaxation(inst, crews=1)
         with monkeypatch.context() as patch:
@@ -550,19 +504,18 @@ class TestPresolveFallback:
         """Feeder 75 of ROADMAP item 7's sweep, at m = 1: the seeded loop and
         the loop of one cut per round fail with presolve off, and that loop
         with presolve on solves it, as it did before round 1 was seeded."""
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         inst, seen = small_mixed_magnitude_feeder(75), []
         solve = lp.simplex_solve
         with monkeypatch.context() as patch:  # each solve's presolve setting and row count
             patch.setattr(lp, "simplex_solve",
-                          lambda model: seen.append((lp._presolve, len(model.rhs))) or solve(model))
+                          lambda model: seen.append((presolve(lp._shared_highs()), len(model.rhs)))
+                          or solve(model))
             got = solve_relaxation(inst, crews=1)
         # a loop starts afresh where the row count drops or presolve turns on:
         # seeded, unseeded, then presolve on
         starts = [k for k in range(len(seen))
                   if k == 0 or seen[k][1] < seen[k - 1][1] or seen[k][0] != seen[k - 1][0]]
-        assert [seen[k][0] for k in starts] == [False, False, True]
+        assert [seen[k][0] for k in starts] == ["off", "off", "on"]
         with monkeypatch.context() as patch:
             unseeded(patch)
             lp._set_presolve(True)
@@ -580,8 +533,6 @@ class TestPresolveFallback:
         2.0 above the optimum, which the conversion bound, the single-crew
         optimum at m = 1, catches: it reruns unseeded and fails like that
         loop.  On 5886 it solves, below the optimum."""
-        if _new_highs() is None:
-            pytest.skip("SciPy's HiGHS binding is not importable")
         inst = small_mixed_magnitude_feeder(seed)
         optimum = oracle.brute_force_optimal(inst, 1).harm
         with monkeypatch.context() as patch:
@@ -621,26 +572,39 @@ class TestPresolveFallback:
         assert proc.returncode == 0, proc.stderr
 
 
-FALLBACK_SOLVES = textwrap.dedent(f"""
-    import copy, sys
+# prints the relaxation's answers on two fixtures, every float by `repr`
+RELAXATION_ANSWERS = textwrap.dedent(f"""
     from gridrepair import harness, lp
-    assert lp._new_highs() is None
-    models = []
-    def record(model):
-        models.append(copy.deepcopy(model))
-        return solve(model)
-    solve, lp.simplex_solve = lp.simplex_solve, record
-    harness.bench_instance("fork", harness.load_instance({str(FIXTURES / "fork.json")!r}), 2)
-    assert len(models) >= 2 and lp._shared[1] is None
-    for model in models:
-        assert solve(model) == lp._solve_linprog(model)
+    for name, m in [("fork.json", 2), ("feeder123.json", 3)]:
+        sol = lp.solve_relaxation(harness.load_instance({str(FIXTURES)!r} + "/" + name), crews=m)
+        print(repr((sol.completion, sol.objective_history, [sorted(c.lines) for c in sol.cuts],
+                    sol.model)))
+""")
+
+# run after a patch that keeps `lp._binding` from loading the extension file
+# itself: it imports the module the standard way, the one SciPy's own import gives
+STANDARD_IMPORT = textwrap.dedent("""
+    import sys
+    from gridrepair import lp
+    core = lp._binding()
+    assert "scipy.optimize" in sys.modules
+    from scipy.optimize._highspy import _core
+    assert _core is core and lp._binding() is core
 """)
 
 
+@functools.cache
+def fast_load_answers() -> str:
+    """`RELAXATION_ANSWERS` as printed where the extension file is loaded on its own."""
+    proc = run_fresh(RELAXATION_ANSWERS)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestBinding:
-    """`lp._binding` loads SciPy's HiGHS extension without `scipy.optimize`.
-    Each case runs in a fresh interpreter, since the module is loaded once
-    per process."""
+    """`lp._binding` loads SciPy's HiGHS extension without `scipy.optimize`,
+    and imports it the standard way where that fails.  Each case runs in a
+    fresh interpreter, since the module is loaded once per process."""
 
     def test_lp_runs_leave_scipy_optimize_unimported(self, tmp_path):
         fixtures = {f.stem: str(f) for f in FIXTURES.glob("*.json")}
@@ -664,11 +628,12 @@ class TestBinding:
             assert "scipy.optimize" not in sys.modules
             assert sys.modules["scipy.optimize._highspy._core"] is core
 
-            from scipy.optimize import linprog
+            sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+            from conftest import reference_solve_linprog
             from scipy.optimize._highspy import _core
             assert _core is core and lp._binding() is core
             for model in models:
-                assert lp._solve_linprog(model) == lp._solve_highs(model)
+                assert reference_solve_linprog(model, False) == lp.simplex_solve(model)
         """)
         assert proc.returncode == 0, proc.stderr
 
@@ -729,8 +694,9 @@ class TestBinding:
             import importlib.machinery, importlib.util
             find_spec = importlib.util.find_spec
             {missing}
-        """) + FALLBACK_SOLVES)
+        """) + STANDARD_IMPORT + RELAXATION_ANSWERS)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == fast_load_answers()
 
     def test_import_error_falls_back(self):
         proc = run_fresh(textwrap.dedent("""
@@ -739,10 +705,31 @@ class TestBinding:
                 def exec_module(self, module):
                     raise ImportError("stand-in for a broken extension")
             importlib.machinery.ExtensionFileLoader = Broken  # SciPy's own import keeps the real one
-        """) + FALLBACK_SOLVES + textwrap.dedent("""
-            assert "scipy.optimize._highspy._core" in sys.modules  # loaded by linprog's import
-        """))
+        """) + STANDARD_IMPORT + RELAXATION_ANSWERS)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == fast_load_answers()
+
+    @pytest.mark.parametrize("hidden", ["scipy.optimize._highspy._core", "scipy.optimize._highspy"],
+                             ids=["no-core", "no-highspy"])
+    def test_a_scipy_without_the_binding_fails_loudly(self, hidden):
+        """Where the binding cannot be imported at all, nor its package as in
+        a SciPy before it had one, lp-list raises an ImportError that names
+        it: none of the CLI's exit codes, and no other solver."""
+        proc = run_fresh(f"""
+            import importlib.machinery, sys
+            from gridrepair import cli
+            importlib.machinery.EXTENSION_SUFFIXES = []  # the file is not found
+            class Hide:
+                def find_spec(self, name, path=None, target=None):
+                    if name == {hidden!r}:
+                        raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+            sys.meta_path.insert(0, Hide())
+            sys.exit(cli.main(["schedule", {str(FIXTURES / "fork.json")!r},
+                               "--alg", "lp-list"]))
+        """)
+        assert proc.returncode not in (0, 2, 3)
+        assert ("ImportError: cannot import SciPy's HiGHS binding scipy.optimize._highspy._core"
+                in proc.stderr)
 
     def test_other_load_errors_propagate(self):
         proc = run_fresh(f"""

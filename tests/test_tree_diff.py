@@ -94,7 +94,7 @@ _unpatched_simplex_solve = simplex_solve
 
 
 def simplex_solve(model):
-    if not _presolve:
+    if _shared_highs().getOptionValue("presolve")[1] == "off":
         raise Infeasible("stand-in for HiGHS failing with presolve off")
     return _unpatched_simplex_solve(model)
 """
