@@ -16,7 +16,9 @@ timed, and the CLI commands of a fourth each run in a process of their own:
   (rounds and canonical passes), its canonical passes (`lp._canonical_pass`,
   which a unique optimum skips), whether it ran its loop again with HiGHS
   presolve on after a failed solve or a last vertex off its optimum
-  (`lp._set_presolve(True)`; never in a tree without it), the cut rows that
+  (`lp._set_presolve(True)`; never in a tree without it), the loops it ran
+  (`lp._base_model` calls: 1, and 2 or 3 where a loop ran again, with
+  presolve off or on), the cut rows that
   round 1 seeded beside its own cut (the cuts beyond one per solved round;
   0 in a tree that adds one cut per round) and its separation calls
   (`lp._most_violated`), with their seconds, on the untimed pass, then the
@@ -44,8 +46,8 @@ One JSON object is printed, each figure listed per SRC in the order given:
 the median over a group of calls of each call's best time, in microseconds
 for the relaxation (per calls with at most m damaged lines, the others and
 all, with the total count of HiGHS solves, of canonical passes, of calls
-that took the presolve-on rerun, of seeded cut rows and of separation
-calls, and the separation's seconds:
+that took the presolve-on rerun, of loops, of seeded cut rows and of
+separation calls, and the separation's seconds:
 the sum over the calls of each call's best) and for
 the oracle (per damaged-line count n and m, with the largest best time
 of the group beside the median as `max_us`), and in milliseconds per feeder size and form for load
@@ -91,8 +93,8 @@ LOAD_TIMES = ("load_write", "islands", "load_islands")
 # Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
 # JSON object of count, max_lines, crews and files; reports [seed, n, m] and
 # [HiGHS solves, separation calls, separation seconds, presolve-on reruns,
-# seeded cut rows, canonical passes] per call and, per layer, [times, answer]
-# per call or file.
+# seeded cut rows, canonical passes, loops] per call and, per layer, [times,
+# answer] per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
@@ -139,6 +141,7 @@ def load(path):
             text + islands.getvalue())
 
 solve, separate, canonical, counts = lp.simplex_solve, lp._most_violated, lp._canonical_pass, []
+base_model = lp._base_model
 
 def counted(model):
     counts[-1][0] += 1
@@ -147,6 +150,10 @@ def counted(model):
 def passed(*args):
     counts[-1][5] += 1
     return canonical(*args)
+
+def looped(*args):
+    counts[-1][6] += 1
+    return base_model(*args)
 
 def timed(*args):
     start = time.perf_counter()
@@ -163,15 +170,17 @@ def rerun(on):
 
 # looked up by the loop at each call, so every solve and separation is counted
 lp.simplex_solve, lp._most_violated, lp._canonical_pass = counted, timed, passed
+lp._base_model = looped
 if set_presolve:
     lp._set_presolve = rerun
 for _, _, m, instance in calls:
-    counts.append([0, 0, 0.0, 0, 0, 0])
+    counts.append([0, 0, 0.0, 0, 0, 0, 0])
     _, answer = relaxation(instance, m)
     if answer.startswith("["):  # not an error: the cuts beyond one per solved round
         rounds, cuts = json.loads(answer)[3:5]
         counts[-1][4] = cuts - (rounds - 1)
 lp.simplex_solve, lp._most_violated, lp._canonical_pass = solve, separate, canonical
+lp._base_model = base_model
 if set_presolve:
     lp._set_presolve = set_presolve
 out = {"calls": [call[:3] for call in calls], "counts": counts,
@@ -340,6 +349,7 @@ def main() -> int:
             "highs_solves": [sum(counts[tree][j][0] for j in group) for tree in trees],
             "canonical_passes": [sum(counts[tree][j][5] for j in group) for tree in trees],
             "presolve_fallbacks": [sum(counts[tree][j][3] for j in group) for tree in trees],
+            "loops": [sum(counts[tree][j][6] for j in group) for tree in trees],
             "seeded_cuts": [sum(counts[tree][j][4] for j in group) for tree in trees],
             "separation_calls": [sum(counts[tree][j][1] for j in group) for tree in trees],
             "separation_s": [round(sum(best["separation", tree, j][0] for j in group), 6)

@@ -57,31 +57,35 @@ times the sum of the magnitudes on a prefix of k lines, can still beat the
 best exact violation, so it picks the cut the prefix-by-prefix fsum scan
 picks.
 
-The loop runs on integer column indices and plain Python floats.  One
-HiGHS instance per process solves every model, and each round passes it
-the whole model afresh: a cold solve that keeps no basis.  Presolve is
-off: on models of a few columns and rows it is most of a solve.  A loop
-is run again from round 1 when a solve fails, and when its last vertex is
-not optimal: with presolve off, on times that span about seven orders of
-magnitude or more, HiGHS can return the duals of an optimal basis with
-primal values that miss it, a row it holds tight left slack, and an
-objective above the model's optimum by the complementary-slackness gap
-(`_slackness_gap`).  It is also run again when its objective exceeds the
-harm of a schedule, the conversion bound of the list schedule in the
-single-crew order (`_conversion_harm`), which no relaxation can: on such
-times a seeded model can end there with no gap.  A seeded loop runs again
-without seeds, one cut per round, with presolve off, and that loop runs
-again with presolve on, HiGHS's default: the loops as they ran before
-round 1 was seeded, bit for bit.  Presolve is off again after the last
-run, whatever its end.  The solve goes straight to HiGHS through SciPy's
-private binding (`scipy.optimize._highspy._core`, SciPy 1.15 or later,
-tested with 1.17) with the matrix, bounds and options that SciPy's public
-`highs-ds` method would pass, and gives its vertex and duals bit for bit
-(the tests' reference solve checks this).  The binding is loaded from its
-file, without the half second of importing `scipy.optimize`, and only by
-the functions that solve; where that fails it is imported the standard
-way, and a SciPy without it raises ImportError.  The solve loads no NumPy:
-it passes the binding lists and reads back only lists.
+The loop runs on integer column indices and plain Python floats.  One HiGHS
+instance per process solves every model, and each round passes it the whole
+model afresh: a cold solve that keeps no basis.  Presolve is off: on models
+of a few columns and rows it is most of a solve.  A loop is run again from
+round 1 when a solve fails, and when its last solved vertex is not proven
+optimal: when its objective UB exceeds the safe dual bound LB (Neumaier &
+Shcherbina 2004; Jansson 2004) by more than GAP_TOLERANCE max(1, |UB|), as
+HiGHS's values can with presolve off on times that span seven orders of
+magnitude or more.  With y = max(0, -row dual) on the rows AE >= b and r =
+w - A'y, each E in them and in a box l <= E <= u has w.E = y.AE + r.E >=
+y.b + sum_j min(l_j r_j, u_j r_j) = LB.  An optimum of the all-subset LP
+lies in the box u_j = min(1.5P, U / W_j) (`_caps`; P the total time, U the
+conversion bound, W_j the weight at or below island j): lowering each E
+above 1.5P to it keeps every row, as f(A) - f(A - A_L) <= p(A_L) P for the
+lines A_L it lowers, and as E only rises down the tree, W_j E_j <= w.E <=
+U.  So LB bounds that LP, up to the rounding of the stored cut rows;
+`_dual_bound` takes a proven float allowance off it.  A seeded loop runs
+again without seeds, one cut per round, with presolve off, and that loop
+runs again with presolve on, HiGHS's default: the loops as they ran before
+round 1 was seeded, bit for bit.  Presolve is off again after the last run,
+whatever its end.  The solve goes straight to HiGHS through SciPy's private
+binding (`scipy.optimize._highspy._core`, SciPy 1.15 or later, tested with
+1.17) with the matrix, bounds and options that SciPy's public `highs-ds`
+method would pass, and gives its vertex and duals bit for bit (the tests'
+reference solve checks this).  The binding is loaded from its file, without
+the half second of importing `scipy.optimize`, and only by the functions
+that solve; where that fails it is imported the standard way, and a SciPy
+without it raises ImportError.  The solve loads no NumPy: it passes the
+binding lists and reads back only lists.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, Valida
 
 LP_TOLERANCE = 1e-9
 SEPARATION_TOLERANCE = 1e-10  # relative to the right-hand side of the prefix's cut
-SLACKNESS_TOLERANCE = 1e-13  # relative to the objective; see `_slackness_gap`
+GAP_TOLERANCE = 1e-13  # of the objective: the most UB - LB a loop may end on
 _CORE = "scipy.optimize._highspy._core"  # the binding's module name
 
 _HIGHS_OPTIONS = {
@@ -302,25 +306,6 @@ def simplex_solve(model: LpModel) -> LpVertex:
                     reduced_costs=solution.col_dual)
 
 
-def _slackness_gap(model: LpModel, vertex: LpVertex) -> float:
-    """The complementary-slackness gap of the vertex: |dual| times slack
-    summed over the rows, plus |reduced cost| times the distance from the
-    lower bound summed over the columns; 0 for a vertex without duals.
-
-    At an optimal vertex every product is zero but for rounding.  Where
-    HiGHS holds a row tight in its duals but leaves it slack in its values,
-    the gap is how far the objective lies above the model's optimum.  The
-    presolve-on loop's last vertices read at most 7e-14 of their objective
-    on a sweep of 53136 mixed-magnitude solved calls, hence
-    SLACKNESS_TOLERANCE."""
-    x, start, index, value = vertex.values, model.start, model.index, model.value
-    terms = [abs(y) * (math.fsum([-value[i] * x[index[i]] for i in range(start[k], start[k + 1])])
-                       - model.rhs[k])
-             for k, y in enumerate(vertex.row_duals) if y]
-    terms += [abs(d) * (v - lo) for d, v, lo in zip(vertex.reduced_costs, x, model.lower) if d]
-    return math.fsum(terms)
-
-
 def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m: int) -> float:
     return load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
 
@@ -464,12 +449,11 @@ def solve_relaxation(
     vertex is the answer where `_unique_optimum` holds; else the canonical
     pass's point is, and separation is re-checked on it.  Every solve
     runs with HiGHS presolve off.  A loop is not taken if a solve fails
-    (LpError, but for the cut pool's CutPoolLimit, which is raised), its last
-    vertex's `_slackness_gap` exceeds SLACKNESS_TOLERANCE of its objective or
-    the objective exceeds `_conversion_harm`; then the loop runs again from
-    round 1 without seeds, one cut per round, first with presolve off (where
-    the first loop had seeds) and then with presolve on, and that last run's
-    answer or error is the call's.
+    (LpError, but for the cut pool's CutPoolLimit, which is raised) or its
+    last vertex's objective exceeds `_dual_bound` by more than GAP_TOLERANCE
+    of it; then the loop runs again from round 1 without seeds, one cut per
+    round, first with presolve off (where the first loop had seeds) and then
+    with presolve on, and that last run's answer or error is the call's.
     """
     own = islands is None and precedence is None  # the instance's, which keeps E-infinity
     islands = instance.islands if islands is None else islands
@@ -505,9 +489,7 @@ def solve_relaxation(
     seeds = [(prefix, *exact[1:]) for prefix in _single_crew_prefixes(order, lines, of_line)
              if prefix != first[0] and (exact := _exact_cut(prefix, at_least, times, m))
              and exact[1] < 1e20]
-    # no relaxation is above the harm of a schedule: that of the list schedule in `order`
-    ceiling = (_conversion_harm(order, islands, energization, m) * (1.0 + 1e-12) if order
-               else math.inf)
+    caps = _caps(order, islands, precedence, energization, m, times) if order else []
 
     def cutting_planes(seeded: Sequence[tuple[tuple[int, ...], float, float]]
                        ) -> tuple[LpModel, LpVertex, list[float], list[float], list[Cut]]:
@@ -549,7 +531,7 @@ def solve_relaxation(
         return model, vertex, x, history, cuts
 
     # the seeded loop, then the loop of one cut per round with presolve off: the
-    # first that solves, leaves no gap and stays under the ceiling gives the answer
+    # first that solves and ends within GAP_TOLERANCE of its dual bound gives the answer
     for pool in ([seeds] if seeds else []) + [()]:
         try:
             model, vertex, x, history, cuts = cutting_planes(pool)
@@ -557,8 +539,8 @@ def solve_relaxation(
             raise
         except LpError:  # a solve failed
             continue
-        if (_slackness_gap(model, vertex) <= SLACKNESS_TOLERANCE * max(1.0, abs(vertex.objective))
-                and history[-1] <= ceiling):
+        ub = vertex.objective  # no caps: E-infinity, unsolved, is optimal as it stands
+        if not caps or ub - _dual_bound(model, vertex, caps) <= GAP_TOLERANCE * max(1.0, abs(ub)):
             break
     else:  # else the loop of one cut per round with presolve on, whatever its end
         _set_presolve(True)
@@ -600,17 +582,60 @@ def _single_crew_prefixes(island_order: Iterable[str], lines: list[str],
 
 def _conversion_harm(island_order: Sequence[str], islands: IslandSet,
                      infinite: Mapping[str, float], m: int) -> float:
-    """Harm of the bound sum_i w_i (E1_i / m + (m - 1) / m E-infinity_i), with
-    E1 the single-crew energization along `island_order`, a linear extension
-    of the precedence: each island energizes by then in the list schedule on
-    m crews in that order (the conversion bound), so the optimum is no
-    higher."""
+    """Harm of the conversion bound sum_i w_i (E1_i / m + (m - 1) / m E-infinity_i),
+    E1 the single-crew energization along `island_order`, a linear extension of
+    the precedence: the list schedule on m crews in that order meets it."""
     weights, done, terms = islands.weights, 0.0, []
     processing = {isl.id: isl.processing for isl in islands.islands}
     for iid in island_order:
         done += processing[iid]
         terms.append(weights[iid] * (done / m + (m - 1) / m * infinite[iid]))
     return math.fsum(terms)
+
+
+def _caps(island_order: Sequence[str], islands: IslandSet, precedence: PrecedenceGraph,
+          infinite: Mapping[str, float], m: int, times: Sequence[float]) -> list[float]:
+    """The box min(1.5P, U / W_j) of the module docstring, by column, for n
+    positive `times` and k islands: U / W_j is at most n + 2k + 7 roundings of
+    nonnegative floats off exact (barring underflow), which U's factor covers."""
+    below = dict(islands.weights)  # W_j
+    for iid in reversed(precedence.topological_order[1:]):  # children first
+        below[precedence.parent[iid]] += below[iid]
+    upper = _conversion_harm(island_order, islands, infinite, m) * (
+        1.0 + 32 * (len(times) + len(below)) * 2.0**-53)
+    box = 1.5 * math.fsum(times)
+    return [min(box, upper / w) if w else box for w in below.values()]
+
+
+def _dual_bound(model: LpModel, vertex: LpVertex, caps: Sequence[float]) -> float:
+    """LB of the module docstring at the vertex's duals and the box `caps`,
+    less an allowance.  With u = 2^-53, a product or an fsum is within u of
+    its magnitude, so r_j, the fsum of w_j and of v y_k over column j's row
+    entries v, is within e_j = u (|r_j| + P_j), P_j the summed magnitudes of
+    the inexact products (v != +-1), and min(l_j r, u_j r) at the exact r is
+    at least s_j (r_j - e_j), s_j = l_j where r_j >= 2e_j, else u_j.  The
+    allowance 2u (|LB| + y.b + sum_j s_j (2|r_j| + P_j)) twice covers those
+    and LB's roundings."""
+    sums = [[w] for w in model.objective]  # r_j's terms
+    inexact = [0.0] * len(sums)  # P_j
+    rows = []  # y_k b_k
+    start, index, value = model.start, model.index, model.value
+    for k, dual in enumerate(vertex.row_duals):
+        if dual < 0.0:
+            rows.append(-dual * model.rhs[k])
+            for i in range(start[k], start[k + 1]):
+                product = value[i] * -dual
+                sums[index[i]].append(product)
+                if abs(value[i]) != 1.0:
+                    inexact[index[i]] += abs(product)
+    terms, spread = rows[:], rows[:]  # LB's terms; the allowance's
+    for column, lo, cap, error in zip(sums, model.lower, caps, inexact):
+        r = math.fsum(column)
+        slope = lo if r >= (abs(r) + error) * 2.0**-52 else cap
+        terms.append(slope * r)
+        spread.append(slope * (2.0 * abs(r) + error))
+    bound = math.fsum(terms)
+    return bound - 2.0**-52 * (abs(bound) + math.fsum(spread))
 
 
 def _limit(value: float, limit: float, what: str, *args: object) -> None:

@@ -752,3 +752,45 @@ def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:
             model.add_row([column[lid] for lid in subset], [t / scale for t in times],
                           load_rhs(times, m) / scale)
     return reference_solve_linprog(model, True).objective
+
+
+def exact_dual_bound(model: LpModel, vertex: LpVertex, caps) -> Fraction:
+    """`lp._dual_bound` in exact arithmetic, with no allowance: LB = y.b +
+    sum_j min(l_j r_j, u_j r_j), y = max(0, -row dual), r = w - A'y, on the
+    model's stored floats and the box `caps`."""
+    r = [Fraction(w) for w in model.objective]
+    bound = Fraction(0)
+    for k, dual in enumerate(vertex.row_duals):
+        y = Fraction(max(0.0, -dual))
+        bound += y * Fraction(model.rhs[k])
+        for i in range(model.start[k], model.start[k + 1]):
+            r[model.index[i]] += Fraction(model.value[i]) * y  # the model holds -A
+    return bound + sum(min(Fraction(lo) * rj, Fraction(cap) * rj)
+                       for rj, lo, cap in zip(r, model.lower, caps))
+
+
+def island_all_subset_relaxation(instance: NetworkInstance, m: int, caps=None) -> float:
+    """The island LP of `lp` with every one of its 2^n - 1 load cuts a row,
+    each divided by min(1, p(A)) as `lp` divides its own, and with a row
+    -E_j >= -caps[j] per column where `caps` is given; solved once by
+    `reference_solve_linprog` with presolve on (`all_subset_relaxation`
+    says why).  At most 10 damaged lines."""
+    p, islands = instance.repair_times(), instance.islands
+    lines = [lid for lid in sorted(p) if p[lid] > 0]
+    if len(lines) > MAX_ALL_SUBSET_LINES:
+        raise oracle.TooLarge(len(lines), MAX_ALL_SUBSET_LINES)
+    model = lp._base_model(instance, islands, instance.precedence)
+    column = {iid: k for k, iid in enumerate(islands.weights)}
+    for size in range(1, len(lines) + 1):
+        for subset in itertools.combinations(lines, size):
+            times = [p[lid] for lid in subset]
+            coefficients: dict[int, float] = {}
+            for lid in subset:
+                k = column[islands.island_of_line[lid]]
+                coefficients[k] = coefficients.get(k, 0.0) + p[lid]
+            scale = min(1.0, math.fsum(times))
+            model.add_row(list(coefficients), [v / scale for v in coefficients.values()],
+                          load_rhs(times, m) / scale)
+    for k, cap in enumerate(caps or ()):
+        model.add_row([k], [-1.0], -cap)
+    return reference_solve_linprog(model, True).objective

@@ -51,6 +51,7 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
         assert group["separation_calls"] == [group["calls"] + n for n in group["highs_solves"]]
         assert [seconds > 0 for seconds in group["separation_s"]] == [group["calls"] > 0] * 2
         assert group["presolve_fallbacks"] == [0, 0]
+        assert group["loops"] == [group["calls"]] * 2  # no loop ran again
         # round 1 seeds cuts only where it finds one, so never with a crew per line
         seeded, spare = group["seeded_cuts"], group is result["relaxation"]["n<=m"]
         assert seeded[0] == seeded[1] and (seeded[0] == 0) == spare
@@ -116,6 +117,41 @@ def test_tree_diff_counts_the_presolve_on_reruns(tmp_path):
     group = relaxation["n>m"]
     assert group["presolve_fallbacks"][0] == 0 < group["presolve_fallbacks"][1] <= group["calls"]
     assert group["highs_solves"][1] == group["highs_solves"][0] + group["presolve_fallbacks"][1]
+    assert group["loops"] == [group["calls"], group["calls"] + group["presolve_fallbacks"][1]]
+
+
+# appended to the copy's lp.py: a seeded loop, whose first model holds more
+# than round 1's cut, fails at its first solve
+SEEDED_FAILS = """
+
+_unpatched_base_model, _unpatched_simplex_solve, _first_rows = _base_model, simplex_solve, []
+
+
+def _base_model(instance, islands, precedence):
+    model = _unpatched_base_model(instance, islands, precedence)
+    _first_rows[:] = [len(model.rhs) + 1]
+    return model
+
+
+def simplex_solve(model):
+    if _first_rows and len(model.rhs) > _first_rows.pop():
+        raise Infeasible("stand-in for HiGHS failing on a seeded loop")
+    return _unpatched_simplex_solve(model)
+"""
+
+
+def test_tree_diff_counts_the_unseeded_presolve_off_reruns(tmp_path):
+    """Where the seeded loop fails, the loop of one cut per round answers
+    with presolve off: only the loop count shows that rerun."""
+    with open(patched_src(tmp_path, "lp.py"), "a") as out:
+        out.write(SEEDED_FAILS)
+    proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
+    assert proc.returncode in (0, 1), proc.stderr
+    group = json.loads(proc.stdout)["relaxation"]["all"]
+    assert group["presolve_fallbacks"] == [0, 0]
+    (seeded, unseeded), (loops, reruns) = group["seeded_cuts"], group["loops"]
+    assert loops == group["calls"] and unseeded == 0
+    assert 0 < reruns - loops <= seeded  # one more loop per call that seeded a cut
 
 
 # appended to the copy's lp.py: no vertex counts as the unique optimum, so the
