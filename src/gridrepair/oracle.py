@@ -24,10 +24,14 @@ lines in id order: nothing is simulated and NumPy stays unloaded.
 
 Large enumerations are pruned by branch and bound, as exact methods for
 P|prec|sum wC do (Potts 1985; Hall, Schulz, Shmoys and Wein 1997).  The
-incumbent is the harm of the conversion schedule (`algos.convert_single_to_m`).
-It is at least the computed optimum, bit for bit: the scalar simulator
-makes the same float operations as the vectorized one on the same list,
-and moving its zero-time lines to the front raises no completion.  The
+incumbent is the harm of a list schedule: the caller's (the bench passes
+the better of its two algorithms' harms) or else the conversion
+schedule's (`algos.convert_single_to_m`).  It is at least the computed
+optimum, bit for bit: the scalar simulator makes the same float
+operations as the vectorized one on the same list, and moving its
+zero-time lines to the front raises no completion.  So an optimum found
+above the incumbent, or a bound that drops every prefix, raises
+InvariantViolation instead of returning a wrong optimum.  The
 lower bound of a prefix raises each island's latest completion to the
 earliest free time plus the repair time of each of its lines not yet
 placed, which no later start can beat, then energizes and scores that
@@ -37,9 +41,15 @@ level just grown.  Each step is a maximum, a product with a weight >= 0
 or a sum taken in the same order as the harm's, all monotone in floats,
 so the bound is at most the computed harm of every list below the prefix.
 A prefix is dropped only where its bound is strictly above the
-incumbent, so no list of the least harm is ever lost, and of those the
-lexicographically smallest, found by each list's rank, is the one
-returned without pruning.
+incumbent, so no list of the least harm is ever lost.  Two lines are
+twins when they lie in one island and have equal repair times.  Swapping
+twins in a list repeats every float operation, so the harm is identical
+bit for bit, and the list with the lower id first is the smaller one.
+So a c-line set, or a checked prefix, that has placed a line while a
+lower twin of it is unplaced is dropped too: each list below it has a
+twin list of the same harm and a smaller rank.  Of the lists of least
+harm the lexicographically smallest, found by each list's rank, is the
+one returned without pruning.
 `certify_row` re-checks every proven guarantee on a bench row: the
 algorithms' bounds and, with the optimum, the two lower bounds on it.
 """
@@ -51,13 +61,13 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from gridrepair import algos
+from gridrepair import algos, lp
 from gridrepair import schedule as sched
 from gridrepair.algos import AlgoResult
 from gridrepair.model import NetworkInstance
 
 MAX_BRUTE_FORCE_LINES = 9
-PRUNE_LISTS = 10_000  # prune where the n!/c! lists simulated number at least this many
+PRUNE_LISTS = 6_000  # prune where the n!/c! lists simulated number at least this many
 PRUNE_AT = (4, 3, 2)  # the prefixes checked: those with this many lines left
 KEEP_AT_MOST = 0.75  # drop pruned prefixes where at most this share stays, else stop pruning
 ULPS = 2.0**-50  # the relative slack `certify_row` allows a bound, about 4 ulps
@@ -79,24 +89,35 @@ class OracleResult:
     enumerated: int  # the n! lists the minimum is taken over, not the lists simulated
 
 
-def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
+def brute_force_optimal(
+    instance: NetworkInstance, m: int, incumbent: float | None = None
+) -> OracleResult:
     """Exact minimum harm over all m-crew list schedules.
 
     Zero-time lines are pinned to the front of every list (finishing a
     zero-time job earlier can never raise any completion), so only the
     damaged lines are permuted; the guard caps those at 9.
 
-    The bound prunes only where the lists simulated, n!/c!, number at least
-    `PRUNE_LISTS`: at most 9 lines, that is n = 8 with m <= 2 and n = 9
-    with m <= 4.  It checks the prefixes with 4, 3 and 2 lines left.  Where
-    a check would keep more than `KEEP_AT_MOST` of them, it drops none and
-    pruning stops.  Measured in-process on the bench corpus (seeds 0-399,
-    at most 9 lines; per (n, m) group the median of each call's best
-    time), the pruned groups take 0.2 (n = 9, m = 1) to 0.7 (n = 9, m = 4)
-    of the time without pruning, while pruning the groups of fewer lists
-    (n = 7 at m = 1, n = 8 at m = 3) cost them 5 to 15 % more.  On one or
-    two islands, where ties keep nearly every prefix, a call can still take
-    about a fifth longer.
+    The bound and the twin rule prune only where the lists simulated,
+    n!/c!, number at least `PRUNE_LISTS`: at most 9 lines, that is n = 8
+    with m <= 3 and n = 9 with m <= 4 (7 lines at m = 1 make 5 040 lists,
+    8 at m = 3 make 6 720).  The c-line sets are filtered by the twin rule,
+    and the prefixes with 4, 3 and 2 lines left by both.  Where a check
+    would keep more than `KEEP_AT_MOST` of them, it drops none and pruning
+    stops.  Measured in-process on the bench corpus (seeds 0-399, at most 9
+    lines; per (n, m) group the median of each call's best time, calls of
+    this oracle and of the one without twins and with a gate of 10 000
+    interleaved; two runs), the conversion as incumbent takes 0.71-0.84 of
+    the time at n = 9 with m <= 3 and 0.89-0.95 at n = 8 with m = 1 and 3,
+    and the bench's better incumbent 0.53-0.82 at n = 9 with m <= 4 and
+    0.64-0.88 at n = 8 with m <= 3.  n = 8 at m = 2 with the conversion
+    reads +1 and +3 %: where one twin pair meets a bound that already
+    drops three quarters at each check, the twin checks (about 25 us)
+    outweigh the half of the survivors they drop.
+
+    `incumbent` is the harm of any m-crew list schedule; None takes the
+    conversion's.  Raises InvariantViolation where the optimum found is
+    above it, or where every checked prefix is dropped.
     """
     if m < 1:
         raise ValueError(f"crew count must be >= 1, got {m}")
@@ -110,7 +131,7 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
 
     if n <= m:  # one start state, every line on its own crew
         harm = instance.infinite_crew_energization[1]
-        return OracleResult(harm, (*zero_lines, *damaged), enumerated=math.factorial(n))
+        return _checked(harm, (*zero_lines, *damaged), n, incumbent)
     import numpy as np  # here, so that importing the oracle does not load NumPy
 
     ids = list(islands.weights)  # in id order
@@ -133,7 +154,13 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     prune = math.perm(n, n - c) >= PRUNE_LISTS
     rank = np.arange(heads.shape[1]) * math.factorial(n - c) if prune else None
     if prune:
-        incumbent, compacted = algos.convert_single_to_m(instance, m).harm, False
+        if incumbent is None:
+            incumbent = algos.convert_single_to_m(instance, m).harm
+        twins = _twin_code(damaged, repair, island_of)
+        compacted = twins is not None
+        if compacted:  # drop the sets holding a line but not its lower twin
+            kept = np.flatnonzero(_in_order(twins, rest, n))
+            free, done, rest, rank = (a.take(kept, axis=-1) for a in (free, done, rest, rank))
     for r in range(n - c, 0, -1):
         # child j * R + i of prefix i (of R) appends its j-th remaining line
         finish = free[0] + p.take(rest)
@@ -147,7 +174,14 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
             # earliest finish of its unplaced lines: no list below it scores less
             bound = sched.harm(sched.energize(dict(zip(ids, done.max(axis=1))), precedence,
                                               np.maximum), islands.weights)
-            kept = np.flatnonzero(~(bound > incumbent))
+            keep = ~(bound > incumbent)
+            if twins is not None:
+                keep &= _in_order(twins, rest, n)
+            kept = np.flatnonzero(keep)
+            if not len(kept):
+                raise InvariantViolation(
+                    f"every prefix's bound is above the incumbent {incumbent!r} at m={m}: "
+                    "it is below the optimum")
             if len(kept) <= KEEP_AT_MOST * len(bound):
                 free, done, rest, rank, finish = (
                     a.take(kept, axis=-1) for a in (free, done, rest, rank, finish))
@@ -189,8 +223,38 @@ def brute_force_optimal(instance: NetworkInstance, m: int) -> OracleResult:
     for r in range(n - c, 0, -1):
         j, best = divmod(best, math.factorial(r - 1))
         order.append(left.pop(j))
-    return OracleResult(harm=float(harm), priority_list=tuple(order),
-                        enumerated=math.factorial(n))
+    return _checked(float(harm), tuple(order), n, incumbent)
+
+
+def _checked(harm: float, order: tuple[str, ...], n: int, incumbent: float | None) -> OracleResult:
+    """The result, once the optimum is found at most the incumbent, as every
+    list schedule's harm is; above it, the incumbent is wrong or the search is."""
+    if incumbent is not None and harm > incumbent:
+        raise InvariantViolation(f"brute-force optimum {harm!r} above the incumbent {incumbent!r}")
+    return OracleResult(harm=harm, priority_list=order, enumerated=math.factorial(n))
+
+
+def _twin_code(damaged: list[str], repair: dict[str, float],
+               island_of: dict[str, str]) -> np.ndarray | None:
+    """code[k]: bit k, plus bit n + k' where line k' is the next twin above line k
+    (twins: lines of one island with equal repair times); None without twins."""
+    import numpy as np
+    n, code, last = len(damaged), [1 << k for k in range(len(damaged))], {}
+    for k, lid in enumerate(damaged):
+        key = (island_of[lid], repair[lid])
+        if key in last:
+            code[last[key]] += 1 << (n + k)
+        last[key] = k
+    return np.array(code, dtype=np.int64) if len(last) < n else None
+
+
+def _in_order(code: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
+    """Per column of remaining lines `rest`, whether its prefix has placed no
+    line while a lower twin of it is unplaced: summed codes whose bit n + k'
+    is set but bit k' not show a remaining line whose next twin up, k', is
+    already placed."""
+    total = code.take(rest).sum(axis=0)
+    return ((total >> n) & ~total) == 0
 
 
 @cache
@@ -290,7 +354,9 @@ def certify_row(
             failures.append("2x harm guarantee broken")
         if above(alg2.harm, (2.0 - 1.0 / m) * h_opt, tol):
             failures.append("(2 - 1/m) harm guarantee broken")
-        if alg1.lp.objective > h_opt + tol:
+        # the LP loop accepts an objective up to GAP_TOLERANCE of it above its dual bound
+        objective = alg1.lp.objective
+        if above(objective, h_opt, tol + lp.GAP_TOLERANCE * max(1.0, abs(objective))):
             failures.append("relaxation exceeds the optimum")
         failures += _lower_bound_failures(h_opt, single.harm, infinite_harm, m)
 

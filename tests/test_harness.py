@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from gridrepair import algos, harness, lp
+from gridrepair import algos, harness, lp, oracle
 from gridrepair.harness import (
     GenParams,
     generate_random,
@@ -248,6 +248,33 @@ class TestBench:
         assert not out.exists()
         replay = json.loads((tmp_path / "bench.csv.violation.json").read_text())
         assert instance_from_json(replay) == generate_random(dataclasses.replace(params, seed=13))
+
+    def test_the_incumbent_changes_no_cell(self, monkeypatch):
+        """`bench_instance` gives the oracle the better list schedule's harm; the
+        rows, timings aside, are those of an oracle that finds its own."""
+        params = GenParams(seed=160, nodes=(2, 10), crews=(1, 2, 3, 4))
+        strip = lambda rows: [
+            {k: v for k, v in dataclasses.asdict(r).items() if not k.startswith("t_")}
+            for r in rows
+        ]
+        rows = run_bench(params, 40, jobs=1)
+        damaged = [sum(1 for t in generate_random(dataclasses.replace(params, seed=seed))
+                       .repair_times().values() if t > 0) for seed in range(160, 200)]
+        assert damaged.count(8) == damaged.count(9) == 4  # where the bound prunes
+        brute_force_optimal = oracle.brute_force_optimal
+        monkeypatch.setattr(oracle, "brute_force_optimal",
+                            lambda instance, m, incumbent=None: brute_force_optimal(instance, m))
+        assert strip(run_bench(params, 40, jobs=1)) == strip(rows)
+
+    def test_an_oracle_violation_is_named_for_replay(self, tmp_path, monkeypatch):
+        def wrong_incumbent(instance, m, incumbent=None):
+            raise oracle.InvariantViolation("fabricated for the test")
+
+        monkeypatch.setattr(oracle, "brute_force_optimal", wrong_incumbent)
+        out = tmp_path / "bench.csv"
+        with pytest.raises(oracle.InvariantViolation, match=r"^gen-11 \(m=2\): fabricated"):
+            run_bench(GenParams(seed=11, nodes=(2, 6), crews=(2, 3)), 4, out_path=out)
+        assert (tmp_path / "bench.csv.violation.json").exists()
 
     def test_each_row_validates_its_instance_once(self, monkeypatch):
         calls = []

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 
 from gridrepair import algos, lp, oracle, seq_opt
 from gridrepair import schedule as sched
-from gridrepair.harness import GenParams, generate_random, random_raw
+from gridrepair.harness import GenParams, bench_instance, generate_random, random_raw
 from gridrepair.model import build_precedence_graph, partition_islands, validate
 
-from conftest import certified_bounds, exhaustive_separation, instances, mixed_magnitude_feeder
+from conftest import (certified_bounds, exhaustive_separation, instances, mixed_magnitude_feeder,
+                      small_mixed_magnitude_feeder)
 
 
 def reference_brute_force(instance, m):
@@ -134,6 +135,9 @@ def _zero_weights(seed, lines):
 
 
 DEEP_TIMES, DEEP_WEIGHTS = [2, 5, 1, 4, 3, 2, 6, 1, 3], [1, 0, 3, 1, 2, 5, 1, 4, 2]
+# three islands of three lines on a path: within each, two lines of equal time
+# (twins); across them, the same times again (not twins)
+TWIN_TIMES, TWIN_SWITCHES = [2, 2, 5, 2, 5, 5, 2, 2, 5], [True, False, False] * 3
 
 # instances of 8 and 9 damaged lines, where the branch-and-bound pruning engages
 # (at m = 1, 2 with 8 lines and m <= 4 with 9); each case at both sizes
@@ -150,15 +154,56 @@ PRUNED_CASES = [
         # the conversion's harm, the incumbent, is the optimum at m = 2 (and at m = 1)
         ("incumbent-optimal", lambda lines: _generated({8: 200, 9: 223}[lines], lines,
                                                        (1, 10), 0.4)),
+        # twins in every island, and equal times across islands, which are not twins
+        ("island-twins", lambda lines: _chain(TWIN_TIMES[:lines], DEEP_WEIGHTS[:lines],
+                                              TWIN_SWITCHES[:lines])),
+        ("tree-twins", lambda lines: _generated(33, lines, (2, 3), 0.3)),
     ]
 ]
+_REFERENCE = {}
+
+
+def _pruned_reference(inst, m):
+    """reference_brute_force(inst, m) of a PRUNED_CASES instance, computed once."""
+    key = (id(inst), m)
+    if key not in _REFERENCE:
+        _REFERENCE[key] = reference_brute_force(inst, m)
+    return _REFERENCE[key]
 
 
 @pytest.mark.parametrize("inst", PRUNED_CASES)
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_pruned_sizes_match_reference_brute_force(inst, m):
     assert sum(1 for p in inst.repair_times().values() if p > 0) in (8, 9)
-    assert oracle.brute_force_optimal(inst, m) == reference_brute_force(inst, m)
+    assert oracle.brute_force_optimal(inst, m) == _pruned_reference(inst, m)
+
+
+@pytest.mark.parametrize("inst", PRUNED_CASES)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_optimum_as_incumbent_keeps_the_smallest_optimal_list(inst, m):
+    """The tightest valid incumbent drops every prefix it can and still
+    returns the lexicographically smallest optimal list; one ulp lower, no
+    list reaches it, which raises instead of answering."""
+    best = _pruned_reference(inst, m)
+    assert oracle.brute_force_optimal(inst, m, incumbent=best.harm) == best
+    with pytest.raises(oracle.InvariantViolation, match="above the incumbent"):
+        oracle.brute_force_optimal(inst, m, incumbent=np.nextafter(best.harm, -np.inf))
+
+
+def test_an_incumbent_below_every_bound_raises():
+    inst = next(case.values[0] for case in PRUNED_CASES if case.id == "deep-chain-9")
+    with pytest.raises(oracle.InvariantViolation, match="every prefix's bound is above"):
+        oracle.brute_force_optimal(inst, 2, incumbent=0.0)
+
+
+def _pairs(inst):
+    """Pairs of damaged lines of equal repair time, split into those of one
+    island (twins) and those of two."""
+    repair, island_of = inst.repair_times(), inst.islands.island_of_line
+    pairs = [(a, b) for a, b in itertools.combinations(sorted(repair), 2)
+             if repair[a] == repair[b] > 0]
+    same = [pair for pair in pairs if island_of[pair[0]] == island_of[pair[1]]]
+    return same, [pair for pair in pairs if pair not in same]
 
 
 def test_pruned_cases_are_what_they_say():
@@ -170,6 +215,22 @@ def test_pruned_cases_are_what_they_say():
         assert len(cases[f"deep-chain-{lines}"].precedence.topological_order) == lines + 1
         best = cases[f"incumbent-optimal-{lines}"]
         assert algos.convert_single_to_m(best, 2).harm == reference_brute_force(best, 2).harm
+        for name in ("island-twins", "tree-twins"):
+            twins, lookalikes = _pairs(cases[f"{name}-{lines}"])
+            assert len(twins) >= 3 and len(lookalikes) >= 3, name
+
+
+@pytest.mark.parametrize("case, m", [("island-twins-9", 2), ("tree-twins-8", 3)])
+def test_the_twin_rule_drops_lists_but_no_answer(case, m):
+    """A line placed before its lower twin drops its set or prefix: the
+    answer is the one found with no twins known."""
+    inst = next(case_.values[0] for case_ in PRUNED_CASES if case_.id == case)
+    with mock.patch.object(oracle, "_in_order", wraps=oracle._in_order) as in_order:
+        result = oracle.brute_force_optimal(inst, m)
+    kept = [oracle._in_order(*call.args) for call in in_order.call_args_list]
+    assert kept and all(0 < k.sum() < len(k) for k in kept)
+    with mock.patch.object(oracle, "_twin_code", return_value=None):
+        assert oracle.brute_force_optimal(inst, m) == result == _pruned_reference(inst, m)
 
 
 def _bound_checks(inst, m):
@@ -183,12 +244,14 @@ def _bound_checks(inst, m):
 @pytest.mark.parametrize("case, m, checks", [
     ("deep-chain-9", 2, 3),  # each check drops at least a quarter, so all three run
     ("incumbent-optimal-8", 2, 3),
-    ("single-island-9", 2, 1),  # one island: ties keep nearly all, so pruning stops
-    ("equal-times-8", 1, 1),
-    ("deep-chain-8", 3, 0),  # 8!/3! = 6720 lists: too few to prune
+    ("single-island-9", 2, 2),  # one island: ties keep nearly all, but twins do not
+    ("equal-times-8", 1, 3),  # every island's lines are twins
+    ("deep-chain-8", 3, 1),  # 8!/3! = 6720 lists prune; the first check keeps most
+    ("seeded-7", 1, 0),  # 7! = 5040 lists: too few to prune
 ])
 def test_bound_checks_where_it_pays(case, m, checks):
-    inst = next(case_.values[0] for case_ in PRUNED_CASES if case_.id == case)
+    inst = next(case_.values[0] for case_ in PRUNED_CASES + DIFFERENTIAL_CASES
+                if case_.id == case)
     assert _bound_checks(inst, m) == checks
 
 
@@ -374,6 +437,32 @@ def test_a_bound_missed_by_one_rounding_is_met(seed, m, bound):
     with mock.patch.object(oracle, "ULPS", 0.0), pytest.raises(oracle.InvariantViolation,
                                                                match=message):
         oracle.certify_row(f"mixed-{seed}", inst, m, alg1, alg2, h_opt)
+
+
+@pytest.mark.parametrize("seed", [44, 71, 95, 479, 2003, 2295, 3008, 4427, 4600, 5006])
+def test_a_relaxation_the_lp_loop_accepts_certifies(seed):
+    """Rows of the small mixed-magnitude sweep at m = 1, with values of 1e9
+    to 1e14, whose relaxation ends above the brute-force optimum by up to
+    9.7e-14 of it (seed 95): within the LP loop's own acceptance tolerance,
+    which `certify_row` allows on top of its absolute 1e-6."""
+    bench_instance(f"mixed-{seed}", small_mixed_magnitude_feeder(seed), 1)
+
+
+def test_a_relaxation_above_the_optimum_by_more_than_the_slack_fails():
+    inst = small_mixed_magnitude_feeder(95)
+    alg1 = algos.lp_list_schedule(inst, crews=1)
+    alg2 = algos.convert_single_to_m(inst, crews=1)
+    h_opt = oracle.brute_force_optimal(inst, 1).harm
+    slack = 1e-6 + (lp.GAP_TOLERANCE + oracle.ULPS) * h_opt
+    for share in (0.5, 2.0):
+        relaxation = dataclasses.replace(alg1.lp, objective=h_opt + share * slack)
+        row = (inst, 1, dataclasses.replace(alg1, lp=relaxation), alg2, h_opt)
+        if share < 1:
+            oracle.certify_row("mixed-95", *row)
+        else:
+            with pytest.raises(oracle.InvariantViolation,
+                               match=r"^mixed-95 \(m=1\): relaxation exceeds the optimum$"):
+                oracle.certify_row("mixed-95", *row)
 
 
 class TestExhaustiveSeparation:
