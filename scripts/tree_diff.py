@@ -14,11 +14,15 @@ timed, and the CLI commands of a fourth each run in a process of their own:
   --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), at
   m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls
   (rounds and canonical passes), its canonical passes (`lp._canonical_pass`,
-  which a unique optimum skips), whether it ran its loop again with HiGHS
-  presolve on after a failed solve or a last vertex off its optimum
-  (`lp._set_presolve(True)`; never in a tree without it), the loops it ran
-  (`lp._base_model` calls: 1, and 2 or 3 where a loop ran again, with
-  presolve off or on), the cut rows that
+  which a unique optimum skips), whether it ran a loop with HiGHS presolve
+  on after a loop that failed or ended off its optimum (a presolve-on
+  `lp.simplex_solve` call after its first loop, or in a tree without the
+  presolve argument, `lp._set_presolve(True)`), the solves of its first
+  loop that it retried in place with presolve on (its presolve-on
+  `lp.simplex_solve` calls in that loop; 0 in a tree without the retry),
+  the loops it ran (`lp._base_model` calls: 1, or 2 where the loop of one
+  cut per round ran with presolve on; up to 3 in a tree that first ran it
+  with presolve off), the cut rows that
   round 1 seeded beside its own cut (the cuts beyond one per solved round;
   0 in a tree that adds one cut per round) and its separation calls
   (`lp._most_violated`), with their seconds, on the untimed pass, then the
@@ -46,8 +50,8 @@ One JSON object is printed, each figure listed per SRC in the order given:
 the median over a group of calls of each call's best time, in microseconds
 for the relaxation (per calls with at most m damaged lines, the others and
 all, with the total count of HiGHS solves, of canonical passes, of calls
-that took the presolve-on rerun, of loops, of seeded cut rows and of
-separation calls, and the separation's seconds:
+that took the presolve-on loop, of solves retried in place, of loops, of
+seeded cut rows and of separation calls, and the separation's seconds:
 the sum over the calls of each call's best) and for
 the oracle (per damaged-line count n and m, with the largest best time
 of the group beside the median as `max_us`), and in milliseconds per feeder size and form for load
@@ -92,9 +96,9 @@ LOAD_TIMES = ("load_write", "islands", "load_islands")
 
 # Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
 # JSON object of count, max_lines, crews and files; reports [seed, n, m] and
-# [HiGHS solves, separation calls, separation seconds, presolve-on reruns,
-# seeded cut rows, canonical passes, loops] per call and, per layer, [times,
-# answer] per call or file.
+# [HiGHS solves, separation calls, separation seconds, presolve-on loops,
+# seeded cut rows, canonical passes, loops, retried solves] per call and, per
+# layer, [times, answer] per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
@@ -143,9 +147,14 @@ def load(path):
 solve, separate, canonical, counts = lp.simplex_solve, lp._most_violated, lp._canonical_pass, []
 base_model = lp._base_model
 
-def counted(model):
+def counted(model, *presolve):  # presolve is passed by trees that retry a solve in place
     counts[-1][0] += 1
-    return solve(model)
+    if presolve and presolve[0]:  # a retry in the first loop, else the presolve-on loop
+        if counts[-1][6] == 1:
+            counts[-1][7] += 1
+        else:
+            counts[-1][3] = 1
+    return solve(model, *presolve)
 
 def passed(*args):
     counts[-1][5] += 1
@@ -162,7 +171,7 @@ def timed(*args):
     counts[-1][1] += 1
     return found
 
-set_presolve = getattr(lp, "_set_presolve", None)  # None in trees that solve with presolve on
+set_presolve = getattr(lp, "_set_presolve", None)  # only in trees without the presolve argument
 
 def rerun(on):
     counts[-1][3] += on
@@ -174,7 +183,7 @@ lp._base_model = looped
 if set_presolve:
     lp._set_presolve = rerun
 for _, _, m, instance in calls:
-    counts.append([0, 0, 0.0, 0, 0, 0, 0])
+    counts.append([0, 0, 0.0, 0, 0, 0, 0, 0])
     _, answer = relaxation(instance, m)
     if answer.startswith("["):  # not an error: the cuts beyond one per solved round
         rounds, cuts = json.loads(answer)[3:5]
@@ -349,6 +358,7 @@ def main() -> int:
             "highs_solves": [sum(counts[tree][j][0] for j in group) for tree in trees],
             "canonical_passes": [sum(counts[tree][j][5] for j in group) for tree in trees],
             "presolve_fallbacks": [sum(counts[tree][j][3] for j in group) for tree in trees],
+            "presolve_retries": [sum(counts[tree][j][7] for j in group) for tree in trees],
             "loops": [sum(counts[tree][j][6] for j in group) for tree in trees],
             "seeded_cuts": [sum(counts[tree][j][4] for j in group) for tree in trees],
             "separation_calls": [sum(counts[tree][j][1] for j in group) for tree in trees],

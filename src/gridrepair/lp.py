@@ -60,32 +60,31 @@ picks.
 The loop runs on integer column indices and plain Python floats.  One HiGHS
 instance per process solves every model, and each round passes it the whole
 model afresh: a cold solve that keeps no basis.  Presolve is off: on models
-of a few columns and rows it is most of a solve.  A loop is run again from
-round 1 when a solve fails, and when its last solved vertex is not proven
-optimal: when its objective UB exceeds the safe dual bound LB (Neumaier &
-Shcherbina 2004; Jansson 2004) by more than GAP_TOLERANCE max(1, |UB|), as
-HiGHS's values can with presolve off on times that span seven orders of
-magnitude or more.  With y = max(0, -row dual) on the rows AE >= b and r =
-w - A'y, each E in them and in a box l <= E <= u has w.E = y.AE + r.E >=
-y.b + sum_j min(l_j r_j, u_j r_j) = LB.  An optimum of the all-subset LP
-lies in the box u_j = min(1.5P, U / W_j) (`_caps`; P the total time, U the
-conversion bound, W_j the weight at or below island j): lowering each E
-above 1.5P to it keeps every row, as f(A) - f(A - A_L) <= p(A_L) P for the
-lines A_L it lowers, and as E only rises down the tree, W_j E_j <= w.E <=
-U.  So LB bounds that LP, up to the rounding of the stored cut rows;
-`_dual_bound` takes a proven float allowance off it.  A seeded loop runs
-again without seeds, one cut per round, with presolve off, and that loop
-runs again with presolve on, HiGHS's default: the loops as they ran before
-round 1 was seeded, bit for bit.  Presolve is off again after the last run,
-whatever its end.  The solve goes straight to HiGHS through SciPy's private
-binding (`scipy.optimize._highspy._core`, SciPy 1.15 or later, tested with
-1.17) with the matrix, bounds and options that SciPy's public `highs-ds`
-method would pass, and gives its vertex and duals bit for bit (the tests'
-reference solve checks this).  The binding is loaded from its file, without
-the half second of importing `scipy.optimize`, and only by the functions
-that solve; where that fails it is imported the standard way, and a SciPy
-without it raises ImportError.  The solve loads no NumPy: it passes the
-binding lists and reads back only lists.
+of a few columns and rows it is most of a solve.  A solve that fails is
+solved once more on the same model with presolve on, HiGHS's default, and
+the loop goes on from there with its cuts.  The loop is run again from
+round 1, without seeds and with presolve on, when that retry fails too, and
+when its last solved vertex is not proven optimal: when its objective UB
+exceeds the safe dual bound LB (Neumaier & Shcherbina 2004; Jansson 2004) by
+more than GAP_TOLERANCE max(1, |UB|), as HiGHS's values can with presolve
+off on times that span seven orders of magnitude or more.  With y = max(0,
+-row dual) on the rows AE >= b and r = w - A'y, each E in them and in a box
+l <= E <= u has w.E = y.AE + r.E >= y.b + sum_j min(l_j r_j, u_j r_j) = LB.
+An optimum of the all-subset LP lies in the box u_j = min(1.5P, U / W_j)
+(`_caps`; P the total time, U the conversion bound, W_j the weight at or
+below island j): lowering each E above 1.5P to it keeps every row, as f(A) -
+f(A - A_L) <= p(A_L) P for the lines A_L it lowers, and as E only rises down
+the tree, W_j E_j <= w.E <= U.  So LB bounds that LP, up to the rounding of
+the stored cut rows; `_dual_bound` takes a proven float allowance off it.
+The solve goes straight to HiGHS through SciPy's private binding
+(`scipy.optimize._highspy._core`, SciPy 1.15 or later, tested with 1.17)
+with the matrix, bounds and options that SciPy's public `highs-ds` method
+would pass, and gives its vertex and duals bit for bit (the tests' reference
+solve checks this).  The binding is loaded from its file, without the half
+second of importing `scipy.optimize`, and only by the functions that solve;
+where that fails it is imported the standard way, and a SciPy without it
+raises ImportError.  The solve loads no NumPy: it passes the binding lists
+and reads back only lists.
 """
 
 from __future__ import annotations
@@ -181,6 +180,7 @@ class LpVertex(NamedTuple):
 
 _shared: tuple[int, object] | None = None  # (pid, the instance of `_shared_highs`)
 _zero_cost_lps: dict[int, object] = {}  # column count -> a HighsLp of that many zero costs
+_presolve: tuple[object, bool] | None = None  # (a HiGHS instance, the presolve it was last set to)
 
 
 def _shared_highs():
@@ -239,28 +239,26 @@ def _new_highs():
     return highs
 
 
-def _set_presolve(on: bool) -> None:
-    """Turn HiGHS presolve on or off for every later solve on the shared instance."""
-    value = "on" if on else "off"
-    if _shared_highs().setOptionValue("presolve", value) != _binding().HighsStatus.kOk:
-        raise LpError(f"HiGHS rejected option presolve={value!r}")
-
-
-def simplex_solve(model: LpModel) -> LpVertex:
+def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
     """Solve the model to an optimal basic solution.
 
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
     anti-cycling safeguards) at 1e-9 feasibility tolerances, with presolve
-    off unless `_set_presolve` turned it on, on the process's shared
-    instance; `passModel` drops the model and basis it held.  HiGHS gets
-    the HighsLp SciPy's `highs-ds` method builds: the -rows with row bounds
-    [-inf, -rhs], passed row-wise (HiGHS stores them column-wise, rows
-    ascending in each column: the CSC matrix SciPy passes), and column
-    bounds [lower, inf].  The binding's `col_cost_` setter takes a NumPy
-    array, so the HighsLp has n zero costs HiGHS sized (`addVar`, once per
-    n) and `changeColCost` sets the nonzero ones.
+    on or off as `presolve` says (the option is set only where it changes),
+    on the process's shared instance; `passModel` drops the model and basis
+    it held.  HiGHS gets the HighsLp SciPy's `highs-ds` method builds: the
+    -rows with row bounds [-inf, -rhs], passed row-wise (HiGHS stores them
+    column-wise, rows ascending in each column: the CSC matrix SciPy
+    passes), and column bounds [lower, inf].  The binding's `col_cost_`
+    setter takes a NumPy array, so the HighsLp has n zero costs HiGHS sized
+    (`addVar`, once per n) and `changeColCost` sets the nonzero ones.
     """
+    global _presolve
     highs, hs = _shared_highs(), _binding()
+    if _presolve != (highs, presolve):
+        if highs.setOptionValue("presolve", "on" if presolve else "off") != hs.HighsStatus.kOk:
+            raise LpError(f"HiGHS rejected option presolve={presolve!r}")
+        _presolve = (highs, presolve)
     n, k = len(model.variables), len(model.rhs)
     lower, upper = model.lower, [-rhs for rhs in model.rhs]
     lp = _zero_cost_lps.get(n)  # filled with lists: the binding converts them faster than arrays
@@ -445,15 +443,14 @@ def solve_relaxation(
 
     Round 1, unsolved, is E = E-infinity; its most violated cut goes in with
     the seeds of `_single_crew_prefixes` it violates, each later round adds
-    the most violated cut, and each round's model is solved cold.  The last
-    vertex is the answer where `_unique_optimum` holds; else the canonical
-    pass's point is, and separation is re-checked on it.  Every solve
-    runs with HiGHS presolve off.  A loop is not taken if a solve fails
-    (LpError, but for the cut pool's CutPoolLimit, which is raised) or its
-    last vertex's objective exceeds `_dual_bound` by more than GAP_TOLERANCE
-    of it; then the loop runs again from round 1 without seeds, one cut per
-    round, first with presolve off (where the first loop had seeds) and then
-    with presolve on, and that last run's answer or error is the call's.
+    the most violated cut, and each round's model is solved cold, with HiGHS
+    presolve off; a solve that fails (LpError) is solved again with presolve
+    on.  The last vertex is the answer where `_unique_optimum` holds; else
+    the canonical pass's point is, and separation is re-checked on it.  The
+    loop is not taken if a retry fails too (but for the cut pool's
+    CutPoolLimit, which is raised) or its last vertex's objective exceeds
+    `_dual_bound` by more than GAP_TOLERANCE of it; then the loop of one cut
+    per round runs with presolve on, and its answer or error is the call's.
     """
     own = islands is None and precedence is None  # the instance's, which keeps E-infinity
     islands = instance.islands if islands is None else islands
@@ -491,10 +488,18 @@ def solve_relaxation(
              and exact[1] < 1e20]
     caps = _caps(order, islands, precedence, energization, m, times) if order else []
 
-    def cutting_planes(seeded: Sequence[tuple[tuple[int, ...], float, float]]
+    def cutting_planes(seeded: Sequence[tuple[tuple[int, ...], float, float]], presolve: bool
                        ) -> tuple[LpModel, LpVertex, list[float], list[float], list[Cut]]:
         model = _base_model(instance, islands, precedence)
         cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
+
+        def solved(solve, *args) -> LpVertex:  # with presolve off, a failed solve once more on
+            try:
+                return solve(*args, presolve)
+            except LpError:
+                if presolve:
+                    raise
+                return solve(*args, True)
 
         def add_cut(subset: tuple[int, ...], rhs: float, scale: float) -> None:
             cut = Cut(frozenset(map(lines.__getitem__, subset)), rhs)
@@ -517,37 +522,32 @@ def solve_relaxation(
                 violation = _violation(found[0], c, times, m)
                 raise CutPoolLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
-            vertex = simplex_solve(model)
+            vertex = solved(simplex_solve, model)
             history.append(vertex.objective)
             x = vertex.values
             c = [x[k] for k in columns]
             found = _most_violated(c, times, m, pooled)
             if found is None and not _unique_optimum(vertex, len(model.variables)):
-                x = _canonical_pass(model, vertex.objective).values
+                x = solved(_canonical_pass, model, vertex.objective).values
                 c = [x[k] for k in columns]
                 found = _most_violated(c, times, m, pooled)
             if found is not None:
                 add_cut(*found)
         return model, vertex, x, history, cuts
 
-    # the seeded loop, then the loop of one cut per round with presolve off: the
-    # first that solves and ends within GAP_TOLERANCE of its dual bound gives the answer
-    for pool in ([seeds] if seeds else []) + [()]:
-        try:
-            model, vertex, x, history, cuts = cutting_planes(pool)
-        except CutPoolLimit:
-            raise
-        except LpError:  # a solve failed
-            continue
-        ub = vertex.objective  # no caps: E-infinity, unsolved, is optimal as it stands
-        if not caps or ub - _dual_bound(model, vertex, caps) <= GAP_TOLERANCE * max(1.0, abs(ub)):
-            break
-    else:  # else the loop of one cut per round with presolve on, whatever its end
-        _set_presolve(True)
-        try:
-            model, vertex, x, history, cuts = cutting_planes(())
-        finally:
-            _set_presolve(False)
+    # the first loop (seeded, presolve off) answers if it ends within GAP_TOLERANCE of
+    # its dual bound; else the loop of one cut per round, presolve on, whatever its end
+    try:
+        model, vertex, x, history, cuts = cutting_planes(seeds, False)
+        ub = vertex.objective
+        taken = not caps or (  # no caps: E-infinity, unsolved, is optimal as it stands
+            ub - _dual_bound(model, vertex, caps) <= GAP_TOLERANCE * max(1.0, abs(ub)))
+    except CutPoolLimit:
+        raise
+    except LpError:  # a solve failed with presolve off and on
+        taken = False
+    if not taken:
+        model, vertex, x, history, cuts = cutting_planes((), True)
 
     energization = dict(zip(iids, x))
     completion = {lid: energization[of_line[lid]] if p[lid] > 0 else 0.0 for lid in lids}
@@ -653,7 +653,7 @@ def _unique_optimum(vertex: LpVertex, columns: int) -> bool:
     return sum(abs(d) > LP_TOLERANCE for d in (*vertex.row_duals, *vertex.reduced_costs)) == columns
 
 
-def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
+def _canonical_pass(model: LpModel, optimum: float, presolve: bool = False) -> LpVertex:
     """Re-minimize sum(E) with the objective capped at its optimum."""
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
     weighted = [k for k, w in enumerate(model.objective) if w]
@@ -662,7 +662,7 @@ def _canonical_pass(model: LpModel, optimum: float) -> LpVertex:
                     index=model.index[:], value=model.value[:], rhs=model.rhs[:])
     canon.add_row(weighted, [-model.objective[k] for k in weighted], -cap)
     try:
-        return simplex_solve(canon)
+        return simplex_solve(canon, presolve)
     except LpError:  # HiGHS drops a cap of 1e20 or more, and its point may then break it
         _limit(cap, 1e20, "objective cap of the canonical pass")
         raise

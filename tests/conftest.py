@@ -1,3 +1,4 @@
+import contextlib
 import heapq
 import itertools
 import json
@@ -10,6 +11,7 @@ import textwrap
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -717,13 +719,18 @@ def reference_full_space_relaxation(
 ) -> LpSolution:
     """`_full_space_relaxation` with HiGHS presolve on, as every solve was
     when it was written, so the reference does not move with the
-    presolve-off solve of `lp.solve_relaxation`.  Presolve is off again
-    after it, whatever its end."""
-    lp._set_presolve(True)
-    try:
+    presolve-off solve of `lp.solve_relaxation`."""
+    with presolve_on():
         return _full_space_relaxation(instance, islands, precedence, crews)
-    finally:
-        lp._set_presolve(False)
+
+
+@contextlib.contextmanager
+def presolve_on():
+    """Within it, every `lp.simplex_solve` runs with HiGHS presolve on,
+    whatever its caller asks, as `lp.solve_relaxation`'s last loop does."""
+    solve = lp.simplex_solve
+    with mock.patch.object(lp, "simplex_solve", lambda model, presolve=False: solve(model, True)):
+        yield
 
 
 def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:

@@ -348,7 +348,7 @@ def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
 def test_lp_error_exits_3(fixtures_dir, capsys, monkeypatch):
     from gridrepair import cli, lp
 
-    def infeasible(model):
+    def infeasible(model, *presolve):
         raise lp.Infeasible("fabricated for the test")
 
     monkeypatch.setattr(lp, "simplex_solve", infeasible)

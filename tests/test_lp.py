@@ -46,6 +46,7 @@ from conftest import (
     mixed_magnitude_feeder,
     small_mixed_magnitude_feeder,
     path_raw,
+    presolve_on,
     reference_full_space_relaxation,
     reference_most_violated,
     reference_solve_highs,
@@ -131,9 +132,9 @@ def round_models(monkeypatch, name, m):
     inst = case_instance(name)
     models = []
 
-    def record(model):
+    def record(model, *presolve):
         models.append(copy.deepcopy(model))  # the loop appends to its lists
-        return simplex_solve(model)
+        return simplex_solve(model, *presolve)
 
     monkeypatch.setattr(lp, "simplex_solve", record)
     sol = solve_relaxation(inst, crews=m)
@@ -193,13 +194,13 @@ class TestSimplexSolve:
         pytest.param(name, m, on, id=f"{name}-{m}" + ("-presolve-on" if on else ""))
         for on in (False, True) for name, m in ROUND_CASES])
     def test_direct_path_matches_linprog_on_every_round(self, monkeypatch, name, m, presolve):
-        """Presolve on is the setting of `solve_relaxation`'s last rerun."""
+        """Presolve on is the setting of `solve_relaxation`'s retries and last loop."""
         models = round_models(monkeypatch, name, m)
         assert len(models) >= 2  # the cutting-plane rounds and the canonical pass
         monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
-        lp._set_presolve(presolve)  # on that instance alone
         for model in models:
-            direct, reference = simplex_solve(model), reference_solve_linprog(model, presolve)
+            direct = simplex_solve(model, presolve)
+            reference = reference_solve_linprog(model, presolve)
             assert list(direct.values) == list(reference.values)
             assert direct.objective == reference.objective
             # the same duals, so both paths judge a vertex by the same slackness gap
@@ -348,31 +349,48 @@ def seeded(sol) -> bool:
 
 
 class TestPresolveFallback:
-    """`solve_relaxation` solves with HiGHS presolve off; a seeded loop that
-    fails is run again from round 1 without seeds, one cut per round, and an
-    unseeded loop that fails is run again with presolve on, HiGHS's default.
-    The option is off again after that run, whatever its end."""
+    """`solve_relaxation` runs its first loop, seeded where round 1 has seeds,
+    with HiGHS presolve off, and solves a solve of it that fails once more, in
+    place, with presolve on, HiGHS's default.  Where that fails too, or the
+    loop ends off its optimum, the loop of one cut per round runs with
+    presolve on and gives the answer or the error."""
 
     CASES = [("fork.json", 2), ("feeder123.json", 3), ("golden-5", 3), ("golden-6", 3)]
-    # presolve moves its answer, so the two unseeded loops differ; on golden-5
-    # they differed only after the canonical pass, which its unique optimum skips
+    # presolve moves its answer, so the unseeded loops with presolve off and on
+    # differ; on golden-5 they differed only after the canonical pass, which its
+    # unique optimum skips
     MOVED = {"golden-6"}
+    # the calls of the two mixed-magnitude sweeps, all at m = 1, where a solve
+    # of the first loop fails with presolve off and its retry solves: the loop
+    # ladder of three loops ran the call again from round 1 on each
+    RESCUED = [("item-7", seed) for seed in (
+        135, 456, 646, 983, 1079, 1486, 1537, 1563, 2131, 2464, 2877, 3116, 3184, 3759, 3868,
+        4338, 4637, 5023, 5048, 5224, 5338, 5370, 5875)] + [
+        ("2-20-nodes", seed) for seed in (1343, 2698, 5212, 8548, 9187)]
 
     @staticmethod
-    def relax(monkeypatch, highs, inst, m, fail_at=(), seeds=True):
-        """`solve_relaxation` on `highs` as the shared instance, and the presolve
-        setting each of its solves saw; the solves numbered in `fail_at` raise."""
-        monkeypatch.setattr(lp, "_shared", (os.getpid(), highs))
+    def relax(monkeypatch, inst, m, fail_at=(), on_at=(), seeds=True, on=False):
+        """`solve_relaxation`, and per loop (`lp._base_model` call) the presolve
+        setting each of its solves ran with.  The solves numbered in `fail_at`
+        raise; those in `on_at`, and with `on` every solve, run with presolve
+        on, whatever the loop asked for."""
         if not seeds:
             unseeded(monkeypatch)
-        seen = []
+        seen, base = [], lp._base_model
 
-        def record(model):
-            seen.append(presolve(highs))
-            if len(seen) in fail_at:
-                raise lp.Infeasible("stand-in for HiGHS failing with presolve off")
-            return simplex_solve(model)
+        def loop(*args):
+            seen.append([])
+            return base(*args)
 
+        def record(model, presolve=False):
+            k = sum(map(len, seen)) + 1
+            presolve = presolve or on or k in on_at
+            seen[-1].append("on" if presolve else "off")
+            if k in fail_at:
+                raise lp.Infeasible(f"stand-in for HiGHS failing with presolve {seen[-1][-1]}")
+            return simplex_solve(model, presolve)
+
+        monkeypatch.setattr(lp, "_base_model", loop)
         monkeypatch.setattr(lp, "simplex_solve", record)
         sol = solve_relaxation(inst, crews=m)
         monkeypatch.undo()
@@ -381,89 +399,90 @@ class TestPresolveFallback:
     @pytest.mark.parametrize("at", ["first", "last"])
     @pytest.mark.parametrize("name, m", CASES)
     def test_a_failed_loop_gives_the_presolve_on_answer(self, monkeypatch, name, m, at):
+        """Where the first or the last solve of the first loop fails with
+        presolve off, it is solved again on the same model with presolve on,
+        and the loop goes on with its cuts and presolve off: the answer is the
+        loop's with that one solve run with presolve on."""
         inst = case_instance(name)
-        # the unseeded presolve-on loop: nothing fails, so nothing reruns
-        on = _new_highs()
-        assert on.setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
-        want, on_seen = self.relax(monkeypatch, on, inst, m, seeds=False)
-        off, off_seen = self.relax(monkeypatch, _new_highs(), inst, m, seeds=False)
-        assert on_seen == ["on"] * len(on_seen) and off_seen == ["off"] * len(off_seen)
-        assert (answer(off) != answer(want)) == (name in self.MOVED)
-
-        first, first_seen = self.relax(monkeypatch, _new_highs(), inst, m)
+        first, (first_seen,) = self.relax(monkeypatch, inst, m)
         assert first_seen == ["off"] * len(first_seen)
-        # each presolve-off loop, seeded where it has seeds, fails at its first or last solve
-        loops = [first_seen, off_seen] if seeded(first) else [off_seen]
-        failed = [1 if at == "first" else len(loop) for loop in loops]
-        used = _new_highs()
-        got, seen = self.relax(monkeypatch, used, inst, m,
-                               fail_at={sum(failed[:k + 1]) for k in range(len(loops))})
-        assert seen == [s for loop, k in zip(loops, failed) for s in loop[:k]] + on_seen
+        k = 1 if at == "first" else len(first_seen)
+        want, (want_seen,) = self.relax(monkeypatch, inst, m, on_at={k})
+        got, (seen,) = self.relax(monkeypatch, inst, m, fail_at={k})
+        assert want_seen[k - 1] == "on" and want_seen.count("on") == 1
+        assert seen == want_seen[:k - 1] + ["off"] + want_seen[k - 1:]
         assert answer(got) == answer(want)
-        assert presolve(used) == "off"
-        assert answer(self.relax(monkeypatch, used, inst, m)[0]) == answer(first)
+        assert seeded(got) == seeded(first)
 
     @pytest.mark.parametrize("at", ["first", "last"])
     @pytest.mark.parametrize("name, m", CASES[1:])
     def test_a_failed_seeded_loop_gives_the_unseeded_answer(self, monkeypatch, name, m, at):
-        """Where round 1 seeds cuts and the seeded loop fails, the loop of one
-        cut per round runs with presolve off, and its answer is the call's."""
+        """Where a solve of the seeded loop fails with presolve off and again
+        with presolve on, the loop of one cut per round runs with presolve on,
+        and its answer is the call's: no loop runs with presolve off after it,
+        and on golden-6 the loop of one cut per round with presolve off would
+        answer otherwise."""
         inst = case_instance(name)
-        want, off_seen = self.relax(monkeypatch, _new_highs(), inst, m, seeds=False)
-        first, first_seen = self.relax(monkeypatch, _new_highs(), inst, m)
+        want, (want_seen,) = self.relax(monkeypatch, inst, m, seeds=False, on=True)
+        off, _ = self.relax(monkeypatch, inst, m, seeds=False)
+        assert (answer(off) != answer(want)) == (name in self.MOVED)
+        first, (first_seen,) = self.relax(monkeypatch, inst, m)
         assert seeded(first) and answer(first) != answer(want)
-        failed, used = 1 if at == "first" else len(first_seen), _new_highs()
-        got, seen = self.relax(monkeypatch, used, inst, m, fail_at={failed})
-        assert seen == first_seen[:failed] + off_seen == ["off"] * len(seen)
+        k = 1 if at == "first" else len(first_seen)
+        got, seen = self.relax(monkeypatch, inst, m, fail_at={k, k + 1})
+        assert seen == [first_seen[:k] + ["on"], want_seen] and set(want_seen) == {"on"}
         assert answer(got) == answer(want)
-        assert presolve(used) == "off"
 
     @pytest.mark.parametrize("failure", [Infeasible, lp.IterationLimit])
     def test_presolve_is_off_after_the_rerun_fails_too(self, monkeypatch, feeder123, failure):
+        """Where every solve fails, after HiGHS ran it: the first loop's first
+        solve, its retry and the presolve-on loop's first solve run, and the
+        last error is the call's.  The next call solves with presolve off, as
+        on a fresh instance."""
         monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
-        seen = []
+        fresh = solve_relaxation(feeder123, crews=3)
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
+        solve, seen = lp.simplex_solve, []
 
-        def fail(model):
-            seen.append(presolve(lp._shared_highs()))
+        def fail(model, presolve=False):
+            seen.append("on" if presolve else "off")
+            solve(model, presolve)
             raise failure(f"stand-in for a failure with presolve {seen[-1]}")
 
-        monkeypatch.setattr(lp, "simplex_solve", fail)
-        with pytest.raises(failure, match="with presolve on"):
-            solve_relaxation(feeder123, crews=3)
-        assert seen == ["off", "off", "on"]  # seeded, then one cut per round
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "simplex_solve", fail)
+            with pytest.raises(failure, match="with presolve on"):
+                solve_relaxation(feeder123, crews=3)
+        assert seen == ["off", "on", "on"] and presolve(lp._shared_highs()) == "on"
+        assert answer(solve_relaxation(feeder123, crews=3)) == answer(fresh)
         assert presolve(lp._shared_highs()) == "off"
 
     @pytest.mark.parametrize("name, m", CASES)
     def test_a_vertex_off_its_optimum_reruns(self, monkeypatch, name, m):
         """Every presolve-off vertex is moved up by 1 in each column, off every
-        bound and tight row its duals name: each presolve-off loop, seeded
-        and then unseeded, ends above its dual bound by about a unit per unit
-        of weight, and the loop runs again with presolve on."""
+        bound and tight row its duals name: the first loop, seeded where it
+        has seeds, ends above its dual bound by about a unit per unit of
+        weight, and the loop of one cut per round runs with presolve on."""
         inst = case_instance(name)
-        on = _new_highs()
-        assert on.setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
-        want, on_seen = self.relax(monkeypatch, on, inst, m, seeds=False)
+        want, (on_seen,) = self.relax(monkeypatch, inst, m, seeds=False, on=True)
         assert len(on_seen) >= 2  # a solved round and the canonical pass
-        loops = 2 if seeded(self.relax(monkeypatch, _new_highs(), inst, m)[0]) else 1
 
-        def shifted(model):
-            vertex = simplex_solve(model)
-            if presolve(used) == "on":
+        def shifted(model, presolve=False):
+            vertex = simplex_solve(model, presolve)
+            if presolve:
                 return vertex
             moved = [v + 1.0 for v in vertex.values]
             objective = math.fsum(w * v for w, v in zip(model.objective, moved))
             return vertex._replace(values=moved, objective=objective)
 
-        used, gaps = _new_highs(), []
-        monkeypatch.setattr(lp, "_shared", (os.getpid(), used))
+        gaps = []
         monkeypatch.setattr(lp, "simplex_solve", shifted)
         spy_dual_bound(monkeypatch, gaps)
         got = solve_relaxation(inst, crews=m)
         monkeypatch.undo()
         weight = sum(inst.islands.weights.values())
-        assert len(gaps) == loops and all(0.5 * weight < gap < 2 * weight for gap, _ in gaps)
+        assert len(gaps) == 1 and 0.5 * weight < gaps[0][0] < 2 * weight
         assert answer(got) == answer(want)
-        assert presolve(used) == "off"
 
     @pytest.mark.parametrize("name, m", CASES)
     @pytest.mark.parametrize("perturb", ["dual", "column"])
@@ -472,18 +491,15 @@ class TestPresolveFallback:
         dual of its most priced load cut is scaled up by 1.5 (where it has
         one: a round's vertex may price no cut), or raised until
         every column on that cut prices below 0, so that the bound takes
-        those columns at their caps instead of their lower bounds.  Each
-        presolve-off loop ends above its bound by more than GAP_TOLERANCE,
-        and the loop runs again with presolve on."""
+        those columns at their caps instead of their lower bounds.  The first
+        loop ends above its bound by more than GAP_TOLERANCE, and the loop of
+        one cut per round runs with presolve on."""
         inst = case_instance(name)
-        on = _new_highs()
-        assert on.setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
-        want, _ = self.relax(monkeypatch, on, inst, m, seeds=False)
-        loops = 2 if seeded(self.relax(monkeypatch, _new_highs(), inst, m)[0]) else 1
+        want, _ = self.relax(monkeypatch, inst, m, seeds=False, on=True)
 
-        def perturbed(model):
-            vertex = simplex_solve(model)
-            if presolve(used) == "on":
+        def perturbed(model, presolve=False):
+            vertex = simplex_solve(model, presolve)
+            if presolve:
                 return vertex
             duals = list(vertex.row_duals)
             k = min((d, k) for k, d in enumerate(duals) if model.rhs[k] > 0)[1]
@@ -494,16 +510,14 @@ class TestPresolveFallback:
                 duals[k] -= 2.0 * max(model.objective) / least
             return vertex._replace(row_duals=duals)
 
-        used, gaps = _new_highs(), []
-        monkeypatch.setattr(lp, "_shared", (os.getpid(), used))
+        gaps = []
         monkeypatch.setattr(lp, "simplex_solve", perturbed)
         spy_dual_bound(monkeypatch, gaps)
         got = solve_relaxation(inst, crews=m)
         monkeypatch.undo()
-        assert len(gaps) == loops
+        assert len(gaps) == 1
         assert all(gap > lp.GAP_TOLERANCE * max(1.0, abs(ub)) for gap, ub in gaps)
         assert answer(got) == answer(want)
-        assert presolve(used) == "off"
 
     def test_the_cut_pool_limit_does_not_rerun(self, monkeypatch, fork):
         """A loop that outgrows its cut pool fails at once, with presolve off:
@@ -515,9 +529,9 @@ class TestPresolveFallback:
         def endless(completions, times, m, pooled):
             return (0,) * next(sizes), 0.0, 1.0  # a new subset each round, always met
 
-        def record(model):
-            seen.append(presolve(lp._shared_highs()))
-            return simplex_solve(model)
+        def record(model, presolve=False):
+            seen.append("on" if presolve else "off")
+            return simplex_solve(model, presolve)
 
         monkeypatch.setattr(lp, "_most_violated", endless)
         monkeypatch.setattr(lp, "simplex_solve", record)
@@ -532,18 +546,14 @@ class TestPresolveFallback:
         """Feeders of a mixed-magnitude sweep where, at m = 1, the presolve-off
         loop ends above its model's optimum, and on 4034, 9185 and 13155
         above the brute-force optimum: HiGHS holds a row tight that its
-        primal values leave slack.  The dual bound rejects it, the loop
-        reruns with presolve on, and its answer passes every certificate of
-        `bench_instance`."""
+        primal values leave slack.  The dual bound rejects it, the loop of one
+        cut per round runs with presolve on, and its answer passes every
+        certificate of `bench_instance`."""
         inst = mixed_magnitude_feeder(seed)
         got = solve_relaxation(inst, crews=1)
-        with monkeypatch.context() as patch:
+        with monkeypatch.context() as patch, presolve_on():
             unseeded(patch)
-            lp._set_presolve(True)
-            try:
-                want = solve_relaxation(inst, crews=1)
-            finally:
-                lp._set_presolve(False)
+            want = solve_relaxation(inst, crews=1)
         assert answer(got) == answer(want)
         monkeypatch.setattr(lp, "GAP_TOLERANCE", math.inf)  # no rerun
         assert solve_relaxation(inst, crews=1).objective > got.objective
@@ -555,50 +565,46 @@ class TestPresolveFallback:
         assert got.objective <= optimum + lp.LP_TOLERANCE * (abs(optimum) + weight)
         bench_instance(f"mixed-{seed}", inst, 1)  # raises if a certificate fails
 
-    def test_both_presolve_off_loops_fail_on_a_small_feeder(self, monkeypatch):
-        """Feeder 75 of ROADMAP item 7's sweep, at m = 1: the seeded loop and
-        the loop of one cut per round fail with presolve off, and that loop
-        with presolve on solves it, as it did before round 1 was seeded."""
-        inst, seen = small_mixed_magnitude_feeder(75), []
-        solve = lp.simplex_solve
-        with monkeypatch.context() as patch:  # each solve's presolve setting and row count
-            patch.setattr(lp, "simplex_solve",
-                          lambda model: seen.append((presolve(lp._shared_highs()), len(model.rhs)))
-                          or solve(model))
-            got = solve_relaxation(inst, crews=1)
-        # a loop starts afresh where the row count drops or presolve turns on:
-        # seeded, unseeded, then presolve on
-        starts = [k for k in range(len(seen))
-                  if k == 0 or seen[k][1] < seen[k - 1][1] or seen[k][0] != seen[k - 1][0]]
-        assert [seen[k][0] for k in starts] == ["off", "off", "on"]
-        with monkeypatch.context() as patch:
-            unseeded(patch)
-            lp._set_presolve(True)
-            try:
-                want = solve_relaxation(inst, crews=1)
-            finally:
-                lp._set_presolve(False)
+    def test_a_retry_that_fails_too_falls_back_on_a_small_feeder(self, monkeypatch):
+        """Feeder 75 of ROADMAP item 7's sweep, at m = 1: a solve of the
+        seeded loop fails with presolve off and again with presolve on, and
+        the loop of one cut per round with presolve on solves it, as it did
+        before round 1 was seeded."""
+        inst = small_mixed_magnitude_feeder(75)
+        got, seen = self.relax(monkeypatch, inst, 1)
+        assert len(seen) == 2 and seen[0][-2:] == ["off", "on"] and set(seen[1]) == {"on"}
+        want, _ = self.relax(monkeypatch, inst, 1, seeds=False, on=True)
         assert answer(got) == answer(want)
         assert got.objective <= oracle.brute_force_optimal(inst, 1).harm + 1e-6
+
+    @pytest.mark.parametrize("sweep, seed", RESCUED)
+    def test_a_retry_in_place_rescues_the_first_loop(self, monkeypatch, sweep, seed):
+        """Real inputs, not a stand-in failure: a solve of the first loop fails
+        with presolve off, its retry with presolve on solves, and the loop
+        goes on to an answer in one loop, which passes every certificate of
+        `bench_instance` where the oracle reaches."""
+        make = small_mixed_magnitude_feeder if sweep == "item-7" else mixed_magnitude_feeder
+        inst = make(seed)
+        sol, (seen,) = self.relax(monkeypatch, inst, 1)  # one loop, and no LpError
+        retries = [k for k, on in enumerate(seen) if on == "on"]
+        assert retries and all(seen[k - 1] == "off" for k in retries)
+        if damaged_lines(inst) <= oracle.MAX_BRUTE_FORCE_LINES:
+            bench_instance(f"{sweep}-{seed}", inst, 1)  # raises if a certificate fails
 
     @pytest.mark.parametrize("seed, fails", [(3586, True), (5886, False)])
     def test_no_relaxation_above_the_optimum(self, monkeypatch, seed, fails):
         """Feeders of ROADMAP item 7's sweep, at m = 1, on which the unseeded
-        loop fails with presolve on and off.  On 3586 the seeded loop ends
-        2.0 above the optimum with no complementary-slackness gap, but 3.4e-9
-        of its objective above its dual bound: a reduced cost of -2.7e-9 on
-        an E near 1e9.  It reruns unseeded and fails like that loop.  On 5886
-        it solves, below the optimum."""
+        loop fails with presolve on.  On 3586 the seeded loop ends 2.0 above
+        the optimum with no complementary-slackness gap, but 3.4e-9 of its
+        objective above its dual bound: a reduced cost of -2.7e-9 on an E
+        near 1e9.  The loop of one cut per round then runs with presolve on
+        and fails.  On 5886 the seeded loop solves, below the optimum."""
         inst = small_mixed_magnitude_feeder(seed)
         optimum = oracle.brute_force_optimal(inst, 1).harm
-        with monkeypatch.context() as patch:
+        with monkeypatch.context() as patch, presolve_on():
             unseeded(patch)
-            lp._set_presolve(True)
-            try:
-                with pytest.raises(lp.LpError):
-                    solve_relaxation(inst, crews=1)
-            finally:
-                lp._set_presolve(False)
+            with pytest.raises(lp.LpError):
+                solve_relaxation(inst, crews=1)
         with monkeypatch.context() as patch:
             patch.setattr(lp, "GAP_TOLERANCE", math.inf)  # no rerun
             unchecked = solve_relaxation(inst, crews=1).objective
@@ -613,27 +619,52 @@ class TestPresolveFallback:
         gap, ub = gaps[0]  # the seeded loop's
         if fails:
             assert unchecked > optimum + 1e-6 and ub == unchecked
-            assert len(gaps) == 1 and 3e-9 < gap / ub < 4e-9  # the unseeded loop fails
+            assert len(gaps) == 1 and 3e-9 < gap / ub < 4e-9
         else:
             assert gaps == [(gap, unchecked)] and gap <= lp.GAP_TOLERANCE * ub
 
     def test_a_rerun_loads_no_numpy(self, tmp_path):
+        """The one solve of lp-list on feeder123.json fails once, with presolve
+        off: its retry runs with presolve on, the instance keeps that setting
+        until a solve asks for another, and NumPy stays unloaded."""
         proc = run_fresh(f"""
             import sys
             from gridrepair import cli, lp
-            solve, failed = lp.simplex_solve, []
-            def fail_once(model):
-                if not failed:
-                    failed.append(model)
+            solve, seen = lp.simplex_solve, []
+            def fail_once(model, presolve=False):
+                seen.append(presolve)
+                if len(seen) == 1:
                     raise lp.LpError("stand-in for HiGHS failing with presolve off")
-                return solve(model)
+                return solve(model, presolve)
             lp.simplex_solve = fail_once
             assert cli.main(["schedule", {str(FIXTURES / "feeder123.json")!r}, "--alg",
                              "lp-list", "--crews", "3", "--out", {str(tmp_path / "o.json")!r}]) == 0
-            assert failed and lp._shared_highs().getOptionValue("presolve")[1] == "off"
+            assert seen == [False, True]
+            assert lp._shared_highs().getOptionValue("presolve")[1] == "on"
             assert "numpy" not in sys.modules
         """)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_the_benchmarked_inputs_never_solve_with_presolve_on(monkeypatch):
+    """No solve fails and no loop ends off its optimum on the bench corpus
+    (`gridrepair bench --seed 0 --count 200`, m = 2, 3) or on the generated
+    60-line feeders golden-1 to golden-6, so none runs with presolve on: the
+    retry and the presolve-on loop cannot move their answers."""
+    solve, asked = lp.simplex_solve, []
+
+    def record(model, presolve=False):
+        asked.append(presolve)
+        return solve(model, presolve)
+
+    monkeypatch.setattr(lp, "simplex_solve", record)
+    for seed in range(200):
+        inst = generate_random(GenParams(seed=seed))
+        for m in (2, 3):
+            solve_relaxation(inst, crews=m)
+    for seed in range(1, 7):
+        solve_relaxation(case_instance(f"golden-{seed}"), crews=3)
+    assert len(asked) > 200 and not any(asked)
 
 
 # prints the relaxation's answers on two fixtures, every float by `repr`
@@ -789,9 +820,9 @@ class TestBinding:
             assert "scipy.optimize" not in sys.modules
             core = sys.modules["scipy.optimize._highspy._core"]
             models = []
-            def record(model):
+            def record(model, *presolve):
                 models.append(copy.deepcopy(model))
-                return solve(model)
+                return solve(model, *presolve)
             solve, lp.simplex_solve = lp.simplex_solve, record
             harness.bench_instance("fork", harness.load_instance({fixtures["fork"]!r}), 2)
             lp.simplex_solve = solve
@@ -1056,7 +1087,8 @@ class TestSolveRelaxation:
         solves; round 1's seeds leave it 4, rounds and canonical pass."""
         solves = []
         solve = lp.simplex_solve
-        monkeypatch.setattr(lp, "simplex_solve", lambda model: solves.append(model) or solve(model))
+        monkeypatch.setattr(lp, "simplex_solve",
+                            lambda model, *args: solves.append(model) or solve(model, *args))
         sol = solve_relaxation(case_instance("lines-200"), crews=3)
         assert len(solves) <= 6 and len(sol.cuts) > sol.iterations + 10
 
@@ -1087,7 +1119,7 @@ class TestUniqueOptimum:
         the answer is the loop's last vertex bit for bit."""
         solve, vertices = lp.simplex_solve, []
         monkeypatch.setattr(lp, "simplex_solve",
-                            lambda model: vertices.append(solve(model)) or vertices[-1])
+                            lambda *args: vertices.append(solve(*args)) or vertices[-1])
         sol, skipped = pass_skipped(monkeypatch, feeder123, 3)
         assert skipped
         assert [v.hex() for v in sol.energization.values()] == [
@@ -1119,8 +1151,8 @@ class TestUniqueOptimum:
         assert sol.objective == pytest.approx(2.0, rel=1e-12)
         solve = lp.simplex_solve
 
-        def raised(model):  # the loop's vertices, E[e3] 1 higher; the pass's, as solved
-            vertex = solve(model)
+        def raised(model, *presolve):  # the loop's vertices, E[e3] 1 higher; the pass's, as solved
+            vertex = solve(model, *presolve)
             if model.objective[-1]:
                 return vertex
             return vertex._replace(values=[*vertex.values[:-1], vertex.values[-1] + 1.0])
@@ -1264,9 +1296,9 @@ def assert_is_the_highs_answer(inst, m):
 
     solved = []
 
-    def record(model):
+    def record(model, *presolve):
         solved.append(copy.deepcopy(model))
-        return simplex_solve(model)
+        return simplex_solve(model, *presolve)
 
     with mock.patch.object(lp, "simplex_solve", record):
         try:
@@ -1306,7 +1338,7 @@ class TestSpareCrews:
     def test_fixtures_make_no_solve_and_match_highs(self, monkeypatch, name, m):
         inst = case_instance(name)
         calls = []
-        monkeypatch.setattr(lp, "simplex_solve", calls.append)
+        monkeypatch.setattr(lp, "simplex_solve", lambda *args: calls.append(args))
         solve_relaxation(inst, crews=m)
         monkeypatch.undo()
         assert calls == []

@@ -50,7 +50,7 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
     for group in result["relaxation"].values():
         assert group["separation_calls"] == [group["calls"] + n for n in group["highs_solves"]]
         assert [seconds > 0 for seconds in group["separation_s"]] == [group["calls"] > 0] * 2
-        assert group["presolve_fallbacks"] == [0, 0]
+        assert group["presolve_fallbacks"] == group["presolve_retries"] == [0, 0]
         assert group["loops"] == [group["calls"]] * 2  # no loop ran again
         # round 1 seeds cuts only where it finds one, so never with a crew per line
         seeded, spare = group["seeded_cuts"], group is result["relaxation"]["n<=m"]
@@ -94,16 +94,18 @@ PRESOLVE_OFF_FAILS = """
 _unpatched_simplex_solve = simplex_solve
 
 
-def simplex_solve(model):
-    if _shared_highs().getOptionValue("presolve")[1] == "off":
+def simplex_solve(model, presolve=False):
+    if not presolve:
         raise Infeasible("stand-in for HiGHS failing with presolve off")
-    return _unpatched_simplex_solve(model)
+    return _unpatched_simplex_solve(model, presolve)
 """
 
 
 def test_tree_diff_counts_the_presolve_on_reruns(tmp_path):
-    """Both trees seed no cuts, so a loop that fails reruns with presolve on
-    at once, in the same rounds as the other tree's presolve-off loop."""
+    """Both trees seed no cuts.  Where every presolve-off solve fails, each
+    is retried in place with presolve on, and the loop goes on in the same
+    rounds as the other tree's presolve-off loop: one loop per call, and
+    two solves per round."""
     trees = [tmp_path / "unseeded", tmp_path / "fails"]
     for tree, patch in zip(trees, [NO_SEEDS, NO_SEEDS + PRESOLVE_OFF_FAILS]):
         with open(patched_src(tree, "lp.py"), "a") as out:
@@ -112,46 +114,43 @@ def test_tree_diff_counts_the_presolve_on_reruns(tmp_path):
     assert proc.returncode in (0, 1), proc.stderr
     relaxation = json.loads(proc.stdout)["relaxation"]
     assert all(group["seeded_cuts"] == [0, 0] for group in relaxation.values())
-    # a call reruns once its first solve fails; with n <= m none solves
-    assert relaxation["n<=m"]["presolve_fallbacks"] == [0, 0]
+    assert relaxation["n<=m"]["presolve_retries"] == [0, 0]  # with n <= m none solves
     group = relaxation["n>m"]
-    assert group["presolve_fallbacks"][0] == 0 < group["presolve_fallbacks"][1] <= group["calls"]
-    assert group["highs_solves"][1] == group["highs_solves"][0] + group["presolve_fallbacks"][1]
-    assert group["loops"] == [group["calls"], group["calls"] + group["presolve_fallbacks"][1]]
+    solves, retries = group["highs_solves"], group["presolve_retries"]
+    assert retries == [0, solves[0]] and solves[1] == 2 * solves[0] > 0
+    assert group["presolve_fallbacks"] == [0, 0] and group["loops"] == [group["calls"]] * 2
 
 
-# appended to the copy's lp.py: a seeded loop, whose first model holds more
-# than round 1's cut, fails at its first solve
-SEEDED_FAILS = """
+# appended to the copy's lp.py: every solve of a first loop fails, with
+# presolve off and in its retry with presolve on
+FIRST_LOOP_FAILS = """
 
-_unpatched_base_model, _unpatched_simplex_solve, _first_rows = _base_model, simplex_solve, []
-
-
-def _base_model(instance, islands, precedence):
-    model = _unpatched_base_model(instance, islands, precedence)
-    _first_rows[:] = [len(model.rhs) + 1]
-    return model
+_unpatched_simplex_solve, _retry = simplex_solve, [False]
 
 
-def simplex_solve(model):
-    if _first_rows and len(model.rhs) > _first_rows.pop():
-        raise Infeasible("stand-in for HiGHS failing on a seeded loop")
-    return _unpatched_simplex_solve(model)
+def simplex_solve(model, presolve=False):
+    retry, _retry[0] = _retry[0], not presolve
+    if not presolve or retry:
+        raise Infeasible("stand-in for HiGHS failing in a first loop")
+    return _unpatched_simplex_solve(model, presolve)
 """
 
 
-def test_tree_diff_counts_the_unseeded_presolve_off_reruns(tmp_path):
-    """Where the seeded loop fails, the loop of one cut per round answers
-    with presolve off: only the loop count shows that rerun."""
+def test_tree_diff_counts_the_presolve_on_loops(tmp_path):
+    """Where the first loop's first solve fails with presolve off and in its
+    retry, the loop of one cut per round runs with presolve on and answers:
+    one retry, one presolve-on loop and one more loop per call that solves."""
     with open(patched_src(tmp_path, "lp.py"), "a") as out:
-        out.write(SEEDED_FAILS)
+        out.write(FIRST_LOOP_FAILS)
     proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
     assert proc.returncode in (0, 1), proc.stderr
     group = json.loads(proc.stdout)["relaxation"]["all"]
-    assert group["presolve_fallbacks"] == [0, 0]
-    (seeded, unseeded), (loops, reruns) = group["seeded_cuts"], group["loops"]
-    assert loops == group["calls"] and unseeded == 0
-    assert 0 < reruns - loops <= seeded  # one more loop per call that seeded a cut
+    (_, retries), (_, fallbacks) = group["presolve_retries"], group["presolve_fallbacks"]
+    assert group["presolve_retries"][0] == group["presolve_fallbacks"][0] == 0
+    assert 0 < retries == fallbacks <= group["calls"]
+    assert group["loops"] == [group["calls"], group["calls"] + fallbacks]
+    seeded, unseeded = group["seeded_cuts"]
+    assert seeded > 0 == unseeded  # the loop that answers adds one cut per round
 
 
 # appended to the copy's lp.py: no vertex counts as the unique optimum, so the
