@@ -13,20 +13,18 @@ timed, and the CLI commands of a fourth each run in a process of their own:
 * `relaxation`: on the corpus `gridrepair bench --seed 0 --count K
   --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), at
   m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls
-  (rounds and canonical passes), its canonical passes (`lp._canonical_pass`,
-  which a unique optimum skips), whether it ran a loop with HiGHS presolve
-  on after a loop that failed or ended off its optimum (a presolve-on
-  `lp.simplex_solve` call after its first loop, or in a tree without the
-  presolve argument, `lp._set_presolve(True)`), the solves of its first
-  loop that it retried in place with presolve on (its presolve-on
-  `lp.simplex_solve` calls in that loop; 0 in a tree without the retry),
-  the loops it ran (`lp._base_model` calls: 1, or 2 where the loop of one
-  cut per round ran with presolve on; up to 3 in a tree that first ran it
-  with presolve off), the cut rows that
-  round 1 seeded beside its own cut (the cuts beyond one per solved round;
-  0 in a tree that adds one cut per round) and its separation calls
-  (`lp._most_violated`), with their seconds, on the untimed pass, then the
-  lp-list schedule built from it (not timed);
+  (in a tree with a canonical pass, its solves too), whether it ran a loop
+  with HiGHS presolve on after a loop that failed or ended off its optimum
+  (a presolve-on `lp.simplex_solve` call after its first loop, or in a tree
+  without the presolve argument, `lp._set_presolve(True)`), the solves of
+  its first loop that it retried in place with presolve on (its presolve-on
+  `lp.simplex_solve` calls in that loop; 0 in a tree without the retry), the
+  loops it ran (`lp._base_model` calls: 1, or 2 where the loop of one cut
+  per round ran with presolve on; up to 3 in a tree that first ran it with
+  presolve off), the cut rows that round 1 seeded beside its own cut (the
+  cuts beyond one per solved round; 0 in a tree that adds one cut per round)
+  and its separation calls (`lp._most_violated`), with their seconds, on the
+  untimed pass, then the lp-list schedule built from it (not timed);
 * `oracle`: `oracle.brute_force_optimal` on the same (instance, m);
 * `load`: for each size of 100 to 2000 lines, five random radial feeders
   (node k hangs off a uniformly drawn earlier node, 10 % switches, repair
@@ -49,10 +47,10 @@ timed, and the CLI commands of a fourth each run in a process of their own:
 One JSON object is printed, each figure listed per SRC in the order given:
 the median over a group of calls of each call's best time, in microseconds
 for the relaxation (per calls with at most m damaged lines, the others and
-all, with the total count of HiGHS solves, of canonical passes, of calls
-that took the presolve-on loop, of solves retried in place, of loops, of
-seeded cut rows and of separation calls, and the separation's seconds:
-the sum over the calls of each call's best) and for
+all, with the total count of HiGHS solves, of calls that took the
+presolve-on loop, of solves retried in place, of loops, of seeded cut rows
+and of separation calls, and the separation's seconds: the sum over the
+calls of each call's best) and for
 the oracle (per damaged-line count n and m, with the largest best time
 of the group beside the median as `max_us`), and in milliseconds per feeder size and form for load
 plus JSON writing (`load_write`), the islands alone (`islands`) and load
@@ -97,8 +95,8 @@ LOAD_TIMES = ("load_write", "islands", "load_islands")
 # Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
 # JSON object of count, max_lines, crews and files; reports [seed, n, m] and
 # [HiGHS solves, separation calls, separation seconds, presolve-on loops,
-# seeded cut rows, canonical passes, loops, retried solves] per call and, per
-# layer, [times, answer] per call or file.
+# seeded cut rows, loops, retried solves] per call and, per layer, [times,
+# answer] per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
@@ -144,24 +142,20 @@ def load(path):
     return ([loaded - start + written, split - loaded, split - start],
             text + islands.getvalue())
 
-solve, separate, canonical, counts = lp.simplex_solve, lp._most_violated, lp._canonical_pass, []
+solve, separate, counts = lp.simplex_solve, lp._most_violated, []
 base_model = lp._base_model
 
 def counted(model, *presolve):  # presolve is passed by trees that retry a solve in place
     counts[-1][0] += 1
     if presolve and presolve[0]:  # a retry in the first loop, else the presolve-on loop
-        if counts[-1][6] == 1:
-            counts[-1][7] += 1
+        if counts[-1][5] == 1:
+            counts[-1][6] += 1
         else:
             counts[-1][3] = 1
     return solve(model, *presolve)
 
-def passed(*args):
-    counts[-1][5] += 1
-    return canonical(*args)
-
 def looped(*args):
-    counts[-1][6] += 1
+    counts[-1][5] += 1
     return base_model(*args)
 
 def timed(*args):
@@ -178,17 +172,17 @@ def rerun(on):
     set_presolve(on)
 
 # looked up by the loop at each call, so every solve and separation is counted
-lp.simplex_solve, lp._most_violated, lp._canonical_pass = counted, timed, passed
+lp.simplex_solve, lp._most_violated = counted, timed
 lp._base_model = looped
 if set_presolve:
     lp._set_presolve = rerun
 for _, _, m, instance in calls:
-    counts.append([0, 0, 0.0, 0, 0, 0, 0, 0])
+    counts.append([0, 0, 0.0, 0, 0, 0, 0])
     _, answer = relaxation(instance, m)
     if answer.startswith("["):  # not an error: the cuts beyond one per solved round
         rounds, cuts = json.loads(answer)[3:5]
         counts[-1][4] = cuts - (rounds - 1)
-lp.simplex_solve, lp._most_violated, lp._canonical_pass = solve, separate, canonical
+lp.simplex_solve, lp._most_violated = solve, separate
 lp._base_model = base_model
 if set_presolve:
     lp._set_presolve = set_presolve
@@ -356,10 +350,9 @@ def main() -> int:
         result["relaxation"][label] = {
             "calls": len(group), "median_best_us": medians("relaxation", group, 1e6, 1),
             "highs_solves": [sum(counts[tree][j][0] for j in group) for tree in trees],
-            "canonical_passes": [sum(counts[tree][j][5] for j in group) for tree in trees],
             "presolve_fallbacks": [sum(counts[tree][j][3] for j in group) for tree in trees],
-            "presolve_retries": [sum(counts[tree][j][7] for j in group) for tree in trees],
-            "loops": [sum(counts[tree][j][6] for j in group) for tree in trees],
+            "presolve_retries": [sum(counts[tree][j][6] for j in group) for tree in trees],
+            "loops": [sum(counts[tree][j][5] for j in group) for tree in trees],
             "seeded_cuts": [sum(counts[tree][j][4] for j in group) for tree in trees],
             "separation_calls": [sum(counts[tree][j][1] for j in group) for tree in trees],
             "separation_s": [round(sum(best["separation", tree, j][0] for j in group), 6)

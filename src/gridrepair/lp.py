@@ -43,19 +43,18 @@ right-hand side of 1e20 or more, which HiGHS cannot take.  For one machine
 the vertex of a sequence is tight exactly on its prefix sets (Queyranne
 1993), so these name most of the final cuts at once; on the lp-feeders
 benchmark they cut the solves per relaxation from 5.3 to 2.3.  Every later
-round adds one cut.  Once no prefix is violated, the vertex is the answer
-where it is the model's one optimal point: where it is dual-nondegenerate,
-with a row dual or reduced cost beyond LP_TOLERANCE on each of its n
-nonbasic variables (`_unique_optimum`; Bertsimas & Tsitsiklis 1997, 3.2).
-Elsewhere, at a degenerate optimum such as an island of weight 0 whose E is
-free, a canonical pass re-minimizes sum(E) with the objective capped at its
-optimum, so the point does not depend on the vertex HiGHS lands on, and
-separation is re-checked at that point.  Separation scores all
-prefixes in one pass of running sums and re-scores exactly (fsum), once
-each, only those whose score plus its rounding-error bound, 4(k+8) 2^-53
-times the sum of the magnitudes on a prefix of k lines, can still beat the
-best exact violation, so it picks the cut the prefix-by-prefix fsum scan
-picks.
+round adds one cut.  Once no prefix is violated, the last vertex is the
+answer, lifted top-down onto the precedence tree (`schedule.energize`): each
+island's E becomes the larger of its own and its parent's, so every
+precedence row holds exactly, as the 2x energization bound needs.  Raising E
+keeps every cut (their coefficients are >= 0) and every bound, and any
+optimal point of the LP keeps the midpoint argument, so no pass picks one
+point of a degenerate optimal face; the objective reported is the vertex's.
+Separation scores all prefixes in one pass of running sums and re-scores
+exactly (fsum), once each, only those whose score plus its rounding-error
+bound, 4(k+8) 2^-53 times the sum of the magnitudes on a prefix of k lines,
+can still beat the best exact violation, so it picks the cut the
+prefix-by-prefix fsum scan picks.
 
 The loop runs on integer column indices and plain Python floats.  One HiGHS
 instance per process solves every model, and each round passes it the whole
@@ -95,7 +94,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from gridrepair import schedule as sched
@@ -131,13 +130,6 @@ class IterationLimit(LpError):
 
 class CutPoolLimit(IterationLimit):
     """Separation went on finding cuts past the pool's 10 n^2 subsets."""
-
-
-def load_rhs(subset_times: Iterable[float], m: int) -> float:
-    """Right-hand side f(A) of the load inequality for one subset."""
-    times = list(subset_times)
-    total = math.fsum(times)
-    return total * total / (2.0 * m) + math.fsum(t * t for t in times) / 2.0
 
 
 class Cut(NamedTuple):
@@ -304,10 +296,6 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
                     reduced_costs=solution.col_dual)
 
 
-def _violation(subset: Iterable, c: Mapping | Sequence, p: Mapping | Sequence, m: int) -> float:
-    return load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
-
-
 def separate(c: Mapping[str, float], p: Mapping[str, float], m: int) -> Cut | None:
     """Most violated load inequality at the point C, or None if all hold.
 
@@ -329,7 +317,7 @@ def _exact_cut(subset: Sequence[int], completions: Sequence[float], times: Seque
     positions `subset`, its right-hand side and its row's divisor
     min(1, p(A)); None unless it counts as violated (module docstring)."""
     t = [times[i] for i in subset]
-    total = math.fsum(t)  # load_rhs, and the divisor, on the same sums
+    total = math.fsum(t)  # f(A), and the divisor, on the same sums
     rhs = total * total / (2.0 * m) + math.fsum([x * x for x in t]) / 2.0
     violation = rhs - math.fsum([x * completions[i] for x, i in zip(t, subset)])
     scale = min(1.0, total)
@@ -445,9 +433,9 @@ def solve_relaxation(
     the seeds of `_single_crew_prefixes` it violates, each later round adds
     the most violated cut, and each round's model is solved cold, with HiGHS
     presolve off; a solve that fails (LpError) is solved again with presolve
-    on.  The last vertex is the answer where `_unique_optimum` holds; else
-    the canonical pass's point is, and separation is re-checked on it.  The
-    loop is not taken if a retry fails too (but for the cut pool's
+    on.  Once no prefix is violated, the last vertex, lifted onto the
+    precedence tree, is the answer and its objective the call's.  The loop
+    is not taken if a retry fails too (but for the cut pool's
     CutPoolLimit, which is raised) or its last vertex's objective exceeds
     `_dual_bound` by more than GAP_TOLERANCE of it; then the loop of one cut
     per round runs with presolve on, and its answer or error is the call's.
@@ -467,14 +455,14 @@ def solve_relaxation(
     times = [p[lid] for lid in lines]
     columns = [column[of_line[lid]] for lid in lines]
 
-    for iid, weight in islands.weights.items():  # each a coefficient of the objective cap
+    for iid, weight in islands.weights.items():
         _limit(weight, 1e15, "island {!r} weight", iid)
     for lid, t in zip(lines, times):
         if t <= 1e-9:  # HiGHS drops it where it is an island's one term in a cut of total >= 1
             raise ValidationError(f"line {lid!r} repair time {t!r} is at most HiGHS's "
                                   "small matrix value 1e-09, which it drops from the load cuts")
         _limit(t, 1e20, "line {!r} repair time", lid)  # its island E's lower bound
-    # round 1, the least point: canonical as it stands
+    # round 1, the least point, on the tree as it stands
     energization, harm = (instance.infinite_crew_energization if own
                           else sched.infinite_crew_energization(islands, precedence, p))
     least = [energization[iid] for iid in iids]
@@ -489,17 +477,17 @@ def solve_relaxation(
     caps = _caps(order, islands, precedence, energization, m, times) if order else []
 
     def cutting_planes(seeded: Sequence[tuple[tuple[int, ...], float, float]], presolve: bool
-                       ) -> tuple[LpModel, LpVertex, list[float], list[float], list[Cut]]:
+                       ) -> tuple[LpModel, LpVertex, list[float], list[Cut]]:
         model = _base_model(instance, islands, precedence)
         cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
 
-        def solved(solve, *args) -> LpVertex:  # with presolve off, a failed solve once more on
+        def solved() -> LpVertex:  # with presolve off, a failed solve once more on
             try:
-                return solve(*args, presolve)
+                return simplex_solve(model, presolve)
             except LpError:
                 if presolve:
                     raise
-                return solve(*args, True)
+                return simplex_solve(model, True)
 
         def add_cut(subset: tuple[int, ...], rhs: float, scale: float) -> None:
             cut = Cut(frozenset(map(lines.__getitem__, subset)), rhs)
@@ -514,31 +502,26 @@ def solve_relaxation(
             pooled.add(subset)
 
         vertex = LpVertex(values=least, objective=harm)  # round 1, unsolved: no duals
-        x, history, c, found = least, [harm], at_least, first
+        history, c, found = [harm], at_least, first
         for cut in () if found is None else (found, *seeded):  # round 1's cut, then its seeds
             add_cut(*cut)
         while found is not None:
             if len(pooled) > cut_limit:
-                violation = _violation(found[0], c, times, m)
+                violation = _exact_cut(found[0], c, times, m)[0]  # not None: a found cut
                 raise CutPoolLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
-            vertex = solved(simplex_solve, model)
+            vertex = solved()
             history.append(vertex.objective)
-            x = vertex.values
-            c = [x[k] for k in columns]
+            c = [vertex.values[k] for k in columns]
             found = _most_violated(c, times, m, pooled)
-            if found is None and not _unique_optimum(vertex, len(model.variables)):
-                x = solved(_canonical_pass, model, vertex.objective).values
-                c = [x[k] for k in columns]
-                found = _most_violated(c, times, m, pooled)
             if found is not None:
                 add_cut(*found)
-        return model, vertex, x, history, cuts
+        return model, vertex, history, cuts
 
     # the first loop (seeded, presolve off) answers if it ends within GAP_TOLERANCE of
     # its dual bound; else the loop of one cut per round, presolve on, whatever its end
     try:
-        model, vertex, x, history, cuts = cutting_planes(seeds, False)
+        model, vertex, history, cuts = cutting_planes(seeds, False)
         ub = vertex.objective
         taken = not caps or (  # no caps: E-infinity, unsolved, is optimal as it stands
             ub - _dual_bound(model, vertex, caps) <= GAP_TOLERANCE * max(1.0, abs(ub)))
@@ -547,9 +530,11 @@ def solve_relaxation(
     except LpError:  # a solve failed with presolve off and on
         taken = False
     if not taken:
-        model, vertex, x, history, cuts = cutting_planes((), True)
+        model, vertex, history, cuts = cutting_planes((), True)
 
-    energization = dict(zip(iids, x))
+    # the last vertex lifted top-down onto the tree (E-infinity is already), keys in id order
+    lifted = sched.energize(dict(zip(iids, vertex.values)), precedence)
+    energization = {iid: lifted[iid] for iid in iids}
     completion = {lid: energization[of_line[lid]] if p[lid] > 0 else 0.0 for lid in lids}
     return LpSolution(
         completion=completion,
@@ -643,29 +628,6 @@ def _limit(value: float, limit: float, what: str, *args: object) -> None:
     cannot take a matrix value of 1e15 or more, nor a bound of 1e20 or more."""
     if value >= limit:
         raise ValidationError(f"{what.format(*args)} {value!r} reaches HiGHS's limit {limit:g}")
-
-
-def _unique_optimum(vertex: LpVertex, columns: int) -> bool:
-    """Whether the vertex is dual-nondegenerate: exactly `columns` of its row
-    duals and reduced costs, one per nonbasic variable, exceed LP_TOLERANCE,
-    HiGHS's dual feasibility tolerance, in magnitude.  Then no other point is
-    optimal (Bertsimas & Tsitsiklis 1997, section 3.2)."""
-    return sum(abs(d) > LP_TOLERANCE for d in (*vertex.row_duals, *vertex.reduced_costs)) == columns
-
-
-def _canonical_pass(model: LpModel, optimum: float, presolve: bool = False) -> LpVertex:
-    """Re-minimize sum(E) with the objective capped at its optimum."""
-    cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
-    weighted = [k for k, w in enumerate(model.objective) if w]
-    # the cap row -objective >= -cap goes on copies: the loop's model must not get it
-    canon = replace(model, objective=[1.0] * len(model.variables), start=model.start[:],
-                    index=model.index[:], value=model.value[:], rhs=model.rhs[:])
-    canon.add_row(weighted, [-model.objective[k] for k in weighted], -cap)
-    try:
-        return simplex_solve(canon, presolve)
-    except LpError:  # HiGHS drops a cap of 1e20 or more, and its point may then break it
-        _limit(cap, 1e20, "objective cap of the canonical pass")
-        raise
 
 
 def format_model(model: LpModel, cuts: Sequence[Cut]) -> str:

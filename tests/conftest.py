@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from gridrepair import lp, oracle, schedule
 from gridrepair.harness import (GenParams, bench_instance, generate_random, load_instance,
                                 random_raw)
-from gridrepair.lp import LpModel, LpSolution, LpVertex, load_rhs
+from gridrepair.lp import LP_TOLERANCE, LpModel, LpSolution, LpVertex
 from gridrepair.model import (
     Island,
     IslandSet,
@@ -186,6 +186,18 @@ def certified_bounds(instance, m):
     return row.h_opt, row.h_single, row.h_infinite
 
 
+def load_rhs(subset_times, m):
+    """Right-hand side f(A) of the load inequality for one subset."""
+    times = list(subset_times)
+    total = math.fsum(times)
+    return total * total / (2.0 * m) + math.fsum(t * t for t in times) / 2.0
+
+
+def violation(subset, c, p, m):
+    """f(A) - sum_A p_j C_j, exactly (fsum), for the keys `subset` of `c` and `p`."""
+    return load_rhs((p[j] for j in subset), m) - math.fsum(p[j] * c[j] for j in subset)
+
+
 @dataclass(frozen=True)
 class SeparationResult:
     subset: frozenset[str]
@@ -232,7 +244,7 @@ def _prefix_most_violated(completions, times, m, pooled, keys):
     `load_rhs` and `row_scale`.  A prefix is violated by more than
     SEPARATION_TOLERANCE times its right-hand side and more than HiGHS's
     tolerance on its row."""
-    from gridrepair.lp import LP_TOLERANCE, SEPARATION_TOLERANCE, _violation
+    from gridrepair.lp import SEPARATION_TOLERANCE
 
     # one row per order; stable sorts break ties by position, that is by id
     orders = np.array([np.argsort(key, kind="stable") for key in keys])
@@ -252,12 +264,12 @@ def _prefix_most_violated(completions, times, m, pooled, keys):
         if best is not None and bound < -best[0]:
             break
         subset = orders[which][:size]
-        violation = _violation(subset, c, p, m)
+        excess = violation(subset, c, p, m)
         rhs = load_rhs((p[i] for i in subset), m)
         solver = LP_TOLERANCE * row_scale(p[i] for i in subset)
-        if violation <= max(SEPARATION_TOLERANCE * rhs, solver):
+        if excess <= max(SEPARATION_TOLERANCE * rhs, solver):
             continue
-        key = (-violation, tuple(sorted(subset)))
+        key = (-excess, tuple(sorted(subset)))
         if (best is None or key < best) and key[1] not in pooled:
             best = key
     if best is None:
@@ -606,6 +618,22 @@ def full_space_base_model(
     return model
 
 
+# `lp`'s canonical pass as it last ran there, for `_full_space_relaxation` and the tests
+def _canonical_pass(model: LpModel, optimum: float, presolve: bool = False) -> LpVertex:
+    """Re-minimize sum(E) with the objective capped at its optimum."""
+    cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
+    weighted = [k for k, w in enumerate(model.objective) if w]
+    # the cap row -objective >= -cap goes on copies: the loop's model must not get it
+    canon = replace(model, objective=[1.0] * len(model.variables), start=model.start[:],
+                    index=model.index[:], value=model.value[:], rhs=model.rhs[:])
+    canon.add_row(weighted, [-model.objective[k] for k in weighted], -cap)
+    try:
+        return lp.simplex_solve(canon, presolve)
+    except lp.LpError:  # HiGHS drops a cap of 1e20 or more, and its point may then break it
+        lp._limit(cap, 1e20, "objective cap of the canonical pass")
+        raise
+
+
 def _full_space_relaxation(
     instance: NetworkInstance,
     islands: IslandSet | None = None,
@@ -616,7 +644,7 @@ def _full_space_relaxation(
     differential reference of the island-space loop: the same optimum, on
     n + k columns and the n singleton rows.  The separation is the two-order
     rule of that time (`two_order_most_violated`); the canonical pass is
-    `lp`'s own.
+    `_canonical_pass`, as `lp` ran it then.
 
     Cutting-plane solve of the relaxation.
 
@@ -650,7 +678,7 @@ def _full_space_relaxation(
     model = full_space_base_model(instance, islands, precedence)
     first_cut = len(model.rhs)  # the rows from here on are the cut pool
     # the singleton cuts in one batch; fsum of one term is exact, so each
-    # rhs is lp.load_rhs([t], m) bit for bit
+    # rhs is load_rhs([t], m) bit for bit
     model.start += range(len(model.index) + 1, len(model.index) + len(columns) + 1)
     model.index += columns
     model.value += [-t for t in times]
@@ -668,22 +696,22 @@ def _full_space_relaxation(
     found = two_order_most_violated(c, times, m, pooled)
     while found is not None:
         subset = found[0]
-        rhs = lp.load_rhs((times[i] for i in subset), m)
+        rhs = load_rhs((times[i] for i in subset), m)
         lp._limit(rhs, 1e20, "right-hand side of the load cut on {}",
                   [lids[columns[i]] for i in subset])
         model.add_row([columns[i] for i in subset], [times[i] for i in subset], rhs)
         pooled.add(subset)
         if len(pooled) > cut_limit:
-            violation = lp._violation(subset, c, times, m)
+            excess = violation(subset, c, times, m)
             raise lp.IterationLimit(
-                f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
+                f"cut pool exceeded {cut_limit} (last violation {excess:.3e})")
         vertex = lp.simplex_solve(model)
         history.append(vertex.objective)
         x = vertex.values
         c = [x[k] for k in columns]
         found = two_order_most_violated(c, times, m, pooled)
         if found is None:
-            x = lp._canonical_pass(model, vertex.objective).values
+            x = _canonical_pass(model, vertex.objective).values
             c = [x[k] for k in columns]
             found = two_order_most_violated(c, times, m, pooled)
 

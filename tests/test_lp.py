@@ -28,7 +28,6 @@ from gridrepair.lp import (
     Unbounded,
     _most_violated,
     _new_highs,
-    load_rhs,
     separate,
     simplex_solve,
     solve_relaxation,
@@ -37,12 +36,14 @@ from gridrepair.model import ValidationError, build_precedence_graph, partition_
 
 from conftest import (
     FIXTURES,
+    _canonical_pass,
     all_subset_relaxation,
     exact_dual_bound,
     exhaustive_separation,
     instance_to_json,
     instances,
     island_all_subset_relaxation,
+    load_rhs,
     mixed_magnitude_feeder,
     small_mixed_magnitude_feeder,
     path_raw,
@@ -54,6 +55,7 @@ from conftest import (
     row_scale,
     run_fresh,
     two_order_most_violated,
+    violation,
 )
 
 
@@ -127,8 +129,8 @@ def round_models(monkeypatch, name, m):
     """Every model `solve_relaxation` would solve on a fixture or a generated
     50-line feeder if round 1 were solved: the base rows, which it does not
     solve and which are recorded here explicitly, then the models it solves,
-    its later rounds and its canonical pass.  Where it solves none, the second
-    model is the canonical pass of the base rows."""
+    its later rounds.  Where it solves none, the second model is the
+    canonical pass of the base rows (`conftest._canonical_pass`)."""
     inst = case_instance(name)
     models = []
 
@@ -142,7 +144,7 @@ def round_models(monkeypatch, name, m):
     if models:
         models.insert(0, base)
     else:
-        lp._canonical_pass(base, record(base).objective)
+        _canonical_pass(base, record(base).objective)
     monkeypatch.undo()
     return models
 
@@ -196,7 +198,7 @@ class TestSimplexSolve:
     def test_direct_path_matches_linprog_on_every_round(self, monkeypatch, name, m, presolve):
         """Presolve on is the setting of `solve_relaxation`'s retries and last loop."""
         models = round_models(monkeypatch, name, m)
-        assert len(models) >= 2  # the cutting-plane rounds and the canonical pass
+        assert len(models) >= 2  # the base rows and the rounds, or their canonical pass
         monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
         for model in models:
             direct = simplex_solve(model, presolve)
@@ -230,7 +232,7 @@ class TestSimplexSolve:
     def test_reused_instance_solves_cold(self, monkeypatch):
         highs = _new_highs()
         models = round_models(monkeypatch, "feeder123.json", 3)
-        a, b = models[0], models[-1]  # the first round and the canonical pass
+        a, b = models[0], models[-1]  # the base rows and the last round
 
         def solve(model, on):
             monkeypatch.setattr(lp, "_shared", (os.getpid(), on))
@@ -246,7 +248,7 @@ class TestSimplexSolve:
     @pytest.mark.parametrize("name, m", POOL_CASES)
     def test_pass_matches_the_reference_pass(self, monkeypatch, name, m):
         """The solve, and the LP HiGHS holds after it, equal those of the pass
-        that sets `col_cost_` from Python, on every round and canonical pass."""
+        that sets `col_cost_` from Python, on every round."""
         ours, theirs = _new_highs(), _new_highs()
         models = round_models(monkeypatch, name, m)
         monkeypatch.setattr(lp, "_shared", (os.getpid(), ours))
@@ -356,17 +358,15 @@ class TestPresolveFallback:
     presolve on and gives the answer or the error."""
 
     CASES = [("fork.json", 2), ("feeder123.json", 3), ("golden-5", 3), ("golden-6", 3)]
-    # presolve moves its answer, so the unseeded loops with presolve off and on
-    # differ; on golden-5 they differed only after the canonical pass, which its
-    # unique optimum skips
+    # presolve moves its answer, so the unseeded loops with presolve off and on differ
     MOVED = {"golden-6"}
     # the calls of the two mixed-magnitude sweeps, all at m = 1, where a solve
-    # of the first loop fails with presolve off and its retry solves: the loop
-    # ladder of three loops ran the call again from round 1 on each
+    # of the first loop fails with presolve off and its retry solves, so that
+    # the loop answers alone
     RESCUED = [("item-7", seed) for seed in (
-        135, 456, 646, 983, 1079, 1486, 1537, 1563, 2131, 2464, 2877, 3116, 3184, 3759, 3868,
-        4338, 4637, 5023, 5048, 5224, 5338, 5370, 5875)] + [
-        ("2-20-nodes", seed) for seed in (1343, 2698, 5212, 8548, 9187)]
+        135, 456, 646, 983, 1486, 1537, 1563, 2307, 3116, 3184, 3759, 3868, 3959, 4338, 4542,
+        4637, 5023, 5048, 5174, 5224, 5249, 5370, 5445, 5875)] + [
+        ("2-20-nodes", seed) for seed in (1343, 2698, 5212, 8548)]
 
     @staticmethod
     def relax(monkeypatch, inst, m, fail_at=(), on_at=(), seeds=True, on=False):
@@ -465,7 +465,7 @@ class TestPresolveFallback:
         weight, and the loop of one cut per round runs with presolve on."""
         inst = case_instance(name)
         want, (on_seen,) = self.relax(monkeypatch, inst, m, seeds=False, on=True)
-        assert len(on_seen) >= 2  # a solved round and the canonical pass
+        assert on_seen  # a solved round
 
         def shifted(model, presolve=False):
             vertex = simplex_solve(model, presolve)
@@ -790,17 +790,21 @@ class TestDualBound:
         assert compared >= 500 and free >= 300
 
 
-@pytest.mark.xfail(strict=True, reason="the canonical pass can end an island below its parent")
-def test_no_island_energizes_before_its_parent():
-    """Feeder 5381 of ROADMAP item 7's sweep, at m = 1: the canonical pass
-    returns E[l6] = E[l7] = -0.0, below their parent's E[l5] = 0.584, so
-    `bench_instance` reports a broken 2x energization bound on a valid
-    input (CHANGES.md `FOUND`)."""
-    inst = small_mixed_magnitude_feeder(5381)
+@pytest.mark.parametrize("sweep, seed", [
+    ("item-7", seed) for seed in (264, 733, 1018, 2069, 4883, 5381, 5666)] + [
+    ("2-20-nodes", seed) for seed in (1654, 6957)])
+def test_no_island_energizes_before_its_parent(sweep, seed):
+    """Feeders of the two mixed-magnitude sweeps whose last vertex at m = 1
+    breaks a precedence row: on 264, whose E reach 4e7, E[l3] = -0.0 sits
+    0.001 below its parent's, which fails the 2x energization bound, and on
+    5666 E[l2] = 100 sits 70 below its parent's.  The answer is that vertex
+    lifted onto the tree, so every row holds exactly, and every
+    certificate of `bench_instance` passes."""
+    inst = (small_mixed_magnitude_feeder if sweep == "item-7" else mixed_magnitude_feeder)(seed)
     e = solve_relaxation(inst, crews=1).energization
     for child, parent in inst.precedence.parent.items():
-        assert e[child] >= e[parent] - 1e-6 * max(1.0, abs(e[parent])), (child, parent)
-    bench_instance("item7-5381", inst, 1)  # raises if a certificate fails
+        assert e[child] >= e[parent], (child, parent)
+    bench_instance(f"{sweep}-{seed}", inst, 1)  # raises if a certificate fails
 
 
 class TestBinding:
@@ -826,7 +830,7 @@ class TestBinding:
             solve, lp.simplex_solve = lp.simplex_solve, record
             harness.bench_instance("fork", harness.load_instance({fixtures["fork"]!r}), 2)
             lp.simplex_solve = solve
-            assert len(models) >= 2
+            assert models
             assert "scipy.optimize" not in sys.modules
             assert sys.modules["scipy.optimize._highspy._core"] is core
 
@@ -1099,68 +1103,11 @@ class TestSolveRelaxation:
                 assert later >= earlier - 1e-9
 
 
-def pass_skipped(monkeypatch, inst, m):
-    """`solve_relaxation`'s answer, and whether its last loop ended on a
-    vertex that `_unique_optimum` took as the one optimal point (None where
-    it made no solve)."""
-    unique, seen = lp._unique_optimum, []
-    with monkeypatch.context() as patch:
-        patch.setattr(lp, "_unique_optimum", lambda *args: seen.append(unique(*args)) or seen[-1])
-        sol = solve_relaxation(inst, crews=m)
-    return sol, (seen[-1] if seen else None)
-
-
 class TestUniqueOptimum:
-    """Once no prefix is violated, a dual-nondegenerate vertex is the model's
-    one optimal point and the answer; elsewhere the canonical pass runs."""
+    """Where the last vertex is the model's one optimal point, the answer
+    does not depend on how HiGHS reaches it."""
 
-    def test_a_unique_optimum_skips_the_pass(self, monkeypatch, feeder123):
-        """One HiGHS solve fewer than with the pass run at every optimum, and
-        the answer is the loop's last vertex bit for bit."""
-        solve, vertices = lp.simplex_solve, []
-        monkeypatch.setattr(lp, "simplex_solve",
-                            lambda *args: vertices.append(solve(*args)) or vertices[-1])
-        sol, skipped = pass_skipped(monkeypatch, feeder123, 3)
-        assert skipped
-        assert [v.hex() for v in sol.energization.values()] == [
-            v.hex() for v in vertices[-1].values]
-        assert repr(sol.objective) == repr(vertices[-1].objective)
-        solves = len(vertices)
-        monkeypatch.setattr(lp, "_unique_optimum", lambda *args: False)
-        forced = solve_relaxation(feeder123, crews=3)
-        assert len(vertices) - solves == solves + 1
-        assert repr(forced.objective) == repr(sol.objective)
-
-    def test_a_zero_weight_island_keeps_the_pass(self, monkeypatch):
-        """The last island weighs 0, so its E is free above 1.75 at the
-        optimum E = (1, 1, 1.75): the vertex is degenerate, and the answer
-        has the least sum(E), 3.75, even where the loop's vertex puts that E
-        higher.  (The pass may trade along the load cut on all three within
-        its cap's slack.)"""
-        inst, m = _path([1, 1, 1], [1, 1, 0], switches=(2, 3)), 2
-        canonical, passes = lp._canonical_pass, []
-        monkeypatch.setattr(lp, "_canonical_pass",
-                            lambda *args: passes.append(args) or canonical(*args))
-
-        def least(sol):
-            return (math.fsum(sol.energization.values()) == pytest.approx(3.75, rel=1e-12)
-                    and sol.energization["e3"] == pytest.approx(1.75, rel=1e-8))
-
-        sol, skipped = pass_skipped(monkeypatch, inst, m)
-        assert skipped is False and len(passes) == 1 and least(sol)
-        assert sol.objective == pytest.approx(2.0, rel=1e-12)
-        solve = lp.simplex_solve
-
-        def raised(model, *presolve):  # the loop's vertices, E[e3] 1 higher; the pass's, as solved
-            vertex = solve(model, *presolve)
-            if model.objective[-1]:
-                return vertex
-            return vertex._replace(values=[*vertex.values[:-1], vertex.values[-1] + 1.0])
-
-        monkeypatch.setattr(lp, "simplex_solve", raised)
-        assert least(solve_relaxation(inst, crews=m)) and len(passes) == 2
-
-    def test_an_exact_midpoint_tie_goes_by_depth_then_id(self, monkeypatch):
+    def test_an_exact_midpoint_tie_goes_by_depth_then_id(self):
         """At m = 1 line b, in the root island, and line a, behind a switch,
         both of time 2, share E = 3 at the unique optimum (the heavier island
         waits for the other): their midpoints tie exactly, and b, upstream,
@@ -1171,29 +1118,9 @@ class TestUniqueOptimum:
                       {"id": "2", "weight": 2}],
             "lines": [{"id": "b", "from": "0", "to": "1", "repair_time": 2, "switch": False},
                       {"id": "a", "from": "1", "to": "2", "repair_time": 2, "switch": True}]})
-        monkeypatch.setattr(lp, "_canonical_pass", None)  # a pass would raise TypeError
         result = algos.lp_list_schedule(inst, crews=1)
         assert result.lp.midpoints == {"a": 2.0, "b": 2.0}
         assert result.schedule.priority == ("b", "a")
-
-    def test_the_pass_barely_moves_a_unique_optimum(self, monkeypatch):
-        """Wherever the pass is skipped on the fixtures at m = 1..5 and the
-        corpus `gridrepair bench --seed 0 --count 200` draws at m = 2, 3, the
-        pass, run on the final model, moves sum(E) by at most 1e-5 relative:
-        the slack of its objective cap."""
-        calls = [(case_instance(name), m) for name in FIXTURE_NAMES for m in range(1, 6)]
-        calls += [(generate_random(GenParams(seed=seed)), m)
-                  for seed in range(200) for m in (2, 3)]
-        skips = solved = 0
-        for inst, m in calls:
-            sol, skipped = pass_skipped(monkeypatch, inst, m)
-            solved += skipped is not None
-            if skipped:
-                skips += 1
-                total = math.fsum(sol.energization.values())
-                moved = math.fsum(lp._canonical_pass(sol.model, sol.objective).values)
-                assert abs(moved - total) <= 1e-5 * total, (inst, m)
-        assert skips > solved / 2
 
 
 FIXTURE_NAMES = [f.name for f in sorted(FIXTURES.glob("*.json"))]
@@ -1281,8 +1208,8 @@ def assert_is_the_highs_answer(inst, m):
     base rows, E = E-infinity.  Checks that HiGHS's cold solve of those rows
     returns that point exactly, that every solve it makes gets a model with a
     load cut, and, where the least point meets every cut, that the answer is
-    what the loop would return if it solved round 1: HiGHS's objective there
-    and the canonical pass's point, in one round with no cut."""
+    what the loop would return if it solved round 1: HiGHS's objective and
+    point there, in one round with no cut."""
     p, of_line = inst.repair_times(), inst.islands.island_of_line
     lines = [lid for lid in sorted(p) if p[lid] > 0]
     base = lp._base_model(inst, inst.islands, inst.precedence)  # built as the loop builds it
@@ -1313,9 +1240,7 @@ def assert_is_the_highs_answer(inst, m):
     assert first_rows(sol) == base
     completions = [energization[of_line[lid]] for lid in lines]
     if _most_violated(completions, [p[lid] for lid in lines], m, ()) is None:
-        # equal as numbers: the canonical pass may give -0.0 where the least point has 0.0
-        x = lp._canonical_pass(base, vertex.objective).values
-        assert x == least == list(sol.energization.values())
+        assert least == list(sol.energization.values())
         assert sol.completion == {lid: energization[of_line[lid]] if p[lid] > 0 else 0.0
                                   for lid in sorted(p)}
         assert repr(vertex.objective) == repr(sol.objective)
@@ -1404,13 +1329,11 @@ LIMIT_CASES = {
                                 "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20"),
     "a repair time of 1e20, an island's lower bound": (
         _path([1e20, 1, 1], [1, 1, 1]), "line 'e1' repair time 1e+20 "),
+    # kept, although the canonical pass and its objective cap are gone (CHANGES.md `FOUND`)
     "an island weight, a coefficient of the objective cap": (
         _path([1, 1, 1], [1, 1e16, 1]), "island 'e2' weight 1e+16 "),
     "an island weight of exactly 1e15": (_path([1, 1, 1], [1, 1e15 - 1, 1]),
                                          "island 'e2' weight 1000000000000000.0"),
-    # the last island weighs 0, so its E is free at the optimum and the pass runs
-    "the objective cap": (_path([1e6] * 4, [1, 1, 1e14, 0], switches=(2, 4)),
-                          "objective cap of the canonical pass 1.250000001250025e+20"),
 }
 
 
@@ -1465,14 +1388,25 @@ def test_rows_just_inside_highs_limits_solve():
         dict.fromkeys(["e1", "e2", "e3"], 1.25), dict.fromkeys(["e1", "e2"], 1.25))
 
 
-def test_a_unique_optimum_needs_no_objective_cap(monkeypatch):
-    """The former objective-cap case: its objective 1.25e20 made a cap HiGHS
-    cannot take, but the loop's last vertex is its unique optimum, so no
-    canonical pass runs and it solves."""
-    monkeypatch.setattr(lp, "_canonical_pass", None)  # a pass would raise TypeError
+def test_a_unique_optimum_needs_no_objective_cap():
+    """Its objective 1.25e20 made a canonical pass's cap HiGHS cannot take,
+    but the loop's last vertex was its unique optimum, so it solved."""
     sol = solve_relaxation(_path([1e6] * 3, [1, 1e14, 1]), crews=2)
     assert sol.energization == dict.fromkeys(["e1", "e2"], 1.25e6)
     assert sol.objective == pytest.approx(1.25e20, rel=1e-12)
+
+
+def test_a_degenerate_optimum_needs_no_objective_cap():
+    """The last island weighs 0, so its E is free at the optimum: the
+    canonical pass ran here, and its objective cap of 1.25e20 was rejected
+    as an input error.  The last vertex, lifted, is the answer now."""
+    inst = _path([1e6] * 4, [1, 1, 1e14, 0], switches=(2, 4))
+    sol = solve_relaxation(inst, crews=2)
+    e = sol.energization
+    assert list(e) == ["e1", "e2", "e4"] and e["e4"] >= e["e2"] >= e["e1"] >= 1e6
+    assert sol.objective == pytest.approx(1.25e20, rel=1e-12)
+    assert sol.objective == pytest.approx(math.fsum(
+        inst.islands.weights[iid] * e[iid] for iid in e), rel=1e-12)
 
 
 class TestMidpoints:
@@ -1570,16 +1504,13 @@ def prefix_orders(c, p):
 def reference_separate(c, p, m, pooled=frozenset()):
     """The prefix-by-prefix fsum separation over the midpoint order that
     `separate` must reproduce."""
-    from gridrepair.lp import _violation
-
     best = None  # (-violation, sorted ids)
     order = prefix_orders(c, p)[0]
     for k in range(1, len(order) + 1):
-        violation = _violation(order[:k], c, p, m)
-        if violation <= separation_threshold(order[:k], p, m) or (
-                best and -violation > best[0]):
+        excess = violation(order[:k], c, p, m)
+        if excess <= separation_threshold(order[:k], p, m) or (best and -excess > best[0]):
             continue
-        key = (-violation, sorted(order[:k]))
+        key = (-excess, sorted(order[:k]))
         if (best is None or key < best) and frozenset(key[1]) not in pooled:
             best = key
     return None if best is None else Cut(frozenset(best[1]), load_rhs([p[j] for j in best[1]], m))
@@ -1727,7 +1658,7 @@ def test_most_violated_matches_reference(n, points):
             second = reference_most_violated(c, p, m, {first[0]})
             cases += [{first[0]}, {first[0]} | ({second[0]} if second else set())]
             if n <= 8:  # an exact tie in violation, broken by the sorted positions
-                violations = [lp._violation(s, c, p, m) for s in every]
+                violations = [violation(s, c, p, m) for s in every]
                 ties += violations.count(max(violations)) > 1
         for pooled in cases:
             assert _most_violated(c, p, m, pooled) == reference_most_violated(c, p, m, pooled)
@@ -1747,7 +1678,7 @@ def test_the_completion_order_adds_no_cut():
             if first is not None:
                 other = two_order_most_violated(c, p, m, {first[0]})
                 if other != reference_most_violated(c, p, m, {first[0]}):
-                    assert lp._violation(other[0], c, p, m) <= lp._violation(first[0], c, p, m)
+                    assert violation(other[0], c, p, m) <= violation(first[0], c, p, m)
     for n_max, points in SEPARATION_POINTS:
         for c, p, m, _ in separation_points(n_max, points):
             lines = [j for j in sorted(p) if p[j] > 0]

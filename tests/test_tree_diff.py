@@ -55,8 +55,6 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
         # round 1 seeds cuts only where it finds one, so never with a crew per line
         seeded, spare = group["seeded_cuts"], group is result["relaxation"]["n<=m"]
         assert seeded[0] == seeded[1] and (seeded[0] == 0) == spare
-        passes = group["canonical_passes"]
-        assert passes[0] == passes[1] <= group["highs_solves"][0] and (not spare or passes[0] == 0)
 
 
 def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
@@ -151,27 +149,3 @@ def test_tree_diff_counts_the_presolve_on_loops(tmp_path):
     assert group["loops"] == [group["calls"], group["calls"] + fallbacks]
     seeded, unseeded = group["seeded_cuts"]
     assert seeded > 0 == unseeded  # the loop that answers adds one cut per round
-
-
-# appended to the copy's lp.py: no vertex counts as the unique optimum, so the
-# canonical pass runs at the end of every loop that solves
-NO_UNIQUE_OPTIMUM = """
-
-
-def _unique_optimum(vertex, columns):
-    return False
-"""
-
-
-def test_tree_diff_counts_the_canonical_passes(tmp_path):
-    with open(patched_src(tmp_path, "lp.py"), "a") as out:
-        out.write(NO_UNIQUE_OPTIMUM)
-    proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
-    assert proc.returncode in (0, 1), proc.stderr
-    relaxation = json.loads(proc.stdout)["relaxation"]
-    assert relaxation["n<=m"]["canonical_passes"] == [0, 0]  # no solve, so no pass
-    group = relaxation["n>m"]
-    (skipping, always), solves = group["canonical_passes"], group["highs_solves"]
-    # each pass is one HiGHS solve; one that finds a cut adds a round too
-    assert skipping < always and solves[1] - solves[0] >= always - skipping
-    assert relaxation["all"]["canonical_passes"] == group["canonical_passes"]
