@@ -12,19 +12,16 @@ timed, and the CLI commands of a fourth each run in a process of their own:
 
 * `relaxation`: on the corpus `gridrepair bench --seed 0 --count K
   --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), at
-  m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls
-  (in a tree with a canonical pass, its solves too), whether it ran a loop
-  with HiGHS presolve on after a loop that failed or ended off its optimum
-  (a presolve-on `lp.simplex_solve` call after its first loop, or in a tree
-  without the presolve argument, `lp._set_presolve(True)`), the solves of
-  its first loop that it retried in place with presolve on (its presolve-on
-  `lp.simplex_solve` calls in that loop; 0 in a tree without the retry), the
+  m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls,
+  whether it ran a loop with HiGHS presolve on after a loop that failed or
+  ended off its optimum (a presolve-on `lp.simplex_solve` call after its
+  first loop), the solves of its first loop that it retried in place with
+  presolve on (its presolve-on `lp.simplex_solve` calls in that loop), the
   loops it ran (`lp._base_model` calls: 1, or 2 where the loop of one cut
-  per round ran with presolve on; up to 3 in a tree that first ran it with
-  presolve off), the cut rows that round 1 seeded beside its own cut (the
-  cuts beyond one per solved round; 0 in a tree that adds one cut per round)
-  and its separation calls (`lp._most_violated`), with their seconds, on the
-  untimed pass, then the lp-list schedule built from it (not timed);
+  per round ran with presolve on), the cut rows that round 1 seeded beside
+  its own cut (the cuts beyond one per solved round) and its separation
+  calls (`lp._most_violated`), with their seconds, on the untimed pass,
+  then the lp-list schedule built from it (not timed);
 * `oracle`: `oracle.brute_force_optimal` on the same (instance, m);
 * `load`: for each size of 100 to 2000 lines, five random radial feeders
   (node k hangs off a uniformly drawn earlier node, 10 % switches, repair
@@ -145,14 +142,14 @@ def load(path):
 solve, separate, counts = lp.simplex_solve, lp._most_violated, []
 base_model = lp._base_model
 
-def counted(model, *presolve):  # presolve is passed by trees that retry a solve in place
+def counted(model, presolve=False):
     counts[-1][0] += 1
-    if presolve and presolve[0]:  # a retry in the first loop, else the presolve-on loop
+    if presolve:  # a retry in the first loop, else the presolve-on loop
         if counts[-1][5] == 1:
             counts[-1][6] += 1
         else:
             counts[-1][3] = 1
-    return solve(model, *presolve)
+    return solve(model, presolve)
 
 def looped(*args):
     counts[-1][5] += 1
@@ -165,17 +162,9 @@ def timed(*args):
     counts[-1][1] += 1
     return found
 
-set_presolve = getattr(lp, "_set_presolve", None)  # only in trees without the presolve argument
-
-def rerun(on):
-    counts[-1][3] += on
-    set_presolve(on)
-
 # looked up by the loop at each call, so every solve and separation is counted
 lp.simplex_solve, lp._most_violated = counted, timed
 lp._base_model = looped
-if set_presolve:
-    lp._set_presolve = rerun
 for _, _, m, instance in calls:
     counts.append([0, 0, 0.0, 0, 0, 0, 0])
     _, answer = relaxation(instance, m)
@@ -184,8 +173,6 @@ for _, _, m, instance in calls:
         counts[-1][4] = cuts - (rounds - 1)
 lp.simplex_solve, lp._most_violated = solve, separate
 lp._base_model = base_model
-if set_presolve:
-    lp._set_presolve = set_presolve
 out = {"calls": [call[:3] for call in calls], "counts": counts,
        "relaxation": [relaxation(instance, m) for _, _, m, instance in calls]}
 for _, _, m, instance in calls:

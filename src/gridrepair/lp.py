@@ -66,24 +66,32 @@ round 1, without seeds and with presolve on, when that retry fails too, and
 when its last solved vertex is not proven optimal: when its objective UB
 exceeds the safe dual bound LB (Neumaier & Shcherbina 2004; Jansson 2004) by
 more than GAP_TOLERANCE max(1, |UB|), as HiGHS's values can with presolve
-off on times that span seven orders of magnitude or more.  With y = max(0,
--row dual) on the rows AE >= b and r = w - A'y, each E in them and in a box
-l <= E <= u has w.E = y.AE + r.E >= y.b + sum_j min(l_j r_j, u_j r_j) = LB.
-An optimum of the all-subset LP lies in the box u_j = min(1.5P, U / W_j)
-(`_caps`; P the total time, U the conversion bound, W_j the weight at or
-below island j): lowering each E above 1.5P to it keeps every row, as f(A) -
-f(A - A_L) <= p(A_L) P for the lines A_L it lowers, and as E only rises down
-the tree, W_j E_j <= w.E <= U.  So LB bounds that LP, up to the rounding of
-the stored cut rows; `_dual_bound` takes a proven float allowance off it.
-The solve goes straight to HiGHS through SciPy's private binding
+off on times that span seven orders of magnitude or more.  A presolve-on
+solve divides the costs by a power of two, to below 2^20, and multiplies
+the objective and duals back: HiGHS's dual simplex can fail on costs of
+about 1e8 or more ("excessively large costs"), with presolve off and on.
+Presolve-off solves take the costs as they are, as scaling them too would
+take light weights beside a heavy one near HiGHS's 1e-9 dual tolerance.
+With y the row duals clipped at 0 on the rows AE >= b and r = w - A'y, each
+E in them and in a box l <= E <= u has w.E = y.AE + r.E >= y.b +
+sum_j min(l_j r_j, u_j r_j) = LB.  An optimum of the all-subset LP lies in
+the box u_j = min(1.5P, U / W_j) (`_caps`; P the total time, U the
+conversion bound, W_j the weight at or below island j): lowering each E
+above 1.5P to it keeps every row, as f(A) - f(A - A_L) <= p(A_L) P for the
+lines A_L it lowers, and as E only rises down the tree, W_j E_j <= w.E <= U.
+So LB bounds that LP, up to the rounding of the stored cut rows;
+`_dual_bound` takes a proven float allowance off it.  The solve goes
+straight to HiGHS through SciPy's private binding
 (`scipy.optimize._highspy._core`, SciPy 1.15 or later, tested with 1.17)
-with the matrix, bounds and options that SciPy's public `highs-ds` method
-would pass, and gives its vertex and duals bit for bit (the tests' reference
-solve checks this).  The binding is loaded from its file, without the half
-second of importing `scipy.optimize`, and only by the functions that solve;
-where that fails it is imported the standard way, and a SciPy without it
-raises ImportError.  The solve loads no NumPy: it passes the binding lists
-and reads back only lists.
+with the options that SciPy's public `highs-ds` method would pass and the
+rows as written, bounded below, where that method passes them negated and
+bounded above: it gives that method's vertex, objective and reduced costs
+bit for bit, and its row duals negated (the tests' reference solve checks
+this).  The binding is loaded from its file, without the half second of
+importing `scipy.optimize`, and only by the functions that solve; where
+that fails it is imported the standard way, and a SciPy without it raises
+ImportError.  The solve loads no NumPy: it passes the binding lists and
+reads back only lists.
 """
 
 from __future__ import annotations
@@ -143,9 +151,9 @@ class Cut(NamedTuple):
 class LpModel:
     """Minimize objective . x subject to row k . x >= rhs[k] and x >= lower.
 
-    The rows are held row-wise in the `<=` form HiGHS is given, negated: row k
-    has the columns index[start[k]:start[k + 1]] with the coefficients minus
-    value[start[k]:start[k + 1]].  `variables` names the columns, E[island id].
+    The rows are held row-wise as HiGHS is given them: row k has the columns
+    index[start[k]:start[k + 1]] with the coefficients value[start[k]:start[k + 1]].
+    `variables` names the columns, E[island id].
     """
 
     variables: list[str]
@@ -158,7 +166,7 @@ class LpModel:
 
     def add_row(self, columns: Iterable[int], values: Iterable[float], rhs: float) -> None:
         self.index += columns
-        self.value += (-float(v) for v in values)
+        self.value += map(float, values)
         self.start.append(len(self.index))
         self.rhs.append(rhs)
 
@@ -238,12 +246,13 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
     anti-cycling safeguards) at 1e-9 feasibility tolerances, with presolve
     on or off as `presolve` says (the option is set only where it changes),
     on the process's shared instance; `passModel` drops the model and basis
-    it held.  HiGHS gets the HighsLp SciPy's `highs-ds` method builds: the
-    -rows with row bounds [-inf, -rhs], passed row-wise (HiGHS stores them
-    column-wise, rows ascending in each column: the CSC matrix SciPy
-    passes), and column bounds [lower, inf].  The binding's `col_cost_`
-    setter takes a NumPy array, so the HighsLp has n zero costs HiGHS sized
-    (`addVar`, once per n) and `changeColCost` sets the nonzero ones.
+    it held.  HiGHS gets the rows with row bounds [rhs, inf], passed
+    row-wise (HiGHS stores them column-wise, rows ascending in each column),
+    and column bounds [lower, inf].  The binding's `col_cost_` setter takes
+    a NumPy array, so the HighsLp has n zero costs HiGHS sized (`addVar`,
+    once per n) and `changeColCost` sets the nonzero ones: with presolve on,
+    divided by a power of two to below 2^20, which the objective and the
+    duals are multiplied back by (module docstring).
     """
     global _presolve
     highs, hs = _shared_highs(), _binding()
@@ -252,7 +261,7 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
             raise LpError(f"HiGHS rejected option presolve={presolve!r}")
         _presolve = (highs, presolve)
     n, k = len(model.variables), len(model.rhs)
-    lower, upper = model.lower, [-rhs for rhs in model.rhs]
+    lower, rhs = model.lower, model.rhs
     lp = _zero_cost_lps.get(n)  # filled with lists: the binding converts them faster than arrays
     if lp is None:
         highs.clearModel()
@@ -264,8 +273,8 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
     matrix.format_ = hs.MatrixFormat.kRowwise
     matrix.start_, matrix.index_, matrix.value_ = model.start, model.index, model.value
     lp.col_lower_ = lower
-    lp.row_lower_ = [-hs.kHighsInf] * k
-    lp.row_upper_ = upper
+    lp.row_lower_ = rhs
+    lp.row_upper_ = [hs.kHighsInf] * k
 
     passed = highs.passModel(lp)
     # HiGHS holds its own copy now; the cached LP keeps no rows for the process's life
@@ -273,8 +282,10 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
     matrix.start_, matrix.index_, matrix.value_, lp.row_lower_, lp.row_upper_ = [0], [], [], [], []
     if passed == hs.HighsStatus.kError:
         raise Infeasible("HiGHS rejected the model")
+    # with presolve on, the costs are divided by 2^shift to below 2^20
+    shift = max(0, math.frexp(max(model.objective, default=0.0))[1] - 20) if presolve else 0
     for column, cost in enumerate(model.objective):
-        if cost and highs.changeColCost(column, cost) != hs.HighsStatus.kOk:
+        if cost and highs.changeColCost(column, math.ldexp(cost, -shift)) != hs.HighsStatus.kOk:
             raise LpError(f"HiGHS rejected cost {cost!r} of column {column}")
     run_failed = highs.run() == hs.HighsStatus.kError
     status = highs.getModelStatus()
@@ -285,15 +296,17 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
                    known.kTimeLimit: IterationLimit}.get(status, LpError)
         raise failure(f"HiGHS model status {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
-    x, fun = solution.col_value, highs.getObjectiveValue()
+    x, fun = solution.col_value, math.ldexp(highs.getObjectiveValue(), shift)
     # SciPy's own check of the returned point, at its tolerance; NaN fails it
     tol = math.sqrt(LP_TOLERANCE) * 10
     if not (all(v >= lo - tol for v, lo in zip(x, lower))
-            and all(v <= up + tol for v, up in zip(solution.row_value, upper))
+            and all(v >= b - tol for v, b in zip(solution.row_value, rhs))
             and not math.isnan(fun)):
         raise LpError("the optimal point HiGHS returned violates the constraints")
-    return LpVertex(values=x, objective=fun, row_duals=solution.row_dual,
-                    reduced_costs=solution.col_dual)
+    duals = solution.row_dual, solution.col_dual
+    if shift:
+        duals = [[math.ldexp(d, shift) for d in part] for part in duals]
+    return LpVertex(values=x, objective=fun, row_duals=duals[0], reduced_costs=duals[1])
 
 
 def separate(c: Mapping[str, float], p: Mapping[str, float], m: int) -> Cut | None:
@@ -416,7 +429,7 @@ def _base_model(
     for parent, child in precedence.edges():
         pairs += (column[child], column[parent])
     model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
-    model.value = [-1.0, 1.0] * (len(pairs) // 2)  # negated, as the model holds its rows
+    model.value = [1.0, -1.0] * (len(pairs) // 2)
     model.rhs = [0.0] * (len(pairs) // 2)
     return model
 
@@ -455,6 +468,8 @@ def solve_relaxation(
     times = [p[lid] for lid in lines]
     columns = [column[of_line[lid]] for lid in lines]
 
+    # 1e15 is not HiGHS's limit on a weight, a cost in no row that presolve-on solves
+    # scale, but the input boundary on weights (ROADMAP item 7)
     for iid, weight in islands.weights.items():
         _limit(weight, 1e15, "island {!r} weight", iid)
     for lid, t in zip(lines, times):
@@ -606,11 +621,11 @@ def _dual_bound(model: LpModel, vertex: LpVertex, caps: Sequence[float]) -> floa
     rows = []  # y_k b_k
     start, index, value = model.start, model.index, model.value
     for k, dual in enumerate(vertex.row_duals):
-        if dual < 0.0:
-            rows.append(-dual * model.rhs[k])
+        if dual > 0.0:
+            rows.append(dual * model.rhs[k])
             for i in range(start[k], start[k + 1]):
-                product = value[i] * -dual
-                sums[index[i]].append(product)
+                product = value[i] * dual
+                sums[index[i]].append(-product)
                 if abs(value[i]) != 1.0:
                     inexact[index[i]] += abs(product)
     terms, spread = rows[:], rows[:]  # LB's terms; the allowance's
@@ -625,7 +640,8 @@ def _dual_bound(model: LpModel, vertex: LpVertex, caps: Sequence[float]) -> floa
 
 def _limit(value: float, limit: float, what: str, *args: object) -> None:
     """Reject, naming `what.format(*args)`, a `value` that reaches `limit`: HiGHS
-    cannot take a matrix value of 1e15 or more, nor a bound of 1e20 or more."""
+    cannot take a matrix value of 1e15 or more, nor a bound of 1e20 or more.
+    Island weights are held below 1e15 as well (`solve_relaxation`)."""
     if value >= limit:
         raise ValidationError(f"{what.format(*args)} {value!r} reaches HiGHS's limit {limit:g}")
 
@@ -656,7 +672,7 @@ def format_model(model: LpModel, cuts: Sequence[Cut]) -> str:
     first_cut = len(model.rhs) - len(cuts)
     for k, rhs in enumerate(model.rhs):
         row = slice(model.start[k], model.start[k + 1])
-        columns, values = model.index[row], [-v for v in model.value[row]]
+        columns, values = model.index[row], model.value[row]
         if k < first_cut:
             ids = [model.variables[j][2:-1] for j in columns]  # E[child], E[parent]
             label = "{} after {}".format(*quoted(ids, " after "))

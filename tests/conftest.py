@@ -525,16 +525,18 @@ def reference_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -
 
 def reference_solve_linprog(model: LpModel, presolve: bool) -> LpVertex:
     """`lp.simplex_solve` through SciPy's public `linprog(method="highs-ds")`,
-    with the same HiGHS options and presolve on or off: the dense `<=` rows,
-    their right-hand sides negated, and columns bounded below.  Each failed
-    status raises the `lp` error it stands for."""
+    with the same HiGHS options and presolve on or off: the `>=` rows as
+    dense `<=` rows, negated with their right-hand sides, and columns bounded
+    below.  The row duals are the `<=` rows' marginals, negated, so they are
+    the duals of the `>=` rows.  Each failed status raises the `lp` error it
+    stands for."""
     from scipy.optimize import linprog
 
-    dense = np.zeros((len(model.rhs), len(model.variables)))  # the `<=` rows
+    dense = np.zeros((len(model.rhs), len(model.variables)))  # the `>=` rows
     dense[np.repeat(np.arange(len(model.rhs)), np.diff(model.start)), model.index] = model.value
     res = linprog(
         model.objective,
-        A_ub=dense if model.rhs else None,
+        A_ub=-dense if model.rhs else None,
         b_ub=-np.array(model.rhs) if model.rhs else None,
         bounds=[(lo, None) for lo in model.lower],
         method="highs-ds",
@@ -544,7 +546,7 @@ def reference_solve_linprog(model: LpModel, presolve: bool) -> LpVertex:
         failure = {1: lp.IterationLimit, 2: lp.Infeasible, 3: lp.Unbounded}
         raise failure.get(res.status, lp.LpError)(res.message)
     return LpVertex(values=res.x.tolist(), objective=float(res.fun),
-                    row_duals=res.ineqlin.marginals.tolist(),
+                    row_duals=(-res.ineqlin.marginals).tolist(),
                     reduced_costs=res.lower.marginals.tolist())
 
 
@@ -557,7 +559,7 @@ def reference_solve_highs(model: LpModel, highs=None) -> LpVertex:
     hs = lp._binding()
 
     n, k = len(model.variables), len(model.rhs)
-    lower, upper = model.lower, [-rhs for rhs in model.rhs]
+    lower, rhs = model.lower, model.rhs
     held = hs.HighsLp()
     matrix = held.a_matrix_
     held.num_col_, held.num_row_ = matrix.num_col_, matrix.num_row_ = n, k
@@ -566,8 +568,8 @@ def reference_solve_highs(model: LpModel, highs=None) -> LpVertex:
     held.col_cost_ = model.objective
     held.col_lower_ = lower
     held.col_upper_ = [hs.kHighsInf] * n
-    held.row_lower_ = [-hs.kHighsInf] * k
-    held.row_upper_ = upper
+    held.row_lower_ = rhs
+    held.row_upper_ = [hs.kHighsInf] * k
 
     if highs.passModel(held) == hs.HighsStatus.kError:
         raise lp.Infeasible("HiGHS rejected the model")
@@ -583,7 +585,7 @@ def reference_solve_highs(model: LpModel, highs=None) -> LpVertex:
     x, fun = solution.col_value, highs.getObjectiveValue()
     tol = math.sqrt(lp.LP_TOLERANCE) * 10
     if not (all(v >= lo - tol for v, lo in zip(x, lower))
-            and all(v <= up + tol for v, up in zip(solution.row_value, upper))
+            and all(v >= b - tol for v, b in zip(solution.row_value, rhs))
             and not math.isnan(fun)):
         raise lp.LpError("the optimal point HiGHS returned violates the constraints")
     return LpVertex(values=x, objective=fun, row_duals=solution.row_dual,
@@ -613,7 +615,7 @@ def full_space_base_model(
     for parent, child in precedence.edges():
         pairs += (island_col[child], island_col[parent])
     model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
-    model.value = [-1.0, 1.0] * (len(pairs) // 2)  # negated, as the model holds its rows
+    model.value = [1.0, -1.0] * (len(pairs) // 2)
     model.rhs = [0.0] * (len(pairs) // 2)
     return model
 
@@ -681,7 +683,7 @@ def _full_space_relaxation(
     # rhs is load_rhs([t], m) bit for bit
     model.start += range(len(model.index) + 1, len(model.index) + len(columns) + 1)
     model.index += columns
-    model.value += [-t for t in times]
+    model.value += times
     model.rhs += [t * t / (2.0 * m) + t * t / 2.0 for t in times]
     for k, rhs in zip(columns, model.rhs[first_cut:]):  # a time of 1e15 or more crosses 1e20 here
         lp._limit(rhs, 1e20, "right-hand side of the load cut on {}", [lids[k]])
@@ -791,15 +793,15 @@ def all_subset_relaxation(instance: NetworkInstance, m: int) -> float:
 
 def exact_dual_bound(model: LpModel, vertex: LpVertex, caps) -> Fraction:
     """`lp._dual_bound` in exact arithmetic, with no allowance: LB = y.b +
-    sum_j min(l_j r_j, u_j r_j), y = max(0, -row dual), r = w - A'y, on the
+    sum_j min(l_j r_j, u_j r_j), y = max(0, row dual), r = w - A'y, on the
     model's stored floats and the box `caps`."""
     r = [Fraction(w) for w in model.objective]
     bound = Fraction(0)
     for k, dual in enumerate(vertex.row_duals):
-        y = Fraction(max(0.0, -dual))
+        y = Fraction(max(0.0, dual))
         bound += y * Fraction(model.rhs[k])
         for i in range(model.start[k], model.start[k + 1]):
-            r[model.index[i]] += Fraction(model.value[i]) * y  # the model holds -A
+            r[model.index[i]] -= Fraction(model.value[i]) * y
     return bound + sum(min(Fraction(lo) * rj, Fraction(cap) * rj)
                        for rj, lo, cap in zip(r, model.lower, caps))
 

@@ -710,3 +710,21 @@ def test_former_exit_3_feeders_schedule_within_twice_the_lp(tmp_path, capsys, li
     harm = json.loads(capsys.readouterr().out)["harm"]
     result = algos.lp_list_schedule(load_instance(path), crews=1)
     assert harm == result.harm <= 2.0 * result.lp.objective
+
+
+# ROADMAP item 7: lp-list exited 3 at two crews on this valid feeder, HiGHS's
+# dual simplex ending "Not Set" on its costs of 1e8 to 4e8 with presolve off
+# and on ("excessively large costs")
+HEAVY_WEIGHTS = (
+    [("l1", "0", "1", 8, False), ("l2", "1", "2", 4, True), ("l3", "0", "3", 7, False)],
+    {"0": 9e8, "1": 1e8, "2": 4e8, "3": 1e8})
+
+
+@pytest.mark.parametrize("crews", [1, 2, 3])
+def test_heavy_weights_schedule_within_twice_the_lp(tmp_path, capsys, crews):
+    path = _feeder_file(tmp_path, *HEAVY_WEIGHTS)
+    code = main(["schedule", path, "--alg", "lp-list", "--crews", str(crews)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    result = algos.lp_list_schedule(load_instance(path), crews=crews)
+    assert json.loads(captured.out)["harm"] == result.harm <= 2.0 * result.lp.objective

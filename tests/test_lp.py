@@ -205,7 +205,8 @@ class TestSimplexSolve:
             reference = reference_solve_linprog(model, presolve)
             assert list(direct.values) == list(reference.values)
             assert direct.objective == reference.objective
-            # the same duals, so both paths judge a vertex by the same slackness gap
+            # the same duals, the `<=` rows' marginals negated, so both paths
+            # give the same dual bound
             assert list(direct.row_duals) == list(reference.row_duals)
             assert list(direct.reduced_costs) == list(reference.reduced_costs)
 
@@ -219,9 +220,9 @@ class TestSimplexSolve:
             dense = np.zeros((k, n))  # the >= rows, one by one
             for r in range(k):
                 s, e = model.start[r], model.start[r + 1]
-                dense[r, model.index[s:e]] = [-v for v in model.value[s:e]]
-            # the CSC arrays of the -rows linprog passes, column-major as np.nonzero gives
-            columns = -dense.T
+                dense[r, model.index[s:e]] = model.value[s:e]
+            # their CSC arrays, column-major as np.nonzero gives
+            columns = dense.T
             col, row = np.nonzero(columns)
             start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
             simplex_solve(model)
@@ -502,12 +503,12 @@ class TestPresolveFallback:
             if presolve:
                 return vertex
             duals = list(vertex.row_duals)
-            k = min((d, k) for k, d in enumerate(duals) if model.rhs[k] > 0)[1]
-            if perturb == "dual":  # HiGHS's sign: a priced `>=` row's dual is negative
+            k = max((k for k, b in enumerate(model.rhs) if b > 0), key=duals.__getitem__)
+            if perturb == "dual":  # a priced `>=` row's dual is positive
                 duals[k] *= 1.5
             else:  # each column's price falls by at least twice the largest weight
-                least = min(-v for v in model.value[model.start[k]:model.start[k + 1]])
-                duals[k] -= 2.0 * max(model.objective) / least
+                least = min(model.value[model.start[k]:model.start[k + 1]])
+                duals[k] += 2.0 * max(model.objective) / least
             return vertex._replace(row_duals=duals)
 
         gaps = []
@@ -644,6 +645,74 @@ class TestPresolveFallback:
             assert "numpy" not in sys.modules
         """)
         assert proc.returncode == 0, proc.stderr
+
+
+def heavy_feeder(seed, largest):
+    """`GenParams(seed=seed, nodes=(3, 9), repair_time=(1, 10))` with its node
+    weights scaled so that the largest is `largest`."""
+    raw = random_raw(GenParams(seed=seed, nodes=(3, 9), repair_time=(1, 10)))
+    top = max(node["weight"] for node in raw["nodes"])
+    for node in raw["nodes"]:
+        node["weight"] *= largest / top
+    return validate(raw)
+
+
+class TestHeavyWeights:
+    """HiGHS's dual simplex can end "Not Set" on costs of about 1e8 or more
+    ("excessively large costs"), with presolve off and on, so a presolve-on
+    solve divides the costs by a power of two to below 2^20."""
+
+    def test_only_a_presolve_on_solve_scales_the_costs(self, monkeypatch):
+        """The last round of feeder123.json at m = 3, its weights scaled by
+        powers of two to a largest of 2^19 to 2^20 (`light`, which no solve
+        scales) and 2^30 times those (`heavy`).  With presolve on, HiGHS holds
+        light's costs for heavy and gives light's vertex, with objective and
+        duals 2^30 times light's; with presolve off, it holds heavy's costs."""
+        model = round_models(monkeypatch, "feeder123.json", 3)[-1]
+        top = math.frexp(max(model.objective))[1]
+        light, heavy = (replace(model, objective=[math.ldexp(w, shift - top)
+                                                  for w in model.objective])
+                        for shift in (20, 50))
+        highs = _new_highs()
+        monkeypatch.setattr(lp, "_shared", (os.getpid(), highs))
+        want = simplex_solve(light, True)
+        got = simplex_solve(heavy, True)
+        assert list(highs.getLp().col_cost_) == light.objective
+        assert got.values == want.values and got.objective == math.ldexp(want.objective, 30)
+        for ours, theirs in ((got.row_duals, want.row_duals),
+                             (got.reduced_costs, want.reduced_costs)):
+            assert list(ours) == [math.ldexp(d, 30) for d in theirs]
+        try:
+            simplex_solve(heavy)
+        except lp.LpError:  # HiGHS may fail on them: the retry scales them
+            pass
+        assert list(highs.getLp().col_cost_) == heavy.objective
+
+    @pytest.mark.parametrize("largest", [1e8, 1e9, 1e10, 1e11, 1e12, 1e13])
+    def test_a_heavy_weight_sweep_certifies(self, largest):
+        """Seeds 0-299 at m = 1-3: with the costs unscaled, 3 to 31 of each
+        900 calls raised LpError, HiGHS ending "Not Set" with presolve off
+        and on."""
+        for seed in range(300):
+            inst = heavy_feeder(seed, largest)
+            for m in (1, 2, 3):
+                bench_instance(f"gen-{seed}", inst, m)  # raises if a certificate fails
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_heavy_zero_time_island_certifies(self, m):
+        """An island of one line of time 0 weighing 5e14, among weights of 2
+        to 10, every line a switch.  Scaling the presolve-off solves too, by
+        2^29, took the weights of 2 to 10 near HiGHS's 1e-9 dual tolerance:
+        at m = 2 the relaxation then exceeded the optimum."""
+        weights = {"n0": 4, "n1": 5e14, "n2": 8, "n3": 10, "n4": 5, "n5": 2}
+        lines = [("l1", "n0", "n1", 0), ("l2", "n1", "n2", 4), ("l3", "n1", "n3", 9),
+                 ("l4", "n0", "n4", 10), ("l5", "n3", "n5", 5)]
+        inst = validate({
+            "root": "n0", "crews": m,
+            "nodes": [{"id": nid, "weight": w} for nid, w in weights.items()],
+            "lines": [{"id": lid, "from": u, "to": v, "repair_time": t, "switch": True}
+                      for lid, u, v, t in lines]})
+        bench_instance("heavy-zero-time-island", inst, m)  # raises if a certificate fails
 
 
 def test_the_benchmarked_inputs_never_solve_with_presolve_on(monkeypatch):
@@ -1323,14 +1392,14 @@ def _path(times, weights, switches=(2,)):
 
 # HiGHS rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as
 # infinite.  A cut's coefficient, a sum of its times, reaches 1e15 only where its
-# right-hand side already reaches 1e20 (m at most the line count).
+# right-hand side already reaches 1e20 (m at most the line count).  An island
+# weight is a cost, not a matrix value, but 1e15 stays its input boundary.
 LIMIT_CASES = {
     "a cut's right-hand side": (_path([1e10] * 3, [1, 1, 1]),
                                 "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20"),
     "a repair time of 1e20, an island's lower bound": (
         _path([1e20, 1, 1], [1, 1, 1]), "line 'e1' repair time 1e+20 "),
-    # kept, although the canonical pass and its objective cap are gone (CHANGES.md `FOUND`)
-    "an island weight, a coefficient of the objective cap": (
+    "an island weight of 1e16": (
         _path([1, 1, 1], [1, 1e16, 1]), "island 'e2' weight 1e+16 "),
     "an island weight of exactly 1e15": (_path([1, 1, 1], [1, 1e15 - 1, 1]),
                                          "island 'e2' weight 1000000000000000.0"),
