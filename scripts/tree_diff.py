@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Answers and per-call times of four layers, compared across `src` trees.
 
-    python scripts/tree_diff.py [--count K] [--max-lines L] [--repeat R] SRC [SRC ...]
+    python scripts/tree_diff.py [--count K] [--max-lines L] [--repeat R]
+                                [--switch-probability P] SRC [SRC ...]
 
 Each SRC is a `src` directory holding the `gridrepair` package, say a
 checkout of the parent commit's `src` and this one's.  Each repetition runs
@@ -11,7 +12,9 @@ first.  The interpreter runs three layers, each once untimed, then once
 timed, and the CLI commands of a fourth each run in a process of their own:
 
 * `relaxation`: on the corpus `gridrepair bench --seed 0 --count K
-  --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), at
+  --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), with
+  each line a switch with probability P (0.4 by default, as in the bench;
+  at 0 every feeder is one island, where the oracle meets the most ties), at
   m = 2 and 3, `lp.solve_relaxation`, counting its `lp.simplex_solve` calls,
   whether it ran a loop with HiGHS presolve on after a loop that failed or
   ended off its optimum (a presolve-on `lp.simplex_solve` call after its
@@ -90,10 +93,10 @@ FORMS = ("oriented", "half-reversed", "shuffled")
 LOAD_TIMES = ("load_write", "islands", "load_islands")
 
 # Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
-# JSON object of count, max_lines, crews and files; reports [seed, n, m] and
-# [HiGHS solves, separation calls, separation seconds, presolve-on loops,
-# seeded cut rows, loops, retried solves] per call and, per layer, [times,
-# answer] per call or file.
+# JSON object of count, max_lines, switch_probability, crews and files; reports
+# [seed, n, m] and [HiGHS solves, separation calls, separation seconds,
+# presolve-on loops, seeded cut rows, loops, retried solves] per call and, per
+# layer, [times, answer] per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
@@ -102,7 +105,8 @@ config = json.loads(sys.argv[2])
 calls = []
 for seed in range(config["count"]):
     instance = harness.generate_random(harness.GenParams(
-        seed=seed, nodes=(2, config["max_lines"] + 1), crews=tuple(config["crews"])))
+        seed=seed, nodes=(2, config["max_lines"] + 1), crews=tuple(config["crews"]),
+        switch_probability=config["switch_probability"]))
     n = sum(1 for p in instance.repair_times().values() if p > 0)
     calls += [(seed, n, m, instance) for m in config["crews"]]
 
@@ -286,6 +290,7 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=200, metavar="K")
     parser.add_argument("--max-lines", type=int, default=8, metavar="L")
     parser.add_argument("--repeat", type=int, default=5, metavar="R")
+    parser.add_argument("--switch-probability", type=float, default=0.4, metavar="P")
     parser.add_argument("src", nargs="+")
     args = parser.parse_args()
     for option in ("count", "max_lines", "repeat"):
@@ -301,7 +306,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as cwd:  # so that no `gridrepair` is found beside it
         files = write_corpus(Path(cwd))
         shutil.copytree(ROOT / "fixtures", cwd, dirs_exist_ok=True)
-        config = {"count": args.count, "max_lines": args.max_lines, "crews": CREWS,
+        config = {"count": args.count, "max_lines": args.max_lines,
+                  "switch_probability": args.switch_probability, "crews": CREWS,
                   "files": list(files)}
         for k in range(args.repeat):
             for tree in trees[k % len(trees):] + trees[:k % len(trees)]:
@@ -324,6 +330,7 @@ def main() -> int:
                 if group else None for tree in trees]
 
     result = {"count": args.count, "max_lines": args.max_lines, "repeat": args.repeat,
+              "switch_probability": args.switch_probability,
               "crews": list(CREWS), "feeders_per_size": FEEDERS,
               "python": sys.version.split()[0], "src": args.src,
               "relaxation": {}, "oracle_median_best_us": {}, "load_median_best_ms": {},

@@ -468,15 +468,17 @@ def solve_relaxation(
     times = [p[lid] for lid in lines]
     columns = [column[of_line[lid]] for lid in lines]
 
-    # 1e15 is not HiGHS's limit on a weight, a cost in no row that presolve-on solves
-    # scale, but the input boundary on weights (ROADMAP item 7)
+    # not HiGHS's limit: a weight is a cost, in no row, and presolve-on solves scale
+    # the costs; 1e15 is the boundary of valid weights (ROADMAP item 7)
     for iid, weight in islands.weights.items():
-        _limit(weight, 1e15, "island {!r} weight", iid)
+        if weight >= 1e15:
+            raise ValidationError(
+                f"island {iid!r} weight {weight!r} reaches the input's weight limit 1e+15")
     for lid, t in zip(lines, times):
         if t <= 1e-9:  # HiGHS drops it where it is an island's one term in a cut of total >= 1
             raise ValidationError(f"line {lid!r} repair time {t!r} is at most HiGHS's "
                                   "small matrix value 1e-09, which it drops from the load cuts")
-        _limit(t, 1e20, "line {!r} repair time", lid)  # its island E's lower bound
+        _limit(t, "line {!r} repair time", lid)  # its island E's lower bound
     # round 1, the least point, on the tree as it stands
     energization, harm = (instance.infinite_crew_energization if own
                           else sched.infinite_crew_energization(islands, precedence, p))
@@ -507,7 +509,7 @@ def solve_relaxation(
         def add_cut(subset: tuple[int, ...], rhs: float, scale: float) -> None:
             cut = Cut(frozenset(map(lines.__getitem__, subset)), rhs)
             if rhs >= 1e20:
-                _limit(rhs, 1e20, "right-hand side of the load cut on {}", sorted(cut.lines))
+                _limit(rhs, "right-hand side of the load cut on {}", sorted(cut.lines))
             coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
             for i in subset:  # p(A & island) per island column
                 coefficients[columns[i]] += times[i]
@@ -638,12 +640,11 @@ def _dual_bound(model: LpModel, vertex: LpVertex, caps: Sequence[float]) -> floa
     return bound - 2.0**-52 * (abs(bound) + math.fsum(spread))
 
 
-def _limit(value: float, limit: float, what: str, *args: object) -> None:
-    """Reject, naming `what.format(*args)`, a `value` that reaches `limit`: HiGHS
-    cannot take a matrix value of 1e15 or more, nor a bound of 1e20 or more.
-    Island weights are held below 1e15 as well (`solve_relaxation`)."""
-    if value >= limit:
-        raise ValidationError(f"{what.format(*args)} {value!r} reaches HiGHS's limit {limit:g}")
+def _limit(value: float, what: str, *args: object) -> None:
+    """Reject, naming `what.format(*args)`, a bound or right-hand side `value`
+    of 1e20 or more, which HiGHS takes as infinite."""
+    if value >= 1e20:
+        raise ValidationError(f"{what.format(*args)} {value!r} reaches HiGHS's limit 1e+20")
 
 
 def format_model(model: LpModel, cuts: Sequence[Cut]) -> str:

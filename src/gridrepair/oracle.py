@@ -47,9 +47,10 @@ twins in a list repeats every float operation, so the harm is identical
 bit for bit, and the list with the lower id first is the smaller one.
 So a c-line set, or a checked prefix, that has placed a line while a
 lower twin of it is unplaced is dropped too: each list below it has a
-twin list of the same harm and a smaller rank.  Of the lists of least
-harm the lexicographically smallest, found by each list's rank, is the
-one returned without pruning.
+twin list of the same harm and a smaller rank.  Every prefix carries its
+rank, the position of its first list among all n! in lexicographic
+order, and the answer has one rule, pruned or not: the least harm, then
+the least rank, so the lexicographically smallest list of least harm.
 `certify_row` re-checks every proven guarantee on a bench row: the
 algorithms' bounds and, with the optimum, the two lower bounds on it.
 """
@@ -96,7 +97,9 @@ def brute_force_optimal(
 
     Zero-time lines are pinned to the front of every list (finishing a
     zero-time job earlier can never raise any completion), so only the
-    damaged lines are permuted; the guard caps those at 9.
+    damaged lines are permuted; the guard caps those at 9.  The list
+    returned has the least harm and, of those, the least rank: it is the
+    lexicographically smallest list of least harm, pruned or not.
 
     The bound and the twin rule prune only where the lists simulated,
     n!/c!, number at least `PRUNE_LISTS`: at most 9 lines, that is n = 8
@@ -143,22 +146,20 @@ def brute_force_optimal(
     p = np.array([repair[lid] for lid in damaged], dtype=float)
     # one column per prefix: its c crews' sorted free times, its islands' latest
     # completions, its remaining lines in id order (rest[q, i]: the q-th of prefix i)
-    # and, while pruning may drop columns, its rank: the position among all n! in
-    # lexicographic order of its first list.  The first prefixes are the c-line sets,
-    # each standing for its c! orderings (all bit-identical: their floats are the
-    # lines' repair times and maxima of them) and ranked as its smallest, in id order
-    heads, rest = _sets(n, c)
+    # and its rank: the position among all n! in lexicographic order of its first
+    # list.  The first prefixes are the c-line sets, each standing for its c!
+    # orderings (all bit-identical: their floats are the lines' repair times and
+    # maxima of them) and ranked as its smallest, in id order
+    heads, rest, rank = _sets(n, c)
     first = p.take(heads)
     free = np.sort(first, axis=0)
     done = np.multiply(first, home.take(heads) == slots).max(axis=1)
     prune = math.perm(n, n - c) >= PRUNE_LISTS
-    rank = np.arange(heads.shape[1]) * math.factorial(n - c) if prune else None
     if prune:
         if incumbent is None:
             incumbent = algos.convert_single_to_m(instance, m).harm
         twins = _twin_code(damaged, repair, island_of)
-        compacted = twins is not None
-        if compacted:  # drop the sets holding a line but not its lower twin
+        if twins is not None:  # drop the sets holding a line but not its lower twin
             kept = np.flatnonzero(_in_order(twins, rest, n))
             free, done, rest, rank = (a.take(kept, axis=-1) for a in (free, done, rest, rank))
     for r in range(n - c, 0, -1):
@@ -167,8 +168,7 @@ def brute_force_optimal(
         # masked to the line's island; a 0 leaves a maximum of times >= 0 as it was
         grown = np.multiply(finish, home.take(rest) == slots)
         done = np.maximum(grown, done[:, None], out=grown)
-        if rank is not None:
-            rank = rank + _steps(r)
+        rank = rank + _steps(r)
         if prune and r in PRUNE_AT:
             # the latest of a prefix's children per island raises each island to the
             # earliest finish of its unplaced lines: no list below it scores less
@@ -185,14 +185,9 @@ def brute_force_optimal(
             if len(kept) <= KEEP_AT_MOST * len(bound):
                 free, done, rest, rank, finish = (
                     a.take(kept, axis=-1) for a in (free, done, rest, rank, finish))
-                compacted = True
             else:  # too few dropped to pay for the checks deeper down
                 prune = False
-                if not compacted:  # all columns left in place: their order ranks them
-                    rank = None
-        done = done.reshape(width, -1)
-        if rank is not None:
-            rank = rank.ravel()
+        done, rank = done.reshape(width, -1), rank.ravel()
         if r > 1:
             # the earliest free time becomes finish: clamp it into the sorted order
             later = np.maximum(finish, free[:, None])
@@ -206,16 +201,8 @@ def brute_force_optimal(
     # the least harm, and of the lists that reach it the one of least rank; a set
     # in id order is the smallest of its c! orderings, so that is still the
     # lexicographically smallest optimal list of all n!
-    if rank is not None:
-        harm = harms.min()
-        best = int(rank[harms == harm].min())
-    else:
-        # column s + S * sum_k j_k (n-c)!/(n-c-k)! holds set s (of S), then the suffix
-        # choices j_0, j_1, ...; reversing those mixed-radix axes puts the lists in
-        # rank order, so the first hit is the one of least rank
-        lists = harms.reshape((*range(1, n - c + 1), -1)).T.ravel()
-        best = int(np.argmin(lists))
-        harm = lists[best]
+    harm = harms.min()
+    best = int(rank[harms == harm].min())
     s, best = divmod(best, math.factorial(n - c))
     chosen = heads[:, s].tolist()
     order = list(zero_lines) + [damaged[k] for k in chosen]
@@ -258,15 +245,17 @@ def _in_order(code: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
 
 
 @cache
-def _sets(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """heads[k, s] and rest[q, s]: the k-th line of the s-th c-line set of n
-    lines and the q-th line outside it, sets in itertools.combinations order
-    and lines in id order.  Built on first use: importing makes no arrays."""
+def _sets(n: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """heads[k, s], rest[q, s] and rank[s]: the k-th line of the s-th c-line
+    set of n lines, the q-th line outside it and the rank of its first list,
+    s (n - c)!, sets in itertools.combinations order and lines in id order.
+    Built on first use: importing makes no arrays."""
     import numpy as np
     heads = list(itertools.combinations(range(n), c))
     rest = [[k for k in range(n) if k not in h] for h in heads]
     return (np.array(heads, dtype=np.intp).T.copy(),
-            np.array(rest, dtype=np.intp).reshape(len(heads), n - c).T.copy())
+            np.array(rest, dtype=np.intp).reshape(len(heads), n - c).T.copy(),
+            np.arange(len(heads)) * math.factorial(n - c))
 
 
 @cache

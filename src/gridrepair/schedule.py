@@ -101,8 +101,16 @@ def energization_times(
 
 
 def harm(energization: Mapping[str, float], island_weights: Mapping[str, float]) -> float:
-    """Total weighted energization time, summed in island id order."""
-    return sum(island_weights[isl] * energization[isl] for isl in sorted(energization))
+    """Total weighted energization time, summed left to right in island id order.
+
+    Not by `sum()`, which from Python 3.12 compensates a sum of floats but
+    not one of arrays: the oracle scores arrays of schedules with this, and
+    each must read bit for bit what it reads for a single schedule.
+    """
+    total = 0
+    for isl in sorted(energization):
+        total = total + island_weights[isl] * energization[isl]
+    return total
 
 
 def infinite_crew_energization(

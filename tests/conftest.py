@@ -632,7 +632,7 @@ def _canonical_pass(model: LpModel, optimum: float, presolve: bool = False) -> L
     try:
         return lp.simplex_solve(canon, presolve)
     except lp.LpError:  # HiGHS drops a cap of 1e20 or more, and its point may then break it
-        lp._limit(cap, 1e20, "objective cap of the canonical pass")
+        lp._limit(cap, "objective cap of the canonical pass")
         raise
 
 
@@ -672,7 +672,9 @@ def _full_space_relaxation(
     times = [p[lids[k]] for k in columns]
 
     for iid, weight in islands.weights.items():  # each a coefficient of the objective cap
-        lp._limit(weight, 1e15, "island {!r} weight", iid)
+        if weight >= 1e15:
+            raise ValidationError(
+                f"island {iid!r} weight {weight!r} reaches the input's weight limit 1e+15")
     if min(times, default=1.0) <= 1e-9:  # HiGHS drops such a coefficient from every load cut
         lid = next(lids[k] for k, t in zip(columns, times) if t <= 1e-9)
         raise ValidationError(f"line {lid!r} repair time {p[lid]!r} is at most HiGHS's "
@@ -686,7 +688,7 @@ def _full_space_relaxation(
     model.value += times
     model.rhs += [t * t / (2.0 * m) + t * t / 2.0 for t in times]
     for k, rhs in zip(columns, model.rhs[first_cut:]):  # a time of 1e15 or more crosses 1e20 here
-        lp._limit(rhs, 1e20, "right-hand side of the load cut on {}", [lids[k]])
+        lp._limit(rhs, "right-hand side of the load cut on {}", [lids[k]])
     pooled = {(i,) for i in range(len(columns))}  # the pool's subsets, by position in `columns`
 
     cut_limit = 10 * max(1, len(p)) ** 2
@@ -699,7 +701,7 @@ def _full_space_relaxation(
     while found is not None:
         subset = found[0]
         rhs = load_rhs((times[i] for i in subset), m)
-        lp._limit(rhs, 1e20, "right-hand side of the load cut on {}",
+        lp._limit(rhs, "right-hand side of the load cut on {}",
                   [lids[columns[i]] for i in subset])
         model.add_row([columns[i] for i in subset], [times[i] for i in subset], rhs)
         pooled.add(subset)

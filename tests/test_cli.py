@@ -545,7 +545,7 @@ REJECTED = {
                              "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20 "
                              "reaches HiGHS's limit 1e+20"),
     "an island weight of 1e16": (_malformed(weights=(1, 1e16, 1)),
-                                 "island 'e2' weight 1e+16 reaches HiGHS's limit 1e+15"),
+                                 "island 'e2' weight 1e+16 reaches the input's weight limit 1e+15"),
     "a repair time of 1e-9": (_malformed(times=(1e-9, 1, 1)),
                               "line 'e1' repair time 1e-09 is at most HiGHS's small matrix value "
                               "1e-09, which it drops from the load cuts"),

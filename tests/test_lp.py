@@ -1393,16 +1393,19 @@ def _path(times, weights, switches=(2,)):
 # HiGHS rejects a matrix value of 1e15 or more and takes a bound of 1e20 or more as
 # infinite.  A cut's coefficient, a sum of its times, reaches 1e15 only where its
 # right-hand side already reaches 1e20 (m at most the line count).  An island
-# weight is a cost, not a matrix value, but 1e15 stays its input boundary.
+# weight is a cost, not a matrix value, and 1e15 is the input's limit on it.
 LIMIT_CASES = {
     "a cut's right-hand side": (_path([1e10] * 3, [1, 1, 1]),
-                                "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20"),
+                                "right-hand side of the load cut on ['e1', 'e2', 'e3'] 3.75e+20 "
+                                "reaches HiGHS's limit 1e+20"),
     "a repair time of 1e20, an island's lower bound": (
-        _path([1e20, 1, 1], [1, 1, 1]), "line 'e1' repair time 1e+20 "),
+        _path([1e20, 1, 1], [1, 1, 1]), "line 'e1' repair time 1e+20 reaches HiGHS's limit 1e+20"),
     "an island weight of 1e16": (
-        _path([1, 1, 1], [1, 1e16, 1]), "island 'e2' weight 1e+16 "),
-    "an island weight of exactly 1e15": (_path([1, 1, 1], [1, 1e15 - 1, 1]),
-                                         "island 'e2' weight 1000000000000000.0"),
+        _path([1, 1, 1], [1, 1e16, 1]),
+        "island 'e2' weight 1e+16 reaches the input's weight limit 1e+15"),
+    "an island weight of exactly 1e15": (
+        _path([1, 1, 1], [1, 1e15 - 1, 1]),
+        "island 'e2' weight 1000000000000000.0 reaches the input's weight limit 1e+15"),
 }
 
 
@@ -1412,7 +1415,7 @@ def test_rows_beyond_highs_limits_are_input_errors(case):
     with pytest.raises(ValidationError) as err:
         solve_relaxation(inst, crews=2)
     assert not isinstance(err.value, lp.LpError) and isinstance(err.value, ValueError)
-    assert str(err.value).startswith(message) and "reaches HiGHS's limit" in str(err.value)
+    assert str(err.value) == message
 
 
 def _far_line(time):

@@ -1,6 +1,8 @@
+import builtins
 import dataclasses
 import functools
 import itertools
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -446,6 +448,45 @@ def test_a_relaxation_the_lp_loop_accepts_certifies(seed):
     9.7e-14 of it (seed 95): within the LP loop's own acceptance tolerance,
     which `certify_row` allows on top of its absolute 1e-6."""
     bench_instance(f"mixed-{seed}", small_mixed_magnitude_feeder(seed), 1)
+
+
+def compensated_sum(items, start=0):
+    """`sum` as CPython 3.12 and later run it: an int total adds ints plainly;
+    a float total adds each further float with Neumaier's compensation and
+    each int plainly, and from the first other item on adds plainly."""
+    items, total, compensation = iter(items), start, 0.0
+    for item in items:
+        total = total + item
+        if type(total) is not int:
+            break
+    for item in items if type(total) is float else ():
+        if type(item) is float:
+            t = total + item
+            compensation += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+            total = t
+        elif isinstance(item, int):
+            total += float(item)
+        else:
+            total = total + (compensation if math.isfinite(compensation) else 0.0) + item
+            compensation = 0.0
+            break
+    for item in items:
+        total = total + item
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+@pytest.mark.parametrize("make, seed, m", [
+    (small_mixed_magnitude_feeder, 11, 1), (small_mixed_magnitude_feeder, 17, 1),
+    (mixed_magnitude_feeder, 45, 2), (mixed_magnitude_feeder, 45, 3),
+    (mixed_magnitude_feeder, 73, 3)])
+def test_rows_certify_where_sum_compensates_floats(monkeypatch, make, seed, m):
+    """Were harm a `sum()`, on Python 3.12 and later the scalar incumbent of
+    these rows would be compensated and the oracle's arrays not: the incumbent
+    sat one ulp below the optimum of the same list (feeder 45: 6575597681132587.0
+    against 6575597681132588.0), and the oracle raised InvariantViolation."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([0.1] * 10) == 1.0  # 0.9999999999999999 added left to right
+    bench_instance(f"mixed-{seed}", make(seed), m)
 
 
 def test_a_relaxation_above_the_optimum_by_more_than_the_slack_fails():

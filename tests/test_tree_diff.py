@@ -78,6 +78,34 @@ def test_tree_diff_rejects_an_option_below_one(option):
     assert f"error: {option} must be at least 1" in proc.stderr
 
 
+# appended to the copy's oracle.py: answers on feeders of more than one island change
+MULTI_ISLAND_PATCH = """
+
+_unpatched_brute_force_optimal = brute_force_optimal
+
+
+def brute_force_optimal(instance, m, incumbent=None):
+    result = _unpatched_brute_force_optimal(instance, m, incumbent)
+    if len(instance.islands.islands) == 1:
+        return result
+    return OracleResult(result.harm, result.priority_list, enumerated=0)
+"""
+
+
+def test_tree_diff_draws_its_corpus_at_the_switch_probability(tmp_path):
+    """At the default 0.4 the corpus's oracle calls differ first; at 0 every
+    corpus feeder is one island, so only `oracle fork.json` differs."""
+    with open(patched_src(tmp_path, "oracle.py"), "a") as out:
+        out.write(MULTI_ISLAND_PATCH)
+    trees = str(ROOT / "src"), str(tmp_path / "src")
+    results = [json.loads(tree_diff("--count", "3", "--repeat", "1", *options, *trees).stdout)
+               for options in ([], ["--switch-probability", "0"])]
+    assert [result["switch_probability"] for result in results] == [0.4, 0.0]
+    assert results[0]["first_difference"]["layer"] == "oracle"
+    assert results[1]["first_difference"] == {
+        "layer": "cli", "command": "oracle fork.json", "differing_calls": 1}
+
+
 # appended to a copy's lp.py: round 1 seeds no cut, so every loop adds one cut per round
 NO_SEEDS = """
 
