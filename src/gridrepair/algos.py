@@ -9,7 +9,7 @@ and is within (2 - 1/m) of optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
@@ -32,8 +32,7 @@ _ARRANGEMENTS = {
 WITHIN_ISLAND_ORDERS = tuple(_ARRANGEMENTS)
 
 
-@dataclass(frozen=True)
-class AlgoResult:
+class AlgoResult(NamedTuple):
     """A schedule, its per-island energization and its harm, with what the
     algorithm derived on the way: the relaxation or the single-crew optimum."""
 

@@ -8,13 +8,13 @@ every harm exactly representable; only LP columns carry float noise.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import random
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from gridrepair import algos, oracle
 from gridrepair.lp import solve_relaxation
@@ -81,8 +81,7 @@ def oracle_to_json(result: oracle.OracleResult, crews: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(NamedTuple):
     """Knobs for the seeded instance generator; same seed, same bytes."""
 
     seed: int
@@ -129,6 +128,7 @@ def generate_random(params: GenParams) -> NetworkInstance:
     return validate(random_raw(params))
 
 
+# the package's one dataclass: perfbench records each row with `dataclasses.asdict`
 @dataclass(frozen=True)
 class BenchRow:
     instance: str
@@ -160,6 +160,7 @@ def _cell(value: str | int | float | None) -> str | int:
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:
+    import csv  # only here: no other command writes CSV
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
@@ -239,7 +240,7 @@ def run_bench(
     re-raised.
     """
     # named by their seeds; each (instance, m) task validates its raw dict once
-    corpus = [(f"gen-{seed}", random_raw(replace(params, seed=seed)))
+    corpus = [(f"gen-{seed}", random_raw(params._replace(seed=seed)))
               for seed in range(params.seed, params.seed + count)]
     tasks = [(name, raw, m) for name, raw in corpus for m in params.crews]
     try:

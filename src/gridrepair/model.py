@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter, itemgetter
@@ -40,8 +39,30 @@ class Line(NamedTuple):
     is_switch: bool
 
 
-@dataclass(frozen=True)
-class NetworkInstance:
+class Record:
+    """A frozen dataclass's equality, hash, repr and pickling over `_fields`, with no code
+    generated per class at import (about 0.5 ms each).  `__init__` sets the fields in
+    `__dict__`, beside `cached_property` tables that take part in none of these."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class NetworkInstance(Record):
     """A validated damaged feeder: a spanning tree of lines over the nodes.
 
     Nodes and lines are in id order, lines oriented away from the root.
@@ -50,10 +71,11 @@ class NetworkInstance:
     derived on first use and kept with the instance; no reader may change them.
     """
 
-    nodes: tuple[Node, ...]
-    lines: tuple[Line, ...]
-    root: str
-    crews: int
+    _fields = ("nodes", "lines", "root", "crews")
+
+    def __init__(self, nodes: tuple[Node, ...], lines: tuple[Line, ...], root: str,
+                 crews: int) -> None:
+        self.__dict__.update(nodes=nodes, lines=lines, root=root, crews=crews)
 
     def node_weights(self) -> dict[str, float]:
         return {n.id: n.weight for n in self.nodes}
@@ -104,15 +126,17 @@ class Island(NamedTuple):  # a tuple, like Node and Line: one per switch line, p
     processing: float
 
 
-@dataclass(frozen=True)
-class IslandSet:
+class IslandSet(Record):
     """The islands in id order.
 
     Each lookup table is built on first use and kept; every reader shares
     the one dict, so none may change it.
     """
 
-    islands: tuple[Island, ...]
+    _fields = ("islands",)
+
+    def __init__(self, islands: tuple[Island, ...]) -> None:
+        self.__dict__["islands"] = islands
 
     @cached_property
     def island_of_line(self) -> dict[str, str]:
@@ -124,16 +148,17 @@ class IslandSet:
         return {isl.id: isl.weight for isl in self.islands}
 
 
-@dataclass(frozen=True)
-class PrecedenceGraph:
+class PrecedenceGraph(Record):
     """Out-tree over islands: a child cannot energize before its parent.
 
     One edge per switch line; rooted at the island containing the source.
     The order and depths are built on first use and kept.
     """
 
-    root: str
-    parent: dict[str, str]
+    _fields = ("root", "parent")
+
+    def __init__(self, root: str, parent: dict[str, str]) -> None:
+        self.__dict__.update(root=root, parent=parent)
 
     def edges(self) -> list[tuple[str, str]]:
         return sorted((p, c) for c, p in self.parent.items())
@@ -142,8 +167,8 @@ class PrecedenceGraph:
     def topological_order(self) -> tuple[str, ...]:
         """Parents before children, siblings in id order."""
         kids: dict[str, list[str]] = {}
-        for child in sorted(self.parent, reverse=True):  # popped back in id order
-            kids.setdefault(self.parent[child], []).append(child)
+        for child, parent in sorted(self.parent.items(), reverse=True):  # popped back in id order
+            kids.setdefault(parent, []).append(child)
         order, stack = [], [self.root]
         while stack:
             cur = stack.pop()
@@ -153,9 +178,9 @@ class PrecedenceGraph:
 
     @cached_property
     def depth(self) -> dict[str, int]:
-        depths = {self.root: 0}
+        depths, parent = {self.root: 0}, self.parent
         for isl in self.topological_order[1:]:
-            depths[isl] = depths[self.parent[isl]] + 1
+            depths[isl] = depths[parent[isl]] + 1
         return depths
 
 

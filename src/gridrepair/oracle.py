@@ -59,8 +59,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from gridrepair import algos, lp
 from gridrepair import schedule as sched
@@ -83,8 +83,7 @@ class InvariantViolation(AssertionError):
     """A proven guarantee failed; the implementation has a bug, not the instance."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     harm: float
     priority_list: tuple[str, ...]
     enumerated: int  # the n! lists the minimum is taken over, not the lists simulated
@@ -315,11 +314,12 @@ def certify_row(
             failures.append(f"start bound broken for {lid}")
         elapsed += repair[lid]
     completions = alg1.schedule.completions()
+    lp_completion, lp_energization = alg1.lp.completion, alg1.lp.energization
     for lid in repair:
-        if completions[lid] > 2.0 * alg1.lp.completion[lid] + tol:
+        if completions[lid] > 2.0 * lp_completion[lid] + tol:
             failures.append(f"2x completion bound broken for {lid}")
     for iid, e in alg1.energization.items():
-        if e > 2.0 * alg1.lp.energization[iid] + tol:
+        if e > 2.0 * lp_energization[iid] + tol:
             failures.append(f"2x energization bound broken for island {iid}")
 
     def above(value: float, bound: float, slack: float) -> bool:

@@ -9,7 +9,6 @@ the weighted sum of island energization times.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, TypeVar
 
 from gridrepair.model import IslandSet, PrecedenceGraph, new_record
@@ -28,8 +27,7 @@ class Assignment(NamedTuple):  # a tuple: one per line per schedule
     completion: float
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Per-crew ordered job assignments plus the priority list that built them."""
 
     crews: tuple[tuple[Assignment, ...], ...]
@@ -84,8 +82,9 @@ def energize(own: Mapping[str, T], precedence: PrecedenceGraph, combine=max) -> 
     `numpy.maximum` for arrays of many schedules at once.
     """
     energization: dict[str, T] = {}
+    parent_of = precedence.parent.get
     for isl in precedence.topological_order:
-        parent = precedence.parent.get(isl)
+        parent = parent_of(isl)
         energization[isl] = (
             own[isl] if parent is None else combine(own[isl], energization[parent])
         )

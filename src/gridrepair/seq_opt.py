@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from gridrepair import schedule as sched
-from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph
+from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, Record
 
 
-@dataclass(frozen=True)
-class SingleCrewOptimum:
+class SingleCrewOptimum(Record):
     """The optimal single-crew island order on `instance`.
 
     The plan that follows it, its per-island energization and its harm are
@@ -32,8 +30,10 @@ class SingleCrewOptimum:
     so the two paths cross-check each other.
     """
 
-    instance: NetworkInstance
-    island_order: tuple[str, ...]
+    _fields = ("instance", "island_order")
+
+    def __init__(self, instance: NetworkInstance, island_order: tuple[str, ...]) -> None:
+        self.__dict__.update(instance=instance, island_order=island_order)
 
     @cached_property
     def plan(self) -> sched.Schedule:
@@ -91,7 +91,8 @@ def optimal_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> 
     jobs = {iid: [iid, p * (scale // dp), w * (scale // dw)] for iid, (p, dp), (w, dw) in exact}
     merged_into = {iid: iid for iid in jobs}  # union-find over heads, path-halved
     after: dict[str, str] = {}  # the island that follows each island in its composite
-    current = {iid: _ratio_key(iid, job) for iid, job in jobs.items() if iid != precedence.root}
+    root, parent = precedence.root, precedence.parent
+    current = {iid: _ratio_key(iid, job) for iid, job in jobs.items() if iid != root}
     heap = sorted(current.values())  # a sorted list is a heap
     while current:  # `current` holds the live key of each unmerged non-root composite
         key = heapq.heappop(heap)
@@ -100,7 +101,7 @@ def optimal_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> 
             continue
         del current[head]
         last, p, w = jobs[head]
-        target = precedence.parent[head]
+        target = parent[head]
         while merged_into[target] != target:
             merged_into[target] = target = merged_into[merged_into[target]]
         parent_job = jobs[target]
@@ -109,10 +110,10 @@ def optimal_island_sequence(islands: IslandSet, precedence: PrecedenceGraph) -> 
         parent_job[1] += p
         parent_job[2] += w
         merged_into[head] = target
-        if target != precedence.root:
+        if target != root:
             current[target] = key = _ratio_key(target, parent_job)
             heapq.heappush(heap, key)
-    order = [island := precedence.root]
+    order = [island := root]
     for _ in after:  # every island but the root follows one other
         order.append(island := after[island])
     return order

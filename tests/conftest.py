@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -129,7 +129,7 @@ def generate_corpus(params, count):
     """`count` generated instances, named by their seeds, which advance one by
     one from params.seed, as `gridrepair bench` draws them."""
     seeds = range(params.seed, params.seed + count)
-    return [(f"gen-{seed}", generate_random(replace(params, seed=seed))) for seed in seeds]
+    return [(f"gen-{seed}", generate_random(params._replace(seed=seed))) for seed in seeds]
 
 
 def mixed_magnitude_feeder(seed):
@@ -626,8 +626,9 @@ def _canonical_pass(model: LpModel, optimum: float, presolve: bool = False) -> L
     cap = optimum + max(LP_TOLERANCE, LP_TOLERANCE * abs(optimum))
     weighted = [k for k, w in enumerate(model.objective) if w]
     # the cap row -objective >= -cap goes on copies: the loop's model must not get it
-    canon = replace(model, objective=[1.0] * len(model.variables), start=model.start[:],
-                    index=model.index[:], value=model.value[:], rhs=model.rhs[:])
+    canon = LpModel(model.variables, [1.0] * len(model.variables), model.lower,
+                    start=model.start[:], index=model.index[:], value=model.value[:],
+                    rhs=model.rhs[:])
     canon.add_row(weighted, [-model.objective[k] for k in weighted], -cap)
     try:
         return lp.simplex_solve(canon, presolve)

@@ -1,4 +1,3 @@
-import dataclasses
 
 import hypothesis.strategies as st
 import pytest
@@ -117,7 +116,7 @@ def test_convert_leaves_the_unlimited_crew_bound_to_the_bench(feeder123, monkeyp
 
 
 def test_results_carry_only_what_their_algorithm_derives(fork):
-    assert [f.name for f in dataclasses.fields(algos.AlgoResult)] == [
+    assert list(algos.AlgoResult._fields) == [
         "algorithm", "schedule", "energization", "harm", "lp", "single_crew"]
     lp_list = algos.lp_list_schedule(fork, crews=2)
     convert, single = algos.convert_single_to_m(fork, crews=2), algos.single_optimal(fork)

@@ -457,6 +457,38 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_numpy_scipy_and_csv_unloaded():
+    """Only the oracle loads NumPy, only an LP solve SciPy's binding (not
+    `scipy.optimize`), only the bench's CSV writer `csv`."""
+    proc = run_fresh("""
+        import sys
+        import gridrepair.cli
+        for module in ('numpy', 'scipy.optimize', 'csv'):
+            assert module not in sys.modules, module
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_row_is_the_only_dataclass():
+    """The records are named tuples and plain classes, which cost far less to
+    define at import than a dataclass.  `BenchRow` stays one because
+    perfbench's worker records each bench row with `dataclasses.asdict`."""
+    import dataclasses
+    import importlib
+    import inspect
+    import pkgutil
+
+    import gridrepair
+
+    found = set()
+    for info in pkgutil.iter_modules(gridrepair.__path__):
+        module = importlib.import_module(f"gridrepair.{info.name}")
+        found |= {f"{info.name}.{name}" for name, cls in vars(module).items()
+                  if inspect.isclass(cls) and cls.__module__ == module.__name__
+                  and dataclasses.is_dataclass(cls)}
+    assert found == {"harness.BenchRow"}
+
+
 def test_convert_leaves_fractions_and_decimal_unloaded(fixtures_dir, tmp_path):
     """The ratio merge runs on ints: neither importing the CLI nor a convert
     run loads `fractions` (or `decimal`, which it imports)."""

@@ -247,7 +247,7 @@ class TestBench:
             run_bench(params, 4, out_path=out, jobs=1)
         assert not out.exists()
         replay = json.loads((tmp_path / "bench.csv.violation.json").read_text())
-        assert instance_from_json(replay) == generate_random(dataclasses.replace(params, seed=13))
+        assert instance_from_json(replay) == generate_random(params._replace(seed=13))
 
     def test_the_incumbent_changes_no_cell(self, monkeypatch):
         """`bench_instance` gives the oracle the better list schedule's harm; the
@@ -258,7 +258,7 @@ class TestBench:
             for r in rows
         ]
         rows = run_bench(params, 40, jobs=1)
-        damaged = [sum(1 for t in generate_random(dataclasses.replace(params, seed=seed))
+        damaged = [sum(1 for t in generate_random(params._replace(seed=seed))
                        .repair_times().values() if t > 0) for seed in range(160, 200)]
         assert damaged.count(8) == damaged.count(9) == 4  # where the bound prunes
         brute_force_optimal = oracle.brute_force_optimal

@@ -6,7 +6,6 @@ import os
 import random
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -96,8 +95,9 @@ def first_rows(sol):
     """The base rows of a relaxation's final model: all but its last
     len(sol.cuts) rows, the load cuts."""
     model, k = sol.model, len(sol.model.rhs) - len(sol.cuts)
-    return replace(model, start=model.start[:k + 1], index=model.index[:model.start[k]],
-                   value=model.value[:model.start[k]], rhs=model.rhs[:k])
+    return LpModel(model.variables, model.objective, model.lower, start=model.start[:k + 1],
+                   index=model.index[:model.start[k]], value=model.value[:model.start[k]],
+                   rhs=model.rhs[:k])
 
 
 def seeded_prefixes(inst, m):
@@ -343,7 +343,7 @@ def spy_dual_bound(monkeypatch, gaps):
 def unseeded(monkeypatch):
     """Make `solve_relaxation` add one cut per round in every loop, as its
     reruns do: round 1 gets no seeds."""
-    monkeypatch.setattr(lp, "_single_crew_prefixes", lambda *args: ())
+    monkeypatch.setattr(lp, "_chain_seeds", lambda *args: ())
 
 
 def seeded(sol) -> bool:
@@ -670,8 +670,9 @@ class TestHeavyWeights:
         duals 2^30 times light's; with presolve off, it holds heavy's costs."""
         model = round_models(monkeypatch, "feeder123.json", 3)[-1]
         top = math.frexp(max(model.objective))[1]
-        light, heavy = (replace(model, objective=[math.ldexp(w, shift - top)
-                                                  for w in model.objective])
+        light, heavy = (LpModel(model.variables, [math.ldexp(w, shift - top)
+                                                  for w in model.objective],
+                                model.lower, model.start, model.index, model.value, model.rhs)
                         for shift in (20, 50))
         highs = _new_highs()
         monkeypatch.setattr(lp, "_shared", (os.getpid(), highs))

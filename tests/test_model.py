@@ -23,7 +23,9 @@ from gridrepair.model import (
     validate,
 )
 
+from gridrepair.lp import LpModel
 from gridrepair.schedule import Assignment, list_schedule
+from gridrepair.seq_opt import SingleCrewOptimum
 
 from conftest import (
     REFERENCE_SIZES,
@@ -247,6 +249,48 @@ def test_record_contract(record, text):
     made = type(record)(*values)
     assert made == record != type(record)(*values[:-1], None)
     assert hash(made) == hash(record) and pickle.dumps(made) == pickle.dumps(record)
+
+
+_NETWORK = ("NetworkInstance(nodes=(Node(id='n1', weight=2.5), Node(id='s', weight=0.0)), "
+            "lines=(Line(id='e1', upstream='s', downstream='n1', repair_time=3.0, "
+            "is_switch=True),), root='s', crews=1)")
+
+
+@pytest.mark.parametrize("record, text, hashable", [
+    (_BUILT, _NETWORK, True),
+    (_BUILT.islands,
+     "IslandSet(islands=(Island(id='e1', line_ids=('e1',), node_ids=('n1',), weight=2.5, "
+     "processing=3.0), Island(id='s', line_ids=(), node_ids=('s',), weight=0.0, "
+     "processing=0.0)))", True),
+    (_BUILT.precedence, "PrecedenceGraph(root='s', parent={'e1': 's'})", False),
+    (SingleCrewOptimum(_BUILT, ("s", "e1")),
+     f"SingleCrewOptimum(instance={_NETWORK}, island_order=('s', 'e1'))", True),
+    (LpModel(["x"], [1.0], [0.0]),
+     "LpModel(variables=['x'], objective=[1.0], lower=[0.0], start=[0], index=[], value=[], "
+     "rhs=[])", False),
+], ids=["instance", "islands", "precedence", "single-crew", "lp-model"])
+def test_plain_record_contract(record, text, hashable):
+    """The `model.Record` classes keep the repr, equality, hash, immutability
+    and pickling they had as dataclasses (frozen, but for `LpModel`), with
+    their cached tables filled or not."""
+    assert repr(record) == text
+    values = record._values()
+    made = type(record)(*values)
+    assert made == record != type(record)(*values[:-1], object()) and record != values
+    clone = pickle.loads(pickle.dumps(record))
+    assert type(clone) is type(record) and clone == record
+    if hashable:
+        assert hash(made) == hash(record) == hash(clone)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    if isinstance(record, LpModel):  # the cutting-plane loop grows it
+        record.rhs = record.rhs
+    else:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 class TestLineWeights:

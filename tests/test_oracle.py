@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import functools
 import itertools
 import math
@@ -412,7 +411,7 @@ def test_a_harm_below_the_unlimited_crew_bound_fails_beyond_the_guard(alg):
                "alg2": algos.convert_single_to_m(inst, crews=3)}
     oracle.certify_row("forty", inst, 3, results["alg1"], results["alg2"], h_opt=None)
     infinite = inst.infinite_crew_energization[1]
-    results[alg] = dataclasses.replace(results[alg], harm=infinite - 1)
+    results[alg] = results[alg]._replace(harm=infinite - 1)
     what = {"alg1": "lp-list harm", "alg2": "conversion harm"}[alg]
     with pytest.raises(oracle.InvariantViolation,
                        match=rf"^forty \(m=3\): .*{what} {infinite - 1} below unlimited-crew bound"):
@@ -496,8 +495,8 @@ def test_a_relaxation_above_the_optimum_by_more_than_the_slack_fails():
     h_opt = oracle.brute_force_optimal(inst, 1).harm
     slack = 1e-6 + (lp.GAP_TOLERANCE + oracle.ULPS) * h_opt
     for share in (0.5, 2.0):
-        relaxation = dataclasses.replace(alg1.lp, objective=h_opt + share * slack)
-        row = (inst, 1, dataclasses.replace(alg1, lp=relaxation), alg2, h_opt)
+        relaxation = alg1.lp._replace(objective=h_opt + share * slack)
+        row = (inst, 1, alg1._replace(lp=relaxation), alg2, h_opt)
         if share < 1:
             oracle.certify_row("mixed-95", *row)
         else:
