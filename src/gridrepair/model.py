@@ -40,9 +40,9 @@ class Line(NamedTuple):
 
 
 class Record:
-    """A frozen dataclass's equality, hash, repr and pickling over `_fields`, with no code
-    generated per class at import (about 0.5 ms each).  `__init__` sets the fields in
-    `__dict__`, beside `cached_property` tables that take part in none of these."""
+    """A frozen dataclass's equality, hash and repr over `_fields`, with no code generated
+    per class at import (about 0.5 ms each).  `__init__` sets the fields in `__dict__`,
+    beside `cached_property` tables that take part in no comparison; both pickle."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
