@@ -42,9 +42,7 @@ timed, and the CLI commands of a fourth each run in a process of their own:
   `gridrepair.cli` as `python -m` does, then reports its exit code, whether
   it loaded numpy and scipy.optimize, and its own peak RSS: `VmHWM`, or
   `ru_maxrss` where /proc is missing (not `wait4`'s, which a child inherits
-  from its launcher).  Timed: the whole process.  Beside them, once per
-  repetition, a fresh interpreter runs a bare `import gridrepair.cli`,
-  timed in-process from before the import to after it.
+  from its launcher).  Timed: the whole process.
 
 One JSON object is printed, each figure listed per SRC in the order given:
 the median over a group of calls of each call's best time, in microseconds
@@ -56,9 +54,8 @@ calls of each call's best) and for
 the oracle (per damaged-line count n and m, with the largest best time
 of the group beside the median as `max_us`), and in milliseconds per feeder size and form for load
 plus JSON writing (`load_write`), the islands alone (`islands`) and load
-plus islands (`load_islands`), per command the best wall time in s,
-the largest peak RSS in MB and the modules loaded, and the best time of
-the bare import in ms (`cli_import_best_ms`).  `same_answers` says
+plus islands (`load_islands`), and per command the best wall time in s,
+the largest peak RSS in MB and the modules loaded.  `same_answers` says
 whether every run of every SRC gave the same answer for each call:
 completion and energization maps, objective `repr`, round count, cut count
 and lp-list JSON, or the same error; the `oracle` JSON; the schedule JSON
@@ -211,17 +208,6 @@ with open(report, "w") as out:
     json.dump([code, [m for m in ("numpy", "scipy.optimize") if m in sys.modules],
                round(kib / 1024, 1)], out)
 """
-# Run in a fresh interpreter with PYTHONPATH=SRC: argv is the report file, which
-# gets the seconds of the import; nothing it loads is loaded before the clock starts.
-IMPORT = """
-import sys, time
-start = time.perf_counter()
-import gridrepair.cli
-seconds = time.perf_counter() - start
-import json
-with open(sys.argv[1], "w") as report:
-    json.dump(seconds, report)
-"""
 FIXTURES = ("feeder123.json", "fork.json", "graham_m3.json", "two_island.json")
 COMMANDS = [argv for name in FIXTURES for argv in (
     ["validate", name], ["schedule", name, "--alg", "convert"],
@@ -317,7 +303,6 @@ def main() -> int:
     answers: dict[tuple[str, int], set[str]] = {}  # (layer, call) -> every answer given
     counts: dict[int, list[list]] = {}  # tree -> per call [solves, separations, seconds, ...]
     cold: dict[tuple[int, int], tuple] = {}  # (tree, command) -> largest peak RSS, modules
-    imports: dict[int, float] = {}  # tree -> best seconds of the bare import
     with tempfile.TemporaryDirectory() as cwd:  # so that no `gridrepair` is found beside it
         files = write_corpus(Path(cwd))
         shutil.copytree(ROOT / "fixtures", cwd, dirs_exist_ok=True)
@@ -328,8 +313,6 @@ def main() -> int:
             for tree in trees[k % len(trees):] + trees[:k % len(trees)]:
                 out = launch(args.src[tree], WORKER, [json.dumps(config)], cwd, "the worker")[2]
                 out["cli"] = [run_command(args.src[tree], argv, cwd) for argv in COMMANDS]
-                seconds = launch(args.src[tree], IMPORT, [], cwd, "the import")[2]
-                imports[tree] = min(imports.get(tree, seconds), seconds)
                 counts[tree], calls = out["counts"], out["calls"]
                 for j, (_, _, seconds, *_) in enumerate(counts[tree]):
                     key = ("separation", tree, j)
@@ -354,8 +337,7 @@ def main() -> int:
               "cli": {" ".join(argv): {"best_s": medians("cli", [j], 1, 4),
                                        "peak_rss_mb": [cold[tree, j][0] for tree in trees],
                                        "loaded": [cold[tree, j][1] for tree in trees]}
-                      for j, argv in enumerate(COMMANDS)},
-              "cli_import_best_ms": [round(imports[tree] * 1e3, 3) for tree in trees]}
+                      for j, argv in enumerate(COMMANDS)}}
     for label, keep in (("n<=m", lambda n, m: n <= m), ("n>m", lambda n, m: n > m),
                         ("all", lambda n, m: True)):
         group = [j for j, (_, n, m) in enumerate(calls) if keep(n, m)]

@@ -96,7 +96,6 @@ reads back only lists.
 
 from __future__ import annotations
 
-import bisect
 import importlib.machinery
 import importlib.util
 import json
@@ -155,8 +154,14 @@ class LpModel(Record):
     `variables` names the columns, E[island id].  Unlike the other records, it is mutable.
     """
 
-    _fields = ("variables", "objective", "lower", "start", "index", "value", "rhs")
-    __setattr__, __hash__ = object.__setattr__, None
+    variables: list[str]
+    objective: list[float]
+    lower: list[float]
+    start: list[int]
+    index: list[int]
+    value: list[float]
+    rhs: list[float]
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, variables: list[str], objective: list[float], lower: list[float],
                  start: list[int] | None = None, index: list[int] | None = None,
@@ -331,15 +336,9 @@ def _exact_cut(subset: Sequence[int], completions: Sequence[float], times: Seque
     positions `subset`, its right-hand side and its row's divisor
     min(1, p(A)); None unless it counts as violated (module docstring)."""
     t = [times[i] for i in subset]
-    return _judged(t, [x * x for x in t], [x * completions[i] for x, i in zip(t, subset)], m)
-
-
-def _judged(t: list[float], squares: list[float], products: list[float], m: int
-            ) -> tuple[float, float, float] | None:
-    """`_exact_cut` from the subset's times, squares and p*C products, in any order (fsum)."""
     total = math.fsum(t)  # f(A), and the divisor, on the same sums
-    rhs = total * total / (2.0 * m) + math.fsum(squares) / 2.0
-    violation = rhs - math.fsum(products)
+    rhs = total * total / (2.0 * m) + math.fsum([x * x for x in t]) / 2.0
+    violation = rhs - math.fsum([x * completions[i] for x, i in zip(t, subset)])
     scale = min(1.0, total)
     # HiGHS takes a row violated by at most LP_TOLERANCE as met
     if violation <= max(SEPARATION_TOLERANCE * rhs, LP_TOLERANCE * scale):
@@ -425,17 +424,19 @@ def _base_model(
     time; one precedence row per switch."""
     p, weights = instance.repair_times(), islands.weights
     column = {iid: k for k, iid in enumerate(weights)}  # islands are in id order
-    pairs = []  # (column +1, column -1) per row: child over parent
-    for parent, child in precedence.edges():
-        pairs += (column[child], column[parent])
-    return LpModel(
+    model = LpModel(
         variables=[f"E[{iid}]" for iid in weights],
         objective=[float(w) for w in weights.values()],
         lower=[max((float(p[lid]) for lid in isl.line_ids), default=0.0)
                for isl in islands.islands],
-        start=list(range(0, len(pairs) + 1, 2)), index=pairs,
-        value=[1.0, -1.0] * (len(pairs) // 2), rhs=[0.0] * (len(pairs) // 2),
     )
+    pairs = []  # (column +1, column -1) per row: child over parent
+    for parent, child in precedence.edges():
+        pairs += (column[child], column[parent])
+    model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
+    model.value = [1.0, -1.0] * (len(pairs) // 2)
+    model.rhs = [0.0] * (len(pairs) // 2)
+    return model
 
 
 def solve_relaxation(
@@ -447,7 +448,7 @@ def solve_relaxation(
     """Cutting-plane solve of the island-space relaxation (module docstring).
 
     Round 1, unsolved, is E = E-infinity; its most violated cut goes in with
-    the seeds of `_chain_seeds`, each later round adds
+    the seeds of `_single_crew_prefixes` it violates, each later round adds
     the most violated cut, and each round's model is solved cold, with HiGHS
     presolve off; a solve that fails (LpError) is solved again with presolve
     on.  Once no prefix is violated, the last vertex, lifted onto the
@@ -491,11 +492,13 @@ def solve_relaxation(
     at_least = [least[k] for k in columns]
     first = _most_violated(at_least, times, m, ())  # round 1's cut: E-infinity is unsolved
     order = [] if first is None else seq_opt.optimal_island_sequence(islands, precedence)
-    seeds = [seed for seed in _chain_seeds(map(column.__getitem__, order), columns, times,
-                                           at_least, m) if seed[0] != first[0]]
+    # its seeds: a right-hand side of 1e20 or more would be rejected, so such a seed is left out
+    seeds = [(prefix, *exact[1:]) for prefix in _single_crew_prefixes(order, lines, of_line)
+             if prefix != first[0] and (exact := _exact_cut(prefix, at_least, times, m))
+             and exact[1] < 1e20]
     caps = _caps(order, islands, precedence, energization, m, times) if order else []
 
-    def cutting_planes(seeded: Sequence[tuple], presolve: bool
+    def cutting_planes(seeded: Sequence[tuple[tuple[int, ...], float, float]], presolve: bool
                        ) -> tuple[LpModel, LpVertex, list[float], list[Cut]]:
         model = _base_model(instance, islands, precedence)
         cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
@@ -508,16 +511,15 @@ def solve_relaxation(
                     raise
                 return simplex_solve(model, True)
 
-        def add_cut(subset: tuple[int, ...], rhs: float, scale: float, *row: list) -> None:
+        def add_cut(subset: tuple[int, ...], rhs: float, scale: float) -> None:
             cut = Cut(frozenset(map(lines.__getitem__, subset)), rhs)
             if rhs >= 1e20:
                 _limit(rhs, "right-hand side of the load cut on {}", sorted(cut.lines))
-            if not row:  # a seed brings its row: its columns and p(A & island) per column
-                coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
-                for i in subset:
-                    coefficients[columns[i]] += times[i]
-                row = list(coefficients), coefficients.values()
-            model.add_row(row[0], [v / scale for v in row[1]], rhs / scale)
+            coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
+            for i in subset:  # p(A & island) per island column
+                coefficients[columns[i]] += times[i]
+            model.add_row(list(coefficients), [v / scale for v in coefficients.values()],
+                          rhs / scale)
             cuts.append(cut)
             pooled.add(subset)
 
@@ -567,32 +569,22 @@ def solve_relaxation(
     )
 
 
-def _chain_seeds(chain: Iterable[int], columns: list[int], times: list[float],
-                 completions: list[float], m: int) -> Iterable[tuple]:
-    """`add_cut`'s arguments for each cut on an island-boundary prefix of
-    `chain`, the optimal single-crew island order (`seq_opt`) by column, that
-    `completions` violates (`_exact_cut`) with a right-hand side below 1e20,
-    which HiGHS can take.  For one machine the optimal vertex is tight exactly
-    on its sequence's prefix sets (Queyranne 1993).  Each island extends the
-    fsum inputs and the sorted row by its lines of positive time, its
-    coefficient summed once, from 0.0 in id order, as `add_cut` sums it."""
-    members: dict[int, list[int]] = {}
-    for i, k in enumerate(columns):
-        members.setdefault(k, []).append(i)
-    prefix, t, squares, products, row = [], [], [], [], []  # row: (column, coefficient)s
-    for k in filter(members.__contains__, chain):
-        own = members[k]
-        prefix = sorted(prefix + own)
-        coefficient = 0.0
-        for i in own:
-            coefficient += times[i]
-            t.append(times[i])
-            squares.append(times[i] * times[i])
-            products.append(times[i] * completions[i])
-        bisect.insort(row, (k, coefficient))  # columns are unique: sorted by column
-        exact = _judged(t, squares, products, m)
-        if exact is not None and exact[1] < 1e20:
-            yield tuple(prefix), *exact[1:], *zip(*row)
+def _single_crew_prefixes(island_order: Iterable[str], lines: list[str],
+                          of_line: Mapping[str, str]) -> Iterable[tuple[int, ...]]:
+    """The island-boundary prefixes of `island_order`, the optimal single-crew
+    island order (`seq_opt.optimal_island_sequence`), as sorted positions in
+    `lines`, the lines of positive time in id order; an island without such a
+    line adds no prefix.  For one machine the optimal vertex is tight exactly
+    on its sequence's prefix sets (Queyranne 1993), so these name most of the
+    cuts the loop would otherwise find one round at a time."""
+    members: dict[str, list[int]] = {}
+    for i, lid in enumerate(lines):
+        members.setdefault(of_line[lid], []).append(i)
+    prefix: list[int] = []
+    for iid in island_order:
+        if iid in members:
+            prefix = sorted(prefix + members[iid])
+            yield tuple(prefix)
 
 
 def _conversion_harm(island_order: Sequence[str], islands: IslandSet,

@@ -40,12 +40,25 @@ class Line(NamedTuple):
 
 
 class Record:
-    """A frozen dataclass's equality, hash and repr over `_fields`, with no code generated
-    per class at import (about 0.5 ms each).  `__init__` sets the fields in `__dict__`,
-    beside `cached_property` tables that take part in no comparison; both pickle."""
+    """A frozen dataclass's init, equality, hash and repr over `_fields`, the fields
+    annotated in the subclass, with no code generated per class at import (about
+    0.5 ms each).  The fields sit in `__dict__` beside `cached_property` tables that
+    take part in no comparison; both pickle."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(values)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -71,11 +84,10 @@ class NetworkInstance(Record):
     derived on first use and kept with the instance; no reader may change them.
     """
 
-    _fields = ("nodes", "lines", "root", "crews")
-
-    def __init__(self, nodes: tuple[Node, ...], lines: tuple[Line, ...], root: str,
-                 crews: int) -> None:
-        self.__dict__.update(nodes=nodes, lines=lines, root=root, crews=crews)
+    nodes: tuple[Node, ...]
+    lines: tuple[Line, ...]
+    root: str
+    crews: int
 
     def node_weights(self) -> dict[str, float]:
         return {n.id: n.weight for n in self.nodes}
@@ -133,10 +145,7 @@ class IslandSet(Record):
     the one dict, so none may change it.
     """
 
-    _fields = ("islands",)
-
-    def __init__(self, islands: tuple[Island, ...]) -> None:
-        self.__dict__["islands"] = islands
+    islands: tuple[Island, ...]
 
     @cached_property
     def island_of_line(self) -> dict[str, str]:
@@ -155,10 +164,8 @@ class PrecedenceGraph(Record):
     The order and depths are built on first use and kept.
     """
 
-    _fields = ("root", "parent")
-
-    def __init__(self, root: str, parent: dict[str, str]) -> None:
-        self.__dict__.update(root=root, parent=parent)
+    root: str
+    parent: dict[str, str]
 
     def edges(self) -> list[tuple[str, str]]:
         return sorted((p, c) for c, p in self.parent.items())

@@ -30,10 +30,8 @@ class SingleCrewOptimum(Record):
     so the two paths cross-check each other.
     """
 
-    _fields = ("instance", "island_order")
-
-    def __init__(self, instance: NetworkInstance, island_order: tuple[str, ...]) -> None:
-        self.__dict__.update(instance=instance, island_order=island_order)
+    instance: NetworkInstance
+    island_order: tuple[str, ...]
 
     @cached_property
     def plan(self) -> sched.Schedule:

@@ -448,22 +448,13 @@ def test_lp_list_stdout_is_the_result_alone(fixtures_dir, tmp_path):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
+    """Nor NumPy (only the oracle needs it), `scipy.optimize` (an LP solve
+    loads SciPy's HiGHS binding alone) or `csv` (only the bench writes CSV)."""
     proc = run_fresh("""
         import sys
         import gridrepair.cli
-        assert 'concurrent.futures.process' not in sys.modules
-        assert 'multiprocessing' not in sys.modules
-    """)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_cli_import_leaves_numpy_scipy_and_csv_unloaded():
-    """Only the oracle loads NumPy, only an LP solve SciPy's binding (not
-    `scipy.optimize`), only the bench's CSV writer `csv`."""
-    proc = run_fresh("""
-        import sys
-        import gridrepair.cli
-        for module in ('numpy', 'scipy.optimize', 'csv'):
+        for module in ('concurrent.futures.process', 'multiprocessing', 'numpy',
+                       'scipy.optimize', 'csv'):
             assert module not in sys.modules, module
     """)
     assert proc.returncode == 0, proc.stderr

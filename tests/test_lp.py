@@ -343,7 +343,7 @@ def spy_dual_bound(monkeypatch, gaps):
 def unseeded(monkeypatch):
     """Make `solve_relaxation` add one cut per round in every loop, as its
     reruns do: round 1 gets no seeds."""
-    monkeypatch.setattr(lp, "_chain_seeds", lambda *args: ())
+    monkeypatch.setattr(lp, "_single_crew_prefixes", lambda *args: ())
 
 
 def seeded(sol) -> bool:

@@ -270,9 +270,9 @@ _NETWORK = ("NetworkInstance(nodes=(Node(id='n1', weight=2.5), Node(id='s', weig
      "rhs=[])", False),
 ], ids=["instance", "islands", "precedence", "single-crew", "lp-model"])
 def test_plain_record_contract(record, text, hashable):
-    """The `model.Record` classes keep the repr, equality, hash, immutability
-    and pickling they had as dataclasses (frozen, but for `LpModel`), with
-    their cached tables filled or not."""
+    """The `model.Record` classes keep the repr, equality, hash, pickling,
+    immutability (no field set or deleted) and constructor checks they had as
+    dataclasses (frozen, but for `LpModel`), with their cached tables filled or not."""
     assert repr(record) == text
     values = record._values()
     made = type(record)(*values)
@@ -286,11 +286,18 @@ def test_plain_record_contract(record, text, hashable):
             hash(record)
     if isinstance(record, LpModel):  # the cutting-plane loop grows it
         record.rhs = record.rhs
-    else:
-        with pytest.raises(AttributeError):
-            setattr(record, record._fields[0], None)
-        with pytest.raises(AttributeError):
-            record.extra = 1
+        return
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(record, record._fields[0])
+    assert repr(record) == text and type(record)(**dict(zip(record._fields, values))) == record
+    for args, kwargs in [(values[:-1], {}), ((*values, None), {}),
+                         (values, {record._fields[0]: values[0]}), (values, {"extra": 1})]:
+        with pytest.raises(TypeError):
+            type(record)(*args, **kwargs)
 
 
 class TestLineWeights:

@@ -71,18 +71,6 @@ def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
     assert result["cli"]["validate feeder123.json"]["loaded"] == [[], []]
 
 
-def test_tree_diff_times_the_bare_cli_import(tmp_path):
-    """A copy whose `gridrepair.cli` sleeps 0.2 s on import reports that in its
-    best import time, and no answer changes."""
-    with open(patched_src(tmp_path, "cli.py"), "a") as out:
-        out.write("\n\nimport time\ntime.sleep(0.2)\n")
-    proc = tree_diff("--count", "1", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
-    result = json.loads(proc.stdout)
-    assert proc.returncode == 0 and result["same_answers"] is True
-    plain, slept = result["cli_import_best_ms"]
-    assert slept >= 200 > plain > 0
-
-
 @pytest.mark.parametrize("option", ["--count", "--max-lines", "--repeat"])
 def test_tree_diff_rejects_an_option_below_one(option):
     proc = tree_diff(option, "0", str(ROOT / "src"))
@@ -122,7 +110,7 @@ def test_tree_diff_draws_its_corpus_at_the_switch_probability(tmp_path):
 NO_SEEDS = """
 
 
-def _chain_seeds(chain, columns, times, completions, m):
+def _single_crew_prefixes(island_order, lines, of_line):
     return ()
 """
 
