@@ -42,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crews", type=int, default=None, help="override the instance crew count")
     p.add_argument("--dump-lp", type=Path, default=None, metavar="PATH",
                    help="write the final LP model and cut pool as text (lp-list only)")
-    p.add_argument("--within-island-order", choices=algos.WITHIN_ISLAND_ORDERS,
-                   default="given", help="line order inside each island (convert only)")
+    p.add_argument("--within-island-order", choices=algos.WITHIN_ISLAND_ORDERS, default=None,
+                   help="line order inside each island (convert only; default given)")
     p.add_argument("--out", type=Path, default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("oracle", help="brute-force optimum for desk-scale instances")
@@ -104,6 +104,9 @@ def _cmd_islands(args) -> int:
 def _cmd_schedule(args) -> int:
     if args.dump_lp is not None and args.alg != algos.LP_LIST:
         raise ValidationError(f"--dump-lp needs --alg {algos.LP_LIST}, got --alg {args.alg}")
+    if args.within_island_order is not None and args.alg != algos.CONVERT:
+        raise ValidationError(
+            f"--within-island-order needs --alg {algos.CONVERT}, got --alg {args.alg}")
     if args.crews is not None and args.crews < 1:  # single-optimal reads no crew count
         raise ValidationError(f"--crews must be at least 1, got {args.crews}")
     instance = harness.load_instance(args.instance)
@@ -113,7 +116,7 @@ def _cmd_schedule(args) -> int:
             args.dump_lp.write_text(format_model(result.lp.model, result.lp.cuts))
     elif args.alg == algos.CONVERT:
         result = algos.convert_single_to_m(
-            instance, crews=args.crews, within_island_order=args.within_island_order
+            instance, crews=args.crews, within_island_order=args.within_island_order or "given"
         )
     else:
         result = algos.single_optimal(instance)

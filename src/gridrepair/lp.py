@@ -58,10 +58,10 @@ prefix-by-prefix fsum scan picks.
 
 The loop runs on integer column indices and plain Python floats.  One HiGHS
 instance per process solves every model, and each round passes it the whole
-model afresh: a cold solve that keeps no basis.  Presolve is off: on models
-of a few columns and rows it is most of a solve.  A solve that fails is
-solved once more on the same model with presolve on, HiGHS's default, and
-the loop goes on from there with its cuts.  The loop is run again from
+model afresh: a cold solve that keeps no basis.  Presolve is off, set so on
+every solve: on models of a few columns and rows it is most of a solve.  A
+solve that fails is solved once more on the same model with presolve on,
+HiGHS's default, and the loop goes on from there with its cuts.  The loop is run again from
 round 1, without seeds and with presolve on, when that retry fails too, and
 when its last solved vertex is not proven optimal: when its objective UB
 exceeds the safe dual bound LB (Neumaier & Shcherbina 2004; Jansson 2004) by
@@ -85,11 +85,11 @@ straight to HiGHS through SciPy's private binding
 (`scipy.optimize._highspy._core`, SciPy 1.15 or later, tested with 1.17)
 with the options that SciPy's public `highs-ds` method would pass and the
 rows as written, bounded below, where that method passes them negated and
-bounded above: it gives that method's vertex, objective and reduced costs
-bit for bit, and its row duals negated (the tests' reference solve checks
-this).  The binding is loaded from its file, without the half second of
-importing `scipy.optimize`, and only by the functions that solve; where
-that fails it is imported the standard way, and a SciPy without it raises
+bounded above: it gives that method's vertex and objective bit for bit,
+and its row duals negated (the tests' reference solve checks this).  The
+binding is loaded from its file, without the half second of importing
+`scipy.optimize`, and only by the functions that solve; where that fails
+it is imported the standard way, and a SciPy without it raises
 ImportError.  The solve loads no NumPy: it passes the binding lists and
 reads back only lists.
 """
@@ -106,7 +106,7 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from gridrepair import schedule as sched
 from gridrepair import seq_opt
-from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, Record, ValidationError
+from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, ValidationError
 
 LP_TOLERANCE = 1e-9
 SEPARATION_TOLERANCE = 1e-10  # relative to the right-hand side of the prefix's cut
@@ -146,12 +146,13 @@ class Cut(NamedTuple):
     rhs: float
 
 
-class LpModel(Record):
+class LpModel(NamedTuple):
     """Minimize objective . x subject to row k . x >= rhs[k] and x >= lower.
 
     The rows are held row-wise as HiGHS is given them: row k has the columns
     index[start[k]:start[k + 1]] with the coefficients value[start[k]:start[k + 1]].
-    `variables` names the columns, E[island id].  Unlike the other records, it is mutable.
+    `variables` names the columns, E[island id].  No field is rebound:
+    `add_row` grows the row lists in place.
     """
 
     variables: list[str]
@@ -161,18 +162,10 @@ class LpModel(Record):
     index: list[int]
     value: list[float]
     rhs: list[float]
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, variables: list[str], objective: list[float], lower: list[float],
-                 start: list[int] | None = None, index: list[int] | None = None,
-                 value: list[float] | None = None, rhs: list[float] | None = None) -> None:
-        self.variables, self.objective, self.lower = variables, objective, lower
-        self.start = [0] if start is None else start
-        self.index, self.value, self.rhs = ([] if x is None else x for x in (index, value, rhs))
 
     def add_row(self, columns: Iterable[int], values: Iterable[float], rhs: float) -> None:
-        self.index += columns
-        self.value += map(float, values)
+        self.index.extend(columns)
+        self.value.extend(map(float, values))
         self.start.append(len(self.index))
         self.rhs.append(rhs)
 
@@ -181,12 +174,10 @@ class LpVertex(NamedTuple):
     values: list[float]  # one entry per model variable, in column order
     objective: float
     row_duals: Sequence[float] = ()  # one per row, HiGHS's sign; nonzero only on a tight row
-    reduced_costs: Sequence[float] = ()  # one per column; nonzero only at its lower bound
 
 
 _shared: tuple[int, object] | None = None  # (pid, the instance of `_shared_highs`)
 _zero_cost_lps: dict[int, object] = {}  # column count -> a HighsLp of that many zero costs
-_presolve: tuple[object, bool] | None = None  # (a HiGHS instance, the presolve it was last set to)
 
 
 def _shared_highs():
@@ -228,13 +219,12 @@ def _binding():
 
 def _new_highs():
     """A HiGHS instance with the options the tests' reference solve gives
-    SciPy's `highs-ds` method (presolve off, dual simplex, the two 1e-9
-    tolerances, output off).  On models of a few columns and rows presolve
-    is most of a solve."""
+    SciPy's `highs-ds` method (dual simplex, the two 1e-9 tolerances, output
+    off) but presolve, which `simplex_solve` sets on every solve."""
     hs = _binding()
     highs = hs._Highs()
     for option, value in (
-        ("presolve", "off"), ("solver", "simplex"),
+        ("solver", "simplex"),
         ("simplex_strategy", hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
         ("highs_debug_level", hs.HighsDebugLevel.kHighsDebugLevelNone),
         *_HIGHS_OPTIONS.items(),
@@ -250,8 +240,8 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
 
     Backed by the HiGHS dual simplex (deterministic pivoting with its own
     anti-cycling safeguards) at 1e-9 feasibility tolerances, with presolve
-    on or off as `presolve` says (the option is set only where it changes),
-    on the process's shared instance; `passModel` drops the model and basis
+    on or off as `presolve` says (the option is set on every solve), on the
+    process's shared instance; `passModel` drops the model and basis
     it held.  HiGHS gets the rows with row bounds [rhs, inf], passed
     row-wise (HiGHS stores them column-wise, rows ascending in each column),
     and column bounds [lower, inf].  The binding's `col_cost_` setter takes
@@ -260,12 +250,9 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
     divided by a power of two to below 2^20, which the objective and the
     duals are multiplied back by (module docstring).
     """
-    global _presolve
     highs, hs = _shared_highs(), _binding()
-    if _presolve != (highs, presolve):
-        if highs.setOptionValue("presolve", "on" if presolve else "off") != hs.HighsStatus.kOk:
-            raise LpError(f"HiGHS rejected option presolve={presolve!r}")
-        _presolve = (highs, presolve)
+    if highs.setOptionValue("presolve", "on" if presolve else "off") != hs.HighsStatus.kOk:
+        raise LpError(f"HiGHS rejected option presolve={presolve!r}")
     n, k = len(model.variables), len(model.rhs)
     lower, rhs = model.lower, model.rhs
     lp = _zero_cost_lps.get(n)  # filled with lists: the binding converts them faster than arrays
@@ -309,10 +296,10 @@ def simplex_solve(model: LpModel, presolve: bool = False) -> LpVertex:
             and all(v >= b - tol for v, b in zip(solution.row_value, rhs))
             and not math.isnan(fun)):
         raise LpError("the optimal point HiGHS returned violates the constraints")
-    duals = solution.row_dual, solution.col_dual
+    duals = solution.row_dual
     if shift:
-        duals = [[math.ldexp(d, shift) for d in part] for part in duals]
-    return LpVertex(values=x, objective=fun, row_duals=duals[0], reduced_costs=duals[1])
+        duals = [math.ldexp(d, shift) for d in duals]
+    return LpVertex(values=x, objective=fun, row_duals=duals)
 
 
 def separate(c: Mapping[str, float], p: Mapping[str, float], m: int) -> Cut | None:
@@ -424,19 +411,20 @@ def _base_model(
     time; one precedence row per switch."""
     p, weights = instance.repair_times(), islands.weights
     column = {iid: k for k, iid in enumerate(weights)}  # islands are in id order
-    model = LpModel(
+    pairs = []  # (column +1, column -1) per row: child over parent
+    for parent, child in precedence.edges():
+        pairs += (column[child], column[parent])
+    rows = len(pairs) // 2
+    return LpModel(
         variables=[f"E[{iid}]" for iid in weights],
         objective=[float(w) for w in weights.values()],
         lower=[max((float(p[lid]) for lid in isl.line_ids), default=0.0)
                for isl in islands.islands],
+        start=list(range(0, len(pairs) + 1, 2)),
+        index=pairs,
+        value=[1.0, -1.0] * rows,
+        rhs=[0.0] * rows,
     )
-    pairs = []  # (column +1, column -1) per row: child over parent
-    for parent, child in precedence.edges():
-        pairs += (column[child], column[parent])
-    model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
-    model.value = [1.0, -1.0] * (len(pairs) // 2)
-    model.rhs = [0.0] * (len(pairs) // 2)
-    return model
 
 
 def solve_relaxation(

@@ -546,17 +546,18 @@ def reference_solve_linprog(model: LpModel, presolve: bool) -> LpVertex:
         failure = {1: lp.IterationLimit, 2: lp.Infeasible, 3: lp.Unbounded}
         raise failure.get(res.status, lp.LpError)(res.message)
     return LpVertex(values=res.x.tolist(), objective=float(res.fun),
-                    row_duals=(-res.ineqlin.marginals).tolist(),
-                    reduced_costs=res.lower.marginals.tolist())
+                    row_duals=(-res.ineqlin.marginals).tolist())
 
 
 def reference_solve_highs(model: LpModel, highs=None) -> LpVertex:
     """`lp.simplex_solve` as first written: every field of the HighsLp, the
     cost vector too, set from Python lists before one `passModel`.  Setting
     `col_cost_` loads NumPy, since SciPy's binding types it as an array.  The
-    vertex carries HiGHS's duals, as `lp`'s does."""
+    solve runs with presolve off, and the vertex carries HiGHS's row duals,
+    as `lp`'s does."""
     highs = lp._shared_highs() if highs is None else highs
     hs = lp._binding()
+    highs.setOptionValue("presolve", "off")
 
     n, k = len(model.variables), len(model.rhs)
     lower, rhs = model.lower, model.rhs
@@ -588,8 +589,7 @@ def reference_solve_highs(model: LpModel, highs=None) -> LpVertex:
             and all(v >= b - tol for v, b in zip(solution.row_value, rhs))
             and not math.isnan(fun)):
         raise lp.LpError("the optimal point HiGHS returned violates the constraints")
-    return LpVertex(values=x, objective=fun, row_duals=solution.row_dual,
-                    reduced_costs=solution.col_dual)
+    return LpVertex(values=x, objective=fun, row_duals=solution.row_dual)
 
 
 def full_space_base_model(
@@ -603,21 +603,22 @@ def full_space_base_model(
     lids, iids = sorted(p), list(weights)  # islands are in id order
     line_col = {lid: k for k, lid in enumerate(lids)}
     island_col = {iid: len(lids) + k for k, iid in enumerate(iids)}
-    model = LpModel(
-        variables=[f"C[{lid}]" for lid in lids] + [f"E[{iid}]" for iid in iids],
-        objective=[0.0] * len(lids) + [float(weights[iid]) for iid in iids],
-        lower=[float(p[lid]) for lid in lids] + [0.0] * len(iids),
-    )
     pairs = []  # (column +1, column -1) per row: island over line, child over parent
     for isl in islands.islands:
         for lid in isl.line_ids:
             pairs += (island_col[isl.id], line_col[lid])
     for parent, child in precedence.edges():
         pairs += (island_col[child], island_col[parent])
-    model.start, model.index = list(range(0, len(pairs) + 1, 2)), pairs
-    model.value = [1.0, -1.0] * (len(pairs) // 2)
-    model.rhs = [0.0] * (len(pairs) // 2)
-    return model
+    rows = len(pairs) // 2
+    return LpModel(
+        variables=[f"C[{lid}]" for lid in lids] + [f"E[{iid}]" for iid in iids],
+        objective=[0.0] * len(lids) + [float(weights[iid]) for iid in iids],
+        lower=[float(p[lid]) for lid in lids] + [0.0] * len(iids),
+        start=list(range(0, len(pairs) + 1, 2)),
+        index=pairs,
+        value=[1.0, -1.0] * rows,
+        rhs=[0.0] * rows,
+    )
 
 
 # `lp`'s canonical pass as it last ran there, for `_full_space_relaxation` and the tests
@@ -684,10 +685,10 @@ def _full_space_relaxation(
     first_cut = len(model.rhs)  # the rows from here on are the cut pool
     # the singleton cuts in one batch; fsum of one term is exact, so each
     # rhs is load_rhs([t], m) bit for bit
-    model.start += range(len(model.index) + 1, len(model.index) + len(columns) + 1)
-    model.index += columns
-    model.value += times
-    model.rhs += [t * t / (2.0 * m) + t * t / 2.0 for t in times]
+    model.start.extend(range(len(model.index) + 1, len(model.index) + len(columns) + 1))
+    model.index.extend(columns)
+    model.value.extend(times)
+    model.rhs.extend(t * t / (2.0 * m) + t * t / 2.0 for t in times)
     for k, rhs in zip(columns, model.rhs[first_cut:]):  # a time of 1e15 or more crosses 1e20 here
         lp._limit(rhs, "right-hand side of the load cut on {}", [lids[k]])
     pooled = {(i,) for i in range(len(columns))}  # the pool's subsets, by position in `columns`

@@ -224,6 +224,19 @@ def test_dump_lp_needs_lp_list(fixtures_dir, tmp_path, capsys, alg):
     assert not dump.exists()
 
 
+@pytest.mark.parametrize("alg", ["convert", "lp-list", "single-optimal"])
+def test_within_island_order_needs_convert(fixtures_dir, tmp_path, capsys, alg):
+    out = tmp_path / "out.json"
+    code = main(["schedule", str(fixtures_dir / "fork.json"), "--alg", alg,
+                 "--within-island-order", "reversed", "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    if alg == "convert":
+        assert code == EXIT_OK and out.exists() and not err
+    else:
+        assert code == EXIT_INVALID and not stdout and not out.exists()
+        assert "--within-island-order" in err and f"--alg {alg}" in err
+
+
 def test_parser_built_once_keeps_no_options_between_calls(fixtures_dir, tmp_path, capsys):
     from gridrepair import cli
 

@@ -100,6 +100,11 @@ def first_rows(sol):
                    rhs=model.rhs[:k])
 
 
+def bounds_only(variables, objective, lower):
+    """A model of column bounds and no rows."""
+    return LpModel(variables, objective, lower, [0], [], [], [])
+
+
 def seeded_prefixes(inst, m):
     """The line sets of the load cuts `solve_relaxation` may seed beside
     round 1's cut, from their definition: each prefix of the optimal
@@ -151,13 +156,13 @@ def round_models(monkeypatch, name, m):
 
 class TestSimplexSolve:
     def test_one_variable_bound(self):
-        model = LpModel(variables=["x"], objective=[1.0], lower=[1.0])
+        model = bounds_only(["x"], [1.0], [1.0])
         vertex = simplex_solve(model)
         assert vertex.values[0] == pytest.approx(1.0)
         assert vertex.objective == pytest.approx(1.0)
 
     def test_chained_lower_bounds(self):
-        model = LpModel(variables=["C", "E"], objective=[0.0, 1.0], lower=[2.0, 0.0])
+        model = bounds_only(["C", "E"], [0.0, 1.0], [2.0, 0.0])
         model.add_row([0, 1], [-1.0, 1.0], 0.0)
         vertex = simplex_solve(model)
         assert list(vertex.values) == pytest.approx([2.0, 2.0])
@@ -178,7 +183,7 @@ class TestSimplexSolve:
     def test_unbounded_raises(self):
         from gridrepair.lp import Unbounded
 
-        model = LpModel(variables=["x"], objective=[-1.0], lower=[0.0])
+        model = bounds_only(["x"], [-1.0], [0.0])
         for solve in (simplex_solve, lambda model: reference_solve_linprog(model, False)):
             with pytest.raises(Unbounded):
                 solve(model)
@@ -186,7 +191,7 @@ class TestSimplexSolve:
     def test_infeasible_raises(self):
         from gridrepair.lp import Infeasible
 
-        model = LpModel(variables=["x"], objective=[1.0], lower=[0.0])
+        model = bounds_only(["x"], [1.0], [0.0])
         model.add_row([0], [-1.0], 1.0)  # x <= -1
         for solve in (simplex_solve, lambda model: reference_solve_linprog(model, False)):
             with pytest.raises(Infeasible):
@@ -208,7 +213,6 @@ class TestSimplexSolve:
             # the same duals, the `<=` rows' marginals negated, so both paths
             # give the same dual bound
             assert list(direct.row_duals) == list(reference.row_duals)
-            assert list(direct.reduced_costs) == list(reference.reduced_costs)
 
     @pytest.mark.parametrize("name, m", ROUND_CASES)
     def test_sparse_rows_give_the_dense_path_matrix(self, monkeypatch, name, m):
@@ -267,11 +271,9 @@ class TestSimplexSolve:
         monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
         fresh = relax()
         monkeypatch.undo()
-        model = LpModel(variables=["x"], objective=[1.0], lower=[0.0])
+        model = bounds_only(["x"], [1.0 if failure is Infeasible else -1.0], [0.0])
         if failure is Infeasible:
             model.add_row([0], [-1.0], 1.0)  # x <= -1
-        else:
-            model.objective = [-1.0]
         with pytest.raises(failure):
             simplex_solve(model)  # on the shared instance
         assert relax() == fresh
@@ -320,6 +322,17 @@ def test_cached_zero_cost_lp_keeps_no_rows():
 def presolve(highs) -> str:
     status, value = highs.getOptionValue("presolve")
     return value
+
+
+def test_every_solve_sets_presolve(monkeypatch):
+    """A presolve setting made on the shared instance outside `simplex_solve`
+    lasts only to its next solve, which sets the option it is asked for."""
+    monkeypatch.setattr(lp, "_shared", (os.getpid(), _new_highs()))
+    model = bounds_only(["x"], [1.0], [1.0])
+    simplex_solve(model)
+    assert lp._shared_highs().setOptionValue("presolve", "on") == lp._binding().HighsStatus.kOk
+    simplex_solve(model)
+    assert presolve(lp._shared_highs()) == "off"
 
 
 def answer(sol) -> tuple:
@@ -667,7 +680,7 @@ class TestHeavyWeights:
         powers of two to a largest of 2^19 to 2^20 (`light`, which no solve
         scales) and 2^30 times those (`heavy`).  With presolve on, HiGHS holds
         light's costs for heavy and gives light's vertex, with objective and
-        duals 2^30 times light's; with presolve off, it holds heavy's costs."""
+        row duals 2^30 times light's; with presolve off, it holds heavy's costs."""
         model = round_models(monkeypatch, "feeder123.json", 3)[-1]
         top = math.frexp(max(model.objective))[1]
         light, heavy = (LpModel(model.variables, [math.ldexp(w, shift - top)
@@ -680,9 +693,7 @@ class TestHeavyWeights:
         got = simplex_solve(heavy, True)
         assert list(highs.getLp().col_cost_) == light.objective
         assert got.values == want.values and got.objective == math.ldexp(want.objective, 30)
-        for ours, theirs in ((got.row_duals, want.row_duals),
-                             (got.reduced_costs, want.reduced_costs)):
-            assert list(ours) == [math.ldexp(d, 30) for d in theirs]
+        assert list(got.row_duals) == [math.ldexp(d, 30) for d in want.row_duals]
         try:
             simplex_solve(heavy)
         except lp.LpError:  # HiGHS may fail on them: the retry scales them
