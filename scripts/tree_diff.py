@@ -23,8 +23,10 @@ timed, and the CLI commands of a fourth each run in a process of their own:
   loops it ran (`lp._base_model` calls: 1, or 2 where the loop of one cut
   per round ran with presolve on), the cut rows that round 1 seeded beside
   its own cut (the cuts beyond one per solved round) and its separation
-  calls (`lp._most_violated`), with their seconds, on the untimed pass,
-  then the lp-list schedule built from it (not timed);
+  calls (`lp._most_violated`), with their seconds, and its round-1 seconds
+  (up to its first `lp.simplex_solve` call, or the whole call where it
+  solves nothing), on the untimed pass, then the lp-list schedule built
+  from it (not timed);
 * `oracle`: `oracle.brute_force_optimal` on the same (instance, m);
 * `load`: for each size of 100 to 2000 lines, five random radial feeders
   (node k hangs off a uniformly drawn earlier node, 10 % switches, repair
@@ -49,8 +51,8 @@ the median over a group of calls of each call's best time, in microseconds
 for the relaxation (per calls with at most m damaged lines, the others and
 all, with the total count of HiGHS solves, of calls that took the
 presolve-on loop, of solves retried in place, of loops, of seeded cut rows
-and of separation calls, and the separation's seconds: the sum over the
-calls of each call's best) and for
+and of separation calls, and the separation's and round 1's seconds: each
+the sum over the calls of each call's best) and for
 the oracle (per damaged-line count n and m, with the largest best time
 of the group beside the median as `max_us`), and in milliseconds per feeder size and form for load
 plus JSON writing (`load_write`), the islands alone (`islands`) and load
@@ -95,8 +97,8 @@ LOAD_TIMES = ("load_write", "islands", "load_islands")
 # Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
 # JSON object of count, max_lines, switch_probability, crews and files; reports
 # [seed, n, m] and [HiGHS solves, separation calls, separation seconds,
-# presolve-on loops, seeded cut rows, loops, retried solves] per call and, per
-# layer, [times, answer] per call or file.
+# presolve-on loops, seeded cut rows, loops, retried solves, round-1 seconds]
+# per call and, per layer, [times, answer] per call or file.
 WORKER = """
 import contextlib, io, json, sys, time
 from gridrepair import algos, cli, harness, lp, oracle
@@ -144,9 +146,14 @@ def load(path):
             text + islands.getvalue())
 
 solve, separate, counts = lp.simplex_solve, lp._most_violated, []
-base_model = lp._base_model
+base_model, relax = lp._base_model, lp.solve_relaxation
+
+def round_one():  # the seconds since the call began, at its first solve or its end
+    if not counts[-1][0]:
+        counts[-1][7] = time.perf_counter() - counts[-1][7]
 
 def counted(model, presolve=False):
+    round_one()
     counts[-1][0] += 1
     if presolve:  # a retry in the first loop, else the presolve-on loop
         if counts[-1][5] == 1:
@@ -159,6 +166,13 @@ def looped(*args):
     counts[-1][5] += 1
     return base_model(*args)
 
+def started(*args, **kwargs):
+    counts[-1][7] = time.perf_counter()
+    try:
+        return relax(*args, **kwargs)
+    finally:
+        round_one()
+
 def timed(*args):
     start = time.perf_counter()
     found = separate(*args)
@@ -168,15 +182,15 @@ def timed(*args):
 
 # looked up by the loop at each call, so every solve and separation is counted
 lp.simplex_solve, lp._most_violated = counted, timed
-lp._base_model = looped
+lp._base_model, lp.solve_relaxation = looped, started
 for _, _, m, instance in calls:
-    counts.append([0, 0, 0.0, 0, 0, 0, 0])
+    counts.append([0, 0, 0.0, 0, 0, 0, 0, 0.0])
     _, answer = relaxation(instance, m)
     if answer.startswith("["):  # not an error: the cuts beyond one per solved round
         rounds, cuts = json.loads(answer)[3:5]
         counts[-1][4] = cuts - (rounds - 1)
 lp.simplex_solve, lp._most_violated = solve, separate
-lp._base_model = base_model
+lp._base_model, lp.solve_relaxation = base_model, relax
 out = {"calls": [call[:3] for call in calls], "counts": counts,
        "relaxation": [relaxation(instance, m) for _, _, m, instance in calls]}
 for _, _, m, instance in calls:
@@ -314,9 +328,10 @@ def main() -> int:
                 out = launch(args.src[tree], WORKER, [json.dumps(config)], cwd, "the worker")[2]
                 out["cli"] = [run_command(args.src[tree], argv, cwd) for argv in COMMANDS]
                 counts[tree], calls = out["counts"], out["calls"]
-                for j, (_, _, seconds, *_) in enumerate(counts[tree]):
-                    key = ("separation", tree, j)
-                    best[key] = [min(best.get(key, [seconds])[0], seconds)]
+                for j, call in enumerate(counts[tree]):
+                    for part, seconds in (("separation", call[2]), ("round1", call[7])):
+                        key = (part, tree, j)
+                        best[key] = [min(best.get(key, [seconds])[0], seconds)]
                 for layer in LAYERS:
                     for j, (seconds, answer, *_) in enumerate(out[layer]):
                         key = (layer, tree, j)
@@ -349,8 +364,8 @@ def main() -> int:
             "loops": [sum(counts[tree][j][5] for j in group) for tree in trees],
             "seeded_cuts": [sum(counts[tree][j][4] for j in group) for tree in trees],
             "separation_calls": [sum(counts[tree][j][1] for j in group) for tree in trees],
-            "separation_s": [round(sum(best["separation", tree, j][0] for j in group), 6)
-                             for tree in trees]}
+            **{f"{part}_s": [round(sum(best[part, tree, j][0] for j in group), 6)
+                             for tree in trees] for part in ("separation", "round1")}}
     for n in sorted({n for _, n, _ in calls}):
         for m in CREWS:
             group = [j for j, call in enumerate(calls) if call[1:] == [n, m]]

@@ -67,7 +67,7 @@ def _emit(payload: dict | str, out: Path | None) -> None:
     if out is None:
         print(text)
     else:
-        out.write_text(text + ("\n" if not text.endswith("\n") else ""))
+        out.write_text(text + ("\n" if not text.endswith("\n") else ""), encoding="utf-8")
 
 
 def _cmd_validate(args) -> int:
@@ -113,7 +113,7 @@ def _cmd_schedule(args) -> int:
     if args.alg == algos.LP_LIST:
         result = algos.lp_list_schedule(instance, crews=args.crews)
         if args.dump_lp is not None:
-            args.dump_lp.write_text(format_model(result.lp.model, result.lp.cuts))
+            _emit(format_model(result.lp.model, result.lp.cuts), args.dump_lp)
     elif args.alg == algos.CONVERT:
         result = algos.convert_single_to_m(
             instance, crews=args.crews, within_island_order=args.within_island_order or "given"

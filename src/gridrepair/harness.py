@@ -27,7 +27,7 @@ instance_from_json = validate
 
 def load_instance(path: str | Path) -> NetworkInstance:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
     except ValueError as exc:  # not UTF-8, or an integer of over 4300 digits: bad input too
@@ -257,9 +257,9 @@ def run_bench(
             replay = dict(corpus).get(name)
             if replay is not None:
                 Path(str(out_path) + ".violation.json").write_text(
-                    json.dumps(replay, indent=2) + "\n"
+                    json.dumps(replay, indent=2) + "\n", encoding="utf-8"
                 )
         raise
     if out_path is not None:
-        Path(out_path).write_text(rows_to_csv(rows))
+        Path(out_path).write_text(rows_to_csv(rows), encoding="utf-8")
     return rows

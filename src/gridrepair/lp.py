@@ -42,10 +42,12 @@ island boundary and that E-infinity violates by the same rule, but for a
 right-hand side of 1e20 or more, which HiGHS cannot take.  For one machine
 the vertex of a sequence is tight exactly on its prefix sets (Queyranne
 1993), so these name most of the final cuts at once; on the lp-feeders
-benchmark they cut the solves per relaxation from 5.3 to 2.3.  Every later
-round adds one cut.  Once no prefix is violated, the last vertex is the
-answer, lifted top-down onto the precedence tree (`schedule.energize`): each
-island's E becomes the larger of its own and its parent's, so every
+benchmark they cut the solves per relaxation from 5.3 to 2.3.  One walk of
+that order (`_single_crew_seeds`) scores them on prefixes of its fsum inputs
+(exact in any order), sums each island's times once, and U of `_caps`.
+Every later round adds one cut.  Once no prefix is violated, the last vertex
+is the answer, lifted top-down onto the precedence tree (`schedule.energize`):
+each island's E becomes the larger of its own and its parent's, so every
 precedence row holds exactly, as the 2x energization bound needs.  Raising E
 keeps every cut (their coefficients are >= 0) and every bound, and any
 optimal point of the LP keeps the midpoint argument, so no pass picks one
@@ -75,8 +77,8 @@ take light weights beside a heavy one near HiGHS's 1e-9 dual tolerance.
 With y the row duals clipped at 0 on the rows AE >= b and r = w - A'y, each
 E in them and in a box l <= E <= u has w.E = y.AE + r.E >= y.b +
 sum_j min(l_j r_j, u_j r_j) = LB.  An optimum of the all-subset LP lies in
-the box u_j = min(1.5P, U / W_j) (`_caps`; P the total time, U the
-conversion bound, W_j the weight at or below island j): lowering each E
+the box u_j = min(1.5P, U / W_j) (`_caps`; P the total time, U the seeding
+walk's conversion bound, W_j the weight at or below island j): lowering each E
 above 1.5P to it keeps every row, as f(A) - f(A - A_L) <= p(A_L) P for the
 lines A_L it lowers, and as E only rises down the tree, W_j E_j <= w.E <= U.
 So LB bounds that LP, up to the rounding of the stored cut rows;
@@ -317,20 +319,35 @@ def separate(c: Mapping[str, float], p: Mapping[str, float], m: int) -> Cut | No
     return None if found is None else Cut(frozenset(lines[i] for i in found[0]), found[1])
 
 
-def _exact_cut(subset: Sequence[int], completions: Sequence[float], times: Sequence[float],
+def _exact_cut(times: Sequence[float], squares: Sequence[float], products: Sequence[float],
                m: int) -> tuple[float, float, float] | None:
-    """The exact (fsum) violation at `completions` of the load cut on the
-    positions `subset`, its right-hand side and its row's divisor
-    min(1, p(A)); None unless it counts as violated (module docstring)."""
-    t = [times[i] for i in subset]
-    total = math.fsum(t)  # f(A), and the divisor, on the same sums
-    rhs = total * total / (2.0 * m) + math.fsum([x * x for x in t]) / 2.0
-    violation = rhs - math.fsum([x * completions[i] for x, i in zip(t, subset)])
+    """The exact (fsum) violation of the load cut on lines of repair `times`, of
+    `squares` and of `products` with their completions, its right-hand side and
+    its row's divisor min(1, p(A)); None unless it counts as violated."""
+    total = math.fsum(times)  # f(A), and the divisor, on the same sums
+    rhs = total * total / (2.0 * m) + math.fsum(squares) / 2.0
+    violation = rhs - math.fsum(products)
     scale = min(1.0, total)
     # HiGHS takes a row violated by at most LP_TOLERANCE as met
     if violation <= max(SEPARATION_TOLERANCE * rhs, LP_TOLERANCE * scale):
         return None
     return violation, rhs, scale
+
+
+def _load_terms(subset: Sequence[int], completions: Sequence[float], times: Sequence[float]
+                ) -> tuple[list[float], list[float], list[float]]:
+    """`_exact_cut`'s inputs for the positions `subset` at `completions`."""
+    t = [times[i] for i in subset]
+    return t, [x * x for x in t], [x * completions[i] for x, i in zip(t, subset)]
+
+
+def _coefficients(subset: Iterable[int], columns: Sequence[int], times: Sequence[float]
+                  ) -> dict[int, float]:
+    """p(A & island) by column of the positions A = `subset`, summed in order from 0.0."""
+    row: dict[int, float] = {}
+    for i in subset:
+        row[columns[i]] = row.get(columns[i], 0.0) + times[i]
+    return row
 
 
 def _most_violated(completions: list[float], times: list[float], m: int,
@@ -377,7 +394,7 @@ def _most_violated(completions: list[float], times: list[float], m: int,
         if best is not None and bound < -best[0]:
             break
         subset = order[:size]
-        exact = _exact_cut(subset, completions, times, m)
+        exact = _exact_cut(*_load_terms(subset, completions, times), m)
         if exact is None:
             continue
         violation, rhs, scale = exact
@@ -479,14 +496,12 @@ def solve_relaxation(
     cut_limit = 10 * max(1, len(p)) ** 2
     at_least = [least[k] for k in columns]
     first = _most_violated(at_least, times, m, ())  # round 1's cut: E-infinity is unsolved
-    order = [] if first is None else seq_opt.optimal_island_sequence(islands, precedence)
-    # its seeds: a right-hand side of 1e20 or more would be rejected, so such a seed is left out
-    seeds = [(prefix, *exact[1:]) for prefix in _single_crew_prefixes(order, lines, of_line)
-             if prefix != first[0] and (exact := _exact_cut(prefix, at_least, times, m))
-             and exact[1] < 1e20]
-    caps = _caps(order, islands, precedence, energization, m, times) if order else []
+    seeds, caps = [], []  # where round 1 finds no cut, E-infinity is the answer
+    if first is not None:
+        seeds, upper = _single_crew_seeds(islands, precedence, least, columns, times, m, first[0])
+        caps = _caps(upper, islands, precedence, times)
 
-    def cutting_planes(seeded: Sequence[tuple[tuple[int, ...], float, float]], presolve: bool
+    def cutting_planes(seeded: Sequence[tuple], presolve: bool
                        ) -> tuple[LpModel, LpVertex, list[float], list[Cut]]:
         model = _base_model(instance, islands, precedence)
         cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
@@ -499,25 +514,23 @@ def solve_relaxation(
                     raise
                 return simplex_solve(model, True)
 
-        def add_cut(subset: tuple[int, ...], rhs: float, scale: float) -> None:
+        def add_cut(subset: tuple[int, ...], rhs: float, scale: float, row: dict) -> None:
             cut = Cut(frozenset(map(lines.__getitem__, subset)), rhs)
             if rhs >= 1e20:
                 _limit(rhs, "right-hand side of the load cut on {}", sorted(cut.lines))
-            coefficients = dict.fromkeys(sorted({columns[i] for i in subset}), 0.0)
-            for i in subset:  # p(A & island) per island column
-                coefficients[columns[i]] += times[i]
-            model.add_row(list(coefficients), [v / scale for v in coefficients.values()],
-                          rhs / scale)
+            keys = sorted(row)
+            model.add_row(keys, [row[k] / scale for k in keys], rhs / scale)
             cuts.append(cut)
             pooled.add(subset)
 
         vertex = LpVertex(values=least, objective=harm)  # round 1, unsolved: no duals
         history, c, found = [harm], at_least, first
-        for cut in () if found is None else (found, *seeded):  # round 1's cut, then its seeds
-            add_cut(*cut)
+        if found is not None:  # round 1's cut, then its seeds
+            for cut in ((*found, _coefficients(found[0], columns, times)), *seeded):
+                add_cut(*cut)
         while found is not None:
-            if len(pooled) > cut_limit:
-                violation = _exact_cut(found[0], c, times, m)[0]  # not None: a found cut
+            if len(pooled) > cut_limit:  # `found` is violated: `_exact_cut` is not None
+                violation = _exact_cut(*_load_terms(found[0], c, times), m)[0]
                 raise CutPoolLimit(
                     f"cut pool exceeded {cut_limit} (last violation {violation:.3e})")
             vertex = solved()
@@ -525,7 +538,7 @@ def solve_relaxation(
             c = [vertex.values[k] for k in columns]
             found = _most_violated(c, times, m, pooled)
             if found is not None:
-                add_cut(*found)
+                add_cut(*found, _coefficients(found[0], columns, times))
         return model, vertex, history, cuts
 
     # the first loop (seeded, presolve off) answers if it ends within GAP_TOLERANCE of
@@ -557,47 +570,48 @@ def solve_relaxation(
     )
 
 
-def _single_crew_prefixes(island_order: Iterable[str], lines: list[str],
-                          of_line: Mapping[str, str]) -> Iterable[tuple[int, ...]]:
-    """The island-boundary prefixes of `island_order`, the optimal single-crew
-    island order (`seq_opt.optimal_island_sequence`), as sorted positions in
-    `lines`, the lines of positive time in id order; an island without such a
-    line adds no prefix.  For one machine the optimal vertex is tight exactly
-    on its sequence's prefix sets (Queyranne 1993), so these name most of the
-    cuts the loop would otherwise find one round at a time."""
-    members: dict[str, list[int]] = {}
-    for i, lid in enumerate(lines):
-        members.setdefault(of_line[lid], []).append(i)
-    prefix: list[int] = []
-    for iid in island_order:
-        if iid in members:
-            prefix = sorted(prefix + members[iid])
-            yield tuple(prefix)
+def _single_crew_seeds(islands: IslandSet, precedence: PrecedenceGraph, least: Sequence[float],
+                       columns: Sequence[int], times: Sequence[float], m: int,
+                       first: tuple[int, ...]) -> tuple[list[tuple], float]:
+    """Round 1's seeds but `first`, its own cut, as (sorted positions, right-hand side, row
+    divisor, row by column), and U = sum_i w_i (E1_i / m + (m - 1) / m E-infinity_i), from
+    one walk of the optimal single-crew island order (module docstring), for the positive
+    `times` in island `columns` and E-infinity `least` by column.  E1 is the single-crew
+    energization along that order, a linear extension of the precedence: the list schedule
+    on m crews in that order meets U, the conversion bound."""
+    members: dict[int, list[int]] = {}
+    for i, k in enumerate(columns):
+        members.setdefault(k, []).append(i)
+    column = {iid: k for k, iid in enumerate(islands.weights)}  # islands are in id order
+    order = [column[iid] for iid in seq_opt.optimal_island_sequence(islands, precedence)]
+    walk = [i for k in order if k in members for i in members[k]]  # positions, island by island
+    t = [times[i] for i in walk]  # the fsum inputs of each prefix are a prefix of these
+    squares, products = [x * x for x in t], [x * least[columns[i]] for x, i in zip(t, walk)]
+    coefficients = _coefficients(walk, columns, times)  # each island's time, summed once
+    weights, spare = list(islands.weights.values()), (m - 1) / m
+    seeds, terms, done, row, prefix = [], [], 0.0, {}, []
+    for k in order:
+        done += islands.islands[k].processing
+        terms.append(weights[k] * (done / m + spare * least[k]))
+        if k in members:
+            prefix = sorted(prefix + members[k])  # a merge of two ascending runs
+            row[k], end = coefficients[k], len(prefix)
+            exact = _exact_cut(t[:end], squares[:end], products[:end], m)
+            if exact and exact[1] < 1e20 and (subset := tuple(prefix)) != first:
+                seeds.append((subset, *exact[1:], dict(row)))
+    return seeds, math.fsum(terms)
 
 
-def _conversion_harm(island_order: Sequence[str], islands: IslandSet,
-                     infinite: Mapping[str, float], m: int) -> float:
-    """Harm of the conversion bound sum_i w_i (E1_i / m + (m - 1) / m E-infinity_i),
-    E1 the single-crew energization along `island_order`, a linear extension of
-    the precedence: the list schedule on m crews in that order meets it."""
-    weights, done, terms = islands.weights, 0.0, []
-    processing = {isl.id: isl.processing for isl in islands.islands}
-    for iid in island_order:
-        done += processing[iid]
-        terms.append(weights[iid] * (done / m + (m - 1) / m * infinite[iid]))
-    return math.fsum(terms)
-
-
-def _caps(island_order: Sequence[str], islands: IslandSet, precedence: PrecedenceGraph,
-          infinite: Mapping[str, float], m: int, times: Sequence[float]) -> list[float]:
-    """The box min(1.5P, U / W_j) of the module docstring, by column, for n
-    positive `times` and k islands: U / W_j is at most n + 2k + 7 roundings of
-    nonnegative floats off exact (barring underflow), which U's factor covers."""
+def _caps(upper: float, islands: IslandSet, precedence: PrecedenceGraph,
+          times: Sequence[float]) -> list[float]:
+    """The box min(1.5P, U / W_j) of the module docstring, by column, for the
+    conversion bound `upper` (`_single_crew_seeds`), n positive `times` and k
+    islands: U / W_j is at most n + 2k + 7 roundings of nonnegative floats off
+    exact (barring underflow), which U's factor covers."""
     below, parent = dict(islands.weights), precedence.parent  # W_j
     for iid in reversed(precedence.topological_order[1:]):  # children first
         below[parent[iid]] += below[iid]
-    upper = _conversion_harm(island_order, islands, infinite, m) * (
-        1.0 + 32 * (len(times) + len(below)) * 2.0**-53)
+    upper *= 1.0 + 32 * (len(times) + len(below)) * 2.0**-53
     box = 1.5 * math.fsum(times)
     return [min(box, upper / w) if w else box for w in below.values()]
 

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gridrepair import lp, oracle, schedule
+from gridrepair import lp, oracle, schedule, seq_opt
 from gridrepair.harness import (GenParams, bench_instance, generate_random, load_instance,
                                 random_raw)
-from gridrepair.lp import LP_TOLERANCE, LpModel, LpSolution, LpVertex
+from gridrepair.lp import LP_TOLERANCE, SEPARATION_TOLERANCE, LpModel, LpSolution, LpVertex
 from gridrepair.model import (
     Island,
     IslandSet,
@@ -244,8 +244,6 @@ def _prefix_most_violated(completions, times, m, pooled, keys):
     `load_rhs` and `row_scale`.  A prefix is violated by more than
     SEPARATION_TOLERANCE times its right-hand side and more than HiGHS's
     tolerance on its row."""
-    from gridrepair.lp import SEPARATION_TOLERANCE
-
     # one row per order; stable sorts break ties by position, that is by id
     orders = np.array([np.argsort(key, kind="stable") for key in keys])
     pt = times[orders]
@@ -293,6 +291,50 @@ def two_order_most_violated(completions, times, m, pooled):
     completions, times = np.asarray(completions, dtype=float), np.asarray(times, dtype=float)
     return _prefix_most_violated(completions, times, m, pooled,
                                  [completions - times / 2.0, completions])
+
+
+def reference_conversion_harm(island_order, islands, infinite, m):
+    """The conversion bound U of `lp._caps`: sum_i w_i (E1_i / m + (m - 1) / m
+    E-infinity_i), E1 the single-crew energization along `island_order`, in a
+    walk of its own."""
+    weights, done, terms = islands.weights, 0.0, []
+    processing = {isl.id: isl.processing for isl in islands.islands}
+    for iid in island_order:
+        done += processing[iid]
+        terms.append(weights[iid] * (done / m + (m - 1) / m * infinite[iid]))
+    return math.fsum(terms)
+
+
+def reference_single_crew_seeds(islands, precedence, least, columns, times, m, first):
+    """`lp._single_crew_seeds` built prefix by prefix, as it was before the
+    walk: each island-boundary prefix of the optimal single-crew island order
+    sorted afresh, its cut scored exactly from its own lines, its row summed
+    line by line, and U from `reference_conversion_harm`.  Self-contained in
+    `lp`'s names, so that its source can stand in for the walk in a copy of
+    `lp.py` (tests/test_tree_diff.py)."""
+    order = seq_opt.optimal_island_sequence(islands, precedence)
+    column = {iid: k for k, iid in enumerate(islands.weights)}
+    at_least = [least[k] for k in columns]
+    seeds, prefix = [], []
+    for iid in order:
+        own = [i for i, k in enumerate(columns) if k == column[iid]]
+        if not own:
+            continue
+        prefix = sorted(prefix + own)
+        t = [times[i] for i in prefix]
+        total = math.fsum(t)
+        rhs = total * total / (2.0 * m) + math.fsum([x * x for x in t]) / 2.0
+        excess = rhs - math.fsum([x * at_least[i] for x, i in zip(t, prefix)])
+        scale = min(1.0, total)
+        if (tuple(prefix) == first or rhs >= 1e20
+                or excess <= max(SEPARATION_TOLERANCE * rhs, LP_TOLERANCE * scale)):
+            continue
+        row = dict.fromkeys(sorted({columns[i] for i in prefix}), 0.0)
+        for i in prefix:
+            row[columns[i]] += times[i]
+        seeds.append((tuple(prefix), rhs, scale, row))
+    infinite = dict(zip(islands.weights, least))
+    return seeds, reference_conversion_harm(order, islands, infinite, m)
 
 
 # Reference implementations: the straightforward forms of `model.validate`,

@@ -460,6 +460,33 @@ def test_lp_list_stdout_is_the_result_alone(fixtures_dir, tmp_path):
     assert proc.stdout == out.read_text() and not proc.stderr
 
 
+@pytest.mark.parametrize("escaped", [False, True], ids=["utf-8", "ascii-escaped"])
+def test_files_are_utf_8_whatever_the_locale(tmp_path, escaped):
+    """The instance is read, and `--out` and `--dump-lp` written, as UTF-8
+    under an ASCII locale too, with the bytes a UTF-8 locale gives.  Before,
+    the raw file exited 2 (a decode error) and the escaped one 3 (an encode
+    error in `--dump-lp`)."""
+    raw = path_raw([2, 1, 3], [1, 10, 4])
+    raw["crews"] = 1  # so that the model holds a load cut, named from every line id
+    raw["lines"][0]["id"], raw["nodes"][2]["id"], raw["lines"][1]["to"] = "lé1", "né2", "né2"
+    raw["lines"][2]["from"] = "né2"
+    path = tmp_path / "feeder.json"
+    path.write_bytes(json.dumps(raw, ensure_ascii=escaped).encode("utf-8"))
+    outputs = []
+    for locale in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                   {"PYTHONUTF8": "1"}):
+        folder = tmp_path / str(len(outputs))
+        folder.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridrepair.cli", "schedule", str(path), "--alg", "lp-list",
+             "--out", "out.json", "--dump-lp", "model.txt"],
+            env=dict(os.environ, PYTHONPATH=SRC, **locale), cwd=folder, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(folder / name).read_bytes() for name in ("out.json", "model.txt")])
+    assert outputs[0] == outputs[1]
+    assert "load cut on {e2, e3, lé1}".encode("utf-8") in outputs[0][1]
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     """Nor NumPy (only the oracle needs it), `scipy.optimize` (an LP solve
     loads SciPy's HiGHS binding alone) or `csv` (only the bench writes CSV)."""

@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import functools
 import heapq
+import itertools
 import math
 import os
 import random
@@ -39,6 +41,7 @@ from conftest import (
     all_subset_relaxation,
     exact_dual_bound,
     exhaustive_separation,
+    generate_corpus,
     instance_to_json,
     instances,
     island_all_subset_relaxation,
@@ -47,8 +50,10 @@ from conftest import (
     small_mixed_magnitude_feeder,
     path_raw,
     presolve_on,
+    reference_conversion_harm,
     reference_full_space_relaxation,
     reference_most_violated,
+    reference_single_crew_seeds,
     reference_solve_highs,
     reference_solve_linprog,
     row_scale,
@@ -355,8 +360,9 @@ def spy_dual_bound(monkeypatch, gaps):
 
 def unseeded(monkeypatch):
     """Make `solve_relaxation` add one cut per round in every loop, as its
-    reruns do: round 1 gets no seeds."""
-    monkeypatch.setattr(lp, "_single_crew_prefixes", lambda *args: ())
+    reruns do: round 1 gets no seeds, and the same conversion bound."""
+    walk = lp._single_crew_seeds
+    monkeypatch.setattr(lp, "_single_crew_seeds", lambda *args: ([], walk(*args)[1]))
 
 
 def seeded(sol) -> bool:
@@ -777,6 +783,90 @@ def fast_load_answers() -> str:
     return proc.stdout
 
 
+def lp_feeders_like(count):
+    """`count` feeders of 45-70 lines, 10 % switches, times 1 to 10, at m = 3:
+    the lp-feeders benchmark's sizes and parameters, from `generate_random`."""
+    return [(generate_random(GenParams(seed=seed, nodes=(n + 1, n + 1), switch_probability=0.1,
+                                       repair_time=(1, 10), crews=(3,))), 3)
+            for seed, n in zip(range(count), itertools.cycle(range(45, 71)))]
+
+
+def item_7_slice(seeds):
+    """The feeders of ROADMAP item 7's sweep among `seeds` that validate, at m = 1."""
+    calls = []
+    for seed in seeds:
+        with contextlib.suppress(ValidationError):
+            calls.append((small_mixed_magnitude_feeder(seed), 1))
+    return calls
+
+
+class TestSingleCrewSeeds:
+    """Round 1's seeds and conversion bound, built in one walk of the
+    single-crew island order (`lp._single_crew_seeds`), against
+    `reference_single_crew_seeds`, which builds each seed from its own
+    prefix: the first loop's model lists and cuts, the `_caps` box and the
+    answer or error are the same, bit for bit."""
+
+    @staticmethod
+    def first_loop(monkeypatch, inst, m, walk=None):
+        """`repr` of the first loop's (start, index, value, rhs), of its cuts
+        (sorted lines, right-hand side), of the box and of the answer or error
+        of `solve_relaxation`, with `walk` in place of `lp._single_crew_seeds`
+        if given; and whether round 1 seeded a cut."""
+        models, cuts, boxes, seeding = [], [], [], []
+        base, make_cut, caps = lp._base_model, lp.Cut, lp._caps
+        seeds = walk or lp._single_crew_seeds
+
+        def loop(*args):
+            models.append(base(*args))
+            cuts.append([])
+            return models[-1]
+
+        def cut(lines, rhs):
+            cuts[-1].append((sorted(lines), rhs))
+            return make_cut(lines, rhs)
+
+        def box(*args):
+            boxes.append(caps(*args))
+            return boxes[-1]
+
+        def spy(*args):
+            found = seeds(*args)
+            seeding.append(bool(found[0]))
+            return found
+
+        with monkeypatch.context() as patch:
+            for name, stand_in in (("_base_model", loop), ("Cut", cut), ("_caps", box),
+                                   ("_single_crew_seeds", spy)):
+                patch.setattr(lp, name, stand_in)
+            try:
+                got = answer(solve_relaxation(inst, crews=m))
+            except (lp.LpError, ValidationError) as error:
+                got = f"{type(error).__name__}: {error}"
+        first = models[:1] and [models[0].start, models[0].index, models[0].value, models[0].rhs]
+        return repr((first, cuts[:1], boxes, got)), any(seeding)
+
+    @pytest.mark.parametrize("corpus, least_seeded", [
+        ("lp-feeders", 60),
+        ("bench", 150),
+        ("item-7", 250),
+    ])
+    def test_the_walk_builds_the_reference_round_one(self, monkeypatch, corpus, least_seeded):
+        """60 lp-feeders-like feeders at m = 3; the bench corpus, seeds 0-299,
+        at m = 2 and 3; ROADMAP item 7's sweep, seeds 0-999, at m = 1."""
+        calls = {"lp-feeders": lambda: lp_feeders_like(60),
+                 "bench": lambda: [(inst, m) for _, inst in generate_corpus(GenParams(seed=0), 300)
+                                   for m in (2, 3)],
+                 "item-7": lambda: item_7_slice(range(1000))}[corpus]()
+        seeded = 0
+        for inst, m in calls:
+            got, any_seed = self.first_loop(monkeypatch, inst, m)
+            want, _ = self.first_loop(monkeypatch, inst, m, reference_single_crew_seeds)
+            assert got == want, (corpus, m)
+            seeded += any_seed
+        assert seeded >= least_seeded
+
+
 class TestDualBound:
     """The safe dual bound `lp._dual_bound` that accepts a loop, and the box
     `lp._caps` it is taken in (the `lp` module docstring)."""
@@ -803,8 +893,10 @@ class TestDualBound:
     def caps(inst, m):
         p = inst.repair_times()
         order = seq_opt.optimal_island_sequence(inst.islands, inst.precedence)
-        return lp._caps(order, inst.islands, inst.precedence, inst.infinite_crew_energization[0],
-                        m, [p[lid] for lid in sorted(p) if p[lid] > 0])
+        upper = reference_conversion_harm(order, inst.islands,
+                                          inst.infinite_crew_energization[0], m)
+        return lp._caps(upper, inst.islands, inst.precedence,
+                        [p[lid] for lid in sorted(p) if p[lid] > 0])
 
     @pytest.mark.parametrize("name", sorted(f.name for f in FIXTURES.glob("*.json")))
     def test_the_float_bound_is_below_the_exact_one_on_the_fixtures(self, monkeypatch, name):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import shutil
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import reference_conversion_harm, reference_single_crew_seeds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,6 +53,8 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
     for group in result["relaxation"].values():
         assert group["separation_calls"] == [group["calls"] + n for n in group["highs_solves"]]
         assert [seconds > 0 for seconds in group["separation_s"]] == [group["calls"] > 0] * 2
+        # every call spends some time before its first solve, or ends without one
+        assert [seconds > 0 for seconds in group["round1_s"]] == [group["calls"] > 0] * 2
         assert group["presolve_fallbacks"] == group["presolve_retries"] == [0, 0]
         assert group["loops"] == [group["calls"]] * 2  # no loop ran again
         # round 1 seeds cuts only where it finds one, so never with a crew per line
@@ -109,9 +114,11 @@ def test_tree_diff_draws_its_corpus_at_the_switch_probability(tmp_path):
 # appended to a copy's lp.py: round 1 seeds no cut, so every loop adds one cut per round
 NO_SEEDS = """
 
+_unpatched_single_crew_seeds = _single_crew_seeds
 
-def _single_crew_prefixes(island_order, lines, of_line):
-    return ()
+
+def _single_crew_seeds(*args):
+    return [], _unpatched_single_crew_seeds(*args)[1]
 """
 
 # appended to the copy's lp.py: every solve with presolve off fails
@@ -177,3 +184,27 @@ def test_tree_diff_counts_the_presolve_on_loops(tmp_path):
     assert group["loops"] == [group["calls"], group["calls"] + fallbacks]
     seeded, unseeded = group["seeded_cuts"]
     assert seeded > 0 == unseeded  # the loop that answers adds one cut per round
+
+
+# appended to a copy's lp.py: round 1's seeds and conversion bound built prefix by prefix
+REFERENCE_SEEDS = "\n\n" + "\n\n".join(map(inspect.getsource, (
+    reference_conversion_harm, reference_single_crew_seeds))) + """
+
+_single_crew_seeds = reference_single_crew_seeds
+"""
+
+
+def test_tree_diff_finds_the_reference_seeds_the_same(tmp_path):
+    """A tree whose round 1 builds each seed from its own prefix, as
+    `reference_single_crew_seeds` does, gives the same answers, HiGHS solves,
+    retries, loops, seeded cuts and separation calls as the one walk."""
+    with open(patched_src(tmp_path, "lp.py"), "a") as out:
+        out.write(REFERENCE_SEEDS)
+    proc = tree_diff("--count", "12", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
+    result = json.loads(proc.stdout)
+    assert proc.returncode == 0 and result["same_answers"] is True, proc.stderr
+    group = result["relaxation"]["all"]
+    for field in ("highs_solves", "presolve_retries", "presolve_fallbacks", "loops",
+                  "seeded_cuts", "separation_calls"):
+        assert group[field][0] == group[field][1], field
+    assert group["seeded_cuts"][0] > 0
