@@ -6,10 +6,11 @@
 
 Each SRC is a `src` directory holding the `gridrepair` package, say a
 checkout of the parent commit's `src` and this one's.  Each repetition runs
-every SRC in a fresh interpreter with PYTHONPATH=SRC, from an empty
-directory; the order rotates on each repetition, so no side always runs
-first.  The interpreter runs three layers, each once untimed, then once
-timed, and the CLI commands of a fourth each run in a process of their own:
+`worker` for every SRC in a fresh interpreter with PYTHONPATH=SRC, from an
+empty directory; the order rotates on each repetition, so no side always
+runs first.  `worker` imports the package there and runs three layers, each
+once untimed, then once timed, and the CLI commands of a fourth each run in
+a process of their own:
 
 * `relaxation`: on the corpus `gridrepair bench --seed 0 --count K
   --max-lines L` draws (`harness.generate_random`, seeds 0 to K - 1), with
@@ -67,7 +68,11 @@ If not, `first_difference` names the layer and the first differing call,
 file or command, and the exit status is 1; a worker or command that ends
 without its report exits 2, naming the SRC.  Each SRC is byte-compiled
 first, so no side pays for compiling its sources.  Standard library only,
-apart from the package under test.
+apart from the package under test, which only `worker` imports.  `worker`
+can be imported from this file and called in-process on whichever
+`gridrepair` is importable: the tests do so with stand-ins for the
+package's functions.  The `lp` functions it patches to count are restored
+before it returns or raises.
 """
 
 from __future__ import annotations
@@ -94,113 +99,138 @@ FEEDERS = 5
 FORMS = ("oriented", "half-reversed", "shuffled")
 LOAD_TIMES = ("load_write", "islands", "load_islands")
 
-# Run in a fresh interpreter with PYTHONPATH=SRC, argv the report file and a
-# JSON object of count, max_lines, switch_probability, crews and files; reports
-# [seed, n, m] and [HiGHS solves, separation calls, separation seconds,
-# presolve-on loops, seeded cut rows, loops, retried solves, round-1 seconds]
-# per call and, per layer, [times, answer] per call or file.
-WORKER = """
-import contextlib, io, json, sys, time
-from gridrepair import algos, cli, harness, lp, oracle
+# the counts `worker` keeps per relaxation call, each summed per group in the output
+COUNTS = ("highs_solves", "presolve_fallbacks", "presolve_retries", "loops", "seeded_cuts",
+          "separation_calls")
+# and the seconds it keeps per call, each summed per group of the calls' best
+SECONDS = ("separation_s", "round1_s")
 
-config = json.loads(sys.argv[2])
-calls = []
-for seed in range(config["count"]):
-    instance = harness.generate_random(harness.GenParams(
-        seed=seed, nodes=(2, config["max_lines"] + 1), crews=tuple(config["crews"]),
-        switch_probability=config["switch_probability"]))
-    n = sum(1 for p in instance.repair_times().values() if p > 0)
-    calls += [(seed, n, m, instance) for m in config["crews"]]
 
-def relaxation(instance, m):
-    start = time.perf_counter()
-    try:
-        sol = lp.solve_relaxation(instance, crews=m)
-    except Exception as exc:
-        return [time.perf_counter() - start], f"{type(exc).__name__}: {exc}"
-    seconds = time.perf_counter() - start
-    plan = algos.lp_list_schedule(instance, crews=m, solution=sol)
-    return [seconds], json.dumps([
-        repr(sol.completion), repr(sol.energization), repr(sol.objective),
-        sol.iterations, len(sol.cuts), harness.result_to_text(plan)])
+def worker(config: dict) -> dict:
+    """The relaxation, oracle and load layers, run in this interpreter on the
+    `gridrepair` it imports (the module docstring).
 
-def optimum(instance, m):
-    start = time.perf_counter()
-    result = oracle.brute_force_optimal(instance, m)
-    seconds = time.perf_counter() - start
-    return [seconds], json.dumps(harness.oracle_to_json(result, m))
+    `config` holds count, max_lines, switch_probability, crews and files.
+    The report holds [seed, n, m] per call (`calls`), each call's COUNTS and
+    SECONDS from the untimed pass (`counts`) and, per layer, [times, answer]
+    per call or file.  `lp`'s functions count that pass, and are what they
+    were again once this returns or raises.
+    """
+    import contextlib
+    import io
 
-def load(path):
-    start = time.perf_counter()
-    instance = harness.load_instance(path)
-    loaded = time.perf_counter()
-    instance.islands
-    split = time.perf_counter()
-    result = algos.convert_single_to_m(instance, crews=instance.crews)
-    start_write = time.perf_counter()
-    text = harness.result_to_text(result)
-    written = time.perf_counter() - start_write
-    with contextlib.redirect_stdout(io.StringIO()) as islands:
-        cli.main(["islands", path])
-    return ([loaded - start + written, split - loaded, split - start],
-            text + islands.getvalue())
+    from gridrepair import algos, cli, harness, lp, oracle
 
-solve, separate, counts = lp.simplex_solve, lp._most_violated, []
-base_model, relax = lp._base_model, lp.solve_relaxation
+    calls = []
+    for seed in range(config["count"]):
+        instance = harness.generate_random(harness.GenParams(
+            seed=seed, nodes=(2, config["max_lines"] + 1), crews=tuple(config["crews"]),
+            switch_probability=config["switch_probability"]))
+        n = sum(1 for p in instance.repair_times().values() if p > 0)
+        calls += [(seed, n, m, instance) for m in config["crews"]]
 
-def round_one():  # the seconds since the call began, at its first solve or its end
-    if not counts[-1][0]:
-        counts[-1][7] = time.perf_counter() - counts[-1][7]
+    def relaxation(instance, m):
+        start = time.perf_counter()
+        try:
+            sol = lp.solve_relaxation(instance, crews=m)
+        except Exception as exc:
+            return [time.perf_counter() - start], f"{type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - start
+        plan = algos.lp_list_schedule(instance, crews=m, solution=sol)
+        return [seconds], json.dumps([
+            repr(sol.completion), repr(sol.energization), repr(sol.objective),
+            sol.iterations, len(sol.cuts), harness.result_to_text(plan)])
 
-def counted(model, presolve=False):
-    round_one()
-    counts[-1][0] += 1
-    if presolve:  # a retry in the first loop, else the presolve-on loop
-        if counts[-1][5] == 1:
-            counts[-1][6] += 1
-        else:
-            counts[-1][3] = 1
-    return solve(model, presolve)
+    def optimum(instance, m):
+        start = time.perf_counter()
+        result = oracle.brute_force_optimal(instance, m)
+        seconds = time.perf_counter() - start
+        return [seconds], json.dumps(harness.oracle_to_json(result, m))
 
-def looped(*args):
-    counts[-1][5] += 1
-    return base_model(*args)
+    def load(path):
+        start = time.perf_counter()
+        instance = harness.load_instance(path)
+        loaded = time.perf_counter()
+        instance.islands
+        split = time.perf_counter()
+        result = algos.convert_single_to_m(instance, crews=instance.crews)
+        start_write = time.perf_counter()
+        text = harness.result_to_text(result)
+        written = time.perf_counter() - start_write
+        with contextlib.redirect_stdout(io.StringIO()) as islands:
+            cli.main(["islands", path])
+        return ([loaded - start + written, split - loaded, split - start],
+                text + islands.getvalue())
 
-def started(*args, **kwargs):
-    counts[-1][7] = time.perf_counter()
-    try:
-        return relax(*args, **kwargs)
-    finally:
+    solve, separate, counts = lp.simplex_solve, lp._most_violated, []
+    base_model, relax = lp._base_model, lp.solve_relaxation
+
+    def round_one():  # the seconds since the call began, at its first solve or its end
+        if not counts[-1]["highs_solves"]:
+            counts[-1]["round1_s"] = time.perf_counter() - counts[-1]["round1_s"]
+
+    def counted(model, presolve=False):
         round_one()
+        count = counts[-1]
+        count["highs_solves"] += 1
+        if presolve:  # a retry in the first loop, else the presolve-on loop
+            if count["loops"] == 1:
+                count["presolve_retries"] += 1
+            else:
+                count["presolve_fallbacks"] = 1
+        return solve(model, presolve)
 
-def timed(*args):
-    start = time.perf_counter()
-    found = separate(*args)
-    counts[-1][2] += time.perf_counter() - start
-    counts[-1][1] += 1
-    return found
+    def looped(*args):
+        counts[-1]["loops"] += 1
+        return base_model(*args)
 
-# looked up by the loop at each call, so every solve and separation is counted
-lp.simplex_solve, lp._most_violated = counted, timed
-lp._base_model, lp.solve_relaxation = looped, started
-for _, _, m, instance in calls:
-    counts.append([0, 0, 0.0, 0, 0, 0, 0, 0.0])
-    _, answer = relaxation(instance, m)
-    if answer.startswith("["):  # not an error: the cuts beyond one per solved round
-        rounds, cuts = json.loads(answer)[3:5]
-        counts[-1][4] = cuts - (rounds - 1)
-lp.simplex_solve, lp._most_violated = solve, separate
-lp._base_model, lp.solve_relaxation = base_model, relax
-out = {"calls": [call[:3] for call in calls], "counts": counts,
-       "relaxation": [relaxation(instance, m) for _, _, m, instance in calls]}
-for _, _, m, instance in calls:
-    optimum(instance, m)
-out["oracle"] = [optimum(instance, m) for _, _, m, instance in calls]
-for path in config["files"]:
-    load(path)
-out["load"] = [load(path) for path in config["files"]]
+    def started(*args, **kwargs):
+        counts[-1]["round1_s"] = time.perf_counter()
+        try:
+            return relax(*args, **kwargs)
+        finally:
+            round_one()
+
+    def timed(*args):
+        start = time.perf_counter()
+        found = separate(*args)
+        counts[-1]["separation_s"] += time.perf_counter() - start
+        counts[-1]["separation_calls"] += 1
+        return found
+
+    # looked up by the loop at each call, so every solve and separation is counted
+    lp.simplex_solve, lp._most_violated = counted, timed
+    lp._base_model, lp.solve_relaxation = looped, started
+    try:
+        for _, _, m, instance in calls:
+            counts.append({**dict.fromkeys(COUNTS, 0), **dict.fromkeys(SECONDS, 0.0)})
+            _, answer = relaxation(instance, m)
+            if answer.startswith("["):  # not an error: the cuts beyond one per solved round
+                rounds, cuts = json.loads(answer)[3:5]
+                counts[-1]["seeded_cuts"] = cuts - (rounds - 1)
+    finally:
+        lp.simplex_solve, lp._most_violated = solve, separate
+        lp._base_model, lp.solve_relaxation = base_model, relax
+    out = {"calls": [call[:3] for call in calls], "counts": counts,
+           "relaxation": [relaxation(instance, m) for _, _, m, instance in calls]}
+    for _, _, m, instance in calls:
+        optimum(instance, m)
+    out["oracle"] = [optimum(instance, m) for _, _, m, instance in calls]
+    for path in config["files"]:
+        load(path)
+    out["load"] = [load(path) for path in config["files"]]
+    return out
+
+
+# Run in a fresh interpreter with PYTHONPATH=SRC: argv is the report file and
+# `worker`'s config as JSON.  scripts/ goes on the path after SRC, so SRC's
+# `gridrepair` is the one `worker` imports.
+ENTRY = f"""
+import json, sys
+sys.path.append({str(ROOT / "scripts")!r})
+import tree_diff
 with open(sys.argv[1], "w") as report:
-    json.dump(out, report)
+    json.dump(tree_diff.worker(json.loads(sys.argv[2])), report)
 """
 
 # Run in a fresh process per command with PYTHONPATH=SRC: argv is the report
@@ -315,7 +345,7 @@ def main() -> int:
     trees = list(range(len(args.src)))
     best: dict[tuple[str, int, int], list[float]] = {}  # (layer, tree, call) -> best seconds
     answers: dict[tuple[str, int], set[str]] = {}  # (layer, call) -> every answer given
-    counts: dict[int, list[list]] = {}  # tree -> per call [solves, separations, seconds, ...]
+    counts: dict[int, list[dict]] = {}  # tree -> per call COUNTS and SECONDS
     cold: dict[tuple[int, int], tuple] = {}  # (tree, command) -> largest peak RSS, modules
     with tempfile.TemporaryDirectory() as cwd:  # so that no `gridrepair` is found beside it
         files = write_corpus(Path(cwd))
@@ -325,12 +355,12 @@ def main() -> int:
                   "files": list(files)}
         for k in range(args.repeat):
             for tree in trees[k % len(trees):] + trees[:k % len(trees)]:
-                out = launch(args.src[tree], WORKER, [json.dumps(config)], cwd, "the worker")[2]
+                out = launch(args.src[tree], ENTRY, [json.dumps(config)], cwd, "the worker")[2]
                 out["cli"] = [run_command(args.src[tree], argv, cwd) for argv in COMMANDS]
                 counts[tree], calls = out["counts"], out["calls"]
                 for j, call in enumerate(counts[tree]):
-                    for part, seconds in (("separation", call[2]), ("round1", call[7])):
-                        key = (part, tree, j)
+                    for part in SECONDS:
+                        key, seconds = (part, tree, j), call[part]
                         best[key] = [min(best.get(key, [seconds])[0], seconds)]
                 for layer in LAYERS:
                     for j, (seconds, answer, *_) in enumerate(out[layer]):
@@ -358,14 +388,10 @@ def main() -> int:
         group = [j for j, (_, n, m) in enumerate(calls) if keep(n, m)]
         result["relaxation"][label] = {
             "calls": len(group), "median_best_us": medians("relaxation", group, 1e6, 1),
-            "highs_solves": [sum(counts[tree][j][0] for j in group) for tree in trees],
-            "presolve_fallbacks": [sum(counts[tree][j][3] for j in group) for tree in trees],
-            "presolve_retries": [sum(counts[tree][j][6] for j in group) for tree in trees],
-            "loops": [sum(counts[tree][j][5] for j in group) for tree in trees],
-            "seeded_cuts": [sum(counts[tree][j][4] for j in group) for tree in trees],
-            "separation_calls": [sum(counts[tree][j][1] for j in group) for tree in trees],
-            **{f"{part}_s": [round(sum(best[part, tree, j][0] for j in group), 6)
-                             for tree in trees] for part in ("separation", "round1")}}
+            **{name: [sum(counts[tree][j][name] for j in group) for tree in trees]
+               for name in COUNTS},
+            **{part: [round(sum(best[part, tree, j][0] for j in group), 6) for tree in trees]
+               for part in SECONDS}}
     for n in sorted({n for _, n, _ in calls}):
         for m in CREWS:
             group = [j for j, call in enumerate(calls) if call[1:] == [n, m]]

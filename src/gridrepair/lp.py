@@ -453,7 +453,7 @@ def solve_relaxation(
     """Cutting-plane solve of the island-space relaxation (module docstring).
 
     Round 1, unsolved, is E = E-infinity; its most violated cut goes in with
-    the seeds of `_single_crew_prefixes` it violates, each later round adds
+    the seeds of `_single_crew_seeds` it violates, each later round adds
     the most violated cut, and each round's model is solved cold, with HiGHS
     presolve off; a solve that fails (LpError) is solved again with presolve
     on.  Once no prefix is violated, the last vertex, lifted onto the

@@ -309,9 +309,7 @@ def reference_single_crew_seeds(islands, precedence, least, columns, times, m, f
     """`lp._single_crew_seeds` built prefix by prefix, as it was before the
     walk: each island-boundary prefix of the optimal single-crew island order
     sorted afresh, its cut scored exactly from its own lines, its row summed
-    line by line, and U from `reference_conversion_harm`.  Self-contained in
-    `lp`'s names, so that its source can stand in for the walk in a copy of
-    `lp.py` (tests/test_tree_diff.py)."""
+    line by line, and U from `reference_conversion_harm`."""
     order = seq_opt.optimal_island_sequence(islands, precedence)
     column = {iid: k for k, iid in enumerate(islands.weights)}
     at_least = [least[k] for k in columns]

@@ -1,4 +1,3 @@
-import inspect
 import json
 import shutil
 import subprocess
@@ -7,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_conversion_harm, reference_single_crew_seeds
+from conftest import FIXTURES, reference_single_crew_seeds
+from gridrepair import algos, harness, lp, oracle
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "scripts"))
+from tree_diff import COUNTS, CREWS, worker  # noqa: E402
 
 # appended to the copy's harness.py: every oracle JSON gains a key
 ORACLE_PATCH = """
@@ -27,6 +29,17 @@ def tree_diff(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
+def run_worker(count: int, switch_probability: float = 0.4) -> dict:
+    """The report of `scripts/tree_diff.py`'s `worker`, run in this process on
+    the corpus of seeds 0 to count - 1 of at most 8 lines, with no load files."""
+    return worker({"count": count, "max_lines": 8, "crews": CREWS,
+                   "switch_probability": switch_probability, "files": []})
+
+
+def answers(report: dict, layer: str) -> list[str]:
+    return [answer for _, answer in report[layer]]
+
+
 def patched_src(tmp_path: Path, module: str) -> Path:
     """A copy of `src` in `tmp_path` whose `gridrepair/<module>` the caller
     then patches."""
@@ -42,6 +55,7 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
     proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
     result = json.loads(proc.stdout)
     assert proc.returncode == 1 and result["same_answers"] is False
+    assert result["switch_probability"] == 0.4  # the default
     # the relaxation layer runs first and agrees; only the 3 seeds x 2 crew counts
     # differ, and the cli layer's `oracle fork.json`
     assert result["first_difference"] == {
@@ -67,9 +81,11 @@ def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
     text, line = cli.read_text(), 'f"OK: {len(instance.nodes)} nodes, '
     assert text.count(line) == 1  # the start of `validate`'s success line
     cli.write_text(text.replace(line, line.replace("OK", "ok")))
-    proc = tree_diff("--count", "1", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
+    proc = tree_diff("--count", "1", "--repeat", "1", "--switch-probability", "0",
+                     str(ROOT / "src"), str(tmp_path / "src"))
     result = json.loads(proc.stdout)
     assert proc.returncode == 1 and result["same_answers"] is False
+    assert result["switch_probability"] == 0.0
     # the relaxation, oracle and load layers agree; only the four `validate` commands differ
     assert result["first_difference"] == {
         "layer": "cli", "command": "validate feeder123.json", "differing_calls": 4}
@@ -83,75 +99,60 @@ def test_tree_diff_rejects_an_option_below_one(option):
     assert f"error: {option} must be at least 1" in proc.stderr
 
 
-# appended to the copy's oracle.py: answers on feeders of more than one island change
-MULTI_ISLAND_PATCH = """
+def test_tree_diff_draws_its_corpus_at_the_switch_probability(monkeypatch):
+    """A stand-in oracle changes its answer on feeders of more than one island,
+    as on fork.json.  At the default 0.4 some corpus feeders have more than
+    one island and the oracle layer's answers change; at 0 every corpus
+    feeder is one island, and no answer changes."""
+    reports = {probability: run_worker(3, probability) for probability in (0.4, 0.0)}
+    optimal, islands = oracle.brute_force_optimal, []
 
-_unpatched_brute_force_optimal = brute_force_optimal
+    def multi_island_changed(instance, m, incumbent=None):
+        result = optimal(instance, m, incumbent)
+        islands.append(len(instance.islands.islands))
+        return result if islands[-1] == 1 else result._replace(enumerated=0)
 
-
-def brute_force_optimal(instance, m, incumbent=None):
-    result = _unpatched_brute_force_optimal(instance, m, incumbent)
-    if len(instance.islands.islands) == 1:
-        return result
-    return OracleResult(result.harm, result.priority_list, enumerated=0)
-"""
-
-
-def test_tree_diff_draws_its_corpus_at_the_switch_probability(tmp_path):
-    """At the default 0.4 the corpus's oracle calls differ first; at 0 every
-    corpus feeder is one island, so only `oracle fork.json` differs."""
-    with open(patched_src(tmp_path, "oracle.py"), "a") as out:
-        out.write(MULTI_ISLAND_PATCH)
-    trees = str(ROOT / "src"), str(tmp_path / "src")
-    results = [json.loads(tree_diff("--count", "3", "--repeat", "1", *options, *trees).stdout)
-               for options in ([], ["--switch-probability", "0"])]
-    assert [result["switch_probability"] for result in results] == [0.4, 0.0]
-    assert results[0]["first_difference"]["layer"] == "oracle"
-    assert results[1]["first_difference"] == {
-        "layer": "cli", "command": "oracle fork.json", "differing_calls": 1}
+    fork = harness.load_instance(FIXTURES / "fork.json")
+    assert multi_island_changed(fork, 2) != optimal(fork, 2)
+    monkeypatch.setattr(oracle, "brute_force_optimal", multi_island_changed)
+    for probability, report in reports.items():
+        islands.clear()
+        changed = run_worker(3, probability)
+        assert changed["calls"] == report["calls"]
+        assert answers(changed, "relaxation") == answers(report, "relaxation")
+        differ = answers(changed, "oracle") != answers(report, "oracle")
+        assert differ == (max(islands) > 1) == (probability > 0)
 
 
-# appended to a copy's lp.py: round 1 seeds no cut, so every loop adds one cut per round
-NO_SEEDS = """
+def test_tree_diff_counts_the_presolve_on_reruns(monkeypatch):
+    """Both runs seed no cuts.  Where every presolve-off solve fails, each is
+    retried in place with presolve on, and the loop goes on in the same
+    rounds as the other run's presolve-off loop: one loop per call, and two
+    solves per round."""
+    walk = lp._single_crew_seeds  # no seeds beside the walk's own U
+    monkeypatch.setattr(lp, "_single_crew_seeds", lambda *args: ([], walk(*args)[1]))
+    unseeded = run_worker(3)
+    solve = lp.simplex_solve
 
-_unpatched_single_crew_seeds = _single_crew_seeds
+    def presolve_off_fails(model, presolve=False):
+        if not presolve:
+            raise lp.Infeasible("stand-in for HiGHS failing with presolve off")
+        return solve(model, presolve)
 
-
-def _single_crew_seeds(*args):
-    return [], _unpatched_single_crew_seeds(*args)[1]
-"""
-
-# appended to the copy's lp.py: every solve with presolve off fails
-PRESOLVE_OFF_FAILS = """
-
-_unpatched_simplex_solve = simplex_solve
-
-
-def simplex_solve(model, presolve=False):
-    if not presolve:
-        raise Infeasible("stand-in for HiGHS failing with presolve off")
-    return _unpatched_simplex_solve(model, presolve)
-"""
-
-
-def test_tree_diff_counts_the_presolve_on_reruns(tmp_path):
-    """Both trees seed no cuts.  Where every presolve-off solve fails, each
-    is retried in place with presolve on, and the loop goes on in the same
-    rounds as the other tree's presolve-off loop: one loop per call, and
-    two solves per round."""
-    trees = [tmp_path / "unseeded", tmp_path / "fails"]
-    for tree, patch in zip(trees, [NO_SEEDS, NO_SEEDS + PRESOLVE_OFF_FAILS]):
-        with open(patched_src(tree, "lp.py"), "a") as out:
-            out.write(patch)
-    proc = tree_diff("--count", "3", "--repeat", "1", *(str(tree / "src") for tree in trees))
-    assert proc.returncode in (0, 1), proc.stderr
-    relaxation = json.loads(proc.stdout)["relaxation"]
-    assert all(group["seeded_cuts"] == [0, 0] for group in relaxation.values())
-    assert relaxation["n<=m"]["presolve_retries"] == [0, 0]  # with n <= m none solves
-    group = relaxation["n>m"]
-    solves, retries = group["highs_solves"], group["presolve_retries"]
-    assert retries == [0, solves[0]] and solves[1] == 2 * solves[0] > 0
-    assert group["presolve_fallbacks"] == [0, 0] and group["loops"] == [group["calls"]] * 2
+    monkeypatch.setattr(lp, "simplex_solve", presolve_off_fails)
+    fails = run_worker(3)
+    assert fails["calls"] == unseeded["calls"]
+    solved = 0
+    for (_, n, m), off, on in zip(unseeded["calls"], unseeded["counts"], fails["counts"]):
+        assert off["seeded_cuts"] == on["seeded_cuts"] == 0
+        assert off["presolve_retries"] == 0 and on["presolve_retries"] == off["highs_solves"]
+        assert on["highs_solves"] == 2 * off["highs_solves"]
+        assert off["presolve_fallbacks"] == on["presolve_fallbacks"] == 0
+        assert off["loops"] == on["loops"] == 1
+        if n <= m:  # none solves
+            assert on["highs_solves"] == 0
+        solved += off["highs_solves"]
+    assert solved > 0
 
 
 # appended to the copy's lp.py: every solve of a first loop fails, with
@@ -186,25 +187,41 @@ def test_tree_diff_counts_the_presolve_on_loops(tmp_path):
     assert seeded > 0 == unseeded  # the loop that answers adds one cut per round
 
 
-# appended to a copy's lp.py: round 1's seeds and conversion bound built prefix by prefix
-REFERENCE_SEEDS = "\n\n" + "\n\n".join(map(inspect.getsource, (
-    reference_conversion_harm, reference_single_crew_seeds))) + """
-
-_single_crew_seeds = reference_single_crew_seeds
-"""
-
-
-def test_tree_diff_finds_the_reference_seeds_the_same(tmp_path):
-    """A tree whose round 1 builds each seed from its own prefix, as
+def test_tree_diff_finds_the_reference_seeds_the_same(monkeypatch):
+    """A run whose round 1 builds each seed from its own prefix, as
     `reference_single_crew_seeds` does, gives the same answers, HiGHS solves,
     retries, loops, seeded cuts and separation calls as the one walk."""
-    with open(patched_src(tmp_path, "lp.py"), "a") as out:
-        out.write(REFERENCE_SEEDS)
-    proc = tree_diff("--count", "12", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
-    result = json.loads(proc.stdout)
-    assert proc.returncode == 0 and result["same_answers"] is True, proc.stderr
-    group = result["relaxation"]["all"]
-    for field in ("highs_solves", "presolve_retries", "presolve_fallbacks", "loops",
-                  "seeded_cuts", "separation_calls"):
-        assert group[field][0] == group[field][1], field
-    assert group["seeded_cuts"][0] > 0
+    walk = run_worker(12)
+    monkeypatch.setattr(lp, "_single_crew_seeds", reference_single_crew_seeds)
+    reference = run_worker(12)
+    for layer in ("relaxation", "oracle"):
+        assert answers(reference, layer) == answers(walk, layer), layer
+    for walked, referenced in zip(walk["counts"], reference["counts"], strict=True):
+        for field in COUNTS:
+            assert walked[field] == referenced[field], field
+    assert sum(count["seeded_cuts"] for count in walk["counts"]) > 0
+
+
+class Interrupted(BaseException):
+    """Not an Exception, so the relaxation layer does not catch it."""
+
+
+@pytest.mark.parametrize("module, name", [(None, None), (lp, "_most_violated"),
+                                          (algos, "lp_list_schedule")],
+                         ids=["returns", "raises-in-the-relaxation", "raises-in-its-schedule"])
+def test_tree_diff_worker_restores_lp(monkeypatch, module, name):
+    """`lp`'s functions are the ones from before the call once `worker` returns,
+    or raises from inside a relaxation or from the lp-list schedule built on it."""
+    if module:
+        def raises(*args, **kwargs):
+            raise Interrupted("stand-in raising inside the relaxation layer")
+
+        monkeypatch.setattr(module, name, raises)
+    names = ("simplex_solve", "_most_violated", "_base_model", "solve_relaxation")
+    before = [getattr(lp, name) for name in names]
+    if module:
+        with pytest.raises(Interrupted):
+            run_worker(1)
+    else:
+        assert run_worker(1)["counts"]
+    assert all(getattr(lp, name) is function for name, function in zip(names, before))
