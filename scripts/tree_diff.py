@@ -41,7 +41,10 @@ a process of their own:
   is not timed);
 * `cli`: `validate`, `schedule --alg convert` and `--alg lp-list --dump-lp`
   on each bundled fixture, `islands` and `schedule --alg single-optimal` on
-  feeder123.json, `oracle` on fork.json and `bench --count 20`.  Each runs
+  feeder123.json, `oracle` on fork.json, `schedule fork.json --alg lp-list
+  --crews 2 --out out.json` spelled twice (so, which the CLI parses itself,
+  and with `--alg=lp-list --cr 2`, which it leaves to argparse) and `bench
+  --count 20`.  Each runs
   `gridrepair.cli` as `python -m` does, then reports its exit code, whether
   it loaded numpy and scipy.optimize, and its own peak RSS: `VmHWM`, or
   `ru_maxrss` where /proc is missing (not `wait4`'s, which a child inherits
@@ -63,7 +66,8 @@ whether every run of every SRC gave the same answer for each call:
 completion and energization maps, objective `repr`, round count, cut count
 and lp-list JSON, or the same error; the `oracle` JSON; the schedule JSON
 and `gridrepair islands` JSON of each file; each command's exit code,
-stdout, stderr, `--dump-lp` text and bench CSV without its `t_*` columns.
+stdout, stderr, `--dump-lp` text, `--out` JSON and bench CSV without its
+`t_*` columns.
 If not, `first_difference` names the layer and the first differing call,
 file or command, and the exit status is 1; a worker or command that ends
 without its report exits 2, naming the SRC.  Each SRC is byte-compiled
@@ -257,7 +261,10 @@ COMMANDS = [argv for name in FIXTURES for argv in (
     ["validate", name], ["schedule", name, "--alg", "convert"],
     ["schedule", name, "--alg", "lp-list", "--dump-lp", "model.txt"])] + [
     ["islands", "feeder123.json"], ["schedule", "feeder123.json", "--alg", "single-optimal"],
-    ["oracle", "fork.json"], ["bench", "--count", "20", "--out", "bench.csv"]]
+    ["oracle", "fork.json"],
+    ["schedule", "fork.json", "--alg", "lp-list", "--crews", "2", "--out", "out.json"],
+    ["schedule", "fork.json", "--alg=lp-list", "--cr", "2", "--out", "out.json"],
+    ["bench", "--count", "20", "--out", "bench.csv"]]
 
 
 def feeder(rng: random.Random, lines: int) -> dict:
@@ -318,7 +325,7 @@ def launch(src: str, script: str, args: list[str], cwd: str, what: str) -> tuple
 def run_command(src: str, argv: list[str], cwd: str) -> tuple[list, str, float, list]:
     """[wall seconds], the answer, peak RSS in MB and the modules loaded of one cold run."""
     seconds, proc, (code, loaded, peak) = launch(src, RUNNER, argv, cwd, " ".join(argv))
-    paths = [Path(cwd, name) for name in ("model.txt", "bench.csv")]
+    paths = [Path(cwd, name) for name in ("model.txt", "out.json", "bench.csv")]
     texts = {path.name: path.read_text() for path in paths if path.exists()}
     for path in paths:
         path.unlink(missing_ok=True)

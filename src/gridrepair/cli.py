@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from pathlib import Path
 
 from gridrepair import algos, harness, oracle
 from gridrepair.lp import LpError, format_model
@@ -22,52 +22,115 @@ EXIT_INVALID = 2
 EXIT_VIOLATION = 3
 
 
-@functools.cache  # parse_args leaves the parser as it was
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # neither parse changes the parser or its actions
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
+    """The parser, and per command the actions its `add_argument` calls
+    returned, in order, which `_parse` reads."""
     parser = argparse.ArgumentParser(
         prog="gridrepair",
         description="Repair crew scheduling for damaged radial distribution feeders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, list[argparse.Action]] = {}
 
     p = sub.add_parser("validate", help="check an instance file")
-    p.add_argument("instance", type=Path)
+    commands["validate"] = [p.add_argument("instance", type=str)]
 
     p = sub.add_parser("islands", help="print the island partition and precedence tree")
-    p.add_argument("instance", type=Path)
+    commands["islands"] = [p.add_argument("instance", type=str)]
 
     p = sub.add_parser("schedule", help="run a scheduling algorithm")
-    p.add_argument("instance", type=Path)
-    p.add_argument("--alg", choices=algos.ALGORITHMS, required=True)
-    p.add_argument("--crews", type=int, default=None, help="override the instance crew count")
-    p.add_argument("--dump-lp", type=Path, default=None, metavar="PATH",
-                   help="write the final LP model and cut pool as text (lp-list only)")
-    p.add_argument("--within-island-order", choices=algos.WITHIN_ISLAND_ORDERS, default=None,
-                   help="line order inside each island (convert only; default given)")
-    p.add_argument("--out", type=Path, default=None, help="write JSON here instead of stdout")
+    commands["schedule"] = [
+        p.add_argument("instance", type=str),
+        p.add_argument("--alg", choices=algos.ALGORITHMS, required=True),
+        p.add_argument("--crews", type=int, default=None, help="override the instance crew count"),
+        p.add_argument("--dump-lp", type=str, default=None, metavar="PATH",
+                       help="write the final LP model and cut pool as text (lp-list only)"),
+        p.add_argument("--within-island-order", choices=algos.WITHIN_ISLAND_ORDERS, default=None,
+                       help="line order inside each island (convert only; default given)"),
+        p.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout"),
+    ]
 
     p = sub.add_parser("oracle", help="brute-force optimum for desk-scale instances")
-    p.add_argument("instance", type=Path)
-    p.add_argument("--crews", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None)
+    commands["oracle"] = [
+        p.add_argument("instance", type=str),
+        p.add_argument("--crews", type=int, default=None),
+        p.add_argument("--out", type=str, default=None),
+    ]
 
     p = sub.add_parser("bench", help="benchmark random instances and write a CSV")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-lines", type=int, default=8)
-    p.add_argument("--crews", type=str, default="2,3", help="comma-separated crew counts")
-    p.add_argument("--switch-probability", type=float, default=0.4)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    return parser
+    commands["bench"] = [
+        p.add_argument("--seed", type=int, default=0),
+        p.add_argument("--count", type=int, default=100),
+        p.add_argument("--max-lines", type=int, default=8),
+        p.add_argument("--crews", type=str, default="2,3", help="comma-separated crew counts"),
+        p.add_argument("--switch-probability", type=float, default=0.4),
+        p.add_argument("--out", type=str, required=True),
+        p.add_argument("--jobs", type=int, default=1),
+    ]
+    return parser, commands
 
 
-def _emit(payload: dict | str, out: Path | None) -> None:
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `parse_args(argv)` returns, built from the command's own
+    actions, where argv is a command, its positionals and each of its options
+    at most once, spelled whole and followed by a value that does not start
+    with "-"; None for any other argv, which argparse alone parses: help,
+    abbreviations, `--opt=value`, a repeated option, a value starting with
+    "-", an unknown or missing argument, and a value its `type` or `choices`
+    rejects.  Every argument `_build_parser` adds stores one value."""
+    commands = _build_parser()[1]
+    if not argv or argv[0] not in commands:
+        return None
+    actions = commands[argv[0]]
+    options = {flag: action for action in actions for flag in action.option_strings}
+    positionals, values, tokens = [], {}, iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        action, value = options.get(token), next(tokens, "-")
+        if action is None or action in values or value.startswith("-"):
+            return None
+        values[action] = value
+    positional_actions = [action for action in actions if not action.option_strings]
+    if len(positionals) != len(positional_actions):
+        return None
+    values.update(zip(positional_actions, positionals))
+    args = argparse.Namespace(command=argv[0])
+    for action in actions:
+        if action in values:
+            text = values[action]
+        elif action.required:
+            return None
+        elif isinstance(action.default, str):  # argparse sends a string default through `type`
+            text = action.default
+        else:
+            setattr(args, action.dest, action.default)
+            continue
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action in values and action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    return args
+
+
+def _emit(payload: dict | str, out: str | None) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if out is None:
         print(text)
-    else:
-        out.write_text(text + ("\n" if not text.endswith("\n") else ""), encoding="utf-8")
+        return
+    # the bytes `Path(out).write_text(..., encoding="utf-8")` wrote, without its text layer
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        data = memoryview((text if text.endswith("\n") else text + "\n").encode("utf-8"))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _cmd_validate(args) -> int:
@@ -172,7 +235,10 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv)
+    if args is None:
+        args = _build_parser()[0].parse_args(argv)
     handlers = {
         "validate": _cmd_validate,
         "islands": _cmd_islands,

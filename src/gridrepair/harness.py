@@ -27,7 +27,8 @@ instance_from_json = validate
 
 def load_instance(path: str | Path) -> NetworkInstance:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:  # universal newlines, as `read_text`
+            obj = json.load(file)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
     except ValueError as exc:  # not UTF-8, or an integer of over 4300 digits: bad input too

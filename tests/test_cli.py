@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +250,157 @@ def test_parser_built_once_keeps_no_options_between_calls(fixtures_dir, tmp_path
     assert not dump.exists()
     assert json.loads(capsys.readouterr().out)["crews"] == 2  # the instance's own count
     assert cli._build_parser() is cli._build_parser()
+
+
+def _outcome(argv: list[str], capsys) -> tuple:
+    """`main(argv)`'s exit code, whether returned or raised, stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+# argv shapes `cli._parse` parses itself, over all five commands: options in
+# any order, some left to their defaults (a string default goes through `type`)
+PARSED = {
+    "validate": ["validate", "f.json"],
+    "islands": ["islands", "f.json"],
+    "schedule": ["schedule", "f.json", "--alg", "lp-list", "--crews", "3", "--out", "o.json"],
+    "schedule-reordered": ["schedule", "--out", "o.json", "--within-island-order", "given",
+                           "--crews", "2", "--alg", "convert", "f.json"],
+    "schedule-dump-lp": ["schedule", "--dump-lp", "m.txt", "f.json", "--alg", "lp-list"],
+    "schedule-empty-values": ["schedule", "", "--alg", "single-optimal", "--out", ""],
+    "oracle": ["oracle", "f.json", "--crews", "2", "--out", "o.json"],
+    "bench-defaults": ["bench", "--out", "b.csv"],
+    "bench-crews": ["bench", "--crews", "2,3", "--out", "b.csv"],
+    "bench-every-option": ["bench", "--jobs", "2", "--switch-probability", "0.5", "--max-lines",
+                           "4", "--count", "5", "--seed", "3", "--out", "b.csv", "--crews", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSED.values(), ids=list(PARSED))
+def test_parse_gives_the_namespace_argparse_gives(argv):
+    from gridrepair import cli
+
+    parsed, expected = cli._parse(argv), cli._build_parser()[0].parse_args(argv)
+    assert parsed == expected
+    assert {dest: type(value) for dest, value in vars(parsed).items()} == {
+        dest: type(value) for dest, value in vars(expected).items()}
+
+
+def test_parse_sends_a_string_default_through_type(monkeypatch):
+    from gridrepair import cli
+
+    seed = next(action for action in cli._build_parser()[1]["bench"] if action.dest == "seed")
+    monkeypatch.setattr(seed, "default", "7")
+    argv = ["bench", "--out", "b.csv"]
+    assert cli._parse(argv) == cli._build_parser()[0].parse_args(argv)
+    assert cli._parse(argv).seed == 7
+
+
+def test_parse_reads_only_actions_that_take_one_value():
+    """`_parse` gives each option the one token after it: no flag, list or
+    count action may join the parser unless `_parse` learns to decline it."""
+    from gridrepair import cli
+
+    for actions in cli._build_parser()[1].values():
+        assert all(action.nargs is None and action.const is None for action in actions)
+
+
+# argv shapes `cli._parse` declines: (argv, `main`'s exit code, an argv that
+# `_parse` takes and argparse reads the same, where argparse does not exit)
+FORK = "FORK"  # stands for fixtures/fork.json
+DECLINED = {
+    "help": (["schedule", "-h"], 0, None),
+    "top-level-help": (["--help"], 0, None),
+    "equals": (["schedule", FORK, "--alg=lp-list"], 0, ["schedule", FORK, "--alg", "lp-list"]),
+    "abbreviation": (["schedule", FORK, "--alg", "lp-list", "--cr", "3"], 0,
+                     ["schedule", FORK, "--alg", "lp-list", "--crews", "3"]),
+    "repeated": (["schedule", FORK, "--alg", "lp-list", "--crews", "2", "--crews", "3"], 0,
+                 ["schedule", FORK, "--alg", "lp-list", "--crews", "3"]),
+    "double-dash": (["validate", "--", FORK], 0, ["validate", FORK]),
+    "dash-value": (["schedule", FORK, "--alg", "lp-list", "--crews", "-1"], 2, None),
+    "bad-type": (["schedule", FORK, "--alg", "lp-list", "--crews", "x"], 2, None),
+    "bad-choice": (["schedule", FORK, "--alg", "bogus"], 2, None),
+    "missing-required": (["schedule", FORK], 2, None),
+    "missing-value": (["schedule", FORK, "--alg"], 2, None),
+    "unknown": (["schedule", FORK, "--alg", "lp-list", "--foo"], 2, None),
+    "extra-positional": (["validate", FORK, FORK], 2, None),
+    "unknown-command": (["check", FORK], 2, None),
+    "no-arguments": ([], 2, None),
+}
+
+
+@pytest.mark.parametrize("case", DECLINED, ids=list(DECLINED))
+def test_declined_argv_reaches_argparse_unchanged(fixtures_dir, capsys, monkeypatch, case):
+    from gridrepair import cli
+
+    def fill(tokens: list[str] | None) -> list[str] | None:
+        fork = str(fixtures_dir / "fork.json")
+        return None if tokens is None else [fork if token == FORK else token for token in tokens]
+
+    argv, code, plain = DECLINED[case]
+    argv, plain = fill(argv), fill(plain)
+    assert cli._parse(argv) is None
+    parser, seen = cli._build_parser()[0], []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda args: seen.append(args) or parse_args(args))
+    outcome = _outcome(argv, capsys)
+    monkeypatch.undo()
+    assert seen == [argv] and outcome[0] == code
+    try:
+        parsed = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's own help or usage message, byte for byte
+        assert (exc.code, *capsys.readouterr()) == outcome
+        return
+    if plain is None:  # argparse takes `--crews -1`; the command rejects it
+        assert parsed.crews == -1
+        assert outcome[1:] == ("", "error: --crews must be at least 1, got -1\n")
+    else:
+        assert cli._parse(plain) == parsed and _outcome(plain, capsys) == outcome
+
+
+def _emit_by_write_text(payload, out):
+    """`cli._emit` as it was, writing through `Path.write_text`."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    if out is None:
+        print(text)
+    else:
+        Path(out).write_text(text + ("\n" if not text.endswith("\n") else ""), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["new-files", "longer-files", "one-byte-writes"])
+def test_out_and_dump_lp_hold_the_bytes_write_text_gave(tmp_path, capsys, monkeypatch, case):
+    """`--out` and `--dump-lp` files are byte for byte what `Path.write_text`
+    wrote: over a longer file too, and when each write takes one byte."""
+    from gridrepair import cli
+
+    raw = path_raw([2, 1, 3], [1, 10, 4])
+    raw["crews"] = 1  # so that the model holds a load cut, named from every line id
+    raw["lines"][0]["id"] = "lé1"
+    path = tmp_path / "feeder.json"
+    path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    names, files, writes, write = ("out.json", "model.txt"), {}, [], os.write
+    for side in ("write_text", "emit"):
+        folder = tmp_path / side
+        folder.mkdir()
+        if case == "longer-files":
+            for name in names:
+                (folder / name).write_bytes(b"x" * 100_000)
+        with monkeypatch.context() as patch:
+            if side == "write_text":
+                patch.setattr(cli, "_emit", _emit_by_write_text)
+            elif case == "one-byte-writes":
+                patch.setattr(os, "write",
+                              lambda fd, data: writes.append(fd) or write(fd, data[:1]))
+            assert main(["schedule", str(path), "--alg", "lp-list", "--out",
+                         str(folder / names[0]), "--dump-lp", str(folder / names[1])]) == EXIT_OK
+        files[side] = [(folder / name).read_bytes() for name in names]
+    assert files["emit"] == files["write_text"] and not capsys.readouterr().out
+    assert "load cut on {e2, e3, lé1}".encode("utf-8") in files["emit"][1]
+    if case == "one-byte-writes":
+        assert len(writes) == sum(map(len, files["emit"]))
 
 
 def test_schedule_within_island_order(fixtures_dir, capsys):
