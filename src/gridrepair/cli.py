@@ -66,7 +66,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Ac
         p.add_argument("--crews", type=str, default="2,3", help="comma-separated crew counts"),
         p.add_argument("--switch-probability", type=float, default=0.4),
         p.add_argument("--out", type=str, required=True),
-        p.add_argument("--jobs", type=int, default=1),
     ]
     return parser, commands
 
@@ -208,7 +207,6 @@ def _cmd_bench(args) -> int:
         ("--crews", min(crews), "at least 1", min(crews) >= 1),
         ("--count", args.count, "at least 1", args.count >= 1),
         ("--max-lines", args.max_lines, "at least 1", args.max_lines >= 1),
-        ("--jobs", args.jobs, "at least 1", args.jobs >= 1),
         ("--switch-probability", args.switch_probability, "in [0, 1]",
          0.0 <= args.switch_probability <= 1.0),
     ):
@@ -224,7 +222,7 @@ def _cmd_bench(args) -> int:
         switch_probability=args.switch_probability,
         crews=crews,
     )
-    rows = harness.run_bench(params, args.count, out_path=args.out, jobs=args.jobs)
+    rows = harness.run_bench(params, args.count, out_path=args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     solved = [r for r in rows if r.h_opt]
     if solved:

@@ -172,8 +172,8 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
 def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
     """Run every algorithm on one instance and certify every guarantee.
 
-    Raises oracle.InvariantViolation naming the instance if any tested
-    bound fails; the caller serializes the instance for replay.
+    Raises oracle.InvariantViolation, its message starting with the
+    instance's name and m, if any tested bound fails.
     """
     repair = instance.repair_times()
 
@@ -196,7 +196,7 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
         h_opt, t_oracle = found.harm, time.perf_counter() - t0
     except oracle.TooLarge:  # beyond the oracle's reach: no optimum to compare with
         h_opt, t_oracle = None, 0.0
-    except oracle.InvariantViolation as exc:  # named, for the bench's replay file
+    except oracle.InvariantViolation as exc:  # named, as `certify_row` names its failures
         raise oracle.InvariantViolation(f"{name} (m={m}): {exc}") from exc
 
     oracle.certify_row(name, instance, m, alg1, alg2, h_opt)
@@ -222,45 +222,26 @@ def bench_instance(name: str, instance: NetworkInstance, m: int) -> BenchRow:
     )
 
 
-def _bench_task(args: tuple[str, dict, int]) -> BenchRow:
-    name, raw, m = args
-    return bench_instance(name, validate(raw), m)
-
-
-def run_bench(
-    params: GenParams,
-    count: int,
-    out_path: str | Path | None = None,
-    jobs: int = 1,
-) -> list[BenchRow]:
+def run_bench(params: GenParams, count: int, out_path: str | Path | None = None
+              ) -> list[BenchRow]:
     """Benchmark generated instances across the configured crew counts.
 
-    Rows come back ordered by instance id then crew count regardless of
-    worker scheduling.  On an invariant violation the offending instance is
-    written as generated next to the output file, for replay, and the error
-    re-raised.
+    Rows come in seed order, then in the order of the crew counts; each
+    validates a fresh instance.  On an invariant violation the failing row's
+    instance is written as generated next to the output file, for replay,
+    and the error re-raised; no CSV is written.
     """
-    # named by their seeds; each (instance, m) task validates its raw dict once
-    corpus = [(f"gen-{seed}", random_raw(params._replace(seed=seed)))
-              for seed in range(params.seed, params.seed + count)]
-    tasks = [(name, raw, m) for name, raw in corpus for m in params.crews]
-    try:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_bench_task, tasks))
-        else:
-            rows = [_bench_task(t) for t in tasks]
-    except oracle.InvariantViolation as exc:
-        if out_path is not None:
-            name = str(exc).split(" ", 1)[0]
-            replay = dict(corpus).get(name)
-            if replay is not None:
-                Path(str(out_path) + ".violation.json").write_text(
-                    json.dumps(replay, indent=2) + "\n", encoding="utf-8"
-                )
-        raise
+    rows = []
+    for seed in range(params.seed, params.seed + count):
+        name, raw = f"gen-{seed}", random_raw(params._replace(seed=seed))
+        for m in params.crews:
+            try:
+                rows.append(bench_instance(name, validate(raw), m))
+            except oracle.InvariantViolation:
+                if out_path is not None:
+                    Path(str(out_path) + ".violation.json").write_text(
+                        json.dumps(raw, indent=2) + "\n", encoding="utf-8")
+                raise
     if out_path is not None:
         Path(out_path).write_text(rows_to_csv(rows), encoding="utf-8")
     return rows

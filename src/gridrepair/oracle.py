@@ -299,8 +299,18 @@ def certify_row(
 
     `alg1` is the midpoint list schedule, `alg2` the conversion; `h_opt` is
     the brute-force optimum, or None beyond the enumeration guard.
-    Raises InvariantViolation with a message starting "<name> (m=<m>): ",
-    which the bench parses to write the instance out for replay.
+    Raises InvariantViolation with a message starting "<name> (m=<m>): ".
+
+    Graham's bound: a list schedule starts its k-th line (from 0) no later
+    than the earlier lines' total time over m, the least crew load being at
+    most the mean.  The start is its crew's running sum of at most k of
+    those times, `elapsed` the running sum of all k, and each of a sum's
+    k - 1 roundings scales it by a factor within 2^-53 of 1.  So start * m,
+    rounded, is at most (1 + 2^-53)^k / (1 - 2^-53)^(k - 1) times `elapsed`,
+    below (1 + (2k + 3) 2^-53) times it for k < 2^26; the allowance taken is
+    at least that: 1 + (k + 2) 2^-52 is exact and its product rounds once.
+    Where `elapsed` is subnormal, every sum is exact and start * m is at
+    most `elapsed` itself.
     """
     failures: list[str] = []
     repair = instance.repair_times()
@@ -309,8 +319,8 @@ def certify_row(
     # per-job chain under midpoint list scheduling
     starts = alg1.schedule.starts()
     elapsed = 0.0
-    for lid in alg1.schedule.priority:
-        if starts[lid] > elapsed / m + 1e-9:
+    for k, lid in enumerate(alg1.schedule.priority):
+        if starts[lid] * m > elapsed * (1.0 + (k + 2) * 2.0**-52):
             failures.append(f"start bound broken for {lid}")
         elapsed += repair[lid]
     completions = alg1.schedule.completions()

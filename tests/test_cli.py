@@ -274,8 +274,8 @@ PARSED = {
     "oracle": ["oracle", "f.json", "--crews", "2", "--out", "o.json"],
     "bench-defaults": ["bench", "--out", "b.csv"],
     "bench-crews": ["bench", "--crews", "2,3", "--out", "b.csv"],
-    "bench-every-option": ["bench", "--jobs", "2", "--switch-probability", "0.5", "--max-lines",
-                           "4", "--count", "5", "--seed", "3", "--out", "b.csv", "--crews", "2"],
+    "bench-every-option": ["bench", "--switch-probability", "0.5", "--max-lines", "4",
+                           "--count", "5", "--seed", "3", "--out", "b.csv", "--crews", "2"],
 }
 
 
@@ -487,8 +487,7 @@ def test_bench_repeated_crew_count_fails_before_any_row(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--count", "-3"), ("--max-lines", "0"), ("--switch-probability", "1.5"),
-     ("--jobs", "0"), ("--jobs", "-2")],
+    [("--count", "-3"), ("--max-lines", "0"), ("--switch-probability", "1.5")],
 )
 def test_bench_out_of_range_option_is_an_input_error(tmp_path, capsys, option, value):
     out = tmp_path / "rows.csv"
@@ -496,6 +495,20 @@ def test_bench_out_of_range_option_is_an_input_error(tmp_path, capsys, option, v
     assert code == EXIT_INVALID
     assert option in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_has_no_jobs_option(tmp_path, capsys, monkeypatch):
+    """The bench runs its rows in one process: `--jobs` is an unrecognized
+    argument, which argparse rejects with exit 2 before any row runs."""
+    from gridrepair import harness
+
+    rows = []
+    monkeypatch.setattr(harness, "bench_instance", lambda *args: rows.append(args))
+    out = tmp_path / "rows.csv"
+    code, stdout, stderr = _outcome(["bench", "--jobs", "2", "--out", str(out)], capsys)
+    assert code == EXIT_INVALID and not stdout
+    assert "unrecognized arguments: --jobs 2" in stderr
+    assert rows == [] and list(tmp_path.iterdir()) == []
 
 
 def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
@@ -639,14 +652,13 @@ def test_files_are_utf_8_whatever_the_locale(tmp_path, escaped):
     assert "load cut on {e2, e3, lé1}".encode("utf-8") in outputs[0][1]
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    """Nor NumPy (only the oracle needs it), `scipy.optimize` (an LP solve
-    loads SciPy's HiGHS binding alone) or `csv` (only the bench writes CSV)."""
+def test_cli_import_leaves_numpy_scipy_optimize_and_csv_unloaded():
+    """NumPy only the oracle needs, `scipy.optimize` no LP solve loads (it
+    loads SciPy's HiGHS binding alone) and `csv` only the bench writes."""
     proc = run_fresh("""
         import sys
         import gridrepair.cli
-        for module in ('concurrent.futures.process', 'multiprocessing', 'numpy',
-                       'scipy.optimize', 'csv'):
+        for module in ('numpy', 'scipy.optimize', 'csv'):
             assert module not in sys.modules, module
     """)
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -21,6 +22,14 @@ from gridrepair.harness import (
 from gridrepair.model import ValidationError, partition_islands, validate
 
 from conftest import TIMING_COLUMNS, instance_to_json, save_instance
+
+
+def _bench_untimed(params: GenParams, count: int) -> tuple[int, list[dict]]:
+    """The process id its shared HiGHS instance is keyed by, and the rows of
+    `run_bench` without their wall times."""
+    rows = [{k: v for k, v in dataclasses.asdict(r).items() if not k.startswith("t_")}
+            for r in run_bench(params, count)]
+    return lp._shared[0], rows
 
 
 @pytest.mark.parametrize("name", ["fork.json", "two_island.json", "graham_m3.json",
@@ -230,23 +239,25 @@ class TestBench:
         assert calls == {"partition": 1, "precedence": 1, "order": 1, "infinite": 1,
                          "single": 1, "one_crew_plan": 1}
 
-    def test_violation_writes_the_instance_for_replay(self, tmp_path, monkeypatch):
-        from gridrepair import oracle
-
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_violation_writes_the_instance_for_replay(self, tmp_path, monkeypatch, m):
+        """The fabricated failure fires on gen-13 at one crew count, the
+        second one too: the row's own instance is written, and no CSV."""
         certify = oracle.certify_row
 
-        def fail_on_gen_13(name, *args):
-            if name == "gen-13":
-                raise oracle.InvariantViolation(f"{name} (m=2): fabricated for the test")
-            return certify(name, *args)
+        def fail_on_gen_13(name, instance, crews, *args):
+            if name == "gen-13" and crews == m:
+                raise oracle.InvariantViolation(f"{name} (m={crews}): fabricated for the test")
+            return certify(name, instance, crews, *args)
 
         monkeypatch.setattr(oracle, "certify_row", fail_on_gen_13)
         params = GenParams(seed=11, nodes=(2, 6), crews=(2, 3))
         out = tmp_path / "bench.csv"
-        with pytest.raises(oracle.InvariantViolation, match=r"^gen-13 \(m=2\): fabricated"):
-            run_bench(params, 4, out_path=out, jobs=1)
+        with pytest.raises(oracle.InvariantViolation, match=rf"^gen-13 \(m={m}\): fabricated"):
+            run_bench(params, 4, out_path=out)
         assert not out.exists()
         replay = json.loads((tmp_path / "bench.csv.violation.json").read_text())
+        assert replay == harness.random_raw(params._replace(seed=13))
         assert instance_from_json(replay) == generate_random(params._replace(seed=13))
 
     def test_the_incumbent_changes_no_cell(self, monkeypatch):
@@ -257,14 +268,14 @@ class TestBench:
             {k: v for k, v in dataclasses.asdict(r).items() if not k.startswith("t_")}
             for r in rows
         ]
-        rows = run_bench(params, 40, jobs=1)
+        rows = run_bench(params, 40)
         damaged = [sum(1 for t in generate_random(params._replace(seed=seed))
                        .repair_times().values() if t > 0) for seed in range(160, 200)]
         assert damaged.count(8) == damaged.count(9) == 4  # where the bound prunes
         brute_force_optimal = oracle.brute_force_optimal
         monkeypatch.setattr(oracle, "brute_force_optimal",
                             lambda instance, m, incumbent=None: brute_force_optimal(instance, m))
-        assert strip(run_bench(params, 40, jobs=1)) == strip(rows)
+        assert strip(run_bench(params, 40)) == strip(rows)
 
     def test_an_oracle_violation_is_named_for_replay(self, tmp_path, monkeypatch):
         def wrong_incumbent(instance, m, incumbent=None):
@@ -280,25 +291,16 @@ class TestBench:
         calls = []
         validate = harness.validate
         monkeypatch.setattr(harness, "validate", lambda raw: calls.append(raw) or validate(raw))
-        rows = run_bench(GenParams(seed=11, nodes=(2, 6), crews=(2, 3)), 4, jobs=1)
+        rows = run_bench(GenParams(seed=11, nodes=(2, 6), crews=(2, 3)), 4)
         assert len(rows) == len(calls) == 4 * 2
 
-    def test_worker_pool_matches_serial(self):
-        params = GenParams(seed=31, nodes=(2, 5), crews=(2,))
-        serial = run_bench(params, 4, jobs=1)
-        parallel = run_bench(params, 4, jobs=2)
-        strip = lambda rows: [
-            (r.instance, r.crews, r.h_lp, r.h_alg1, r.h_alg2, r.h_opt) for r in rows
-        ]
-        assert strip(serial) == strip(parallel)
-
     def test_forked_workers_after_a_parent_solve(self, two_island):
-        # the parent holds its shared HiGHS instance before the pool forks
+        """A child forked while the parent holds its shared HiGHS instance
+        builds its own, and benches the rows the parent does."""
         lp.solve_relaxation(two_island, crews=2)
         assert lp._shared[0] == os.getpid()
         params = GenParams(seed=47, nodes=(2, 7), crews=(2, 3))
-        strip = lambda rows: [
-            {k: v for k, v in dataclasses.asdict(r).items() if not k.startswith("t_")}
-            for r in rows
-        ]
-        assert strip(run_bench(params, 6, jobs=2)) == strip(run_bench(params, 6, jobs=1))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child, rows = pool.apply(_bench_untimed, (params, 6))
+        assert child != os.getpid()
+        assert rows == _bench_untimed(params, 6)[1]

@@ -2,6 +2,7 @@ import builtins
 import functools
 import itertools
 import math
+import random
 import re
 import tracemalloc
 from unittest import mock
@@ -503,6 +504,56 @@ def test_a_relaxation_above_the_optimum_by_more_than_the_slack_fails():
             with pytest.raises(oracle.InvariantViolation,
                                match=r"^mixed-95 \(m=1\): relaxation exceeds the optimum$"):
                 oracle.certify_row("mixed-95", *row)
+
+
+# times l1 to l6 of a path feeder with no switch: l5 starts at fl(l2 + l3) = l1,
+# which is 3.7e-9 above (l1 + l2 + l3) / 2 as rounded
+PINNED_START = (25007199.634811584, 13654848.089916244, 11352351.54489534,
+                3128185.441027173, 8161163.015853333, 6404147.491208999)
+
+
+def _one_island(times):
+    """The feeder family `PINNED_START` came from: a path of unit weights and no switch."""
+    return _chain(times, [1] * len(times), [False] * len(times))
+
+
+def _start_bound_family(seed):
+    """Times y, x in [y/2, y], y - x and 1-4 smaller ones, y below 1e7 to 1e9."""
+    rng = random.Random(seed)
+    y = rng.uniform(1.0, 10 ** rng.uniform(7, 9))
+    x = rng.uniform(y / 2, y)
+    return [y, x, y - x] + [rng.uniform(0, y - x) for _ in range(rng.randint(1, 4))]
+
+
+class TestStartBound:
+    """Graham's start bound, checked with an allowance for the rounding of
+    the two running sums it compares (`certify_row`)."""
+
+    def test_a_start_one_rounding_above_the_bound_certifies(self):
+        row = bench_instance("pinned", _one_island(PINNED_START), 2)
+        assert row.h_opt is not None
+
+    def test_a_start_past_the_bound_is_reported(self):
+        inst = _one_island(PINNED_START)
+        alg1 = algos.lp_list_schedule(inst, crews=2)
+        alg2 = algos.convert_single_to_m(inst, crews=2)
+        h_opt = oracle.brute_force_optimal(inst, 2).harm
+        oracle.certify_row("pinned", inst, 2, alg1, alg2, h_opt)
+        repair, priority = inst.repair_times(), alg1.schedule.priority
+        last = priority[-1]
+        bound = math.fsum(repair[lid] for lid in priority[:-1]) / 2
+        late = tuple(tuple(a._replace(start=bound * (1 + 1e-12)) if a.line == last else a
+                           for a in crew) for crew in alg1.schedule.crews)
+        alg1 = alg1._replace(schedule=alg1.schedule._replace(crews=late))
+        with pytest.raises(oracle.InvariantViolation,
+                           match=rf"^pinned \(m=2\): start bound broken for {last}$"):
+            oracle.certify_row("pinned", inst, 2, alg1, alg2, h_opt)
+
+    def test_the_feeder_family_certifies(self):
+        """The pinned feeder's family, where the absolute slack 1e-9 this
+        check once took failed on 1127 of 20000 feeders."""
+        for seed in range(1000):
+            bench_instance(f"family-{seed}", _one_island(_start_bound_family(seed)), 2)
 
 
 class TestExhaustiveSeparation:

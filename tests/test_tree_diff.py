@@ -1,6 +1,5 @@
 import json
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +10,7 @@ from gridrepair import algos, harness, lp, oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT / "scripts"))
+import tree_diff  # noqa: E402
 from tree_diff import COUNTS, CREWS, worker  # noqa: E402
 
 # appended to the copy's harness.py: every oracle JSON gains a key
@@ -24,9 +24,19 @@ def oracle_to_json(result, crews):
 """
 
 
-def tree_diff(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / "tree_diff.py"), *args],
-                          capture_output=True, text=True)
+def run_tree_diff(monkeypatch, capsys, *args: str) -> tuple[int, str, str]:
+    """The exit status, stdout and stderr of `scripts/tree_diff.py args`, whose
+    `main` runs in this process on a load corpus of one feeder of 100 lines,
+    written in each of the three forms (its workers and commands still run in
+    processes of their own)."""
+    monkeypatch.setattr(sys, "argv", ["tree_diff.py", *args])
+    monkeypatch.setattr(tree_diff, "SIZES", (100,))
+    monkeypatch.setattr(tree_diff, "FEEDERS", 1)
+    try:
+        code = tree_diff.main()
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
 
 
 def run_worker(count: int, switch_probability: float = 0.4) -> dict:
@@ -48,13 +58,14 @@ def patched_src(tmp_path: Path, module: str) -> Path:
     return copy / "gridrepair" / module
 
 
-def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
+def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path, monkeypatch, capsys):
     harness = patched_src(tmp_path, "harness.py")
     with open(harness, "a") as out:
         out.write(ORACLE_PATCH)
-    proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
-    result = json.loads(proc.stdout)
-    assert proc.returncode == 1 and result["same_answers"] is False
+    code, stdout, _ = run_tree_diff(monkeypatch, capsys, "--count", "3", "--repeat", "1",
+                                    str(ROOT / "src"), str(tmp_path / "src"))
+    result = json.loads(stdout)
+    assert code == 1 and result["same_answers"] is False
     assert result["switch_probability"] == 0.4  # the default
     # the relaxation layer runs first and agrees; only the 3 seeds x 2 crew counts
     # differ, and the cli layer's `oracle fork.json`
@@ -76,15 +87,16 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path):
         assert seeded[0] == seeded[1] and (seeded[0] == 0) == spare
 
 
-def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
+def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path, monkeypatch, capsys):
     cli = patched_src(tmp_path, "cli.py")
     text, line = cli.read_text(), 'f"OK: {len(instance.nodes)} nodes, '
     assert text.count(line) == 1  # the start of `validate`'s success line
     cli.write_text(text.replace(line, line.replace("OK", "ok")))
-    proc = tree_diff("--count", "1", "--repeat", "1", "--switch-probability", "0",
-                     str(ROOT / "src"), str(tmp_path / "src"))
-    result = json.loads(proc.stdout)
-    assert proc.returncode == 1 and result["same_answers"] is False
+    code, stdout, _ = run_tree_diff(monkeypatch, capsys, "--count", "1", "--repeat", "1",
+                                    "--switch-probability", "0",
+                                    str(ROOT / "src"), str(tmp_path / "src"))
+    result = json.loads(stdout)
+    assert code == 1 and result["same_answers"] is False
     assert result["switch_probability"] == 0.0
     # the relaxation, oracle and load layers agree; only the four `validate` commands differ
     assert result["first_difference"] == {
@@ -93,10 +105,10 @@ def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path):
 
 
 @pytest.mark.parametrize("option", ["--count", "--max-lines", "--repeat"])
-def test_tree_diff_rejects_an_option_below_one(option):
-    proc = tree_diff(option, "0", str(ROOT / "src"))
-    assert proc.returncode == 2 and not proc.stdout
-    assert f"error: {option} must be at least 1" in proc.stderr
+def test_tree_diff_rejects_an_option_below_one(monkeypatch, capsys, option):
+    code, stdout, stderr = run_tree_diff(monkeypatch, capsys, option, "0", str(ROOT / "src"))
+    assert code == 2 and not stdout
+    assert f"error: {option} must be at least 1" in stderr
 
 
 def test_tree_diff_draws_its_corpus_at_the_switch_probability(monkeypatch):
@@ -170,15 +182,16 @@ def simplex_solve(model, presolve=False):
 """
 
 
-def test_tree_diff_counts_the_presolve_on_loops(tmp_path):
+def test_tree_diff_counts_the_presolve_on_loops(tmp_path, monkeypatch, capsys):
     """Where the first loop's first solve fails with presolve off and in its
     retry, the loop of one cut per round runs with presolve on and answers:
     one retry, one presolve-on loop and one more loop per call that solves."""
     with open(patched_src(tmp_path, "lp.py"), "a") as out:
         out.write(FIRST_LOOP_FAILS)
-    proc = tree_diff("--count", "3", "--repeat", "1", str(ROOT / "src"), str(tmp_path / "src"))
-    assert proc.returncode in (0, 1), proc.stderr
-    group = json.loads(proc.stdout)["relaxation"]["all"]
+    code, stdout, stderr = run_tree_diff(monkeypatch, capsys, "--count", "3", "--repeat", "1",
+                                         str(ROOT / "src"), str(tmp_path / "src"))
+    assert code in (0, 1), stderr
+    group = json.loads(stdout)["relaxation"]["all"]
     (_, retries), (_, fallbacks) = group["presolve_retries"], group["presolve_fallbacks"]
     assert group["presolve_retries"][0] == group["presolve_fallbacks"][0] == 0
     assert 0 < retries == fallbacks <= group["calls"]
