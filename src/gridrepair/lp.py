@@ -36,15 +36,16 @@ their optimum for weights >= 0 and the vertex HiGHS returns there bit for
 bit (tests/test_lp.py::TestSpareCrews).  With at most m lines of positive
 time it meets every cut: (sum_A p)^2 <= m sum_A p^2 gives f(A) <=
 sum_A p^2, at most the left side.  Where round 1 does find a cut, it is
-seeded: beside that cut go, before the first solve, the cuts on the
-prefixes of the optimal single-crew island order (`seq_opt`) that end at an
-island boundary and that E-infinity violates by the same rule, but for a
-right-hand side of 1e20 or more, which HiGHS cannot take.  For one machine
-the vertex of a sequence is tight exactly on its prefix sets (Queyranne
-1993), so these name most of the final cuts at once; on the lp-feeders
-benchmark they cut the solves per relaxation from 5.3 to 2.3.  One walk of
-that order (`_single_crew_seeds`) scores them on prefixes of its fsum inputs
-(exact in any order), sums each island's times once, and U of `_caps`.
+seeded: beside that cut go, before the first solve, the cuts on the prefixes
+of the optimal single-crew island order (`single_crew_order` of the
+instance) that end at an island boundary and that E-infinity violates by the
+same rule, but for a right-hand side of 1e20 or more, which HiGHS cannot
+take.  For one machine the vertex of a sequence is tight exactly on its
+prefix sets (Queyranne 1993), so these name most of the final cuts at once;
+on the lp-feeders benchmark they cut the solves per relaxation from 5.3 to
+2.3.  One walk of that order (`_single_crew_seeds`) scores them on prefixes
+of its fsum inputs (exact in any order), sums each island's times once, and
+U of `_caps`.
 Every later round adds one cut.  Once no prefix is violated, the last vertex
 is the answer, lifted top-down onto the precedence tree (`schedule.energize`):
 each island's E becomes the larger of its own and its parent's, so every
@@ -107,7 +108,6 @@ import sys
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from gridrepair import schedule as sched
-from gridrepair import seq_opt
 from gridrepair.model import IslandSet, NetworkInstance, PrecedenceGraph, ValidationError
 
 LP_TOLERANCE = 1e-9
@@ -421,15 +421,13 @@ class LpSolution(NamedTuple):
         return len(self.objective_history)
 
 
-def _base_model(
-    instance: NetworkInstance, islands: IslandSet, precedence: PrecedenceGraph
-) -> LpModel:
+def _base_model(instance: NetworkInstance) -> LpModel:
     """Columns E by island id, each bounded below by its island's largest repair
     time; one precedence row per switch."""
-    p, weights = instance.repair_times(), islands.weights
-    column = {iid: k for k, iid in enumerate(weights)}  # islands are in id order
+    p, islands = instance.repair_times(), instance.islands
+    weights, column = islands.weights, islands.index
     pairs = []  # (column +1, column -1) per row: child over parent
-    for parent, child in precedence.edges():
+    for parent, child in instance.precedence.edges():
         pairs += (column[child], column[parent])
     rows = len(pairs) // 2
     return LpModel(
@@ -462,17 +460,17 @@ def solve_relaxation(
     CutPoolLimit, which is raised) or its last vertex's objective exceeds
     `_dual_bound` by more than GAP_TOLERANCE of it; then the loop of one cut
     per round runs with presolve on, and its answer or error is the call's.
+    Every table is the instance's: `islands` and `precedence`, where given
+    (the traced benchmark passes them), must equal its own, else ValueError.
     """
-    own = islands is None and precedence is None  # the instance's, which keeps E-infinity
-    islands = instance.islands if islands is None else islands
-    precedence = instance.precedence if precedence is None else precedence
+    if islands not in (None, instance.islands) or precedence not in (None, instance.precedence):
+        raise ValueError("islands and precedence must be the instance's own")
     m = instance.crews if crews is None else crews
     if m < 1:
         raise ValueError(f"crew count must be >= 1, got {m}")
-    p = instance.repair_times()
+    p, islands = instance.repair_times(), instance.islands
     lids, iids = sorted(p), list(islands.weights)
-    of_line = islands.island_of_line
-    column = {iid: k for k, iid in enumerate(iids)}
+    of_line, column = islands.island_of_line, islands.index
     # the lines with p > 0 in id order, their times and their islands' columns
     lines = [lid for lid in lids if p[lid] > 0]
     times = [p[lid] for lid in lines]
@@ -490,20 +488,19 @@ def solve_relaxation(
                                   "small matrix value 1e-09, which it drops from the load cuts")
         _limit(t, "line {!r} repair time", lid)  # its island E's lower bound
     # round 1, the least point, on the tree as it stands
-    energization, harm = (instance.infinite_crew_energization if own
-                          else sched.infinite_crew_energization(islands, precedence, p))
+    energization, harm = instance.infinite_crew_energization
     least = [energization[iid] for iid in iids]
     cut_limit = 10 * max(1, len(p)) ** 2
     at_least = [least[k] for k in columns]
     first = _most_violated(at_least, times, m, ())  # round 1's cut: E-infinity is unsolved
     seeds, caps = [], []  # where round 1 finds no cut, E-infinity is the answer
     if first is not None:
-        seeds, upper = _single_crew_seeds(islands, precedence, least, columns, times, m, first[0])
-        caps = _caps(upper, islands, precedence, times)
+        seeds, upper = _single_crew_seeds(instance, least, columns, times, m, first[0])
+        caps = _caps(upper, instance, times)
 
     def cutting_planes(seeded: Sequence[tuple], presolve: bool
                        ) -> tuple[LpModel, LpVertex, list[float], list[Cut]]:
-        model = _base_model(instance, islands, precedence)
+        model = _base_model(instance)
         cuts, pooled = [], set()  # the pool's subsets, by position in `lines`
 
         def solved() -> LpVertex:  # with presolve off, a failed solve once more on
@@ -556,7 +553,7 @@ def solve_relaxation(
         model, vertex, history, cuts = cutting_planes((), True)
 
     # the last vertex lifted top-down onto the tree (E-infinity is already), keys in id order
-    lifted = sched.energize(dict(zip(iids, vertex.values)), precedence)
+    lifted = sched.energize(dict(zip(iids, vertex.values)), instance.precedence)
     energization = {iid: lifted[iid] for iid in iids}
     completion = {lid: energization[of_line[lid]] if p[lid] > 0 else 0.0 for lid in lids}
     return LpSolution(
@@ -570,20 +567,20 @@ def solve_relaxation(
     )
 
 
-def _single_crew_seeds(islands: IslandSet, precedence: PrecedenceGraph, least: Sequence[float],
-                       columns: Sequence[int], times: Sequence[float], m: int,
-                       first: tuple[int, ...]) -> tuple[list[tuple], float]:
+def _single_crew_seeds(instance: NetworkInstance, least: Sequence[float], columns: Sequence[int],
+                       times: Sequence[float], m: int, first: tuple[int, ...]
+                       ) -> tuple[list[tuple], float]:
     """Round 1's seeds but `first`, its own cut, as (sorted positions, right-hand side, row
     divisor, row by column), and U = sum_i w_i (E1_i / m + (m - 1) / m E-infinity_i), from
-    one walk of the optimal single-crew island order (module docstring), for the positive
+    one walk of the instance's single-crew island order (module docstring), for the positive
     `times` in island `columns` and E-infinity `least` by column.  E1 is the single-crew
     energization along that order, a linear extension of the precedence: the list schedule
     on m crews in that order meets U, the conversion bound."""
     members: dict[int, list[int]] = {}
     for i, k in enumerate(columns):
         members.setdefault(k, []).append(i)
-    column = {iid: k for k, iid in enumerate(islands.weights)}  # islands are in id order
-    order = [column[iid] for iid in seq_opt.optimal_island_sequence(islands, precedence)]
+    islands = instance.islands
+    order = list(map(islands.index.__getitem__, instance.single_crew_order))
     walk = [i for k in order if k in members for i in members[k]]  # positions, island by island
     t = [times[i] for i in walk]  # the fsum inputs of each prefix are a prefix of these
     squares, products = [x * x for x in t], [x * least[columns[i]] for x, i in zip(t, walk)]
@@ -602,14 +599,13 @@ def _single_crew_seeds(islands: IslandSet, precedence: PrecedenceGraph, least: S
     return seeds, math.fsum(terms)
 
 
-def _caps(upper: float, islands: IslandSet, precedence: PrecedenceGraph,
-          times: Sequence[float]) -> list[float]:
+def _caps(upper: float, instance: NetworkInstance, times: Sequence[float]) -> list[float]:
     """The box min(1.5P, U / W_j) of the module docstring, by column, for the
     conversion bound `upper` (`_single_crew_seeds`), n positive `times` and k
     islands: U / W_j is at most n + 2k + 7 roundings of nonnegative floats off
     exact (barring underflow), which U's factor covers."""
-    below, parent = dict(islands.weights), precedence.parent  # W_j
-    for iid in reversed(precedence.topological_order[1:]):  # children first
+    below, parent = dict(instance.islands.weights), instance.precedence.parent  # W_j
+    for iid in reversed(instance.precedence.topological_order[1:]):  # children first
         below[parent[iid]] += below[iid]
     upper *= 1.0 + 32 * (len(times) + len(below)) * 2.0**-53
     box = 1.5 * math.fsum(times)

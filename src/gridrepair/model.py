@@ -80,8 +80,8 @@ class NetworkInstance(Record):
 
     Nodes and lines are in id order, lines oriented away from the root.
     Undamaged lines are admitted with repair_time 0.  The repair-time table, the
-    island partition, its precedence tree and the unlimited-crew energization are
-    derived on first use and kept with the instance; no reader may change them.
+    island partition, its precedence tree, the unlimited-crew energization and the
+    single-crew island order are built on first use and kept; no reader may change them.
     """
 
     nodes: tuple[Node, ...]
@@ -120,6 +120,12 @@ class NetworkInstance(Record):
         from gridrepair import schedule as sched  # which imports this module
         return sched.infinite_crew_energization(self.islands, self.precedence, self._repair_times)
 
+    @cached_property
+    def single_crew_order(self) -> tuple[str, ...]:
+        """`seq_opt.optimal_island_sequence` of the instance's own islands."""
+        from gridrepair import seq_opt  # which imports this module
+        return tuple(seq_opt.optimal_island_sequence(self.islands, self.precedence))
+
 
 class Island(NamedTuple):  # a tuple, like Node and Line: one per switch line, plus the root's
     """A maximal switch-free group of lines, energized as a unit.
@@ -139,7 +145,8 @@ class Island(NamedTuple):  # a tuple, like Node and Line: one per switch line, p
 
 
 class IslandSet(Record):
-    """The islands in id order.
+    """The islands in id order; `index` maps each id to its rank there, which is
+    its LP column and its oracle slot.
 
     Each lookup table is built on first use and kept; every reader shares
     the one dict, so none may change it.
@@ -150,6 +157,10 @@ class IslandSet(Record):
     @cached_property
     def island_of_line(self) -> dict[str, str]:
         return {lid: isl.id for isl in self.islands for lid in isl.line_ids}
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {isl.id: k for k, isl in enumerate(self.islands)}
 
     @cached_property
     def weights(self) -> dict[str, float]:

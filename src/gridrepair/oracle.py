@@ -138,8 +138,7 @@ def brute_force_optimal(
 
     ids = list(islands.weights)  # in id order
     c, width = min(m, n), len(ids)
-    position = {iid: k for k, iid in enumerate(ids)}
-    island_of = islands.island_of_line
+    position, island_of = islands.index, islands.island_of_line
     home = np.array([position[island_of[lid]] for lid in damaged], dtype=np.intp)
     slots = np.arange(width)[:, None, None]
     p = np.array([repair[lid] for lid in damaged], dtype=float)

@@ -130,6 +130,5 @@ def expand_sequence(
 
 def optimal_single_crew_harm(instance: NetworkInstance) -> SingleCrewOptimum:
     """Best achievable harm with one crew: the island order that attains it,
-    by ratio merging; its plan and harm follow on first read."""
-    order = optimal_island_sequence(instance.islands, instance.precedence)
-    return SingleCrewOptimum(instance, tuple(order))
+    the instance's `single_crew_order`; its plan and harm follow on first read."""
+    return SingleCrewOptimum(instance, instance.single_crew_order)

@@ -305,12 +305,13 @@ def reference_conversion_harm(island_order, islands, infinite, m):
     return math.fsum(terms)
 
 
-def reference_single_crew_seeds(islands, precedence, least, columns, times, m, first):
+def reference_single_crew_seeds(instance, least, columns, times, m, first):
     """`lp._single_crew_seeds` built prefix by prefix, as it was before the
     walk: each island-boundary prefix of the optimal single-crew island order
     sorted afresh, its cut scored exactly from its own lines, its row summed
     line by line, and U from `reference_conversion_harm`."""
-    order = seq_opt.optimal_island_sequence(islands, precedence)
+    islands = instance.islands
+    order = seq_opt.optimal_island_sequence(islands, instance.precedence)
     column = {iid: k for k, iid in enumerate(islands.weights)}
     at_least = [least[k] for k in columns]
     seeds, prefix = [], []
@@ -860,7 +861,7 @@ def island_all_subset_relaxation(instance: NetworkInstance, m: int, caps=None) -
     lines = [lid for lid in sorted(p) if p[lid] > 0]
     if len(lines) > MAX_ALL_SUBSET_LINES:
         raise oracle.TooLarge(len(lines), MAX_ALL_SUBSET_LINES)
-    model = lp._base_model(instance, islands, instance.precedence)
+    model = lp._base_model(instance)
     column = {iid: k for k, iid in enumerate(islands.weights)}
     for size in range(1, len(lines) + 1):
         for subset in itertools.combinations(lines, size):

@@ -207,11 +207,16 @@ class TestBench:
         assert all(row.h_alg1 == 0 and row.h_alg2 == 0 and row.h_opt == 0 for row in rows)
 
     def test_row_derives_each_value_once(self, monkeypatch):
+        """On a row whose relaxation seeds round 1, which walks the single-crew
+        island order as the conversion does."""
         from gridrepair import model, seq_opt
         from gridrepair import schedule as sched
 
+        params = GenParams(seed=5, nodes=(7, 7))
+        sol = lp.solve_relaxation(generate_random(params), crews=2)
+        assert len(sol.cuts) > sol.iterations - 1  # seeded: more cuts than solved rounds
         calls = {"partition": 0, "precedence": 0, "order": 0, "infinite": 0, "single": 0,
-                 "one_crew_plan": 0}
+                 "walk": 0, "one_crew_plan": 0}
 
         def counting(key, fn, when=lambda *a: True):
             def wrapper(*args, **kwargs):
@@ -231,13 +236,14 @@ class TestBench:
                             counting("infinite", sched.infinite_crew_energization))
         monkeypatch.setattr(seq_opt, "optimal_single_crew_harm",
                             counting("single", seq_opt.optimal_single_crew_harm))
+        monkeypatch.setattr(seq_opt, "optimal_island_sequence",
+                            counting("walk", seq_opt.optimal_island_sequence))
         monkeypatch.setattr(sched, "list_schedule",
                             counting("one_crew_plan", sched.list_schedule,
                                      lambda priority, m, times: m == 1))
-        instance = generate_random(GenParams(seed=4, nodes=(7, 7)))
-        harness.bench_instance("gen-4", instance, 2)
+        harness.bench_instance("gen-5", generate_random(params), 2)
         assert calls == {"partition": 1, "precedence": 1, "order": 1, "infinite": 1,
-                         "single": 1, "one_crew_plan": 1}
+                         "single": 1, "walk": 1, "one_crew_plan": 1}
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_violation_writes_the_instance_for_replay(self, tmp_path, monkeypatch, m):

@@ -8,6 +8,8 @@ argument shapes, on one fixture: a signature change that would crash a
 traced run fails here.
 """
 
+import pytest
+
 from gridrepair import algos, harness, lp, model, oracle, schedule, seq_opt
 
 
@@ -38,3 +40,21 @@ def test_traced_layer_calls(fixtures_dir):
         assert harness.result_to_json(result)["crews"] == m
     assert oracle.brute_force_optimal(instance, m).enumerated == 2
     harness.bench_instance("warmup", instance, 2)
+
+
+@pytest.mark.parametrize("name, m", [("feeder123.json", 3), ("fork.json", 2)])
+def test_the_traced_relaxation_reads_the_instance_tables(fixtures_dir, name, m):
+    """`solve_relaxation` takes `islands` and `precedence` by position only so
+    that the traced call runs: built afresh, as that call builds them, they
+    give the answer of the call without them; another instance's raise."""
+    instance = harness.load_instance(fixtures_dir / name)
+    islands = model.partition_islands(instance)
+    prec = model.build_precedence_graph(instance, islands)
+    traced = lp.solve_relaxation(instance, islands, prec, crews=m)
+    fresh = harness.load_instance(fixtures_dir / name)
+    assert traced == lp.solve_relaxation(fresh, crews=m)
+    assert len(traced.cuts) > 0
+    other = harness.load_instance(fixtures_dir / "two_island.json")
+    for given in ((other.islands, None), (None, other.precedence), (other.islands, prec)):
+        with pytest.raises(ValueError, match="must be the instance's own"):
+            lp.solve_relaxation(instance, *given, crews=m)

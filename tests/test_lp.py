@@ -33,7 +33,7 @@ from gridrepair.lp import (
     simplex_solve,
     solve_relaxation,
 )
-from gridrepair.model import ValidationError, build_precedence_graph, partition_islands, validate
+from gridrepair.model import ValidationError, validate
 
 from conftest import (
     FIXTURES,
@@ -174,11 +174,9 @@ class TestSimplexSolve:
 
     def test_two_island_base_model(self, two_island):
         # base rows only, no load cuts: E[e1] at its bound, E[e2] at its parent's
-        islands = partition_islands(two_island)
-        prec = build_precedence_graph(two_island, islands)
         from gridrepair.lp import _base_model
 
-        model = _base_model(two_island, islands, prec)
+        model = _base_model(two_island)
         assert model.variables == ["E[e1]", "E[e2]"]
         assert model.lower == [2.0, 1.0]
         vertex = simplex_solve(model)
@@ -302,7 +300,7 @@ def test_model_needs_no_numpy():
         import sys
         from gridrepair import harness, lp
         inst = harness.load_instance({str(FIXTURES / "feeder123.json")!r})
-        model = lp._base_model(inst, inst.islands, inst.precedence)
+        model = lp._base_model(inst)
         model.add_row([0, 1], [2.0, 3.0], 4.0)
         assert "load cut on {{x}}" in lp.format_model(model, [lp.Cut(frozenset("x"), 4.0)])
         assert "numpy" not in sys.modules
@@ -895,8 +893,7 @@ class TestDualBound:
         order = seq_opt.optimal_island_sequence(inst.islands, inst.precedence)
         upper = reference_conversion_harm(order, inst.islands,
                                           inst.infinite_crew_energization[0], m)
-        return lp._caps(upper, inst.islands, inst.precedence,
-                        [p[lid] for lid in sorted(p) if p[lid] > 0])
+        return lp._caps(upper, inst, [p[lid] for lid in sorted(p) if p[lid] > 0])
 
     @pytest.mark.parametrize("name", sorted(f.name for f in FIXTURES.glob("*.json")))
     def test_the_float_bound_is_below_the_exact_one_on_the_fixtures(self, monkeypatch, name):
@@ -1385,7 +1382,7 @@ def assert_is_the_highs_answer(inst, m):
     point there, in one round with no cut."""
     p, of_line = inst.repair_times(), inst.islands.island_of_line
     lines = [lid for lid in sorted(p) if p[lid] > 0]
-    base = lp._base_model(inst, inst.islands, inst.precedence)  # built as the loop builds it
+    base = lp._base_model(inst)  # built as the loop builds it
     energization, _ = sched.infinite_crew_energization(inst.islands, inst.precedence, p)
     least = [energization[iid] for iid in inst.islands.weights]
     vertex = simplex_solve(base)

@@ -300,7 +300,7 @@ def test_lp_model_is_built_whole_and_grows_in_place():
     assert repr(LpModel(["x"], [1.0], [0.0], [0], [], [], [])) == (
         "LpModel(variables=['x'], objective=[1.0], lower=[0.0], start=[0], index=[], value=[], "
         "rhs=[])")
-    model = _base_model(_BUILT, _BUILT.islands, _BUILT.precedence)
+    model = _base_model(_BUILT)
     assert model == (["E[e1]", "E[s]"], [2.5, 0.0], [3.0, 0.0], [0, 2], [0, 1], [1.0, -1.0], [0.0])
     with pytest.raises(AttributeError):
         model.rhs = []

@@ -24,12 +24,17 @@ def oracle_to_json(result, crews):
 """
 
 
-def run_tree_diff(monkeypatch, capsys, *args: str) -> tuple[int, str, str]:
+def run_tree_diff(monkeypatch, capsys, *args: str, commands: tuple[str, ...] | None = None
+                  ) -> tuple[int, str, str]:
     """The exit status, stdout and stderr of `scripts/tree_diff.py args`, whose
     `main` runs in this process on a load corpus of one feeder of 100 lines,
     written in each of the three forms (its workers and commands still run in
-    processes of their own)."""
+    processes of their own).  Given `commands`, its CLI layer runs only the
+    entries of `COMMANDS` that start with one of them."""
     monkeypatch.setattr(sys, "argv", ["tree_diff.py", *args])
+    if commands is not None:
+        monkeypatch.setattr(tree_diff, "COMMANDS", [
+            argv for argv in tree_diff.COMMANDS if " ".join(argv).startswith(commands)])
     monkeypatch.setattr(tree_diff, "SIZES", (100,))
     monkeypatch.setattr(tree_diff, "FEEDERS", 1)
     try:
@@ -63,7 +68,8 @@ def test_tree_diff_fails_on_a_changed_oracle_answer(tmp_path, monkeypatch, capsy
     with open(harness, "a") as out:
         out.write(ORACLE_PATCH)
     code, stdout, _ = run_tree_diff(monkeypatch, capsys, "--count", "3", "--repeat", "1",
-                                    str(ROOT / "src"), str(tmp_path / "src"))
+                                    str(ROOT / "src"), str(tmp_path / "src"),
+                                    commands=("oracle fork.json",))
     result = json.loads(stdout)
     assert code == 1 and result["same_answers"] is False
     assert result["switch_probability"] == 0.4  # the default
@@ -94,7 +100,8 @@ def test_tree_diff_fails_on_a_changed_cli_answer(tmp_path, monkeypatch, capsys):
     cli.write_text(text.replace(line, line.replace("OK", "ok")))
     code, stdout, _ = run_tree_diff(monkeypatch, capsys, "--count", "1", "--repeat", "1",
                                     "--switch-probability", "0",
-                                    str(ROOT / "src"), str(tmp_path / "src"))
+                                    str(ROOT / "src"), str(tmp_path / "src"),
+                                    commands=("validate",))
     result = json.loads(stdout)
     assert code == 1 and result["same_answers"] is False
     assert result["switch_probability"] == 0.0
@@ -189,7 +196,8 @@ def test_tree_diff_counts_the_presolve_on_loops(tmp_path, monkeypatch, capsys):
     with open(patched_src(tmp_path, "lp.py"), "a") as out:
         out.write(FIRST_LOOP_FAILS)
     code, stdout, stderr = run_tree_diff(monkeypatch, capsys, "--count", "3", "--repeat", "1",
-                                         str(ROOT / "src"), str(tmp_path / "src"))
+                                         str(ROOT / "src"), str(tmp_path / "src"),
+                                         commands=("validate feeder123.json",))
     assert code in (0, 1), stderr
     group = json.loads(stdout)["relaxation"]["all"]
     (_, retries), (_, fallbacks) = group["presolve_retries"], group["presolve_fallbacks"]
